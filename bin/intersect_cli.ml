@@ -4,7 +4,8 @@
      intersect_cli two --protocol tree -r 3 -k 1024 --overlap 512 --trials 5
      intersect_cli two --protocol trivial -k 256 --universe-bits 40
      intersect_cli multi --players 16 -k 64 --flavor star
-     intersect_cli disj -k 128 --overlap 0 *)
+     intersect_cli disj -k 128 --overlap 0
+     intersect_cli chaos --smoke --json        # any seeded campaign; see "campaigns" below *)
 
 open Cmdliner
 open Intersect
@@ -512,89 +513,170 @@ let profile_cmd =
       const run $ obsv_protocol_arg $ obsv_r_arg $ obsv_k_arg $ universe_bits_arg $ overlap_arg
       $ obsv_players_arg $ seed_arg $ json_arg $ profile_trials_arg $ domains_arg)
 
-let soak_cmd =
-  let smoke_arg = Arg.(value & flag & info [ "smoke" ] ~doc:"Seconds-scale configuration.") in
-  let json_arg = Arg.(value & flag & info [ "json" ] ~doc:"Print the JSON report instead of the table.") in
-  let soak_trials_arg =
-    Arg.(value & opt (some int) None & info [ "trials" ] ~docv:"N" ~doc:"Trials per (protocol x plan) cell.")
+(* ---------- campaigns: one driver behind every seeded campaign ---------- *)
+
+(* The flags the campaign subcommands share.  An unset option falls back
+   to the library's [default] config record ([smoke] under --smoke), so
+   each campaign has exactly one set of defaults: the library's. *)
+type campaign = {
+  smoke : bool;
+  seed : int option;
+  trials : int option;
+  json : bool;
+  out : string option;
+  domains : int option;
+  telemetry : string option;
+}
+
+(* A campaign whose library entry point takes no domain count or
+   telemetry sink, or that has no JSON report to print or write, switches
+   the matching flag off instead of accepting it and ignoring it. *)
+let campaign_term ~trials ?(json = true) ?(out = true) ?(domains = true) ?(telemetry = true) () =
+  let when_ on arg off = if on then arg else Term.const off in
+  let trials_name, trials_doc = trials in
+  let mk smoke seed trials json out domains telemetry =
+    { smoke; seed; trials; json; out; domains; telemetry }
   in
-  let run smoke json trials seed k universe_bits overlap domains =
-    let base = if smoke then Workload.Soak.smoke else Workload.Soak.default in
+  Term.(
+    const mk
+    $ Arg.(value & flag & info [ "smoke" ] ~doc:"Seconds-scale configuration.")
+    $ Arg.(value & opt (some int) None & info [ "seed" ] ~docv:"SEED" ~doc:"Root seed.")
+    $ Arg.(value & opt (some int) None & info [ trials_name ] ~docv:"N" ~doc:trials_doc)
+    $ when_ json
+        Arg.(value & flag & info [ "json" ] ~doc:"Print the JSON report instead of the table.")
+        false
+    $ when_ out
+        Arg.(
+          value
+          & opt (some string) None
+          & info [ "out" ] ~docv:"FILE" ~doc:"Also write the JSON report to $(docv).")
+        None
+    $ when_ domains domains_arg None
+    $ when_ telemetry
+        Arg.(
+          value
+          & opt (some string) None
+          & info [ "telemetry" ] ~docv:"FILE"
+              ~doc:
+                "Write the fleet-telemetry JSONL stream (snapshots, rates, post-mortems) to \
+                 $(docv).")
+        None)
+
+let campaign_k_arg =
+  Arg.(value & opt (some int) None & info [ "k"; "set-size" ] ~docv:"K" ~doc:"Set-size bound.")
+
+let list_arg elt names ~docv ~doc = Arg.(value & opt (some (list elt)) None & info names ~docv ~doc)
+
+(* The planted overlap: explicit, else half an explicit k, else the
+   config's own. *)
+let overlap_of ~k ~overlap default =
+  match (overlap, k) with Some o, _ -> o | None, Some k -> k / 2 | None, None -> default
+
+(* The runnable command line that regenerates a campaign's report. *)
+let reproduce_cmd c sub fmt =
+  Printf.ksprintf
+    (Printf.sprintf "dune exec bin/intersect_cli.exe -- %s%s %s" sub
+       (if c.smoke then " --smoke" else ""))
+    fmt
+
+let sink_of c = Option.map (fun _ -> Workload.Telemetry.create_sink ()) c.telemetry
+
+let write_lines path lines =
+  Out_channel.with_open_text path (fun oc ->
+      List.iter
+        (fun line ->
+          Out_channel.output_string oc line;
+          Out_channel.output_char oc '\n')
+        lines);
+  Printf.eprintf "wrote %s\n" path
+
+(* Print the table or the JSON report, write --out and --telemetry. *)
+let emit c ?sink ~table json =
+  (match (c.telemetry, sink) with
+  | Some path, Some sink -> write_lines path (Workload.Telemetry.jsonl sink)
+  | _ -> ());
+  let json = Stats.Json.to_string_pretty json in
+  if c.json then print_endline json else print_string table;
+  Option.iter (fun path -> write_lines path [ json ]) c.out
+
+(* The one exit rule: non-zero iff the campaign reported a violation. *)
+let finish sub violations =
+  List.iter (Printf.eprintf "%s: %s\n" sub) violations;
+  if violations = [] then 0 else 1
+
+let usage_error sub msg =
+  Printf.eprintf "%s: %s\n" sub msg;
+  2
+
+let soak_cmd =
+  let module S = Workload.Soak in
+  let run c k overlap =
+    let base = if c.smoke then S.smoke else S.default in
     let config =
       {
         base with
-        Workload.Soak.seed;
-        trials = Option.value trials ~default:base.Workload.Soak.trials;
-        k;
-        universe_bits;
-        overlap = Option.value overlap ~default:(k / 2);
+        S.seed = Option.value c.seed ~default:base.S.seed;
+        trials = Option.value c.trials ~default:base.S.trials;
+        k = Option.value k ~default:base.S.k;
+        overlap = overlap_of ~k ~overlap base.S.overlap;
       }
     in
-    let report = Workload.Soak.run ?domains config in
-    if json then print_endline (Stats.Json.to_string_pretty (Workload.Soak.to_json report))
-    else print_string (Workload.Soak.summary report);
-    let bad = List.filter (fun c -> not c.Workload.Soak.within_bound) report.Workload.Soak.cells in
-    List.iter
-      (fun c ->
-        Printf.eprintf "soak: %s/%s exceeded its error bound%s\n" c.Workload.Soak.protocol
-          c.Workload.Soak.plan
-          (match c.Workload.Soak.first_failure with
-          | None -> ""
-          | Some d -> Printf.sprintf " (first carried failure: %s)" d))
-      bad;
-    if bad = [] then 0 else 1
+    let sink = sink_of c in
+    let report = S.run ?domains:c.domains ?sink config in
+    let reproduce =
+      reproduce_cmd c "soak" "--seed %d --trials %d -k %d --overlap %d" config.S.seed config.S.trials
+        config.S.k config.S.overlap
+    in
+    emit c ?sink ~table:(S.summary report) (S.to_json ~reproduce report);
+    finish "soak" (S.violations report)
   in
   Cmd.v
     (Cmd.info "soak"
        ~doc:
-         "Soak the resilient wrapper against adversarial channels (bench/soak.exe is the full \
-          harness; this is the quick in-CLI view).")
+         "Soak the resilient wrapper against adversarial channels: seeded trials per (protocol \
+          x fault plan) cell, each checked against the paper's error bound.  Exits non-zero on \
+          any cell outside it.")
     Term.(
-      const run $ smoke_arg $ json_arg $ soak_trials_arg
-      $ Arg.(value & opt int 2014 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
-      $ Arg.(value & opt int 16 & info [ "k"; "set-size" ] ~docv:"K" ~doc:"Set-size bound.")
-      $ Arg.(value & opt int 20 & info [ "universe-bits" ] ~docv:"B" ~doc:"Universe size 2^B.")
-      $ overlap_arg $ domains_arg)
+      const run
+      $ campaign_term ~trials:("trials", "Trials per (protocol x plan) cell.") ()
+      $ campaign_k_arg $ overlap_arg)
+
+(* The chaos config, shared by chaos and the fleet views built on it. *)
+let chaos_config c k overlap =
+  let module C = Workload.Chaos in
+  let base = if c.smoke then C.smoke else C.default in
+  {
+    base with
+    C.seed = Option.value c.seed ~default:base.C.seed;
+    trials = Option.value c.trials ~default:base.C.trials;
+    k = Option.value k ~default:base.C.k;
+    overlap = overlap_of ~k ~overlap base.C.overlap;
+  }
+
+let chaos_trials = ("trials", "Trials per (protocol x campaign) cell.")
 
 let chaos_cmd =
-  let smoke_arg = Arg.(value & flag & info [ "smoke" ] ~doc:"Seconds-scale configuration.") in
-  let json_arg = Arg.(value & flag & info [ "json" ] ~doc:"Print the JSON report instead of the table.") in
-  let chaos_trials_arg =
-    Arg.(value & opt (some int) None & info [ "trials" ] ~docv:"N" ~doc:"Trials per (protocol x campaign) cell.")
-  in
-  let run smoke json trials seed k universe_bits overlap domains =
-    let base = if smoke then Workload.Chaos.smoke else Workload.Chaos.default in
-    let config =
-      {
-        base with
-        Workload.Chaos.seed;
-        trials = Option.value trials ~default:base.Workload.Chaos.trials;
-        k;
-        universe_bits;
-        overlap = Option.value overlap ~default:(k / 2);
-      }
+  let module C = Workload.Chaos in
+  let run c k overlap =
+    let config = chaos_config c k overlap in
+    let sink = sink_of c in
+    let report = C.run ?domains:c.domains ?sink config in
+    let reproduce =
+      reproduce_cmd c "chaos" "--seed %d --trials %d -k %d --overlap %d" config.C.seed config.C.trials
+        config.C.k config.C.overlap
     in
-    let report = Workload.Chaos.run ?domains config in
-    if json then print_endline (Stats.Json.to_string_pretty (Workload.Chaos.to_json report))
-    else print_string (Workload.Chaos.summary report);
-    match Workload.Chaos.invariant_violations report with
-    | [] -> 0
-    | violations ->
-        List.iter (Printf.eprintf "chaos invariant violated: %s\n") violations;
-        1
+    emit c ?sink ~table:(C.summary report) (C.to_json ~reproduce report);
+    finish "chaos" (C.invariant_violations report)
   in
   Cmd.v
     (Cmd.info "chaos"
        ~doc:
          "Run seeded chaos campaigns (corruption storms, stall bursts, mid-session \
-          crash/resume) against the session robustness layer and check the chaos invariant \
-          (bench/chaos.exe is the full harness; this is the quick in-CLI view).")
-    Term.(
-      const run $ smoke_arg $ json_arg $ chaos_trials_arg
-      $ Arg.(value & opt int 2014 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
-      $ Arg.(value & opt int 16 & info [ "k"; "set-size" ] ~docv:"K" ~doc:"Set-size bound.")
-      $ Arg.(value & opt int 20 & info [ "universe-bits" ] ~docv:"B" ~doc:"Universe size 2^B.")
-      $ overlap_arg $ domains_arg)
+          crash/resume) against the session robustness layer and check the chaos invariant: \
+          outcomes partition the trials, no wrong intersection, every resume replays \
+          identically.  Exits non-zero on any violation.  --telemetry also enables \
+          per-session flight recorders.")
+    Term.(const run $ campaign_term ~trials:chaos_trials () $ campaign_k_arg $ overlap_arg)
 
 (* ---------- health / top: fleet telemetry over a chaos campaign ---------- *)
 
@@ -602,46 +684,15 @@ let chaos_cmd =
    deadline-squeeze campaign is excluded by default: it exists to force
    failed-safe outcomes, which would make every default health check red.
    --all-campaigns puts it back for deliberate SLO-violation drills. *)
-let fleet_config ~smoke ~trials ~seed ~k ~universe_bits ~overlap ~all_campaigns =
-  let base = if smoke then Workload.Chaos.smoke else Workload.Chaos.default in
-  let campaigns =
-    if all_campaigns then base.Workload.Chaos.campaigns
-    else List.filter (fun (name, _) -> name <> "deadline-squeeze") base.Workload.Chaos.campaigns
-  in
-  {
-    base with
-    Workload.Chaos.seed;
-    trials = Option.value trials ~default:base.Workload.Chaos.trials;
-    k;
-    universe_bits;
-    overlap = Option.value overlap ~default:(k / 2);
-    campaigns;
-  }
-
-let write_telemetry path sink =
-  Out_channel.with_open_text path (fun oc ->
-      List.iter
-        (fun line ->
-          Out_channel.output_string oc line;
-          Out_channel.output_char oc '\n')
-        (Workload.Telemetry.jsonl sink));
-  Printf.eprintf "telemetry stream written to %s\n" path
-
-let fleet_smoke_arg = Arg.(value & flag & info [ "smoke" ] ~doc:"Seconds-scale configuration.")
-
-let fleet_trials_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "trials" ] ~docv:"N" ~doc:"Trials per (protocol x campaign) cell.")
-
-let fleet_seed_arg = Arg.(value & opt int 2014 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
-
-let fleet_k_arg =
-  Arg.(value & opt int 16 & info [ "k"; "set-size" ] ~docv:"K" ~doc:"Set-size bound.")
-
-let fleet_universe_arg =
-  Arg.(value & opt int 20 & info [ "universe-bits" ] ~docv:"B" ~doc:"Universe size 2^B.")
+let fleet_config c k overlap ~all_campaigns =
+  let config = chaos_config c k overlap in
+  if all_campaigns then config
+  else
+    {
+      config with
+      Workload.Chaos.campaigns =
+        List.filter (fun (name, _) -> name <> "deadline-squeeze") config.Workload.Chaos.campaigns;
+    }
 
 let all_campaigns_arg =
   Arg.(
@@ -650,13 +701,6 @@ let all_campaigns_arg =
         ~doc:
           "Include the deadline-squeeze campaign (deliberately drives failed-safe sessions, so \
            expect a red failed-safe-rate verdict).")
-
-let telemetry_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "telemetry-out" ] ~docv:"FILE"
-        ~doc:"Write the JSONL telemetry stream (snapshots, rates, post-mortems) to $(docv).")
 
 let slos_term =
   let some_pm names doc = Arg.(value & opt (some int) None & info names ~docv:"PM" ~doc) in
@@ -677,46 +721,35 @@ let slos_term =
     $ some_pm [ "max-p99-burn" ]
         "p99 deadline-burn SLO in per-mille of the session deadline (default 900).")
 
-let health_verdict ~violations (h : Obsv.Health.report) =
-  List.iter (Printf.eprintf "chaos invariant violated: %s\n") violations;
-  List.iter
-    (fun (v : Obsv.Health.verdict) ->
-      if not v.Obsv.Health.ok then
-        Printf.eprintf "health: SLO %s violated: %s\n" v.Obsv.Health.slo v.Obsv.Health.detail)
-    h.Obsv.Health.verdicts;
-  if h.Obsv.Health.ok && violations = [] then 0 else 1
+(* Score a finished fleet campaign: its violations are the chaos
+   invariant's plus every SLO the final snapshot breaks. *)
+let fleet_finish c sub ~slos sink report ~table =
+  match Workload.Telemetry.health ~slos sink with
+  | None -> finish sub [ "campaign recorded no snapshots" ]
+  | Some h ->
+      let violations =
+        Workload.Chaos.invariant_violations report
+        @ List.filter_map
+            (fun (v : Obsv.Health.verdict) ->
+              if v.Obsv.Health.ok then None
+              else Some (Printf.sprintf "SLO %s violated: %s" v.Obsv.Health.slo v.Obsv.Health.detail))
+            h.Obsv.Health.verdicts
+      in
+      emit c ~sink ~table:(table h violations)
+        (Stats.Json.Obj [ ("health", Obsv.Health.to_json h); ("slos", Obsv.Health.slos_json slos) ]);
+      finish sub violations
 
 let health_cmd =
-  let json_arg =
-    Arg.(value & flag & info [ "json" ] ~doc:"Print the health report as JSON instead of the table.")
-  in
-  let run smoke json trials seed k universe_bits overlap all_campaigns slos telemetry_out domains =
-    let config = fleet_config ~smoke ~trials ~seed ~k ~universe_bits ~overlap ~all_campaigns in
+  let run c k overlap all_campaigns slos =
+    let config = fleet_config c k overlap ~all_campaigns in
     let sink = Workload.Telemetry.create_sink () in
-    let report = Workload.Chaos.run ?domains ~sink config in
-    let violations = Workload.Chaos.invariant_violations report in
-    (match telemetry_out with None -> () | Some path -> write_telemetry path sink);
-    match Workload.Telemetry.health ~slos sink with
-    | None ->
-        prerr_endline "health: campaign recorded no snapshots";
-        1
-    | Some h ->
-        if json then
-          print_endline
-            (Stats.Json.to_string_pretty
-               (Stats.Json.Obj
-                  [
-                    ("health", Obsv.Health.to_json h);
-                    ("slos", Obsv.Health.slos_json slos);
-                  ]))
-        else begin
-          Stats.Table.print (Obsv.Health.table h);
-          Printf.printf "fleet: %d sessions over %d cells; verdict %s\n"
-            h.Obsv.Health.sessions
-            (List.length report.Workload.Chaos.cells)
-            (if h.Obsv.Health.ok && violations = [] then "HEALTHY" else "UNHEALTHY")
-        end;
-        health_verdict ~violations h
+    let report = Workload.Chaos.run ?domains:c.domains ~sink config in
+    fleet_finish c "health" ~slos sink report ~table:(fun h violations ->
+        Printf.sprintf "%s\nfleet: %d sessions over %d cells; verdict %s\n"
+          (Stats.Table.render (Obsv.Health.table h))
+          h.Obsv.Health.sessions
+          (List.length report.Workload.Chaos.cells)
+          (if violations = [] then "HEALTHY" else "UNHEALTHY"))
   in
   Cmd.v
     (Cmd.info "health"
@@ -726,9 +759,9 @@ let health_cmd =
           failed-safe / degraded / p99-deadline-burn rates take per-mille thresholds).  Exits \
           non-zero on any SLO or chaos-invariant violation.")
     Term.(
-      const run $ fleet_smoke_arg $ json_arg $ fleet_trials_arg $ fleet_seed_arg $ fleet_k_arg
-      $ fleet_universe_arg $ overlap_arg $ all_campaigns_arg $ slos_term $ telemetry_out_arg
-      $ domains_arg)
+      const run
+      $ campaign_term ~trials:chaos_trials ~out:false ()
+      $ campaign_k_arg $ overlap_arg $ all_campaigns_arg $ slos_term)
 
 let top_cmd =
   let no_ansi_arg =
@@ -768,9 +801,8 @@ let top_cmd =
       cell.Workload.Chaos.trials cell.Workload.Chaos.completed cell.Workload.Chaos.degraded
       cell.Workload.Chaos.failed_safe cell.Workload.Chaos.resumed
   in
-  let run smoke trials seed k universe_bits overlap all_campaigns no_ansi slos telemetry_out
-      domains =
-    let config = fleet_config ~smoke ~trials ~seed ~k ~universe_bits ~overlap ~all_campaigns in
+  let run c k overlap all_campaigns no_ansi slos =
+    let config = fleet_config c k overlap ~all_campaigns in
     let plan = Workload.Chaos.cells_of config in
     let total = List.length plan in
     let sink = Workload.Telemetry.create_sink () in
@@ -778,23 +810,14 @@ let top_cmd =
       List.mapi
         (fun i (protocol, campaign_name, camp) ->
           let cell =
-            Workload.Chaos.run_cell ?domains ~sink config camp ~protocol ~campaign_name
+            Workload.Chaos.run_cell ?domains:c.domains ~sink config camp ~protocol ~campaign_name
           in
           render_frame ~no_ansi ~idx:(i + 1) ~total ~protocol ~campaign_name sink cell;
           cell)
         plan
     in
-    let report = { Workload.Chaos.config; cells } in
-    let violations = Workload.Chaos.invariant_violations report in
-    (match telemetry_out with None -> () | Some path -> write_telemetry path sink);
-    match Workload.Telemetry.health ~slos sink with
-    | None ->
-        prerr_endline "top: campaign recorded no snapshots";
-        1
-    | Some h ->
-        print_newline ();
-        Stats.Table.print (Obsv.Health.table h);
-        health_verdict ~violations h
+    fleet_finish c "top" ~slos sink { Workload.Chaos.config; cells } ~table:(fun h _ ->
+        "\n" ^ Stats.Table.render (Obsv.Health.table h) ^ "\n")
   in
   Cmd.v
     (Cmd.info "top"
@@ -804,17 +827,12 @@ let top_cmd =
           spend-sketch percentiles), finishing with the SLO health table.  Frames are \
           event-time snapshots, so the stream is deterministic for a fixed seed.")
     Term.(
-      const run $ fleet_smoke_arg $ fleet_trials_arg $ fleet_seed_arg $ fleet_k_arg
-      $ fleet_universe_arg $ overlap_arg $ all_campaigns_arg $ no_ansi_arg $ slos_term
-      $ telemetry_out_arg $ domains_arg)
+      const run
+      $ campaign_term ~trials:chaos_trials ~json:false ~out:false ()
+      $ campaign_k_arg $ overlap_arg $ all_campaigns_arg $ no_ansi_arg $ slos_term)
 
 let bench_regress_cmd =
-  let smoke_arg =
-    Arg.(value & flag & info [ "smoke" ] ~doc:"Seconds-scale subset (k = 64 only, 2 trials).")
-  in
-  let json_arg =
-    Arg.(value & flag & info [ "json" ] ~doc:"Print the full JSON report to stdout.")
-  in
+  let module R = Workload.Regress in
   let deterministic_arg =
     Arg.(
       value & flag
@@ -822,13 +840,6 @@ let bench_regress_cmd =
           ~doc:
             "Print only the seeded fields (bits, messages, rounds) as JSON; two runs of the \
              same config must be byte-identical.")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:"Write the full JSON report (the BENCH_hotpath.json shape).")
   in
   let baseline_arg =
     Arg.(
@@ -845,80 +856,33 @@ let bench_regress_cmd =
       & info [ "tolerance" ] ~docv:"F"
           ~doc:"Allowed fractional timing regression vs the baseline (0.5 allows 1.5x).")
   in
-  let trials_arg =
-    Arg.(value & opt (some int) None & info [ "trials" ] ~docv:"N" ~doc:"Seeded trials per cell.")
-  in
-  let ks_arg =
-    Arg.(
-      value
-      & opt (some (list int)) None
-      & info [ "k"; "set-size" ] ~docv:"K,K,..." ~doc:"Set-size sweep (comma-separated).")
-  in
-  let protocols_arg =
-    Arg.(
-      value
-      & opt (some (list string)) None
-      & info [ "protocols" ] ~docv:"P,P,..."
-          ~doc:
-            ("Protocols to bench, comma-separated (default: all of "
-            ^ String.concat ", " Workload.Regress.protocol_names
-            ^ ")."))
-  in
-  let run smoke json deterministic out baseline tolerance seed trials ks protocols =
-    let base = if smoke then Workload.Regress.smoke else Workload.Regress.default in
+  let run c deterministic baseline tolerance ks protocols =
+    let base = if c.smoke then R.smoke else R.default in
     let config =
       {
         base with
-        Workload.Regress.seed;
-        trials = Option.value trials ~default:base.Workload.Regress.trials;
-        ks = Option.value ks ~default:base.Workload.Regress.ks;
-        protocols = Option.value protocols ~default:base.Workload.Regress.protocols;
+        R.seed = Option.value c.seed ~default:base.R.seed;
+        trials = Option.value c.trials ~default:base.R.trials;
+        ks = Option.value ks ~default:base.R.ks;
+        protocols = Option.value protocols ~default:base.R.protocols;
       }
     in
-    match Workload.Regress.run config with
-    | exception Invalid_argument m ->
-        prerr_endline ("bench-regress: " ^ m);
-        2
-    | report -> (
-        if deterministic then
-          print_endline
-            (Stats.Json.to_string_pretty (Workload.Regress.deterministic_json report))
-        else if json then
-          print_endline (Stats.Json.to_string_pretty (Workload.Regress.to_json report))
-        else print_string (Workload.Regress.summary report);
-        (match out with
-        | None -> ()
-        | Some path ->
-            Out_channel.with_open_text path (fun oc ->
-                Out_channel.output_string oc
-                  (Stats.Json.to_string_pretty (Workload.Regress.to_json report));
-                Out_channel.output_char oc '\n');
-            Printf.eprintf "wrote %s\n" path);
-        match baseline with
-        | None -> 0
-        | Some path -> (
-            let contents = In_channel.with_open_text path In_channel.input_all in
-            match Stats.Json.of_string contents with
-            | Error e ->
-                Printf.eprintf "bench-regress: cannot parse %s: %s\n" path e;
-                2
-            | Ok bjson -> (
-                match Workload.Regress.compare_baseline ~tolerance report bjson with
-                | Error e ->
-                    Printf.eprintf "bench-regress: %s\n" e;
-                    2
-                | Ok (compared, []) ->
-                    Printf.eprintf
-                      "baseline check: %d cell(s) compared, all within tolerance %.2f\n" compared
-                      tolerance;
-                    0
-                | Ok (compared, violations) ->
-                    Printf.eprintf "baseline check: %d cell(s) compared, %d violation(s):\n"
-                      compared (List.length violations);
-                    List.iter
-                      (fun v -> Printf.eprintf "  %s\n" (Workload.Regress.violation_message v))
-                      violations;
-                    1)))
+    match R.run config with
+    | exception Invalid_argument m -> usage_error "bench-regress" m
+    | report ->
+        let table =
+          if deterministic then
+            Stats.Json.to_string_pretty (R.deterministic_json report) ^ "\n"
+          else R.summary report
+        in
+        emit { c with json = c.json && not deterministic } ~table (R.to_json report);
+        finish "bench-regress"
+          (match baseline with
+          | None -> []
+          | Some path -> (
+              match Stats.Json.of_string (In_channel.with_open_text path In_channel.input_all) with
+              | Error e -> [ Printf.sprintf "cannot parse %s: %s" path e ]
+              | Ok json -> R.baseline_violations ~tolerance report json))
   in
   Cmd.v
     (Cmd.info "bench-regress"
@@ -928,61 +892,41 @@ let bench_regress_cmd =
           message and round counts.  With --baseline, enforces exact transcript fields and \
           tolerance-bounded timings against a committed BENCH_hotpath.json.")
     Term.(
-      const run $ smoke_arg $ json_arg $ deterministic_arg $ out_arg $ baseline_arg
-      $ tolerance_arg
-      $ Arg.(value & opt int 2014 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
-      $ trials_arg $ ks_arg $ protocols_arg)
+      const run
+      $ campaign_term ~trials:("trials", "Seeded trials per cell.") ~domains:false
+          ~telemetry:false ()
+      $ deterministic_arg $ baseline_arg $ tolerance_arg
+      $ list_arg Arg.int [ "k"; "set-size" ] ~docv:"K,K,..." ~doc:"Set-size sweep (comma-separated)."
+      $ list_arg Arg.string [ "protocols" ] ~docv:"P,P,..."
+          ~doc:
+            ("Protocols to bench, comma-separated (default: all of "
+            ^ String.concat ", " R.protocol_names
+            ^ ")."))
 
 let conform_cmd =
-  let smoke_arg =
-    Arg.(value & flag & info [ "smoke" ] ~doc:"Seconds-scale configuration (k = 16, 25 trials).")
-  in
-  let json_arg =
-    Arg.(value & flag & info [ "json" ] ~doc:"Print the JSON report instead of the table.")
-  in
-  let trials_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "trials" ] ~docv:"N" ~doc:"Trials per (protocol x k) cell.")
-  in
-  let ks_arg =
-    Arg.(
-      value
-      & opt (some (list int)) None
-      & info [ "k"; "set-size" ] ~docv:"K,K,..." ~doc:"Set-size sweep (comma-separated).")
-  in
-  let protocols_arg =
-    Arg.(
-      value
-      & opt (some (list string)) None
-      & info [ "protocols" ] ~docv:"P,P,..."
-          ~doc:
-            ("Statements to check, comma-separated (default: all of "
-            ^ String.concat ", " Workload.Conform.entry_names
-            ^ ")."))
-  in
-  let run smoke json trials seed ks protocols domains =
-    let base = if smoke then Workload.Conform.smoke else Workload.Conform.default in
+  let module C = Workload.Conform in
+  let run c ks protocols =
+    let base = if c.smoke then C.smoke else C.default in
     let config =
       {
         base with
-        Workload.Conform.seed;
-        trials = Option.value trials ~default:base.Workload.Conform.trials;
-        ks = Option.value ks ~default:base.Workload.Conform.ks;
-        protocols = Option.value protocols ~default:base.Workload.Conform.protocols;
+        C.seed = Option.value c.seed ~default:base.C.seed;
+        trials = Option.value c.trials ~default:base.C.trials;
+        ks = Option.value ks ~default:base.C.ks;
+        protocols = Option.value protocols ~default:base.C.protocols;
       }
     in
-    match Workload.Conform.run ?domains config with
-    | exception Invalid_argument m ->
-        prerr_endline ("conform: " ^ m);
-        2
+    match C.run ?domains:c.domains config with
+    | exception Invalid_argument m -> usage_error "conform" m
     | report ->
-        if json then
-          print_endline
-            (Stats.Json.to_string_pretty
-               (Workload.Conform.to_json ~reproduce:"intersect_cli conform" report))
-        else print_string (Workload.Conform.summary report);
-        if report.Workload.Conform.pass then 0 else 1
+        let reproduce =
+          reproduce_cmd c "conform" "--seed %d --trials %d -k %s --protocols %s" config.C.seed
+            config.C.trials
+            (String.concat "," (List.map string_of_int config.C.ks))
+            (String.concat "," config.C.protocols)
+        in
+        emit c ~table:(C.summary report) (C.to_json ~reproduce report);
+        finish "conform" (C.violations report)
   in
   Cmd.v
     (Cmd.info "conform"
@@ -992,78 +936,34 @@ let conform_cmd =
           bits envelope on the mean, Wilson-bounded error rate).  Exits non-zero on any \
           envelope violation.")
     Term.(
-      const run $ smoke_arg $ json_arg $ trials_arg
-      $ Arg.(value & opt int 2014 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
-      $ ks_arg $ protocols_arg $ domains_arg)
+      const run
+      $ campaign_term ~trials:("trials", "Trials per (protocol x k) cell.") ~out:false
+          ~telemetry:false ()
+      $ list_arg Arg.int [ "k"; "set-size" ] ~docv:"K,K,..." ~doc:"Set-size sweep (comma-separated)."
+      $ list_arg Arg.string [ "protocols" ] ~docv:"P,P,..."
+          ~doc:
+            ("Statements to check, comma-separated (default: all of "
+            ^ String.concat ", " C.entry_names
+            ^ ")."))
 
 let sweep_cmd =
-  let smoke_arg =
-    Arg.(value & flag & info [ "smoke" ] ~doc:"Seconds-scale matrix (3 cells, 1200 trials).")
-  in
-  let json_arg =
-    Arg.(value & flag & info [ "json" ] ~doc:"Print the JSON report instead of the table.")
-  in
-  let trials_arg =
-    Arg.(value & opt (some int) None & info [ "trials" ] ~docv:"N" ~doc:"Trials per matrix cell.")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE" ~doc:"Write the JSON report (the BENCH_sweep.json shape).")
-  in
-  let telemetry_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "telemetry" ] ~docv:"FILE"
-          ~doc:"Write the fleet-telemetry JSONL stream (per-cell snapshots) here.")
-  in
-  let run smoke json trials seed out telemetry_out domains =
-    let base = if smoke then Workload.Sweep.smoke else Workload.Sweep.default in
+  let module S = Workload.Sweep in
+  let run c =
+    let base = if c.smoke then S.smoke else S.default in
     let config =
       {
         base with
-        Workload.Sweep.seed;
-        trials_per_cell = Option.value trials ~default:base.Workload.Sweep.trials_per_cell;
+        S.seed = Option.value c.seed ~default:base.S.seed;
+        trials_per_cell = Option.value c.trials ~default:base.S.trials_per_cell;
       }
     in
+    let sink = sink_of c in
+    let report = S.run ?domains:c.domains ?sink config in
     let reproduce =
-      Printf.sprintf "intersect_cli sweep%s --seed %d --trials %d"
-        (if smoke then " --smoke" else "")
-        config.Workload.Sweep.seed config.Workload.Sweep.trials_per_cell
+      reproduce_cmd c "sweep" "--seed %d --trials %d" config.S.seed config.S.trials_per_cell
     in
-    let sink =
-      match telemetry_out with None -> None | Some _ -> Some (Workload.Telemetry.create_sink ())
-    in
-    match Workload.Sweep.run ?domains ?sink config with
-    | exception Invalid_argument m ->
-        prerr_endline ("sweep: " ^ m);
-        2
-    | report ->
-        (match (telemetry_out, sink) with
-        | Some path, Some sink -> write_telemetry path sink
-        | _ -> ());
-        if json then
-          print_endline (Stats.Json.to_string_pretty (Workload.Sweep.to_json ~reproduce report))
-        else print_string (Workload.Sweep.summary report);
-        (match out with
-        | None -> ()
-        | Some path ->
-            Out_channel.with_open_text path (fun oc ->
-                Out_channel.output_string oc
-                  (Stats.Json.to_string_pretty (Workload.Sweep.to_json ~reproduce report));
-                Out_channel.output_char oc '\n');
-            Printf.eprintf "wrote %s\n" path);
-        List.iter
-          (fun (c : Workload.Sweep.cell) ->
-            if not c.Workload.Sweep.pass then
-              Printf.eprintf "sweep: %s/%s k=%d violated its envelope (%d/%d failures)\n"
-                c.Workload.Sweep.protocol
-                (Option.value c.Workload.Sweep.plan ~default:"clean")
-                c.Workload.Sweep.k c.Workload.Sweep.failures c.Workload.Sweep.trials)
-          report.Workload.Sweep.cells;
-        if report.Workload.Sweep.pass then 0 else 1
+    emit c ?sink ~table:(S.summary report) (S.to_json ~reproduce report);
+    finish "sweep" (S.violations report)
   in
   Cmd.v
     (Cmd.info "sweep"
@@ -1072,12 +972,48 @@ let sweep_cmd =
           fault-plan cells through the trial engine, gating each cell's failure count against \
           the paper's 1/poly(k) envelope (Wilson 95% bounds) or the resilient wrapper's \
           rare-event bound.  Byte-identical report at every --domains value.  Exits non-zero \
-          on any envelope violation (bench/sweep.exe is the full harness; this is the in-CLI \
-          runner).")
+          on any envelope violation.")
+    Term.(const run $ campaign_term ~trials:("trials", "Trials per matrix cell.") ())
+
+let telemetry_overhead_cmd =
+  let module T = Workload.Telemetry in
+  let max_ratio_arg =
+    Arg.(
+      value
+      & opt (some float) None
+      & info [ "max-ratio" ] ~docv:"R"
+          ~doc:"Fail when the telemetry-on/off wall-clock ratio exceeds R.")
+  in
+  let run c k max_ratio =
+    let base = if c.smoke then T.overhead_smoke else T.overhead_default in
+    let config =
+      {
+        base with
+        T.seed = Option.value c.seed ~default:base.T.seed;
+        k = Option.value k ~default:base.T.k;
+        sessions = Option.value c.trials ~default:base.T.sessions;
+      }
+    in
+    let report = T.run_overhead config in
+    let reproduce =
+      reproduce_cmd c "telemetry-overhead" "--seed %d -k %d --sessions %d" config.T.seed config.T.k
+        config.T.sessions
+    in
+    emit c ~table:(T.overhead_summary report ^ "\n") (T.overhead_json ~reproduce report);
+    finish "telemetry-overhead" (T.overhead_violations ?max_ratio report)
+  in
+  Cmd.v
+    (Cmd.info "telemetry-overhead"
+       ~doc:
+         "Measure the hot-path cost of the fleet-telemetry layer: the same seeded clean-link \
+          sessions run with telemetry off, then on.  Exits non-zero when the deterministic \
+          session fields diverge between the passes or the on/off ratio exceeds --max-ratio \
+          (the gate behind BENCH_telemetry.json).")
     Term.(
-      const run $ smoke_arg $ json_arg $ trials_arg
-      $ Arg.(value & opt int 2014 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
-      $ out_arg $ telemetry_arg $ domains_arg)
+      const run
+      $ campaign_term ~trials:("sessions", "Sessions per pass.") ~domains:false ~telemetry:false
+          ()
+      $ campaign_k_arg $ max_ratio_arg)
 
 (* The hypothesis-driven experiment registry (experiments/NNN-slug.md;
    see experiments/README.md).  [verify] receives the group's own
@@ -1252,6 +1188,7 @@ let () =
       bench_regress_cmd;
       conform_cmd;
       sweep_cmd;
+      telemetry_overhead_cmd;
       trace_cmd;
       profile_cmd;
     ]

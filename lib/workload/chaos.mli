@@ -107,7 +107,8 @@ val run : ?domains:int -> ?sink:Telemetry.sink -> config -> report
 
 (** Violations of the chaos invariant (empty on a healthy report): outcome
     taxonomy partitions the trials, zero wrong results, every resume
-    byte-identical.  The CLI and the chaos bench fail on any entry. *)
+    byte-identical.  The [chaos], [health] and [top] subcommands fail on
+    any entry. *)
 val invariant_violations : report -> string list
 
 (** Machine-readable report; the top-level marker field is

@@ -321,3 +321,18 @@ let summary report =
         ])
     report.cells;
   Stats.Table.render table
+
+let violations report =
+  List.filter_map
+    (fun (c : cell) ->
+      if c.pass then None
+      else
+        let failed =
+          List.filter_map
+            (fun (ok, what) -> if ok then None else Some what)
+            [ (c.rounds_ok, "rounds"); (c.bits_ok, "bits"); (c.error_ok, "error") ]
+        in
+        Some
+          (Printf.sprintf "%s k=%d violated its %s envelope" c.protocol c.k
+             (String.concat "/" failed)))
+    report.cells

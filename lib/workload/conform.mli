@@ -97,3 +97,6 @@ val to_json : ?reproduce:string -> report -> Stats.Json.t
 
 (** Human-readable cell table. *)
 val summary : report -> string
+
+(** One line per cell that failed an envelope (empty iff [pass]). *)
+val violations : report -> string list

@@ -299,7 +299,7 @@ let check_command ~env ~cli_subcommands ~what command =
       in
       missing @ stale_subcommand
 
-let check_artifact ~env e =
+let check_artifact ~env ~cli_subcommands e =
   match e.artifact with
   | None ->
       if e.artifact_keys <> [] || e.json_check <> None then
@@ -334,7 +334,14 @@ let check_artifact ~env e =
                     | Error msg ->
                         [ Printf.sprintf "artifact %s fails json_check --%s: %s" artifact mode msg ])
               in
-              missing_keys @ schema))
+              (* A claimed artifact's own reproduce line must still run. *)
+              let provenance =
+                match Option.bind (Stats.Json.member "reproduce" doc) Stats.Json.to_string_opt with
+                | None -> []
+                | Some command ->
+                    check_command ~env ~cli_subcommands ~what:(artifact ^ " reproduce") command
+              in
+              missing_keys @ schema @ provenance))
 
 (* Extract experiments/*.md references from an index document.  A
    reference is a maximal run of path characters starting at
@@ -394,7 +401,7 @@ let verify ~env ~cli_subcommands { entries } =
             | None -> []
             | Some smoke -> check_command ~env ~cli_subcommands ~what:"smoke" smoke
         in
-        let artifact = if e.status = Superseded then [] else check_artifact ~env e in
+        let artifact = if e.status = Superseded then [] else check_artifact ~env ~cli_subcommands e in
         let regen =
           match e.status, e.smoke, e.regen with
           | Complete, None, (Gate | Diff) ->

@@ -13,7 +13,9 @@
       exists (and, for [intersect_cli], a subcommand the CLI still
       registers) — stale commands are found by the gate, not by a reader;
     - every declared [BENCH_*.json] artifact exists, carries the JSON
-      keys the entry gates on, and passes its {!Schemas} mode;
+      keys the entry gates on, and passes its {!Schemas} mode; an
+      artifact that embeds a top-level [reproduce] command passes the
+      same command check as the entry's own;
     - every committed [BENCH_*.json] is claimed by some live entry, and
       the [EXPERIMENTS.md] index and [README.md] cross-links resolve;
     - every [Complete] entry is re-derivable: it either declares a

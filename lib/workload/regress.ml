@@ -88,7 +88,7 @@ let reps_for k = if k <= 64 then 40 else if k <= 256 then 16 else if k <= 1024 t
 let default =
   { seed = 2014; universe_bits = 20; trials = 3; ks = [ 64; 1024; 4096 ]; protocols = protocol_names }
 
-let smoke = { default with ks = [ 64 ]; trials = 2 }
+let smoke = { default with ks = [ 64 ] }
 
 let run_cell ~seed ~universe_bits ~trials ~name ~k =
   let universe = 1 lsl universe_bits in
@@ -239,11 +239,6 @@ let summary (report : report) =
 
 (* ---------- baseline comparison ---------- *)
 
-type violation = { cell : string; field : string; baseline : float; current : float }
-
-let violation_message v =
-  Printf.sprintf "%s: %s baseline %.0f, current %.0f" v.cell v.field v.baseline v.current
-
 (* Pull the baseline cells out of a parsed BENCH_hotpath.json. *)
 let baseline_cells json =
   let open Stats.Json in
@@ -266,42 +261,41 @@ let baseline_cells json =
    alloc-bytes/run may regress by at most [tolerance] (a fraction: 0.5
    allows 1.5x the baseline).  Cells absent from the baseline are skipped,
    so a smoke run checks only the cells it shares with the committed
-   sweep. *)
-let compare_baseline ~tolerance (report : report) json =
+   sweep — but a run sharing no cell at all is a violation, not a pass. *)
+let baseline_violations ~tolerance (report : report) json =
   match baseline_cells json with
-  | Error e -> Error e
+  | Error e -> [ e ]
   | Ok base ->
-      let violations = ref [] in
-      let compared = ref 0 in
-      List.iter
-        (fun c ->
-          match List.assoc_opt (c.protocol, c.k) base with
-          | None -> ()
-          | Some bcell ->
-              incr compared;
-              let cell = Printf.sprintf "%s k=%d" c.protocol c.k in
-              let int_field name current =
-                match Option.bind (Stats.Json.member name bcell) Stats.Json.to_int_opt with
-                | Some b when b <> current ->
-                    violations :=
-                      { cell; field = name; baseline = float_of_int b; current = float_of_int current }
-                      :: !violations
-                | Some _ -> ()
-                | None ->
-                    violations := { cell; field = name ^ " (missing)"; baseline = nan; current = float_of_int current } :: !violations
-              in
-              int_field "total_bits" c.total_bits;
-              int_field "messages" c.messages;
-              int_field "rounds" c.rounds;
-              int_field "trials" c.trials;
-              let timing_field name current =
-                match Option.bind (Stats.Json.member name bcell) Stats.Json.to_float_opt with
-                | Some b when Float.is_finite b && b > 0.0 && current > b *. (1.0 +. tolerance) ->
-                    violations := { cell; field = name; baseline = b; current } :: !violations
-                | _ -> ()
-              in
-              timing_field "ns_per_run" c.ns_per_run;
-              timing_field "alloc_bytes_per_run" c.alloc_bytes_per_run)
-        report.cells;
-      Ok (!compared, List.rev !violations)
-
+      let shared =
+        List.filter_map
+          (fun c -> Option.map (fun b -> (c, b)) (List.assoc_opt (c.protocol, c.k) base))
+          report.cells
+      in
+      let cell_violations (c, bcell) =
+        let where = Printf.sprintf "%s k=%d" c.protocol c.k in
+        let field name = Stats.Json.member name bcell in
+        let int_field name current =
+          match Option.bind (field name) Stats.Json.to_int_opt with
+          | Some b when b <> current ->
+              [ Printf.sprintf "%s: %s baseline %d, current %d" where name b current ]
+          | Some _ -> []
+          | None -> [ Printf.sprintf "%s: %s missing from the baseline" where name ]
+        in
+        let timing_field name current =
+          match Option.bind (field name) Stats.Json.to_float_opt with
+          | Some b when Float.is_finite b && b > 0.0 && current > b *. (1.0 +. tolerance) ->
+              [ Printf.sprintf "%s: %s baseline %.0f, current %.0f" where name b current ]
+          | _ -> []
+        in
+        List.concat
+          [
+            int_field "total_bits" c.total_bits;
+            int_field "messages" c.messages;
+            int_field "rounds" c.rounds;
+            int_field "trials" c.trials;
+            timing_field "ns_per_run" c.ns_per_run;
+            timing_field "alloc_bytes_per_run" c.alloc_bytes_per_run;
+          ]
+      in
+      if shared = [] then [ "baseline: shares no (protocol, k) cell with this run" ]
+      else List.concat_map cell_violations shared

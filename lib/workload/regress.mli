@@ -47,7 +47,9 @@ val protocol_of : name:string -> k:int -> Intersect.Protocol.t
     super-linear in k). *)
 val default : config
 
-(** Seconds-scale subset (k = 64 only) for the tier-1 gate. *)
+(** The k = 64 slice of {!default}, trial count included, so it compares
+    cell for cell against a committed full-sweep baseline; seconds-scale,
+    for the tier-1 gate. *)
 val smoke : config
 
 (** Run the configured sweep.  Raises [Invalid_argument] on unknown
@@ -63,15 +65,11 @@ val deterministic_json : report -> Stats.Json.t
 
 val summary : report -> string
 
-type violation = { cell : string; field : string; baseline : float; current : float }
-
-val violation_message : violation -> string
-
-(** [compare_baseline ~tolerance report baseline_json] checks [report]
-    against a parsed committed baseline: deterministic fields must match
-    exactly; [ns_per_run] and [alloc_bytes_per_run] may exceed the
-    baseline by at most a factor of [1 + tolerance].  Returns the number
-    of compared cells (cells missing from the baseline are skipped, so
-    smoke subsets compare cleanly) and the violations. *)
-val compare_baseline :
-  tolerance:float -> report -> Stats.Json.t -> (int * violation list, string) result
+(** [baseline_violations ~tolerance report baseline_json] checks [report]
+    against a parsed committed baseline, one line per violation (empty
+    when it holds): deterministic fields must match exactly;
+    [ns_per_run] and [alloc_bytes_per_run] may exceed the baseline by at
+    most a factor of [1 + tolerance].  Cells missing from the baseline
+    are skipped, so smoke subsets compare cleanly; a malformed baseline,
+    or one sharing no cell with the run, is itself a violation. *)
+val baseline_violations : tolerance:float -> report -> Stats.Json.t -> string list

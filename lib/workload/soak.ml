@@ -328,3 +328,15 @@ let summary report =
         ])
     report.cells;
   Stats.Table.render table
+
+let violations report =
+  List.filter_map
+    (fun c ->
+      if c.within_bound then None
+      else
+        Some
+          (Printf.sprintf "%s/%s exceeded its error bound%s" c.protocol c.plan
+             (match c.first_failure with
+             | None -> ""
+             | Some d -> Printf.sprintf " (first carried failure: %s)" d)))
+    report.cells

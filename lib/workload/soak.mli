@@ -88,3 +88,7 @@ val to_json : ?reproduce:string -> report -> Stats.Json.t
 
 (** Human-readable cell table. *)
 val summary : report -> string
+
+(** One line per cell outside its error bound (empty on a healthy
+    report), in the style of {!Chaos.invariant_violations}. *)
+val violations : report -> string list

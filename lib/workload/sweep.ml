@@ -435,3 +435,14 @@ let summary (report : report) =
         ])
     report.cells;
   Stats.Table.render table
+
+let violations (report : report) =
+  List.filter_map
+    (fun (c : cell) ->
+      if c.pass then None
+      else
+        Some
+          (Printf.sprintf "%s/%s k=%d violated its envelope (%d/%d failures)" c.protocol
+             (Option.value c.plan ~default:"clean")
+             c.k c.failures c.trials))
+    report.cells

@@ -98,3 +98,6 @@ val to_json : ?reproduce:string -> report -> Stats.Json.t
 
 (** Human-readable cell table. *)
 val summary : report -> string
+
+(** One line per cell that failed its envelope (empty iff [pass]). *)
+val violations : report -> string list

@@ -277,3 +277,12 @@ let overhead_summary r =
      %.3fx, deterministic fields %s"
     r.config.k r.config.sessions r.off.ns_per_session r.on_.ns_per_session r.ratio
     (if r.deterministic_match then "identical" else "DIVERGED")
+
+let overhead_violations ?max_ratio r =
+  (if r.deterministic_match then []
+   else [ "deterministic session fields diverged between passes" ])
+  @
+  match max_ratio with
+  | Some bound when r.ratio > bound ->
+      [ Printf.sprintf "overhead ratio %.3f exceeds bound %.3f" r.ratio bound ]
+  | _ -> []

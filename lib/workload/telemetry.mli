@@ -97,3 +97,8 @@ val run_overhead : overhead_config -> overhead_report
 val overhead_json : ?reproduce:string -> overhead_report -> Stats.Json.t
 
 val overhead_summary : overhead_report -> string
+
+(** The overhead gate (empty when it holds): the deterministic fields
+    must agree between the passes and, given [max_ratio], the on/off
+    wall-clock ratio must not exceed it. *)
+val overhead_violations : ?max_ratio:float -> overhead_report -> string list

@@ -189,6 +189,18 @@ let test_artifact_schema_mode () =
     (has_violation ~substring:"fails json_check"
        (verify ~files:artifact_files (with_artifact ~json_check:"bench-chaos" ())))
 
+let test_artifact_provenance () =
+  let with_reproduce command =
+    ("BENCH_fixture.json", Printf.sprintf "{\"total\": 7, \"reproduce\": %S}\n" command)
+    :: base_files
+  in
+  check_bool "vanished executable in the artifact's reproduce reported" true
+    (has_violation ~substring:"BENCH_fixture.json reproduce command names bench/vanished.exe"
+       (verify ~files:(with_reproduce "dune exec bench/vanished.exe -- --seed 1") (with_artifact ())));
+  check_int "live reproduce accepted" 0
+    (List.length
+       (verify ~files:(with_reproduce "dune exec bench/main.exe -- --quick") (with_artifact ())))
+
 let test_unclaimed_bench () =
   let registry = registry_of [ (fixture.R.file, entry_doc) ] in
   check_bool "unclaimed BENCH reported" true
@@ -299,7 +311,7 @@ let test_regen_plan_dedup () =
 let repo_cli_subcommands =
   [
     "bench-regress"; "chaos"; "conform"; "disj"; "experiments"; "health"; "multi"; "profile";
-    "similarity"; "soak"; "sweep"; "top"; "trace"; "two";
+    "similarity"; "soak"; "sweep"; "telemetry-overhead"; "top"; "trace"; "two";
   ]
 
 let load_repo () =
@@ -346,6 +358,7 @@ let () =
           Alcotest.test_case "dangling artifact" `Quick test_dangling_artifact;
           Alcotest.test_case "artifact keys" `Quick test_artifact_keys;
           Alcotest.test_case "schema modes" `Quick test_artifact_schema_mode;
+          Alcotest.test_case "artifact provenance" `Quick test_artifact_provenance;
           Alcotest.test_case "unclaimed BENCH" `Quick test_unclaimed_bench;
         ] );
       ( "commands",

@@ -1,19 +1,22 @@
 #!/bin/sh
-# Tier-1 gate: static analysis, full build + test suite, a seconds-scale
-# soak smoke of the resilient wrapper against adversarial channels (exits
-# non-zero if any cell violates the paper's error bound), a chaos
-# campaign smoke of the session robustness layer (never a wrong
-# intersection, resumes replay identically), an observability smoke:
-# the trace subcommand must emit valid JSON and the profile subcommand
-# must account for every metered bit (it exits non-zero on a phase-sum
-# mismatch), a fleet-telemetry smoke (overhead bound, byte-identical
-# streams across domain counts, green health verdict), and the
-# experiment-registry gate (experiments/ coherence + regen smoke).
+# Tier-1 gate: static analysis, full build + test suite, seconds-scale
+# smokes of every seeded campaign (soak, chaos, sweep, conform — each
+# exits non-zero on any violation, and each report is byte-identical at
+# 1 and 2 worker domains), an observability smoke: the trace subcommand
+# must emit valid JSON and the profile subcommand must account for every
+# metered bit (it exits non-zero on a phase-sum mismatch), the hot-path
+# and fleet-telemetry gates, and the experiment-registry gate
+# (experiments/ coherence + regen smoke).
 set -eu
 cd "$(dirname "$0")"
 
 dune build
 dune runtest
+
+cli=./_build/default/bin/intersect_cli.exe
+json_check=./_build/default/bin/json_check.exe
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
 
 # Static invariant gate: the whole tree must lint clean — the syntactic
 # rules (determinism, ambient state, phase registry, domain hygiene,
@@ -25,73 +28,56 @@ dune runtest
 # and the linter must be deterministic: two consecutive runs over the
 # same tree are byte-identical, in both formats.
 dune build @check @lint
-dune exec bin/intersect_lint.exe -- --json | ./_build/default/bin/json_check.exe --lint-report
-dune exec bin/intersect_lint.exe -- --sarif | ./_build/default/bin/json_check.exe --lint-sarif
-lint_a=$(mktemp) && lint_b=$(mktemp)
-trap 'rm -f "$lint_a" "$lint_b"' EXIT
-dune exec bin/intersect_lint.exe -- --json > "$lint_a"
-dune exec bin/intersect_lint.exe -- --json > "$lint_b"
-cmp "$lint_a" "$lint_b"
-dune exec bin/intersect_lint.exe -- --sarif > "$lint_a"
-dune exec bin/intersect_lint.exe -- --sarif > "$lint_b"
-cmp "$lint_a" "$lint_b"
+dune exec bin/intersect_lint.exe -- --json | $json_check --lint-report
+dune exec bin/intersect_lint.exe -- --sarif | $json_check --lint-sarif
+for format in json sarif; do
+  dune exec bin/intersect_lint.exe -- --$format > "$tmp/lint.a"
+  dune exec bin/intersect_lint.exe -- --$format > "$tmp/lint.b"
+  cmp "$tmp/lint.a" "$tmp/lint.b"
+done
 
-dune exec bench/soak.exe -- --smoke --trials 12
+$cli trace --protocol bucket -k 64 --seed 1 | $json_check
+$cli profile --protocol bucket -k 64 --seed 1 > /dev/null
 
-dune exec bin/intersect_cli.exe -- trace --protocol bucket -k 64 --seed 1 \
-  | ./_build/default/bin/json_check.exe
-dune exec bin/intersect_cli.exe -- profile --protocol bucket -k 64 --seed 1 > /dev/null
+# Campaign smokes and the engine's determinism contract: each smoke
+# campaign exits non-zero on any violation (soak: a cell outside the
+# paper's error bound; chaos: a wrong intersection, a non-partitioning
+# outcome taxonomy or a diverging resume; sweep: a cell outside its
+# 1/poly(k) envelope), and its report is byte-identical at 1 and 2
+# worker domains.  The theorem-conformance tier runs on two domains.
+for c in soak chaos sweep; do
+  $cli $c --smoke --json --domains 1 > "$tmp/$c.d1"
+  $cli $c --smoke --json --domains 2 > "$tmp/$c.d2"
+  cmp "$tmp/$c.d1" "$tmp/$c.d2"
+done
+$cli conform --smoke --domains 2 > /dev/null
 
-# Engine smoke: the theorem-conformance tier on two worker domains (exits
-# non-zero on any envelope violation), and the engine's determinism
-# contract — the soak report must be byte-identical at 1 and 2 domains.
-dune exec bin/intersect_cli.exe -- conform --smoke --domains 2 > /dev/null
-soak_d1=$(mktemp) && soak_d2=$(mktemp)
-trap 'rm -f "$lint_a" "$lint_b" "$soak_d1" "$soak_d2"' EXIT
-dune exec bin/intersect_cli.exe -- soak --smoke --trials 8 --json --domains 1 > "$soak_d1"
-dune exec bin/intersect_cli.exe -- soak --smoke --trials 8 --json --domains 2 > "$soak_d2"
-cmp "$soak_d1" "$soak_d2"
-
-# Chaos campaign smoke: the committed BENCH_chaos.json must be
-# schema-valid (outcome taxonomy partitions the trials, zero wrong
-# intersections, every resume replayed identically), a seconds-scale
-# campaign must uphold the same invariant live (chaos.exe exits non-zero
-# on any violation), and two runs of the same campaign must emit
-# byte-identical reports.
-./_build/default/bin/json_check.exe --bench-chaos < BENCH_chaos.json
-chaos_a=$(mktemp) && chaos_b=$(mktemp)
-trap 'rm -f "$lint_a" "$lint_b" "$soak_d1" "$soak_d2" "$chaos_a" "$chaos_b"' EXIT
-dune exec bench/chaos.exe -- --smoke --json > "$chaos_a"
-dune exec bench/chaos.exe -- --smoke --json --domains 2 > "$chaos_b"
-cmp "$chaos_a" "$chaos_b"
+# The committed BENCH_chaos.json and BENCH_sweep.json must be
+# schema-valid (chaos: outcome taxonomy partitions the trials, zero
+# wrong intersections, every resume replayed identically; sweep: Wilson
+# bounds ordered, per-cell gate conjunction, trial counts summing to
+# total_trials), the live sweep smoke must pass the same schema, and the
+# committed chaos report must regenerate byte-for-byte from the
+# reproduce command it embeds.  The bucket k=1024 hot path must not
+# allocate more per trial than the committed seed baseline.
+$json_check --bench-chaos < BENCH_chaos.json
+$json_check --bench-sweep < BENCH_sweep.json
+$json_check --bench-sweep < "$tmp/sweep.d1"
+chaos_reproduce=$(sed -n 's/^  "reproduce": "\(.*\)",$/\1/p' BENCH_chaos.json)
+eval "$chaos_reproduce --json" > "$tmp/chaos.regen"
+cmp "$tmp/chaos.regen" BENCH_chaos.json
+dune exec bench/main.exe -- --alloc-gate
 
 # Hot-path regression smoke: the committed BENCH_hotpath.json must be
 # schema-valid, the k=64 sweep must reproduce its deterministic fields
 # (bits / messages / rounds) exactly — timings get a generous 4x headroom
 # so shared CI machines don't flake — and two runs of the same config must
 # emit byte-identical deterministic reports.
-./_build/default/bin/json_check.exe --bench-hotpath < BENCH_hotpath.json
-dune exec bench/regress.exe -- --smoke --trials 3 --baseline BENCH_hotpath.json --tolerance 3.0 > /dev/null
-det_a=$(mktemp) && det_b=$(mktemp)
-trap 'rm -f "$lint_a" "$lint_b" "$soak_d1" "$soak_d2" "$chaos_a" "$chaos_b" "$det_a" "$det_b"' EXIT
-dune exec bench/regress.exe -- --smoke --deterministic-json > "$det_a"
-dune exec bench/regress.exe -- --smoke --deterministic-json > "$det_b"
-cmp "$det_a" "$det_b"
-
-# Mega-sweep smoke: the committed BENCH_sweep.json must be schema-valid
-# (Wilson bounds ordered, per-cell gate conjunction, trial counts summing
-# to total_trials), a seconds-scale smoke matrix must pass its envelopes
-# live (sweep.exe exits non-zero on any violating cell), the report must
-# be byte-identical at 1 and 2 worker domains, and the bucket k=1024 hot
-# path must not allocate more per trial than the committed seed baseline.
-./_build/default/bin/json_check.exe --bench-sweep < BENCH_sweep.json
-sweep_d1=$(mktemp) && sweep_d2=$(mktemp)
-trap 'rm -f "$lint_a" "$lint_b" "$soak_d1" "$soak_d2" "$chaos_a" "$chaos_b" "$det_a" "$det_b" "$sweep_d1" "$sweep_d2"' EXIT
-dune exec bench/sweep.exe -- --smoke --trials 60 --json --domains 1 > "$sweep_d1"
-dune exec bench/sweep.exe -- --smoke --trials 60 --json --domains 2 > "$sweep_d2"
-cmp "$sweep_d1" "$sweep_d2"
-./_build/default/bin/json_check.exe --bench-sweep < "$sweep_d1"
-dune exec bench/main.exe -- --alloc-gate
+$json_check --bench-hotpath < BENCH_hotpath.json
+$cli bench-regress --smoke --baseline BENCH_hotpath.json --tolerance 3.0 > /dev/null
+$cli bench-regress --smoke --deterministic-json > "$tmp/det.a"
+$cli bench-regress --smoke --deterministic-json > "$tmp/det.b"
+cmp "$tmp/det.a" "$tmp/det.b"
 
 # Fleet telemetry smoke: the committed BENCH_telemetry.json must be
 # schema-valid (including the 1.25x enabled/disabled overhead bound), a
@@ -100,35 +86,32 @@ dune exec bench/main.exe -- --alloc-gate
 # machines), the chaos telemetry stream must be byte-identical run-to-run
 # and across domain counts, and the health/top views must come back green
 # on the default (deadline-squeeze-free) campaign set.
-./_build/default/bin/json_check.exe --bench-telemetry < BENCH_telemetry.json
-dune exec bench/telemetry.exe -- --smoke --max-ratio 3.0 > /dev/null
-tel_a=$(mktemp) && tel_b=$(mktemp) && tel_d2=$(mktemp)
-trap 'rm -f "$lint_a" "$lint_b" "$soak_d1" "$soak_d2" "$chaos_a" "$chaos_b" "$det_a" "$det_b" "$tel_a" "$tel_b" "$tel_d2"' EXIT
-dune exec bench/chaos.exe -- --smoke --trials 4 --telemetry "$tel_a" > /dev/null
-dune exec bench/chaos.exe -- --smoke --trials 4 --telemetry "$tel_b" > /dev/null
-dune exec bench/chaos.exe -- --smoke --trials 4 --telemetry "$tel_d2" --domains 2 > /dev/null
-cmp "$tel_a" "$tel_b"
-cmp "$tel_a" "$tel_d2"
-dune exec bin/intersect_cli.exe -- health --smoke --trials 4 > /dev/null
-dune exec bin/intersect_cli.exe -- top --smoke --trials 4 --no-ansi > /dev/null
+$json_check --bench-telemetry < BENCH_telemetry.json
+$cli telemetry-overhead --smoke --max-ratio 3.0 > /dev/null
+$cli chaos --smoke --trials 4 --telemetry "$tmp/tel.a" > /dev/null
+$cli chaos --smoke --trials 4 --telemetry "$tmp/tel.b" > /dev/null
+$cli chaos --smoke --trials 4 --telemetry "$tmp/tel.d2" --domains 2 > /dev/null
+cmp "$tmp/tel.a" "$tmp/tel.b"
+cmp "$tmp/tel.a" "$tmp/tel.d2"
+$cli health --smoke --trials 4 > /dev/null
+$cli top --smoke --trials 4 --no-ansi > /dev/null
 
 # Experiment-registry gate: every experiments/NNN-slug.md must verify
 # (dense ids, live reproduce commands, existing schema-valid BENCH
-# artifacts, resolving EXPERIMENTS.md/README.md cross-links), the
-# committed experiments.json must be schema-valid and byte-identical to
-# a fresh export (twice, so the export itself is deterministic), and the
-# regen smoke must re-derive every Complete entry's deterministic fields
-# unchanged (gate entries exit 0, diff entries emit byte-identical
-# stdout across two runs).
+# artifacts whose own reproduce commands are live, resolving
+# EXPERIMENTS.md/README.md cross-links), the committed experiments.json
+# must be schema-valid and byte-identical to a fresh export (twice, so
+# the export itself is deterministic), and the regen smoke must
+# re-derive every Complete entry's deterministic fields unchanged (gate
+# entries exit 0, diff entries emit byte-identical stdout across two
+# runs).
 dune build @experiments
-./_build/default/bin/json_check.exe --experiments < experiments.json
-exp_a=$(mktemp) && exp_b=$(mktemp)
-trap 'rm -f "$lint_a" "$lint_b" "$soak_d1" "$soak_d2" "$chaos_a" "$chaos_b" "$det_a" "$det_b" "$sweep_d1" "$sweep_d2" "$tel_a" "$tel_b" "$tel_d2" "$exp_a" "$exp_b"' EXIT
-./_build/default/bin/intersect_cli.exe experiments export > "$exp_a"
-./_build/default/bin/intersect_cli.exe experiments export > "$exp_b"
-cmp "$exp_a" "$exp_b"
-cmp "$exp_a" experiments.json
-./_build/default/bin/intersect_cli.exe experiments verify --regen-smoke > /dev/null
+$json_check --experiments < experiments.json
+$cli experiments export > "$tmp/exp.a"
+$cli experiments export > "$tmp/exp.b"
+cmp "$tmp/exp.a" "$tmp/exp.b"
+cmp "$tmp/exp.a" experiments.json
+$cli experiments verify --regen-smoke > /dev/null
 
 # Documentation gate, where odoc is installed (the CI image may not ship
 # it): the API docs must build without warnings-as-errors regressions.
