@@ -9,6 +9,13 @@
     [k^-C]; outputs are sandwich candidates that equal [S ∩ T] with
     probability [1 - O(k^(2-C))]. *)
 
+(** One party's side: send the tags of [mine] (sized for sets of at most
+    [k]), then keep the elements whose tag the peer sent.  Both parties run
+    this body with generators in identical states and the same [k] and
+    [confidence] (default 4). *)
+val run_party :
+  ?confidence:int -> Prng.Rng.t -> k:int -> Commsim.Transport.t -> Iset.t -> Iset.t
+
 val protocol : ?confidence:int -> unit -> Protocol.t
 
 (** Tag width used for sets of size at most [k]. *)
