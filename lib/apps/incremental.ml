@@ -99,13 +99,14 @@ let sync_party role rng ~universe ~batch state update chan =
   Array.iter (fun key -> Hashtbl.replace their_inserts key ()) their_insert_keys;
   (* survivors: my own deletes leave exactly; their deletes leave by tag *)
   let survivors =
-    Iset.filter
-      (fun x -> not (Hashtbl.mem their_deletes (tag_key x)))
-      (Iset.diff state.candidate update.deletes)
+    let kept = Iset.diff state.candidate update.deletes in
+    Iset.diff kept (Basic_intersection.filter_by_tags fn their_deletes kept)
   in
   (* joiners: my elements matching their fresh inserts, plus my inserts the
      other side confirmed (covers their pre-existing elements too) *)
-  let joins_from_their_inserts = Basic_intersection.filter_by_tags fn their_inserts new_current in
+  let joins_from_their_inserts =
+    Iset.filter (fun x -> Hashtbl.mem their_inserts (tag_key x)) new_current
+  in
   let confirmed_inserts =
     Array.to_list update.inserts
     |> List.filteri (fun i _ -> my_insert_bitmap.(i))

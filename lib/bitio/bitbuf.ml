@@ -1,12 +1,18 @@
+(* Writes are read-OR-write cycles on the little-endian 64-bit word at the
+   byte holding the current position.  [slack] spare bytes past the last
+   byte in use keep that word in bounds, so no write ever splits into
+   per-byte steps. *)
 type t = { mutable data : bytes; mutable length : int }
 
+let slack = 8
+
 let create ?(capacity = 256) () =
-  { data = Bytes.make (max 1 ((capacity + 7) / 8)) '\000'; length = 0 }
+  { data = Bytes.make (((capacity + 7) / 8) + slack) '\000'; length = 0 }
 
 let length t = t.length
 
 let ensure t extra_bits =
-  let needed = (t.length + extra_bits + 7) / 8 in
+  let needed = ((t.length + extra_bits + 7) / 8) + slack in
   if needed > Bytes.length t.data then begin
     let capacity = max needed (2 * Bytes.length t.data) in
     let data = Bytes.make capacity '\000' in
@@ -14,30 +20,25 @@ let ensure t extra_bits =
     t.data <- data
   end
 
+(* OR [v] (below 2^56) into the buffer at bit [pos]: shifted by the
+   in-byte offset it still fits the 64-bit word. *)
+let or_word data pos v =
+  let j = pos lsr 3 in
+  Bytes.set_int64_le data j
+    (Int64.logor (Bytes.get_int64_le data j) (Int64.shift_left (Int64.of_int v) (pos land 7)))
+
 let write_bit t bit =
   ensure t 1;
-  if bit then begin
-    let i = t.length in
-    let j = i lsr 3 in
-    let cur = Char.code (Bytes.get t.data j) in
-    Bytes.set t.data j (Char.chr (cur lor (1 lsl (i land 7))))
-  end;
+  if bit then or_word t.data t.length 1;
   t.length <- t.length + 1
 
-(* OR the low [width] (<= 8 - off headroom handled by caller loop) bits of
-   [v] into the buffer at the current position, whole bytes at a time. *)
 let write_bits_unchecked t ~width v =
   ensure t width;
-  let rec go pos v width =
-    if width > 0 then begin
-      let j = pos lsr 3 and off = pos land 7 in
-      let take = min width (8 - off) in
-      let cur = Char.code (Bytes.get t.data j) in
-      Bytes.set t.data j (Char.chr (cur lor (((v land ((1 lsl take) - 1)) lsl off) land 0xFF)));
-      go (pos + take) (v lsr take) (width - take)
-    end
-  in
-  go t.length v width;
+  if width <= 56 then or_word t.data t.length v
+  else begin
+    or_word t.data t.length (v land 0xFFFFFFFF);
+    or_word t.data (t.length + 32) (v lsr 32)
+  end;
   t.length <- t.length + width
 
 let write_bits t ~width v =
@@ -51,7 +52,7 @@ let append t bits =
   ensure t n;
   let pos = ref 0 in
   while !pos < n do
-    let take = min 24 (n - !pos) in
+    let take = min 56 (n - !pos) in
     write_bits_unchecked t ~width:take (Bits.extract bits ~pos:!pos ~width:take);
     pos := !pos + take
   done

@@ -32,6 +32,11 @@ val read_bit : t -> bool
     [0, 62]. *)
 val read_bits : t -> width:int -> int
 
+(** [read_ones t] consumes the run of one bits at the current position and
+    returns its length, a word at a time.  It stops before the first zero
+    (left unread) or at the end of the payload; it never raises. *)
+val read_ones : t -> int
+
 (** [read_blob t ~bits] reads the next [bits] bits as an opaque bit vector
     (e.g. a hash tag of arbitrary width). *)
 val read_blob : t -> bits:int -> Bits.t

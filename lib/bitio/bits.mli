@@ -18,8 +18,10 @@ val length : t -> int
 val get : t -> int -> bool
 
 (** [extract b ~pos ~width] is the integer formed by bits
-    [pos .. pos+width-1] (least significant first), for [0 <= width <= 24]
-    and [pos + width <= length b].  Constant-time (reads whole bytes). *)
+    [pos .. pos+width-1] (least significant first), for [0 <= width <= 62]
+    and [pos + width <= length b].  Constant time: one little-endian 64-bit
+    load for [width <= 56], two above; near the end of the backing bytes
+    the load falls back to reading the bytes that exist. *)
 val extract : t -> pos:int -> width:int -> int
 
 (** [of_bools l] builds a bit vector from a list of bits. *)

@@ -16,8 +16,10 @@ let write_unary buf n =
   end
 
 let read_unary r =
-  let rec loop acc = if Bitreader.read_bit r then loop (acc + 1) else acc in
-  loop 0
+  let n = Bitreader.read_ones r in
+  (* the terminating zero; raises [Underflow] when the ones ran to the end *)
+  ignore (Bitreader.read_bit r : bool);
+  n
 
 (* Gamma of n >= 0 encodes m = n + 1: unary (width - 1), then the low
    (width - 1) bits of m. *)

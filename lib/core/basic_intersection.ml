@@ -7,15 +7,32 @@ let tag_bits ~m ~failure =
 
 let write_tags buf fn set = Array.iter (fun x -> Strhash.write_int fn buf x) set
 
+(* Tags of at most 62 bits are keyed by their native-int value (what
+   [Strhash.int_tag] computes), wider ones by the canonical string of the
+   tag bits. *)
+type tag_table = Ints of (int, unit) Hashtbl.t | Keys of (string, unit) Hashtbl.t
+
 let read_tag_keys reader ~bits ~count =
-  let table = Hashtbl.create (2 * count) in
-  for _ = 1 to count do
-    Hashtbl.replace table (Bitio.Bits.key (Bitio.Bitreader.read_blob reader ~bits)) ()
-  done;
-  table
+  if bits <= 62 then begin
+    let table = Hashtbl.create (2 * count) in
+    for _ = 1 to count do
+      Hashtbl.replace table (Bitio.Bitreader.read_bits reader ~width:bits) ()
+    done;
+    Ints table
+  end
+  else begin
+    let table = Hashtbl.create (2 * count) in
+    for _ = 1 to count do
+      Hashtbl.replace table (Bitio.Bits.key (Bitio.Bitreader.read_blob reader ~bits)) ()
+    done;
+    Keys table
+  end
 
 let filter_by_tags fn table set =
-  Iset.filter (fun x -> Hashtbl.mem table (Bitio.Bits.key (Strhash.apply_int fn x))) set
+  match table with
+  | Ints table -> Iset.filter (fun x -> Hashtbl.mem table (Strhash.int_tag fn x)) set
+  | Keys table ->
+      Iset.filter (fun x -> Hashtbl.mem table (Bitio.Bits.key (Strhash.apply_int fn x))) set
 
 (* The standalone 4-message exchange.  [mine]/[theirs] differ only in who
    talks first, so both runners share this body. *)

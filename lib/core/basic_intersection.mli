@@ -27,11 +27,17 @@ val tag_bits : m:int -> failure:float -> int
 (** Append the tags of all elements of a set. *)
 val write_tags : Bitio.Bitbuf.t -> Strhash.fn -> Iset.t -> unit
 
-(** Read [count] tags of [bits] bits each into a membership table. *)
-val read_tag_keys : Bitio.Bitreader.t -> bits:int -> count:int -> (string, unit) Hashtbl.t
+(** Membership table of the other party's tags: keyed by the native-int
+    tag ({!Strhash.int_tag}) when tags are at most 62 bits wide, by the
+    tag's {!Bitio.Bits.key} otherwise. *)
+type tag_table
 
-(** Keep the elements whose tag occurs in the other party's table. *)
-val filter_by_tags : Strhash.fn -> (string, unit) Hashtbl.t -> Iset.t -> Iset.t
+(** Read [count] tags of [bits] bits each into a membership table. *)
+val read_tag_keys : Bitio.Bitreader.t -> bits:int -> count:int -> tag_table
+
+(** Keep the elements whose tag occurs in the other party's table; [fn]
+    must be the [bits]-wide function the table's tags were made with. *)
+val filter_by_tags : Strhash.fn -> tag_table -> Iset.t -> Iset.t
 
 (** Standalone 4-round runners ([failure] in (0, 1)).  Both sides must use
     generators in identical states. *)
