@@ -205,6 +205,143 @@ let prop_append_concat_agree =
       Bitbuf.append buf b;
       Bits.equal (Bitbuf.contents buf) (Bits.concat a b))
 
+(* ---------- word-level writer/reader vs a bit-list reference ---------- *)
+
+type op = Bit of bool | Word of int * int | Blob of bool list
+
+let op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, map (fun b -> Bit b) bool);
+        ( 5,
+          int_range 0 62 >>= fun width ->
+          map (fun v -> Word (width, if width = 0 then 0 else v land ((1 lsl width) - 1))) int );
+        (1, map (fun l -> Blob l) (list_size (int_bound 150) bool));
+      ])
+
+let print_op = function
+  | Bit b -> Printf.sprintf "Bit %b" b
+  | Word (w, v) -> Printf.sprintf "Word (%d, %d)" w v
+  | Blob l -> Printf.sprintf "Blob <%d bits>" (List.length l)
+
+let bools_of_word width v = List.init width (fun i -> v land (1 lsl i) <> 0)
+
+(* Every bit of the backing bytes at index >= [length] must be zero. *)
+let tail_zero bits =
+  let data = Bits.bytes bits and n = Bits.length bits in
+  let ok = ref true in
+  for i = n to (8 * Bytes.length data) - 1 do
+    if Char.code (Bytes.get data (i lsr 3)) land (1 lsl (i land 7)) <> 0 then ok := false
+  done;
+  !ok
+
+(* A random op sequence after a random-length prefix (so every op lands at
+   every bit offset across runs): the writer's bytes must equal
+   [Bits.of_bools] of the reference bit list byte for byte, nothing may be
+   set at or past [length], and an exactly sized payload must read back
+   op by op, ending with [Underflow]. *)
+let prop_bitio_differential =
+  QCheck.Test.make ~name:"word-level bit I/O = bit-list reference" ~count:500
+    QCheck.(
+      pair (int_bound 70) (make ~print:(Print.list print_op) Gen.(list_size (int_bound 40) op_gen)))
+    (fun (prefix, ops) ->
+      let buf = Bitbuf.create ~capacity:1 () in
+      let reference = ref (List.init prefix (fun i -> i mod 3 = 1)) in
+      List.iter (Bitbuf.write_bit buf) !reference;
+      List.iter
+        (fun op ->
+          let bits =
+            match op with
+            | Bit b ->
+                Bitbuf.write_bit buf b;
+                [ b ]
+            | Word (width, v) ->
+                Bitbuf.write_bits buf ~width v;
+                bools_of_word width v
+            | Blob l ->
+                Bitbuf.append buf (Bits.of_bools l);
+                l
+          in
+          reference := !reference @ bits)
+        ops;
+      let expected = Bits.of_bools !reference in
+      let got = Bitbuf.contents buf in
+      let n = Bits.length expected in
+      Bits.length got = n
+      && Bytes.equal (Bits.bytes got) (Bits.bytes expected)
+      && tail_zero got
+      && tail_zero (Bitbuf.view buf)
+      &&
+      let r = Bitreader.create got in
+      for _ = 1 to prefix do
+        ignore (Bitreader.read_bit r)
+      done;
+      List.for_all
+        (function
+          | Bit b -> Bitreader.read_bit r = b
+          | Word (width, v) -> Bitreader.read_bits r ~width = v
+          | Blob l -> Bits.equal (Bitreader.read_blob r ~bits:(List.length l)) (Bits.of_bools l))
+        ops
+      && Bitreader.remaining r = 0
+      && match Bitreader.read_bit r with exception Bitreader.Underflow -> true | _ -> false)
+
+(* [extract] at every position and width up to 62, including the tail of
+   an exactly sized payload, against [get]. *)
+let test_extract_tail () =
+  for n = 0 to 140 do
+    let b = Bits.of_bools (List.init n (fun i -> (i * 7) mod 5 < 2)) in
+    for pos = 0 to n do
+      for width = 0 to min 62 (n - pos) do
+        let v = Bits.extract b ~pos ~width in
+        for j = 0 to width - 1 do
+          if Bits.get b (pos + j) <> (v land (1 lsl j) <> 0) then
+            Alcotest.failf "extract n=%d pos=%d width=%d bit=%d" n pos width j
+        done;
+        if width < 62 && v lsr width <> 0 then Alcotest.failf "extract n=%d high bits set" n
+      done
+    done
+  done
+
+let underflows f = match f () with exception Bitreader.Underflow -> true | _ -> false
+
+(* The unary-based decoders stay total: on all-ones input and on every
+   truncation of a valid codeword they raise [Underflow] (and return). *)
+let test_decoders_total () =
+  for n = 0 to 300 do
+    let ones = Bits.of_bools (List.init n (fun _ -> true)) in
+    List.iter
+      (fun (name, read) ->
+        if not (underflows (fun () -> read (Bitreader.create ones))) then
+          Alcotest.failf "%s on %d ones" name n)
+      [
+        ("unary", Codes.read_unary);
+        ("gamma", Codes.read_gamma);
+        ("delta", Codes.read_delta);
+      ]
+  done;
+  let small = [ 0; 1; 5; 60; 61; 62; 100 ] in
+  let large = small @ [ 1 lsl 20; (1 lsl 40) + 17 ] in
+  List.iter
+    (fun (name, write, read, values) ->
+      List.iter
+        (fun v ->
+          let buf = Bitbuf.create () in
+          write buf v;
+          let full = Bits.to_bools (Bitbuf.contents buf) in
+          check (name ^ " roundtrip") v (read (Bitreader.create (Bits.of_bools full)));
+          for len = 0 to List.length full - 1 do
+            let cut = Bits.of_bools (List.filteri (fun i _ -> i < len) full) in
+            if not (underflows (fun () -> read (Bitreader.create cut))) then
+              Alcotest.failf "%s of %d cut to %d bits" name v len
+          done)
+        values)
+    [
+      ("unary", Codes.write_unary, Codes.read_unary, small);
+      ("gamma", Codes.write_gamma, Codes.read_gamma, large);
+      ("delta", Codes.write_delta, Codes.read_delta, large);
+    ]
+
 let sorted_set_gen =
   QCheck.Gen.(
     list_size (int_bound 50) (int_bound 10_000) >|= fun l ->
@@ -378,6 +515,8 @@ let () =
           Alcotest.test_case "extract matches get" `Quick test_extract_matches_get;
           Alcotest.test_case "read_blob misaligned" `Quick test_read_blob_misaligned;
           qt prop_append_concat_agree;
+          qt prop_bitio_differential;
+          Alcotest.test_case "extract at the tail" `Quick test_extract_tail;
         ] );
       ( "bignat",
         [
@@ -405,6 +544,7 @@ let () =
           Alcotest.test_case "gamma cost shape" `Quick test_gamma_cost_shape;
           qt prop_gamma_roundtrip;
           qt prop_mixed_stream;
+          Alcotest.test_case "decoders total on truncation" `Quick test_decoders_total;
         ] );
       ( "set_codec",
         [
