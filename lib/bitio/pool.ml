@@ -21,6 +21,10 @@ let bypass : bool ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref false)
    regrow; a buffer that did grow keeps its larger storage for next time. *)
 let fresh () = Bitbuf.create ~capacity:1024 ()
 
+let release free buf =
+  Bitbuf.reset buf;
+  free := buf :: !free
+
 let with_buf f =
   if !(Domain.DLS.get bypass) then f (fresh ())
   else begin
@@ -32,11 +36,15 @@ let with_buf f =
           free := rest;
           buf
     in
-    Fun.protect
-      ~finally:(fun () ->
-        Bitbuf.reset buf;
-        free := buf :: !free)
-      (fun () -> f buf)
+    (* [Fun.protect] without its closures: the buffer goes back on the
+       freelist whether [f] returns or raises. *)
+    match f buf with
+    | v ->
+        release free buf;
+        v
+    | exception e ->
+        release free buf;
+        raise e
   end
 
 let payload f = with_buf (fun buf -> f buf; Bitbuf.contents buf)

@@ -59,7 +59,7 @@ $cli conform --smoke --domains 2 > /dev/null
 # total_trials), the live sweep smoke must pass the same schema, and the
 # committed chaos report must regenerate byte-for-byte from the
 # reproduce command it embeds.  The bucket k=1024 hot path must not
-# allocate more per trial than the committed seed baseline.
+# allocate more per trial than its committed gate baseline plus 2%.
 $json_check --bench-chaos < BENCH_chaos.json
 $json_check --bench-sweep < BENCH_sweep.json
 $json_check --bench-sweep < "$tmp/sweep.d1"
