@@ -77,19 +77,28 @@ let diff a b = merge (fun in_a in_b -> in_a && not in_b) a b
 
 let subset a b = Array.length (diff a b) = 0
 
+(* [p] runs once per element (it may be a hash-and-lookup): the verdicts
+   go to a byte mask, then the survivors to an exactly sized array. *)
 let filter p a =
-  let n = Array.fold_left (fun n x -> if p x then n + 1 else n) 0 a in
-  if n = 0 then empty
+  let n = Array.length a in
+  let keep = Bytes.make n '\000' in
+  let count = ref 0 in
+  for i = 0 to n - 1 do
+    if p a.(i) then begin
+      Bytes.unsafe_set keep i '\001';
+      incr count
+    end
+  done;
+  if !count = 0 then empty
   else begin
-    let out = Array.make n 0 in
+    let out = Array.make !count 0 in
     let pos = ref 0 in
-    Array.iter
-      (fun x ->
-        if p x then begin
-          out.(!pos) <- x;
-          incr pos
-        end)
-      a;
+    for i = 0 to n - 1 do
+      if Bytes.unsafe_get keep i <> '\000' then begin
+        out.(!pos) <- a.(i);
+        incr pos
+      end
+    done;
     out
   end
 
