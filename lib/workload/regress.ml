@@ -121,6 +121,12 @@ let run_cell ~seed ~universe_bits ~trials ~name ~k =
   (* Timed pass: [reps] sweeps over the same trials.  The deterministic
      pass above doubles as warm-up (codec caches hot, buffers pooled). *)
   let reps = reps_for k in
+  (* [Gc.allocated_bytes] counts minor-heap words only as minor
+     collections run, so both ends of the window start from an emptied
+     minor heap (outside the timed loop).  Without that, a cell that
+     allocates less than a minor heap per window reads either nothing or
+     a whole heap, depending on the cells that ran before it. *)
+  Gc.minor ();
   let a0 = Gc.allocated_bytes () in
   let t0 = Unix.gettimeofday () in
   for _ = 1 to reps do
@@ -129,6 +135,7 @@ let run_cell ~seed ~universe_bits ~trials ~name ~k =
     done
   done;
   let t1 = Unix.gettimeofday () in
+  Gc.minor ();
   let a1 = Gc.allocated_bytes () in
   let runs = float_of_int (reps * trials) in
   {
