@@ -61,11 +61,16 @@ type case_measure = {
 let time_grid ~domains =
   ignore (trial_grid ~domains);
   (* warm-up *)
+  (* Empty the minor heap at both ends, as the alloc probe below does:
+     [Gc.allocated_bytes] counts minor-heap words only as minor
+     collections run. *)
+  Gc.minor ();
   let s0 = Gc.quick_stat () in
   let b0 = Gc.allocated_bytes () in
   let t0 = Unix.gettimeofday () in
   let results = trial_grid ~domains in
   let t1 = Unix.gettimeofday () in
+  Gc.minor ();
   let b1 = Gc.allocated_bytes () in
   let s1 = Gc.quick_stat () in
   {

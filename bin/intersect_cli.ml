@@ -604,13 +604,23 @@ let finish sub violations =
   List.iter (Printf.eprintf "%s: %s\n" sub) violations;
   if violations = [] then 0 else 1
 
-let usage_error sub msg =
-  Printf.eprintf "%s: %s\n" sub msg;
-  2
+(* Every campaign subcommand runs through here.  Its body prints the
+   report and returns the violations; input the library rejects — the
+   campaign runner validates every config before any cell runs — exits 2
+   as a usage error. *)
+let campaign_cmd name ~doc term =
+  let drive body =
+    match body () with
+    | exception Invalid_argument msg ->
+        Printf.eprintf "%s: %s\n" name msg;
+        2
+    | violations -> finish name violations
+  in
+  Cmd.v (Cmd.info name ~doc) Term.(const drive $ term)
 
 let soak_cmd =
   let module S = Workload.Soak in
-  let run c k overlap =
+  let run c k overlap () =
     let base = if c.smoke then S.smoke else S.default in
     let config =
       {
@@ -628,14 +638,13 @@ let soak_cmd =
         config.S.k config.S.overlap
     in
     emit c ?sink ~table:(S.summary report) (S.to_json ~reproduce report);
-    finish "soak" (S.violations report)
+    S.violations report
   in
-  Cmd.v
-    (Cmd.info "soak"
-       ~doc:
-         "Soak the resilient wrapper against adversarial channels: seeded trials per (protocol \
-          x fault plan) cell, each checked against the paper's error bound.  Exits non-zero on \
-          any cell outside it.")
+  campaign_cmd "soak"
+    ~doc:
+      "Soak the resilient wrapper against adversarial channels: seeded trials per (protocol x \
+       fault plan) cell, each checked against the paper's error bound.  Exits non-zero on any \
+       cell outside it."
     Term.(
       const run
       $ campaign_term ~trials:("trials", "Trials per (protocol x plan) cell.") ()
@@ -657,7 +666,7 @@ let chaos_trials = ("trials", "Trials per (protocol x campaign) cell.")
 
 let chaos_cmd =
   let module C = Workload.Chaos in
-  let run c k overlap =
+  let run c k overlap () =
     let config = chaos_config c k overlap in
     let sink = sink_of c in
     let report = C.run ?domains:c.domains ?sink config in
@@ -666,16 +675,14 @@ let chaos_cmd =
         config.C.k config.C.overlap
     in
     emit c ?sink ~table:(C.summary report) (C.to_json ~reproduce report);
-    finish "chaos" (C.invariant_violations report)
+    C.invariant_violations report
   in
-  Cmd.v
-    (Cmd.info "chaos"
-       ~doc:
-         "Run seeded chaos campaigns (corruption storms, stall bursts, mid-session \
-          crash/resume) against the session robustness layer and check the chaos invariant: \
-          outcomes partition the trials, no wrong intersection, every resume replays \
-          identically.  Exits non-zero on any violation.  --telemetry also enables \
-          per-session flight recorders.")
+  campaign_cmd "chaos"
+    ~doc:
+      "Run seeded chaos campaigns (corruption storms, stall bursts, mid-session crash/resume) \
+       against the session robustness layer and check the chaos invariant: outcomes partition \
+       the trials, no wrong intersection, every resume replays identically.  Exits non-zero on \
+       any violation.  --telemetry also enables per-session flight recorders."
     Term.(const run $ campaign_term ~trials:chaos_trials () $ campaign_k_arg $ overlap_arg)
 
 (* ---------- health / top: fleet telemetry over a chaos campaign ---------- *)
@@ -723,9 +730,9 @@ let slos_term =
 
 (* Score a finished fleet campaign: its violations are the chaos
    invariant's plus every SLO the final snapshot breaks. *)
-let fleet_finish c sub ~slos sink report ~table =
+let fleet_finish c ~slos sink report ~table =
   match Workload.Telemetry.health ~slos sink with
-  | None -> finish sub [ "campaign recorded no snapshots" ]
+  | None -> [ "campaign recorded no snapshots" ]
   | Some h ->
       let violations =
         Workload.Chaos.invariant_violations report
@@ -737,27 +744,26 @@ let fleet_finish c sub ~slos sink report ~table =
       in
       emit c ~sink ~table:(table h violations)
         (Stats.Json.Obj [ ("health", Obsv.Health.to_json h); ("slos", Obsv.Health.slos_json slos) ]);
-      finish sub violations
+      violations
 
 let health_cmd =
-  let run c k overlap all_campaigns slos =
+  let run c k overlap all_campaigns slos () =
     let config = fleet_config c k overlap ~all_campaigns in
     let sink = Workload.Telemetry.create_sink () in
     let report = Workload.Chaos.run ?domains:c.domains ~sink config in
-    fleet_finish c "health" ~slos sink report ~table:(fun h violations ->
+    fleet_finish c ~slos sink report ~table:(fun h violations ->
         Printf.sprintf "%s\nfleet: %d sessions over %d cells; verdict %s\n"
           (Stats.Table.render (Obsv.Health.table h))
           h.Obsv.Health.sessions
           (List.length report.Workload.Chaos.cells)
           (if violations = [] then "HEALTHY" else "UNHEALTHY"))
   in
-  Cmd.v
-    (Cmd.info "health"
-       ~doc:
-         "Run the chaos campaign matrix with fleet telemetry enabled and score the final \
-          snapshot against the declared SLOs (wrong-answer rate is hard-wired to zero; \
-          failed-safe / degraded / p99-deadline-burn rates take per-mille thresholds).  Exits \
-          non-zero on any SLO or chaos-invariant violation.")
+  campaign_cmd "health"
+    ~doc:
+      "Run the chaos campaign matrix with fleet telemetry enabled and score the final snapshot \
+       against the declared SLOs (wrong-answer rate is hard-wired to zero; failed-safe / \
+       degraded / p99-deadline-burn rates take per-mille thresholds).  Exits non-zero on any \
+       SLO or chaos-invariant violation."
     Term.(
       const run
       $ campaign_term ~trials:chaos_trials ~out:false ()
@@ -770,10 +776,10 @@ let top_cmd =
       & info [ "no-ansi" ]
           ~doc:"Append frames instead of redrawing in place (for logs and dumb terminals).")
   in
-  let render_frame ~no_ansi ~idx ~total ~protocol ~campaign_name sink (cell : Workload.Chaos.cell)
-      =
+  let render_frame ~no_ansi sink idx total (cell : Workload.Chaos.cell) =
     if not no_ansi then print_string "\027[H\027[2J";
-    Printf.printf "intersect fleet top — cell %d/%d: %s / %s\n" idx total protocol campaign_name;
+    Printf.printf "intersect fleet top — cell %d/%d: %s / %s\n" idx total
+      cell.Workload.Chaos.protocol cell.Workload.Chaos.campaign;
     (match Workload.Telemetry.last_snapshot sink with
     | None -> ()
     | Some snap ->
@@ -801,31 +807,21 @@ let top_cmd =
       cell.Workload.Chaos.trials cell.Workload.Chaos.completed cell.Workload.Chaos.degraded
       cell.Workload.Chaos.failed_safe cell.Workload.Chaos.resumed
   in
-  let run c k overlap all_campaigns no_ansi slos =
+  let run c k overlap all_campaigns no_ansi slos () =
     let config = fleet_config c k overlap ~all_campaigns in
-    let plan = Workload.Chaos.cells_of config in
-    let total = List.length plan in
     let sink = Workload.Telemetry.create_sink () in
-    let cells =
-      List.mapi
-        (fun i (protocol, campaign_name, camp) ->
-          let cell =
-            Workload.Chaos.run_cell ?domains:c.domains ~sink config camp ~protocol ~campaign_name
-          in
-          render_frame ~no_ansi ~idx:(i + 1) ~total ~protocol ~campaign_name sink cell;
-          cell)
-        plan
+    let report =
+      Workload.Chaos.run ?domains:c.domains ~sink ~on_cell:(render_frame ~no_ansi sink) config
     in
-    fleet_finish c "top" ~slos sink { Workload.Chaos.config; cells } ~table:(fun h _ ->
+    fleet_finish c ~slos sink report ~table:(fun h _ ->
         "\n" ^ Stats.Table.render (Obsv.Health.table h) ^ "\n")
   in
-  Cmd.v
-    (Cmd.info "top"
-       ~doc:
-         "Live top-style view of a chaos campaign: runs the matrix cell by cell through the \
-          fleet-telemetry sink and redraws a frame per cell (sessions, outcome taxonomy, \
-          spend-sketch percentiles), finishing with the SLO health table.  Frames are \
-          event-time snapshots, so the stream is deterministic for a fixed seed.")
+  campaign_cmd "top"
+    ~doc:
+      "Live top-style view of a chaos campaign: runs the matrix cell by cell through the \
+       fleet-telemetry sink and redraws a frame per cell (sessions, outcome taxonomy, \
+       spend-sketch percentiles), finishing with the SLO health table.  Frames are event-time \
+       snapshots, so the stream is deterministic for a fixed seed."
     Term.(
       const run
       $ campaign_term ~trials:chaos_trials ~json:false ~out:false ()
@@ -856,7 +852,7 @@ let bench_regress_cmd =
       & info [ "tolerance" ] ~docv:"F"
           ~doc:"Allowed fractional timing regression vs the baseline (0.5 allows 1.5x).")
   in
-  let run c deterministic baseline tolerance ks protocols =
+  let run c deterministic baseline tolerance ks protocols () =
     let base = if c.smoke then R.smoke else R.default in
     let config =
       {
@@ -867,30 +863,25 @@ let bench_regress_cmd =
         protocols = Option.value protocols ~default:base.R.protocols;
       }
     in
-    match R.run config with
-    | exception Invalid_argument m -> usage_error "bench-regress" m
-    | report ->
-        let table =
-          if deterministic then
-            Stats.Json.to_string_pretty (R.deterministic_json report) ^ "\n"
-          else R.summary report
-        in
-        emit { c with json = c.json && not deterministic } ~table (R.to_json report);
-        finish "bench-regress"
-          (match baseline with
-          | None -> []
-          | Some path -> (
-              match Stats.Json.of_string (In_channel.with_open_text path In_channel.input_all) with
-              | Error e -> [ Printf.sprintf "cannot parse %s: %s" path e ]
-              | Ok json -> R.baseline_violations ~tolerance report json))
+    let report = R.run config in
+    let table =
+      if deterministic then Stats.Json.to_string_pretty (R.deterministic_json report) ^ "\n"
+      else R.summary report
+    in
+    emit { c with json = c.json && not deterministic } ~table (R.to_json report);
+    match baseline with
+    | None -> []
+    | Some path -> (
+        match Stats.Json.of_string (In_channel.with_open_text path In_channel.input_all) with
+        | Error e -> [ Printf.sprintf "cannot parse %s: %s" path e ]
+        | Ok json -> R.baseline_violations ~tolerance report json)
   in
-  Cmd.v
-    (Cmd.info "bench-regress"
-       ~doc:
-         "Hot-path performance regression bench: seeded end-to-end runs of every registered \
-          protocol measuring ns/run and allocation bytes/run, with exact (deterministic) bit, \
-          message and round counts.  With --baseline, enforces exact transcript fields and \
-          tolerance-bounded timings against a committed BENCH_hotpath.json.")
+  campaign_cmd "bench-regress"
+    ~doc:
+      "Hot-path performance regression bench: seeded end-to-end runs of every registered \
+       protocol measuring ns/run and allocation bytes/run, with exact (deterministic) bit, \
+       message and round counts.  With --baseline, enforces exact transcript fields and \
+       tolerance-bounded timings against a committed BENCH_hotpath.json."
     Term.(
       const run
       $ campaign_term ~trials:("trials", "Seeded trials per cell.") ~domains:false
@@ -905,7 +896,7 @@ let bench_regress_cmd =
 
 let conform_cmd =
   let module C = Workload.Conform in
-  let run c ks protocols =
+  let run c ks protocols () =
     let base = if c.smoke then C.smoke else C.default in
     let config =
       {
@@ -916,25 +907,24 @@ let conform_cmd =
         protocols = Option.value protocols ~default:base.C.protocols;
       }
     in
-    match C.run ?domains:c.domains config with
-    | exception Invalid_argument m -> usage_error "conform" m
-    | report ->
-        let reproduce =
-          reproduce_cmd c "conform" "--seed %d --trials %d -k %s --protocols %s" config.C.seed
-            config.C.trials
-            (String.concat "," (List.map string_of_int config.C.ks))
-            (String.concat "," config.C.protocols)
-        in
-        emit c ~table:(C.summary report) (C.to_json ~reproduce report);
-        finish "conform" (C.violations report)
+    let report = C.run ?domains:c.domains config in
+    let reproduce =
+      reproduce_cmd c "conform" "--seed %d --trials %d -k %s --protocols %s" config.C.seed
+        config.C.trials
+        (String.concat "," (List.map string_of_int config.C.ks))
+        (String.concat "," config.C.protocols)
+    in
+    emit c
+      ~table:(Workload.Campaign.gate_table ~title:"Theorem conformance" report.C.cells)
+      (C.to_json ~reproduce report);
+    Workload.Campaign.gate_violations report.C.cells
   in
-  Cmd.v
-    (Cmd.info "conform"
-       ~doc:
-         "Theorem-conformance tier: run seeded trial sweeps on the engine and assert every \
-          protocol stays inside its paper envelope (rounds budget per trial, constant-factor \
-          bits envelope on the mean, Wilson-bounded error rate).  Exits non-zero on any \
-          envelope violation.")
+  campaign_cmd "conform"
+    ~doc:
+      "Theorem-conformance tier: run seeded trial sweeps on the engine and assert every \
+       protocol stays inside its paper envelope (rounds budget per trial, constant-factor bits \
+       envelope on the mean, Wilson-bounded error rate).  Exits non-zero on any envelope \
+       violation."
     Term.(
       const run
       $ campaign_term ~trials:("trials", "Trials per (protocol x k) cell.") ~out:false
@@ -948,7 +938,7 @@ let conform_cmd =
 
 let sweep_cmd =
   let module S = Workload.Sweep in
-  let run c =
+  let run c () =
     let base = if c.smoke then S.smoke else S.default in
     let config =
       {
@@ -962,17 +952,22 @@ let sweep_cmd =
     let reproduce =
       reproduce_cmd c "sweep" "--seed %d --trials %d" config.S.seed config.S.trials_per_cell
     in
-    emit c ?sink ~table:(S.summary report) (S.to_json ~reproduce report);
-    finish "sweep" (S.violations report)
+    let title =
+      Printf.sprintf "Mega-sweep (%d cells, %d trials)" (List.length report.S.cells)
+        report.S.total_trials
+    in
+    emit c ?sink
+      ~table:(Workload.Campaign.gate_table ~title report.S.cells)
+      (S.to_json ~reproduce report);
+    Workload.Campaign.gate_violations report.S.cells
   in
-  Cmd.v
-    (Cmd.info "sweep"
-       ~doc:
-         "Mega-sweep conformance matrix: stream 10^6+ seeded trials over protocol x k x \
-          fault-plan cells through the trial engine, gating each cell's failure count against \
-          the paper's 1/poly(k) envelope (Wilson 95% bounds) or the resilient wrapper's \
-          rare-event bound.  Byte-identical report at every --domains value.  Exits non-zero \
-          on any envelope violation.")
+  campaign_cmd "sweep"
+    ~doc:
+      "Mega-sweep conformance matrix: stream 10^6+ seeded trials over protocol x k x fault-plan \
+       cells through the trial engine, gating each cell's failure count against the paper's \
+       1/poly(k) envelope (Wilson 95% bounds) or the resilient wrapper's rare-event bound.  \
+       Byte-identical report at every --domains value.  Exits non-zero on any envelope \
+       violation."
     Term.(const run $ campaign_term ~trials:("trials", "Trials per matrix cell.") ())
 
 let telemetry_overhead_cmd =
@@ -984,7 +979,7 @@ let telemetry_overhead_cmd =
       & info [ "max-ratio" ] ~docv:"R"
           ~doc:"Fail when the telemetry-on/off wall-clock ratio exceeds R.")
   in
-  let run c k max_ratio =
+  let run c k max_ratio () =
     let base = if c.smoke then T.overhead_smoke else T.overhead_default in
     let config =
       {
@@ -1000,15 +995,14 @@ let telemetry_overhead_cmd =
         config.T.sessions
     in
     emit c ~table:(T.overhead_summary report ^ "\n") (T.overhead_json ~reproduce report);
-    finish "telemetry-overhead" (T.overhead_violations ?max_ratio report)
+    T.overhead_violations ?max_ratio report
   in
-  Cmd.v
-    (Cmd.info "telemetry-overhead"
-       ~doc:
-         "Measure the hot-path cost of the fleet-telemetry layer: the same seeded clean-link \
-          sessions run with telemetry off, then on.  Exits non-zero when the deterministic \
-          session fields diverge between the passes or the on/off ratio exceeds --max-ratio \
-          (the gate behind BENCH_telemetry.json).")
+  campaign_cmd "telemetry-overhead"
+    ~doc:
+      "Measure the hot-path cost of the fleet-telemetry layer: the same seeded clean-link \
+       sessions run with telemetry off, then on.  Exits non-zero when the deterministic session \
+       fields diverge between the passes or the on/off ratio exceeds --max-ratio (the gate \
+       behind BENCH_telemetry.json)."
     Term.(
       const run
       $ campaign_term ~trials:("sessions", "Sessions per pass.") ~domains:false ~telemetry:false

@@ -5,5 +5,3 @@ let metrics registries =
   let into = Obsv.Metrics.create () in
   List.iter (fun r -> Obsv.Metrics.merge_into ~into r) registries;
   into
-
-let summaries accs = List.fold_left Stats.Summary.Acc.merge Stats.Summary.Acc.empty accs

@@ -1,7 +1,7 @@
 (** Associative merges for the per-trial artifacts the engine aggregates.
 
     Everything here is deterministic given a deterministic input order;
-    {!Pool.run} supplies trial-index order regardless of scheduling. *)
+    {!Pool.map} supplies trial-index order regardless of scheduling. *)
 
 (** [cost a b] aggregates two executions' costs between the same player
     set: bits, messages, per-player tallies and rounds all add (the
@@ -17,7 +17,3 @@ val costs : players:int -> Commsim.Cost.t list -> Commsim.Cost.t
     registry, in list order ({!Obsv.Metrics.merge_into}: counters and
     histograms add, gauges keep the maximum). *)
 val metrics : Obsv.Metrics.registry list -> Obsv.Metrics.registry
-
-(** [summaries accs] folds {!Stats.Summary.Acc.merge} over [accs] in list
-    order, preserving arrival order of the underlying observations. *)
-val summaries : Stats.Summary.Acc.t list -> Stats.Summary.Acc.t

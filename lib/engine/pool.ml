@@ -44,8 +44,6 @@ let map ?domains ~trials f =
   let workers = min domains (max 1 trials) in
   if workers = 1 then Array.init trials f else map_parallel ~workers ~trials f
 
-let run ?domains ~trials f ~init ~merge = Array.fold_left merge init (map ?domains ~trials f)
-
 (* Streaming fold: one accumulator per chunk instead of one boxed slot per
    trial.  Workers claim whole chunks from the cursor, fold their trials
    locally, and park the chunk accumulator in a per-chunk slot; the final

@@ -29,13 +29,6 @@ val default_domains : unit -> int
     any trial aborts the run and re-raises after the workers join. *)
 val map : ?domains:int -> trials:int -> (int -> 'a) -> 'a array
 
-(** [run ?domains ~trials f ~init ~merge] is
-    [Array.fold_left merge init (map ?domains ~trials f)] — the merge is
-    applied in trial-index order, so an associative [merge] (commutative
-    or not) sees the exact sequential fold. *)
-val run :
-  ?domains:int -> trials:int -> (int -> 'a) -> init:'acc -> merge:('acc -> 'a -> 'acc) -> 'acc
-
 (** [fold ?domains ~trials ~init ~step ~merge ()] folds [step] over trial
     indices without materialising per-trial results: each worker folds the
     trials of a chunk into a private accumulator ([init ()] per chunk —

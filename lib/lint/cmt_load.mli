@@ -25,7 +25,7 @@ type field_use = { ftype : string; flabel : string; fline : int; fcol : int }
 type capture = { cvar : string; cheads : string list; kline : int; kcol : int }
 
 type binding = {
-  name : string;  (** canonical dotted name, e.g. ["Engine.Pool.run"] *)
+  name : string;  (** canonical dotted name, e.g. ["Engine.Pool.fold"] *)
   bfile : string;  (** repo-relative source path *)
   bline : int;
   bcol : int;

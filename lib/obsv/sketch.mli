@@ -6,7 +6,7 @@
     quantile by 1/16.  The bucket index is a pure integer function of the
     value and the merge is bucket-pointwise addition — associative and
     commutative — so per-domain sketches combined in any order (the
-    {!Engine.Merge} reduction tree varies with the domain count) export
+    {!Engine.Pool.fold} chunk geometry varies with the domain count) export
     byte-identical JSON, satisfying the PR-3 [cmp] determinism gate.
 
     Quantiles are reported as the inclusive upper bound of the bucket

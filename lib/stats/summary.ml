@@ -40,24 +40,6 @@ let of_floats values =
 
 let of_ints values = of_floats (List.map float_of_int values)
 
-module Acc = struct
-  type nonrec summary = t
-
-  (* Values in reverse arrival order; [merge] keeps the left operand's
-     values first, so folding per-trial accumulators in trial-index order
-     reproduces the sequential arrival order exactly (summaries sort
-     before reducing, but bitwise-identical floats keep the mean fold
-     reproducible too). *)
-  type t = { rev : float list; len : int }
-
-  let empty = { rev = []; len = 0 }
-  let add t v = { rev = v :: t.rev; len = t.len + 1 }
-  let add_int t v = add t (float_of_int v)
-  let merge a b = { rev = b.rev @ a.rev; len = a.len + b.len }
-  let count t = t.len
-  let summarize t = of_floats (List.rev t.rev)
-end
-
 let ci95 t = if t.count < 2 then 0.0 else 1.96 *. t.stddev /. sqrt (float_of_int t.count)
 
 let pp ppf t =

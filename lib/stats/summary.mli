@@ -13,26 +13,6 @@ type t = {
 val of_floats : float list -> t
 val of_ints : int list -> t
 
-(** A mergeable accumulator of observations, for parallel trial engines:
-    workers build per-shard accumulators and the engine folds them back
-    together.  [merge a b] holds [a]'s observations followed by [b]'s, so
-    merging per-trial accumulators in trial-index order is {e associative}
-    and reproduces the sequential arrival order — the resulting
-    {!summarize} is byte-identical no matter how the shards were grouped. *)
-module Acc : sig
-  type summary = t
-  type t
-
-  val empty : t
-  val add : t -> float -> t
-  val add_int : t -> int -> t
-  val merge : t -> t -> t
-  val count : t -> int
-
-  (** Reduce to a {!summary}; raises [Invalid_argument] when empty. *)
-  val summarize : t -> summary
-end
-
 (** Half-width of the 95% normal-approximation confidence interval for the
     mean. *)
 val ci95 : t -> float

@@ -110,18 +110,51 @@ let session_config (config : config) (camp : campaign) ~protocol ~plan ~seed =
     backoff_cap = config.backoff_cap;
   }
 
-(* What one trial contributes to its cell.  [resumed]/[identical] describe
-   the interrupt/restore cycle (exercised only in interrupting campaigns
-   and only when the session survived past its first step). *)
-type obs = {
-  report : Session.Machine.report;
-  exact_wrong : bool;
-  did_resume : bool;
-  identical : bool;
-  post_mortem : Stats.Json.t option;
-      (* flight-recorder dump; assembled only under telemetry, and only
-         for sessions that did not end [Completed] *)
+(* Per-cell cap on harvested post-mortems: the dumps are diagnostic
+   samples, not a census, and the cap keeps the telemetry stream bounded
+   under a pathological campaign. *)
+let postmortem_cap = 2
+
+(* Per-chunk accumulator.  Every session report goes into a private fleet
+   registry — the very record the telemetry stream publishes — and the
+   cell's outcome counts and spend totals are read back from the merged
+   registry; beside it sits only what the registry does not carry.
+   [resumed]/[resumed_identical] count the interrupt/restore cycles
+   (exercised only in interrupting campaigns, and only when the session
+   survived past its first step). *)
+type acc = {
+  registry : Obsv.Metrics.registry;
+  mutable resumed : int;
+  mutable resumed_identical : int;
+  mutable recovered : int;  (* sessions that completed after >= 1 failure *)
+  mutable recovery_ticks : int;
+  mutable postmortems : (int * Stats.Json.t) list;  (* the first [postmortem_cap], by trial *)
 }
+
+let accumulator =
+  {
+    Campaign.init =
+      (fun () ->
+        {
+          registry = Obsv.Metrics.create ();
+          resumed = 0;
+          resumed_identical = 0;
+          recovered = 0;
+          recovery_ticks = 0;
+          postmortems = [];
+        });
+    merge =
+      (fun a b ->
+        Obsv.Metrics.merge_into ~into:a.registry b.registry;
+        a.resumed <- a.resumed + b.resumed;
+        a.resumed_identical <- a.resumed_identical + b.resumed_identical;
+        a.recovered <- a.recovered + b.recovered;
+        a.recovery_ticks <- a.recovery_ticks + b.recovery_ticks;
+        a.postmortems <-
+          List.filteri (fun i _ -> i < postmortem_cap) (a.postmortems @ b.postmortems);
+        a);
+    telemetry = (fun ~campaign:_ a -> (a.registry, a.postmortems));
+  }
 
 (* Everything the resumed run must replay bit-for-bit.  [resumes] is
    excluded by construction: it is the one field that legitimately differs
@@ -136,8 +169,9 @@ let replay_view (r : Session.Machine.report) =
     r.Session.Machine.final_width,
     r.Session.Machine.ledger )
 
-let trial ?(flight = false) (config : config) (camp : campaign) ~protocol ~stream i =
-  let rng = Engine.Seed_stream.trial_rng stream i in
+(* One trial, folded into the chunk accumulator.  Under telemetry
+   ([flight]) the session runs with a flight recorder. *)
+let step ~flight (config : config) (camp : campaign) ~protocol acc i rng =
   let universe = 1 lsl config.universe_bits in
   let pair =
     Setgen.pair_with_overlap
@@ -158,15 +192,16 @@ let trial ?(flight = false) (config : config) (camp : campaign) ~protocol ~strea
   let report =
     Obsv.Recorder.with_recorder recorder (fun () -> Session.Machine.run ~on_checkpoint cfg ~s ~t)
   in
-  let did_resume, identical, report =
-    if not camp.interrupt then (false, false, report)
+  let report =
+    if not camp.interrupt then report
     else
       match List.rev !checkpoints with
-      | [] -> (false, false, report)
-      | boundaries ->
+      | [] -> report
+      | boundaries -> (
           (* Crash mid-session at a seeded checkpoint boundary: serialize the
              snapshot, reparse it, and resume.  The resumed report must
              replay the uninterrupted one exactly. *)
+          acc.resumed <- acc.resumed + 1;
           let pick =
             Prng.Rng.int (Prng.Rng.with_label rng "interrupt") (List.length boundaries)
           in
@@ -179,151 +214,101 @@ let trial ?(flight = false) (config : config) (camp : campaign) ~protocol ~strea
                 | Error _ -> None
                 | Ok r -> Some r)
           in
-          (match continued with
-          | None -> (true, false, report)
-          | Some r -> (true, replay_view r = replay_view report, r))
+          match continued with
+          | None -> report
+          | Some r ->
+              if replay_view r = replay_view report then
+                acc.resumed_identical <- acc.resumed_identical + 1;
+              r)
   in
-  let truth = Iset.inter s t in
-  let exact_wrong =
+  let wrong =
     match Session.Machine.result_of report.Session.Machine.outcome with
-    | Some result -> not (Iset.equal result truth)
+    | Some result -> not (Iset.equal result (Iset.inter s t))
     | None -> false
   in
-  (* Post-mortems only for non-Completed endings: the happy path never
-     pays for dump assembly (the recorder itself is a fixed ring). *)
-  let post_mortem =
-    if not flight then None
-    else
-      match report.Session.Machine.outcome with
-      | Session.Machine.Completed _ -> None
-      | o ->
-          Some
-            (Obsv.Recorder.post_mortem_json ~outcome:(Session.Machine.outcome_name o) recorder)
-  in
-  { report; exact_wrong; did_resume; identical; post_mortem }
+  Telemetry.record_session acc.registry ~deadline_bits:cfg.Session.Machine.deadline_bits report
+    ~wrong;
+  match report.Session.Machine.outcome with
+  | Session.Machine.Completed _ ->
+      if report.Session.Machine.failures <> [] then begin
+        (* Recovered: event time (wasted bits + backoff) burned before
+           the winning attempt. *)
+        acc.recovered <- acc.recovered + 1;
+        acc.recovery_ticks <-
+          acc.recovery_ticks + report.Session.Machine.ledger.Session.Machine.wasted_bits
+          + report.Session.Machine.ledger.Session.Machine.backoff_ticks
+      end
+  | o ->
+      (* Post-mortems only for non-Completed endings: the happy path never
+         pays for dump assembly (the recorder itself is a fixed ring). *)
+      if flight && List.length acc.postmortems < postmortem_cap then
+        acc.postmortems <-
+          acc.postmortems
+          @ [
+              ( i,
+                Obsv.Recorder.post_mortem_json ~outcome:(Session.Machine.outcome_name o) recorder
+              );
+            ]
 
-(* Per-cell cap on harvested post-mortems: the dumps are diagnostic
-   samples, not a census, and the cap keeps the telemetry stream bounded
-   under a pathological campaign. *)
-let postmortem_cap = 2
-
-let run_cell ?domains ?sink (config : config) (camp : campaign) ~protocol ~campaign_name =
-  let stream =
-    Engine.Seed_stream.create ~base:config.seed
-      ~label:(Printf.sprintf "chaos/%s/%s" protocol campaign_name)
+let cell_of ~protocol ~campaign ~trials acc =
+  let count = Obsv.Metrics.counter_value acc.registry in
+  let total name =
+    match Obsv.Metrics.sketch_of acc.registry name with Some s -> Obsv.Sketch.sum s | None -> 0
   in
-  let flight = sink <> None in
-  let obs =
-    Array.to_list
-      (Engine.Pool.map ?domains ~trials:config.trials (fun i ->
-           trial ~flight config camp ~protocol ~stream (i + 1)))
-  in
-  (* Telemetry aggregation is sequential and in trial order (after the
-     parallel map), so the sink's stream is byte-identical at any domain
-     count. *)
-  (match sink with
-  | None -> ()
-  | Some sink ->
-      let deadline_bits =
-        match camp.deadline_override with Some d -> d | None -> config.deadline_bits
-      in
-      let harvested = ref 0 in
-      List.iter
-        (fun o ->
-          Telemetry.record_report sink ~deadline_bits o.report ~wrong:o.exact_wrong;
-          match o.post_mortem with
-          | Some dump when !harvested < postmortem_cap ->
-              incr harvested;
-              Telemetry.add_postmortem sink dump
-          | _ -> ())
-        obs;
-      ignore (Telemetry.snapshot sink));
-  let reports = List.map (fun o -> o.report) obs in
-  let count f = List.length (List.filter f reports) in
-  let sum f = List.fold_left (fun acc r -> acc + f r) 0 reports in
-  let mean f =
-    float_of_int (sum f) /. float_of_int (max 1 (List.length reports))
-  in
-  let kind_count k =
-    sum (fun (r : Session.Machine.report) ->
-        List.length
-          (List.filter (fun (kind, _) -> kind = k) r.Session.Machine.failures))
-  in
-  let is_outcome name (r : Session.Machine.report) =
-    Session.Machine.outcome_name r.Session.Machine.outcome = name
-  in
-  let recovered_reports =
-    List.filter
-      (fun (r : Session.Machine.report) ->
-        is_outcome "completed" r && r.Session.Machine.failures <> [])
-      reports
-  in
-  let recovered = List.length recovered_reports in
-  let recovery_ticks (r : Session.Machine.report) =
-    r.Session.Machine.ledger.Session.Machine.wasted_bits
-    + r.Session.Machine.ledger.Session.Machine.backoff_ticks
-  in
+  let mean name = float_of_int (total name) /. float_of_int trials in
+  let outcomes name = count (Obsv.Health.k_outcome name) in
+  let failures kind = count (Obsv.Health.k_failure (Session.Machine.kind_name kind)) in
   {
     protocol;
-    campaign = campaign_name;
-    trials = config.trials;
-    completed = count (is_outcome "completed");
-    degraded = count (is_outcome "degraded");
-    failed_safe = count (is_outcome "failed_safe");
-    resumed = List.length (List.filter (fun o -> o.did_resume) obs);
-    resumed_identical = List.length (List.filter (fun o -> o.identical) obs);
-    wrong = List.length (List.filter (fun o -> o.exact_wrong) obs);
-    attempts_total = sum (fun r -> r.Session.Machine.attempts);
-    rejected = kind_count Session.Machine.Rejected;
-    stalled = kind_count Session.Machine.Stalled;
-    crashed = kind_count Session.Machine.Crashed;
-    deadline = kind_count Session.Machine.Deadline;
-    mean_spent_bits = mean (fun r -> r.Session.Machine.ledger.Session.Machine.spent_bits);
-    mean_backoff_ticks =
-      mean (fun r -> r.Session.Machine.ledger.Session.Machine.backoff_ticks);
-    wasted_bits_total =
-      sum (fun r -> r.Session.Machine.ledger.Session.Machine.wasted_bits);
-    mean_wasted_bits =
-      mean (fun r -> r.Session.Machine.ledger.Session.Machine.wasted_bits);
-    recovered;
+    campaign;
+    trials;
+    completed = outcomes "completed";
+    degraded = outcomes "degraded";
+    failed_safe = outcomes "failed_safe";
+    resumed = acc.resumed;
+    resumed_identical = acc.resumed_identical;
+    wrong = count Obsv.Health.k_wrong;
+    attempts_total = count Obsv.Health.k_attempts;
+    rejected = failures Session.Machine.Rejected;
+    stalled = failures Session.Machine.Stalled;
+    crashed = failures Session.Machine.Crashed;
+    deadline = failures Session.Machine.Deadline;
+    mean_spent_bits = mean Obsv.Health.k_spent_bits;
+    mean_backoff_ticks = mean Obsv.Health.k_backoff_ticks;
+    wasted_bits_total = total Obsv.Health.k_wasted_bits;
+    mean_wasted_bits = mean Obsv.Health.k_wasted_bits;
+    recovered = acc.recovered;
     mean_recovery_ticks =
-      (if recovered = 0 then 0.0
-       else
-         float_of_int (List.fold_left (fun acc r -> acc + recovery_ticks r) 0 recovered_reports)
-         /. float_of_int recovered);
+      (if acc.recovered = 0 then 0.0
+       else float_of_int acc.recovery_ticks /. float_of_int acc.recovered);
   }
 
-(* The campaign matrix in execution order, for callers (the CLI's [top])
-   that want to drive cells one at a time. *)
-let cells_of (config : config) =
-  List.concat_map
-    (fun protocol ->
-      List.map (fun (campaign_name, camp) -> (protocol, campaign_name, camp)) config.campaigns)
-    config.protocols
-
-let run ?domains ?sink (config : config) =
-  if config.trials < 1 then invalid_arg "Chaos.run: trials";
-  if config.overlap > config.k then invalid_arg "Chaos.run: overlap > k";
+(* With a sink, every trial carries a flight recorder and the cell closes
+   with its merged registry and first post-mortems. *)
+let run ?domains ?sink ?on_cell (config : config) =
+  let flight = sink <> None in
   let cells =
-    List.map
-      (fun (protocol, campaign_name, camp) ->
-        run_cell ?domains ?sink config camp ~protocol ~campaign_name)
-      (cells_of config)
+    List.concat_map
+      (fun protocol ->
+        List.map
+          (fun (campaign, camp) () ->
+            Campaign.run_cell ?domains ?sink accumulator ~campaign:"chaos"
+              ~cell:(protocol ^ "/" ^ campaign) ~seed:config.seed ~trials:config.trials
+              (step ~flight config camp ~protocol)
+            |> cell_of ~protocol ~campaign ~trials:config.trials)
+          config.campaigns)
+      config.protocols
   in
-  { config; cells }
-
-let json_of_link (l : Commsim.Faults.link) =
-  Stats.Json.Obj
-    [
-      ("flip", Stats.Json.Float l.Commsim.Faults.flip);
-      ("trunc", Stats.Json.Float l.Commsim.Faults.trunc);
-      ("dup", Stats.Json.Float l.Commsim.Faults.dup);
-      ("drop", Stats.Json.Float l.Commsim.Faults.drop);
-    ]
+  {
+    config;
+    cells =
+      Campaign.matrix ~trials:config.trials ~ks:[ config.k ] ~overlap:config.overlap
+        ?on_cell cells;
+  }
 
 let json_of_campaign (c : campaign) =
   Stats.Json.Obj
-    ([ ("link", json_of_link c.link); ("interrupt", Stats.Json.Bool c.interrupt) ]
+    ([ ("link", Campaign.json_of_link c.link); ("interrupt", Stats.Json.Bool c.interrupt) ]
     @
     match c.deadline_override with
     | None -> []
@@ -356,35 +341,26 @@ let json_of_cell c =
 
 let to_json ?reproduce report =
   let c = report.config in
-  Stats.Json.Obj
-    (List.concat
-       [
-         [ ("bench", Stats.Json.Str "chaos") ];
-         (match reproduce with Some cmd -> [ ("reproduce", Stats.Json.Str cmd) ] | None -> []);
-         [
-           ( "config",
-             Stats.Json.Obj
-               [
-                 ("seed", Stats.Json.Int c.seed);
-                 ("trials", Stats.Json.Int c.trials);
-                 ("k", Stats.Json.Int c.k);
-                 ("universe_bits", Stats.Json.Int c.universe_bits);
-                 ("overlap", Stats.Json.Int c.overlap);
-                 ( "protocols",
-                   Stats.Json.List (List.map (fun p -> Stats.Json.Str p) c.protocols) );
-                 ( "campaigns",
-                   Stats.Json.Obj
-                     (List.map (fun (name, camp) -> (name, json_of_campaign camp)) c.campaigns)
-                 );
-                 ("deadline_bits", Stats.Json.Int c.deadline_bits);
-                 ("rung_attempts", Stats.Json.Int c.rung_attempts);
-                 ("check_bits0", Stats.Json.Int c.check_bits0);
-                 ("backoff_base", Stats.Json.Int c.backoff_base);
-                 ("backoff_cap", Stats.Json.Int c.backoff_cap);
-               ] );
-           ("cells", Stats.Json.List (List.map json_of_cell report.cells));
-         ];
-       ])
+  Campaign.report_json ~bench:"chaos" ?reproduce
+    ~config:
+      [
+        ("seed", Stats.Json.Int c.seed);
+        ("trials", Stats.Json.Int c.trials);
+        ("k", Stats.Json.Int c.k);
+        ("universe_bits", Stats.Json.Int c.universe_bits);
+        ("overlap", Stats.Json.Int c.overlap);
+        ("protocols", Campaign.json_strings c.protocols);
+        ( "campaigns",
+          Stats.Json.Obj (List.map (fun (name, camp) -> (name, json_of_campaign camp)) c.campaigns)
+        );
+        ("deadline_bits", Stats.Json.Int c.deadline_bits);
+        ("rung_attempts", Stats.Json.Int c.rung_attempts);
+        ("check_bits0", Stats.Json.Int c.check_bits0);
+        ("backoff_base", Stats.Json.Int c.backoff_base);
+        ("backoff_cap", Stats.Json.Int c.backoff_cap);
+      ]
+    ~cells:(List.map json_of_cell report.cells)
+    []
 
 (* The chaos invariant, as a checkable predicate: every session ended in a
    structured outcome (the taxonomy partitions the trials), no exact result
@@ -414,36 +390,18 @@ let invariant_violations report =
     report.cells
 
 let summary report =
-  let table =
-    Stats.Table.create ~title:"Chaos campaigns"
-      ~columns:
-        [
-          "protocol";
-          "campaign";
-          "completed";
-          "degraded";
-          "failsafe";
-          "resumed=id";
-          "wrong";
-          "att/trial";
-          "waste/trial";
-          "recovery";
-        ]
-  in
-  List.iter
-    (fun c ->
-      Stats.Table.add_row table
-        [
-          c.protocol;
-          c.campaign;
-          Printf.sprintf "%d/%d" c.completed c.trials;
-          string_of_int c.degraded;
-          string_of_int c.failed_safe;
-          Printf.sprintf "%d=%d" c.resumed c.resumed_identical;
-          string_of_int c.wrong;
-          Printf.sprintf "%.2f" (float_of_int c.attempts_total /. float_of_int c.trials);
-          Printf.sprintf "%.0f" c.mean_wasted_bits;
-          Printf.sprintf "%.0f" c.mean_recovery_ticks;
-        ])
-    report.cells;
-  Stats.Table.render table
+  Campaign.table ~title:"Chaos campaigns"
+    [
+      ("protocol", fun c -> c.protocol);
+      ("campaign", fun c -> c.campaign);
+      ("completed", fun c -> Printf.sprintf "%d/%d" c.completed c.trials);
+      ("degraded", fun c -> string_of_int c.degraded);
+      ("failsafe", fun c -> string_of_int c.failed_safe);
+      ("resumed=id", fun c -> Printf.sprintf "%d=%d" c.resumed c.resumed_identical);
+      ("wrong", fun c -> string_of_int c.wrong);
+      ( "att/trial",
+        fun c -> Printf.sprintf "%.2f" (float_of_int c.attempts_total /. float_of_int c.trials) );
+      ("waste/trial", fun c -> Printf.sprintf "%.0f" c.mean_wasted_bits);
+      ("recovery", fun c -> Printf.sprintf "%.0f" c.mean_recovery_ticks);
+    ]
+    report.cells

@@ -16,8 +16,8 @@
       (result, attempts, failures and cost ledger; only [resumes]
       differs).
 
-    Campaigns run cell-by-cell (protocol x campaign) through
-    {!Engine.Pool}, with every trial's inputs, fault plan and session seed
+    Campaigns run cell-by-cell (protocol x campaign) through the
+    {!Campaign} runner, with every trial's inputs, fault plan and session seed
     derived from an {!Engine.Seed_stream}, so reports are byte-identical
     across domain counts and run-to-run. *)
 
@@ -82,28 +82,21 @@ type cell = {
 
 type report = { config : config; cells : cell list }
 
-(** The campaign matrix in execution order
-    ([(protocol, campaign_name, campaign)]), for callers that drive cells
-    one at a time (the CLI's [top] view). *)
-val cells_of : config -> (string * string * campaign) list
-
-(** [run_cell ?domains ?sink config camp ~protocol ~campaign_name] runs one
-    cell.  With a [sink], every trial carries a flight recorder, session
-    reports are folded into the fleet telemetry in deterministic trial
-    order, up to two post-mortems per cell are harvested from
-    non-[Completed] sessions, and the cell ends with one snapshot. *)
-val run_cell :
+(** [run ?domains ?sink ?on_cell config] executes the campaign matrix on
+    the {!Campaign} cell runner, protocol-major, calling
+    [on_cell idx total cell] after each cell (the CLI's [top] view
+    redraws there).  Invalid inputs ({!Campaign.matrix}) raise
+    [Invalid_argument] before any cell runs.  With a [sink], every trial
+    carries a flight recorder; each cell folds its session reports into
+    per-chunk fleet registries ({!Telemetry.record_session}), harvests the
+    first two post-mortems by trial index from non-[Completed] sessions,
+    and closes with one {!Telemetry.record_cell}. *)
+val run :
   ?domains:int ->
   ?sink:Telemetry.sink ->
+  ?on_cell:(int -> int -> cell -> unit) ->
   config ->
-  campaign ->
-  protocol:string ->
-  campaign_name:string ->
-  cell
-
-(** [run ?domains ?sink config] executes the full campaign matrix
-    (telemetry as in {!run_cell} when [sink] is given). *)
-val run : ?domains:int -> ?sink:Telemetry.sink -> config -> report
+  report
 
 (** Violations of the chaos invariant (empty on a healthy report): outcome
     taxonomy partitions the trials, zero wrong results, every resume

@@ -8,25 +8,7 @@ type config = {
   protocols : string list;
 }
 
-type cell = {
-  protocol : string;
-  statement : string;
-  k : int;
-  trials : int;
-  failures : int;
-  error_limit : float;
-  error_lower95 : float;
-  error_ok : bool;
-  rounds_max : int;
-  rounds_limit : int;
-  rounds_ok : bool;
-  bits : Stats.Summary.t;
-  bits_limit : float;
-  bits_ok : bool;
-  pass : bool;
-}
-
-type report = { config : config; cells : cell list; pass : bool }
+type report = { config : config; cells : Campaign.gate list; pass : bool }
 
 (* One seeded execution: cost, worst-case rounds, and exactness. *)
 type trial_outcome = { t_bits : int; t_rounds : int; t_exact : bool }
@@ -193,146 +175,46 @@ let default =
 
 let smoke = { default with trials = 25; ks = [ 16 ] }
 
-type acc = { failures : int; rounds_max : int; bits_acc : Stats.Summary.Acc.t }
-
-let run_cell ?domains ~cache (config : config) entry ~k =
-  let stream =
-    Engine.Seed_stream.create ~base:config.seed
-      ~label:(Printf.sprintf "conform/%s/k%d" entry.name k)
-  in
-  let universe = 1 lsl config.universe_bits in
-  let acc =
-    Engine.Pool.run ?domains ~trials:config.trials
-      (fun i -> entry.trial ~cache (Engine.Seed_stream.trial_rng stream (i + 1)) ~universe ~k)
-      ~init:{ failures = 0; rounds_max = 0; bits_acc = Stats.Summary.Acc.empty }
-      ~merge:(fun a o ->
-        {
-          failures = (a.failures + if o.t_exact then 0 else 1);
-          rounds_max = max a.rounds_max o.t_rounds;
-          bits_acc = Stats.Summary.Acc.add_int a.bits_acc o.t_bits;
-        })
-  in
-  let bits = Stats.Summary.Acc.summarize acc.bits_acc in
-  let error_limit = entry.error_limit k in
-  let error_lower95, _ = Stats.Binomial.wilson ~failures:acc.failures ~trials:config.trials ~z:1.96 in
-  let rounds_limit = entry.rounds_limit k in
-  let bits_limit = entry.bits_limit k in
-  let error_ok = error_lower95 <= error_limit in
-  let rounds_ok = acc.rounds_max <= rounds_limit in
-  let bits_ok = bits.Stats.Summary.mean <= bits_limit in
-  {
-    protocol = entry.name;
-    statement = entry.statement;
-    k;
-    trials = config.trials;
-    failures = acc.failures;
-    error_limit;
-    error_lower95;
-    error_ok;
-    rounds_max = acc.rounds_max;
-    rounds_limit;
-    rounds_ok;
-    bits;
-    bits_limit;
-    bits_ok;
-    pass = error_ok && rounds_ok && bits_ok;
-  }
+(* One clean (protocol, k) cell: [entry]'s trials on the shared runner
+   under the stream ["<campaign>/<name>/k<k>"], scored against the
+   statement's envelopes.  The protocol value is built once per domain. *)
+let clean_cell ?domains ?sink ~campaign ~seed ~trials ~universe_bits entry ~k =
+  let cache = Engine.Instance_cache.create () in
+  let universe = 1 lsl universe_bits in
+  Campaign.run_cell ?domains ?sink Campaign.tally ~campaign
+    ~cell:(Printf.sprintf "%s/k%d" entry.name k)
+    ~seed ~trials
+    (fun t _ rng ->
+      let o = entry.trial ~cache rng ~universe ~k in
+      Campaign.add_trial t ~bits:o.t_bits ~rounds:o.t_rounds ~exact:o.t_exact)
+  |> Campaign.gate ~protocol:entry.name ~k ~error_limit:(entry.error_limit k)
+       ~rounds_limit:(entry.rounds_limit k) ~bits_limit:(entry.bits_limit k)
 
 let run ?domains (config : config) =
-  if config.trials < 1 then invalid_arg "Conform.run: trials";
-  if config.ks = [] then invalid_arg "Conform.run: ks";
   let entries = List.map entry_of_name config.protocols in
-  let cache = Engine.Instance_cache.create () in
   let cells =
-    List.concat_map
-      (fun entry -> List.map (fun k -> run_cell ?domains ~cache config entry ~k) config.ks)
-      entries
+    Campaign.matrix ~trials:config.trials ~ks:config.ks
+      (List.concat_map
+         (fun entry ->
+           List.map
+             (fun k () ->
+               clean_cell ?domains ~campaign:"conform" ~seed:config.seed ~trials:config.trials
+                 ~universe_bits:config.universe_bits entry ~k)
+             config.ks)
+         entries)
   in
-  { config; cells; pass = List.for_all (fun (c : cell) -> c.pass) cells }
-
-let json_of_cell c =
-  Stats.Json.Obj
-    [
-      ("protocol", Stats.Json.Str c.protocol);
-      ("statement", Stats.Json.Str c.statement);
-      ("k", Stats.Json.Int c.k);
-      ("trials", Stats.Json.Int c.trials);
-      ("failures", Stats.Json.Int c.failures);
-      ("error_limit", Stats.Json.Float c.error_limit);
-      ("error_lower95", Stats.Json.Float c.error_lower95);
-      ("error_ok", Stats.Json.Bool c.error_ok);
-      ("rounds_max", Stats.Json.Int c.rounds_max);
-      ("rounds_limit", Stats.Json.Int c.rounds_limit);
-      ("rounds_ok", Stats.Json.Bool c.rounds_ok);
-      ( "bits",
-        Stats.Json.Obj
-          [
-            ("mean", Stats.Json.Float c.bits.Stats.Summary.mean);
-            ("p95", Stats.Json.Float c.bits.Stats.Summary.p95);
-            ("min", Stats.Json.Float c.bits.Stats.Summary.min);
-            ("max", Stats.Json.Float c.bits.Stats.Summary.max);
-          ] );
-      ("bits_limit", Stats.Json.Float c.bits_limit);
-      ("bits_ok", Stats.Json.Bool c.bits_ok);
-      ("pass", Stats.Json.Bool c.pass);
-    ]
+  { config; cells; pass = List.for_all (fun (c : Campaign.gate) -> c.pass) cells }
 
 let to_json ?reproduce report =
   let c = report.config in
-  Stats.Json.Obj
-    (List.concat
-       [
-         (match reproduce with Some cmd -> [ ("reproduce", Stats.Json.Str cmd) ] | None -> []);
-         [
-           ( "config",
-             Stats.Json.Obj
-               [
-                 ("seed", Stats.Json.Int c.seed);
-                 ("trials", Stats.Json.Int c.trials);
-                 ("ks", Stats.Json.List (List.map (fun k -> Stats.Json.Int k) c.ks));
-                 ("universe_bits", Stats.Json.Int c.universe_bits);
-                 ("protocols", Stats.Json.List (List.map (fun p -> Stats.Json.Str p) c.protocols));
-               ] );
-           ("cells", Stats.Json.List (List.map json_of_cell report.cells));
-           ("pass", Stats.Json.Bool report.pass);
-         ];
-       ])
-
-let summary report =
-  let table =
-    Stats.Table.create ~title:"Theorem conformance"
-      ~columns:
-        [ "protocol"; "k"; "exact"; "rounds"; "budget"; "mean bits"; "bits cap"; "err lo95"; "bound"; "pass" ]
-  in
-  List.iter
-    (fun c ->
-      Stats.Table.add_row table
-        [
-          c.protocol;
-          string_of_int c.k;
-          Printf.sprintf "%d/%d" (c.trials - c.failures) c.trials;
-          string_of_int c.rounds_max;
-          string_of_int c.rounds_limit;
-          Printf.sprintf "%.0f" c.bits.Stats.Summary.mean;
-          Printf.sprintf "%.0f" c.bits_limit;
-          Printf.sprintf "%.2g" c.error_lower95;
-          Printf.sprintf "%.2g" c.error_limit;
-          (if c.pass then "yes" else "NO");
-        ])
-    report.cells;
-  Stats.Table.render table
-
-let violations report =
-  List.filter_map
-    (fun (c : cell) ->
-      if c.pass then None
-      else
-        let failed =
-          List.filter_map
-            (fun (ok, what) -> if ok then None else Some what)
-            [ (c.rounds_ok, "rounds"); (c.bits_ok, "bits"); (c.error_ok, "error") ]
-        in
-        Some
-          (Printf.sprintf "%s k=%d violated its %s envelope" c.protocol c.k
-             (String.concat "/" failed)))
-    report.cells
+  Campaign.report_json ?reproduce
+    ~config:
+      [
+        ("seed", Stats.Json.Int c.seed);
+        ("trials", Stats.Json.Int c.trials);
+        ("ks", Campaign.json_ints c.ks);
+        ("universe_bits", Stats.Json.Int c.universe_bits);
+        ("protocols", Campaign.json_strings c.protocols);
+      ]
+    ~cells:(List.map Campaign.json_of_gate report.cells)
+    [ ("pass", Stats.Json.Bool report.pass) ]

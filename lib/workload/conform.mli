@@ -2,7 +2,7 @@
     registered protocol stays inside its paper envelope.
 
     For each (protocol, k) cell the tier runs [trials] independent seeded
-    executions on the {!Engine.Pool} runner and checks three envelopes:
+    executions on the {!Campaign} runner and checks three envelopes:
 
     - {b rounds}: the observed round count of {e every} trial is at most
       the statement's budget (Lemma 3.3: 4; Fact 3.5: 2; Theorem 3.1:
@@ -69,34 +69,30 @@ val default : config
 (** Seconds-scale: [k = 16], 25 trials, every entry. *)
 val smoke : config
 
-type cell = {
-  protocol : string;
-  statement : string;  (** the envelope being asserted, human-readable *)
-  k : int;
-  trials : int;
-  failures : int;  (** trials that did not output exactly [S ∩ T] *)
-  error_limit : float;  (** the statement's failure-probability bound *)
-  error_lower95 : float;  (** Wilson 95% lower bound on the true rate *)
-  error_ok : bool;  (** [error_lower95 <= error_limit] *)
-  rounds_max : int;  (** worst observed round count *)
-  rounds_limit : int;  (** the statement's round budget at this [k] *)
-  rounds_ok : bool;
-  bits : Stats.Summary.t;  (** total-bits distribution over the trials *)
-  bits_limit : float;  (** constant-factor envelope on the mean *)
-  bits_ok : bool;
-  pass : bool;  (** all three checks *)
-}
+type report = { config : config; cells : Campaign.gate list; pass : bool }
 
-type report = { config : config; cells : cell list; pass : bool }
+(** [clean_cell ?domains ?sink ~campaign ~seed ~trials ~universe_bits entry
+    ~k] runs one clean cell of [entry] on the {!Campaign} runner (stream
+    label ["<campaign>/<name>/k<k>"]) and gates it on the statement's
+    envelopes.  The conformance tier and the {!Sweep} mega-run both build
+    their clean cells here; tests fabricate entries whose envelope the
+    trials must violate. *)
+val clean_cell :
+  ?domains:int ->
+  ?sink:Telemetry.sink ->
+  campaign:string ->
+  seed:int ->
+  trials:int ->
+  universe_bits:int ->
+  entry ->
+  k:int ->
+  Campaign.gate
 
-(** [run ?domains config] — trial scheduling via {!Engine.Pool}; the
-    report is byte-identical for every domain count. *)
+(** [run ?domains config] — one {!clean_cell} per (protocol, k), after
+    {!Campaign.matrix} validation ([Invalid_argument] on bad input or an
+    unknown protocol); the report is byte-identical for every domain
+    count.  Render it with {!Campaign.gate_table} and
+    {!Campaign.gate_violations}. *)
 val run : ?domains:int -> config -> report
 
 val to_json : ?reproduce:string -> report -> Stats.Json.t
-
-(** Human-readable cell table. *)
-val summary : report -> string
-
-(** One line per cell that failed an envelope (empty iff [pass]). *)
-val violations : report -> string list

@@ -151,6 +151,7 @@ let run_cell ~seed ~universe_bits ~trials ~name ~k =
   }
 
 let run (config : config) : report =
+  Campaign.validate ~trials:config.trials ~ks:config.ks ();
   let cells =
     List.concat_map
       (fun name ->

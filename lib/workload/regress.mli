@@ -53,7 +53,7 @@ val default : config
 val smoke : config
 
 (** Run the configured sweep.  Raises [Invalid_argument] on unknown
-    protocol names. *)
+    protocol names and on inputs {!Campaign.validate} rejects. *)
 val run : config -> report
 
 (** The BENCH_hotpath.json document. *)

@@ -1,5 +1,3 @@
-open Intersect
-
 type config = {
   seed : int;
   trials : int;
@@ -11,8 +9,6 @@ type config = {
   budget_attempts : int;
   check_bits : int;
 }
-
-let protocol_names = [ "trivial"; "tree"; "bucket" ]
 
 let plan_catalogue =
   let open Commsim.Faults in
@@ -33,7 +29,7 @@ let default =
     k = 24;
     universe_bits = 20;
     overlap = 12;
-    protocols = protocol_names;
+    protocols = Campaign.resilient_protocols;
     plans = plan_catalogue;
     (* Attempts beyond ~8 are wasted work for message-heavy protocols under
        heavy flipping: per-attempt survival is low enough there that the
@@ -81,162 +77,74 @@ type cell = {
 
 type report = { config : config; cells : cell list }
 
-let base_of_name config name =
-  match name with
-  | "trivial" -> Resilient.trivial_base
-  | "tree" -> Resilient.tree_base ~k:config.k ()
-  | "bucket" -> Resilient.bucket_base ~k:config.k ()
-  | _ ->
-      invalid_arg
-        ("Soak: unknown protocol " ^ name ^ " (known: " ^ String.concat ", " protocol_names ^ ")")
+(* One (protocol x plan) cell on the shared runner.  The stream label
+   ["soak/<protocol>/<plan>"] predates the engine; keeping it means any
+   soak JSON ever published reproduces bit for bit. *)
+let run_cell ?domains ?sink (config : config) base ~cell ~trials link =
+  Campaign.run_cell ?domains ?sink Campaign.tally ~campaign:"soak" ~cell ~seed:config.seed ~trials
+    (Campaign.resilient_step base ~link ~budget_attempts:config.budget_attempts
+       ~check_bits:config.check_bits ~universe_bits:config.universe_bits ~k:config.k
+       ~overlap:config.overlap)
 
-(* The engine seed stream of one (protocol x plan) cell.  The label format
-   predates the engine; keeping it means any soak JSON ever published
-   reproduces bit for bit through the new derivation. *)
-let cell_stream (config : config) ~proto_name ~plan_name =
-  Engine.Seed_stream.create ~base:config.seed
-    ~label:(Printf.sprintf "soak/%s/%s" proto_name plan_name)
-
-(* One seeded trial: inputs, per-trial fault plan and the wrapper run are
-   all derived from the stream (config seed + cell coordinates) and the
-   trial index alone, so trials can run on any domain in any order. *)
-let trial (config : config) base ~stream ~link i =
-  let rng = Engine.Seed_stream.trial_rng stream i in
-  let universe = 1 lsl config.universe_bits in
-  let pair =
-    Setgen.pair_with_overlap
-      (Prng.Rng.with_label rng "inputs")
-      ~universe ~size_s:config.k ~size_t:config.k ~overlap:config.overlap
-  in
-  let plan =
-    Commsim.Faults.uniform ~seed:(Prng.Rng.bits (Prng.Rng.with_label rng "plan") ~width:30) link
-  in
-  let report =
-    Resilient.run base ~plan
-      ~budget:{ Resilient.attempts = config.budget_attempts; bits = max_int }
-      ~check_bits:config.check_bits
-      (Prng.Rng.with_label rng "protocol")
-      ~universe pair.Setgen.s pair.Setgen.t
-  in
-  let truth = Iset.inter pair.Setgen.s pair.Setgen.t in
-  (report, Iset.equal report.Resilient.result truth)
-
-let mean_bits_of reports =
-  let total =
-    List.fold_left (fun acc r -> acc + r.Resilient.cost.Commsim.Cost.total_bits) 0 reports
-  in
-  float_of_int total /. float_of_int (max 1 (List.length reports))
-
-(* Fault-free cost of the wrapper on this protocol — the denominator of the
-   per-cell overhead column.  A few dozen trials pin the mean well enough. *)
-let baseline ?domains (config : config) base ~proto_name =
-  let n = min config.trials 64 in
-  let stream = cell_stream config ~proto_name ~plan_name:"baseline" in
-  let reports =
-    Engine.Pool.map ?domains ~trials:n (fun i ->
-        fst (trial config base ~stream ~link:Commsim.Faults.clean_link (i + 1)))
-  in
-  mean_bits_of (Array.to_list reports)
-
-let run_cell ?domains ?sink (config : config) base ~proto_name ~plan_name ~link ~baseline_bits =
-  let stream = cell_stream config ~proto_name ~plan_name in
-  let outcomes =
-    Array.to_list
-      (Engine.Pool.map ?domains ~trials:config.trials (fun i ->
-           trial config base ~stream ~link (i + 1)))
-  in
-  let reports = List.map fst outcomes in
-  let exact = List.length (List.filter snd outcomes) in
-  (* Telemetry aggregation happens sequentially after the parallel map,
-     in trial order, so the stream is byte-identical across domain
-     counts. *)
-  (match sink with
-  | None -> ()
-  | Some sink ->
-      Telemetry.record_soak_cell sink ~trials:config.trials ~exact
-        ~degraded:(List.length (List.filter (fun r -> r.Resilient.degraded) reports))
-        ~bits:(List.map (fun r -> r.Resilient.cost.Commsim.Cost.total_bits) reports));
-  let count f = List.length (List.filter f reports) in
-  let sum f = List.fold_left (fun acc r -> acc + f r) 0 reports in
-  let failure_sums =
-    List.fold_left
-      (fun (rej, lost, crash) r ->
-        let r', l', c' = Resilient.failure_counts r in
-        (rej + r', lost + l', crash + c'))
-      (0, 0, 0) reports
-  in
-  let rejected, lost, crashed = failure_sums in
-  let tally =
-    List.fold_left
-      (fun acc r -> Commsim.Faults.add_tally acc (Commsim.Faults.total r.Resilient.tallies))
-      Commsim.Faults.zero_tally reports
-  in
-  let mean_bits = mean_bits_of reports in
-  let failures = config.trials - exact in
-  let error_rate = float_of_int failures /. float_of_int config.trials in
+let cell_of (config : config) ~protocol ~plan ~baseline_bits (t : Campaign.tally) =
+  let mean_bits = Campaign.mean_bits t in
+  let error_rate = float_of_int t.failures /. float_of_int config.trials in
   let error_bound =
-    float_of_int config.budget_attempts *. (2.0 ** float_of_int (-config.check_bits))
+    Campaign.error_bound ~budget_attempts:config.budget_attempts ~check_bits:config.check_bits
   in
   {
-    protocol = proto_name;
-    plan = plan_name;
+    protocol;
+    plan;
     trials = config.trials;
-    exact;
-    verified = count (fun r -> r.Resilient.verified);
-    degraded = count (fun r -> r.Resilient.degraded);
-    attempts_total = sum (fun r -> r.Resilient.attempts);
-    rejected;
-    lost;
-    crashed;
+    exact = config.trials - t.failures;
+    verified = t.verified;
+    degraded = t.degraded;
+    attempts_total = t.attempts;
+    rejected = t.rejected;
+    lost = t.lost;
+    crashed = t.crashed;
     mean_bits;
     baseline_bits;
     overhead = (if baseline_bits > 0.0 then mean_bits /. baseline_bits else Float.nan);
     error_rate;
-    error_upper95 = Stats.Binomial.upper95 ~failures ~trials:config.trials;
+    error_upper95 = Stats.Binomial.upper95 ~failures:t.failures ~trials:config.trials;
     error_bound;
-    within_bound = failures = 0 || error_rate <= error_bound;
-    flipped_bits = tally.Commsim.Faults.flipped_bits;
-    truncated = tally.Commsim.Faults.truncated_messages;
-    duplicated = tally.Commsim.Faults.duplicated_messages;
-    dropped = tally.Commsim.Faults.dropped_messages;
-    (* The first carried diagnosis in the cell — the concrete "who wedged
-       on which message" sample a human reaches for when a cell looks bad. *)
-    first_failure =
-      List.find_map
-        (fun r ->
-          List.find_map
-            (function
-              | Resilient.Check_rejected -> None
-              | Resilient.Channel_lost d -> Some ("channel lost: " ^ d)
-              | Resilient.Party_crashed d -> Some ("party crashed: " ^ d))
-            r.Resilient.failures)
-        reports;
+    within_bound = t.failures = 0 || error_rate <= error_bound;
+    flipped_bits = t.damage.Commsim.Faults.flipped_bits;
+    truncated = t.damage.Commsim.Faults.truncated_messages;
+    duplicated = t.damage.Commsim.Faults.duplicated_messages;
+    dropped = t.damage.Commsim.Faults.dropped_messages;
+    first_failure = t.first_failure;
   }
 
 let run ?domains ?sink (config : config) =
-  if config.trials < 1 then invalid_arg "Soak.run: trials";
-  if config.overlap > config.k then invalid_arg "Soak.run: overlap > k";
   let cells =
     List.concat_map
-      (fun proto_name ->
-        let base = base_of_name config proto_name in
-        let baseline_bits = baseline ?domains config base ~proto_name in
+      (fun protocol ->
+        let base = Campaign.resilient_base protocol ~k:config.k in
+        (* Fault-free cost of the wrapper on this protocol — the
+           denominator of the overhead column.  A few dozen trials pin
+           the mean well enough. *)
+        let baseline_bits =
+          lazy
+            (Campaign.mean_bits
+               (run_cell ?domains config base ~cell:(protocol ^ "/baseline")
+                  ~trials:(min config.trials 64) Commsim.Faults.clean_link))
+        in
         List.map
-          (fun (plan_name, link) ->
-            run_cell ?domains ?sink config base ~proto_name ~plan_name ~link ~baseline_bits)
+          (fun (plan, link) () ->
+            let t =
+              run_cell ?domains ?sink config base ~cell:(protocol ^ "/" ^ plan)
+                ~trials:config.trials link
+            in
+            cell_of config ~protocol ~plan ~baseline_bits:(Lazy.force baseline_bits) t)
           config.plans)
       config.protocols
   in
-  { config; cells }
-
-let json_of_link (l : Commsim.Faults.link) =
-  Stats.Json.Obj
-    [
-      ("flip", Stats.Json.Float l.Commsim.Faults.flip);
-      ("trunc", Stats.Json.Float l.Commsim.Faults.trunc);
-      ("dup", Stats.Json.Float l.Commsim.Faults.dup);
-      ("drop", Stats.Json.Float l.Commsim.Faults.drop);
-    ]
+  {
+    config;
+    cells = Campaign.matrix ~trials:config.trials ~ks:[ config.k ] ~overlap:config.overlap cells;
+  }
 
 let json_of_cell c =
   Stats.Json.Obj
@@ -272,62 +180,37 @@ let json_of_cell c =
 
 let to_json ?reproduce report =
   let c = report.config in
-  Stats.Json.Obj
-    (List.concat
-       [
-         (match reproduce with Some cmd -> [ ("reproduce", Stats.Json.Str cmd) ] | None -> []);
-         [
-           ( "config",
-             Stats.Json.Obj
-               [
-                 ("seed", Stats.Json.Int c.seed);
-                 ("trials", Stats.Json.Int c.trials);
-                 ("k", Stats.Json.Int c.k);
-                 ("universe_bits", Stats.Json.Int c.universe_bits);
-                 ("overlap", Stats.Json.Int c.overlap);
-                 ("protocols", Stats.Json.List (List.map (fun p -> Stats.Json.Str p) c.protocols));
-                 ( "plans",
-                   Stats.Json.Obj (List.map (fun (name, link) -> (name, json_of_link link)) c.plans)
-                 );
-                 ("budget_attempts", Stats.Json.Int c.budget_attempts);
-                 ("check_bits", Stats.Json.Int c.check_bits);
-               ] );
-           ("cells", Stats.Json.List (List.map json_of_cell report.cells));
-         ];
-       ])
+  Campaign.report_json ?reproduce
+    ~config:
+      [
+        ("seed", Stats.Json.Int c.seed);
+        ("trials", Stats.Json.Int c.trials);
+        ("k", Stats.Json.Int c.k);
+        ("universe_bits", Stats.Json.Int c.universe_bits);
+        ("overlap", Stats.Json.Int c.overlap);
+        ("protocols", Campaign.json_strings c.protocols);
+        ("plans", Campaign.json_of_plans c.plans);
+        ("budget_attempts", Stats.Json.Int c.budget_attempts);
+        ("check_bits", Stats.Json.Int c.check_bits);
+      ]
+    ~cells:(List.map json_of_cell report.cells)
+    []
 
 let summary report =
-  let table =
-    Stats.Table.create ~title:"Adversarial-channel soak"
-      ~columns:
-        [
-          "protocol";
-          "plan";
-          "exact";
-          "verified";
-          "degraded";
-          "att/trial";
-          "overhead";
-          "err<=95%";
-          "bound ok";
-        ]
-  in
-  List.iter
-    (fun c ->
-      Stats.Table.add_row table
-        [
-          c.protocol;
-          c.plan;
-          Printf.sprintf "%d/%d" c.exact c.trials;
-          string_of_int c.verified;
-          string_of_int c.degraded;
-          Printf.sprintf "%.2f" (float_of_int c.attempts_total /. float_of_int c.trials);
-          Printf.sprintf "%.2fx" c.overhead;
-          Printf.sprintf "%.2g" c.error_upper95;
-          (if c.within_bound then "yes" else "NO");
-        ])
-    report.cells;
-  Stats.Table.render table
+  Campaign.table ~title:"Adversarial-channel soak"
+    [
+      ("protocol", fun c -> c.protocol);
+      ("plan", fun c -> c.plan);
+      ("exact", fun c -> Printf.sprintf "%d/%d" c.exact c.trials);
+      ("verified", fun c -> string_of_int c.verified);
+      ("degraded", fun c -> string_of_int c.degraded);
+      ( "att/trial",
+        fun c -> Printf.sprintf "%.2f" (float_of_int c.attempts_total /. float_of_int c.trials) );
+      ("overhead", fun c -> Printf.sprintf "%.2fx" c.overhead);
+      ("err<=95%", fun c -> Printf.sprintf "%.2g" c.error_upper95);
+      ("bound ok", fun c -> if c.within_bound then "yes" else "NO");
+    ]
+    report.cells
 
 let violations report =
   List.filter_map

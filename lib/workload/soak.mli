@@ -16,15 +16,11 @@ type config = {
   k : int;  (** both input sets have this size *)
   universe_bits : int;  (** universe [2^universe_bits] *)
   overlap : int;  (** planted [|S ∩ T|] *)
-  protocols : string list;  (** subset of {!protocol_names} *)
+  protocols : string list;  (** subset of {!Campaign.resilient_protocols} *)
   plans : (string * Commsim.Faults.link) list;  (** named per-link fault rates *)
   budget_attempts : int;  (** retry budget handed to {!Intersect.Resilient} *)
   check_bits : int;  (** initial verification-fingerprint width *)
 }
-
-(** Base protocols the harness knows how to run: ["trivial"], ["tree"],
-    ["bucket"]. *)
-val protocol_names : string list
 
 (** The named fault plans of the default matrix: ["clean"], ["flip-1e-4"],
     ["flip-1e-3"], ["trunc-1e-2"], ["dup-5e-2"], ["drop-2e-2"] and the
@@ -70,16 +66,18 @@ type cell = {
 
 type report = { config : config; cells : cell list }
 
-(** [run ?domains config] runs the matrix on the {!Engine.Pool} trial
+(** [run ?domains ?sink config] runs the matrix on the {!Campaign} cell
     runner; [domains] defaults to the machine's recommended domain count.
     Per-trial randomness is an {!Engine.Seed_stream} of the config seed and
     the cell coordinates, so the report — and its JSON — is byte-identical
     for {e every} domain count, including the sequential [~domains:1]
     which reproduces the historical single-core harness exactly.
+    Invalid inputs ({!Campaign.matrix}) raise [Invalid_argument] before
+    any cell runs.
 
-    With a [sink], each cell's exact/degraded tallies and per-trial bit
-    costs are folded into the fleet telemetry (sequentially, in trial
-    order) and the cell closes with one snapshot. *)
+    With a [sink], each cell closes with one {!Telemetry.record_cell}:
+    [soak/trials], [soak/exact] and [soak/degraded] counters and the
+    per-trial bit costs in the [soak/bits] sketch. *)
 val run : ?domains:int -> ?sink:Telemetry.sink -> config -> report
 
 (** [to_json ?reproduce report] renders the full report; [reproduce] is the

@@ -19,15 +19,12 @@ type sink = {
 let create_sink () =
   { registry = Obsv.Metrics.create (); sessions = 0; snapshots_rev = []; postmortems_rev = [] }
 
-let sessions sink = sink.sessions
-
-(* Fold one session report into the fleet registry under the
-   Obsv.Health metric-name contract.  The deadline gauge keeps the
-   maximum across sessions explicitly: gauges overwrite within one
-   registry, and "largest admitted budget" is the denominator the burn
-   SLO wants. *)
-let record_report sink ~deadline_bits (r : Session.Machine.report) ~wrong =
-  Obsv.Metrics.with_registry sink.registry (fun () ->
+(* Fold one session report into a fleet registry under the Obsv.Health
+   metric-name contract.  The deadline gauge keeps the maximum across
+   sessions explicitly: gauges overwrite within one registry, and
+   "largest admitted budget" is the denominator the burn SLO wants. *)
+let record_session registry ~deadline_bits (r : Session.Machine.report) ~wrong =
+  Obsv.Metrics.with_registry registry (fun () ->
       Obsv.Metrics.incr Obsv.Health.k_sessions;
       Obsv.Metrics.incr
         (Obsv.Health.k_outcome (Session.Machine.outcome_name r.Session.Machine.outcome));
@@ -45,20 +42,17 @@ let record_report sink ~deadline_bits (r : Session.Machine.report) ~wrong =
       Obsv.Metrics.record Obsv.Health.k_backoff_ticks ledger.Session.Machine.backoff_ticks;
       Obsv.Metrics.record Obsv.Health.k_wasted_bits ledger.Session.Machine.wasted_bits;
       let prev =
-        match Obsv.Metrics.gauge_value sink.registry Obsv.Health.k_deadline_bits with
+        match Obsv.Metrics.gauge_value registry Obsv.Health.k_deadline_bits with
         | Some g -> g
         | None -> 0
       in
-      Obsv.Metrics.set_gauge Obsv.Health.k_deadline_bits (max prev deadline_bits));
-  sink.sessions <- sink.sessions + 1
+      Obsv.Metrics.set_gauge Obsv.Health.k_deadline_bits (max prev deadline_bits))
 
-let add_postmortem sink json = sink.postmortems_rev <- (sink.sessions, json) :: sink.postmortems_rev
+let add_postmortem sink ~at json = sink.postmortems_rev <- (at, json) :: sink.postmortems_rev
 
 let snapshot sink =
   let seq = List.length sink.snapshots_rev in
-  let s = Obsv.Snapshot.take ~seq ~at:sink.sessions sink.registry in
-  sink.snapshots_rev <- s :: sink.snapshots_rev;
-  s
+  sink.snapshots_rev <- Obsv.Snapshot.take ~seq ~at:sink.sessions sink.registry :: sink.snapshots_rev
 
 let snapshots sink = List.rev sink.snapshots_rev
 let last_snapshot sink = match sink.snapshots_rev with [] -> None | s :: _ -> Some s
@@ -85,30 +79,15 @@ let jsonl sink =
   in
   merge (postmortems sink) (snapshots sink) None []
 
-(* Cell-level recording for the Resilient soak harness (which has trials,
-   not sessions): bump the soak counters, sketch the per-trial bit costs
-   in trial order, advance event time by the cell's trials and close the
-   cell with a snapshot. *)
-let record_soak_cell sink ~trials ~exact ~degraded ~bits =
-  Obsv.Metrics.with_registry sink.registry (fun () ->
-      Obsv.Metrics.incr ~by:trials "soak/trials";
-      if exact > 0 then Obsv.Metrics.incr ~by:exact "soak/exact";
-      if degraded > 0 then Obsv.Metrics.incr ~by:degraded "soak/degraded";
-      List.iter (fun b -> Obsv.Metrics.record "soak/bits" b) bits);
+(* Close one campaign cell: fold its registry into the fleet registry
+   (counters add, sketches merge, gauges keep the maximum), stamp each
+   post-mortem at the event time its trial ended, advance event time by
+   the cell's trials and snapshot. *)
+let record_cell sink ~trials ?(postmortems = []) registry =
+  Obsv.Metrics.merge_into ~into:sink.registry registry;
+  List.iter (fun (i, dump) -> add_postmortem sink ~at:(sink.sessions + i + 1) dump) postmortems;
   sink.sessions <- sink.sessions + trials;
-  ignore (snapshot sink)
-
-(* Cell-level recording for the Sweep mega-runner: same shape as the soak
-   hook, but the per-trial bit costs arrive pre-accumulated in a mergeable
-   sketch (a 10^6-trial cell never materialises a bits list). *)
-let record_sweep_cell sink ~trials ~exact ~degraded ~sketch =
-  Obsv.Metrics.with_registry sink.registry (fun () ->
-      Obsv.Metrics.incr ~by:trials "sweep/trials";
-      if exact > 0 then Obsv.Metrics.incr ~by:exact "sweep/exact";
-      if degraded > 0 then Obsv.Metrics.incr ~by:degraded "sweep/degraded";
-      Obsv.Metrics.merge_sketch "sweep/bits" sketch);
-  sink.sessions <- sink.sessions + trials;
-  ignore (snapshot sink)
+  snapshot sink
 
 let health ?slos sink =
   match last_snapshot sink with
@@ -183,11 +162,13 @@ let run_pass (c : overhead_config) ~telemetry =
             | Some result -> not (Iset.equal result truths.(i))
             | None -> false
           in
-          record_report sink ~deadline_bits:cfg.Session.Machine.deadline_bits report ~wrong;
+          record_session sink.registry ~deadline_bits:cfg.Session.Machine.deadline_bits report
+            ~wrong;
+          sink.sessions <- sink.sessions + 1;
           (match report.Session.Machine.outcome with
           | Session.Machine.Completed _ -> ()
           | o ->
-              add_postmortem sink
+              add_postmortem sink ~at:sink.sessions
                 (Obsv.Recorder.post_mortem_json ~outcome:(Session.Machine.outcome_name o)
                    recorder));
           report
@@ -212,7 +193,7 @@ let run_pass (c : overhead_config) ~telemetry =
             for i = 0 to c.sessions - 1 do
               run_one sink i
             done);
-        ignore (snapshot s)
+        snapshot s
   in
   (* Warm-up session (codec caches, pools) outside the timed window. *)
   run_one None 0;

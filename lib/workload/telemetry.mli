@@ -18,23 +18,14 @@ type sink
 
 val create_sink : unit -> sink
 
-(** Sessions recorded so far — the stream's event-time axis. *)
-val sessions : sink -> int
+(** [record_session registry ~deadline_bits r ~wrong] folds one session
+    report into a fleet registry: outcome/failure counters, spend
+    sketches, and the deadline gauge (kept at the maximum across
+    sessions).  A campaign records into per-chunk registries and closes
+    the cell with {!record_cell}. *)
+val record_session :
+  Obsv.Metrics.registry -> deadline_bits:int -> Session.Machine.report -> wrong:bool -> unit
 
-(** [record_report sink ~deadline_bits r ~wrong] folds one session report
-    into the fleet registry: outcome/failure counters, spend sketches,
-    and the deadline gauge (kept at the maximum across sessions).
-    Advances event time by one. *)
-val record_report : sink -> deadline_bits:int -> Session.Machine.report -> wrong:bool -> unit
-
-(** Attach a flight-recorder dump at the current event time. *)
-val add_postmortem : sink -> Stats.Json.t -> unit
-
-(** Snapshot the fleet registry at the current event time and append it
-    to the stream. *)
-val snapshot : sink -> Obsv.Snapshot.t
-
-val snapshots : sink -> Obsv.Snapshot.t list
 val last_snapshot : sink -> Obsv.Snapshot.t option
 val postmortems : sink -> (int * Stats.Json.t) list
 
@@ -43,19 +34,13 @@ val postmortems : sink -> (int * Stats.Json.t) list
     axis. *)
 val jsonl : sink -> string list
 
-(** Cell-level recording for the {!Soak} harness (trials, not sessions):
-    bumps [soak/*] counters, sketches the per-trial bit costs in trial
-    order, advances event time by [trials] and closes the cell with a
-    snapshot. *)
-val record_soak_cell : sink -> trials:int -> exact:int -> degraded:int -> bits:int list -> unit
-
-(** Cell-level recording for the {!Sweep} mega-runner: bumps [sweep/*]
-    counters, folds the cell's pre-accumulated bit-cost sketch into
-    [sweep/bits] ({!Obsv.Metrics.merge_sketch}), advances event time by
-    [trials] and closes the cell with a snapshot.  Sketch-based because a
-    [10^6]-trial cell never materialises a per-trial bits list. *)
-val record_sweep_cell :
-  sink -> trials:int -> exact:int -> degraded:int -> sketch:Obsv.Sketch.t -> unit
+(** [record_cell sink ~trials ?postmortems registry] closes one campaign
+    cell: merges the cell's [registry] into the fleet registry
+    ({!Obsv.Metrics.merge_into}), attaches each [(i, dump)] post-mortem at
+    the event time trial [i] of the cell ended, advances event time by
+    [trials] and takes one snapshot. *)
+val record_cell :
+  sink -> trials:int -> ?postmortems:(int * Stats.Json.t) list -> Obsv.Metrics.registry -> unit
 
 (** {!Obsv.Health.evaluate} over the latest snapshot ([None] before the
     first snapshot). *)

@@ -11,7 +11,7 @@ let run ~protocols ~ks ~trials =
 
 let cell_for report ~protocol ~k =
   List.find
-    (fun c -> c.Workload.Conform.protocol = protocol && c.Workload.Conform.k = k)
+    (fun c -> c.Workload.Campaign.protocol = protocol && c.Workload.Campaign.k = k)
     report.Workload.Conform.cells
 
 let ks = [ 16; 64; 256 ]
@@ -23,8 +23,10 @@ let test_lemma_3_3_rounds () =
   List.iter
     (fun k ->
       let cell = cell_for report ~protocol:"basic" ~k in
-      check (Printf.sprintf "k=%d rounds" k) 4 cell.Workload.Conform.rounds_max;
-      check (Printf.sprintf "k=%d budget" k) 4 cell.Workload.Conform.rounds_limit)
+      check (Printf.sprintf "k=%d rounds" k) 4 cell.Workload.Campaign.rounds_max;
+      Alcotest.(check (option int))
+        (Printf.sprintf "k=%d budget" k)
+        (Some 4) cell.Workload.Campaign.rounds_limit)
     ks
 
 (* Fact 3.5: randomized equality is one message + one confirmation. *)
@@ -34,7 +36,7 @@ let test_fact_3_5_rounds () =
   List.iter
     (fun k ->
       let cell = cell_for report ~protocol:"eq" ~k in
-      check (Printf.sprintf "k=%d rounds" k) 2 cell.Workload.Conform.rounds_max)
+      check (Printf.sprintf "k=%d rounds" k) 2 cell.Workload.Campaign.rounds_max)
     ks
 
 (* Theorem 3.1: the bucket protocol stays within c·√k rounds. *)
@@ -46,9 +48,9 @@ let test_bucket_rounds_sqrt_k () =
       let cell = cell_for report ~protocol:"bucket" ~k in
       let isqrt = int_of_float (ceil (sqrt (float_of_int k))) in
       check_bool
-        (Printf.sprintf "k=%d rounds %d <= 20*sqrt(k)" k cell.Workload.Conform.rounds_max)
+        (Printf.sprintf "k=%d rounds %d <= 20*sqrt(k)" k cell.Workload.Campaign.rounds_max)
         true
-        (cell.Workload.Conform.rounds_max <= 20 * isqrt))
+        (cell.Workload.Campaign.rounds_max <= 20 * isqrt))
     ks
 
 (* Theorem 3.6: the r-stage tree protocol uses at most 6r rounds. *)
@@ -61,10 +63,10 @@ let test_tree_rounds_6r () =
         (fun k ->
           let cell = cell_for report ~protocol:name ~k in
           check_bool
-            (Printf.sprintf "%s k=%d rounds %d <= %d" name k cell.Workload.Conform.rounds_max
+            (Printf.sprintf "%s k=%d rounds %d <= %d" name k cell.Workload.Campaign.rounds_max
                (6 * r))
             true
-            (cell.Workload.Conform.rounds_max <= 6 * r))
+            (cell.Workload.Campaign.rounds_max <= 6 * r))
         ks)
     [ ("tree-r2", 2); ("tree-r3", 3) ]
 
@@ -92,14 +94,14 @@ let test_unknown_protocol_rejected () =
 let test_envelope_fields_consistent () =
   let report = run ~protocols:Workload.Conform.entry_names ~ks:[ 16 ] ~trials:10 in
   List.iter
-    (fun (c : Workload.Conform.cell) ->
-      check_bool (c.Workload.Conform.protocol ^ " rounds_ok")
-        (c.Workload.Conform.rounds_max <= c.Workload.Conform.rounds_limit)
-        c.Workload.Conform.rounds_ok;
-      check_bool (c.Workload.Conform.protocol ^ " pass is conjunction")
-        (c.Workload.Conform.rounds_ok && c.Workload.Conform.bits_ok
-       && c.Workload.Conform.error_ok)
-        c.Workload.Conform.pass)
+    (fun (c : Workload.Campaign.gate) ->
+      check_bool (c.Workload.Campaign.protocol ^ " rounds_ok")
+        (Some c.Workload.Campaign.rounds_max <= c.Workload.Campaign.rounds_limit)
+        c.Workload.Campaign.rounds_ok;
+      check_bool (c.Workload.Campaign.protocol ^ " pass is conjunction")
+        (c.Workload.Campaign.rounds_ok && c.Workload.Campaign.bits_ok
+       && c.Workload.Campaign.error_ok)
+        c.Workload.Campaign.pass)
     report.Workload.Conform.cells
 
 (* ---------- Sweep (the mega-matrix runner) ---------- *)
@@ -135,13 +137,18 @@ let failing_entry : Workload.Conform.entry =
     error_limit = (fun _ -> 0.0);
   }
 
+(* One clean cell the way the sweep builds it, 50 trials at k = 16. *)
+let sweep_clean_cell ?domains entry =
+  Workload.Conform.clean_cell ?domains ~campaign:"sweep" ~seed:2014 ~trials:50 ~universe_bits:20
+    entry ~k:16
+
 let test_sweep_flags_violating_cell () =
-  let cell = Workload.Sweep.clean_cell ~domains:2 (sweep_config 50) failing_entry ~k:16 in
-  check "all trials failed" 50 cell.Workload.Sweep.failures;
-  check_bool "error gate fails" false cell.Workload.Sweep.error_ok;
-  check_bool "cell fails" false cell.Workload.Sweep.pass;
+  let cell = sweep_clean_cell ~domains:2 failing_entry in
+  check "all trials failed" 50 cell.Workload.Campaign.failures;
+  check_bool "error gate fails" false cell.Workload.Campaign.error_ok;
+  check_bool "cell fails" false cell.Workload.Campaign.pass;
   check_bool "lower95 above limit" true
-    (cell.Workload.Sweep.error_lower95 > cell.Workload.Sweep.error_limit)
+    (cell.Workload.Campaign.error_lower95 > cell.Workload.Campaign.error_limit)
 
 (* The same fixture with exact trials passes: the gate is the envelope,
    not the fixture plumbing. *)
@@ -154,9 +161,9 @@ let test_sweep_passes_conforming_cell () =
           { Workload.Conform.t_bits = 8; t_rounds = 1; t_exact = true });
     }
   in
-  let cell = Workload.Sweep.clean_cell (sweep_config 50) entry ~k:16 in
-  check "no failures" 0 cell.Workload.Sweep.failures;
-  check_bool "cell passes" true cell.Workload.Sweep.pass
+  let cell = sweep_clean_cell entry in
+  check "no failures" 0 cell.Workload.Campaign.failures;
+  check_bool "cell passes" true cell.Workload.Campaign.pass
 
 (* A seeded fault cell above the wrapper's rare-event bound must fail
    the report: run the smoke matrix with check_bits so small that
@@ -167,17 +174,17 @@ let test_sweep_passes_conforming_cell () =
 let test_sweep_cell_fields_consistent () =
   let report = Workload.Sweep.run ~domains:2 (sweep_config 100) in
   List.iter
-    (fun (c : Workload.Sweep.cell) ->
-      check_bool (c.Workload.Sweep.protocol ^ " pass conjunction")
-        (c.Workload.Sweep.error_ok && c.Workload.Sweep.rounds_ok && c.Workload.Sweep.bits_ok)
-        c.Workload.Sweep.pass;
-      check_bool (c.Workload.Sweep.protocol ^ " wilson ordered") true
-        (0.0 <= c.Workload.Sweep.error_lower95
-        && c.Workload.Sweep.error_lower95 <= c.Workload.Sweep.error_upper95
-        && c.Workload.Sweep.error_upper95 <= 1.0);
-      check_bool (c.Workload.Sweep.protocol ^ " bits ordered") true
-        (c.Workload.Sweep.bits.Workload.Sweep.min_bits
-         <= c.Workload.Sweep.bits.Workload.Sweep.max_bits))
+    (fun (c : Workload.Campaign.gate) ->
+      check_bool (c.Workload.Campaign.protocol ^ " pass conjunction")
+        (c.Workload.Campaign.error_ok && c.Workload.Campaign.rounds_ok && c.Workload.Campaign.bits_ok)
+        c.Workload.Campaign.pass;
+      check_bool (c.Workload.Campaign.protocol ^ " wilson ordered") true
+        (0.0 <= c.Workload.Campaign.error_lower95
+        && c.Workload.Campaign.error_lower95 <= c.Workload.Campaign.error_upper95
+        && c.Workload.Campaign.error_upper95 <= 1.0);
+      check_bool (c.Workload.Campaign.protocol ^ " bits ordered") true
+        (c.Workload.Campaign.bits.Workload.Campaign.min_bits
+         <= c.Workload.Campaign.bits.Workload.Campaign.max_bits))
     report.Workload.Sweep.cells
 
 let () =

@@ -31,11 +31,6 @@ let test_pool_propagates_exceptions () =
         (fun () -> ignore (Engine.Pool.map ~domains ~trials:50 f)))
     [ 1; 4 ]
 
-let test_pool_run_folds_in_order () =
-  let concat = Engine.Pool.run ~domains:4 ~trials:20 string_of_int ~init:"" ~merge:( ^ ) in
-  Alcotest.(check string)
-    "fold order" (String.concat "" (List.init 20 string_of_int)) concat
-
 let test_pool_rejects_bad_args () =
   Alcotest.check_raises "domains=0" (Invalid_argument "Engine.Pool.map: domains < 1") (fun () ->
       ignore (Engine.Pool.map ~domains:0 ~trials:1 Fun.id));
@@ -252,16 +247,6 @@ let test_merge_metrics () =
       check "histogram count" 2 h.Obsv.Metrics.count;
       check "histogram sum" 7 h.Obsv.Metrics.sum
 
-let test_merge_summaries_index_order () =
-  let acc_of l = List.fold_left Stats.Summary.Acc.add Stats.Summary.Acc.empty l in
-  let left = acc_of [ 1.0; 2.0 ] and right = acc_of [ 3.0; 4.0 ] in
-  let merged = Engine.Merge.summaries [ left; right ] in
-  let direct = acc_of [ 1.0; 2.0; 3.0; 4.0 ] in
-  Alcotest.(check (float 1e-9))
-    "mean" (Stats.Summary.Acc.summarize direct).Stats.Summary.mean
-    (Stats.Summary.Acc.summarize merged).Stats.Summary.mean;
-  check "count" 4 (Stats.Summary.Acc.count merged)
-
 (* --- Adversarial shapes ---------------------------------------------- *)
 
 let shape_protocols k =
@@ -336,7 +321,6 @@ let () =
         [
           Alcotest.test_case "matches sequential" `Quick test_pool_matches_sequential;
           Alcotest.test_case "propagates exceptions" `Quick test_pool_propagates_exceptions;
-          Alcotest.test_case "run folds in order" `Quick test_pool_run_folds_in_order;
           Alcotest.test_case "rejects bad args" `Quick test_pool_rejects_bad_args;
           Alcotest.test_case "fold matches sequential" `Quick test_pool_fold_matches_sequential;
           Alcotest.test_case "fold sketch deterministic" `Quick test_pool_fold_sketch_deterministic;
@@ -360,7 +344,6 @@ let () =
         [
           Alcotest.test_case "costs" `Quick test_merge_costs_associative_commutative;
           Alcotest.test_case "metrics" `Quick test_merge_metrics;
-          Alcotest.test_case "summaries" `Quick test_merge_summaries_index_order;
         ] );
       ( "shapes",
         [

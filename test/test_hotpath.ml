@@ -423,12 +423,52 @@ let expected_digests =
     ("faulty session k=256", "4bfdd78dbb90963ba1cd8681985fe781");
   ]
 
-let test_golden_digests () =
+let check_digests got expected =
   List.iter2
     (fun (name, got) (name', want) ->
       Alcotest.(check string) "case" name' name;
       Alcotest.(check string) name want got)
-    (golden_digests ()) expected_digests
+    got expected
+
+let test_golden_digests () = check_digests (golden_digests ()) expected_digests
+
+(* Golden report digests: the smoke campaigns' JSON reports and their
+   fleet-telemetry JSONL streams, hashed whole.  The tier1 gates compare
+   these bytes only run-to-run and across domain counts; these pin them
+   across commits, so a refactor of the campaign runners that moves any
+   report field, number or stream line fails here. *)
+let telemetry_stream run =
+  let sink = Workload.Telemetry.create_sink () in
+  run sink;
+  String.concat "\n" (Workload.Telemetry.jsonl sink)
+
+let report_digests () =
+  let open Workload in
+  List.map
+    (fun (name, text) -> (name, hex_of_string text))
+    [
+      ( "soak smoke json",
+        Stats.Json.to_string_pretty (Soak.to_json (Soak.run ~domains:1 Soak.smoke)) );
+      ( "sweep smoke json",
+        Stats.Json.to_string_pretty (Sweep.to_json (Sweep.run ~domains:1 Sweep.smoke)) );
+      ( "soak smoke telemetry",
+        telemetry_stream (fun sink -> ignore (Soak.run ~domains:1 ~sink Soak.smoke)) );
+      ( "chaos smoke telemetry",
+        telemetry_stream (fun sink -> ignore (Chaos.run ~domains:1 ~sink Chaos.smoke)) );
+      ( "sweep smoke telemetry",
+        telemetry_stream (fun sink -> ignore (Sweep.run ~domains:1 ~sink Sweep.smoke)) );
+    ]
+
+let expected_report_digests =
+  [
+    ("soak smoke json", "db9222f4c08a31cc0fa2ffade04d2fe7");
+    ("sweep smoke json", "f801866bb13113c1598716950ff786f8");
+    ("soak smoke telemetry", "8fc3aa71c973dd3b523948a0018985f7");
+    ("chaos smoke telemetry", "18122194784c078f6bae37ef8ebbf5e9");
+    ("sweep smoke telemetry", "25289774a719e94cfa2fbcd3de13b7f8");
+  ]
+
+let test_report_digests () = check_digests (report_digests ()) expected_report_digests
 
 let () =
   Alcotest.run "hotpath"
@@ -458,5 +498,9 @@ let () =
           Alcotest.test_case "per-tag path allocates nothing" `Quick
             test_tag_pipeline_allocation_free;
         ] );
-      ("golden", [ Alcotest.test_case "payload digests" `Quick test_golden_digests ]);
+      ( "golden",
+        [
+          Alcotest.test_case "payload digests" `Quick test_golden_digests;
+          Alcotest.test_case "report digests" `Quick test_report_digests;
+        ] );
     ]

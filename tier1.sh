@@ -1,10 +1,11 @@
 #!/bin/sh
 # Tier-1 gate: static analysis, full build + test suite, seconds-scale
 # smokes of every seeded campaign (soak, chaos, sweep, conform — each
-# exits non-zero on any violation, and each report is byte-identical at
-# 1 and 2 worker domains), an observability smoke: the trace subcommand
-# must emit valid JSON and the profile subcommand must account for every
-# metered bit (it exits non-zero on a phase-sum mismatch), the hot-path
+# exits non-zero on any violation, each report is byte-identical at 1
+# and 2 worker domains, and each rejects invalid input with exit 2), an
+# observability smoke: the trace subcommand must emit valid JSON and the
+# profile subcommand must account for every metered bit (it exits
+# non-zero on a phase-sum mismatch), the hot-path
 # and fleet-telemetry gates, and the experiment-registry gate
 # (experiments/ coherence + regen smoke).
 set -eu
@@ -42,15 +43,29 @@ $cli profile --protocol bucket -k 64 --seed 1 > /dev/null
 # Campaign smokes and the engine's determinism contract: each smoke
 # campaign exits non-zero on any violation (soak: a cell outside the
 # paper's error bound; chaos: a wrong intersection, a non-partitioning
-# outcome taxonomy or a diverging resume; sweep: a cell outside its
-# 1/poly(k) envelope), and its report is byte-identical at 1 and 2
-# worker domains.  The theorem-conformance tier runs on two domains.
-for c in soak chaos sweep; do
+# outcome taxonomy or a diverging resume; sweep and conform: a cell
+# outside its theorem envelope), and its report is byte-identical at 1
+# and 2 worker domains.
+for c in soak chaos sweep conform; do
   $cli $c --smoke --json --domains 1 > "$tmp/$c.d1"
   $cli $c --smoke --json --domains 2 > "$tmp/$c.d2"
   cmp "$tmp/$c.d1" "$tmp/$c.d2"
 done
-$cli conform --smoke --domains 2 > /dev/null
+
+# Invalid campaign input is a usage error: the campaign runner rejects
+# it before any cell runs and every campaign subcommand exits 2.
+expect_usage_error() {
+  status=0
+  $cli "$@" > /dev/null 2>&1 || status=$?
+  if [ "$status" -ne 2 ]; then
+    echo "tier1: '$*' exited $status, expected 2" >&2
+    exit 1
+  fi
+}
+for c in soak chaos sweep conform health top bench-regress; do
+  expect_usage_error $c --smoke --trials 0
+done
+expect_usage_error telemetry-overhead --smoke --sessions 0
 
 # The committed BENCH_chaos.json and BENCH_sweep.json must be
 # schema-valid (chaos: outcome taxonomy partitions the trials, zero
