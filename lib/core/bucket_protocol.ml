@@ -8,28 +8,29 @@ let run_party ?sequential ?(reduce = true) role rng ~universe ~k chan mine =
   if k < 1 then invalid_arg "Bucket_protocol.run_party";
   let open Commsim.Transport in
   let n_reduced = if reduce then max 64 (k * k * k) else universe in
-  (* Universe reduction H: [n] -> [k^3]; identity when already small. *)
-  let images, preimages =
-    if universe <= n_reduced then (mine, None)
-    else begin
-      let h =
-        Hashing.Carter_wegman.create
-          (Prng.Rng.with_label rng "bucket/universe-reduce")
-          ~universe ~range:n_reduced
-      in
-      let table = Hashtbl.create (Array.length mine) in
-      Array.iter
-        (fun x ->
-          let image = Hashing.Carter_wegman.hash h x in
-          Hashtbl.replace table image
-            (x :: Option.value ~default:[] (Hashtbl.find_opt table image)))
-        mine;
-      (Iset.of_list (List.of_seq (Hashtbl.to_seq_keys table)), Some table)
-    end
+  (* Universe reduction H: [n] -> [k^3]; identity when already small.
+     The reduced images form the set the buckets are drawn over. *)
+  let reduction =
+    if universe <= n_reduced then None
+    else
+      Some
+        (Hashing.Carter_wegman.create
+           (Prng.Rng.with_label rng "bucket/universe-reduce")
+           ~universe ~range:n_reduced)
+  in
+  let images =
+    match reduction with
+    | None -> mine
+    | Some h -> Iset.of_array (Array.map (Hashing.Carter_wegman.hash h) mine)
   in
   let width = Bitio.Set_codec.universe_width n_reduced in
+  (* An instance input is its image's [width]-bit encoding over a whole
+     8-byte word (the bits past [width] are zero), so every fingerprint
+     chunk of it is a single load. *)
   let encode_image image =
-    Bitio.Pool.payload (fun buf -> Bitio.Bitbuf.write_bits buf ~width image)
+    let word = Bytes.create 8 in
+    Bytes.set_int64_le word 0 (Int64.of_int image);
+    Bitio.Bits.unsafe_of_bytes word ~length:width
   in
   (* Draw buckets, exchange counts; retry together if the pair count is
      extreme (both parties see the same counts, so they stay in lockstep). *)
@@ -68,34 +69,29 @@ let run_party ?sequential ?(reduce = true) role rng ~universe ~k chan mine =
   let buckets, their_counts, pair_count = choose_buckets 0 in
   Array.iter (fun bucket -> Obsv.Metrics.observe "bucket/occupancy" (Array.length bucket)) buckets;
   (* Build the common instance table: for bucket i, the cross product of
-     Alice's and Bob's elements in rank order.  Each party's input to an
-     instance is its own element's fixed-width image encoding.  The pair
-     count is known from the exchanged counts, so the tables are filled
-     directly (the reversed-list formulation allocated two cons cells plus
-     a rev copy per instance — a measurable slice of the trial profile at
-     ~6k expected instances). *)
+     Alice's and Bob's elements, in the canonical order both sides share —
+     bucket index, then Alice's rank, then Bob's rank.  Each party's input
+     to an instance is its own element's image encoding, encoded once per
+     element: Alice repeats each of hers across a row, Bob repeats his
+     whole row per Alice element.  The pair count is known from the
+     exchanged counts, so the tables are filled directly. *)
   let instances = Array.make pair_count Bitio.Bits.empty in
-  let owners = Array.make pair_count 0 in
   let pos = ref 0 in
   Array.iteri
     (fun i bucket ->
-      (* Canonical instance order, identical on both sides: bucket index,
-         then Alice's rank, then Bob's rank.  Each element is encoded once
-         and the same payload value reused across its cross-product row. *)
       let encoded = Array.map encode_image bucket in
-      let s_count, t_count =
-        match role with
-        | `Alice -> (Array.length bucket, their_counts.(i))
-        | `Bob -> (their_counts.(i), Array.length bucket)
-      in
-      for a = 0 to s_count - 1 do
-        for b = 0 to t_count - 1 do
-          let my_rank = match role with `Alice -> a | `Bob -> b in
-          instances.(!pos) <- encoded.(my_rank);
-          owners.(!pos) <- bucket.(my_rank);
-          incr pos
-        done
-      done)
+      let mine_count = Array.length bucket and theirs = their_counts.(i) in
+      match role with
+      | `Alice ->
+          for a = 0 to mine_count - 1 do
+            Array.fill instances !pos theirs encoded.(a);
+            pos := !pos + theirs
+          done
+      | `Bob ->
+          for _ = 1 to theirs do
+            Array.blit encoded 0 instances !pos mine_count;
+            pos := !pos + mine_count
+          done)
     buckets;
   Obsv.Metrics.set_gauge "bucket/instances" (Array.length instances);
   let eq_rng = Prng.Rng.with_label rng "bucket/eq-batch" in
@@ -106,14 +102,24 @@ let run_party ?sequential ?(reduce = true) role rng ~universe ~k chan mine =
         | `Alice -> Eq_batch.run_alice ?sequential eq_rng chan instances
         | `Bob -> Eq_batch.run_bob ?sequential eq_rng chan instances)
   in
-  let matched_images = ref [] in
-  Array.iteri (fun idx equal -> if equal then matched_images := owners.(idx) :: !matched_images) verdicts;
-  let originals =
-    match preimages with
-    | None -> !matched_images
-    | Some table -> List.concat_map (fun image -> Hashtbl.find table image) !matched_images
-  in
-  Iset.of_list originals
+  (* An instance's input is its owner's image encoding, so a matched
+     instance reads back as the image it matched on. *)
+  let hits = Array.fold_left (fun n equal -> if equal then n + 1 else n) 0 verdicts in
+  let matched = Array.make hits 0 in
+  let n = ref 0 in
+  Array.iteri
+    (fun idx equal ->
+      if equal then begin
+        matched.(!n) <- Bitio.Bits.extract instances.(idx) ~pos:0 ~width;
+        incr n
+      end)
+    verdicts;
+  let matched = Iset.of_array matched in
+  (* Back through H: the elements whose image matched (sorted, since
+     [mine] is). *)
+  match reduction with
+  | None -> matched
+  | Some h -> Iset.filter (fun x -> Iset.mem matched (Hashing.Carter_wegman.hash h x)) mine
 
 let protocol ?sequential ?reduce ?k () =
   {

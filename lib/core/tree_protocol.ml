@@ -201,7 +201,7 @@ let run_party ?buckets ?flat_eq_bits ?budget role rng ~universe ~r ~k chan mine 
       List.iter (fun u -> rerun.(u) <- rerun.(u) + 1) failed_leaves
     end
     done;
-    Iset.of_list (List.concat_map Array.to_list (Array.to_list assign))
+    Iset.of_array (Array.concat (Array.to_list assign))
   with Over_budget ->
     (* stage boundaries are synchronized, so both parties land here with
        the channel quiescent *)

@@ -7,8 +7,8 @@
 (** [addmod a b m] is [(a + b) mod m] for unsigned [a, b < m]. *)
 val addmod : int64 -> int64 -> int64 -> int64
 
-(** [mulmod a b m] is [(a * b) mod m] for unsigned [a, b < m].  Uses a direct
-    product when safe and shift-and-add otherwise. *)
+(** [mulmod a b m] is [(a * b) mod m] for unsigned [a, b < m], by
+    shift-and-add.  Callers whose operands fit a native product use one. *)
 val mulmod : int64 -> int64 -> int64 -> int64
 
 (** [powmod b e m] is [b^e mod m] for unsigned [b < m], [e >= 0]. *)

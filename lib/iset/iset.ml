@@ -2,9 +2,61 @@ type t = int array
 
 let empty = [||]
 
-let of_list l = Array.of_list (List.sort_uniq compare l)
+(* The one int sort: a top-down merge sort on [a.(lo .. hi-1)], insertion
+   sort below 16 elements, the left half staged in [tmp] for each merge.
+   Every comparison is on [int]s, so none goes through polymorphic
+   [compare]. *)
+let rec sort_range (a : int array) (tmp : int array) lo hi =
+  if hi - lo <= 16 then
+    for i = lo + 1 to hi - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+  else begin
+    let mid = (lo + hi) / 2 in
+    sort_range a tmp lo mid;
+    sort_range a tmp mid hi;
+    if a.(mid - 1) > a.(mid) then begin
+      let left = mid - lo in
+      Array.blit a lo tmp 0 left;
+      let i = ref 0 and j = ref mid and out = ref lo in
+      while !i < left && !j < hi do
+        if tmp.(!i) <= a.(!j) then begin
+          a.(!out) <- tmp.(!i);
+          incr i
+        end
+        else begin
+          a.(!out) <- a.(!j);
+          incr j
+        end;
+        incr out
+      done;
+      Array.blit tmp !i a !out (left - !i)
+    end
+  end
 
-let of_array a = of_list (Array.to_list a)
+(* Sorts [a] in place and returns its distinct elements: [a] itself when
+   there are no duplicates, else a fresh prefix copy. *)
+let sort_uniq_in_place (a : int array) =
+  let n = Array.length a in
+  sort_range a (Array.make (n / 2) 0) 0 n;
+  let distinct = ref (min n 1) in
+  for i = 1 to n - 1 do
+    if a.(i) <> a.(!distinct - 1) then begin
+      a.(!distinct) <- a.(i);
+      incr distinct
+    end
+  done;
+  if !distinct = n then a else Array.sub a 0 !distinct
+
+let of_list l = sort_uniq_in_place (Array.of_list l)
+
+let of_array a = sort_uniq_in_place (Array.copy a)
 
 let is_valid a =
   let n = Array.length a in

@@ -43,8 +43,7 @@ let random_set rng ~universe ~size =
           incr pos
         end)
       table;
-    Array.sort compare out;
-    out
+    Iset.of_array out
   end
 
 let pair_with_overlap rng ~universe ~size_s ~size_t ~overlap =
@@ -64,9 +63,7 @@ let pair_with_overlap rng ~universe ~size_s ~size_t ~overlap =
   for i = overlap to size_t - 1 do
     t.(i) <- elements.(size_s - overlap + i)
   done;
-  Array.sort compare s;
-  Array.sort compare t;
-  { s; t }
+  { s = Iset.of_array s; t = Iset.of_array t }
 
 let zipf_cumulative ~universe ~exponent =
   let cumulative = Array.make universe 0.0 in
@@ -96,9 +93,7 @@ let zipf_pair rng ~universe ~size ~exponent =
     while Hashtbl.length chosen < size do
       Hashtbl.replace chosen (sample_rank ()) ()
     done;
-    let out = Array.of_seq (Hashtbl.to_seq_keys chosen) in
-    Array.sort compare out;
-    out
+    Iset.of_array (Array.of_seq (Hashtbl.to_seq_keys chosen))
   in
   { s = draw_set (); t = draw_set () }
 
@@ -112,9 +107,7 @@ let family_with_core rng ~universe ~players ~size ~core =
   let shared = Array.sub elements 0 core in
   Array.init players (fun p ->
       let private_part = Array.sub elements (core + (p * (size - core))) (size - core) in
-      let set = Array.append shared private_part in
-      Array.sort compare set;
-      set)
+      Iset.of_array (Array.append shared private_part))
 
 type shape = { shape : string; universe : int; pair : pair }
 

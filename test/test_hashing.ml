@@ -73,7 +73,13 @@ let test_large_primes () =
      2^31 - 1 (Mersenne) is prime; 2^32 + 1 = 641 * 6700417 is not. *)
   check_bool "2^31-1" true (Prime.is_prime ((1 lsl 31) - 1));
   check_bool "2^32+1" false (Prime.is_prime ((1 lsl 32) + 1));
-  check_bool "2^61-1" true (Prime.is_prime ((1 lsl 61) - 1))
+  check_bool "2^61-1" true (Prime.is_prime ((1 lsl 61) - 1));
+  (* Either side of the switch between witness sets: the largest 32-bit
+     prime, a strong pseudoprime to bases 2, 3, 5 and 7, and the first
+     strong pseudoprime to bases 2, 7 and 61 (where the switch sits). *)
+  check_bool "2^32-5" true (Prime.is_prime 4_294_967_291);
+  check_bool "3215031751" false (Prime.is_prime 3_215_031_751);
+  check_bool "4759123141" false (Prime.is_prime 4_759_123_141)
 
 let test_next_prime () =
   check "from 90" 97 (Prime.next_prime 90);
