@@ -80,23 +80,51 @@ let time_grid ~domains =
     majors = s1.Gc.major_collections - s0.Gc.major_collections;
   }
 
-(* ---------- allocations-per-trial probe (bucket k = 1024) ---------- *)
+(* ---------- allocations-per-trial probes ---------- *)
 
 (* Bytes/trial of the full bucket trial at the PR-5 seed commit, measured
    with this probe (20 trials, warm pools) before the allocation-lean
    rewrite landed; [reduction] reports how far below it the build sits. *)
 let alloc_seed_baseline_bytes = 9_181_129.0
 
-(* Bytes/trial once batch equality kept its group state on flat arrays
-   and bucket's instances, hashing and final sort went native (on top of
-   the allocation-free tag pipeline), measured with this probe.  The
-   probe is deterministic, so the tier1 alloc gate allows only the 2%
-   that BENCHMARK.json's alloc_bytes_per_op bound allows. *)
-let alloc_gate_baseline_bytes = 757_358.0
+(* The probes are deterministic, so the tier1 alloc gate allows only the
+   2% that BENCHMARK.json's alloc_bytes_per_op bound allows over each
+   case's baseline. *)
 let alloc_gate_tolerance = 0.02
 
-let alloc_k = 1024
 let alloc_trials = 20
+
+type alloc_case = {
+  name : string;
+  label : string;  (* seed-stream label of the probe's trials *)
+  k : int;
+  protocol : unit -> Protocol.t;
+  baseline : float;
+}
+
+(* Bucket at k=1024: the baseline once batch equality kept its group
+   state on flat arrays and bucket's instances, hashing and final sort
+   went native (on top of the allocation-free tag pipeline).
+   Tree-log-star at k=4096: the baseline once the tree protocol kept its
+   leaf state on flat arrays and hashed node payloads as bit ranges of one
+   stage buffer. *)
+let bucket_case =
+  {
+    name = "bucket";
+    label = "bench/scaling/alloc";
+    k = 1024;
+    protocol = (fun () -> Bucket_protocol.protocol ~k:1024 ());
+    baseline = 757_358.0;
+  }
+
+let tree_case =
+  {
+    name = "tree-log-star";
+    label = "bench/scaling/alloc/tree";
+    k = 4096;
+    protocol = (fun () -> Tree_protocol.protocol_log_star ~k:4096 ());
+    baseline = 1_227_896.0;
+  }
 
 type alloc_measure = {
   alloc_bytes_per_trial : float;
@@ -104,12 +132,12 @@ type alloc_measure = {
   reduction : float;  (* seed baseline / measured *)
 }
 
-let alloc_probe () =
+let alloc_probe case =
   let universe = 1 lsl universe_bits in
-  let protocol = Bucket_protocol.protocol ~k:alloc_k () in
-  let stream = Engine.Seed_stream.create ~base:seed ~label:"bench/scaling/alloc" in
+  let protocol = case.protocol () in
+  let stream = Engine.Seed_stream.create ~base:seed ~label:case.label in
   let run_trial i =
-    ignore (Sys.opaque_identity (trial_of ~protocol ~stream ~universe ~k:alloc_k i))
+    ignore (Sys.opaque_identity (trial_of ~protocol ~stream ~universe ~k:case.k i))
   in
   (* Warm-up: codec caches and bitio arenas populate on first use. *)
   for i = 0 to 2 do
@@ -140,7 +168,7 @@ let alloc_json (a : alloc_measure) =
   Stats.Json.Obj
     [
       ("protocol", Stats.Json.Str "bucket");
-      ("k", Stats.Json.Int alloc_k);
+      ("k", Stats.Json.Int bucket_case.k);
       ("trials", Stats.Json.Int alloc_trials);
       ("bytes_per_trial", Stats.Json.Float a.alloc_bytes_per_trial);
       ("major_collections_per_trial", Stats.Json.Float a.alloc_majors_per_trial);
@@ -149,22 +177,24 @@ let alloc_json (a : alloc_measure) =
     ]
 
 (* Tier1's allocation-regression gate: fail any build whose bucket
-   k=1024 hot path allocates more per trial than the gate baseline plus
-   its tolerance. *)
+   k=1024 or tree-log-star k=4096 trial allocates more than its case's
+   baseline plus the tolerance. *)
 let alloc_gate () =
-  let a = alloc_probe () in
-  let limit = alloc_gate_baseline_bytes *. (1.0 +. alloc_gate_tolerance) in
-  Printf.printf
-    "alloc gate: bucket k=%d  %.0f bytes/trial (gate %.0f = %.0f + %.0f%%; seed baseline %.0f, \
-     %.2fx reduction)\n"
-    alloc_k a.alloc_bytes_per_trial limit alloc_gate_baseline_bytes (100.0 *. alloc_gate_tolerance)
-    alloc_seed_baseline_bytes a.reduction;
-  if a.alloc_bytes_per_trial <= limit then 0
-  else begin
-    Printf.eprintf "alloc gate: REGRESSION — %.0f bytes/trial exceeds the gate %.0f\n"
-      a.alloc_bytes_per_trial limit;
-    1
-  end
+  let within case =
+    let a = alloc_probe case in
+    let limit = case.baseline *. (1.0 +. alloc_gate_tolerance) in
+    Printf.printf "alloc gate: %s k=%d  %.0f bytes/trial (gate %.0f = %.0f + %.0f%%)\n" case.name
+      case.k a.alloc_bytes_per_trial limit case.baseline (100.0 *. alloc_gate_tolerance);
+    if a.alloc_bytes_per_trial > limit then
+      Printf.eprintf "alloc gate: REGRESSION — %s %.0f bytes/trial exceeds the gate %.0f\n"
+        case.name a.alloc_bytes_per_trial limit;
+    (a, a.alloc_bytes_per_trial <= limit)
+  in
+  let bucket, bucket_ok = within bucket_case in
+  Printf.printf "alloc gate: bucket seed baseline %.0f, %.2fx reduction\n" alloc_seed_baseline_bytes
+    bucket.reduction;
+  let _, tree_ok = within tree_case in
+  if bucket_ok && tree_ok then 0 else 1
 
 let run ?(out = "BENCH_engine_scaling.json") () =
   let cores = Domain.recommended_domain_count () in
@@ -193,9 +223,9 @@ let run ?(out = "BENCH_engine_scaling.json") () =
     measured;
   Stats.Table.print table;
   Printf.printf "cores available: %d; merged results identical at every domain count\n" cores;
-  let alloc = alloc_probe () in
+  let alloc = alloc_probe bucket_case in
   Printf.printf "alloc probe: bucket k=%d  %.0f bytes/trial (seed baseline %.0f, %.2fx reduction)\n"
-    alloc_k alloc.alloc_bytes_per_trial alloc_seed_baseline_bytes alloc.reduction;
+    bucket_case.k alloc.alloc_bytes_per_trial alloc_seed_baseline_bytes alloc.reduction;
   let json =
     Stats.Json.Obj
       [

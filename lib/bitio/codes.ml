@@ -1,7 +1,14 @@
+(* A binary search for the highest set bit. *)
 let bit_width v =
   if v < 1 then invalid_arg "Codes.bit_width";
-  let rec loop v acc = if v = 0 then acc else loop (v lsr 1) (acc + 1) in
-  loop v 0
+  let n = ref 1 and v = ref v in
+  if !v lsr 32 <> 0 then (n := !n + 32; v := !v lsr 32);
+  if !v lsr 16 <> 0 then (n := !n + 16; v := !v lsr 16);
+  if !v lsr 8 <> 0 then (n := !n + 8; v := !v lsr 8);
+  if !v lsr 4 <> 0 then (n := !n + 4; v := !v lsr 4);
+  if !v lsr 2 <> 0 then (n := !n + 2; v := !v lsr 2);
+  if !v lsr 1 <> 0 then n := !n + 1;
+  !n
 
 let write_unary buf n =
   if n < 0 then invalid_arg "Codes.write_unary";
@@ -49,8 +56,19 @@ let write_delta buf n =
   if n < 0 then invalid_arg "Codes.write_delta";
   let m = n + 1 in
   let w = bit_width m in
-  write_gamma buf (w - 1);
-  Bitbuf.write_bits buf ~width:(w - 1) (m land ((1 lsl (w - 1)) - 1))
+  let low = m land ((1 lsl (w - 1)) - 1) in
+  (* gamma of (w - 1) is 2g - 1 bits, g = bit_width w: unary (g - 1),
+     then the low g - 1 bits of w.  With the low bits of m it makes one
+     write whenever the whole codeword fits one. *)
+  let g = bit_width w in
+  let gamma_width = (2 * g) - 1 in
+  if gamma_width + w - 1 <= 62 then
+    Bitbuf.write_bits buf ~width:(gamma_width + w - 1)
+      (((1 lsl (g - 1)) - 1) lor ((w land ((1 lsl (g - 1)) - 1)) lsl g) lor (low lsl gamma_width))
+  else begin
+    write_gamma buf (w - 1);
+    Bitbuf.write_bits buf ~width:(w - 1) low
+  end
 
 let read_delta r =
   let w = read_gamma r + 1 in

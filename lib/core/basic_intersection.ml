@@ -1,9 +1,9 @@
-let tag_bits ~m ~failure =
+let tag_bits_for ~failure =
   if failure <= 0.0 || failure >= 1.0 then invalid_arg "Basic_intersection.tag_bits: failure";
-  let m = max 2 m in
-  let pair_bits = 2 * Iterated_log.log2_ceil m in
   let failure_bits = int_of_float (Float.ceil (-.log failure /. log 2.0)) in
-  max 4 (pair_bits + failure_bits)
+  fun ~m -> max 4 ((2 * Iterated_log.log2_ceil (max 2 m)) + failure_bits)
+
+let tag_bits ~m ~failure = tag_bits_for ~failure ~m
 
 let write_tags buf fn set = Array.iter (fun x -> Strhash.write_int fn buf x) set
 
@@ -12,7 +12,10 @@ let write_tags buf fn set = Array.iter (fun x -> Strhash.write_int fn buf x) set
    tag bits. *)
 type tag_table = Ints of (int, unit) Hashtbl.t | Keys of (string, unit) Hashtbl.t
 
+(* A count read off the wire must fail fast, not size a table: [count]
+   tags of [bits] bits each must still be in the payload. *)
 let read_tag_keys reader ~bits ~count =
+  if count > Bitio.Bitreader.remaining reader / max 1 bits then raise Bitio.Bitreader.Underflow;
   if bits <= 62 then begin
     let table = Hashtbl.create (2 * count) in
     for _ = 1 to count do
@@ -28,11 +31,12 @@ let read_tag_keys reader ~bits ~count =
     Keys table
   end
 
-let filter_by_tags fn table set =
+let tag_matches fn table x =
   match table with
-  | Ints table -> Iset.filter (fun x -> Hashtbl.mem table (Strhash.int_tag fn x)) set
-  | Keys table ->
-      Iset.filter (fun x -> Hashtbl.mem table (Bitio.Bits.key (Strhash.apply_int fn x))) set
+  | Ints table -> Hashtbl.mem table (Strhash.int_tag fn x)
+  | Keys table -> Hashtbl.mem table (Bitio.Bits.key (Strhash.apply_int fn x))
+
+let filter_by_tags fn table set = Iset.filter (tag_matches fn table) set
 
 (* The standalone 4-message exchange.  [mine]/[theirs] differ only in who
    talks first, so both runners share this body. *)

@@ -24,6 +24,10 @@
     with probability [failure]. *)
 val tag_bits : m:int -> failure:float -> int
 
+(** [tag_bits_for ~failure] is [fun ~m -> tag_bits ~m ~failure], with the
+    [failure] part worked out once. *)
+val tag_bits_for : failure:float -> m:int -> int
+
 (** Append the tags of all elements of a set. *)
 val write_tags : Bitio.Bitbuf.t -> Strhash.fn -> Iset.t -> unit
 
@@ -32,8 +36,15 @@ val write_tags : Bitio.Bitbuf.t -> Strhash.fn -> Iset.t -> unit
     tag's {!Bitio.Bits.key} otherwise. *)
 type tag_table
 
-(** Read [count] tags of [bits] bits each into a membership table. *)
+(** Read [count] tags of [bits] bits each into a membership table.
+    Raises [Bitio.Bitreader.Underflow] before allocating anything when
+    fewer than [count * bits] bits remain, so a forged count cannot size
+    the table. *)
 val read_tag_keys : Bitio.Bitreader.t -> bits:int -> count:int -> tag_table
+
+(** [tag_matches fn table x]: does [x]'s tag occur in the table?  [fn]
+    as for {!filter_by_tags}. *)
+val tag_matches : Strhash.fn -> tag_table -> int -> bool
 
 (** Keep the elements whose tag occurs in the other party's table; [fn]
     must be the [bits]-wide function the table's tags were made with. *)

@@ -55,29 +55,32 @@ let create rng ~bits =
 
 let bits fn = fn.bits
 
-(* Polynomial fingerprint of a bit string: fold 24-bit chunks with a
-   length prefix so strings of different lengths cannot alias — Horner's
-   rule [acc <- acc * point + (chunk + 1)] from [acc = n + 1].  The
-   chunking defines the tag values, so it must not change.  Whole chunk
-   pairs take one step, [acc * point^2 + ((c1 + 1) * point + (c2 + 1))]:
-   the same residue mod p (every step leaves a canonical residue), with
-   one 48-bit load and two independent products instead of a chain of
-   two. *)
-let fingerprint point payload =
-  let n = Bitio.Bits.length payload in
-  let acc = ref (reduce (n + 1)) in
-  let i = ref 0 in
-  if n >= 48 then begin
+(* Polynomial fingerprint of the bit range [pos, pos + len) of a bit
+   string: fold 24-bit chunks with a length prefix so strings of different
+   lengths cannot alias — Horner's rule [acc <- acc * point + (chunk + 1)]
+   from [acc = len + 1].  The chunking defines the tag values, so it must
+   not change.  Whole chunk pairs take one step, [acc * point^2 + ((c1 + 1)
+   * point + (c2 + 1))]: the same residue mod p (every step leaves a
+   canonical residue), with one 48-bit load and two independent products
+   instead of a chain of two.  A range hashes exactly like the extracted
+   copy of its bits; whole payloads pass [0, length]. *)
+let fingerprint point payload ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > Bitio.Bits.length payload then
+    invalid_arg "Strhash: range out of bounds";
+  let stop = pos + len in
+  let acc = ref (reduce (len + 1)) in
+  let i = ref pos in
+  if len >= 48 then begin
     let point2 = mul61 point point in
-    while n - !i >= 48 do
+    while stop - !i >= 48 do
       let w = Bitio.Bits.extract payload ~pos:!i ~width:48 in
       let pair = reduce (mul61 ((w land 0xFFFFFF) + 1) point + ((w lsr 24) + 1)) in
       acc := reduce (mul61 !acc point2 + pair);
       i := !i + 48
     done
   end;
-  while !i < n do
-    let chunk_len = min 24 (n - !i) in
+  while !i < stop do
+    let chunk_len = min 24 (stop - !i) in
     let chunk = Bitio.Bits.extract payload ~pos:!i ~width:chunk_len in
     (* chunk + 1 so trailing zero chunks still advance the polynomial *)
     acc := reduce (mul61 !acc point + (chunk + 1));
@@ -102,21 +105,43 @@ let tag_of_value fn v =
 let check_int name x =
   if x < 0 || x lsr 60 <> 0 then invalid_arg ("Strhash." ^ name ^ ": out of range")
 
-let apply fn payload = tag_of_value fn (fingerprint fn.point payload)
+let apply fn payload =
+  tag_of_value fn (fingerprint fn.point payload ~pos:0 ~len:(Bitio.Bits.length payload))
 
 let apply_int fn x =
   check_int "apply_int" x;
   tag_of_value fn x
 
+(* The int tag of [x] under the lanes stored at [lanes.(pos) ..]. *)
+let lanes_int_tag lanes ~pos ~bits x =
+  let tag = ref 0 in
+  for i = 0 to ((bits + lane_width - 1) / lane_width) - 1 do
+    let width = min lane_width (bits - (i * lane_width)) in
+    let a = lanes.(pos + (2 * i)) and b = lanes.(pos + (2 * i) + 1) in
+    tag := !tag lor (lane_tag a b x ~width lsl (i * lane_width))
+  done;
+  !tag
+
 let int_tag fn x =
   check_int "int_tag" x;
   if fn.bits > 62 then invalid_arg "Strhash.int_tag: bits";
-  let tag = ref 0 in
-  for i = 0 to (Array.length fn.lanes / 2) - 1 do
-    let width = lane_width_at fn i in
-    tag := !tag lor (lane_tag fn.lanes.(2 * i) fn.lanes.((2 * i) + 1) x ~width lsl (i * lane_width))
-  done;
-  !tag
+  lanes_int_tag fn.lanes ~pos:0 ~bits:fn.bits x
+
+(* A tag of at most 62 bits has at most two lanes: [a; b] each. *)
+let int_fn_slots = 4
+
+let store_int_fn rng ~bits lanes ~pos =
+  if bits < 1 || bits > 62 then invalid_arg "Strhash.store_int_fn: bits";
+  ignore (draw_point rng : int);
+  for i = 0 to ((bits + lane_width - 1) / lane_width) - 1 do
+    let a = draw_a rng in
+    lanes.(pos + (2 * i)) <- a;
+    lanes.(pos + (2 * i) + 1) <- draw_mod_p rng
+  done
+
+let stored_int_tag lanes ~pos ~bits x =
+  check_int "stored_int_tag" x;
+  lanes_int_tag lanes ~pos ~bits x
 
 let write_int fn buf x =
   check_int "write_int" x;
@@ -136,10 +161,13 @@ let rec draw_write_lanes rng buf v remaining =
     draw_write_lanes rng buf v (remaining - width)
   end
 
-let draw_write rng ~bits buf payload =
+let draw_write_range rng ~bits buf payload ~pos ~len =
   check_bits "draw_write" bits;
   let point = draw_point rng in
-  draw_write_lanes rng buf (fingerprint point payload) bits
+  draw_write_lanes rng buf (fingerprint point payload ~pos ~len) bits
+
+let draw_write rng ~bits buf payload =
+  draw_write_range rng ~bits buf payload ~pos:0 ~len:(Bitio.Bits.length payload)
 
 let rec draw_match_lanes rng reader v remaining ok =
   if remaining <= 0 then ok
@@ -151,10 +179,13 @@ let rec draw_match_lanes rng reader v remaining ok =
     draw_match_lanes rng reader v (remaining - width) (ok && theirs = lane_tag a b v ~width)
   end
 
-let draw_matches rng ~bits reader payload =
+let draw_matches_range rng ~bits reader payload ~pos ~len =
   check_bits "draw_matches" bits;
   let point = draw_point rng in
-  draw_match_lanes rng reader (fingerprint point payload) bits true
+  draw_match_lanes rng reader (fingerprint point payload ~pos ~len) bits true
+
+let draw_matches rng ~bits reader payload =
+  draw_matches_range rng ~bits reader payload ~pos:0 ~len:(Bitio.Bits.length payload)
 
 let tag rng ~bits payload = apply (create rng ~bits) payload
 

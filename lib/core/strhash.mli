@@ -45,6 +45,26 @@ val write_int : fn -> Bitio.Bitbuf.t -> int -> unit
     [x] in [\[0, 2^60)].  Lets tag tables key on native ints. *)
 val int_tag : fn -> int -> int
 
+(** {2 Flat int-tag functions}
+
+    A run that keeps many narrow tag functions alive at once stores each
+    one's lane coefficients in [int_fn_slots] consecutive cells of one int
+    array instead of a [fn] per function. *)
+
+(** Cells one stored function takes. *)
+val int_fn_slots : int
+
+(** [store_int_fn rng ~bits lanes ~pos] draws what [create rng ~bits]
+    draws, in the same order, leaving [rng] in the same state, and stores
+    the lane coefficients in [lanes.(pos) .. lanes.(pos + int_fn_slots -
+    1)].  Requires [1 <= bits <= 62]. *)
+val store_int_fn : Prng.Rng.t -> bits:int -> int array -> pos:int -> unit
+
+(** [stored_int_tag lanes ~pos ~bits x] is [int_tag (create rng ~bits) x]
+    for the function {!store_int_fn} stored at [pos] with the same
+    [bits]. *)
+val stored_int_tag : int array -> pos:int -> bits:int -> int -> int
+
 (** {2 Fused draw-and-tag}
 
     [draw_write rng ~bits buf payload] appends [apply (create rng ~bits)
@@ -61,6 +81,19 @@ val draw_write : Prng.Rng.t -> bits:int -> Bitio.Bitbuf.t -> Bitio.Bits.t -> uni
     {!draw_write}.  The reader advances fully even on a mismatch, so
     framing is position-identical to a read-then-compare round trip. *)
 val draw_matches : Prng.Rng.t -> bits:int -> Bitio.Bitreader.t -> Bitio.Bits.t -> bool
+
+(** [draw_write_range rng ~bits buf payload ~pos ~len] is [draw_write]
+    on the bits [\[pos, pos + len)] of [payload], without extracting them:
+    a range tags exactly like a payload holding just its bits.  Raises
+    [Invalid_argument] unless the range lies inside [payload]. *)
+val draw_write_range :
+  Prng.Rng.t -> bits:int -> Bitio.Bitbuf.t -> Bitio.Bits.t -> pos:int -> len:int -> unit
+
+(** [draw_matches_range rng ~bits reader payload ~pos ~len] is
+    [draw_matches] on the bits [\[pos, pos + len)] of [payload], as
+    {!draw_write_range} tags them. *)
+val draw_matches_range :
+  Prng.Rng.t -> bits:int -> Bitio.Bitreader.t -> Bitio.Bits.t -> pos:int -> len:int -> bool
 
 (** One-shot conveniences (draw the function and apply it). *)
 val tag : Prng.Rng.t -> bits:int -> Bitio.Bits.t -> Bitio.Bits.t

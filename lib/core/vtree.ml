@@ -1,6 +1,4 @@
-type node = { first_leaf : int; leaf_count : int }
-
-type t = { k : int; r : int; levels : node array array }
+type t = { k : int; r : int; bounds : int array array }
 
 let degree ~k ~r ~level =
   if level < 1 || level > r then invalid_arg "Vtree.degree";
@@ -14,28 +12,33 @@ let degree ~k ~r ~level =
   in
   max 2 d
 
-let group_level below ~deg =
-  let n = Array.length below in
+(* Group the level below [deg] nodes at a time: keep every [deg]-th
+   boundary, and the end. *)
+let group_level (below : int array) ~deg =
+  let n = Array.length below - 1 in
   let count = (n + deg - 1) / deg in
-  Array.init count (fun g ->
-      let lo = g * deg in
-      let hi = min n (lo + deg) in
-      let first_leaf = below.(lo).first_leaf in
-      let last = below.(hi - 1) in
-      { first_leaf; leaf_count = last.first_leaf + last.leaf_count - first_leaf })
+  let level = Array.make (count + 1) below.(n) in
+  for g = 0 to count - 1 do
+    level.(g) <- below.(g * deg)
+  done;
+  level
 
 let build ~k ~r =
   if k < 1 || r < 1 then invalid_arg "Vtree.build";
-  let levels = Array.make (r + 1) [||] in
-  levels.(0) <- Array.init k (fun i -> { first_leaf = i; leaf_count = 1 });
+  let bounds = Array.make (r + 1) [||] in
+  let leaves = Array.make (k + 1) 0 in
+  for i = 0 to k do
+    leaves.(i) <- i
+  done;
+  bounds.(0) <- leaves;
   for level = 1 to r do
     let deg =
-      if level = r then max 2 (Array.length levels.(level - 1)) (* squash into a single root *)
+      if level = r then max 2 (Array.length bounds.(level - 1) - 1) (* squash into a single root *)
       else degree ~k ~r ~level
     in
-    levels.(level) <- group_level levels.(level - 1) ~deg
+    bounds.(level) <- group_level bounds.(level - 1) ~deg
   done;
-  assert (Array.length levels.(r) = 1);
-  { k; r; levels }
+  assert (Array.length bounds.(r) = 2);
+  { k; r; bounds }
 
-let leaves node = List.init node.leaf_count (fun i -> node.first_leaf + i)
+let nodes t ~level = Array.length t.bounds.(level) - 1

@@ -6,22 +6,20 @@
     a node [v] in [L_i] covers about [log^(r-i) k] leaves — the shape that
     makes the per-stage equality traffic sum to [O(k log^(r) k)].
 
-    Nodes cover contiguous leaf ranges, so a node is just a slice
-    descriptor. *)
+    Nodes cover contiguous leaf ranges, so a level is just the list of its
+    node boundaries. *)
 
-type node = { first_leaf : int; leaf_count : int }
-
-(** A built tree: [levels.(0)] is the [k] leaves, [levels.(r)] the root.
+(** A built tree.  Node [i] of level [l] covers leaves [bounds.(l).(i)]
+    to [bounds.(l).(i + 1) - 1]: [bounds.(l)] rises strictly from [0] to
+    [k], [bounds.(0)] is [0, 1, ..., k] and [bounds.(r)] is [\[|0; k|\]].
     [private] so shapes only come from {!build}. *)
-type t = private { k : int; r : int; levels : node array array }
+type t = private { k : int; r : int; bounds : int array array }
 
-(** [build ~k ~r] for [k >= 1], [r >= 1].  [levels] has [r + 1] entries;
-    [levels.(0)] has [k] single-leaf nodes; [levels.(r)] is a single root
-    covering everything. *)
+(** [build ~k ~r] for [k >= 1], [r >= 1]. *)
 val build : k:int -> r:int -> t
+
+(** Number of nodes at [level] in [0, r]. *)
+val nodes : t -> level:int -> int
 
 (** Target degree at [level] in [1, r] (before clamping to what remains). *)
 val degree : k:int -> r:int -> level:int -> int
-
-(** Leaf indices covered by a node. *)
-val leaves : node -> int list

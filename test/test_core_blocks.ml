@@ -226,25 +226,24 @@ let test_tag_bits_monotone () =
 
 (* ---------- Vtree ---------- *)
 
+(* A level's boundaries rise strictly from 0 to k: its nodes partition
+   the leaves into contiguous ranges. *)
+let partitions ~k bounds =
+  let n = Array.length bounds in
+  let rising = ref true in
+  for i = 1 to n - 1 do
+    if bounds.(i) <= bounds.(i - 1) then rising := false
+  done;
+  n >= 2 && bounds.(0) = 0 && bounds.(n - 1) = k && !rising
+
 let test_vtree_shape () =
   let tree = Vtree.build ~k:1024 ~r:3 in
-  check "levels" 4 (Array.length tree.Vtree.levels);
-  check "leaves" 1024 (Array.length tree.Vtree.levels.(0));
-  check "single root" 1 (Array.length tree.Vtree.levels.(3));
-  let root = tree.Vtree.levels.(3).(0) in
-  check "root covers all" 1024 root.Vtree.leaf_count;
+  check "levels" 4 (Array.length tree.Vtree.bounds);
+  check "leaves" 1024 (Vtree.nodes tree ~level:0);
+  check "single root" 1 (Vtree.nodes tree ~level:3);
+  check "root covers all" 1024 tree.Vtree.bounds.(3).(1);
   (* every level partitions the leaves *)
-  Array.iter
-    (fun level ->
-      let total = Array.fold_left (fun acc node -> acc + node.Vtree.leaf_count) 0 level in
-      check "partition" 1024 total;
-      let next = ref 0 in
-      Array.iter
-        (fun node ->
-          check "contiguous" !next node.Vtree.first_leaf;
-          next := !next + node.Vtree.leaf_count)
-        level)
-    tree.Vtree.levels
+  Array.iter (fun bounds -> check_bool "partition" true (partitions ~k:1024 bounds)) tree.Vtree.bounds
 
 let test_vtree_degrees () =
   (* k = 2^16, r = 3: d1 = log^(2) k = 4, d2 = log k / log^(2) k = 4,
@@ -258,32 +257,18 @@ let test_vtree_small () =
   List.iter
     (fun (k, r) ->
       let tree = Vtree.build ~k ~r in
-      check "root" 1 (Array.length tree.Vtree.levels.(r));
-      check "leaves" k (Array.length tree.Vtree.levels.(0)))
+      check "root" 1 (Vtree.nodes tree ~level:r);
+      check "leaves" k (Vtree.nodes tree ~level:0))
     [ (1, 1); (1, 3); (2, 1); (7, 2); (16, 4); (100, 5) ]
-
-let test_vtree_leaves () =
-  let node = { Vtree.first_leaf = 5; leaf_count = 3 } in
-  Alcotest.(check (list int)) "leaves" [ 5; 6; 7 ] (Vtree.leaves node)
 
 let prop_vtree_partitions =
   QCheck.Test.make ~name:"every vtree level partitions the leaves" ~count:150
     QCheck.(pair (int_range 1 2000) (int_range 1 7))
     (fun (k, r) ->
       let tree = Vtree.build ~k ~r in
-      Array.length tree.Vtree.levels = r + 1
-      && Array.length tree.Vtree.levels.(r) = 1
-      && Array.for_all
-           (fun level ->
-             let total = Array.fold_left (fun acc n -> acc + n.Vtree.leaf_count) 0 level in
-             let contiguous = ref true and next = ref 0 in
-             Array.iter
-               (fun n ->
-                 if n.Vtree.first_leaf <> !next then contiguous := false;
-                 next := n.Vtree.first_leaf + n.Vtree.leaf_count)
-               level;
-             total = k && !contiguous)
-           tree.Vtree.levels)
+      Array.length tree.Vtree.bounds = r + 1
+      && Vtree.nodes tree ~level:r = 1
+      && Array.for_all (partitions ~k) tree.Vtree.bounds)
 
 (* ---------- Eq_batch ---------- *)
 
@@ -427,7 +412,6 @@ let () =
           Alcotest.test_case "shape" `Quick test_vtree_shape;
           Alcotest.test_case "degrees" `Quick test_vtree_degrees;
           Alcotest.test_case "small trees" `Quick test_vtree_small;
-          Alcotest.test_case "leaves" `Quick test_vtree_leaves;
           qt prop_vtree_partitions;
         ] );
       ( "eq_batch",

@@ -73,8 +73,9 @@ expect_usage_error telemetry-overhead --smoke --sessions 0
 # bounds ordered, per-cell gate conjunction, trial counts summing to
 # total_trials), the live sweep smoke must pass the same schema, and the
 # committed chaos report must regenerate byte-for-byte from the
-# reproduce command it embeds.  The bucket k=1024 hot path must not
-# allocate more per trial than its committed gate baseline plus 2%.
+# reproduce command it embeds.  The bucket k=1024 and tree-log-star
+# k=4096 trials must not allocate more than their committed gate
+# baselines plus 2%.
 $json_check --bench-chaos < BENCH_chaos.json
 $json_check --bench-sweep < BENCH_sweep.json
 $json_check --bench-sweep < "$tmp/sweep.d1"
