@@ -775,6 +775,136 @@ let tree_path_digests () =
       hex_of_string (Buffer.contents log) );
   ]
 
+(* Faulty paths the attempt and session digests above do not reach.  The
+   frame digests tap the raw faulty transport under [Resilient.guard]:
+   every frame as sent and every copy as delivered, so they pin the frame
+   bits, each flip position and truncation point, and — since the
+   duplicate draw comes after the flip draws — how many draws the flips
+   consumed.  The per-link tallies follow the frames into the digest. *)
+let tap_both log (chan : Commsim.Transport.t) =
+  let record dir payload =
+    Buffer.add_string log dir;
+    Buffer.add_string log (Bitio.Bits.key payload);
+    Buffer.add_char log ';'
+  in
+  Commsim.Transport.make
+    ~send:(fun payload ->
+      record "s" payload;
+      chan.send payload)
+    ~recv:(fun () ->
+      let payload = chan.recv () in
+      record "r" payload;
+      payload)
+
+let tallies_string (tallies : Commsim.Faults.tallies) =
+  String.concat "|"
+    (Array.to_list
+       (Array.map
+          (fun row ->
+            String.concat ","
+              (Array.to_list (Array.map (Format.asprintf "%a" Commsim.Faults.pp_tally) row)))
+          tallies.Commsim.Faults.links))
+
+let outcome_string = function
+  | Commsim.Network.Completed _ -> "completed"
+  | Commsim.Network.Lost d -> "lost: " ^ d.Commsim.Network.detail
+  | Commsim.Network.Crashed { rank; exn; after_messages } ->
+      Printf.sprintf "crashed %d after %d: %s" rank after_messages exn
+
+let guarded_frames_digest ~plan ~seed ~k =
+  let universe = 1 lsl 16 in
+  let pair = golden_pair ~seed ~universe ~k in
+  let rng = Prng.Rng.of_int (seed + 1) in
+  let log = Buffer.create 4096 in
+  let party role mine chan =
+    let frame_rng = Prng.Rng.with_label rng "transport" in
+    let chan = Resilient.guard frame_rng ~tag_bits:32 (tap_both log chan) in
+    Bucket_protocol.run_party role (Prng.Rng.with_label rng "base") ~universe ~k chan mine
+  in
+  let outcome, cost, tallies =
+    Commsim.Two_party.run_faulty ~plan
+      ~alice:(party `Alice pair.Workload.Setgen.s)
+      ~bob:(party `Bob pair.Workload.Setgen.t)
+  in
+  Buffer.add_string log
+    (Printf.sprintf "%s bits=%d messages=%d %s" (outcome_string outcome)
+       cost.Commsim.Cost.total_bits cost.Commsim.Cost.messages (tallies_string tallies));
+  hex_of_string (Buffer.contents log)
+
+let dup_drop_link =
+  { Commsim.Faults.flip = 1e-4; trunc = 2e-3; dup = 0.3; drop = 2e-3 }
+
+let asymmetric_plan ~seed =
+  Commsim.Faults.make ~seed (fun ~from_ ~to_:_ ->
+      if from_ = 0 then { Commsim.Faults.clean_link with flip = 3e-4; dup = 0.2 }
+      else { Commsim.Faults.clean_link with trunc = 2e-2; dup = 0.1 })
+
+let faulty_path_digests () =
+  [
+    ( "guard frames dup+drop k=256",
+      guarded_frames_digest ~plan:(Commsim.Faults.uniform ~seed:31 dup_drop_link) ~seed:31 ~k:256 );
+    ( "guarded attempt dup+drop k=256",
+      let k = 256 and universe = 1 lsl 16 in
+      let pair = golden_pair ~seed:32 ~universe ~k in
+      let log = Buffer.create 4096 in
+      let tapped party rng ~universe mine chan = party rng ~universe mine (tap log chan) in
+      let base = Resilient.bucket_base ~k () in
+      let base = { base with Resilient.alice = tapped base.alice; bob = tapped base.bob } in
+      let verdict, cost, tallies =
+        Resilient.attempt_once base
+          ~plan:(Commsim.Faults.uniform ~seed:32 dup_drop_link)
+          ~check_bits:64 ~attempt:1 (Prng.Rng.of_int 33) ~universe pair.Workload.Setgen.s
+          pair.Workload.Setgen.t
+      in
+      Buffer.add_string log
+        (Printf.sprintf "verdict=%s bits=%d %s"
+           (match verdict with Ok _ -> "ok" | Error _ -> "error")
+           cost.Commsim.Cost.total_bits (tallies_string tallies));
+      hex_of_string (Buffer.contents log) );
+    ( "guard frames asymmetric plan k=256",
+      guarded_frames_digest ~plan:(asymmetric_plan ~seed:41) ~seed:41 ~k:256 );
+    ( "resilient budget fallback k=256",
+      (* two attempts over a link that breaks every frame, then the
+         trivial fallback *)
+      let k = 256 and universe = 1 lsl 16 in
+      let pair = golden_pair ~seed:35 ~universe ~k in
+      let report =
+        Resilient.run (Resilient.bucket_base ~k ())
+          ~plan:(Commsim.Faults.uniform ~seed:35 (Commsim.Faults.flipping 1e-2))
+          ~budget:{ Resilient.attempts = 2; bits = max_int }
+          (Prng.Rng.of_int 36) ~universe pair.Workload.Setgen.s pair.Workload.Setgen.t
+      in
+      let failure = function
+        | Resilient.Check_rejected -> "rejected"
+        | Resilient.Channel_lost d -> "lost: " ^ d
+        | Resilient.Party_crashed d -> "crashed: " ^ d
+      in
+      hex_of_string
+        (String.concat ";"
+           ([
+              String.concat "," (List.map string_of_int (Array.to_list report.Resilient.result));
+              Printf.sprintf "verified=%b degraded=%b attempts=%d" report.verified report.degraded
+                report.attempts;
+              Printf.sprintf "faulty=%d fallback=%d total=%d rounds=%d" report.faulty_bits
+                report.fallback_bits report.cost.Commsim.Cost.total_bits
+                report.cost.Commsim.Cost.rounds;
+              tallies_string report.tallies;
+            ]
+           @ List.map
+               (fun (a : Resilient.attempt_info) ->
+                 Printf.sprintf "#%d w=%d bits=%d %s" a.index a.width a.bits
+                   (match a.failure with None -> "ok" | Some f -> failure f))
+               report.attempt_log)) );
+  ]
+
+let expected_faulty_path_digests =
+  [
+    ("guard frames dup+drop k=256", "8bf011a72df7cf92447c6f6d51e18e5a");
+    ("guarded attempt dup+drop k=256", "70800693f05f986cccc230f0fe6d8418");
+    ("guard frames asymmetric plan k=256", "1ca0049951ed73b174574e365c2b5371");
+    ("resilient budget fallback k=256", "5ada7ac54fb5be5704e8addbaca6e03b");
+  ]
+
 let expected_tree_path_digests =
   [
     ("tree r=1 8 buckets k=4096", "adea6ef004037094fa734b9bed036458");
@@ -812,7 +942,8 @@ let check_digests got expected =
 let test_golden_digests () =
   check_digests (golden_digests ()) expected_digests;
   check_digests (path_digests ()) expected_path_digests;
-  check_digests (tree_path_digests ()) expected_tree_path_digests
+  check_digests (tree_path_digests ()) expected_tree_path_digests;
+  check_digests (faulty_path_digests ()) expected_faulty_path_digests
 
 (* Golden report digests: the smoke campaigns' JSON reports and their
    fleet-telemetry JSONL streams, hashed whole.  The tier1 gates compare
