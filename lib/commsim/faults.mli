@@ -63,20 +63,22 @@ val reseed : plan -> salt:int -> plan
     nothing at all. *)
 type action = Deliver of Bitio.Bits.t list | Drop
 
-(** Fault bookkeeping for one directed link (or an aggregate of links). *)
-type tally = {
-  deliveries : int;  (** payload copies handed to the recipient *)
-  flipped_messages : int;
-  flipped_bits : int;
-  truncated_messages : int;
-  truncated_bits : int;  (** bits cut off by truncation *)
-  duplicated_messages : int;
-  dropped_messages : int;
-  dropped_bits : int;  (** bits of payload that never arrived *)
+(** Fault bookkeeping for one directed link (or an aggregate of links).
+    Private: only {!apply} writes a tally, in place, into the tallies of
+    its own {!channel}; everything else reads. *)
+type tally = private {
+  mutable deliveries : int;  (** payload copies handed to the recipient *)
+  mutable flipped_messages : int;
+  mutable flipped_bits : int;
+  mutable truncated_messages : int;
+  mutable truncated_bits : int;  (** bits cut off by truncation *)
+  mutable duplicated_messages : int;
+  mutable dropped_messages : int;
+  mutable dropped_bits : int;  (** bits of payload that never arrived *)
 }
 
-(** The empty tally (unit of {!add_tally}). *)
-val zero_tally : tally
+(** A fresh empty tally (unit of {!add_tally}). *)
+val zero_tally : unit -> tally
 
 (** Field-wise sum of two tallies. *)
 val add_tally : tally -> tally -> tally
@@ -105,9 +107,25 @@ val incoming : tallies -> int -> tally
 (** [merge a b] adds the tallies link-wise (same player count). *)
 val merge : tallies -> tallies -> tallies
 
-(** [apply plan ~from_ ~to_ ~index payload] is the channel's treatment of
-    the [index]-th message sent on the directed link [from_ -> to_],
-    together with the tally delta describing the injected damage.
-    Deterministic in [(seed plan, from_, to_, index)] alone. *)
-val apply :
-  plan -> from_:int -> to_:int -> index:int -> Bitio.Bits.t -> action * tally
+(** One execution's channel: a plan together with the tallies the
+    execution's damage is recorded in and the scratch that derives each
+    message's generator.  Plain mutable state: one per execution. *)
+type channel
+
+(** [channel plan ~players] starts a [players]-party execution over
+    [plan], with all-zero tallies. *)
+val channel : plan -> players:int -> channel
+
+(** The tallies {!apply} has recorded so far. *)
+val tallies : channel -> tallies
+
+(** [apply c ~from_ ~to_ ~index payload] is the channel's treatment of the
+    [index]-th message sent on the directed link [from_ -> to_]; the
+    damage it injects is added to [tallies c].  Deterministic in
+    [(seed plan, from_, to_, index)] alone: the message's generator is
+    derived from the plan seed and the label ["faults/<from_>-><to_>/<index>"],
+    and draws, in order, the drop decision, the truncation decision and
+    point, one flip decision per bit of the (possibly truncated) payload,
+    and the duplication decision — each decision only when its rate is
+    positive. *)
+val apply : channel -> from_:int -> to_:int -> index:int -> Bitio.Bits.t -> action

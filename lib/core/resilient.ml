@@ -43,37 +43,46 @@ let seq_width = 20
    desynchronizes: sequence gap) and aborts the attempt via [Corrupted], or
    absorbed (a duplicate re-delivers an already-consumed sequence number
    and is discarded).  Undetected corruption needs a fingerprint collision:
-   probability [~2^-tag_bits] per message. *)
+   probability [~2^-tag_bits] per message.
+
+   Each guard reuses two writers: [scratch] holds [seq | payload], whose
+   fingerprint is read as an int straight off its view, and [frame]
+   assembles the outgoing frame word by word, so a message costs one
+   frame copy on send and one payload copy on receive.  A tag of at most
+   62 bits written as one int is bit-for-bit the tag [Strhash.apply]
+   builds lane by lane. *)
 let guard rng ~tag_bits chan =
+  if tag_bits < 1 || tag_bits > 62 then invalid_arg "Resilient.guard: tag_bits";
   let h = Strhash.create (Prng.Rng.with_label rng "frame") ~bits:tag_bits in
+  let scratch = Bitio.Bitbuf.create () and frame = Bitio.Bitbuf.create () in
+  let reader = Bitio.Bitreader.create Bitio.Bits.empty in
   let next_send = ref 0 and next_recv = ref 0 in
-  let seq_bits seq =
-    let buf = Bitio.Bitbuf.create () in
-    Bitio.Bitbuf.write_bits buf ~width:seq_width seq;
-    Bitio.Bitbuf.contents buf
+  let fingerprint seq payload =
+    Bitio.Bitbuf.reset scratch;
+    Bitio.Bitbuf.write_bits scratch ~width:seq_width seq;
+    Bitio.Bitbuf.append scratch payload;
+    Strhash.range_int_tag h (Bitio.Bitbuf.view scratch) ~pos:0
+      ~len:(Bitio.Bitbuf.length scratch)
   in
   let send payload =
     if !next_send >= 1 lsl seq_width then invalid_arg "Resilient.guard: sequence space exhausted";
-    let seq = seq_bits !next_send in
+    let seq = !next_send in
     incr next_send;
-    let tag = Strhash.apply h (Bitio.Bits.concat seq payload) in
-    Commsim.Transport.send chan (Bitio.Bits.concat seq (Bitio.Bits.concat tag payload))
+    let tag = fingerprint seq payload in
+    Bitio.Bitbuf.reset frame;
+    Bitio.Bitbuf.write_bits frame ~width:seq_width seq;
+    Bitio.Bitbuf.write_bits frame ~width:tag_bits tag;
+    Bitio.Bitbuf.append frame payload;
+    Commsim.Transport.send chan (Bitio.Bitbuf.contents frame)
   in
   let rec recv () =
-    let r = Bitio.Bitreader.create (Commsim.Transport.recv chan) in
-    let parsed =
-      match
-        let seq = Bitio.Bitreader.read_bits r ~width:seq_width in
-        let tag = Bitio.Bitreader.read_blob r ~bits:tag_bits in
-        let payload = Bitio.Bitreader.read_blob r ~bits:(Bitio.Bitreader.remaining r) in
-        (seq, tag, payload)
-      with
-      | exception Bitio.Bitreader.Underflow -> raise (Corrupted "frame truncated")
-      | parsed -> parsed
-    in
-    let seq, tag, payload = parsed in
-    if not (Bitio.Bits.equal tag (Strhash.apply h (Bitio.Bits.concat (seq_bits seq) payload)))
-    then raise (Corrupted "frame fingerprint mismatch")
+    Bitio.Bitreader.reset reader (Commsim.Transport.recv chan);
+    if Bitio.Bitreader.remaining reader < seq_width + tag_bits then
+      raise (Corrupted "frame truncated");
+    let seq = Bitio.Bitreader.read_bits reader ~width:seq_width in
+    let tag = Bitio.Bitreader.read_bits reader ~width:tag_bits in
+    let payload = Bitio.Bitreader.read_blob reader ~bits:(Bitio.Bitreader.remaining reader) in
+    if tag <> fingerprint seq payload then raise (Corrupted "frame fingerprint mismatch")
     else if seq < !next_recv then recv () (* duplicate of a consumed frame *)
     else if seq > !next_recv then
       raise (Corrupted (Printf.sprintf "sequence gap: got %d, expected %d" seq !next_recv))

@@ -70,9 +70,12 @@ exception Corrupted of string
 (** [guard rng ~tag_bits chan] wraps [chan] in the resilient framing
     described above.  Both parties must call it with generators in
     identical states (the fingerprint function is drawn from shared
-    randomness) and the same [tag_bits].  Adds [20 + tag_bits] bits per
+    randomness) and the same [tag_bits], which must lie in [\[1, 62\]]
+    (raises [Invalid_argument] otherwise).  Adds [20 + tag_bits] bits per
     message; undetected corruption probability is [~2^-tag_bits] per
-    message. *)
+    message.  The receiving side is total on adversarial input: any frame
+    it cannot accept — too short for its header, a fingerprint mismatch,
+    a sequence gap — raises {!Corrupted}, never a codec exception. *)
 val guard : Prng.Rng.t -> tag_bits:int -> Commsim.Transport.t -> Commsim.Transport.t
 
 (** Why one attempt failed. *)

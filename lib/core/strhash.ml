@@ -127,6 +127,10 @@ let int_tag fn x =
   if fn.bits > 62 then invalid_arg "Strhash.int_tag: bits";
   lanes_int_tag fn.lanes ~pos:0 ~bits:fn.bits x
 
+let range_int_tag fn payload ~pos ~len =
+  if fn.bits > 62 then invalid_arg "Strhash.range_int_tag: bits";
+  lanes_int_tag fn.lanes ~pos:0 ~bits:fn.bits (fingerprint fn.point payload ~pos ~len)
+
 (* A tag of at most 62 bits has at most two lanes: [a; b] each. *)
 let int_fn_slots = 4
 

@@ -45,6 +45,14 @@ val write_int : fn -> Bitio.Bitbuf.t -> int -> unit
     [x] in [\[0, 2^60)].  Lets tag tables key on native ints. *)
 val int_tag : fn -> int -> int
 
+(** [range_int_tag fn payload ~pos ~len] is [apply fn] on the bits
+    [\[pos, pos + len)] of [payload], as the integer {!int_tag} would give:
+    a range tags exactly like a payload holding just its bits, and the
+    tag comes back as a native int without building it.  Requires
+    [bits fn <= 62]; raises [Invalid_argument] unless the range lies
+    inside [payload]. *)
+val range_int_tag : fn -> Bitio.Bits.t -> pos:int -> len:int -> int
+
 (** {2 Flat int-tag functions}
 
     A run that keeps many narrow tag functions alive at once stores each

@@ -84,7 +84,32 @@ val bool : t -> bool
 (** Uniform in [\[0, 1)]. *)
 val float : t -> float
 
+(** [bernoulli t ~p] is [float t < p]; raises [Invalid_argument] unless
+    [0 <= p <= 1]. *)
 val bernoulli : t -> p:float -> bool
+
+(** {2 Integer Bernoulli decisions}
+
+    [threshold ~p] is [ceil (p * 2^53)], in [\[0, 2^53\]]; [p] must lie
+    in [\[0, 1\]].  Since a 53-bit draw [v] gives [float t = v / 2^53]
+    exactly, [float t < p] holds iff [v < threshold ~p]: the decisions
+    below are draw-for-draw those of {!bernoulli}, on integers.  Note that
+    [threshold ~p > 0] iff [p > 0]. *)
+val threshold : p:float -> int
+
+(** [below t threshold] is [bernoulli t ~p] for [threshold = threshold ~p]:
+    one draw. *)
+val below : t -> int -> bool
+
+(** [scan_below t ~threshold ~limit] runs up to [limit] of the decisions
+    {!below} would make and stops at the first success: it returns that
+    decision's 0-based index, having consumed exactly [index + 1] draws,
+    or [limit] after consuming [limit] draws when none succeeds.  So a
+    loop of [below] calls over [n] positions is the same as repeated scans
+    that resume after each success — same successes, same final generator
+    state — with no allocation and the generator state kept out of
+    memory. *)
+val scan_below : t -> threshold:int -> limit:int -> int
 
 (** [geometric t ~p] is the number of failures before the first success of a
     Bernoulli([p]) sequence; [0 < p <= 1]. *)

@@ -34,6 +34,25 @@ let step t =
   t.lo <- lo32 s;
   set_out t (mix64 s)
 
+(* The state and the last output stay in unboxed [Int64] locals for the
+   whole scan and are stored back once, so a scan of any length allocates
+   nothing and leaves [t] exactly as that many [step]s would. *)
+let scan_below t ~threshold ~limit =
+  let s = ref (join t.hi t.lo) and z = ref 0L in
+  let i = ref 0 and found = ref false in
+  while (not !found) && !i < limit do
+    s := Int64.add !s 0x9E3779B97F4A7C15L;
+    z := mix64 !s;
+    if Int64.to_int (Int64.shift_right_logical !z 11) < threshold then found := true
+    else incr i
+  done;
+  if !found || !i > 0 then begin
+    t.hi <- hi32 !s;
+    t.lo <- lo32 !s;
+    set_out t !z
+  end;
+  !i
+
 let out_hi t = t.out_hi
 let out_lo t = t.out_lo
 

@@ -20,6 +20,14 @@ val out_hi : t -> int
 
 val out_lo : t -> int
 
+(** [scan_below t ~threshold ~limit] steps [t] until an output's top 53
+    bits fall below [threshold], examining at most [limit] outputs.  It
+    returns the 0-based index of that output, having consumed exactly
+    [index + 1] steps, or [limit] (having consumed [limit] steps) when none
+    of them qualifies.  Leaves [t] — state and {!out_hi}/{!out_lo} — as
+    the same number of {!step}s would, and allocates nothing. *)
+val scan_below : t -> threshold:int -> limit:int -> int
+
 (** Stateless single-step mix, used for seed derivation. *)
 val mix : int64 -> int64
 

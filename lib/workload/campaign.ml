@@ -80,7 +80,7 @@ let tally =
           rejected = 0;
           lost = 0;
           crashed = 0;
-          damage = Commsim.Faults.zero_tally;
+          damage = Commsim.Faults.zero_tally ();
           rounds_max = 0;
           bits = Obsv.Sketch.create ();
           first_failure = None;
