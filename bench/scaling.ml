@@ -16,10 +16,11 @@
    - [alloc]: the allocations-per-trial probe on the pooled hot path
      (bucket, k = 1024, sequential): bytes/trial and major
      collections/trial, with the reduction ratio against the committed
-     seed baseline.  [alloc_gate] probes the same way three cases —
-     bucket k = 1024, tree-log-star k = 4096 and one guarded bucket
-     attempt at k = 256 over a noisy link — and exits non-zero if any
-     case's bytes/trial exceeds its gate baseline by more than 2%.
+     seed baseline.  [alloc_gate] probes the same way four cases —
+     bucket k = 1024, tree-log-star k = 4096, one guarded bucket
+     attempt at k = 256 over a noisy link, and a one-round k = 64 plus a
+     tree-r2 k = 16 Conform trial — and exits non-zero if any case's
+     bytes/trial exceeds its gate baseline by more than 2%.
 
    The JSON records [cores] (Domain.recommended_domain_count) because
    speedup is bounded by the cores actually available: on a single-core
@@ -119,14 +120,17 @@ let protocol_trial ~k protocol () =
    the perf session-noisy workload's link, each trial on its own seeded
    plan; the baseline once guard frames were built word by word and the
    fault draws became integer threshold scans (451 180 bytes/trial
-   before). *)
+   before).
+   All three fell again (from 757 358, 1 227 896 and 218 538) when pair
+   generation stopped sorting its two sets and the primality test behind
+   every [Carter_wegman.create] stopped allocating. *)
 let bucket_case =
   {
     name = "bucket";
     label = "bench/scaling/alloc";
     k = 1024;
     trial = protocol_trial ~k:1024 (fun () -> Bucket_protocol.protocol ~k:1024 ());
-    baseline = 757_358.0;
+    baseline = 743_197.0;
   }
 
 let tree_case =
@@ -135,7 +139,7 @@ let tree_case =
     label = "bench/scaling/alloc/tree";
     k = 4096;
     trial = protocol_trial ~k:4096 (fun () -> Tree_protocol.protocol_log_star ~k:4096 ());
-    baseline = 1_227_896.0;
+    baseline = 1_183_888.0;
   }
 
 let guarded_attempt_trial () =
@@ -163,10 +167,38 @@ let guarded_case =
     label = "bench/scaling/alloc/guarded";
     k = 256;
     trial = guarded_attempt_trial;
-    baseline = 218_538.0;
+    baseline = 210_866.0;
   }
 
-let alloc_cases = [ bucket_case; tree_case; guarded_case ]
+(* The small-k trial path Conform and the sweep run: one one-round k=64
+   trial and one tree-r2 k=16 trial, each with its set generation and
+   exactness check; the baseline once Iset's kernels were int-specialised,
+   pair generation stopped sorting and one-round's tag table went flat
+   (37 884 bytes/trial before). *)
+let conform_smallk_trial () =
+  let cache = Engine.Instance_cache.create () and universe = 1 lsl universe_bits in
+  let one_round = Workload.Conform.entry_of_name "one-round"
+  and tree_r2 = Workload.Conform.entry_of_name "tree-r2" in
+  fun stream i ->
+    let rng = Engine.Seed_stream.trial_rng stream (i + 1) in
+    ignore
+      (Sys.opaque_identity
+         (one_round.Workload.Conform.trial ~cache (Prng.Rng.with_label rng "one-round") ~universe
+            ~k:64));
+    ignore
+      (Sys.opaque_identity
+         (tree_r2.Workload.Conform.trial ~cache (Prng.Rng.with_label rng "tree-r2") ~universe ~k:16))
+
+let conform_smallk_case =
+  {
+    name = "conform-smallk";
+    label = "bench/scaling/alloc/conform-smallk";
+    k = 64;
+    trial = conform_smallk_trial;
+    baseline = 31_284.0;
+  }
+
+let alloc_cases = [ bucket_case; tree_case; guarded_case; conform_smallk_case ]
 
 type alloc_measure = {
   alloc_bytes_per_trial : float;
@@ -215,9 +247,9 @@ let alloc_json (a : alloc_measure) =
     ]
 
 (* Tier1's allocation-regression gate: fail any build whose bucket
-   k=1024 trial, tree-log-star k=4096 trial or guarded bucket k=256
-   attempt allocates more than its case's baseline plus the
-   tolerance. *)
+   k=1024 trial, tree-log-star k=4096 trial, guarded bucket k=256
+   attempt or small-k Conform pair of trials allocates more than its
+   case's baseline plus the tolerance. *)
 let alloc_gate () =
   let within case =
     let a = alloc_probe case in

@@ -8,20 +8,40 @@ let tag_bits ~m ~failure = tag_bits_for ~failure ~m
 let write_tags buf fn set = Array.iter (fun x -> Strhash.write_int fn buf x) set
 
 (* Tags of at most 62 bits are keyed by their native-int value (what
-   [Strhash.int_tag] computes), wider ones by the canonical string of the
-   tag bits. *)
-type tag_table = Ints of (int, unit) Hashtbl.t | Keys of (string, unit) Hashtbl.t
+   [Strhash.int_tag] computes) in one flat open-addressing table: a
+   power-of-two capacity at least twice the count, [-1] (never a tag) in
+   the empty slots, linear probing from a multiplicative slot that takes
+   the top [63 - shift] bits of [tag * odd constant].  Wider tags are
+   keyed by the canonical string of the tag bits. *)
+type tag_table = Ints of { slots : int array; shift : int } | Keys of (string, unit) Hashtbl.t
+
+(* The slot holding [tag], or the empty slot where it would go. *)
+let probe slots ~shift tag =
+  let mask = Array.length slots - 1 in
+  let i = ref ((tag * 0x2545F4914F6CDD1D) lsr shift) in
+  while
+    let v = slots.(!i) in
+    v <> tag && v <> -1
+  do
+    i := (!i + 1) land mask
+  done;
+  !i
 
 (* A count read off the wire must fail fast, not size a table: [count]
    tags of [bits] bits each must still be in the payload. *)
 let read_tag_keys reader ~bits ~count =
   if count > Bitio.Bitreader.remaining reader / max 1 bits then raise Bitio.Bitreader.Underflow;
   if bits <= 62 then begin
-    let table = Hashtbl.create (2 * count) in
-    for _ = 1 to count do
-      Hashtbl.replace table (Bitio.Bitreader.read_bits reader ~width:bits) ()
+    let log_cap = ref 1 in
+    while 1 lsl !log_cap < 2 * count do
+      incr log_cap
     done;
-    Ints table
+    let slots = Array.make (1 lsl !log_cap) (-1) and shift = 63 - !log_cap in
+    for _ = 1 to count do
+      let tag = Bitio.Bitreader.read_bits reader ~width:bits in
+      slots.(probe slots ~shift tag) <- tag
+    done;
+    Ints { slots; shift }
   end
   else begin
     let table = Hashtbl.create (2 * count) in
@@ -33,7 +53,9 @@ let read_tag_keys reader ~bits ~count =
 
 let tag_matches fn table x =
   match table with
-  | Ints table -> Hashtbl.mem table (Strhash.int_tag fn x)
+  | Ints { slots; shift } ->
+      let tag = Strhash.int_tag fn x in
+      slots.(probe slots ~shift tag) = tag
   | Keys table -> Hashtbl.mem table (Bitio.Bits.key (Strhash.apply_int fn x))
 
 let filter_by_tags fn table set = Iset.filter (tag_matches fn table) set

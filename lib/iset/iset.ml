@@ -58,76 +58,131 @@ let of_list l = sort_uniq_in_place (Array.of_list l)
 
 let of_array a = sort_uniq_in_place (Array.copy a)
 
-let is_valid a =
+let is_valid (a : int array) =
   let n = Array.length a in
-  let rec loop i = i >= n || (a.(i - 1) < a.(i) && loop (i + 1)) in
-  loop 1
+  let ok = ref true and i = ref 1 in
+  while !ok && !i < n do
+    ok := a.(!i - 1) < a.(!i);
+    incr i
+  done;
+  !ok
 
 let cardinal = Array.length
 
-let mem a x =
-  let rec search lo hi =
-    if lo >= hi then false
-    else begin
-      let mid = (lo + hi) / 2 in
-      if a.(mid) = x then true else if a.(mid) < x then search (mid + 1) hi else search lo mid
-    end
-  in
-  search 0 (Array.length a)
+let mem (a : int array) (x : int) =
+  let lo = ref 0 and hi = ref (Array.length a) and found = ref false in
+  while (not !found) && !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    let v = a.(mid) in
+    if v = x then found := true else if v < x then lo := mid + 1 else hi := mid
+  done;
+  !found
 
-let equal a b = a = b
+let equal (a : int array) (b : int array) =
+  let n = Array.length a in
+  n = Array.length b
+  &&
+  let i = ref 0 in
+  while !i < n && a.(!i) = b.(!i) do
+    incr i
+  done;
+  !i = n
 
-(* Generic sorted merge; [keep] decides membership in the result from
-   (in_a, in_b).  Two passes over the inputs — count, then fill an
-   exactly-sized array — instead of accumulating a list: set algebra runs
-   inside every trial, and the cons-cell churn was a measurable slice of
-   the per-trial allocation profile. *)
-let merge keep a b =
+(* The set algebra below runs inside every trial.  Each operation is a
+   direct int merge: one walk counts the common elements, which sizes the
+   result exactly (|a ∩ b|, |a| + |b| - |a ∩ b|, |a| - |a ∩ b|), and a
+   second walk fills it.  No per-element closure, no boxed cursor. *)
+let common (a : int array) (b : int array) =
   let la = Array.length a and lb = Array.length b in
-  let scan fill out =
-    let n = ref 0 and i = ref 0 and j = ref 0 in
-    let push x =
-      if fill then out.(!n) <- x;
-      incr n
-    in
-    while !i < la || !j < lb do
-      if !i >= la then begin
-        if keep false true then push b.(!j);
-        incr j
-      end
-      else if !j >= lb then begin
-        if keep true false then push a.(!i);
-        incr i
-      end
-      else if a.(!i) = b.(!j) then begin
-        if keep true true then push a.(!i);
-        incr i;
-        incr j
-      end
-      else if a.(!i) < b.(!j) then begin
-        if keep true false then push a.(!i);
-        incr i
-      end
-      else begin
-        if keep false true then push b.(!j);
-        incr j
-      end
-    done;
-    !n
-  in
-  let n = scan false empty in
+  let i = ref 0 and j = ref 0 and n = ref 0 in
+  while !i < la && !j < lb do
+    let x = a.(!i) and y = b.(!j) in
+    if x = y then begin
+      incr n;
+      incr i;
+      incr j
+    end
+    else if x < y then incr i
+    else incr j
+  done;
+  !n
+
+let inter (a : int array) (b : int array) =
+  let n = common a b in
   if n = 0 then empty
   else begin
     let out = Array.make n 0 in
-    ignore (scan true out);
+    let i = ref 0 and j = ref 0 and k = ref 0 in
+    while !k < n do
+      let x = a.(!i) and y = b.(!j) in
+      if x = y then begin
+        out.(!k) <- x;
+        incr k;
+        incr i;
+        incr j
+      end
+      else if x < y then incr i
+      else incr j
+    done;
     out
   end
 
-let inter a b = merge (fun in_a in_b -> in_a && in_b) a b
-let union a b = merge (fun in_a in_b -> in_a || in_b) a b
-let diff a b = merge (fun in_a in_b -> in_a && not in_b) a b
+let union (a : int array) (b : int array) =
+  let la = Array.length a and lb = Array.length b in
+  let n = la + lb - common a b in
+  if n = 0 then empty
+  else begin
+    let out = Array.make n 0 in
+    let i = ref 0 and j = ref 0 and k = ref 0 in
+    while !i < la && !j < lb do
+      let x = a.(!i) and y = b.(!j) in
+      if x <= y then begin
+        out.(!k) <- x;
+        incr i;
+        if x = y then incr j
+      end
+      else begin
+        out.(!k) <- y;
+        incr j
+      end;
+      incr k
+    done;
+    Array.blit a !i out !k (la - !i);
+    Array.blit b !j out (!k + la - !i) (lb - !j);
+    out
+  end
 
-let subset a b = Array.length (diff a b) = 0
+let diff (a : int array) (b : int array) =
+  let la = Array.length a and lb = Array.length b in
+  let n = la - common a b in
+  if n = 0 then empty
+  else begin
+    let out = Array.make n 0 in
+    let i = ref 0 and j = ref 0 and k = ref 0 in
+    while !i < la do
+      let x = a.(!i) in
+      while !j < lb && b.(!j) < x do
+        incr j
+      done;
+      if !j < lb && b.(!j) = x then incr j
+      else begin
+        out.(!k) <- x;
+        incr k
+      end;
+      incr i
+    done;
+    out
+  end
+
+(* Every element of [a] occurs in [b]: one merge walk, no allocation. *)
+let subset (a : int array) (b : int array) =
+  let la = Array.length a and lb = Array.length b in
+  let i = ref 0 and j = ref 0 in
+  while !i < la && !j < lb && a.(!i) >= b.(!j) do
+    if a.(!i) = b.(!j) then incr i;
+    incr j
+  done;
+  !i = la
 
 (* [p] runs once per element (it may be a hash-and-lookup): the verdicts
    go to a byte mask, then the survivors to an exactly sized array. *)

@@ -120,8 +120,7 @@ let bits t ~width =
   end
 
 (* Top-level rejection loop: a local [let rec] closure would allocate its
-   environment on every [int] call (and [shuffle] makes one call per
-   element). *)
+   environment on every [int] call. *)
 let rec reject t ~width bound =
   let v = bits t ~width in
   if v < bound then v else reject t ~width bound
@@ -166,10 +165,29 @@ let geometric t ~p =
     int_of_float (Float.floor (log u /. log (1.0 -. p)))
   end
 
+(* Fisher-Yates with the draws of [int t (i + 1)] for [i] from [n - 1]
+   down to 1, inlined: [bit_width i] changes only when [i] falls below a
+   power of two, so the width is tracked rather than recomputed, and the
+   rejection loop steps the generator directly. *)
 let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
+  let n = Array.length a in
+  if n > 1 then begin
+    let g = t.gen in
+    let width = ref (Bitio.Codes.bit_width (n - 1)) in
+    for i = n - 1 downto 1 do
+      if i < 1 lsl (!width - 1) then decr width;
+      let w = !width in
+      let j = ref (i + 1) in
+      while !j > i do
+        Splitmix64.step g;
+        let hi = Splitmix64.out_hi g in
+        j :=
+          if w <= 32 then hi lsr (32 - w)
+          else (hi lsl (w - 32)) lor (Splitmix64.out_lo g lsr (64 - w))
+      done;
+      let j = !j in
+      let tmp = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- tmp
+    done
+  end

@@ -5,25 +5,30 @@ let is_sorted_set = Iset.is_valid
 (* Floyd's sampling: a uniform [size]-subset of [0, universe) in O(size)
    expected time, independent of the universe.  Membership lives in a flat
    linear-probing table (power-of-two capacity, load <= 1/2, -1 empty) —
-   one scratch array instead of Hashtbl's per-entry buckets, which
-   dominated the input-generation slice of the per-trial allocation
-   profile.  Same draw sequence, same sorted output as the Hashtbl
-   formulation. *)
+   one scratch array instead of Hashtbl's per-entry buckets.  The home
+   slot is the top bits of [x], monotone in [x], so the table read in
+   slot order is already sorted but for the order inside a run and a run
+   that wraps: the sort that follows meets nearly sorted input, where its
+   insertion runs barely move and its merges are skipped.  Same draw
+   sequence, same sorted output as the Hashtbl formulation. *)
 let random_set rng ~universe ~size =
   if size < 0 || size > universe then invalid_arg "Setgen.random_set";
   if size = 0 then [||]
   else begin
-    let cap = ref 16 in
-    while !cap < 2 * size do
-      cap := !cap * 2
+    let log_cap = ref 4 in
+    while 1 lsl !log_cap < 2 * size do
+      incr log_cap
     done;
-    let cap = !cap in
+    let value_bits = ref 1 in
+    while (universe - 1) lsr !value_bits <> 0 do
+      incr value_bits
+    done;
+    let shift = max 0 (!value_bits - !log_cap) in
+    let cap = 1 lsl !log_cap in
     let mask = cap - 1 in
     let table = Array.make cap (-1) in
-    (* Fibonacci-style multiplicative spread; any deterministic hash works
-       here — the table only answers membership, never drives a draw. *)
     let slot x =
-      let i = ref ((x * 0x2545F4914F6CDD1D) lsr 40 land mask) in
+      let i = ref ((x lsr shift) land mask) in
       while table.(!i) <> -1 && table.(!i) <> x do
         i := (!i + 1) land mask
       done;
@@ -36,34 +41,53 @@ let random_set rng ~universe ~size =
     done;
     let out = Array.make size 0 in
     let pos = ref 0 in
-    Array.iter
-      (fun x ->
-        if x >= 0 then begin
-          out.(!pos) <- x;
-          incr pos
-        end)
-      table;
+    for i = 0 to cap - 1 do
+      let x = table.(i) in
+      if x >= 0 then begin
+        out.(!pos) <- x;
+        incr pos
+      end
+    done;
     Iset.of_array out
   end
 
+(* Shuffling [elements] and splitting the shuffled prefix would leave [s]
+   and [t] to be sorted again.  The shuffle's swaps depend only on the
+   draws, so the same draws shuffle an index permutation of the sorted
+   support instead: position [p] of the shuffle holds [elements.(perm.(p))].
+   The positions [s] takes (the first [size_s]) and [t] takes (the first
+   [overlap], then the [size_t - overlap] after [size_s]) mark their
+   indices, and reading [elements] in index order yields both sets
+   sorted. *)
 let pair_with_overlap rng ~universe ~size_s ~size_t ~overlap =
   if overlap < 0 || overlap > min size_s size_t then invalid_arg "Setgen.pair_with_overlap: overlap";
   let support = size_s + size_t - overlap in
   if support > universe then invalid_arg "Setgen.pair_with_overlap: universe too small";
   let elements = random_set rng ~universe ~size:support in
-  Prng.Rng.shuffle rng elements;
+  let perm = Array.init support Fun.id in
+  Prng.Rng.shuffle rng perm;
+  (* bit 0: in [s]; bit 1: in [t] *)
+  let owner = Bytes.make support '\000' in
+  for p = 0 to size_s - 1 do
+    Bytes.unsafe_set owner perm.(p) (if p < overlap then '\003' else '\001')
+  done;
+  for p = size_s to support - 1 do
+    Bytes.unsafe_set owner perm.(p) '\002'
+  done;
   let s = Array.make size_s 0 and t = Array.make size_t 0 in
-  for i = 0 to overlap - 1 do
-    s.(i) <- elements.(i);
-    t.(i) <- elements.(i)
+  let si = ref 0 and ti = ref 0 in
+  for x = 0 to support - 1 do
+    let o = Char.code (Bytes.unsafe_get owner x) in
+    if o land 1 <> 0 then begin
+      s.(!si) <- elements.(x);
+      incr si
+    end;
+    if o land 2 <> 0 then begin
+      t.(!ti) <- elements.(x);
+      incr ti
+    end
   done;
-  for i = overlap to size_s - 1 do
-    s.(i) <- elements.(i)
-  done;
-  for i = overlap to size_t - 1 do
-    t.(i) <- elements.(size_s - overlap + i)
-  done;
-  { s = Iset.of_array s; t = Iset.of_array t }
+  { s; t }
 
 let zipf_cumulative ~universe ~exponent =
   let cumulative = Array.make universe 0.0 in

@@ -217,6 +217,44 @@ let prop_basic_sandwich =
       let expected = Iset.inter s t in
       Iset.subset s' s && Iset.subset t' t && Iset.subset expected s' && Iset.subset expected t')
 
+(* The flat int tag table against a Hashtbl of the peer's int tags:
+   narrow widths (many duplicate tags), the full 62 bits, and count 0. *)
+let test_flat_tag_table () =
+  List.iter
+    (fun (bits, count) ->
+      let rng = Prng.Rng.of_int ((100 * bits) + count) in
+      let fn = Strhash.create rng ~bits in
+      (* repeated elements as well as repeated tags *)
+      let theirs = Array.init count (fun i -> (i * 7919) mod (max 1 (count / 2 * 3))) in
+      let sent = Bitio.Pool.payload (fun buf -> Basic_intersection.write_tags buf fn theirs) in
+      let table = Basic_intersection.read_tag_keys (Bitio.Bitreader.create sent) ~bits ~count in
+      let reference = Hashtbl.create 16 in
+      Array.iter (fun x -> Hashtbl.replace reference (Strhash.int_tag fn x) ()) theirs;
+      for x = 0 to 3000 do
+        if
+          Basic_intersection.tag_matches fn table x
+          <> Hashtbl.mem reference (Strhash.int_tag fn x)
+        then Alcotest.failf "%d-bit table, count %d: disagree at %d" bits count x
+      done)
+    [ (4, 0); (4, 1); (4, 40); (8, 300); (13, 1000); (40, 257); (62, 0); (62, 1); (62, 500) ]
+
+(* A forged count fails before the flat table is sized: [Underflow], and
+   no allocation beyond a few words. *)
+let test_flat_tag_table_forged_count () =
+  let payload = Bitio.Pool.payload (fun buf -> Bitio.Bitbuf.write_bits buf ~width:30 12345) in
+  List.iter
+    (fun count ->
+      let reader = Bitio.Bitreader.create payload in
+      Gc.minor ();
+      let b0 = Gc.allocated_bytes () in
+      (match Basic_intersection.read_tag_keys reader ~bits:20 ~count with
+      | _ -> Alcotest.failf "forged count %d accepted" count
+      | exception Bitio.Bitreader.Underflow -> ());
+      Gc.minor ();
+      let bytes = Gc.allocated_bytes () -. b0 in
+      check_bool (Printf.sprintf "count %d: %.0f bytes" count bytes) true (bytes < 1024.0))
+    [ 2; 1000; 1 lsl 40 ]
+
 let test_tag_bits_monotone () =
   let b1 = Basic_intersection.tag_bits ~m:10 ~failure:0.1 in
   let b2 = Basic_intersection.tag_bits ~m:10 ~failure:0.001 in
@@ -405,6 +443,8 @@ let () =
           Alcotest.test_case "rounds" `Quick test_basic_rounds;
           Alcotest.test_case "disjoint stays disjoint" `Quick test_basic_disjoint_never_intersect;
           Alcotest.test_case "tag bits monotone" `Quick test_tag_bits_monotone;
+          Alcotest.test_case "flat tag table" `Quick test_flat_tag_table;
+          Alcotest.test_case "flat table forged count" `Quick test_flat_tag_table_forged_count;
           qt prop_basic_sandwich;
         ] );
       ( "vtree",

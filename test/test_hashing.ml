@@ -68,6 +68,41 @@ let test_prime_sieve_agreement () =
     if Prime.is_prime i <> sieve.(i) then Alcotest.failf "disagree at %d" i
   done
 
+(* Trial division: the reference for the native/wide boundary. *)
+let trial_division_prime n =
+  n >= 2
+  &&
+  let rec no_divisor d = d * d > n || (n mod d <> 0 && no_divisor (d + 1)) in
+  no_divisor 2
+
+(* Below 2^31 [is_prime] runs the native Miller-Rabin, above it the
+   overflow-safe one: every n within 2000 of 2^31 against trial
+   division. *)
+let test_prime_native_boundary () =
+  (* Strong pseudoprimes to two of the native bases 2, 7 and 61 (2 and 7,
+     2 and 61, 7 and 61): each base is needed. *)
+  List.iter
+    (fun n -> check_bool (string_of_int n) false (Prime.is_prime n))
+    [ 2_269_093; 916_327; 79_381 ];
+  let b = 1 lsl 31 in
+  for n = b - 2000 to b + 2000 do
+    if Prime.is_prime n <> trial_division_prime n then Alcotest.failf "disagree at %d" n
+  done
+
+let reference_next_prime n =
+  let rec go n = if trial_division_prime n then n else go (n + 1) in
+  go n
+
+(* 2^20 is the sweep's universe; k^3 for k = 16 .. 1024 are the universes
+   bucket reduces to, 1024^3 = 2^30 the last native one. *)
+let test_next_prime_protocol_moduli () =
+  check "2^20" 1_048_583 (Prime.next_prime (1 lsl 20));
+  List.iter
+    (fun k ->
+      let n = k * k * k in
+      check (Printf.sprintf "%d^3" k) (reference_next_prime n) (Prime.next_prime n))
+    [ 4; 16; 64; 256; 1024 ]
+
 let test_large_primes () =
   (* Known 45-bit prime: 2^45 - 229 is composite? Use verified pair instead:
      2^31 - 1 (Mersenne) is prime; 2^32 + 1 = 641 * 6700417 is not. *)
@@ -211,6 +246,8 @@ let () =
           Alcotest.test_case "sieve agreement" `Quick test_prime_sieve_agreement;
           Alcotest.test_case "large primes" `Quick test_large_primes;
           Alcotest.test_case "next_prime" `Quick test_next_prime;
+          Alcotest.test_case "native boundary" `Quick test_prime_native_boundary;
+          Alcotest.test_case "next_prime protocol moduli" `Quick test_next_prime_protocol_moduli;
           Alcotest.test_case "random_prime" `Quick test_random_prime;
         ] );
       ( "families",

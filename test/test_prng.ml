@@ -119,6 +119,28 @@ let test_shuffle_permutes () =
   Alcotest.(check (array int)) "same elements" (Array.init 100 (fun i -> i)) sorted;
   check_bool "actually moved something" true (a <> Array.init 100 (fun i -> i))
 
+(* [shuffle] tracks the draw width instead of recomputing it, so lengths
+   0..300 cross every power-of-two boundary the width changes at.  The
+   reference swaps position [i] with [Rng.int t (i + 1)] for [i] from the
+   top down: the permutation and the generator's final state must both
+   match. *)
+let test_shuffle_matches_per_element () =
+  for n = 0 to 300 do
+    for seed = 1 to 4 do
+      let mine = Rng.of_int ((1000 * seed) + n) and theirs = Rng.of_int ((1000 * seed) + n) in
+      let a = Array.init n Fun.id and b = Array.init n Fun.id in
+      Rng.shuffle mine a;
+      for i = n - 1 downto 1 do
+        let j = Rng.int theirs (i + 1) in
+        let tmp = b.(i) in
+        b.(i) <- b.(j);
+        b.(j) <- tmp
+      done;
+      Alcotest.(check (array int)) (Printf.sprintf "permutation n=%d" n) b a;
+      Alcotest.(check int64) (Printf.sprintf "final state n=%d" n) (Rng.int64 theirs) (Rng.int64 mine)
+    done
+  done
+
 let prop_int_in_bounds =
   QCheck.Test.make ~name:"Rng.int always in bounds" ~count:1000
     QCheck.(pair small_signed_int (int_range 1 1_000_000))
@@ -228,6 +250,7 @@ let () =
           Alcotest.test_case "bernoulli mean" `Quick test_bernoulli_mean;
           Alcotest.test_case "geometric mean" `Quick test_geometric_mean;
           Alcotest.test_case "shuffle permutes" `Quick test_shuffle_permutes;
+          Alcotest.test_case "shuffle = per-element int" `Quick test_shuffle_matches_per_element;
           qt prop_int_in_bounds;
         ] );
       ( "bernoulli thresholds",

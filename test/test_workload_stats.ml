@@ -81,6 +81,83 @@ let prop_pair_overlap_exact =
       Array.length (Workload.Setgen.intersect pair.Workload.Setgen.s pair.Workload.Setgen.t)
       = overlap)
 
+(* The formulation [pair_with_overlap] and [random_set] replaced, kept as
+   the reference: Floyd's sampling into a Hashtbl, a sort, a value
+   shuffle by one [Rng.int] per position, and [s]/[t] sorted from the
+   shuffled prefix.  The library draws the same values in the same order
+   and returns the same sets. *)
+let reference_random_set rng ~universe ~size =
+  let chosen = Hashtbl.create (2 * size) in
+  for j = universe - size to universe - 1 do
+    let t = Prng.Rng.int rng (j + 1) in
+    Hashtbl.replace chosen (if Hashtbl.mem chosen t then j else t) ()
+  done;
+  Array.of_list (List.sort compare (List.of_seq (Hashtbl.to_seq_keys chosen)))
+
+let reference_shuffle rng a =
+  for i = Array.length a - 1 downto 1 do
+    let j = Prng.Rng.int rng (i + 1) in
+    let tmp = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- tmp
+  done
+
+let reference_pair rng ~universe ~size_s ~size_t ~overlap =
+  let elements = reference_random_set rng ~universe ~size:(size_s + size_t - overlap) in
+  reference_shuffle rng elements;
+  let s = Array.sub elements 0 size_s in
+  let t = Array.append (Array.sub elements 0 overlap) (Array.sub elements size_s (size_t - overlap)) in
+  { Workload.Setgen.s = Iset.of_array s; t = Iset.of_array t }
+
+(* Shapes: random sizes, overlap 0 and overlap = min size, empty sides, and
+   universes from exactly the support up to 2^40. *)
+let pair_shape_gen =
+  QCheck.Gen.(
+    let* seed = int_bound 1_000_000 in
+    let* size_s = oneof [ return 0; int_bound 80 ] in
+    let* size_t = oneof [ return 0; int_bound 80 ] in
+    let* overlap =
+      let m = min size_s size_t in
+      oneof [ return 0; return m; int_bound m ]
+    in
+    let support = size_s + size_t - overlap in
+    let* universe =
+      oneof
+        [
+          return (max 1 support);
+          map (fun extra -> max 1 support + extra) (int_bound 64);
+          return (1 lsl 20);
+          return (1 lsl 40);
+        ]
+    in
+    return (seed, universe, size_s, size_t, overlap))
+
+let prop_pair_matches_reference =
+  QCheck.Test.make ~name:"pair_with_overlap = value-shuffle reference, same final state" ~count:500
+    (QCheck.make
+       ~print:(fun (seed, u, a, b, o) -> Printf.sprintf "seed=%d universe=%d |S|=%d |T|=%d overlap=%d" seed u a b o)
+       pair_shape_gen)
+    (fun (seed, universe, size_s, size_t, overlap) ->
+      let mine = rng seed and theirs = rng seed in
+      let got = Workload.Setgen.pair_with_overlap mine ~universe ~size_s ~size_t ~overlap in
+      let want = reference_pair theirs ~universe ~size_s ~size_t ~overlap in
+      got.Workload.Setgen.s = want.Workload.Setgen.s
+      && got.Workload.Setgen.t = want.Workload.Setgen.t
+      && Prng.Rng.int64 mine = Prng.Rng.int64 theirs)
+
+let test_random_set_matches_reference () =
+  List.iter
+    (fun (universe, size) ->
+      for seed = 1 to 20 do
+        let mine = rng seed and theirs = rng seed in
+        Alcotest.(check (array int))
+          (Printf.sprintf "universe %d size %d seed %d" universe size seed)
+          (reference_random_set theirs ~universe ~size)
+          (Workload.Setgen.random_set mine ~universe ~size);
+        Alcotest.(check int64) "final state" (Prng.Rng.int64 theirs) (Prng.Rng.int64 mine)
+      done)
+    [ (1, 1); (2, 1); (7, 7); (128, 64); (128, 128); (1000, 100); (1 lsl 20, 128); (1 lsl 40, 300) ]
+
 (* ---------- Iset (partition, many-way ops) ---------- *)
 
 let test_iset_partition_by () =
@@ -124,6 +201,62 @@ let test_iset_mem () =
   check_bool "first" true (Iset.mem s 1);
   check_bool "last" true (Iset.mem s 100);
   check_bool "empty" false (Iset.mem [||] 1)
+
+(* ---------- Iset kernels against a list reference ---------- *)
+
+let ref_of a = Array.to_list a
+let ref_inter a b = List.filter (fun x -> List.mem x b) a
+let ref_union a b = List.sort_uniq compare (a @ b)
+let ref_diff a b = List.filter (fun x -> not (List.mem x b)) a
+let ref_subset a b = List.for_all (fun x -> List.mem x b) a
+
+(* Pairs covering empty, singleton, identical, disjoint and negative-valued
+   sets, besides random overlapping ones. *)
+let iset_pair_gen =
+  QCheck.Gen.(
+    let set = list_size (int_bound 40) (int_range (-200) 200) >|= Iset.of_list in
+    oneof
+      [
+        pair set set;
+        (set >|= fun a -> (a, a));
+        (set >|= fun a -> (a, Iset.empty));
+        (set >|= fun a -> (Iset.empty, a));
+        return (Iset.empty, Iset.empty);
+        map2 (fun x y -> ([| x |], [| y |])) (int_range (-3) 3) (int_range (-3) 3);
+        (set >|= fun a -> (a, Array.map (fun x -> x + 401) a));
+        (set >|= fun a -> (Iset.filter (fun x -> x land 1 = 0) a, a));
+      ])
+
+let prop_iset_kernels =
+  QCheck.Test.make ~name:"Iset kernels = list reference" ~count:1000
+    (QCheck.make
+       ~print:QCheck.Print.(pair (array int) (array int))
+       iset_pair_gen)
+    (fun (a, b) ->
+      let la = ref_of a and lb = ref_of b in
+      let open Iset in
+      ref_of (inter a b) = ref_inter la lb
+      && ref_of (union a b) = ref_union la lb
+      && ref_of (diff a b) = ref_diff la lb
+      && subset a b = ref_subset la lb
+      && subset b a = ref_subset lb la
+      && equal a b = (la = lb)
+      && List.for_all (fun x -> mem a x = List.mem x la) (List.init 21 (fun i -> i - 10) @ lb))
+
+let prop_iset_is_valid =
+  QCheck.Test.make ~name:"is_valid = strictly increasing" ~count:1000
+    QCheck.(array_of_size Gen.(int_bound 12) (int_range (-5) 5))
+    (fun a ->
+      let rec increasing = function x :: (y :: _ as rest) -> x < y && increasing rest | _ -> true in
+      Iset.is_valid a = increasing (Array.to_list a))
+
+let test_iset_is_valid () =
+  check_bool "empty" true (Iset.is_valid [||]);
+  check_bool "singleton" true (Iset.is_valid [| -7 |]);
+  check_bool "sorted" true (Iset.is_valid [| -3; 0; 5 |]);
+  check_bool "unsorted" false (Iset.is_valid [| 1; 3; 2 |]);
+  check_bool "duplicate" false (Iset.is_valid [| 1; 2; 2; 3 |]);
+  check_bool "unsorted at the front" false (Iset.is_valid [| 2; 1 |])
 
 (* ---------- Summary ---------- *)
 
@@ -246,6 +379,8 @@ let () =
           Alcotest.test_case "zipf skew" `Quick test_zipf_skew_increases_overlap;
           Alcotest.test_case "family with core" `Quick test_family_with_core;
           qt prop_pair_overlap_exact;
+          Alcotest.test_case "random set = reference" `Quick test_random_set_matches_reference;
+          qt prop_pair_matches_reference;
         ] );
       ( "iset",
         [
@@ -254,6 +389,9 @@ let () =
           Alcotest.test_case "mem" `Quick test_iset_mem;
           qt prop_iset_algebra;
           qt prop_iset_mem_consistent;
+          Alcotest.test_case "is_valid" `Quick test_iset_is_valid;
+          qt prop_iset_is_valid;
+          qt prop_iset_kernels;
         ] );
       ( "summary",
         [
