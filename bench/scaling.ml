@@ -123,14 +123,18 @@ let protocol_trial ~k protocol () =
    before).
    All three fell again (from 757 358, 1 227 896 and 218 538) when pair
    generation stopped sorting its two sets and the primality test behind
-   every [Carter_wegman.create] stopped allocating. *)
+   every [Carter_wegman.create] stopped allocating.  Bucket and the
+   guarded attempt fell once more (from 743 197 and 210 866) when bucket
+   assignment went flat: one keys array and a counting sort in place of
+   k bucket arrays, the matched set read off the images without
+   extraction or sort. *)
 let bucket_case =
   {
     name = "bucket";
     label = "bench/scaling/alloc";
     k = 1024;
     trial = protocol_trial ~k:1024 (fun () -> Bucket_protocol.protocol ~k:1024 ());
-    baseline = 743_197.0;
+    baseline = 661_773.0;
   }
 
 let tree_case =
@@ -167,7 +171,7 @@ let guarded_case =
     label = "bench/scaling/alloc/guarded";
     k = 256;
     trial = guarded_attempt_trial;
-    baseline = 210_866.0;
+    baseline = 192_568.0;
   }
 
 (* The small-k trial path Conform and the sweep run: one one-round k=64

@@ -27,6 +27,12 @@ let read_bits t ~width =
   t.position <- t.position + width;
   v
 
+let peek t = Bits.extract t.bits ~pos:t.position ~width:(min 56 (remaining t))
+
+let skip t n =
+  if n < 0 || n > remaining t then raise Underflow;
+  t.position <- t.position + n
+
 (* Number of trailing one bits of [w >= 0]: [lnot w land (w + 1)] isolates
    the lowest zero bit, whose index a binary search finds. *)
 let trailing_ones w =

@@ -32,6 +32,14 @@ val read_bit : t -> bool
     [0, 62]. *)
 val read_bits : t -> width:int -> int
 
+(** [peek t] is the next [min 56 (remaining t)] bits as {!read_bits}
+    would return them (first bit lowest), zero above, without consuming
+    them: one word load.  Never raises. *)
+val peek : t -> int
+
+(** [skip t n] consumes [n] bits; raises [Underflow] past the end. *)
+val skip : t -> int -> unit
+
 (** [read_ones t] consumes the run of one bits at the current position and
     returns its length, a word at a time.  It stops before the first zero
     (left unread) or at the end of the payload; it never raises. *)

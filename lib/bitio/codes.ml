@@ -45,10 +45,28 @@ let write_gamma buf n =
     Bitbuf.write_bits buf ~width:(w - 1) (m land ((1 lsl (w - 1)) - 1))
   end
 
+(* [write_gamma] never writes a prefix over 61: 2^62 - 1 is past [max_int]
+   and a 62-bit tail past [read_bits]. *)
+let read_gamma_long r =
+  let z = read_unary r in
+  if z > 61 then raise Bitreader.Underflow;
+  let low = Bitreader.read_bits r ~width:z in
+  (low lor (1 lsl z)) - 1
+
+(* A codeword of at most 55 bits decodes from one load: its prefix [z] is
+   the count of trailing ones (the index of the lowest zero), and its low
+   bits sit right above the terminator.  The window reads zeros past the
+   end of the payload, so a codeword that took any of them would be
+   longer than what is left, and [skip] raises [Underflow] for it.  A
+   prefix of 28 or more takes the bit-by-bit path. *)
 let read_gamma r =
-  let w = read_unary r + 1 in
-  let low = Bitreader.read_bits r ~width:(w - 1) in
-  (low lor (1 lsl (w - 1))) - 1
+  let w = Bitreader.peek r in
+  let z = bit_width (lnot w land (w + 1)) - 1 in
+  if z < 28 then begin
+    Bitreader.skip r ((2 * z) + 1);
+    (((w lsr (z + 1)) land ((1 lsl z) - 1)) lor (1 lsl z)) - 1
+  end
+  else read_gamma_long r
 
 (* Delta of n >= 0 encodes m = n + 1: gamma of (width - 1), then the low
    (width - 1) bits of m. *)
@@ -72,6 +90,7 @@ let write_delta buf n =
 
 let read_delta r =
   let w = read_gamma r + 1 in
+  if w > 62 then raise Bitreader.Underflow;
   let low = Bitreader.read_bits r ~width:(w - 1) in
   (low lor (1 lsl (w - 1))) - 1
 

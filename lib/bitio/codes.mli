@@ -18,14 +18,19 @@ val read_unary : Bitreader.t -> int
 (** Elias gamma code of [n >= 0] ([2 * bit_width (n+1) - 1] bits). *)
 val write_gamma : Bitbuf.t -> int -> unit
 
-(** Decode one gamma value written by {!write_gamma}. *)
+(** Decode one gamma value written by {!write_gamma}.  Raises
+    {!Bitreader.Underflow} when the payload ends inside the codeword, and
+    on a unary prefix longer than 61, which {!write_gamma} never writes
+    (its value would pass [max_int]). *)
 val read_gamma : Bitreader.t -> int
 
 (** Elias delta code of [n >= 0]; asymptotically
     [log n + O(log log n)] bits. *)
 val write_delta : Bitbuf.t -> int -> unit
 
-(** Decode one delta value written by {!write_delta}. *)
+(** Decode one delta value written by {!write_delta}.  Raises
+    {!Bitreader.Underflow} on a truncated codeword and on a width no
+    {!write_delta} codeword has (its gamma part over 61). *)
 val read_delta : Bitreader.t -> int
 
 (** Golomb–Rice with parameter [k]: quotient in unary, remainder in [k]

@@ -32,8 +32,13 @@ let run_party ?sequential ?(reduce = true) role rng ~universe ~k chan mine =
     Bytes.set_int64_le word 0 (Int64.of_int image);
     Bitio.Bits.unsafe_of_bytes word ~length:width
   in
-  (* Draw buckets, exchange counts; retry together if the pair count is
-     extreme (both parties see the same counts, so they stay in lockstep). *)
+  (* Bucket assignment, flat: [keys.(j)] is image [j]'s bucket under the
+     current draw and [counts.(i)] bucket [i]'s size, both refilled in
+     place by a retry.  Draw buckets, exchange counts; retry together if
+     the pair count is extreme (both parties see the same counts, so they
+     stay in lockstep). *)
+  let n = Array.length images in
+  let keys = Array.make n 0 and counts = Array.make k 0 in
   let rec choose_buckets attempt =
     if attempt > 0 then Obsv.Metrics.incr "bucket/retries";
     let h =
@@ -41,10 +46,14 @@ let run_party ?sequential ?(reduce = true) role rng ~universe ~k chan mine =
         (Prng.Rng.with_label rng ("bucket/assign/" ^ string_of_int attempt))
         ~universe:n_reduced ~range:k
     in
-    let buckets = Iset.partition_by (Hashing.Carter_wegman.hash h) ~bins:k images in
-    let my_counts = Array.map Array.length buckets in
+    Array.fill counts 0 k 0;
+    for j = 0 to n - 1 do
+      let b = Hashing.Carter_wegman.hash h images.(j) in
+      keys.(j) <- b;
+      counts.(b) <- counts.(b) + 1
+    done;
     let counts_msg =
-      Bitio.Pool.payload (fun buf -> Array.iter (Bitio.Codes.write_gamma buf) my_counts)
+      Bitio.Pool.payload (fun buf -> Array.iter (Bitio.Codes.write_gamma buf) counts)
     in
     let their_counts =
       let read payload =
@@ -62,59 +71,85 @@ let run_party ?sequential ?(reduce = true) role rng ~universe ~k chan mine =
               read payload)
     in
     let pair_count = ref 0 in
-    Array.iteri (fun i c -> pair_count := !pair_count + (c * their_counts.(i))) my_counts;
+    Array.iteri (fun i c -> pair_count := !pair_count + (c * their_counts.(i))) counts;
     if !pair_count > instance_ceiling k && attempt < max_retries then choose_buckets (attempt + 1)
-    else (buckets, their_counts, !pair_count)
+    else (their_counts, !pair_count)
   in
-  let buckets, their_counts, pair_count = choose_buckets 0 in
-  Array.iter (fun bucket -> Obsv.Metrics.observe "bucket/occupancy" (Array.length bucket)) buckets;
-  (* Build the common instance table: for bucket i, the cross product of
+  let their_counts, pair_count = choose_buckets 0 in
+  Array.iter (Obsv.Metrics.observe "bucket/occupancy") counts;
+  (* Counting sort: bucket [i]'s images are [slots.(start.(i))] to
+     [slots.(start.(i) + counts.(i) - 1)], in increasing order. *)
+  let start = Array.make k 0 in
+  for i = 1 to k - 1 do
+    start.(i) <- start.(i - 1) + counts.(i - 1)
+  done;
+  let slots = Array.make n 0 in
+  Array.fill counts 0 k 0;
+  for j = 0 to n - 1 do
+    let b = keys.(j) in
+    slots.(start.(b) + counts.(b)) <- j;
+    counts.(b) <- counts.(b) + 1
+  done;
+  (* The common instance table: for bucket i, the cross product of
      Alice's and Bob's elements, in the canonical order both sides share —
-     bucket index, then Alice's rank, then Bob's rank.  Each party's input
-     to an instance is its own element's image encoding, encoded once per
-     element: Alice repeats each of hers across a row, Bob repeats his
-     whole row per Alice element.  The pair count is known from the
-     exchanged counts, so the tables are filled directly. *)
+     bucket index, then Alice's rank, then Bob's rank.  [walk f] calls [f
+     j first step count] for each of this party's images [j], bucket by
+     bucket in rank order: its instances are [first + t * step] for the
+     peer's ranks [t < count] — a run of a row for Alice, a column for
+     Bob. *)
+  let alice = match role with `Alice -> true | `Bob -> false in
+  let walk f =
+    let base = ref 0 in
+    for i = 0 to k - 1 do
+      let mine_count = counts.(i) and theirs = their_counts.(i) in
+      for m = 0 to mine_count - 1 do
+        let j = slots.(start.(i) + m) in
+        if alice then f j (!base + (m * theirs)) 1 theirs else f j (!base + m) mine_count theirs
+      done;
+      base := !base + (mine_count * theirs)
+    done
+  in
+  (* Each party's input to an instance is its own element's image
+     encoding, encoded once per element; the pair count is known from the
+     exchanged counts, so the table is filled directly. *)
   let instances = Array.make pair_count Bitio.Bits.empty in
-  let pos = ref 0 in
-  Array.iteri
-    (fun i bucket ->
-      let encoded = Array.map encode_image bucket in
-      let mine_count = Array.length bucket and theirs = their_counts.(i) in
-      match role with
-      | `Alice ->
-          for a = 0 to mine_count - 1 do
-            Array.fill instances !pos theirs encoded.(a);
-            pos := !pos + theirs
-          done
-      | `Bob ->
-          for _ = 1 to theirs do
-            Array.blit encoded 0 instances !pos mine_count;
-            pos := !pos + mine_count
-          done)
-    buckets;
-  Obsv.Metrics.set_gauge "bucket/instances" (Array.length instances);
+  walk (fun j first step count ->
+      if count > 0 then begin
+        let encoded = encode_image images.(j) in
+        for t = 0 to count - 1 do
+          instances.(first + (t * step)) <- encoded
+        done
+      end);
+  Obsv.Metrics.set_gauge "bucket/instances" pair_count;
   let eq_rng = Prng.Rng.with_label rng "bucket/eq-batch" in
   let verdicts =
-    Obsv.Trace.span Obsv.Phases.bucket_eq ~attrs:[ ("instances", string_of_int (Array.length instances)) ]
+    Obsv.Trace.span Obsv.Phases.bucket_eq ~attrs:[ ("instances", string_of_int pair_count) ]
       (fun () ->
         match role with
         | `Alice -> Eq_batch.run_alice ?sequential eq_rng chan instances
         | `Bob -> Eq_batch.run_bob ?sequential eq_rng chan instances)
   in
-  (* An instance's input is its owner's image encoding, so a matched
-     instance reads back as the image it matched on. *)
-  let hits = Array.fold_left (fun n equal -> if equal then n + 1 else n) 0 verdicts in
-  let matched = Array.make hits 0 in
-  let n = ref 0 in
-  Array.iteri
-    (fun idx equal ->
-      if equal then begin
-        matched.(!n) <- Bitio.Bits.extract instances.(idx) ~pos:0 ~width;
-        incr n
-      end)
-    verdicts;
-  let matched = Iset.of_array matched in
+  (* An instance's input is its owner's image, so the matched images are
+     the ones with an instance that tested equal: marked by the same walk
+     and read off [images] in order, which keeps them sorted. *)
+  let hit = Bytes.make n '\000' and hits = ref 0 in
+  walk (fun j first step count ->
+      let t = ref 0 in
+      while !t < count && not verdicts.(first + (!t * step)) do
+        incr t
+      done;
+      if !t < count then begin
+        Bytes.set hit j '\001';
+        incr hits
+      end);
+  let matched = Array.make !hits 0 in
+  let h = ref 0 in
+  for j = 0 to n - 1 do
+    if Bytes.get hit j <> '\000' then begin
+      matched.(!h) <- images.(j);
+      incr h
+    end
+  done;
   (* Back through H: the elements whose image matched (sorted, since
      [mine] is). *)
   match reduction with

@@ -26,15 +26,16 @@ let run ?(sequential = true) ?(max_iterations = default_max_iterations) role rng
   let act = Array.make group_count 0 and nact = ref 0 in
   let cand = Array.make group_count 0 in
   let equal = Bytes.make k '\000' in
-  (* Both parties derive the same tag generator from the shared rng and
-     the same label coordinates.  The label is folded incrementally into
+  (* Both parties make the same tag draws from the shared rng and the
+     same label coordinates.  The label is folded incrementally into
      one derivation cell reused for every tag of the run ([Rng.Label]
      hashes fragment by fragment, bit-identical to hashing the
-     concatenated string), so deriving a tag's generator builds no label
-     string and allocates nothing; the fused [Strhash.draw_*] then draw
-     and apply the tag without building a [Strhash.fn].  A group's tags
-     in one round share the prefix "eqb/g<gid>/t<iteration>/i": it is
-     hashed once, marked, and rewound to per instance. *)
+     concatenated string), so labelling a tag builds no string and
+     allocates nothing; the fused [Strhash.draw_*] then draw straight
+     from the cell and apply the tag without building a generator or a
+     [Strhash.fn].  A group's tags in one round share the prefix
+     "eqb/g<gid>/t<iteration>/i": it is hashed once, marked, and rewound
+     to per instance. *)
   let cell = Prng.Rng.Label.start rng in
   let mark_group g iteration =
     Prng.Rng.Label.restart cell;
@@ -45,18 +46,18 @@ let run ?(sequential = true) ?(max_iterations = default_max_iterations) role rng
     Prng.Rng.Label.add cell "/i";
     Prng.Rng.Label.mark cell
   in
-  let instance_gen idx =
+  let instance_label idx =
     Prng.Rng.Label.rewind cell;
     Prng.Rng.Label.add_int cell idx;
-    Prng.Rng.Label.finish cell
+    cell
   in
-  let joint_gen g iteration =
+  let joint_label g iteration =
     Prng.Rng.Label.restart cell;
     Prng.Rng.Label.add cell "eqb/joint/g";
     Prng.Rng.Label.add_int cell g;
     Prng.Rng.Label.add cell "/t";
     Prng.Rng.Label.add_int cell iteration;
-    Prng.Rng.Label.finish cell
+    cell
   in
   (* Group [g]'s undecided strings, each with its gamma-coded length:
      the joint test's payload and the exact round's message. *)
@@ -98,7 +99,7 @@ let run ?(sequential = true) ?(max_iterations = default_max_iterations) role rng
                  mark_group g iteration;
                  for j = lo.(g) to lo.(g) + live.(g) - 1 do
                    let idx = order.(j) in
-                   Strhash.draw_write (instance_gen idx) ~bits buf instances.(idx)
+                   Strhash.draw_write (instance_label idx) ~bits buf instances.(idx)
                  done
                done));
         Wire.read_bitmap_msg (chan.recv ()) ~width:(live_count ())
@@ -112,7 +113,7 @@ let run ?(sequential = true) ?(max_iterations = default_max_iterations) role rng
               for j = lo.(g) to lo.(g) + live.(g) - 1 do
                 let idx = order.(j) in
                 mismatches.(!p) <-
-                  not (Strhash.draw_matches (instance_gen idx) ~bits reader instances.(idx));
+                  not (Strhash.draw_matches (instance_label idx) ~bits reader instances.(idx));
                 incr p
               done
             done;
@@ -151,23 +152,23 @@ let run ?(sequential = true) ?(max_iterations = default_max_iterations) role rng
     let with_payload g f =
       Bitio.Pool.with_buf (fun tmp ->
           write_group tmp g;
-          f (joint_gen g iteration) (Bitio.Bitbuf.view tmp))
+          f (joint_label g iteration) (Bitio.Bitbuf.view tmp))
     in
     match role with
     | Alice ->
         chan.send
           (Bitio.Pool.payload (fun buf ->
                for c = 0 to ncand - 1 do
-                 with_payload cand.(c) (fun gen payload ->
-                     Strhash.draw_write gen ~bits:jbits buf payload)
+                 with_payload cand.(c) (fun label payload ->
+                     Strhash.draw_write label ~bits:jbits buf payload)
                done));
         Wire.read_bitmap_msg (chan.recv ()) ~width:ncand
     | Bob ->
         Bitio.Pool.with_reader (chan.recv ()) (fun reader ->
             let mismatches =
               Array.init ncand (fun c ->
-                  with_payload cand.(c) (fun gen payload ->
-                      not (Strhash.draw_matches gen ~bits:jbits reader payload)))
+                  with_payload cand.(c) (fun label payload ->
+                      not (Strhash.draw_matches label ~bits:jbits reader payload)))
             in
             chan.send (Wire.bitmap_msg mismatches);
             mismatches)

@@ -32,8 +32,11 @@ let rec draw_mod_p rng =
   let v = Prng.Rng.bits rng ~width:61 in
   if v < p61 then v else draw_mod_p rng
 
-let draw_point rng = 2 + (draw_mod_p rng mod (p61 - 4))
-let draw_a rng = 1 + (draw_mod_p rng mod (p61 - 1))
+(* The evaluation point and a lane's multiplier, from one draw each. *)
+let point_of v = 2 + (v mod (p61 - 4))
+let a_of v = 1 + (v mod (p61 - 1))
+let draw_point rng = point_of (draw_mod_p rng)
+let draw_a rng = a_of (draw_mod_p rng)
 
 (* Lane tag of the collapsed value [v]: the low [width] bits of a
    near-uniform value mod p. *)
@@ -41,10 +44,12 @@ let lane_tag a b v ~width = reduce (mul61 a v + b) land ((1 lsl width) - 1)
 
 let check_bits name bits = if bits < 1 then invalid_arg ("Strhash." ^ name ^ ": bits")
 
+let lane_count bits = (bits + lane_width - 1) / lane_width
+
 let create rng ~bits =
   check_bits "create" bits;
   let point = draw_point rng in
-  let count = (bits + lane_width - 1) / lane_width in
+  let count = lane_count bits in
   let lanes = Array.make (2 * count) 0 in
   for i = 0 to count - 1 do
     let a = draw_a rng in
@@ -115,7 +120,7 @@ let apply_int fn x =
 (* The int tag of [x] under the lanes stored at [lanes.(pos) ..]. *)
 let lanes_int_tag lanes ~pos ~bits x =
   let tag = ref 0 in
-  for i = 0 to ((bits + lane_width - 1) / lane_width) - 1 do
+  for i = 0 to lane_count bits - 1 do
     let width = min lane_width (bits - (i * lane_width)) in
     let a = lanes.(pos + (2 * i)) and b = lanes.(pos + (2 * i) + 1) in
     tag := !tag lor (lane_tag a b x ~width lsl (i * lane_width))
@@ -137,7 +142,7 @@ let int_fn_slots = 4
 let store_int_fn rng ~bits lanes ~pos =
   if bits < 1 || bits > 62 then invalid_arg "Strhash.store_int_fn: bits";
   ignore (draw_point rng : int);
-  for i = 0 to ((bits + lane_width - 1) / lane_width) - 1 do
+  for i = 0 to lane_count bits - 1 do
     let a = draw_a rng in
     lanes.(pos + (2 * i)) <- a;
     lanes.(pos + (2 * i) + 1) <- draw_mod_p rng
@@ -151,45 +156,42 @@ let write_int fn buf x =
   check_int "write_int" x;
   write_value fn buf x
 
-(* The fused forms draw each lane's coefficients just before using them:
-   point, then [a; b] per lane — the order [create] draws them in, so the
-   generator ends in the same state and the tag bits are the same.  A
-   check reads every lane even after a mismatch, so the reader always
-   advances by exactly [bits]. *)
-let rec draw_write_lanes rng buf v remaining =
-  if remaining > 0 then begin
-    let width = min lane_width remaining in
-    let a = draw_a rng in
-    let b = draw_mod_p rng in
-    Bitio.Bitbuf.write_bits buf ~width (lane_tag a b v ~width);
-    draw_write_lanes rng buf v (remaining - width)
-  end
-
-let draw_write_range rng ~bits buf payload ~pos ~len =
+(* The fused forms take the label cell and make the draws [create]
+   would make on [Label.finish d] — point, then [a; b] per lane, each a
+   61-bit draw below p — in one [Label.draws] call, so no generator is
+   built and the SplitMix state never leaves [Prng].  A check reads every
+   lane even after a mismatch, so the reader always advances by exactly
+   [bits]. *)
+let draw_write_range d ~bits buf payload ~pos ~len =
   check_bits "draw_write" bits;
-  let point = draw_point rng in
-  draw_write_lanes rng buf (fingerprint point payload ~pos ~len) bits
+  let lanes = lane_count bits in
+  let r = Prng.Rng.Label.draws d (1 + (2 * lanes)) in
+  let v = fingerprint (point_of r.(0)) payload ~pos ~len in
+  for i = 0 to lanes - 1 do
+    let width = min lane_width (bits - (i * lane_width)) in
+    let a = a_of r.((2 * i) + 1) in
+    Bitio.Bitbuf.write_bits buf ~width (lane_tag a r.((2 * i) + 2) v ~width)
+  done
 
-let draw_write rng ~bits buf payload =
-  draw_write_range rng ~bits buf payload ~pos:0 ~len:(Bitio.Bits.length payload)
+let draw_write d ~bits buf payload =
+  draw_write_range d ~bits buf payload ~pos:0 ~len:(Bitio.Bits.length payload)
 
-let rec draw_match_lanes rng reader v remaining ok =
-  if remaining <= 0 then ok
-  else begin
-    let width = min lane_width remaining in
-    let a = draw_a rng in
-    let b = draw_mod_p rng in
-    let theirs = Bitio.Bitreader.read_bits reader ~width in
-    draw_match_lanes rng reader v (remaining - width) (ok && theirs = lane_tag a b v ~width)
-  end
-
-let draw_matches_range rng ~bits reader payload ~pos ~len =
+let draw_matches_range d ~bits reader payload ~pos ~len =
   check_bits "draw_matches" bits;
-  let point = draw_point rng in
-  draw_match_lanes rng reader (fingerprint point payload ~pos ~len) bits true
+  let lanes = lane_count bits in
+  let r = Prng.Rng.Label.draws d (1 + (2 * lanes)) in
+  let v = fingerprint (point_of r.(0)) payload ~pos ~len in
+  let ok = ref true in
+  for i = 0 to lanes - 1 do
+    let width = min lane_width (bits - (i * lane_width)) in
+    let a = a_of r.((2 * i) + 1) in
+    let theirs = Bitio.Bitreader.read_bits reader ~width in
+    ok := !ok && theirs = lane_tag a r.((2 * i) + 2) v ~width
+  done;
+  !ok
 
-let draw_matches rng ~bits reader payload =
-  draw_matches_range rng ~bits reader payload ~pos:0 ~len:(Bitio.Bits.length payload)
+let draw_matches d ~bits reader payload =
+  draw_matches_range d ~bits reader payload ~pos:0 ~len:(Bitio.Bits.length payload)
 
 let tag rng ~bits payload = apply (create rng ~bits) payload
 

@@ -75,33 +75,38 @@ val stored_int_tag : int array -> pos:int -> bits:int -> int -> int
 
 (** {2 Fused draw-and-tag}
 
-    [draw_write rng ~bits buf payload] appends [apply (create rng ~bits)
-    payload] to [buf]: the same draws from [rng] in the same order (point,
-    then each lane's coefficients), the same tag bits, and [rng] left in
-    the same state — without building the [fn] or the tag.  The path for
-    tags used once. *)
-val draw_write : Prng.Rng.t -> bits:int -> Bitio.Bitbuf.t -> Bitio.Bits.t -> unit
+    These take a label-derivation cell whose label is complete, in place
+    of the generator [Prng.Rng.Label.finish d] would return, and draw
+    from it with {!Prng.Rng.Label.draws}: the same values [create] draws
+    from that generator, in the same order (point, then each lane's
+    coefficients), with no generator and no [fn] built.  The cell's label
+    is left as it was.
 
-(** [draw_matches rng ~bits reader payload] consumes exactly [bits] bits
-    from [reader] (a peer's tag, as {!draw_write} wrote it from a generator
-    in the same state) and says whether they equal
-    [apply (create rng ~bits) payload], with the same draws as
-    {!draw_write}.  The reader advances fully even on a mismatch, so
-    framing is position-identical to a read-then-compare round trip. *)
-val draw_matches : Prng.Rng.t -> bits:int -> Bitio.Bitreader.t -> Bitio.Bits.t -> bool
+    [draw_write d ~bits buf payload] appends
+    [apply (create (Prng.Rng.Label.finish d) ~bits) payload] to [buf]
+    without building the tag.  The path for tags used once. *)
+val draw_write : Prng.Rng.Label.d -> bits:int -> Bitio.Bitbuf.t -> Bitio.Bits.t -> unit
 
-(** [draw_write_range rng ~bits buf payload ~pos ~len] is [draw_write]
-    on the bits [\[pos, pos + len)] of [payload], without extracting them:
+(** [draw_matches d ~bits reader payload] consumes exactly [bits] bits
+    from [reader] (a peer's tag, as {!draw_write} wrote it from a cell
+    with the same root and label) and says whether they equal the tag
+    {!draw_write} would write for [payload].  The reader advances fully
+    even on a mismatch, so framing is position-identical to a
+    read-then-compare round trip. *)
+val draw_matches : Prng.Rng.Label.d -> bits:int -> Bitio.Bitreader.t -> Bitio.Bits.t -> bool
+
+(** [draw_write_range d ~bits buf payload ~pos ~len] is [draw_write] on
+    the bits [\[pos, pos + len)] of [payload], without extracting them:
     a range tags exactly like a payload holding just its bits.  Raises
     [Invalid_argument] unless the range lies inside [payload]. *)
 val draw_write_range :
-  Prng.Rng.t -> bits:int -> Bitio.Bitbuf.t -> Bitio.Bits.t -> pos:int -> len:int -> unit
+  Prng.Rng.Label.d -> bits:int -> Bitio.Bitbuf.t -> Bitio.Bits.t -> pos:int -> len:int -> unit
 
-(** [draw_matches_range rng ~bits reader payload ~pos ~len] is
+(** [draw_matches_range d ~bits reader payload ~pos ~len] is
     [draw_matches] on the bits [\[pos, pos + len)] of [payload], as
     {!draw_write_range} tags them. *)
 val draw_matches_range :
-  Prng.Rng.t -> bits:int -> Bitio.Bitreader.t -> Bitio.Bits.t -> pos:int -> len:int -> bool
+  Prng.Rng.Label.d -> bits:int -> Bitio.Bitreader.t -> Bitio.Bits.t -> pos:int -> len:int -> bool
 
 (** One-shot conveniences (draw the function and apply it). *)
 val tag : Prng.Rng.t -> bits:int -> Bitio.Bits.t -> Bitio.Bits.t

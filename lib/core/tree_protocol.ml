@@ -217,10 +217,10 @@ let run_party ?buckets ?flat_eq_bits ?budget role rng ~universe ~r ~k chan mine 
           Prng.Rng.Label.add_int cell stage;
           Prng.Rng.Label.add cell "/v";
           Prng.Rng.Label.mark cell;
-          let node_gen vi =
+          let node_label vi =
             Prng.Rng.Label.rewind cell;
             Prng.Rng.Label.add_int cell vi;
-            Prng.Rng.Label.finish cell
+            cell
           in
           (* Node [vi]'s payload is its leaves' gap codes back to back,
              as Wire.of_sets laid them out: one bit range of the stage
@@ -247,7 +247,7 @@ let run_party ?buckets ?flat_eq_bits ?budget role rng ~universe ~r ~k chan mine 
                   chan.send
                     (Bitio.Pool.payload (fun buf ->
                          for vi = 0 to nodes - 1 do
-                           Strhash.draw_write_range (node_gen vi) ~bits:eq_bits buf payload
+                           Strhash.draw_write_range (node_label vi) ~bits:eq_bits buf payload
                              ~pos:(first vi) ~len:(length vi)
                          done));
                   let reader = Bitio.Bitreader.create (chan.recv ()) in
@@ -263,7 +263,7 @@ let run_party ?buckets ?flat_eq_bits ?budget role rng ~universe ~r ~k chan mine 
                     (Bitio.Pool.payload (fun buf ->
                          for vi = 0 to nodes - 1 do
                            let ok =
-                             Strhash.draw_matches_range (node_gen vi) ~bits:eq_bits reader
+                             Strhash.draw_matches_range (node_label vi) ~bits:eq_bits reader
                                payload ~pos:(first vi) ~len:(length vi)
                            in
                            Bitio.Bitbuf.write_bit buf (not ok);

@@ -209,28 +209,6 @@ let filter p a =
     out
   end
 
-let partition_by f ~bins a =
-  (* Evaluate the (possibly costly) key function once per element, count
-     per bin, then fill exactly-sized bins; the input is sorted, so
-     in-order filling keeps each bin sorted. *)
-  let keys = Array.map f a in
-  let counts = Array.make bins 0 in
-  Array.iter
-    (fun b ->
-      if b < 0 || b >= bins then invalid_arg "Iset.partition_by: key out of range";
-      counts.(b) <- counts.(b) + 1)
-    keys;
-  let out = Array.map (fun c -> if c = 0 then empty else Array.make c 0) counts in
-  let cursors = counts in
-  Array.fill cursors 0 bins 0;
-  Array.iteri
-    (fun i x ->
-      let b = keys.(i) in
-      out.(b).(cursors.(b)) <- x;
-      cursors.(b) <- cursors.(b) + 1)
-    a;
-  out
-
 let inter_many = function
   | [] -> invalid_arg "Iset.inter_many: empty list"
   | first :: rest -> List.fold_left inter first rest

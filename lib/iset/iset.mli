@@ -26,10 +26,6 @@ val diff : t -> t -> t
 (** [filter p s] keeps order. *)
 val filter : (int -> bool) -> t -> t
 
-(** [partition_by f ~bins s] splits [s] into [bins] sets by key
-    [f x ∈ \[0, bins)]; each bin stays sorted. *)
-val partition_by : (int -> int) -> bins:int -> t -> t array
-
 (** Intersection of a non-empty list of sets. *)
 val inter_many : t list -> t
 

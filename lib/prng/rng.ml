@@ -20,10 +20,14 @@ let of_int n = of_seed (Int64.of_int n)
    building the label string at all.  A derivation cell owns the generator
    [finish] hands out, so a hot loop that [restart]s one cell derives any
    number of generators with no allocation, and a loop whose labels share
-   a prefix hashes the prefix once and [rewind]s to it. *)
+   a prefix hashes the prefix once and [rewind]s to it.  A caller that
+   needs only a few bounded draws skips the generator: [draws] derives and
+   draws in one step, into the cell's own buffer. *)
 module Label = struct
   (* [h_*]: the hash of the fragments fed so far; [m_*]: the hash at the
-     mark, which [rewind] restores. *)
+     mark, which [rewind] restores; [buf]: the values [draws] returns,
+     empty until the first [draws], so a cell that only derives
+     generators (every [with_label]) allocates no buffer. *)
   type d = {
     mutable h_hi : int;
     mutable h_lo : int;
@@ -32,6 +36,7 @@ module Label = struct
     r_hi : int;
     r_lo : int;
     out : t;
+    mutable buf : int array;
   }
 
   let offset_hi = 0xCBF29CE4
@@ -46,6 +51,7 @@ module Label = struct
       r_hi = t.root_hi;
       r_lo = t.root_lo;
       out = { gen = Splitmix64.create 0L; root_hi = 0; root_lo = 0 };
+      buf = [||];
     }
 
   let restart d =
@@ -85,7 +91,29 @@ module Label = struct
     if n >= 10 then add_nat d (n / 10);
     add_byte d (Char.code '0' + (n mod 10))
 
-  let add_int d n = if n < 0 then add d (string_of_int n) else add_nat d n
+  (* Below 10^15 the digits fit 4 bits each in one int: packed least
+     significant first into the high nibbles, they come back out most
+     significant first from the bottom, and fold into a local hash that
+     is stored once. *)
+  let add_small d n =
+    let packed = ref (n mod 10) and count = ref 1 and m = ref (n / 10) in
+    while !m > 0 do
+      packed := (!packed lsl 4) lor (!m mod 10);
+      incr count;
+      m := !m / 10
+    done;
+    let h = ref (join d.h_hi d.h_lo) in
+    for _ = 1 to !count do
+      h := fold !h (Char.code '0' + (!packed land 15));
+      packed := !packed lsr 4
+    done;
+    d.h_hi <- hi32 !h;
+    d.h_lo <- lo32 !h
+
+  let add_int d n =
+    if n < 0 then add d (string_of_int n)
+    else if n < 1_000_000_000_000_000 then add_small d n
+    else add_nat d n
 
   let finish d =
     let g = d.out in
@@ -95,6 +123,11 @@ module Label = struct
     g.root_hi <- Splitmix64.out_hi g.gen;
     g.root_lo <- Splitmix64.out_lo g.gen;
     g
+
+  let draws d n =
+    if Array.length d.buf < n then d.buf <- Array.make (max n (2 * Array.length d.buf)) 0;
+    Splitmix64.fill61 ~hi:(d.r_hi lxor d.h_hi) ~lo:(d.r_lo lxor d.h_lo) d.buf n;
+    d.buf
 end
 
 let with_label t label =

@@ -65,6 +65,16 @@ module Label : sig
       fed since [start] or the last [restart].  Owned by [d]: the next
       [finish d] reseeds it. *)
   val finish : d -> t
+
+  (** [draws d n] is what [n] calls [int g (2^61 - 1)] draw, in order,
+      from [g = finish d], without deriving [g]: the hash, the seed mix
+      and the draws run in one pass with the generator state in locals.
+      The values are in the first [n] cells of the returned array, which
+      is [d]'s own buffer (it may be longer than [n]) and valid until the
+      next [draws d].  Allocates only when [n] outgrows the buffer, and
+      leaves [d]'s label and any generator [finish] handed out as they
+      were. *)
+  val draws : d -> int -> int array
 end
 
 (** [split t] draws a fresh child generator from [t] (advances [t]). *)

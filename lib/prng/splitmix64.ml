@@ -53,6 +53,24 @@ let scan_below t ~threshold ~limit =
   end;
   !i
 
+let p61 = (1 lsl 61) - 1
+
+(* The draws of the generator [reseed_mixed ~hi ~lo] leaves, with the
+   state in an unboxed local from the mix on: no generator is built and
+   nothing is stored but the accepted values.  An output shifted right by
+   3 is its top 61 bits, the value [Rng.bits ~width:61] reads. *)
+let fill61 ~hi ~lo buf n =
+  let s = ref (mix64 (join (hi land 0xFFFFFFFF) (lo land 0xFFFFFFFF))) in
+  let i = ref 0 in
+  while !i < n do
+    s := Int64.add !s 0x9E3779B97F4A7C15L;
+    let v = Int64.to_int (Int64.shift_right_logical (mix64 !s) 3) in
+    if v < p61 then begin
+      buf.(!i) <- v;
+      incr i
+    end
+  done
+
 let out_hi t = t.out_hi
 let out_lo t = t.out_lo
 

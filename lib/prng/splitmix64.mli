@@ -37,3 +37,11 @@ val mix : int64 -> int64
     the next {!step}, {!out_hi}/{!out_lo} hold the mixed seed itself, so a
     caller can record the derived root. *)
 val reseed_mixed : t -> hi:int -> lo:int -> unit
+
+(** [fill61 ~hi ~lo buf n] writes to [buf.(0) .. buf.(n - 1)] the first
+    [n] values below [2^61 - 1] among the top-61-bit outputs of the
+    generator [reseed_mixed t ~hi ~lo] would leave: the draws of [n]
+    rejection-sampled [Rng.int _ (2^61 - 1)] calls on that generator.  The
+    state stays in a local, so no generator is built and nothing is
+    allocated. *)
+val fill61 : hi:int -> lo:int -> int array -> int -> unit

@@ -342,6 +342,145 @@ let test_decoders_total () =
       ("delta", Codes.write_delta, Codes.read_delta, large);
     ]
 
+(* A gamma codeword by hand: [z] ones, the terminator, then [z] low bits
+   — so prefixes [write_gamma] never emits can be built. *)
+let raw_gamma buf ~prefix ~low =
+  for _ = 1 to prefix do
+    Bitbuf.write_bit buf true
+  done;
+  Bitbuf.write_bit buf false;
+  for i = 0 to prefix - 1 do
+    Bitbuf.write_bit buf (i < 62 && (low lsr i) land 1 = 1)
+  done
+
+(* A prefix of 61 is the longest [write_gamma] writes and decodes; 62, 63
+   and 70 raise [Underflow] instead of wrapping or failing on a width —
+   alone, behind a short codeword and ahead of a long tail (so the
+   one-load window is tried first), and inside a delta codeword. *)
+let test_gamma_overlong () =
+  let stream ~prefix ~low ~pad =
+    let buf = Bitbuf.create () in
+    Codes.write_gamma buf 5;
+    raw_gamma buf ~prefix ~low;
+    for i = 1 to pad do
+      Bitbuf.write_bit buf (i mod 3 = 0)
+    done;
+    Bitreader.create (Bitbuf.contents buf)
+  in
+  List.iter
+    (fun pad ->
+      List.iter
+        (fun low ->
+          let r = stream ~prefix:61 ~low ~pad in
+          check "short code" 5 (Codes.read_gamma r);
+          check (Printf.sprintf "prefix 61 low %d pad %d" low pad) ((low lor (1 lsl 61)) - 1)
+            (Codes.read_gamma r);
+          List.iter
+            (fun prefix ->
+              let r = stream ~prefix ~low ~pad in
+              check "short code" 5 (Codes.read_gamma r);
+              if not (underflows (fun () -> Codes.read_gamma r)) then
+                Alcotest.failf "gamma prefix %d low %d pad %d" prefix low pad)
+            [ 62; 63; 70 ])
+        [ 0; 1; (1 lsl 61) - 1 ])
+    [ 0; 7; 100 ];
+  let largest = Bitbuf.create () in
+  Codes.write_gamma largest (max_int - 1);
+  check "largest gamma" (max_int - 1) (Codes.read_gamma (Bitreader.of_bitbuf largest));
+  (* Delta: a gamma part over 61, and a width of 63 (a gamma value of 62). *)
+  List.iter
+    (fun (name, write) ->
+      let buf = Bitbuf.create () in
+      write buf;
+      for _ = 1 to 80 do
+        Bitbuf.write_bit buf true
+      done;
+      if not (underflows (fun () -> Codes.read_delta (Bitreader.create (Bitbuf.contents buf)))) then
+        Alcotest.failf "delta %s" name)
+    [
+      ("gamma prefix 62", fun buf -> raw_gamma buf ~prefix:62 ~low:0);
+      ("width 63", fun buf -> Codes.write_gamma buf 62);
+    ]
+
+(* The unary-plus-bits reference decoder, one bit at a time. *)
+let reference_gamma r =
+  let z = ref 0 in
+  while Bitreader.read_bit r do
+    incr z
+  done;
+  if !z > 61 then raise Bitreader.Underflow;
+  let v = ref 0 in
+  for i = 0 to !z - 1 do
+    if Bitreader.read_bit r then v := !v lor (1 lsl i)
+  done;
+  (!v lor (1 lsl !z)) - 1
+
+(* Decode codewords until the payload ends: each value with the position
+   after it, then where decoding stopped and whether it underflowed. *)
+let decode_all read payload =
+  let r = Bitreader.create payload in
+  let rec go acc =
+    if Bitreader.remaining r = 0 then List.rev (`End (Bitreader.position r) :: acc)
+    else
+      let before = Bitreader.position r in
+      match read r with
+      | v -> go (`Value (v, Bitreader.position r) :: acc)
+      | exception Bitreader.Underflow -> List.rev (`Underflow before :: acc)
+  in
+  go []
+
+(* Random gamma streams mixing short, window-crossing and 61-bit
+   codewords, then damaged: cut short, bits flipped, or all ones. *)
+let gamma_stream_gen =
+  QCheck.Gen.(
+    let value =
+      frequency
+        [
+          (6, int_bound 40);
+          (3, map (fun b -> 1 lsl b) (int_bound 30) >>= fun top -> int_bound top);
+          (1, int_range 0 (max_int - 1));
+        ]
+    in
+    let damage =
+      frequency
+        [
+          (2, return `None);
+          (3, map (fun f -> `Cut f) (float_bound_inclusive 1.0));
+          (3, map (fun l -> `Flip l) (list_size (int_range 1 6) (int_bound 100_000)));
+          (1, map (fun n -> `Ones n) (int_bound 300));
+        ]
+    in
+    pair (list_size (int_bound 40) value) damage)
+
+let print_stream (values, damage) =
+  Printf.sprintf "%s %s" (QCheck.Print.(list int) values)
+    (match damage with
+    | `None -> "intact"
+    | `Cut f -> Printf.sprintf "cut %g" f
+    | `Flip l -> "flip " ^ QCheck.Print.(list int) l
+    | `Ones n -> Printf.sprintf "%d ones" n)
+
+let prop_gamma_differential =
+  QCheck.Test.make ~name:"read_gamma = unary-plus-bits reference on damaged streams" ~count:1000
+    (QCheck.make ~print:print_stream gamma_stream_gen)
+    (fun (values, damage) ->
+      let buf = Bitbuf.create () in
+      List.iter (Codes.write_gamma buf) values;
+      let intact = Bitbuf.contents buf in
+      let n = Bits.length intact in
+      let payload =
+        match damage with
+        | `None -> intact
+        | `Cut f ->
+            let len = int_of_float (f *. float_of_int n) in
+            Bits.of_bools (List.filteri (fun i _ -> i < len) (Bits.to_bools intact))
+        | `Flip l -> if n = 0 then intact else List.fold_left (fun b i -> Bits.flip b (i mod n)) intact l
+        | `Ones len -> Bits.of_bools (List.init len (fun _ -> true))
+      in
+      let got = decode_all Codes.read_gamma payload in
+      let decoded = List.filter_map (function `Value (v, _) -> Some v | _ -> None) got in
+      (damage <> `None || decoded = values) && got = decode_all reference_gamma payload)
+
 let sorted_set_gen =
   QCheck.Gen.(
     list_size (int_bound 50) (int_bound 10_000) >|= fun l ->
@@ -545,6 +684,8 @@ let () =
           qt prop_gamma_roundtrip;
           qt prop_mixed_stream;
           Alcotest.test_case "decoders total on truncation" `Quick test_decoders_total;
+          Alcotest.test_case "gamma prefix over 61 underflows" `Quick test_gamma_overlong;
+          qt prop_gamma_differential;
         ] );
       ( "set_codec",
         [

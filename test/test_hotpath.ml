@@ -220,69 +220,127 @@ let test_label_cell_reuse () =
     same "joint" (Prng.Rng.Label.finish cell)
   done
 
-(* The fused draw-and-tag forms against [create] + [apply]: same tag
-   bits, same verdicts, the reader advanced by exactly [bits] and the
-   generator left in the same state, for single- and multi-lane widths,
-   the empty payload and lengths that are not multiples of the 24-bit
-   chunk (or of the 48-bit chunk pair). *)
+(* [Label.add_int] against the string it stands for: every n to 10^5,
+   each power of ten and its neighbours (the packed path ends at 10^15),
+   the extremes and negative values. *)
+let test_label_add_int () =
+  let root = Prng.Rng.of_int 5 in
+  let a = Prng.Rng.Label.start root and b = Prng.Rng.Label.start root in
+  let check n =
+    Prng.Rng.Label.restart a;
+    Prng.Rng.Label.restart b;
+    Prng.Rng.Label.add a "x";
+    Prng.Rng.Label.add b "x";
+    Prng.Rng.Label.add_int a n;
+    Prng.Rng.Label.add b (string_of_int n);
+    if
+      Prng.Rng.bits (Prng.Rng.Label.finish a) ~width:62
+      <> Prng.Rng.bits (Prng.Rng.Label.finish b) ~width:62
+    then Alcotest.failf "add_int %d" n
+  in
+  for n = 0 to 100_000 do
+    check n
+  done;
+  let rec powers p j acc = if j > 18 then acc else powers (p * 10) (j + 1) ((p - 1) :: p :: (p + 1) :: acc) in
+  List.iter
+    (fun n -> check n; check (-n))
+    (powers 1 0 [ 999_999_999_999_999; 1_000_000_000_000_000; max_int; 123_456_789_012_345_678 ]);
+  List.iter check [ min_int; min_int + 1 ]
+
+(* [Label.draws] against [Rng.int (Label.finish d) (2^61 - 1)]: draw for
+   draw, while the cell's buffer grows, without moving the label or a
+   generator [finish] handed out earlier. *)
+let test_label_draws () =
+  let p61 = (1 lsl 61) - 1 in
+  let root = Prng.Rng.of_int 6 in
+  let cell = Prng.Rng.Label.start root in
+  for i = 0 to 299 do
+    Prng.Rng.Label.restart cell;
+    Prng.Rng.Label.add cell "draws/";
+    Prng.Rng.Label.add_int cell i;
+    let n = i mod 40 in
+    let earlier = Prng.Rng.Label.finish cell in
+    let first = Prng.Rng.int earlier p61 in
+    let got = Array.sub (Prng.Rng.Label.draws cell n) 0 n in
+    let reference = Prng.Rng.Label.finish cell in
+    let want = Array.init n (fun _ -> Prng.Rng.int reference p61) in
+    Alcotest.(check (array int)) (Printf.sprintf "draws %d" i) want got;
+    if n > 0 then check_int "first" first want.(0)
+  done;
+  let g = Prng.Rng.Label.finish cell in
+  let a = Prng.Rng.bits g ~width:62 in
+  ignore (Prng.Rng.Label.draws cell 3 : int array);
+  let b = Prng.Rng.bits g ~width:62 in
+  let ref_gen =
+    let d = Prng.Rng.Label.start root in
+    Prng.Rng.Label.add d "draws/299";
+    Prng.Rng.Label.finish d
+  in
+  check_int "handed-out generator, draw 1" (Prng.Rng.bits ref_gen ~width:62) a;
+  check_int "handed-out generator, draw 2" (Prng.Rng.bits ref_gen ~width:62) b
+
+let payload_of len salt = Bitio.Bits.of_bools (List.init len (fun i -> ((i * 7) + salt) mod 11 < 4))
+
+(* The fused draw-and-tag forms against [create] + [apply] on the
+   generator the cell's [finish] derives: same tag bits, same verdicts,
+   and the reader advanced by exactly [bits], for single- and multi-lane
+   widths and every payload length to 200 — the empty payload and
+   lengths that are not multiples of the 24-bit chunk (or of the 48-bit
+   chunk pair) included.  Each reference is drawn after the fused form
+   used the cell, so the fused forms must leave its label as it was. *)
 let test_fused_strhash () =
   let root = Prng.Rng.of_int 77 in
-  let payload_of len salt =
-    Bitio.Bits.of_bools (List.init len (fun i -> ((i * 7) + salt) mod 11 < 4))
-  in
-  for bits = 1 to 200 do
-    List.iter
-      (fun len ->
-        let label = Printf.sprintf "fused/%d/%d" bits len in
-        let payload = payload_of len bits in
-        let other = payload_of len (bits + 1) in
-        let r_ref = Prng.Rng.with_label root label and r_fused = Prng.Rng.with_label root label in
-        let tag = Strhash.apply (Strhash.create r_ref ~bits) payload in
-        let buf = Bitio.Bitbuf.create () in
-        Strhash.draw_write r_fused ~bits buf payload;
-        Alcotest.check bits_t (label ^ " write") tag (Bitio.Bitbuf.contents buf);
-        check_int (label ^ " generator state") (Prng.Rng.bits r_ref ~width:62)
-          (Prng.Rng.bits r_fused ~width:62);
-        List.iter
-          (fun (what, mine) ->
-            let r_ref = Prng.Rng.with_label root label and r_fused = Prng.Rng.with_label root label in
-            let reader = Bitio.Bitreader.create tag in
-            Alcotest.(check bool)
-              (label ^ " matches " ^ what)
-              (Bitio.Bits.equal tag (Strhash.apply (Strhash.create r_ref ~bits) mine))
-              (Strhash.draw_matches r_fused ~bits reader mine);
-            check_int (label ^ " reader advance") bits (Bitio.Bitreader.position reader);
-            check_int (label ^ " matches generator state") (Prng.Rng.bits r_ref ~width:62)
-              (Prng.Rng.bits r_fused ~width:62))
-          [ ("same", payload); ("other", other) ])
-      [ 0; 1; 23; 24; 25; 47; 48; 49; 100 ]
+  let cell = Prng.Rng.Label.start root in
+  let buf = Bitio.Bitbuf.create () in
+  for bits = 1 to 150 do
+    for len = 0 to 200 do
+      let label = Printf.sprintf "fused/%d/%d" bits len in
+      Prng.Rng.Label.restart cell;
+      Prng.Rng.Label.add cell label;
+      let payload = payload_of len bits in
+      let other = payload_of len (bits + 1) in
+      Bitio.Bitbuf.reset buf;
+      Strhash.draw_write cell ~bits buf payload;
+      let tag = Strhash.apply (Strhash.create (Prng.Rng.Label.finish cell) ~bits) payload in
+      if not (Bitio.Bits.equal tag (Bitio.Bitbuf.contents buf)) then Alcotest.failf "%s write" label;
+      List.iter
+        (fun (what, mine) ->
+          let reader = Bitio.Bitreader.create tag in
+          let got = Strhash.draw_matches cell ~bits reader mine in
+          let want =
+            Bitio.Bits.equal tag (Strhash.apply (Strhash.create (Prng.Rng.Label.finish cell) ~bits) mine)
+          in
+          if got <> want then Alcotest.failf "%s matches %s" label what;
+          if Bitio.Bitreader.position reader <> bits then Alcotest.failf "%s reader advance" label)
+        [ ("same", payload); ("other", other) ]
+    done
   done
 
 (* The per-tag path of batch equality — restart the run's label cell,
-   fold the coordinates, derive, draw and write or check a multi-lane tag —
+   fold the coordinates, draw and write or check a multi-lane tag —
    allocates nothing once the writer has grown. *)
 let test_tag_pipeline_allocation_free () =
   let root = Prng.Rng.of_int 9 in
   let cell = Prng.Rng.Label.start root in
   let payload = Bitio.Bits.of_bools (List.init 100 (fun i -> i mod 3 = 0)) in
   let buf = Bitio.Bitbuf.create ~capacity:(1000 * 80) () in
-  let gen i =
+  let label i =
     Prng.Rng.Label.restart cell;
     Prng.Rng.Label.add cell "eqb/g";
     Prng.Rng.Label.add_int cell i;
-    Prng.Rng.Label.finish cell
+    cell
   in
   let reps = 1000 in
   let w0 = Gc.minor_words () in
   for i = 1 to reps do
-    Strhash.draw_write (gen i) ~bits:80 buf payload
+    Strhash.draw_write (label i) ~bits:80 buf payload
   done;
   let w1 = Gc.minor_words () in
   let reader = Bitio.Bitreader.of_bitbuf buf in
   let ok = ref true in
   let w2 = Gc.minor_words () in
   for i = 1 to reps do
-    ok := Strhash.draw_matches (gen i) ~bits:80 reader payload && !ok
+    ok := Strhash.draw_matches (label i) ~bits:80 reader payload && !ok
   done;
   let w3 = Gc.minor_words () in
   Alcotest.(check bool) "tags match" true !ok;
@@ -295,10 +353,11 @@ let test_tag_pipeline_allocation_free () =
     true
     (w3 -. w2 < 16.0)
 
-(* The range forms against the whole-payload forms on the extracted copy
-   of the range: same tag bits, same verdict, same generator state, for
-   every start and length to 200 — across the 24- and 48-bit chunk
-   boundaries on both ends. *)
+(* The range forms against [create] + [apply] on the extracted copy of
+   the range, and against the whole-payload forms on it: same tag bits,
+   same verdict, the reader advanced by exactly [bits], for every start
+   and length to 200 — across the 24- and 48-bit chunk boundaries on both
+   ends. *)
 let test_range_strhash () =
   let payload = Bitio.Bits.of_bools (List.init 400 (fun i -> ((i * 13) + (i / 7)) mod 5 < 2)) in
   let extract ~pos ~len =
@@ -308,33 +367,32 @@ let test_range_strhash () =
     done;
     Bitio.Bitbuf.contents buf
   in
+  let cell = Prng.Rng.Label.start (Prng.Rng.of_int 12) in
   let range = Bitio.Bitbuf.create () and whole = Bitio.Bitbuf.create () in
   for pos = 0 to 200 do
     for len = 0 to 200 do
       let name = Printf.sprintf "pos %d len %d" pos len in
       let copy = extract ~pos ~len in
       let bits = 1 + ((pos + len) mod 70) in
-      let seed = (pos * 1000) + len in
-      let r_range = Prng.Rng.of_int seed and r_whole = Prng.Rng.of_int seed in
+      Prng.Rng.Label.restart cell;
+      Prng.Rng.Label.add_int cell ((pos * 1000) + len);
       Bitio.Bitbuf.reset range;
       Bitio.Bitbuf.reset whole;
-      Strhash.draw_write_range r_range ~bits range payload ~pos ~len;
-      Strhash.draw_write r_whole ~bits whole copy;
-      Alcotest.check bits_t (name ^ " write") (Bitio.Bitbuf.contents whole)
-        (Bitio.Bitbuf.contents range);
-      check_int (name ^ " generator state") (Prng.Rng.bits r_whole ~width:62)
-        (Prng.Rng.bits r_range ~width:62);
-      let r_check = Prng.Rng.of_int seed in
+      Strhash.draw_write_range cell ~bits range payload ~pos ~len;
+      Strhash.draw_write cell ~bits whole copy;
+      let tag = Strhash.apply (Strhash.create (Prng.Rng.Label.finish cell) ~bits) copy in
+      Alcotest.check bits_t (name ^ " write") tag (Bitio.Bitbuf.contents range);
+      Alcotest.check bits_t (name ^ " whole") tag (Bitio.Bitbuf.contents whole);
       let reader = Bitio.Bitreader.of_bitbuf whole in
       Alcotest.(check bool)
         (name ^ " matches")
         true
-        (Strhash.draw_matches_range r_check ~bits reader payload ~pos ~len);
+        (Strhash.draw_matches_range cell ~bits reader payload ~pos ~len);
       check_int (name ^ " reader advance") bits (Bitio.Bitreader.position reader)
     done
   done;
   Alcotest.check_raises "range past the end" (Invalid_argument "Strhash: range out of bounds")
-    (fun () -> Strhash.draw_write_range (Prng.Rng.of_int 1) ~bits:8 range payload ~pos:390 ~len:11)
+    (fun () -> Strhash.draw_write_range cell ~bits:8 range payload ~pos:390 ~len:11)
 
 (* The range path the tree's node tags take allocates nothing either. *)
 let test_range_pipeline_allocation_free () =
@@ -342,16 +400,16 @@ let test_range_pipeline_allocation_free () =
   let cell = Prng.Rng.Label.start root in
   let payload = Bitio.Bits.of_bools (List.init 300 (fun i -> i mod 5 = 0)) in
   let buf = Bitio.Bitbuf.create ~capacity:(1000 * 80) () in
-  let gen i =
+  let label i =
     Prng.Rng.Label.restart cell;
     Prng.Rng.Label.add cell "tree/eq/s";
     Prng.Rng.Label.add_int cell i;
-    Prng.Rng.Label.finish cell
+    cell
   in
   let reps = 1000 in
   let w0 = Gc.minor_words () in
   for i = 1 to reps do
-    Strhash.draw_write_range (gen i) ~bits:80 buf payload ~pos:(i mod 50) ~len:(100 + (i mod 150))
+    Strhash.draw_write_range (label i) ~bits:80 buf payload ~pos:(i mod 50) ~len:(100 + (i mod 150))
   done;
   let w1 = Gc.minor_words () in
   let reader = Bitio.Bitreader.of_bitbuf buf in
@@ -359,7 +417,7 @@ let test_range_pipeline_allocation_free () =
   let w2 = Gc.minor_words () in
   for i = 1 to reps do
     ok :=
-      Strhash.draw_matches_range (gen i) ~bits:80 reader payload ~pos:(i mod 50)
+      Strhash.draw_matches_range (label i) ~bits:80 reader payload ~pos:(i mod 50)
         ~len:(100 + (i mod 150))
       && !ok
   done;
@@ -707,15 +765,20 @@ let carter_wegman_digest () =
   hex_of_string (Buffer.contents log)
 
 (* Paths the protocol digests above do not reach: bucket's universe
-   reduction (k^3 below the universe), pipelined batch equality, the
+   reduction (k^3 below the universe) at the small k the sweep cells run
+   and over a 2^30 universe, pipelined batch equality, the
    verbatim-exchange fallback on strings of uneven lengths, and
    Carter-Wegman hashing over primes above 2^31. *)
 let path_digests () =
   let universe = 1 lsl 20 in
+  let bucket ~seed ~universe ~k =
+    two_party_digest ~seed ~universe ~k (fun role rng chan mine ->
+        Bucket_protocol.run_party role rng ~universe ~k chan mine)
+  in
   [
-    ( "bucket k=64 reduced",
-      two_party_digest ~seed:19 ~universe ~k:64 (fun role rng chan mine ->
-          Bucket_protocol.run_party role rng ~universe ~k:64 chan mine) );
+    ("bucket k=64 reduced", bucket ~seed:19 ~universe ~k:64);
+    ("bucket k=64 reduced from 2^30", bucket ~seed:43 ~universe:(1 lsl 30) ~k:64);
+    ("bucket k=16 reduced", bucket ~seed:44 ~universe ~k:16);
     ( "eq-batch pipelined 1024",
       let xs, ys = fixed_width_instances ~seed:21 in
       eq_batch_digest ~sequential:false ~seed:22 xs ys );
@@ -917,6 +980,8 @@ let expected_tree_path_digests =
 let expected_path_digests =
   [
     ("bucket k=64 reduced", "9db51fba416b0ee25d85c5ba8b9c3f21");
+    ("bucket k=64 reduced from 2^30", "daebe9955bdd04bbced7a587e0b9ee36");
+    ("bucket k=16 reduced", "ff63a9779656706415c43d7b90f29ea0");
     ("eq-batch pipelined 1024", "9cca3f02259e465ba74d654878e07668");
     ("eq-batch exact fallback", "3e60dd4db992cca7ea89bc1c9a1ae260");
     ("carter-wegman above 2^31", "a4130d159057d1e54f55035a1c14c129");
@@ -1002,6 +1067,8 @@ let () =
           Alcotest.test_case "rng draws vs reference" `Quick test_rng_draws_reference;
           Alcotest.test_case "with_label vs reference" `Quick test_with_label_reference;
           Alcotest.test_case "label cell reuse = with_label" `Quick test_label_cell_reuse;
+          Alcotest.test_case "label add_int = add string_of_int" `Quick test_label_add_int;
+          Alcotest.test_case "label draws = int draws on finish" `Quick test_label_draws;
         ] );
       ( "strhash",
         [

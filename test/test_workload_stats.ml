@@ -158,13 +158,7 @@ let test_random_set_matches_reference () =
       done)
     [ (1, 1); (2, 1); (7, 7); (128, 64); (128, 128); (1000, 100); (1 lsl 20, 128); (1 lsl 40, 300) ]
 
-(* ---------- Iset (partition, many-way ops) ---------- *)
-
-let test_iset_partition_by () =
-  let bins = Iset.partition_by (fun x -> x mod 3) ~bins:3 [| 0; 1; 2; 3; 4; 5; 6 |] in
-  Alcotest.(check (array int)) "bin 0" [| 0; 3; 6 |] bins.(0);
-  Alcotest.(check (array int)) "bin 1" [| 1; 4 |] bins.(1);
-  Alcotest.(check (array int)) "bin 2" [| 2; 5 |] bins.(2)
+(* ---------- Iset (many-way ops) ---------- *)
 
 let test_iset_inter_many () =
   let result = Iset.inter_many [ [| 1; 2; 3; 4 |]; [| 2; 3; 4; 5 |]; [| 0; 3; 4 |] ] in
@@ -384,7 +378,6 @@ let () =
         ] );
       ( "iset",
         [
-          Alcotest.test_case "partition_by" `Quick test_iset_partition_by;
           Alcotest.test_case "inter_many" `Quick test_iset_inter_many;
           Alcotest.test_case "mem" `Quick test_iset_mem;
           qt prop_iset_algebra;

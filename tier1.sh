@@ -1,6 +1,7 @@
 #!/bin/sh
-# Tier-1 gate: static analysis, full build + test suite, seconds-scale
-# smokes of every seeded campaign (soak, chaos, sweep, conform — each
+# Tier-1 gate: a build-profile guard, static analysis, full build + test
+# suite, seconds-scale smokes of every seeded campaign (soak, chaos,
+# sweep, conform — each
 # exits non-zero on any violation, each report is byte-identical at 1
 # and 2 worker domains, and each rejects invalid input with exit 2), an
 # observability smoke: the trace subcommand must emit valid JSON and the
@@ -10,6 +11,23 @@
 # (experiments/ coherence + regen smoke).
 set -eu
 cd "$(dirname "$0")"
+
+# Profile guard: dune-workspace selects the release profile, whose own
+# :standard flags would drop the dev warning set to -w -40.  The root
+# dune file pins that set; every source tree must still carry it, and
+# lib/ its -warn-error policy, so the profile can never silently turn
+# warnings-as-errors off.
+warnings='@1..3@5..28@30..39@43@46..47@49..57@61..62@67@69-40'
+for dir in lib bin bench test; do
+  if ! dune printenv "$dir" | grep -qF -- "$warnings"; then
+    echo "tier1: dune printenv $dir lacks the pinned warning set $warnings" >&2
+    exit 1
+  fi
+done
+if ! dune printenv lib | grep -qF -- '+26+27+32+33+60'; then
+  echo "tier1: dune printenv lib lacks -warn-error +26+27+32+33+60" >&2
+  exit 1
+fi
 
 dune build
 dune runtest
