@@ -2,23 +2,24 @@
 
    `dune exec bench/main.exe` regenerates every table of the experiment
    matrix (T1..T13, F1, A1..A5 — registry entries 001..019; see
-   experiments/README.md) and then runs the Bechamel micro-benchmarks.
-   Options:
+   experiments/README.md).  Options:
 
      --quick        smaller sweeps (CI-friendly)
      --only T1,T3   run a subset of the tables
-     --no-micro     skip the Bechamel timing section
-     --micro-only   only the Bechamel timing section
      --trace-overhead  only the tracing-tax measurement (writes
                        BENCH_trace_overhead.json)
      --engine-scaling  only the trial-engine throughput measurement
-                       (writes BENCH_engine_scaling.json)
+                       (writes BENCH_engine_scaling.json; fails if the
+                       merged results differ across domain counts)
      --alloc-gate      only the allocations-per-trial regression gate
-                       (exit 1 if the bucket k=1024 or tree-log-star
-                       k=4096 trial allocates more than its committed
-                       baseline plus 2%) *)
+                       (exit 1 if any of its four cases — bucket k=1024,
+                       tree-log-star k=4096, a guarded bucket attempt
+                       at k=256 over a noisy link, and a Conform
+                       one-round k=64 plus tree-r2 k=16 trial pair —
+                       allocates more than its committed baseline plus
+                       2%) *)
 
-let run quick only no_micro micro_only trace_overhead engine_scaling alloc_gate =
+let run quick only trace_overhead engine_scaling alloc_gate =
   if trace_overhead then begin
     Micro.trace_overhead ();
     exit 0
@@ -33,17 +34,16 @@ let run quick only no_micro micro_only trace_overhead engine_scaling alloc_gate 
       Printf.eprintf "unknown table %S (known: %s)\n" bad (String.concat ", " Tables.names);
       exit 2
   | None -> ());
-  let t0 = Unix.gettimeofday () in
-  if not micro_only then begin
-    print_endline "Set-intersection communication experiments";
-    print_endline "(Brody-Chakrabarti-Kondapally-Woodruff-Yaroslavtsev, PODC 2014 reproduction)";
-    print_newline ();
-    Tables.run ~quick ~only
-  end;
-  if (not no_micro) || micro_only then Micro.run ();
+  let (), w =
+    Obsv.Window.measure (fun () ->
+        print_endline "Set-intersection communication experiments";
+        print_endline "(Brody-Chakrabarti-Kondapally-Woodruff-Yaroslavtsev, PODC 2014 reproduction)";
+        print_newline ();
+        Tables.run ~quick ~only)
+  in
   (* Stderr, not stdout: the tables are deterministic for a fixed seed
      and the experiment registry's regen gate diffs two stdout runs. *)
-  Printf.eprintf "\nTotal bench time: %.1fs\n" (Unix.gettimeofday () -. t0)
+  Printf.eprintf "\nTotal bench time: %.1fs\n" (float_of_int w.ns *. 1e-9)
 
 open Cmdliner
 
@@ -55,11 +55,6 @@ let only =
     value
     & opt (list string) []
     & info [ "only" ] ~docv:"TABLES" ~doc:"Comma-separated subset of tables to run (e.g. T1,T3,A2).")
-
-let no_micro = Arg.(value & flag & info [ "no-micro" ] ~doc:"Skip the Bechamel micro-benchmarks.")
-
-let micro_only =
-  Arg.(value & flag & info [ "micro-only" ] ~doc:"Run only the Bechamel micro-benchmarks.")
 
 let trace_overhead =
   Arg.(
@@ -80,15 +75,13 @@ let alloc_gate =
     value & flag
     & info [ "alloc-gate" ]
         ~doc:
-          "Run only the allocations-per-trial regression gate: exit 1 if the bucket k=1024 or \
-           tree-log-star k=4096 trial allocates more bytes than its committed baseline plus 2%.")
+          "Run only the allocations-per-trial regression gate: exit 1 if the bucket k=1024 \
+           trial, the tree-log-star k=4096 trial, the guarded bucket k=256 attempt or the \
+           conform-smallk trial pair allocates more bytes than its committed baseline plus 2%.")
 
 let cmd =
   let doc = "Regenerate the experiment tables of the PODC'14 set-intersection reproduction." in
-  Cmd.v
-    (Cmd.info "bench" ~doc)
-    Term.(
-      const run $ quick $ only $ no_micro $ micro_only $ trace_overhead $ engine_scaling
-      $ alloc_gate)
+  Cmd.v (Cmd.info "bench" ~doc)
+    Term.(const run $ quick $ only $ trace_overhead $ engine_scaling $ alloc_gate)
 
 let () = exit (Cmd.eval cmd)

@@ -1,9 +1,9 @@
-(* Bechamel micro-benchmarks: wall-clock throughput of the substrate
-   primitives and one end-to-end run per protocol family.  (The experiment
-   tables in Tables measure communication; this section measures time.) *)
+(* Observability tax: the bucket protocol timed with the span collector +
+   metrics registry enabled vs the shared disabled instances.  Writes
+   BENCH_trace_overhead.json so the ratio is tracked across revisions.
+   (The experiment tables in Tables measure communication; this measures
+   time, through Obsv.Window.) *)
 
-open Bechamel
-open Toolkit
 open Intersect
 
 let seed = 987654321
@@ -11,47 +11,6 @@ let seed = 987654321
 let make_pair ~universe ~k ~overlap =
   Workload.Setgen.pair_with_overlap (Prng.Rng.of_int seed) ~universe ~size_s:k ~size_t:k ~overlap
 
-let tests () =
-  let rng = Prng.Rng.of_int seed in
-  let strhash_fn = Strhash.create (Prng.Rng.with_label rng "micro/strhash") ~bits:32 in
-  let cw =
-    Hashing.Carter_wegman.create (Prng.Rng.with_label rng "micro/cw") ~universe:(1 lsl 44)
-      ~range:1024
-  in
-  let payload = Bitio.Bits.of_string "a-reasonably-long-message-payload-for-hashing" in
-  let pair_small = make_pair ~universe:(1 lsl 30) ~k:256 ~overlap:128 in
-  let pair_large = make_pair ~universe:(1 lsl 30) ~k:1024 ~overlap:512 in
-  let run_protocol protocol pair i =
-    let outcome =
-      protocol.Protocol.run
-        (Prng.Rng.with_label (Prng.Rng.of_int (seed + i)) "micro/run")
-        ~universe:(1 lsl 30) pair.Workload.Setgen.s pair.Workload.Setgen.t
-    in
-    ignore (Iset.cardinal outcome.Protocol.alice)
-  in
-  [
-    Test.make ~name:"strhash/apply_int" (Staged.stage (fun () -> ignore (Strhash.apply_int strhash_fn 123456789)));
-    Test.make ~name:"strhash/apply_string" (Staged.stage (fun () -> ignore (Strhash.apply strhash_fn payload)));
-    Test.make ~name:"carter_wegman/hash" (Staged.stage (fun () -> ignore (Hashing.Carter_wegman.hash cw 987654321)));
-    Test.make ~name:"set_codec/gaps k=256"
-      (Staged.stage (fun () ->
-           let buf = Bitio.Bitbuf.create () in
-           Bitio.Set_codec.write_gaps buf pair_small.Workload.Setgen.s));
-    Test.make ~name:"protocol/trivial k=1024"
-      (Staged.stage (fun () -> run_protocol Trivial.protocol pair_large 0));
-    Test.make ~name:"protocol/one-round k=1024"
-      (Staged.stage (fun () -> run_protocol (One_round_hash.protocol ()) pair_large 1));
-    Test.make ~name:"protocol/tree r=2 k=1024"
-      (Staged.stage (fun () -> run_protocol (Tree_protocol.protocol ~r:2 ~k:1024 ()) pair_large 2));
-    Test.make ~name:"protocol/tree r=log*k k=1024"
-      (Staged.stage (fun () -> run_protocol (Tree_protocol.protocol_log_star ~k:1024 ()) pair_large 3));
-    Test.make ~name:"protocol/bucket k=256"
-      (Staged.stage (fun () -> run_protocol (Bucket_protocol.protocol ~k:256 ()) pair_small 4));
-  ]
-
-(* Observability tax: the bucket protocol timed with the span collector +
-   metrics registry enabled vs the shared disabled instances.  Writes
-   BENCH_trace_overhead.json so the ratio is tracked across revisions. *)
 let trace_overhead ?(out = "BENCH_trace_overhead.json") () =
   let universe = 1 lsl 30 in
   let time_one ~k ~traced =
@@ -75,12 +34,13 @@ let trace_overhead ?(out = "BENCH_trace_overhead.json") () =
     for i = 0 to 4 do
       run i
     done;
-    let t0 = Unix.gettimeofday () in
-    for i = 0 to reps - 1 do
-      run i
-    done;
-    let t1 = Unix.gettimeofday () in
-    (t1 -. t0) /. float_of_int reps *. 1e9
+    let (), w =
+      Obsv.Window.measure (fun () ->
+          for i = 0 to reps - 1 do
+            run i
+          done)
+    in
+    float_of_int w.ns /. float_of_int reps
   in
   let cases =
     List.map
@@ -129,32 +89,3 @@ let trace_overhead ?(out = "BENCH_trace_overhead.json") () =
       Out_channel.output_string oc (Stats.Json.to_string_pretty json);
       Out_channel.output_char oc '\n');
   Printf.printf "wrote %s\n" out
-
-let run () =
-  print_endline "Micro-benchmarks (Bechamel, monotonic clock, ns/run):";
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
-  let ols = Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |] in
-  let raw =
-    List.fold_left
-      (fun acc test ->
-        let results = Benchmark.all cfg instances (Test.make_grouped ~name:"" [ test ]) in
-        Hashtbl.iter (fun name result -> Hashtbl.replace acc name result) results;
-        acc)
-      (Hashtbl.create 16) (tests ())
-  in
-  let analyzed = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        match Analyze.OLS.estimates ols with
-        | Some [ ns ] -> (name, ns) :: acc
-        | _ -> (name, nan) :: acc)
-      analyzed []
-    |> List.sort compare
-  in
-  let table = Stats.Table.create ~title:"Micro (time per run)" ~columns:[ "benchmark"; "ns/run" ] in
-  List.iter
-    (fun (name, ns) -> Stats.Table.add_row table [ name; Stats.Table.cell_float ns ])
-    rows;
-  Stats.Table.print table

@@ -62,25 +62,13 @@ type case_measure = {
 }
 
 let time_grid ~domains =
-  ignore (trial_grid ~domains);
-  (* warm-up *)
-  (* Empty the minor heap at both ends, as the alloc probe below does:
-     [Gc.allocated_bytes] counts minor-heap words only as minor
-     collections run. *)
-  Gc.minor ();
-  let s0 = Gc.quick_stat () in
-  let b0 = Gc.allocated_bytes () in
-  let t0 = Unix.gettimeofday () in
-  let results = trial_grid ~domains in
-  let t1 = Unix.gettimeofday () in
-  Gc.minor ();
-  let b1 = Gc.allocated_bytes () in
-  let s1 = Gc.quick_stat () in
+  ignore (trial_grid ~domains) (* warm-up *);
+  let results, w = Obsv.Window.measure (fun () -> trial_grid ~domains) in
   {
     results;
-    rate = float_of_int trials /. (t1 -. t0);
-    bytes_per_trial = (b1 -. b0) /. float_of_int trials;
-    majors = s1.Gc.major_collections - s0.Gc.major_collections;
+    rate = float_of_int trials /. (float_of_int w.ns *. 1e-9);
+    bytes_per_trial = float_of_int w.alloc_bytes /. float_of_int trials;
+    majors = w.major_collections;
   }
 
 (* ---------- allocations-per-trial probes ---------- *)
@@ -217,24 +205,16 @@ let alloc_probe case =
   for i = 0 to 2 do
     run_trial i
   done;
-  (* Empty the minor heap at both ends: [Gc.allocated_bytes] counts
-     minor-heap words only as minor collections run, which would make the
-     reading depend on where the collections happen to fall. *)
-  Gc.minor ();
-  let s0 = Gc.quick_stat () in
-  let b0 = Gc.allocated_bytes () in
-  for i = 0 to alloc_trials - 1 do
-    run_trial i
-  done;
-  Gc.minor ();
-  let b1 = Gc.allocated_bytes () in
-  let s1 = Gc.quick_stat () in
-  let bytes = (b1 -. b0) /. float_of_int alloc_trials in
+  let (), w =
+    Obsv.Window.measure (fun () ->
+        for i = 0 to alloc_trials - 1 do
+          run_trial i
+        done)
+  in
+  let bytes = float_of_int w.alloc_bytes /. float_of_int alloc_trials in
   {
     alloc_bytes_per_trial = bytes;
-    alloc_majors_per_trial =
-      float_of_int (s1.Gc.major_collections - s0.Gc.major_collections)
-      /. float_of_int alloc_trials;
+    alloc_majors_per_trial = float_of_int w.major_collections /. float_of_int alloc_trials;
     reduction = (if bytes > 0.0 then alloc_seed_baseline_bytes /. bytes else Float.infinity);
   }
 

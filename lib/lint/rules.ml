@@ -28,11 +28,12 @@ let explain id =
          the linter cannot read is a file no rule protects."
   | "R1" ->
       Some
-        "Syntactic determinism: direct references to ambient Random, wall clocks \
-         (Unix.gettimeofday, Sys.time) or unseeded runtime hashing are flagged at the use \
-         site. Trial results must be a pure function of the seed so conformance gates and \
-         byte-identical replay hold; randomness is threaded as Prng.Rng values from \
-         lib/prng, time comes from the trace's event clock."
+        "Syntactic determinism: direct references to ambient Random, clocks \
+         (Unix.gettimeofday, Sys.time, Monotonic_clock.now) or unseeded runtime hashing are \
+         flagged at the use site. Trial results must be a pure function of the seed so \
+         conformance gates and byte-identical replay hold; randomness is threaded as Prng.Rng \
+         values from lib/prng, time comes from the trace's event clock, and bench loops read \
+         the clock through Obsv.Window."
   | "R2" ->
       Some
         "Syntactic ambient state: top-level `ref`, Atomic.make, Hashtbl/Queue/Stack/Buffer \
@@ -121,8 +122,8 @@ let r1_ident parts =
   match parts with
   | "Random" :: _ ->
       Some "ambient Random breaks seeded replay; thread a Prng.Rng (or Engine.Seed_stream) instead"
-  | [ "Unix"; ("time" | "gettimeofday") ] | [ "Sys"; "time" ] ->
-      Some "wall-clock reads are nondeterministic; use the trace's event clock, or allowlist bench-only timing"
+  | [ "Unix"; ("time" | "gettimeofday") ] | [ "Sys"; "time" ] | [ "Monotonic_clock"; "now" ] ->
+      Some "clock reads are nondeterministic; use the trace's event clock, or time bench loops through Obsv.Window"
   | [ "Hashtbl"; ("hash" | "seeded_hash" | "hash_param" | "randomize") ] ->
       Some "runtime polymorphic hashing is unseeded; use a lib/hashing family keyed by Prng.Rng"
   | _ -> None

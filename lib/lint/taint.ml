@@ -23,6 +23,7 @@ let default_sinks path =
        [
          "Unix.time";
          "Unix.gettimeofday";
+         "Monotonic_clock.now";
          "Stdlib.Sys.time";
          "Stdlib.Hashtbl.hash";
          "Stdlib.Hashtbl.seeded_hash";

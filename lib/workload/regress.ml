@@ -1,7 +1,7 @@
 (* Hot-path regression bench: seeded end-to-end runs of every registered
-   two-party protocol, measuring wall-clock (ns/run), allocation pressure
-   (bytes allocated per run, via Gc.allocated_bytes deltas) and the exact
-   deterministic communication fields (bits, messages, rounds).
+   two-party protocol, measuring time (ns/run) and allocation pressure
+   (bytes allocated per run), both read through one Obsv.Window, and the
+   exact deterministic communication fields (bits, messages, rounds).
 
    The deterministic fields are the contract: a perf PR may change ns/run
    and bytes/run, but bits/messages/rounds must stay byte-identical for a
@@ -10,8 +10,8 @@
    both halves: exact equality on the deterministic fields, a configurable
    tolerance on the timing fields.
 
-   Wall-clock reads live in this module only (lint.allow carries the R1
-   entry); everything the comparison gates on is seeded and replayable. *)
+   The clock and GC reads live in Obsv.Window; everything the comparison
+   gates on is seeded and replayable. *)
 
 open Intersect
 
@@ -121,30 +121,22 @@ let run_cell ~seed ~universe_bits ~trials ~name ~k =
   (* Timed pass: [reps] sweeps over the same trials.  The deterministic
      pass above doubles as warm-up (codec caches hot, buffers pooled). *)
   let reps = reps_for k in
-  (* [Gc.allocated_bytes] counts minor-heap words only as minor
-     collections run, so both ends of the window start from an emptied
-     minor heap (outside the timed loop).  Without that, a cell that
-     allocates less than a minor heap per window reads either nothing or
-     a whole heap, depending on the cells that ran before it. *)
-  Gc.minor ();
-  let a0 = Gc.allocated_bytes () in
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to reps do
-    for i = 0 to trials - 1 do
-      ignore (run_trial i)
-    done
-  done;
-  let t1 = Unix.gettimeofday () in
-  Gc.minor ();
-  let a1 = Gc.allocated_bytes () in
+  let (), w =
+    Obsv.Window.measure (fun () ->
+        for _ = 1 to reps do
+          for i = 0 to trials - 1 do
+            ignore (run_trial i)
+          done
+        done)
+  in
   let runs = float_of_int (reps * trials) in
   {
     protocol = name;
     k;
     trials;
     reps;
-    ns_per_run = (t1 -. t0) *. 1e9 /. runs;
-    alloc_bytes_per_run = (a1 -. a0) /. runs;
+    ns_per_run = float_of_int w.ns /. runs;
+    alloc_bytes_per_run = float_of_int w.alloc_bytes /. runs;
     total_bits = !total_bits;
     messages = !messages;
     rounds = !rounds;

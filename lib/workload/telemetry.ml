@@ -6,8 +6,8 @@
    at any domain count — so the emitted JSONL stream is too.
 
    The overhead bench at the bottom is the telemetry analogue of
-   Regress: wall-clock reads live here (lint.allow carries the R1
-   entry), and everything gated on is seeded and replayable. *)
+   Regress: its clock reads go through Obsv.Window, and everything gated
+   on is seeded and replayable. *)
 
 type sink = {
   registry : Obsv.Metrics.registry;
@@ -200,11 +200,9 @@ let run_pass (c : overhead_config) ~telemetry =
   spent := 0;
   completed := 0;
   let sink = if telemetry then Some (create_sink ()) else None in
-  let t0 = Unix.gettimeofday () in
-  sweep sink;
-  let t1 = Unix.gettimeofday () in
+  let (), w = Obsv.Window.measure (fun () -> sweep sink) in
   {
-    ns_per_session = (t1 -. t0) *. 1e9 /. float_of_int c.sessions;
+    ns_per_session = float_of_int w.ns /. float_of_int c.sessions;
     spent_bits = !spent;
     completed = !completed;
   }

@@ -24,6 +24,7 @@ let r1_violating =
   {|
 let draw () = Random.int 10
 let now () = Unix.gettimeofday ()
+let tick () = Monotonic_clock.now ()
 let cpu () = Sys.time ()
 let h x = Hashtbl.hash x
 let t () = Hashtbl.create ~random:true 8
@@ -31,8 +32,8 @@ let t () = Hashtbl.create ~random:true 8
 
 let test_r1_flags_ambient_randomness () =
   let findings = lint ~path:"lib/core/fixture.ml" r1_violating in
-  check "five R1 findings" 5 (count_rule "R1" findings);
-  check "nothing else fires" 5 (List.length findings)
+  check "six R1 findings" 6 (count_rule "R1" findings);
+  check "nothing else fires" 6 (List.length findings)
 
 let test_r1_open_random () =
   let findings = lint ~path:"lib/core/fixture.ml" "open Random\nlet draw () = int 10\n" in
@@ -190,7 +191,7 @@ let test_golden_json_report () =
       "let now () = Unix.gettimeofday ()\nlet count = ref 0\n"
   in
   let golden =
-    {|{"tool":"intersect-lint","files":1,"typed_modules":0,"count":2,"findings":[{"rule":"R1","file":"lib/core/fixture.ml","line":1,"col":13,"message":"Unix.gettimeofday: wall-clock reads are nondeterministic; use the trace's event clock, or allowlist bench-only timing"},{"rule":"R2","file":"lib/core/fixture.ml","line":2,"col":0,"message":"top-level ref is ambient mutable state; keep it behind Obsv's Domain-local wrappers or pass it explicitly"}]}|}
+    {|{"tool":"intersect-lint","files":1,"typed_modules":0,"count":2,"findings":[{"rule":"R1","file":"lib/core/fixture.ml","line":1,"col":13,"message":"Unix.gettimeofday: clock reads are nondeterministic; use the trace's event clock, or time bench loops through Obsv.Window"},{"rule":"R2","file":"lib/core/fixture.ml","line":2,"col":0,"message":"top-level ref is ambient mutable state; keep it behind Obsv's Domain-local wrappers or pass it explicitly"}]}|}
   in
   check_str "golden report" golden
     (Stats.Json.to_string (Lint.Finding.report_json ~files:1 ~typed_modules:0 findings))
@@ -268,6 +269,25 @@ let test_r7_transitive_chain () =
   check_str "reported at the sink" "lib/workload/launder.ml" launder.Lint.Finding.file;
   check_bool "full chain reported" true
     (contains ~sub:"Party.run -> Util.pick -> Launder.fresh" launder.Lint.Finding.message)
+
+let test_r7_flags_monotonic_clock () =
+  (* The bench clock is a sink too: a stopwatch helper party code can
+     reach is flagged, whatever clock it reads.  The stand-in unit plays
+     bechamel's Monotonic_clock. *)
+  let findings =
+    analyze_units
+      [
+        ("Monotonic_clock", "vendor/monotonic_clock.ml", "let now () = 0L\n");
+        ("Stopwatch", "lib/workload/stopwatch.ml", "let lap () = Monotonic_clock.now ()\n");
+        ("Party", "lib/core/party.ml", "let run () = Stopwatch.lap ()\n");
+      ]
+  in
+  let f = find_rule "R7" findings in
+  check_str "sink is in the helper file" "lib/workload/stopwatch.ml" f.Lint.Finding.file;
+  check_bool "names the clock" true (contains ~sub:"Monotonic_clock.now" f.Lint.Finding.message);
+  check_bool "chain names the party entry" true
+    (contains ~sub:"Party.run -> Stopwatch.lap" f.Lint.Finding.message);
+  check "nothing else fires" 1 (List.length findings)
 
 let test_r7_sanctioned_prng_passes () =
   (* The same laundering helper under lib/prng is the sanctioned route. *)
@@ -568,6 +588,7 @@ let () =
         [
           Alcotest.test_case "laundered randomness" `Quick test_r7_flags_laundered_randomness;
           Alcotest.test_case "transitive chain" `Quick test_r7_transitive_chain;
+          Alcotest.test_case "monotonic clock" `Quick test_r7_flags_monotonic_clock;
           Alcotest.test_case "sanctioned in lib/prng" `Quick test_r7_sanctioned_prng_passes;
           Alcotest.test_case "direct use is R1's" `Quick test_r7_leaves_direct_use_to_r1;
           Alcotest.test_case "unreachable helper" `Quick test_r7_unreachable_helper_passes;

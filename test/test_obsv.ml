@@ -128,6 +128,41 @@ let test_disabled_span_allocates_nothing () =
      Gc.minor_words probes themselves, nothing per-iteration. *)
   check_bool "under 100 minor words for 1000 disabled spans" true (w1 -. w0 < 100.0)
 
+(* The measurement window.  Allocations smaller than a minor heap are
+   read exactly only because both ends of the window empty it: without
+   the opening collection, the garbage allocated before each window
+   (a different amount each time here) would be counted; without the
+   closing one, nothing allocated inside would be. *)
+let window_bytes n ~junk =
+  ignore (Sys.opaque_identity (Array.make junk 0));
+  let _, w = Window.measure (fun () -> Sys.opaque_identity (Array.make n 0)) in
+  w.Window.alloc_bytes
+
+let test_window_bytes_exact () =
+  let small = window_bytes 100 ~junk:1 and large = window_bytes 200 ~junk:1 in
+  check "100 more words read as exactly 800 more bytes" 800 (large - small);
+  for junk = 2 to 6 do
+    check "100-word window repeats exactly" small (window_bytes 100 ~junk:(junk * 37));
+    check "200-word window repeats exactly" large (window_bytes 200 ~junk:(junk * 37))
+  done
+
+let test_window_reading () =
+  let v = ref 0 in
+  let r, w =
+    Window.measure (fun () ->
+        for i = 1 to 1000 do
+          v := !v + i
+        done;
+        v)
+  in
+  check_bool "result passed through unchanged" true (r == v);
+  check "the function ran once" 500500 !v;
+  check_bool "ns >= 0" true (w.Window.ns >= 0);
+  check "no minor collection of its own" 0 w.Window.minor_collections;
+  let _, w = Window.measure (fun () -> 17) in
+  check_bool "ns >= 0 for an empty window" true (w.Window.ns >= 0);
+  check "the window's own collections are not counted" 0 w.Window.minor_collections
+
 let run_bucket ~collect seed =
   let universe = 1 lsl 20 in
   let body () =
@@ -231,4 +266,9 @@ let () =
             test_deterministic_exports;
         ] );
       ("metrics", [ Alcotest.test_case "readbacks" `Quick test_metrics_readback ]);
+      ( "window",
+        [
+          Alcotest.test_case "sub-heap bytes are exact" `Quick test_window_bytes_exact;
+          Alcotest.test_case "result and reading" `Quick test_window_reading;
+        ] );
     ]

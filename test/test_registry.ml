@@ -19,7 +19,7 @@ let entry_doc =
    index: T1\n\
    hypothesis: The fixture parses.\n\
    reproduce: dune exec bench/main.exe -- --only T1\n\
-   smoke: dune exec bench/main.exe -- --quick --no-micro\n\
+   smoke: dune exec bench/main.exe -- --quick\n\
    regen: diff\n\
    ---\n\n\
    Body text.\n"

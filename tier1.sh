@@ -6,9 +6,9 @@
 # and 2 worker domains, and each rejects invalid input with exit 2), an
 # observability smoke: the trace subcommand must emit valid JSON and the
 # profile subcommand must account for every metered bit (it exits
-# non-zero on a phase-sum mismatch), the hot-path
-# and fleet-telemetry gates, and the experiment-registry gate
-# (experiments/ coherence + regen smoke).
+# non-zero on a phase-sum mismatch), the alloc gate, the trace-overhead
+# and engine-scaling smokes, the hot-path and fleet-telemetry gates, and
+# the experiment-registry gate (experiments/ coherence + regen smoke).
 set -eu
 cd "$(dirname "$0")"
 
@@ -91,8 +91,9 @@ expect_usage_error telemetry-overhead --smoke --sessions 0
 # bounds ordered, per-cell gate conjunction, trial counts summing to
 # total_trials), the live sweep smoke must pass the same schema, and the
 # committed chaos report must regenerate byte-for-byte from the
-# reproduce command it embeds.  The bucket k=1024 and tree-log-star
-# k=4096 trials must not allocate more than their committed gate
+# reproduce command it embeds.  The alloc gate's four cases (bucket
+# k=1024, tree-log-star k=4096, a guarded bucket k=256 attempt and the
+# conform-smallk trial pair) must not allocate more than their committed
 # baselines plus 2%.
 $json_check --bench-chaos < BENCH_chaos.json
 $json_check --bench-sweep < BENCH_sweep.json
@@ -101,6 +102,16 @@ chaos_reproduce=$(sed -n 's/^  "reproduce": "\(.*\)",$/\1/p' BENCH_chaos.json)
 eval "$chaos_reproduce --json" > "$tmp/chaos.regen"
 cmp "$tmp/chaos.regen" BENCH_chaos.json
 dune exec bench/main.exe -- --alloc-gate
+
+# Bench harness smokes, run in the scratch directory so the committed
+# BENCH files stay untouched: the tracing-tax measurement, and the
+# engine's throughput at 1/2/4 domains, which fails if the merged trial
+# results differ across domain counts.  Each written report must parse.
+bench=$(pwd)/_build/default/bench/main.exe
+(cd "$tmp" && "$bench" --trace-overhead > /dev/null)
+$json_check < "$tmp/BENCH_trace_overhead.json"
+(cd "$tmp" && "$bench" --engine-scaling > /dev/null)
+$json_check < "$tmp/BENCH_engine_scaling.json"
 
 # Hot-path regression smoke: the committed BENCH_hotpath.json must be
 # schema-valid, the k=64 sweep must reproduce its deterministic fields
