@@ -2,15 +2,16 @@
 
    `dune exec bench/main.exe` regenerates every table of the experiment
    matrix (T1..T13, F1, A1..A5 — registry entries 001..019; see
-   experiments/README.md).  Options:
+   experiments/README.md).  The tables measure communication, not time:
+   wall-clock questions (ns per run, the tracing tax) go to
+   `bash perf/run.sh`.  Options:
 
      --quick        smaller sweeps (CI-friendly)
      --only T1,T3   run a subset of the tables
-     --trace-overhead  only the tracing-tax measurement (writes
-                       BENCH_trace_overhead.json)
      --engine-scaling  only the trial-engine throughput measurement
-                       (writes BENCH_engine_scaling.json; fails if the
-                       merged results differ across domain counts)
+                       (writes BENCH_engine_scaling.json, throughput
+                       unverified; fails if the merged results differ
+                       across domain counts)
      --alloc-gate      only the allocations-per-trial regression gate
                        (exit 1 if any of its four cases — bucket k=1024,
                        tree-log-star k=4096, a guarded bucket attempt
@@ -19,11 +20,7 @@
                        allocates more than its committed baseline plus
                        2%) *)
 
-let run quick only trace_overhead engine_scaling alloc_gate =
-  if trace_overhead then begin
-    Micro.trace_overhead ();
-    exit 0
-  end;
+let run quick only engine_scaling alloc_gate =
   if alloc_gate then exit (Scaling.alloc_gate ());
   if engine_scaling then begin
     Scaling.run ();
@@ -56,12 +53,6 @@ let only =
     & opt (list string) []
     & info [ "only" ] ~docv:"TABLES" ~doc:"Comma-separated subset of tables to run (e.g. T1,T3,A2).")
 
-let trace_overhead =
-  Arg.(
-    value & flag
-    & info [ "trace-overhead" ]
-        ~doc:"Measure the cost of enabled vs disabled tracing and write BENCH_trace_overhead.json.")
-
 let engine_scaling =
   Arg.(
     value & flag
@@ -82,6 +73,6 @@ let alloc_gate =
 let cmd =
   let doc = "Regenerate the experiment tables of the PODC'14 set-intersection reproduction." in
   Cmd.v (Cmd.info "bench" ~doc)
-    Term.(const run $ quick $ only $ trace_overhead $ engine_scaling $ alloc_gate)
+    Term.(const run $ quick $ only $ engine_scaling $ alloc_gate)
 
 let () = exit (Cmd.eval cmd)

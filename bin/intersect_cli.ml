@@ -844,13 +844,13 @@ let bench_regress_cmd =
       & info [ "baseline" ] ~docv:"FILE"
           ~doc:
             "Compare against a committed BENCH_hotpath.json: deterministic fields must match \
-             exactly; timings within tolerance.  Exit 1 on violation.")
+             exactly; allocation bytes/run within tolerance.  Exit 1 on violation.")
   in
   let tolerance_arg =
     Arg.(
       value & opt float 0.5
       & info [ "tolerance" ] ~docv:"F"
-          ~doc:"Allowed fractional timing regression vs the baseline (0.5 allows 1.5x).")
+          ~doc:"Allowed fractional allocation regression vs the baseline (0.5 allows 1.5x).")
   in
   let run c deterministic baseline tolerance ks protocols () =
     let base = if c.smoke then R.smoke else R.default in
@@ -878,10 +878,11 @@ let bench_regress_cmd =
   in
   campaign_cmd "bench-regress"
     ~doc:
-      "Hot-path performance regression bench: seeded end-to-end runs of every registered \
-       protocol measuring ns/run and allocation bytes/run, with exact (deterministic) bit, \
-       message and round counts.  With --baseline, enforces exact transcript fields and \
-       tolerance-bounded timings against a committed BENCH_hotpath.json."
+      "Hot-path regression bench: seeded end-to-end runs of every registered protocol \
+       measuring allocation bytes/run, with exact (deterministic) bit, message and round \
+       counts.  With --baseline, enforces exact transcript fields and tolerance-bounded \
+       allocation against a committed BENCH_hotpath.json.  Wall-clock time is measured by \
+       perf/run.sh."
     Term.(
       const run
       $ campaign_term ~trials:("trials", "Seeded trials per cell.") ~domains:false
@@ -1000,9 +1001,9 @@ let telemetry_overhead_cmd =
   campaign_cmd "telemetry-overhead"
     ~doc:
       "Measure the hot-path cost of the fleet-telemetry layer: the same seeded clean-link \
-       sessions run with telemetry off, then on.  Exits non-zero when the deterministic session \
-       fields diverge between the passes or the on/off ratio exceeds --max-ratio (the gate \
-       behind BENCH_telemetry.json)."
+       sessions run in alternating off/on pairs of passes, and the ratio is the median per-pair \
+       on/off ratio.  Exits non-zero when the deterministic session fields diverge between the \
+       passes or the ratio exceeds --max-ratio (the gate behind BENCH_telemetry.json)."
     Term.(
       const run
       $ campaign_term ~trials:("sessions", "Sessions per pass.") ~domains:false ~telemetry:false

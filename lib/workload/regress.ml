@@ -1,17 +1,15 @@
 (* Hot-path regression bench: seeded end-to-end runs of every registered
-   two-party protocol, measuring time (ns/run) and allocation pressure
-   (bytes allocated per run), both read through one Obsv.Window, and the
-   exact deterministic communication fields (bits, messages, rounds).
+   two-party protocol, measuring allocation pressure (bytes allocated per
+   run, read through one Obsv.Window) and the exact deterministic
+   communication fields (bits, messages, rounds).  Wall-clock time is
+   perf/'s to measure (`bash perf/run.sh`); this bench reports none.
 
-   The deterministic fields are the contract: a perf PR may change ns/run
-   and bytes/run, but bits/messages/rounds must stay byte-identical for a
+   The deterministic fields are the contract: a perf PR may change
+   bytes/run, but bits/messages/rounds must stay byte-identical for a
    fixed seed (pooling and codec caching must not perturb transcripts).
    Comparison against a committed BENCH_hotpath.json baseline enforces
    both halves: exact equality on the deterministic fields, a configurable
-   tolerance on the timing fields.
-
-   The clock and GC reads live in Obsv.Window; everything the comparison
-   gates on is seeded and replayable. *)
+   tolerance on the allocation bytes. *)
 
 open Intersect
 
@@ -19,8 +17,6 @@ type cell = {
   protocol : string;
   k : int;
   trials : int;
-  reps : int;
-  ns_per_run : float;
   alloc_bytes_per_run : float;
   total_bits : int;  (** summed over the seeded trials — deterministic *)
   messages : int;  (** summed over the seeded trials — deterministic *)
@@ -80,11 +76,6 @@ let protocol_of ~name ~k =
    other protocol runs the full sweep. *)
 let k_cap ~name = match name with "trivial-entropy" -> 256 | _ -> max_int
 
-(* Fixed rep counts per k keep the measured loop deterministic (reps is
-   part of the cell, so two runs of the same config always time the same
-   number of executions and amortize warm-up identically). *)
-let reps_for k = if k <= 64 then 40 else if k <= 256 then 16 else if k <= 1024 then 6 else 2
-
 let default =
   { seed = 2014; universe_bits = 20; trials = 3; ks = [ 64; 1024; 4096 ]; protocols = protocol_names }
 
@@ -118,25 +109,19 @@ let run_cell ~seed ~universe_bits ~trials ~name ~k =
     messages := !messages + outcome.Protocol.cost.Commsim.Cost.messages;
     rounds := !rounds + outcome.Protocol.cost.Commsim.Cost.rounds
   done;
-  (* Timed pass: [reps] sweeps over the same trials.  The deterministic
+  (* Allocation pass: one sweep over the same trials.  The deterministic
      pass above doubles as warm-up (codec caches hot, buffers pooled). *)
-  let reps = reps_for k in
   let (), w =
     Obsv.Window.measure (fun () ->
-        for _ = 1 to reps do
-          for i = 0 to trials - 1 do
-            ignore (run_trial i)
-          done
+        for i = 0 to trials - 1 do
+          ignore (run_trial i)
         done)
   in
-  let runs = float_of_int (reps * trials) in
   {
     protocol = name;
     k;
     trials;
-    reps;
-    ns_per_run = float_of_int w.ns /. runs;
-    alloc_bytes_per_run = float_of_int w.alloc_bytes /. runs;
+    alloc_bytes_per_run = float_of_int w.alloc_bytes /. float_of_int trials;
     total_bits = !total_bits;
     messages = !messages;
     rounds = !rounds;
@@ -171,8 +156,6 @@ let cell_json c =
       ("protocol", Stats.Json.Str c.protocol);
       ("k", Stats.Json.Int c.k);
       ("trials", Stats.Json.Int c.trials);
-      ("reps", Stats.Json.Int c.reps);
-      ("ns_per_run", Stats.Json.Float c.ns_per_run);
       ("alloc_bytes_per_run", Stats.Json.Float c.alloc_bytes_per_run);
       ("total_bits", Stats.Json.Int c.total_bits);
       ("messages", Stats.Json.Int c.messages);
@@ -190,7 +173,7 @@ let to_json (report : report) =
       ("cells", Stats.Json.List (List.map cell_json report.cells));
     ]
 
-(* Timings stripped: what two runs of the same config must agree on, byte
+(* Allocation stripped: what two runs of the same config must agree on, byte
    for byte (the tier-1 determinism gate cmps two of these). *)
 let deterministic_json (report : report) =
   Stats.Json.Obj
@@ -217,8 +200,8 @@ let deterministic_json (report : report) =
 
 let summary (report : report) =
   let table =
-    Stats.Table.create ~title:"Hot-path bench (ns/run, bytes allocated/run, exact bits)"
-      ~columns:[ "protocol"; "k"; "ns/run"; "alloc B/run"; "bits"; "msgs"; "rounds" ]
+    Stats.Table.create ~title:"Hot-path bench (bytes allocated/run, exact bits)"
+      ~columns:[ "protocol"; "k"; "alloc B/run"; "bits"; "msgs"; "rounds" ]
   in
   List.iter
     (fun c ->
@@ -226,16 +209,13 @@ let summary (report : report) =
         [
           c.protocol;
           string_of_int c.k;
-          Stats.Table.cell_float c.ns_per_run;
           Stats.Table.cell_float c.alloc_bytes_per_run;
           string_of_int c.total_bits;
           string_of_int c.messages;
           string_of_int c.rounds;
         ])
     report.cells;
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Stats.Table.render table);
-  Buffer.contents buf
+  Stats.Table.render table ^ "\n"
 
 (* ---------- baseline comparison ---------- *)
 
@@ -257,7 +237,7 @@ let baseline_cells json =
   | _ -> Error "baseline: missing cells array"
 
 (* Compare a fresh report against a committed baseline.  Deterministic
-   fields (bits, messages, rounds, trials) must match exactly; ns/run and
+   fields (bits, messages, rounds, trials) must match exactly;
    alloc-bytes/run may regress by at most [tolerance] (a fraction: 0.5
    allows 1.5x the baseline).  Cells absent from the baseline are skipped,
    so a smoke run checks only the cells it shares with the committed
@@ -281,10 +261,11 @@ let baseline_violations ~tolerance (report : report) json =
           | Some _ -> []
           | None -> [ Printf.sprintf "%s: %s missing from the baseline" where name ]
         in
-        let timing_field name current =
-          match Option.bind (field name) Stats.Json.to_float_opt with
+        let alloc =
+          let current = c.alloc_bytes_per_run in
+          match Option.bind (field "alloc_bytes_per_run") Stats.Json.to_float_opt with
           | Some b when Float.is_finite b && b > 0.0 && current > b *. (1.0 +. tolerance) ->
-              [ Printf.sprintf "%s: %s baseline %.0f, current %.0f" where name b current ]
+              [ Printf.sprintf "%s: alloc_bytes_per_run baseline %.0f, current %.0f" where b current ]
           | _ -> []
         in
         List.concat
@@ -293,8 +274,7 @@ let baseline_violations ~tolerance (report : report) json =
             int_field "messages" c.messages;
             int_field "rounds" c.rounds;
             int_field "trials" c.trials;
-            timing_field "ns_per_run" c.ns_per_run;
-            timing_field "alloc_bytes_per_run" c.alloc_bytes_per_run;
+            alloc;
           ]
       in
       if shared = [] then [ "baseline: shares no (protocol, k) cell with this run" ]

@@ -1,18 +1,17 @@
 (** Hot-path regression bench over the registered two-party protocols.
 
     Each cell is one [(protocol, k)] pair run on seeded workloads:
-    wall-clock ns/run and allocation bytes/run are the tracked performance
-    trajectory (BENCH_hotpath.json), while total bits, message and round
-    counts are deterministic and must reproduce byte-for-byte for a fixed
-    seed — the transcript-invariance contract every perf PR is gated on. *)
+    allocation bytes/run is the tracked performance trajectory
+    (BENCH_hotpath.json), while total bits, message and round counts are
+    deterministic and must reproduce byte-for-byte for a fixed seed — the
+    transcript-invariance contract every perf PR is gated on.  Wall-clock
+    time is measured by [perf/] alone. *)
 
 type cell = {
   protocol : string;
   k : int;
   trials : int;
-  reps : int;  (** timed sweeps over the trial set; fixed per [k] *)
-  ns_per_run : float;
-  alloc_bytes_per_run : float;
+  alloc_bytes_per_run : float;  (** one warm sweep over the trial set *)
   total_bits : int;  (** summed over the seeded trials — deterministic *)
   messages : int;  (** summed over the seeded trials — deterministic *)
   rounds : int;  (** summed over the seeded trials — deterministic *)
@@ -68,8 +67,8 @@ val summary : report -> string
 (** [baseline_violations ~tolerance report baseline_json] checks [report]
     against a parsed committed baseline, one line per violation (empty
     when it holds): deterministic fields must match exactly;
-    [ns_per_run] and [alloc_bytes_per_run] may exceed the baseline by at
-    most a factor of [1 + tolerance].  Cells missing from the baseline
+    [alloc_bytes_per_run] may exceed the baseline by at most a factor of
+    [1 + tolerance].  Cells missing from the baseline
     are skipped, so smoke subsets compare cleanly; a malformed baseline,
     or one sharing no cell with the run, is itself a violation. *)
 val baseline_violations : tolerance:float -> report -> Stats.Json.t -> string list

@@ -57,7 +57,7 @@ val overhead_default : overhead_config
 val overhead_smoke : overhead_config
 
 type pass = {
-  ns_per_session : float;
+  ns_per_session : float;  (** median over the run's passes of this side *)
   spent_bits : int;  (** summed over sessions — deterministic *)
   completed : int;  (** sessions that completed — deterministic *)
 }
@@ -66,15 +66,16 @@ type overhead_report = {
   config : overhead_config;
   off : pass;  (** telemetry disabled (ambient defaults) *)
   on_ : pass;  (** fleet registry + per-session recorder + sketches *)
-  ratio : float;  (** [on_.ns_per_session / off.ns_per_session] *)
+  ratio : float;  (** median over the off/on pairs of the per-pair on/off ratio *)
   deterministic_match : bool;
       (** telemetry must not perturb the sessions: spend and outcomes
-          agree between the passes *)
+          agree across every pass *)
 }
 
-(** Run both passes over identical seeded clean-link sessions (both
-    verify results against the precomputed truth, so telemetry is the
-    only asymmetry). *)
+(** Run a fixed number of off/on pairs of passes (the JSON's [pairs])
+    over identical seeded clean-link sessions, alternating which side of
+    a pair runs first (every pass verifies results against the
+    precomputed truth, so telemetry is the only asymmetry). *)
 val run_overhead : overhead_config -> overhead_report
 
 (** Marker field ["bench": "telemetry"] (checked by

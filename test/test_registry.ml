@@ -306,6 +306,67 @@ let test_regen_plan_dedup () =
       check_string "distinct command" "dune exec bench/other.exe -- --smoke" other
   | plan -> Alcotest.failf "unexpected plan of %d group(s)" (List.length plan)
 
+(* ---------- artifact schemas ---------- *)
+
+let accepts mode input = Workload.Schemas.check ~mode input = Ok ()
+
+(* A BENCH_hotpath.json cell in the shape Regress writes; [drop] omits a
+   field and [set] overrides one. *)
+let hotpath_cell ?drop ?(set = []) ~k () =
+  let fields =
+    [
+      ("protocol", "\"bucket\"");
+      ("k", string_of_int k);
+      ("trials", "3");
+      ("alloc_bytes_per_run", "90733.3");
+      ("total_bits", "4360");
+      ("messages", "242");
+      ("rounds", "242");
+    ]
+  in
+  fields
+  |> List.filter (fun (name, _) -> Some name <> drop)
+  |> List.map (fun (name, v) ->
+         Printf.sprintf "%S: %s" name (Option.value (List.assoc_opt name set) ~default:v))
+  |> String.concat ", " |> Printf.sprintf "{%s}"
+
+let hotpath_doc cells =
+  Printf.sprintf "{\"bench\": \"hotpath\", \"seed\": 2014, \"cells\": [%s]}"
+    (String.concat ", " cells)
+
+let test_bench_hotpath_schema () =
+  let ok = hotpath_cell ~k:64 () in
+  check_bool "alloc-only cells accepted" true
+    (accepts "bench-hotpath" (hotpath_doc [ ok; hotpath_cell ~k:1024 () ]));
+  check_bool "missing alloc_bytes_per_run rejected" false
+    (accepts "bench-hotpath" (hotpath_doc [ hotpath_cell ~drop:"alloc_bytes_per_run" ~k:64 () ]));
+  List.iter
+    (fun name ->
+      check_bool ("non-positive " ^ name ^ " rejected") false
+        (accepts "bench-hotpath" (hotpath_doc [ hotpath_cell ~set:[ (name, "0") ] ~k:64 () ])))
+    [ "total_bits"; "messages"; "rounds" ];
+  check_bool "repeated k rejected" false (accepts "bench-hotpath" (hotpath_doc [ ok; ok ]));
+  check_bool "decreasing k rejected" false
+    (accepts "bench-hotpath" (hotpath_doc [ hotpath_cell ~k:1024 (); ok ]))
+
+let telemetry_doc ?(on_bits = 1015352) ?(ratio = 1.095) ?(matched = true) () =
+  Printf.sprintf
+    "{\"bench\": \"telemetry\", \"config\": {\"seed\": 2014, \"k\": 1024, \
+     \"universe_bits\": 16, \"sessions\": 24}, \"pairs\": 8, \
+     \"off\": {\"ns_per_session\": 1565813.8, \"spent_bits\": 1015352, \"completed\": 24}, \
+     \"on\": {\"ns_per_session\": 1711719.3, \"spent_bits\": %d, \"completed\": 24}, \
+     \"ratio\": %g, \"deterministic_match\": %b}"
+    on_bits ratio matched
+
+let test_bench_telemetry_schema () =
+  check_bool "well-formed report accepted" true (accepts "bench-telemetry" (telemetry_doc ()));
+  check_bool "deterministic_match false rejected" false
+    (accepts "bench-telemetry" (telemetry_doc ~matched:false ()));
+  check_bool "off/on spent_bits disagreement rejected" false
+    (accepts "bench-telemetry" (telemetry_doc ~on_bits:1015353 ()));
+  check_bool "ratio above 1.25 rejected" false
+    (accepts "bench-telemetry" (telemetry_doc ~ratio:1.26 ()))
+
 (* ---------- the real repository ---------- *)
 
 let repo_cli_subcommands =
@@ -361,6 +422,11 @@ let () =
           Alcotest.test_case "schema modes" `Quick test_artifact_schema_mode;
           Alcotest.test_case "artifact provenance" `Quick test_artifact_provenance;
           Alcotest.test_case "unclaimed BENCH" `Quick test_unclaimed_bench;
+        ] );
+      ( "schemas",
+        [
+          Alcotest.test_case "bench-hotpath" `Quick test_bench_hotpath_schema;
+          Alcotest.test_case "bench-telemetry" `Quick test_bench_telemetry_schema;
         ] );
       ( "commands",
         [
