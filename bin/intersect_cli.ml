@@ -467,31 +467,22 @@ let profile_cmd =
             print_newline ();
             print_endline "metrics:";
             print_endline (Stats.Json.to_string_pretty (Obsv.Metrics.to_json registry));
-            (match Obsv.Metrics.histograms_list registry with
+            (match Obsv.Metrics.sketches_list registry with
             | [] -> ()
-            | hists ->
+            | sketches ->
                 print_newline ();
                 let qtable =
-                  Stats.Table.create ~title:"histogram quantiles (log2-bucket upper bounds)"
-                    ~columns:[ "histogram"; "count"; "p50"; "p90"; "p99"; "max" ]
+                  Stats.Table.create ~title:"sketch quantiles (1/16 relative error)"
+                    ~columns:[ "sketch"; "count"; "p50"; "p90"; "p99"; "max" ]
                 in
                 List.iter
-                  (fun (hname, h) ->
-                    let q pm =
-                      match Obsv.Metrics.histogram_quantile h ~per_mille:pm with
-                      | Some v -> string_of_int v
-                      | None -> "-"
-                    in
+                  (fun (sname, s) ->
+                    let open Obsv.Sketch in
                     Stats.Table.add_row qtable
-                      [
-                        hname;
-                        string_of_int h.Obsv.Metrics.count;
-                        q 500;
-                        q 900;
-                        q 990;
-                        string_of_int h.Obsv.Metrics.max_v;
-                      ])
-                  hists;
+                      (sname
+                      :: List.map string_of_int
+                           [ count s; p50 s; p90 s; p99 s; Option.value ~default:0 (max_value s) ]))
+                  sketches;
                 Stats.Table.print qtable);
             print_newline ();
             Printf.printf "phase bits %d %s Cost.total_bits %d\n" phase_bits
@@ -507,8 +498,9 @@ let profile_cmd =
        ~doc:
          "Run seeded executions of a named protocol on the trial engine and print the merged \
           per-phase budget breakdown (bits attributed to the sender's innermost span), the \
-          per-player cost table, and the merged metrics registry.  Exits non-zero if the \
-          per-phase bits fail to sum to the exact Cost.total_bits.")
+          per-player cost table, the merged metrics registry, and the p50/p90/p99 of each of \
+          its quantile sketches (payload sizes, tag widths, bucket occupancy, ...).  Exits \
+          non-zero if the per-phase bits fail to sum to the exact Cost.total_bits.")
     Term.(
       const run $ obsv_protocol_arg $ obsv_r_arg $ obsv_k_arg $ universe_bits_arg $ overlap_arg
       $ obsv_players_arg $ seed_arg $ json_arg $ profile_trials_arg $ domains_arg)

@@ -1,151 +1,18 @@
 (* Strict JSON validator over stdin: exits 0 iff the input is one valid
-   JSON value (per RFC 8259) followed only by whitespace.  Used by the
-   tier-1 smoke to check that `intersect_cli trace` and `intersect_lint
-   --json` emit loadable JSON without taking on a parser dependency.
+   JSON value (per RFC 8259) followed only by whitespace, as parsed by
+   [Stats.Json.of_string].  Used by the tier-1 smoke to check that
+   `intersect_cli trace` and `intersect_lint --json` emit loadable JSON.
 
-   With [--<mode>], additionally validates against the named schema from
-   the shared catalogue in [Workload.Schemas] — the same implementations
-   the experiment registry runs inside `intersect_cli experiments
-   verify`, so "the artifact passes its json_check mode" means the same
-   thing on the command line and in the registry gate.  Modes:
-   [--bench-chaos], [--bench-hotpath], [--bench-sweep],
-   [--bench-telemetry], [--experiments], [--lint-report],
-   [--lint-sarif].
+   With [--<mode>], validates against the named schema from the shared
+   catalogue in [Workload.Schemas] instead — the same implementations the
+   experiment registry runs inside `intersect_cli experiments verify`, so
+   "the artifact passes its json_check mode" means the same thing on the
+   command line and in the registry gate.  Modes: [--bench-chaos],
+   [--bench-hotpath], [--bench-sweep], [--bench-telemetry],
+   [--experiments], [--lint-report], [--lint-sarif].
 
-   The cursor lives inside [validate] (not at top level) so the module
-   carries no ambient mutable state — intersect-lint rule R2 holds here
-   like everywhere else. *)
-
-exception Bad of string
-
-let validate input =
-  let len = String.length input in
-  let pos = ref 0 in
-  let fail msg = raise (Bad (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let peek () = if !pos < len then Some input.[!pos] else None in
-  let advance () = incr pos in
-  let skip_ws () =
-    while
-      match peek () with
-      | Some (' ' | '\t' | '\n' | '\r') ->
-          advance ();
-          true
-      | _ -> false
-    do
-      ()
-    done
-  in
-  let expect c =
-    match peek () with
-    | Some got when got = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %C" c)
-  in
-  let literal word = String.iter expect word in
-  let string_value () =
-    expect '"';
-    let rec loop () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-          advance ();
-          (match peek () with
-          | Some ('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') ->
-              advance ();
-              loop ()
-          | Some 'u' ->
-              advance ();
-              for _ = 1 to 4 do
-                match peek () with
-                | Some ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') -> advance ()
-                | _ -> fail "bad \\u escape"
-              done;
-              loop ()
-          | _ -> fail "bad escape")
-      | Some c when Char.code c < 0x20 -> fail "control character in string"
-      | Some _ ->
-          advance ();
-          loop ()
-    in
-    loop ()
-  in
-  let digits () =
-    let n = ref 0 in
-    while (match peek () with Some '0' .. '9' -> true | _ -> false) do
-      advance ();
-      incr n
-    done;
-    if !n = 0 then fail "expected digit"
-  in
-  let number_value () =
-    if peek () = Some '-' then advance ();
-    (match peek () with
-    | Some '0' -> advance ()
-    | Some '1' .. '9' -> digits ()
-    | _ -> fail "expected number");
-    if peek () = Some '.' then begin
-      advance ();
-      digits ()
-    end;
-    match peek () with
-    | Some ('e' | 'E') ->
-        advance ();
-        (match peek () with Some ('+' | '-') -> advance () | _ -> ());
-        digits ()
-    | _ -> ()
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then advance ()
-        else
-          let rec members () =
-            skip_ws ();
-            string_value ();
-            skip_ws ();
-            expect ':';
-            value ();
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ()
-            | Some '}' -> advance ()
-            | _ -> fail "expected ',' or '}'"
-          in
-          members ()
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then advance ()
-        else
-          let rec elements () =
-            value ();
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elements ()
-            | Some ']' -> advance ()
-            | _ -> fail "expected ',' or ']'"
-          in
-          elements ()
-    | Some '"' -> string_value ()
-    | Some 't' -> literal "true"
-    | Some 'f' -> literal "false"
-    | Some 'n' -> literal "null"
-    | Some ('-' | '0' .. '9') -> number_value ()
-    | _ -> fail "expected a JSON value"
-  in
-  if len = 0 then Error "empty input"
-  else begin
-    value ();
-    skip_ws ();
-    if !pos <> len then Error (Printf.sprintf "trailing garbage at byte %d" !pos) else Ok ()
-  end
+   Exit status: 0 valid, 1 invalid (one diagnosis line on stderr), 2
+   usage error. *)
 
 let usage () =
   prerr_endline
@@ -154,29 +21,17 @@ let usage () =
   exit 2
 
 let () =
-  let mode =
+  let check =
     match Sys.argv with
-    | [| _ |] -> None
+    | [| _ |] -> fun input -> Result.map ignore (Stats.Json.of_string input)
     | [| _; flag |]
       when String.starts_with ~prefix:"--" flag
            && List.mem (String.sub flag 2 (String.length flag - 2)) Workload.Schemas.modes ->
-        Some (String.sub flag 2 (String.length flag - 2))
+        Workload.Schemas.check ~mode:(String.sub flag 2 (String.length flag - 2))
     | _ -> usage ()
   in
-  let input = In_channel.input_all In_channel.stdin in
-  match validate input with
-  | exception Bad msg ->
-      prerr_endline ("json_check: " ^ msg);
-      exit 1
+  match check (In_channel.input_all In_channel.stdin) with
+  | Ok () -> exit 0
   | Error msg ->
       prerr_endline ("json_check: " ^ msg);
       exit 1
-  | Ok () -> (
-      match mode with
-      | None -> exit 0
-      | Some mode -> (
-          match Workload.Schemas.check ~mode input with
-          | Ok () -> exit 0
-          | Error msg ->
-              prerr_endline ("json_check: " ^ msg);
-              exit 1))

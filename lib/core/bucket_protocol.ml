@@ -76,7 +76,8 @@ let run_party ?sequential ?(reduce = true) role rng ~universe ~k chan mine =
     else (their_counts, !pair_count)
   in
   let their_counts, pair_count = choose_buckets 0 in
-  Array.iter (Obsv.Metrics.observe "bucket/occupancy") counts;
+  if Obsv.Metrics.enabled (Obsv.Metrics.current ()) then
+    Array.iter (Obsv.Metrics.observe "bucket/occupancy") counts;
   (* Counting sort: bucket [i]'s images are [slots.(start.(i))] to
      [slots.(start.(i) + counts.(i) - 1)], in increasing order. *)
   let start = Array.make k 0 in

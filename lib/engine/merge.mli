@@ -15,5 +15,5 @@ val costs : players:int -> Commsim.Cost.t list -> Commsim.Cost.t
 
 (** [metrics registries] merges per-trial registries into one fresh enabled
     registry, in list order ({!Obsv.Metrics.merge_into}: counters and
-    histograms add, gauges keep the maximum). *)
+    sketches add, gauges keep the maximum). *)
 val metrics : Obsv.Metrics.registry list -> Obsv.Metrics.registry

@@ -1,20 +1,7 @@
-(* Value [v] lands in bucket [bits v]: 0 for 0, i for [2^(i-1), 2^i).  63
-   buckets cover the full non-negative int range. *)
-let bucket_count = 63
-
-type histogram = {
-  mutable count : int;
-  mutable sum : int;
-  mutable min_v : int;
-  mutable max_v : int;
-  buckets : int array;
-}
-
 type registry = {
   enabled : bool;
   counters : (string, int ref) Hashtbl.t;
   gauges : (string, int ref) Hashtbl.t;
-  histograms : (string, histogram) Hashtbl.t;
   sketches : (string, Sketch.t) Hashtbl.t;
 }
 
@@ -23,7 +10,6 @@ let make ~enabled =
     enabled;
     counters = Hashtbl.create 16;
     gauges = Hashtbl.create 16;
-    histograms = Hashtbl.create 16;
     sketches = Hashtbl.create 16;
   }
 
@@ -63,40 +49,15 @@ let set_gauge name v =
     let g = find r.gauges name (fun () -> ref 0) in
     g := v
 
-let bucket_of v =
-  if v <= 0 then 0
-  else
-    let rec bits acc v = if v = 0 then acc else bits (acc + 1) (v lsr 1) in
-    min (bucket_count - 1) (bits 0 v)
-
 let observe name v =
   let r = Domain.DLS.get ambient_registry in
-  if r.enabled then begin
-    let h =
-      find r.histograms name (fun () ->
-          { count = 0; sum = 0; min_v = max_int; max_v = min_int; buckets = Array.make bucket_count 0 })
-    in
-    h.count <- h.count + 1;
-    h.sum <- h.sum + v;
-    if v < h.min_v then h.min_v <- v;
-    if v > h.max_v then h.max_v <- v;
-    let b = bucket_of v in
-    h.buckets.(b) <- h.buckets.(b) + 1
-  end
-
-let record name v =
-  let r = Domain.DLS.get ambient_registry in
-  if r.enabled then
-    let s = find r.sketches name Sketch.create in
-    Sketch.observe s v
+  if r.enabled then Sketch.observe (find r.sketches name Sketch.create) v
 
 let merge_sketch name src =
   let r = Domain.DLS.get ambient_registry in
-  if r.enabled then
-    let dst = find r.sketches name Sketch.create in
-    Sketch.merge_into ~into:dst src
+  if r.enabled then Sketch.merge_into ~into:(find r.sketches name Sketch.create) src
 
-(* Order-free merge: counters and histograms add, gauges keep the maximum.
+(* Order-free merge: counters and sketches add, gauges keep the maximum.
    "Latest value" is meaningless across independent parallel trials, so the
    gauge rule is chosen to be commutative; with addition everywhere else the
    merge is associative and commutative, which is what lets a trial engine
@@ -115,18 +76,6 @@ let merge_into ~into src =
       dst := max !dst !g)
     src.gauges;
   Hashtbl.iter
-    (fun name (h : histogram) ->
-      let dst =
-        find into.histograms name (fun () ->
-            { count = 0; sum = 0; min_v = max_int; max_v = min_int; buckets = Array.make bucket_count 0 })
-      in
-      dst.count <- dst.count + h.count;
-      dst.sum <- dst.sum + h.sum;
-      if h.min_v < dst.min_v then dst.min_v <- h.min_v;
-      if h.max_v > dst.max_v then dst.max_v <- h.max_v;
-      Array.iteri (fun i n -> dst.buckets.(i) <- dst.buckets.(i) + n) h.buckets)
-    src.histograms;
-  Hashtbl.iter
     (fun name s ->
       let dst = find into.sketches name Sketch.create in
       Sketch.merge_into ~into:dst s)
@@ -136,7 +85,6 @@ let counter_value r name =
   match Hashtbl.find_opt r.counters name with Some c -> !c | None -> 0
 
 let gauge_value r name = match Hashtbl.find_opt r.gauges name with Some g -> Some !g | None -> None
-let histogram_of r name = Hashtbl.find_opt r.histograms name
 let sketch_of r name = Hashtbl.find_opt r.sketches name
 
 let sorted_keys tbl = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) tbl [])
@@ -144,73 +92,14 @@ let sorted_keys tbl = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) 
 let counters_list r = List.map (fun k -> (k, !(Hashtbl.find r.counters k))) (sorted_keys r.counters)
 let gauges_list r = List.map (fun k -> (k, !(Hashtbl.find r.gauges k))) (sorted_keys r.gauges)
 
-let histograms_list r =
-  List.map (fun k -> (k, Hashtbl.find r.histograms k)) (sorted_keys r.histograms)
-
 let sketches_list r = List.map (fun k -> (k, Hashtbl.find r.sketches k)) (sorted_keys r.sketches)
 
-(* The histogram analogue of {!Sketch.quantile}: walk the log2 buckets to
-   the target rank and report the bucket's inclusive upper bound (2^i - 1),
-   clamped to the observed extrema.  Coarse — one octave of relative error
-   — but enough for the profile view; sketches are the precise option. *)
-let histogram_quantile (h : histogram) ~per_mille =
-  if h.count = 0 then None
-  else begin
-    let pm = if per_mille < 0 then 0 else if per_mille > 1000 then 1000 else per_mille in
-    let target = max 1 (((h.count * pm) + 999) / 1000) in
-    let cum = ref 0 in
-    let answer = ref h.max_v in
-    (try
-       for i = 0 to bucket_count - 1 do
-         cum := !cum + h.buckets.(i);
-         if !cum >= target then begin
-           let upper = if i = 0 then 0 else (1 lsl i) - 1 in
-           answer := min upper h.max_v;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    Some (max !answer h.min_v)
-  end
-
-(* Buckets are labelled by their upper bound: "<=2^i" holds [2^(i-1), 2^i). *)
-let bucket_label i = if i = 0 then "0" else Printf.sprintf "<=2^%d" i
-
 let to_json r =
-  let counters =
-    List.map (fun k -> (k, Stats.Json.Int !(Hashtbl.find r.counters k))) (sorted_keys r.counters)
-  in
-  let gauges =
-    List.map (fun k -> (k, Stats.Json.Int !(Hashtbl.find r.gauges k))) (sorted_keys r.gauges)
-  in
-  let histograms =
-    List.map
-      (fun k ->
-        let h = Hashtbl.find r.histograms k in
-        let buckets =
-          Array.to_list h.buckets
-          |> List.mapi (fun i n -> (i, n))
-          |> List.filter (fun (_, n) -> n > 0)
-          |> List.map (fun (i, n) -> (bucket_label i, Stats.Json.Int n))
-        in
-        ( k,
-          Stats.Json.Obj
-            [
-              ("count", Stats.Json.Int h.count);
-              ("sum", Stats.Json.Int h.sum);
-              ("min", if h.count = 0 then Stats.Json.Null else Stats.Json.Int h.min_v);
-              ("max", if h.count = 0 then Stats.Json.Null else Stats.Json.Int h.max_v);
-              ("buckets", Stats.Json.Obj buckets);
-            ] ))
-      (sorted_keys r.histograms)
-  in
-  let sketches =
-    List.map (fun k -> (k, Sketch.to_json (Hashtbl.find r.sketches k))) (sorted_keys r.sketches)
-  in
+  let obj json l = Stats.Json.Obj (List.map (fun (k, v) -> (k, json v)) l) in
+  let int v = Stats.Json.Int v in
   Stats.Json.Obj
     [
-      ("counters", Stats.Json.Obj counters);
-      ("gauges", Stats.Json.Obj gauges);
-      ("histograms", Stats.Json.Obj histograms);
-      ("sketches", Stats.Json.Obj sketches);
+      ("counters", obj int (counters_list r));
+      ("gauges", obj int (gauges_list r));
+      ("sketches", obj Sketch.to_json (sketches_list r));
     ]

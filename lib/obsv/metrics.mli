@@ -1,4 +1,4 @@
-(** A metrics registry: named counters, gauges, and log₂-scaled histograms
+(** A metrics registry: named counters, gauges, and quantile {!Sketch}es
     that protocol code records into.
 
     Like {!Trace}, the registry is ambient ({!with_registry}) and the
@@ -26,17 +26,11 @@ val incr : ?by:int -> string -> unit
 (** [set_gauge name v] records the latest value of [name]. *)
 val set_gauge : string -> int -> unit
 
-(** [observe name v] adds [v] to histogram [name].  Buckets are powers of
-    two: [v] lands in the bucket for [2^(i-1) <= v < 2^i] (bucket "0" holds
-    non-positive values), so payload sizes, widths and occupancies keep a
-    compact, deterministic shape. *)
+(** [observe name v] adds [v] to the quantile {!Sketch} named [name]
+    (created on first use), at 1/16 relative error: payload sizes, tag
+    widths, bucket occupancies and per-session bit spend all keep the
+    same mergeable, deterministic shape. *)
 val observe : string -> int -> unit
-
-(** [record name v] adds [v] to the quantile {!Sketch} named [name]
-    (created on first use).  Sketches are the fine-grained (1/16 relative
-    error) complement to the octave-wide histograms: use them where a
-    tail percentile is the headline number (session spend, latency). *)
-val record : string -> int -> unit
 
 (** [merge_sketch name src] folds a pre-accumulated sketch into the
     ambient sketch named [name] (created on first use; no-op when metrics
@@ -45,10 +39,10 @@ val record : string -> int -> unit
     the combined sketch once per cell instead of once per trial. *)
 val merge_sketch : string -> Sketch.t -> unit
 
-(** [merge_into ~into src] folds [src] into [into]: counters add, histograms
-    and sketches add pointwise (count, sum, buckets; min/max combine), and
-    gauges keep the {e maximum} — "latest" is meaningless across independent
-    parallel trials, and max is order-free.  The merge is associative and
+(** [merge_into ~into src] folds [src] into [into]: counters add, sketches
+    add pointwise (count, sum, buckets; min/max combine), and gauges keep
+    the {e maximum} — "latest" is meaningless across independent parallel
+    trials, and max is order-free.  The merge is associative and
     commutative, so a trial engine may combine per-worker registries in any
     grouping and reach the same final registry.  [src] is unchanged; [into]
     must be enabled. *)
@@ -58,16 +52,6 @@ val merge_into : into:registry -> registry -> unit
 val counter_value : registry -> string -> int
 
 val gauge_value : registry -> string -> int option
-
-type histogram = {
-  mutable count : int;
-  mutable sum : int;
-  mutable min_v : int;
-  mutable max_v : int;
-  buckets : int array;
-}
-
-val histogram_of : registry -> string -> histogram option
 val sketch_of : registry -> string -> Sketch.t option
 
 (** Sorted (hence deterministic) enumerations, for snapshotting the whole
@@ -75,16 +59,8 @@ val sketch_of : registry -> string -> Sketch.t option
 val counters_list : registry -> (string * int) list
 
 val gauges_list : registry -> (string * int) list
-val histograms_list : registry -> (string * histogram) list
 val sketches_list : registry -> (string * Sketch.t) list
 
-(** [histogram_quantile h ~per_mille] is the value at rank
-    [ceil(count * per_mille / 1000)], reported as the holding log₂
-    bucket's inclusive upper bound ([2^i - 1]) clamped to the observed
-    extrema; [None] on an empty histogram.  Coarse (one octave of
-    relative error) — {!Sketch} is the precise alternative. *)
-val histogram_quantile : histogram -> per_mille:int -> int option
-
-(** Deterministic export: keys sorted, only non-empty buckets, shape
-    [{counters; gauges; histograms; sketches}]. *)
+(** Deterministic export: keys sorted, shape [{counters; gauges;
+    sketches}]. *)
 val to_json : registry -> Stats.Json.t

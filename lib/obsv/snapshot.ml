@@ -4,8 +4,6 @@
    integer, so the stream is byte-identical for a fixed seed at any
    domain count. *)
 
-type hist_summary = { h_count : int; h_sum : int; h_p50 : int; h_p90 : int; h_p99 : int }
-
 type sketch_summary = {
   s_count : int;
   s_sum : int;
@@ -22,13 +20,8 @@ type t = {
   at : int;
   counters : (string * int) list;
   gauges : (string * int) list;
-  histograms : (string * hist_summary) list;
   sketches : (string * sketch_summary) list;
 }
-
-let summarize_hist (h : Metrics.histogram) =
-  let q pm = match Metrics.histogram_quantile h ~per_mille:pm with Some v -> v | None -> 0 in
-  { h_count = h.Metrics.count; h_sum = h.Metrics.sum; h_p50 = q 500; h_p90 = q 900; h_p99 = q 990 }
 
 let summarize_sketch s =
   {
@@ -49,23 +42,12 @@ let take ~seq ~at registry =
         at;
         counters = Metrics.counters_list registry;
         gauges = Metrics.gauges_list registry;
-        histograms = List.map (fun (k, h) -> (k, summarize_hist h)) (Metrics.histograms_list registry);
         sketches = List.map (fun (k, s) -> (k, summarize_sketch s)) (Metrics.sketches_list registry);
       })
 
 let counter t name = match List.assoc_opt name t.counters with Some v -> v | None -> 0
 let gauge t name = List.assoc_opt name t.gauges
 let sketch t name = List.assoc_opt name t.sketches
-
-let hist_json h =
-  Stats.Json.Obj
-    [
-      ("count", Stats.Json.Int h.h_count);
-      ("sum", Stats.Json.Int h.h_sum);
-      ("p50", Stats.Json.Int h.h_p50);
-      ("p90", Stats.Json.Int h.h_p90);
-      ("p99", Stats.Json.Int h.h_p99);
-    ]
 
 let sketch_json s =
   Stats.Json.Obj
@@ -88,7 +70,10 @@ let to_json t =
       ("at", Stats.Json.Int t.at);
       ("counters", Stats.Json.Obj (List.map (fun (k, v) -> (k, Stats.Json.Int v)) t.counters));
       ("gauges", Stats.Json.Obj (List.map (fun (k, v) -> (k, Stats.Json.Int v)) t.gauges));
-      ("histograms", Stats.Json.Obj (List.map (fun (k, h) -> (k, hist_json h)) t.histograms));
+      (* Frozen stream format: every distribution is a sketch now, and the
+         key stays, always empty, so committed telemetry streams keep
+         their bytes. *)
+      ("histograms", Stats.Json.Obj []);
       ("sketches", Stats.Json.Obj (List.map (fun (k, s) -> (k, sketch_json s)) t.sketches));
     ]
 

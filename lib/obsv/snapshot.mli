@@ -2,13 +2,11 @@
     time series.
 
     A snapshot copies the registry's sorted counters and gauges and
-    summarizes each histogram and sketch down to count/sum/percentiles.
+    summarizes each sketch down to count/sum/extrema/percentiles.
     [at] is {e event time} — sessions completed, trials run — never a
     wall clock, and every derived quantity (deltas, per-1000 rates) is
     integer arithmetic, so the emitted stream is byte-identical for a
     fixed seed at any domain count. *)
-
-type hist_summary = { h_count : int; h_sum : int; h_p50 : int; h_p90 : int; h_p99 : int }
 
 type sketch_summary = {
   s_count : int;
@@ -26,7 +24,6 @@ type t = {
   at : int;  (** event-time stamp (e.g. sessions completed so far) *)
   counters : (string * int) list;  (** sorted by name *)
   gauges : (string * int) list;  (** sorted by name *)
-  histograms : (string * hist_summary) list;  (** sorted by name *)
   sketches : (string * sketch_summary) list;  (** sorted by name *)
 }
 
@@ -42,7 +39,9 @@ val gauge : t -> string -> int option
 val sketch : t -> string -> sketch_summary option
 
 (** One snapshot as a single-line-able JSON object
-    ([{"event":"snapshot"; ...}]). *)
+    ([{"event":"snapshot"; ...}]).  Its ["histograms"] object is always
+    empty (the registry holds no other distribution than sketches); the
+    key stays so the stream format does not change. *)
 val to_json : t -> Stats.Json.t
 
 (** [rates_json ~prev t] derives integer rates from two consecutive

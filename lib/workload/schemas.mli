@@ -8,8 +8,9 @@
     implementations, so "the artifact passes its [json_check] mode" means
     the same thing on the command line and inside [experiments verify].
 
-    Checks are pure string -> result functions over {!Stats.Json}; they
-    never touch the filesystem. *)
+    {!check} parses the document once with {!Stats.Json.of_string} and
+    hands the value to the mode's checker; no check touches the
+    filesystem. *)
 
 (** Every known mode name, sorted: ["bench-chaos"], ["bench-hotpath"],
     ["bench-sweep"], ["bench-telemetry"], ["experiments"],
@@ -22,6 +23,7 @@ val modes : string list
 val bench_modes : string list
 
 (** [check ~mode contents] validates [contents] against the named schema.
-    [Error] carries a one-line diagnosis (unknown modes are an [Error]
-    too, never an exception). *)
+    [Error] carries a one-line diagnosis prefixed ["<mode> schema: "]
+    (["<mode> schema: unparseable: ..."] when [contents] is not JSON;
+    unknown modes are an [Error] too, never an exception). *)
 val check : mode:string -> string -> (unit, string) result

@@ -38,9 +38,9 @@ let record_session registry ~deadline_bits (r : Session.Machine.report) ~wrong =
           Obsv.Metrics.incr (Obsv.Health.k_failure (Session.Machine.kind_name kind)))
         r.Session.Machine.failures;
       let ledger = r.Session.Machine.ledger in
-      Obsv.Metrics.record Obsv.Health.k_spent_bits ledger.Session.Machine.spent_bits;
-      Obsv.Metrics.record Obsv.Health.k_backoff_ticks ledger.Session.Machine.backoff_ticks;
-      Obsv.Metrics.record Obsv.Health.k_wasted_bits ledger.Session.Machine.wasted_bits;
+      Obsv.Metrics.observe Obsv.Health.k_spent_bits ledger.Session.Machine.spent_bits;
+      Obsv.Metrics.observe Obsv.Health.k_backoff_ticks ledger.Session.Machine.backoff_ticks;
+      Obsv.Metrics.observe Obsv.Health.k_wasted_bits ledger.Session.Machine.wasted_bits;
       let prev =
         match Obsv.Metrics.gauge_value registry Obsv.Health.k_deadline_bits with
         | Some g -> g

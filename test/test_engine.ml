@@ -241,11 +241,11 @@ let test_merge_metrics () =
     (Stats.Json.to_string (Obsv.Metrics.to_json merged'));
   check "counters add" 7 (Obsv.Metrics.counter_value merged "trials");
   Alcotest.(check (option int)) "gauges max" (Some 10) (Obsv.Metrics.gauge_value merged "depth");
-  match Obsv.Metrics.histogram_of merged "payload" with
-  | None -> Alcotest.fail "histogram missing"
-  | Some h ->
-      check "histogram count" 2 h.Obsv.Metrics.count;
-      check "histogram sum" 7 h.Obsv.Metrics.sum
+  match Obsv.Metrics.sketch_of merged "payload" with
+  | None -> Alcotest.fail "sketch missing"
+  | Some s ->
+      check "sketch count" 2 (Obsv.Sketch.count s);
+      check "sketch sum" 7 (Obsv.Sketch.sum s)
 
 (* --- Adversarial shapes ---------------------------------------------- *)
 

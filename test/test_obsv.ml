@@ -112,7 +112,8 @@ let test_disabled_is_ambient_default () =
   check "nothing recorded" 0 (List.length (Trace.spans Trace.disabled));
   Metrics.incr "ignored";
   Metrics.observe "ignored" 5;
-  check "metrics drop writes when disabled" 0 (Metrics.counter_value Metrics.disabled "ignored")
+  check "metrics drop writes when disabled" 0 (Metrics.counter_value Metrics.disabled "ignored");
+  check_bool "no sketch on the disabled registry" true (Metrics.sketches_list Metrics.disabled = [])
 
 let test_disabled_span_allocates_nothing () =
   let body () = () in
@@ -227,20 +228,16 @@ let test_metrics_readback () =
   check "absent counter reads zero" 0 (Metrics.counter_value r "absent");
   check_bool "gauge keeps the latest value" true (Metrics.gauge_value r "g" = Some 9);
   check_bool "absent gauge is None" true (Metrics.gauge_value r "absent" = None);
-  match Metrics.histogram_of r "h" with
-  | None -> Alcotest.fail "histogram not recorded"
+  match Metrics.sketch_of r "h" with
+  | None -> Alcotest.fail "sketch not recorded"
   | Some h ->
-      check "count" 6 h.Metrics.count;
-      check "sum" 1014 h.Metrics.sum;
-      check "min" 0 h.Metrics.min_v;
-      check "max" 1000 h.Metrics.max_v;
-      (* Log2 buckets: 0 -> "0"; 1 -> [1,2); 2,3 -> [2,4); 8 -> [8,16);
-         1000 -> [512,1024). *)
-      check "bucket 0" 1 h.Metrics.buckets.(0);
-      check "bucket [1,2)" 1 h.Metrics.buckets.(1);
-      check "bucket [2,4)" 2 h.Metrics.buckets.(2);
-      check "bucket [8,16)" 1 h.Metrics.buckets.(4);
-      check "bucket [512,1024)" 1 h.Metrics.buckets.(10)
+      check "count" 6 (Sketch.count h);
+      check "sum" 1014 (Sketch.sum h);
+      check_bool "min" true (Sketch.min_value h = Some 0);
+      check_bool "max" true (Sketch.max_value h = Some 1000);
+      (* Rank ceil(6 / 2) = 3 of 0, 1, 2, 3, 8, 1000 is 2, held exactly
+         in a unit bucket. *)
+      check "p50" 2 (Sketch.p50 h)
 
 let () =
   Alcotest.run "obsv"

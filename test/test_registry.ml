@@ -367,6 +367,20 @@ let test_bench_telemetry_schema () =
   check_bool "ratio above 1.25 rejected" false
     (accepts "bench-telemetry" (telemetry_doc ~ratio:1.26 ()))
 
+(* [check] parses once for every mode, so a document that is not JSON
+   fails the same way whichever mode reads it. *)
+let test_unparseable_every_mode () =
+  List.iter
+    (fun mode ->
+      match Workload.Schemas.check ~mode {|{"bench": "chaos",}|} with
+      | Ok () -> Alcotest.failf "%s accepted an unparseable document" mode
+      | Error msg ->
+          check_bool
+            (Printf.sprintf "%s: %S names the parse failure" mode msg)
+            true
+            (String.starts_with ~prefix:(mode ^ " schema: unparseable") msg))
+    Workload.Schemas.modes
+
 (* ---------- the real repository ---------- *)
 
 let repo_cli_subcommands =
@@ -427,6 +441,7 @@ let () =
         [
           Alcotest.test_case "bench-hotpath" `Quick test_bench_hotpath_schema;
           Alcotest.test_case "bench-telemetry" `Quick test_bench_telemetry_schema;
+          Alcotest.test_case "unparseable in every mode" `Quick test_unparseable_every_mode;
         ] );
       ( "commands",
         [

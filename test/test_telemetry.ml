@@ -1,9 +1,9 @@
 (* Fleet telemetry: the quantile sketch's bucket scheme and merge laws
    (byte-identical JSON under any merge grouping — the property the
    Engine.Merge reduction tree relies on), the flight recorder's ring
-   bound and disabled fast path, histogram quantiles, snapshot rate
-   arithmetic, SLO evaluation, and the end-to-end guarantee that a chaos
-   campaign's telemetry stream is byte-identical across domain counts. *)
+   bound and disabled fast path, snapshot rate arithmetic, SLO
+   evaluation, and the end-to-end guarantee that a chaos campaign's
+   telemetry stream is byte-identical across domain counts. *)
 
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -107,9 +107,9 @@ let test_registry_merges_sketches () =
   let r1 = Obsv.Metrics.create () in
   let r2 = Obsv.Metrics.create () in
   Obsv.Metrics.with_registry r1 (fun () ->
-      List.iter (Obsv.Metrics.record "fleet/spent_bits") [ 10; 20; 30 ]);
+      List.iter (Obsv.Metrics.observe "fleet/spent_bits") [ 10; 20; 30 ]);
   Obsv.Metrics.with_registry r2 (fun () ->
-      List.iter (Obsv.Metrics.record "fleet/spent_bits") [ 40; 50 ]);
+      List.iter (Obsv.Metrics.observe "fleet/spent_bits") [ 40; 50 ]);
   Obsv.Metrics.merge_into ~into:r1 r2;
   match Obsv.Metrics.sketch_of r1 "fleet/spent_bits" with
   | None -> Alcotest.fail "sketch lost in merge"
@@ -173,25 +173,6 @@ let test_recorder_post_mortem_shape () =
     | Some [ _ ] -> true
     | _ -> false)
 
-(* --- histogram quantiles ----------------------------------------------- *)
-
-let test_histogram_quantile () =
-  let r = Obsv.Metrics.create () in
-  Obsv.Metrics.with_registry r (fun () ->
-      List.iter (Obsv.Metrics.observe "payload") [ 1; 2; 3; 100; 1000 ]);
-  match Obsv.Metrics.histogram_of r "payload" with
-  | None -> Alcotest.fail "histogram missing"
-  | Some h ->
-      (* rank 3 of 5 at p50 -> value 3, log2 bucket [2,3] upper 3. *)
-      Alcotest.(check (option int)) "p50" (Some 3) (Obsv.Metrics.histogram_quantile h ~per_mille:500);
-      (* p99 -> rank 5 -> 1000, bucket upper 1023 clamps to max 1000. *)
-      Alcotest.(check (option int)) "p99 clamps to max" (Some 1000)
-        (Obsv.Metrics.histogram_quantile h ~per_mille:990);
-      Alcotest.(check (option int)) "empty histogram" None
-        (Option.bind
-           (Obsv.Metrics.histogram_of (Obsv.Metrics.create ()) "nope")
-           (Obsv.Metrics.histogram_quantile ~per_mille:500))
-
 (* --- snapshots and rates ----------------------------------------------- *)
 
 let registry_with setup =
@@ -224,7 +205,7 @@ let healthy_registry ?(wrong = 0) () =
       Obsv.Metrics.incr ~by:19 (Obsv.Health.k_outcome "completed");
       Obsv.Metrics.incr ~by:1 (Obsv.Health.k_outcome "degraded");
       if wrong > 0 then Obsv.Metrics.incr ~by:wrong Obsv.Health.k_wrong;
-      List.iter (Obsv.Metrics.record Obsv.Health.k_spent_bits) [ 100; 200; 300 ];
+      List.iter (Obsv.Metrics.observe Obsv.Health.k_spent_bits) [ 100; 200; 300 ];
       Obsv.Metrics.set_gauge Obsv.Health.k_deadline_bits 1000)
 
 let verdict_of (h : Obsv.Health.report) slo =
@@ -302,8 +283,6 @@ let () =
           Alcotest.test_case "ambient scoping" `Quick test_recorder_scoping;
           Alcotest.test_case "post-mortem shape" `Quick test_recorder_post_mortem_shape;
         ] );
-      ( "histogram quantiles",
-        [ Alcotest.test_case "log2-bucket quantiles" `Quick test_histogram_quantile ] );
       ( "snapshots",
         [ Alcotest.test_case "integer rates" `Quick test_snapshot_rates ] );
       ( "health",

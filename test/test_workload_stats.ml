@@ -357,6 +357,87 @@ let test_table_arity () =
   Alcotest.check_raises "arity" (Invalid_argument "Table.add_row: arity mismatch") (fun () ->
       Stats.Table.add_row t [ "1" ])
 
+(* ---------- Json ---------- *)
+
+let parses input = Result.is_ok (Stats.Json.of_string input)
+
+let test_json_rejects () =
+  List.iter
+    (fun input -> check_bool (Printf.sprintf "rejects %S" input) false (parses input))
+    [
+      "";
+      "{";
+      "[1,]";
+      {|{"a":1,}|};
+      {|{"a" 1}|};
+      "01";
+      "-";
+      "1.";
+      "1e";
+      "+1";
+      {|"\x"|};
+      {|"\u12G4"|};
+      "\"a\x01b\"";
+      "nul";
+      "1 2";
+      {|"unterminated|};
+    ]
+
+let test_json_accepts () =
+  let value input expected =
+    match Stats.Json.of_string input with
+    | Ok v -> check_bool (Printf.sprintf "%S parses as expected" input) true (v = expected)
+    | Error msg -> Alcotest.failf "%S rejected: %s" input msg
+  in
+  value "-0" (Stats.Json.Int 0);
+  value "1e+5" (Stats.Json.Float 1e5);
+  value "  [ ]  " (Stats.Json.List []);
+  value {|"é\/"|} (Stats.Json.Str "é/");
+  value {|{"a": {"b": [{"c": null}, {}]}, "d": -1.5}|}
+    Stats.Json.(
+      Obj
+        [
+          ("a", Obj [ ("b", List [ Obj [ ("c", Null) ]; Obj [] ]) ]);
+          ("d", Float (-1.5));
+        ])
+
+(* Report-shaped values survive [to_string] and [to_string_pretty] and
+   back: every float here prints exactly at [%.12g]. *)
+let test_json_round_trip () =
+  let report =
+    Stats.Json.(
+      Obj
+        [
+          ("bench", Str "chaos");
+          ("reproduce", Str "dune exec bin/intersect_cli.exe -- chaos --seed 7");
+          ( "cells",
+            List
+              [
+                Obj
+                  [
+                    ("protocol", Str "bucket");
+                    ("k", Int 1024);
+                    ("ratio", Float 1.095);
+                    ("alloc_bytes_per_run", Float 90733.3);
+                    ("error_lower95", Float 1e-05);
+                    ("whole", Float 2.0);
+                    ("min", Int min_int);
+                    ("pass", Bool true);
+                    ("plan", Null);
+                    ("detail", Str "quote \" slash \\ tab \t nl \n ctl \x01 é");
+                  ];
+                Obj [];
+                List [];
+              ] );
+        ])
+  in
+  List.iter
+    (fun (name, render) ->
+      match Stats.Json.of_string (render report) with
+      | Ok v -> check_bool (name ^ " round-trips") true (v = report)
+      | Error msg -> Alcotest.failf "%s output rejected: %s" name msg)
+    [ ("to_string", Stats.Json.to_string); ("to_string_pretty", Stats.Json.to_string_pretty) ]
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "workload-stats"
@@ -404,5 +485,11 @@ let () =
         [
           Alcotest.test_case "render" `Quick test_table_render;
           Alcotest.test_case "arity" `Quick test_table_arity;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "rejects malformed input" `Quick test_json_rejects;
+          Alcotest.test_case "accepts edge cases" `Quick test_json_accepts;
+          Alcotest.test_case "round-trips reports" `Quick test_json_round_trip;
         ] );
     ]

@@ -55,6 +55,25 @@ for format in json sarif; do
   cmp "$tmp/lint.a" "$tmp/lint.b"
 done
 
+# [expect_status N cmd...] fails the gate unless cmd exits N.
+expect_status() {
+  want=$1
+  shift
+  status=0
+  "$@" > /dev/null 2>&1 || status=$?
+  if [ "$status" -ne "$want" ]; then
+    echo "tier1: '$*' exited $status, expected $want" >&2
+    exit 1
+  fi
+}
+
+# json_check parses with Stats.Json.of_string, with or without a schema
+# mode: malformed JSON exits 1 either way, and an unknown mode is a usage
+# error (exit 2).
+printf '{"a":1,}' | expect_status 1 $json_check
+printf '{"a":1,}' | expect_status 1 $json_check --bench-chaos
+expect_status 2 $json_check --no-such-mode < /dev/null
+
 $cli trace --protocol bucket -k 64 --seed 1 | $json_check
 $cli profile --protocol bucket -k 64 --seed 1 > /dev/null
 
@@ -73,12 +92,7 @@ done
 # Invalid campaign input is a usage error: the campaign runner rejects
 # it before any cell runs and every campaign subcommand exits 2.
 expect_usage_error() {
-  status=0
-  $cli "$@" > /dev/null 2>&1 || status=$?
-  if [ "$status" -ne 2 ]; then
-    echo "tier1: '$*' exited $status, expected 2" >&2
-    exit 1
-  fi
+  expect_status 2 $cli "$@"
 }
 for c in soak chaos sweep conform health top bench-regress; do
   expect_usage_error $c --smoke --trials 0
