@@ -464,9 +464,22 @@ let profile_cmd =
             in
             List.iter (Stats.Table.add_row per_player) (Commsim.Cost.breakdown_rows cost);
             Stats.Table.print per_player;
-            print_newline ();
-            print_endline "metrics:";
-            print_endline (Stats.Json.to_string_pretty (Obsv.Metrics.to_json registry));
+            (* Sketches appear only as the quantile table below. *)
+            (match
+               List.map (fun (m, v) -> [ m; "counter"; string_of_int v ])
+                 (Obsv.Metrics.counters_list registry)
+               @ List.map (fun (m, v) -> [ m; "gauge"; string_of_int v ])
+                   (Obsv.Metrics.gauges_list registry)
+             with
+            | [] -> ()
+            | rows ->
+                print_newline ();
+                let scalars =
+                  Stats.Table.create ~title:"counters and gauges"
+                    ~columns:[ "metric"; "kind"; "value" ]
+                in
+                List.iter (Stats.Table.add_row scalars) rows;
+                Stats.Table.print scalars);
             (match Obsv.Metrics.sketches_list registry with
             | [] -> ()
             | sketches ->
@@ -498,8 +511,9 @@ let profile_cmd =
        ~doc:
          "Run seeded executions of a named protocol on the trial engine and print the merged \
           per-phase budget breakdown (bits attributed to the sender's innermost span), the \
-          per-player cost table, the merged metrics registry, and the p50/p90/p99 of each of \
-          its quantile sketches (payload sizes, tag widths, bucket occupancy, ...).  Exits \
+          per-player cost table, the merged registry's counters and gauges, and the p50/p90/p99 \
+          of each of its quantile sketches (payload sizes, tag widths, bucket occupancy, ...); \
+          --json prints the whole registry instead.  Exits \
           non-zero if the per-phase bits fail to sum to the exact Cost.total_bits.")
     Term.(
       const run $ obsv_protocol_arg $ obsv_r_arg $ obsv_k_arg $ universe_bits_arg $ overlap_arg

@@ -352,12 +352,15 @@ let catalogue =
 let modes = List.map fst catalogue
 let bench_modes = List.filter (String.starts_with ~prefix:"bench-") modes
 
-(* One parse for every mode, and one place that names the mode in an
-   error. *)
-let check ~mode input =
+(* One place that names the mode in an error. *)
+let with_checker ~mode f =
   match List.assoc_opt mode catalogue with
   | None ->
       Error (Printf.sprintf "unknown schema mode %S (known: %s)" mode (String.concat ", " modes))
-  | Some checker ->
-      Result.bind (Result.map_error (( ^ ) "unparseable: ") (J.of_string input)) checker
-      |> Result.map_error (Printf.sprintf "%s schema: %s" mode)
+  | Some checker -> f checker |> Result.map_error (Printf.sprintf "%s schema: %s" mode)
+
+let check_json ~mode doc = with_checker ~mode (fun checker -> checker doc)
+
+let check ~mode input =
+  with_checker ~mode (fun checker ->
+      Result.bind (Result.map_error (( ^ ) "unparseable: ") (J.of_string input)) checker)

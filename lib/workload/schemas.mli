@@ -9,8 +9,8 @@
     the same thing on the command line and inside [experiments verify].
 
     {!check} parses the document once with {!Stats.Json.of_string} and
-    hands the value to the mode's checker; no check touches the
-    filesystem. *)
+    hands the value to the mode's checker; {!check_json} takes a value a
+    caller has already parsed.  No check touches the filesystem. *)
 
 (** Every known mode name, sorted: ["bench-chaos"], ["bench-hotpath"],
     ["bench-sweep"], ["bench-telemetry"], ["experiments"],
@@ -27,3 +27,8 @@ val bench_modes : string list
     (["<mode> schema: unparseable: ..."] when [contents] is not JSON;
     unknown modes are an [Error] too, never an exception). *)
 val check : mode:string -> string -> (unit, string) result
+
+(** [check_json ~mode doc] is {!check} on a document already parsed:
+    [check ~mode s] is [check_json ~mode v] whenever [s] parses to [v],
+    error strings included. *)
+val check_json : mode:string -> Stats.Json.t -> (unit, string) result

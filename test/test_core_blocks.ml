@@ -107,6 +107,118 @@ let prop_strhash_equal_inputs =
       let x = Bitio.Bits.of_bools bools in
       Bitio.Bits.equal (Strhash.apply (mk ()) x) (Strhash.apply (mk ()) x))
 
+(* A reference for the whole tag pipeline, written from the definition:
+   [create]'s draws (point, then [a; b] per lane, each a 61-bit draw
+   rejected at p), Horner over 24-bit chunks read bit by bit from
+   [acc = len + 1], and each lane's [(a v + b) mod p] cut to its width, all
+   in Int64 through [Hashing.Modarith].  [Strhash] shares none of it, so a
+   wrong reduction, chunk boundary or fast-path bound shows as a tag
+   mismatch. *)
+module Ref_strhash = struct
+  let p = Int64.sub (Int64.shift_left 1L 61) 1L
+  let mulmod a b = Hashing.Modarith.mulmod a b p
+  let addmod a b = Hashing.Modarith.addmod a b p
+
+  let rec draw rng =
+    let v = Prng.Rng.bits rng ~width:61 in
+    if v < Int64.to_int p then Int64.of_int v else draw rng
+
+  (* point, then [a; b] per 48-bit lane *)
+  let create rng ~bits =
+    let point = Int64.add 2L (Int64.rem (draw rng) (Int64.sub p 4L)) in
+    let lanes =
+      List.init ((bits + 47) / 48) (fun _ ->
+          let a = Int64.add 1L (Int64.rem (draw rng) (Int64.sub p 1L)) in
+          (a, draw rng))
+    in
+    (point, lanes)
+
+  let fingerprint point payload ~pos ~len =
+    let acc = ref (Int64.of_int (len + 1)) in
+    let i = ref 0 in
+    while !i < len do
+      let width = min 24 (len - !i) in
+      let chunk = ref 0 in
+      for j = width - 1 downto 0 do
+        chunk := (2 * !chunk) + Bool.to_int (Bitio.Bits.get payload (pos + !i + j))
+      done;
+      acc := addmod (mulmod !acc point) (Int64.of_int (!chunk + 1));
+      i := !i + width
+    done;
+    !acc
+
+  (* Tag bits in wire order, lane by lane, low bit first. *)
+  let tag_bools (_, lanes) ~bits v =
+    List.concat
+      (List.mapi
+         (fun i (a, b) ->
+           let width = min 48 (bits - (48 * i)) in
+           let lane = Int64.to_int (addmod (mulmod a v) b) in
+           List.init width (fun j -> (lane lsr j) land 1 = 1))
+         lanes)
+
+  let tag_int fn ~bits v =
+    List.fold_right (fun bit acc -> (2 * acc) + Bool.to_int bit) (tag_bools fn ~bits v) 0
+end
+
+(* Every length 0..200 (so every branch edge: 0, 1, 24, 25, 47, 48, 49,
+   95, 96, 97) at every offset 0..7, over all-zero, all-one and random
+   payloads: [apply] on the extracted bits, [range_int_tag] and
+   [draw_write_range] in place, and [write_int] on the range's first 60
+   bits, each against [Ref_strhash]. *)
+let prop_strhash_reference =
+  QCheck.Test.make ~name:"kernel = Modarith reference" ~count:6
+    QCheck.(pair small_nat (int_range 1 150))
+    (fun (seed, wide) ->
+      let narrow = 1 + (wide mod 62) in
+      let root = Prng.Rng.of_int seed in
+      let fill = Prng.Rng.with_label root "payload" in
+      let payloads =
+        [
+          Array.make 216 false;
+          Array.make 216 true;
+          Array.init 216 (fun _ -> Prng.Rng.bool fill);
+        ]
+      in
+      let buf = Bitio.Bitbuf.create () in
+      List.for_all
+        (fun cells ->
+          let payload = Bitio.Bits.of_bools (Array.to_list cells) in
+          List.for_all
+            (fun len ->
+              List.for_all
+                (fun pos ->
+                  let label = Printf.sprintf "ref/%d/%d" len pos in
+                  let fresh () = Prng.Rng.with_label root label in
+                  let range = Bitio.Bits.of_bools (Array.to_list (Array.sub cells pos len)) in
+                  let ((point, _) as wide_ref) = Ref_strhash.create (fresh ()) ~bits:wide in
+                  let v = Ref_strhash.fingerprint point payload ~pos ~len in
+                  let applied =
+                    Bitio.Bits.to_bools (Strhash.apply (Strhash.create (fresh ()) ~bits:wide) range)
+                  in
+                  let ((npoint, _) as narrow_ref) = Ref_strhash.create (fresh ()) ~bits:narrow in
+                  let ranged =
+                    Strhash.range_int_tag (Strhash.create (fresh ()) ~bits:narrow) payload ~pos ~len
+                  in
+                  let d = Prng.Rng.Label.start root in
+                  Prng.Rng.Label.add d label;
+                  Bitio.Bitbuf.reset buf;
+                  Strhash.draw_write_range d ~bits:wide buf payload ~pos ~len;
+                  let drawn = Bitio.Bits.to_bools (Bitio.Bitbuf.contents buf) in
+                  let x = Bitio.Bits.extract payload ~pos ~width:(min len 60) in
+                  Bitio.Bitbuf.reset buf;
+                  Strhash.write_int (Strhash.create (fresh ()) ~bits:wide) buf x;
+                  applied = Ref_strhash.tag_bools wide_ref ~bits:wide v
+                  && ranged
+                     = Ref_strhash.tag_int narrow_ref ~bits:narrow
+                         (Ref_strhash.fingerprint npoint payload ~pos ~len)
+                  && drawn = Ref_strhash.tag_bools wide_ref ~bits:wide v
+                  && Bitio.Bits.to_bools (Bitio.Bitbuf.contents buf)
+                     = Ref_strhash.tag_bools wide_ref ~bits:wide (Int64.of_int x))
+                (List.init 8 Fun.id))
+            (List.init 201 Fun.id))
+        payloads)
+
 (* ---------- Wire ---------- *)
 
 let test_wire_set_roundtrip () =
@@ -423,6 +535,7 @@ let () =
           Alcotest.test_case "length matters" `Quick test_strhash_length_matters;
           Alcotest.test_case "int range" `Quick test_strhash_int_range;
           qt prop_strhash_equal_inputs;
+          qt prop_strhash_reference;
         ] );
       ( "wire",
         [

@@ -381,6 +381,33 @@ let test_unparseable_every_mode () =
             (String.starts_with ~prefix:(mode ^ " schema: unparseable") msg))
     Workload.Schemas.modes
 
+(* [check_json] on the parsed document is [check] on its text, error
+   strings included: every committed BENCH artifact under every mode (its
+   own and the mismatched ones) and an unknown mode. *)
+let test_check_json_agrees () =
+  let artifacts =
+    Sys.readdir ".." |> Array.to_list
+    |> List.filter (fun f ->
+           String.starts_with ~prefix:"BENCH_" f && Filename.check_suffix f ".json")
+  in
+  check_bool "committed BENCH artifacts found" true (artifacts <> []);
+  List.iter
+    (fun file ->
+      let contents = In_channel.with_open_bin (Filename.concat ".." file) In_channel.input_all in
+      let doc =
+        match Stats.Json.of_string contents with
+        | Ok doc -> doc
+        | Error msg -> Alcotest.failf "%s: %s" file msg
+      in
+      List.iter
+        (fun mode ->
+          let text = Workload.Schemas.check ~mode contents in
+          if Workload.Schemas.check_json ~mode doc <> text then
+            Alcotest.failf "%s --%s: check_json disagrees with check (%s)" file mode
+              (match text with Ok () -> "ok" | Error msg -> msg))
+        ("no-such-mode" :: Workload.Schemas.modes))
+    artifacts
+
 (* ---------- the real repository ---------- *)
 
 let repo_cli_subcommands =
@@ -396,9 +423,9 @@ let load_repo () =
 
 let test_repo_verifies () =
   let registry = load_repo () in
-  check_int "32 entries" 32 (List.length registry.R.entries);
+  check_int "33 entries" 33 (List.length registry.R.entries);
   let _, _, complete, superseded = R.census registry in
-  check_int "complete" 29 complete;
+  check_int "complete" 30 complete;
   check_int "superseded (023 by 027, 027 by 028, 028 by 029)" 3 superseded;
   let violations =
     R.verify ~env:(R.repo_env ~root:"..") ~cli_subcommands:repo_cli_subcommands registry
@@ -442,6 +469,7 @@ let () =
           Alcotest.test_case "bench-hotpath" `Quick test_bench_hotpath_schema;
           Alcotest.test_case "bench-telemetry" `Quick test_bench_telemetry_schema;
           Alcotest.test_case "unparseable in every mode" `Quick test_unparseable_every_mode;
+          Alcotest.test_case "check_json = check on artifacts" `Quick test_check_json_agrees;
         ] );
       ( "commands",
         [
