@@ -110,7 +110,11 @@ let protocol_trial ~k protocol () =
    guarded attempt fell once more (from 743 197 and 210 866) when bucket
    assignment went flat: one keys array and a counting sort in place of
    k bucket arrays, the matched set read off the images without
-   extraction or sort. *)
+   extraction or sort.  Tree-log-star fell once more (from 1 183 888)
+   when each stage patched only the leaves its re-runs changed into the
+   stage buffer, re-run lanes were drawn again from the label cell
+   instead of kept per leaf, and [Vtree] stopped storing the leaf
+   level. *)
 let bucket_case =
   {
     name = "bucket";
@@ -126,7 +130,7 @@ let tree_case =
     label = "bench/scaling/alloc/tree";
     k = 4096;
     trial = protocol_trial ~k:4096 (fun () -> Tree_protocol.protocol_log_star ~k:4096 ());
-    baseline = 1_183_888.0;
+    baseline = 1_001_520.0;
   }
 
 let guarded_attempt_trial () =
@@ -161,7 +165,8 @@ let guarded_case =
    trial and one tree-r2 k=16 trial, each with its set generation and
    exactness check; the baseline once Iset's kernels were int-specialised,
    pair generation stopped sorting and one-round's tag table went flat
-   (37 884 bytes/trial before). *)
+   (37 884 bytes/trial before), lowered from 31 284 by the tree's
+   patched stage buffer and cell-drawn re-run lanes. *)
 let conform_smallk_trial () =
   let cache = Engine.Instance_cache.create () and universe = 1 lsl universe_bits in
   let one_round = Workload.Conform.entry_of_name "one-round"
@@ -182,7 +187,7 @@ let conform_smallk_case =
     label = "bench/scaling/alloc/conform-smallk";
     k = 64;
     trial = conform_smallk_trial;
-    baseline = 31_284.0;
+    baseline = 30_738.0;
   }
 
 let alloc_cases = [ bucket_case; tree_case; guarded_case; conform_smallk_case ]

@@ -14,7 +14,7 @@ let length t = t.length
 let ensure t extra_bits =
   let needed = ((t.length + extra_bits + 7) / 8) + slack in
   if needed > Bytes.length t.data then begin
-    let capacity = max needed (2 * Bytes.length t.data) in
+    let capacity = Int.max needed (2 * Bytes.length t.data) in
     let data = Bytes.make capacity '\000' in
     Bytes.blit t.data 0 data 0 (Bytes.length t.data);
     t.data <- data
@@ -47,15 +47,22 @@ let write_bits t ~width v =
     invalid_arg "Bitbuf.write_bits: value does not fit width";
   write_bits_unchecked t ~width v
 
-let append t bits =
-  let n = Bits.length bits in
-  ensure t n;
-  let pos = ref 0 in
-  while !pos < n do
-    let take = min 56 (n - !pos) in
-    write_bits_unchecked t ~width:take (Bits.extract bits ~pos:!pos ~width:take);
-    pos := !pos + take
+(* One capacity check for the whole range, then one 56-bit load and one
+   word write per step. *)
+let append_range t bits ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > Bits.length bits then
+    invalid_arg "Bitbuf.append_range: out of bounds";
+  ensure t len;
+  let stop = pos + len in
+  let i = ref pos in
+  while !i < stop do
+    let take = Int.min 56 (stop - !i) in
+    or_word t.data t.length (Bits.extract bits ~pos:!i ~width:take);
+    t.length <- t.length + take;
+    i := !i + take
   done
+
+let append t bits = append_range t bits ~pos:0 ~len:(Bits.length bits)
 
 let contents t =
   let data = Bytes.sub t.data 0 ((t.length + 7) / 8) in

@@ -20,6 +20,12 @@ val write_bits : t -> width:int -> int -> unit
 (** [append t bits] appends a whole bit vector. *)
 val append : t -> Bits.t -> unit
 
+(** [append_range t bits ~pos ~len] appends bits [\[pos, pos + len)] of
+    [bits], in order, 56 bits per load.  Raises [Invalid_argument] unless
+    the range lies inside [bits].  [bits] must not be a {!view} of [t]
+    itself. *)
+val append_range : t -> Bits.t -> pos:int -> len:int -> unit
+
 (** Freeze the contents written so far (copies; the result is safe to keep).
     The writer remains usable. *)
 val contents : t -> Bits.t

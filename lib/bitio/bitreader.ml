@@ -27,7 +27,7 @@ let read_bits t ~width =
   t.position <- t.position + width;
   v
 
-let peek t = Bits.extract t.bits ~pos:t.position ~width:(min 56 (remaining t))
+let peek t = Bits.extract t.bits ~pos:t.position ~width:(Int.min 56 (remaining t))
 
 let skip t n =
   if n < 0 || n > remaining t then raise Underflow;
@@ -48,7 +48,7 @@ let trailing_ones w =
 
 (* Up to 56 bits per load; stops at the first zero, which stays unread. *)
 let rec read_ones t acc =
-  let avail = min 56 (remaining t) in
+  let avail = Int.min 56 (remaining t) in
   if avail = 0 then acc
   else begin
     (* the extracted word is below 2^avail, so [ones <= avail] *)
@@ -66,7 +66,7 @@ let read_blob t ~bits =
   (* 56-bit chunks land on whole destination bytes (7 per chunk). *)
   let pos = ref 0 in
   while !pos < bits do
-    let take = min 56 (bits - !pos) in
+    let take = Int.min 56 (bits - !pos) in
     let v = ref (read_bits t ~width:take) in
     for j = !pos lsr 3 to ((!pos + take + 7) lsr 3) - 1 do
       Bytes.unsafe_set buf j (Char.unsafe_chr (!v land 0xFF));

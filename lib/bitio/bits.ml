@@ -11,23 +11,35 @@ let get b i =
   let byte = Char.code (Bytes.get b.data (i lsr 3)) in
   byte land (1 lsl (i land 7)) <> 0
 
+(* The bytes from [j] to the end of [data] (fewer than 8), little-endian;
+   missing bytes read as zero.  Out of line: only the tail of an exactly
+   sized payload comes here. *)
+let[@inline never] load_tail data j =
+  let w = ref 0 in
+  for i = Bytes.length data - 1 downto j do
+    w := (!w lsl 8) lor Char.code (Bytes.unsafe_get data i)
+  done;
+  !w
+
+external get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
+external swap64 : int64 -> int64 = "%bswap_int64"
+
 (* The 64 bits starting at byte [j], little-endian, as a native int: bit 63
    falls off, which leaves 63 - off >= 56 usable bits after a shift by an
-   in-byte offset.  One load when all 8 bytes exist; at the tail of an
-   exactly sized payload, byte loads, with missing bytes reading as zero. *)
-let load data j =
-  let n = Bytes.length data in
-  if j + 8 <= n then Int64.to_int (Bytes.get_int64_le data j)
-  else begin
-    let w = ref 0 in
-    for i = n - 1 downto j do
-      w := (!w lsl 8) lor Char.code (Bytes.unsafe_get data i)
-    done;
-    !w
+   in-byte offset.  One unchecked load, inline, when all 8 bytes exist
+   (the test is what makes it safe; [Sys.big_endian] is a constant, so
+   little-endian hosts compile no swap). *)
+let[@inline] load data j =
+  if j + 8 <= Bytes.length data then begin
+    let w = get64u data j in
+    Int64.to_int (if Sys.big_endian then swap64 w else w)
   end
+  else load_tail data j
 
 (* Bits [pos, pos + width) for [width <= 56]: one load. *)
 let[@inline] field data ~pos ~width = (load data (pos lsr 3) lsr (pos land 7)) land ((1 lsl width) - 1)
+
+let[@inline] unsafe_extract b ~pos ~width = field b.data ~pos ~width
 
 let extract b ~pos ~width =
   if width < 0 || width > 62 then invalid_arg "Bits.extract: width";

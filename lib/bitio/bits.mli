@@ -24,6 +24,13 @@ val get : t -> int -> bool
     the load falls back to reading the bytes that exist. *)
 val extract : t -> pos:int -> width:int -> int
 
+(** [unsafe_extract b ~pos ~width] is [extract b ~pos ~width] without
+    its checks, and inlinable: valid only after the caller has checked
+    [0 <= width <= 56], [pos >= 0] and [pos + width <= length b] (an
+    unchecked call outside that range reads unspecified bits).  For loops
+    that have already checked a whole range once. *)
+val unsafe_extract : t -> pos:int -> width:int -> int
+
 (** [of_bools l] builds a bit vector from a list of bits. *)
 val of_bools : bool list -> t
 

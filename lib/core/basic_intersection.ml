@@ -1,7 +1,7 @@
 let tag_bits_for ~failure =
   if failure <= 0.0 || failure >= 1.0 then invalid_arg "Basic_intersection.tag_bits: failure";
   let failure_bits = int_of_float (Float.ceil (-.log failure /. log 2.0)) in
-  fun ~m -> max 4 ((2 * Iterated_log.log2_ceil (max 2 m)) + failure_bits)
+  fun ~m -> Int.max 4 ((2 * Iterated_log.log2_ceil (Int.max 2 m)) + failure_bits)
 
 let tag_bits ~m ~failure = tag_bits_for ~failure ~m
 
@@ -30,7 +30,7 @@ let probe slots ~shift tag =
 (* A count read off the wire must fail fast, not size a table: [count]
    tags of [bits] bits each must still be in the payload. *)
 let read_tag_keys reader ~bits ~count =
-  if count > Bitio.Bitreader.remaining reader / max 1 bits then raise Bitio.Bitreader.Underflow;
+  if count > Bitio.Bitreader.remaining reader / Int.max 1 bits then raise Bitio.Bitreader.Underflow;
   if bits <= 62 then begin
     let log_cap = ref 1 in
     while 1 lsl !log_cap < 2 * count do

@@ -7,7 +7,7 @@ let instance_ceiling k = 20 * k
 let run_party ?sequential ?(reduce = true) role rng ~universe ~k chan mine =
   if k < 1 then invalid_arg "Bucket_protocol.run_party";
   let open Commsim.Transport in
-  let n_reduced = if reduce then max 64 (k * k * k) else universe in
+  let n_reduced = if reduce then Int.max 64 (k * k * k) else universe in
   (* Universe reduction H: [n] -> [k^3]; identity when already small.
      The reduced images form the set the buckets are drawn over. *)
   let reduction =
@@ -164,7 +164,7 @@ let protocol ?sequential ?reduce ?k () =
     run =
       (fun rng ~universe s t ->
         Protocol.validate_inputs ~universe s t;
-        let k = match k with Some k -> k | None -> max 1 (max (Array.length s) (Array.length t)) in
+        let k = match k with Some k -> k | None -> Int.max 1 (Int.max (Array.length s) (Array.length t)) in
         let (alice, bob), cost =
           Commsim.Two_party.run
             ~alice:(fun chan -> run_party ?sequential ?reduce `Alice rng ~universe ~k chan s)

@@ -1,7 +1,7 @@
 type role = Alice | Bob
 
 let joint_bits ~k =
-  let k = max 1 k in
+  let k = Int.max 1 k in
   int_of_float (Float.ceil (sqrt (float_of_int k))) + (2 * Iterated_log.log2_ceil (k + 2)) + 8
 
 (* After this many tag iterations (probability ~2^-(2+4+8+...) per instance of
@@ -22,7 +22,7 @@ let run ?(sequential = true) ?(max_iterations = default_max_iterations) role rng
      verdict byte is ['\001'] once its instance is declared equal. *)
   let order = Array.init k Fun.id in
   let lo = Array.init group_count (fun g -> g * group_size) in
-  let live = Array.init group_count (fun g -> max 0 (min group_size (k - (g * group_size)))) in
+  let live = Array.init group_count (fun g -> Int.max 0 (Int.min group_size (k - (g * group_size)))) in
   let act = Array.make group_count 0 and nact = ref 0 in
   let cand = Array.make group_count 0 in
   let equal = Bytes.make k '\000' in
@@ -225,7 +225,7 @@ let run ?(sequential = true) ?(max_iterations = default_max_iterations) role rng
     while !nact > 0 do
       if !iteration >= max_iterations then Obsv.Trace.span Obsv.Phases.eq_exact exact_round
       else begin
-        let bits = min 32 (2 lsl !iteration) in
+        let bits = Int.min 32 (2 lsl !iteration) in
         Obsv.Metrics.incr "eq/tag_rounds";
         Obsv.Metrics.observe "eq/tag_bits" bits;
         let mismatches =

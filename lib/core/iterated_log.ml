@@ -5,7 +5,7 @@ let log2_ceil x =
 let ilog i k =
   if i < 0 then invalid_arg "Iterated_log.ilog";
   if k < 1 then invalid_arg "Iterated_log.ilog: k";
-  let rec loop i k = if i = 0 then k else loop (i - 1) (max 1 (log2_ceil k)) in
+  let rec loop i k = if i = 0 then k else loop (i - 1) (Int.max 1 (log2_ceil k)) in
   loop i k
 
 let log_star k =

@@ -88,8 +88,10 @@ let bits fn = fn.bits
    lengths cannot alias — Horner's rule [acc <- acc * point + (chunk + 1)]
    from [acc = len + 1].  The chunking defines the tag values, so it must
    not change; how the steps are grouped does not, since every grouping
-   leaves the same residue mod p.  The first step, [(len + 1) * point], is
-   a small-operand product (a full one past 2^30 - 2 bits).  A range of at
+   leaves the same residue mod p.  The range is checked once, so every
+   load inside it is [Bits.unsafe_extract].  The first step,
+   [(len + 1) * point], is a small-operand product (a full one past
+   2^30 - 2 bits).  A range of at
    most 48 bits is one load and at most two steps.  Longer ranges take
    whole chunk pairs in one step,
    [acc * point^2 + ((c1 + 1) * point + (c2 + 1))], with one 48-bit load
@@ -102,25 +104,25 @@ let fingerprint point payload ~pos ~len =
     invalid_arg "Strhash: range out of bounds";
   if len = 0 then 1
   else if len <= 48 then begin
-    let w = Bitio.Bits.extract payload ~pos ~width:len in
+    let w = Bitio.Bits.unsafe_extract payload ~pos ~width:len in
     let acc = canon (mul_small (len + 1) point + (w land 0xFFFFFF) + 1) in
     if len <= 24 then acc else canon (mul61 acc point + (w lsr 24) + 1)
   end
   else begin
     let stop = pos + len in
     let first = if len < (1 lsl 30) - 1 then mul_small (len + 1) point else mul61 (len + 1) point in
-    let acc = ref (canon (first + Bitio.Bits.extract payload ~pos ~width:24 + 1)) in
+    let acc = ref (canon (first + Bitio.Bits.unsafe_extract payload ~pos ~width:24 + 1)) in
     let i = ref (pos + 24) in
     let point2 = mul61 point point in
     while stop - !i >= 48 do
-      let w = Bitio.Bits.extract payload ~pos:!i ~width:48 in
+      let w = Bitio.Bits.unsafe_extract payload ~pos:!i ~width:48 in
       let pair = mul_small ((w land 0xFFFFFF) + 1) point + (w lsr 24) + 1 in
       acc := reduce (mul61 !acc point2 + pair);
       i := !i + 48
     done;
     while !i < stop do
       let chunk_len = Int.min 24 (stop - !i) in
-      let chunk = Bitio.Bits.extract payload ~pos:!i ~width:chunk_len in
+      let chunk = Bitio.Bits.unsafe_extract payload ~pos:!i ~width:chunk_len in
       (* chunk + 1 so trailing zero chunks still advance the polynomial *)
       acc := canon (mul61 !acc point + (chunk + 1));
       i := !i + chunk_len
@@ -150,12 +152,12 @@ let apply_int fn x =
   check_int "apply_int" x;
   tag_of_value fn x
 
-(* The int tag of [x] under the lanes stored at [lanes.(pos) ..]. *)
-let lanes_int_tag lanes ~pos ~bits x =
+(* The int tag of [x] under the lanes stored in [lanes]. *)
+let lanes_int_tag lanes ~bits x =
   let tag = ref 0 in
   for i = 0 to lane_count bits - 1 do
     let width = lane_width_of bits i in
-    let a = lanes.(pos + (2 * i)) and b = lanes.(pos + (2 * i) + 1) in
+    let a = lanes.(2 * i) and b = lanes.((2 * i) + 1) in
     tag := !tag lor (lane_tag a b x ~width lsl (i * lane_width))
   done;
   !tag
@@ -163,27 +165,28 @@ let lanes_int_tag lanes ~pos ~bits x =
 let int_tag fn x =
   check_int "int_tag" x;
   if fn.bits > 62 then invalid_arg "Strhash.int_tag: bits";
-  lanes_int_tag fn.lanes ~pos:0 ~bits:fn.bits x
+  lanes_int_tag fn.lanes ~bits:fn.bits x
 
 let range_int_tag fn payload ~pos ~len =
   if fn.bits > 62 then invalid_arg "Strhash.range_int_tag: bits";
-  lanes_int_tag fn.lanes ~pos:0 ~bits:fn.bits (fingerprint fn.point payload ~pos ~len)
+  lanes_int_tag fn.lanes ~bits:fn.bits (fingerprint fn.point payload ~pos ~len)
 
 (* A tag of at most 62 bits has at most two lanes: [a; b] each. *)
 let int_fn_slots = 4
 
-let store_int_fn rng ~bits lanes ~pos =
-  if bits < 1 || bits > 62 then invalid_arg "Strhash.store_int_fn: bits";
-  ignore (draw_point rng : int);
-  for i = 0 to lane_count bits - 1 do
-    let a = draw_a rng in
-    lanes.(pos + (2 * i)) <- a;
-    lanes.(pos + (2 * i) + 1) <- draw_mod_p rng
+(* The point is drawn (and skipped) so the lanes are [create]'s. *)
+let draw_int_fn d ~bits lanes =
+  if bits < 1 || bits > 62 then invalid_arg "Strhash.draw_int_fn: bits";
+  let count = lane_count bits in
+  let r = Prng.Rng.Label.draws d (1 + (2 * count)) in
+  for i = 0 to count - 1 do
+    lanes.(2 * i) <- a_of r.((2 * i) + 1);
+    lanes.((2 * i) + 1) <- r.((2 * i) + 2)
   done
 
-let stored_int_tag lanes ~pos ~bits x =
+let stored_int_tag lanes ~bits x =
   check_int "stored_int_tag" x;
-  lanes_int_tag lanes ~pos ~bits x
+  lanes_int_tag lanes ~bits x
 
 let write_int fn buf x =
   check_int "write_int" x;

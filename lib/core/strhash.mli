@@ -55,23 +55,23 @@ val range_int_tag : fn -> Bitio.Bits.t -> pos:int -> len:int -> int
 
 (** {2 Flat int-tag functions}
 
-    A run that keeps many narrow tag functions alive at once stores each
-    one's lane coefficients in [int_fn_slots] consecutive cells of one int
-    array instead of a [fn] per function. *)
+    A run that draws many narrow tag functions one after another keeps
+    the current one's lane coefficients in one int array of
+    [int_fn_slots] cells instead of building a [fn] per function. *)
 
 (** Cells one stored function takes. *)
 val int_fn_slots : int
 
-(** [store_int_fn rng ~bits lanes ~pos] draws what [create rng ~bits]
-    draws, in the same order, leaving [rng] in the same state, and stores
-    the lane coefficients in [lanes.(pos) .. lanes.(pos + int_fn_slots -
-    1)].  Requires [1 <= bits <= 62]. *)
-val store_int_fn : Prng.Rng.t -> bits:int -> int array -> pos:int -> unit
+(** [draw_int_fn d ~bits lanes] draws, as the fused forms below do, the
+    function [create (Prng.Rng.Label.finish d) ~bits] would draw, from the
+    cell [d] whose label is complete, and stores its lane coefficients in
+    [lanes.(0) .. lanes.(int_fn_slots - 1)].  No generator is derived and
+    the cell's label is left as it was.  Requires [1 <= bits <= 62]. *)
+val draw_int_fn : Prng.Rng.Label.d -> bits:int -> int array -> unit
 
-(** [stored_int_tag lanes ~pos ~bits x] is [int_tag (create rng ~bits) x]
-    for the function {!store_int_fn} stored at [pos] with the same
-    [bits]. *)
-val stored_int_tag : int array -> pos:int -> bits:int -> int -> int
+(** [stored_int_tag lanes ~bits x] is [int_tag (create rng ~bits) x] for
+    the function {!draw_int_fn} stored in [lanes] with the same [bits]. *)
+val stored_int_tag : int array -> bits:int -> int -> int
 
 (** {2 Fused draw-and-tag}
 

@@ -2,7 +2,7 @@
 let stage_failure fl = Float.min 0.25 (1.0 /. (float_of_int fl ** 4.0))
 
 (* Tag width of the stage's equality tests: log2 of 1/failure. *)
-let stage_eq_bits fl = max 8 (4 * Iterated_log.log2_ceil (fl + 1))
+let stage_eq_bits fl = Int.max 8 (4 * Iterated_log.log2_ceil (fl + 1))
 
 (* Fallback for the budgeted variant: deterministic exchange of the
    original inputs over the same channel. *)
@@ -27,23 +27,99 @@ exception Over_budget
    more peer tags, go through Basic_intersection's table. *)
 let scratch_tags = 32
 
-(* Gap-code every leaf, in leaf order, into [buf] — each leaf exactly as
-   [Set_codec.write_gaps] codes its set — and record leaf [u]'s first bit
-   in [off.(u)] ([off.(leaves)] is the end).  A node covers contiguous
-   leaves, so its payload is one bit range of [buf]. *)
+(* Gap-code one leaf's live elements [idx.(first) ..] onto [buf],
+   exactly as [Set_codec.write_gaps] codes its set. *)
+let encode_leaf buf mine idx ~first ~live =
+  Bitio.Codes.write_gamma buf live;
+  let prev = ref (-1) in
+  for j = first to first + live - 1 do
+    let x = mine.(idx.(j)) in
+    Bitio.Codes.write_delta buf (x - !prev - 1);
+    prev := x
+  done
+
+(* Gap-code every leaf, in leaf order, into [buf] and record leaf [u]'s
+   first bit in [off.(u)] ([off.(leaves)] is the end).  A node covers
+   contiguous leaves, so its payload is one bit range of [buf]. *)
 let encode_leaves buf ~leaves ~off mine idx start live =
   Bitio.Bitbuf.reset buf;
   for u = 0 to leaves - 1 do
     off.(u) <- Bitio.Bitbuf.length buf;
-    Bitio.Codes.write_gamma buf live.(u);
-    let prev = ref (-1) in
-    for j = start.(u) to start.(u) + live.(u) - 1 do
-      let x = mine.(idx.(j)) in
-      Bitio.Codes.write_delta buf (x - !prev - 1);
-      prev := x
-    done
+    encode_leaf buf mine idx ~first:start.(u) ~live:live.(u)
   done;
   off.(leaves) <- Bitio.Bitbuf.length buf
+
+(* Leaves [a, b), coded in [src] at their (not yet moved) offsets, onto
+   [dst] as one bit range; their offsets move by the same shift. *)
+let copy_leaves dst src ~off a b =
+  if a < b then begin
+    let from = off.(a) in
+    let shift = Bitio.Bitbuf.length dst - from in
+    Bitio.Bitbuf.append_range dst src ~pos:from ~len:(off.(b) - from);
+    for u = a to b - 1 do
+      off.(u) <- off.(u) + shift
+    done
+  end
+
+(* What [encode_leaves] would write into [dst], given [src] as it wrote it
+   at [off] and the [nchanged] leaves, ascending in [changed], whose sets
+   changed since: those are coded afresh, and every run of unchanged
+   leaves between them is copied from [src].  Offsets at or above a leaf
+   are still [src]'s when the copy reaches it. *)
+let patch_leaves dst src ~leaves ~off ~changed ~nchanged mine idx start live =
+  Bitio.Bitbuf.reset dst;
+  let next = ref 0 in
+  for c = 0 to nchanged - 1 do
+    let u = changed.(c) in
+    copy_leaves dst src ~off !next u;
+    off.(u) <- Bitio.Bitbuf.length dst;
+    encode_leaf dst mine idx ~first:start.(u) ~live:live.(u);
+    next := u + 1
+  done;
+  copy_leaves dst src ~off !next leaves;
+  off.(leaves) <- Bitio.Bitbuf.length dst
+
+(* Node labels "tree/eq/s<stage>/v<vi>", for [vi] = 0, 1, ... in order:
+   the prefix and every digit of [vi] but the last are hashed once per
+   ten nodes and marked, and each node rewinds to them and adds its last
+   digit. *)
+let node_label cell ~stage vi =
+  let open Prng.Rng.Label in
+  if vi mod 10 = 0 then begin
+    restart cell;
+    add cell "tree/eq/s";
+    add_int cell stage;
+    add cell "/v";
+    if vi > 0 then add_int cell (vi / 10);
+    mark cell
+  end;
+  rewind cell;
+  add_char cell (Char.unsafe_chr (Char.code '0' + (vi mod 10)))
+
+(* List the leaves of node [vi] in [failed] from position [n]; the new
+   count.  Nodes fail in order, so [failed] stays ascending. *)
+let add_leaves failed n tree ~level vi =
+  let n = ref n in
+  for u = Vtree.first tree ~level vi to Vtree.first tree ~level (vi + 1) - 1 do
+    failed.(!n) <- u;
+    incr n
+  done;
+  !n
+
+(* Read the failed-node bitmap (Wire's word layout, flag [vi] set iff
+   node [vi] failed): list the failed nodes' leaves in [failed] and return
+   their count. *)
+let read_bitmap reader tree ~level failed =
+  let nodes = Vtree.nodes tree ~level in
+  let n = ref 0 and first = ref 0 in
+  while !first < nodes do
+    let w = Wire.read_bitmap_word reader ~width:nodes ~first:!first in
+    for vi = !first to Int.min nodes (!first + Wire.bitmap_word) - 1 do
+      if w land Wire.bitmap_bit vi <> 0 then n := add_leaves failed !n tree ~level vi
+    done;
+    first := !first + Wire.bitmap_word
+  done;
+  !n
 
 (* [mine] filtered by the surviving leaf ranges, so still sorted. *)
 let survivors mine ~leaves idx start live =
@@ -90,7 +166,7 @@ let run_party ?buckets ?flat_eq_bits ?budget role rng ~universe ~r ~k chan mine 
   let check_budget () =
     match budget with Some b when !seen_bits > b -> raise Over_budget | _ -> ()
   in
-  let leaves = match buckets with Some b -> max 1 b | None -> k in
+  let leaves = match buckets with Some b -> Int.max 1 b | None -> k in
   let tree = Vtree.build ~k:leaves ~r in
   let bucket =
     Hashing.Carter_wegman.create (Prng.Rng.with_label rng "tree/bucket") ~universe ~range:leaves
@@ -106,7 +182,8 @@ let run_party ?buckets ?flat_eq_bits ?budget role rng ~universe ~r ~k chan mine 
      re-runs compact that range in place.  [off.(u)] is leaf [u]'s first
      bit in the stage buffer and [rerun.(u)] counts its re-runs so far.
      Per stage, [failed] lists the leaves below failed nodes, and Alice
-     keeps Bob's sizes of them in [theirs]. *)
+     keeps Bob's sizes of them in [theirs]; after the re-runs its front
+     lists the leaves that lost an element. *)
   let leaf = Array.map (Hashing.Carter_wegman.hash bucket) mine in
   let start = Array.make (leaves + 1) 0 in
   for i = 0 to n - 1 do
@@ -122,49 +199,59 @@ let run_party ?buckets ?flat_eq_bits ?budget role rng ~universe ~r ~k chan mine 
     live.(u) <- live.(u) + 1
   done;
   let off = Array.make (leaves + 1) 0 and rerun = Array.make leaves 0 in
-  let failed = Array.make leaves 0 and theirs = Array.make leaves 0 in
-  let scratch = Array.make scratch_tags 0 in
+  let failed = Array.make leaves 0 in
+  let theirs = match role with `Alice -> Array.make leaves 0 | `Bob -> [||] in
+  let scratch = Array.make scratch_tags 0 and coef = Array.make Strhash.int_fn_slots 0 in
   (* Leaf labels "tree/bi/leaf<u>/run<rerun u>": each stage's re-runs mark
      the shared prefix once. *)
-  let leaf_gen u =
+  let leaf_label u =
     Prng.Rng.Label.rewind cell;
     Prng.Rng.Label.add_int cell u;
     Prng.Rng.Label.add cell "/run";
-    Prng.Rng.Label.add_int cell rerun.(u);
-    Prng.Rng.Label.finish cell
+    Prng.Rng.Label.add_int cell rerun.(u)
   in
   let narrow ~count ~bits = bits <= 62 && count <= scratch_tags in
-  (* Draw leaf [u]'s re-run function — a narrow one into [coef.(pos)] —
-     and write this party's tags of the leaf, before any filtering, to
-     [buf]. *)
-  let write_leaf_tags buf ~coef ~pos ~u ~count ~bits =
+  (* A narrow re-run function is drawn from the cell into [coef] (again
+     at match time, rather than kept per leaf); a wide one is built. *)
+  let wide_fn u ~bits =
+    leaf_label u;
+    Strhash.create (Prng.Rng.Label.finish cell) ~bits
+  in
+  let narrow_fn u ~bits =
+    leaf_label u;
+    Strhash.draw_int_fn cell ~bits coef
+  in
+  (* Alice's tags of leaf [u], before any filtering. *)
+  let write_leaf_tags buf ~u ~count ~bits =
     let s = start.(u) in
     if narrow ~count ~bits then begin
-      Strhash.store_int_fn (leaf_gen u) ~bits coef ~pos;
+      narrow_fn u ~bits;
       for j = s to s + live.(u) - 1 do
-        Bitio.Bitbuf.write_bits buf ~width:bits
-          (Strhash.stored_int_tag coef ~pos ~bits mine.(idx.(j)))
+        Bitio.Bitbuf.write_bits buf ~width:bits (Strhash.stored_int_tag coef ~bits mine.(idx.(j)))
       done
     end
     else begin
-      let fn = Strhash.create (leaf_gen u) ~bits in
+      let fn = wide_fn u ~bits in
       for j = s to s + live.(u) - 1 do
         Strhash.write_int fn buf mine.(idx.(j))
       done
     end
   in
-  (* Keep the elements of leaf [u] whose tag is among the [count] peer
-     tags [reader] holds next; a wide function is drawn again from its
-     label.  Says whether the leaf lost an element. *)
-  let match_leaf reader ~coef ~pos ~u ~count ~bits =
+  (* Keep the elements of leaf [u] whose tag is among the [count] tags
+     [reader] holds next; says whether it lost one.  On Bob's side each
+     element's tag, before filtering, is also written to [echo]: a narrow
+     tag is worked out once for both. *)
+  let match_leaf ?echo reader ~u ~count ~bits =
     let s = start.(u) in
     let w = ref s in
     if narrow ~count ~bits then begin
       for t = 0 to count - 1 do
         scratch.(t) <- Bitio.Bitreader.read_bits reader ~width:bits
       done;
+      narrow_fn u ~bits;
       for j = s to s + live.(u) - 1 do
-        let tag = Strhash.stored_int_tag coef ~pos ~bits mine.(idx.(j)) in
+        let tag = Strhash.stored_int_tag coef ~bits mine.(idx.(j)) in
+        (match echo with Some buf -> Bitio.Bitbuf.write_bits buf ~width:bits tag | None -> ());
         let t = ref 0 in
         while !t < count && scratch.(!t) <> tag do
           incr t
@@ -176,154 +263,154 @@ let run_party ?buckets ?flat_eq_bits ?budget role rng ~universe ~r ~k chan mine 
       done
     end
     else begin
-      let fn = Strhash.create (leaf_gen u) ~bits in
       let table = Basic_intersection.read_tag_keys reader ~bits ~count in
+      let fn = wide_fn u ~bits in
       for j = s to s + live.(u) - 1 do
-        if Basic_intersection.tag_matches fn table mine.(idx.(j)) then begin
+        let x = mine.(idx.(j)) in
+        (match echo with Some buf -> Strhash.write_int fn buf x | None -> ());
+        if Basic_intersection.tag_matches fn table x then begin
           idx.(!w) <- idx.(j);
           incr w
         end
       done
     end;
-    let lost = !w - s < live.(u) in
-    live.(u) <- !w - s;
+    let kept = !w - s in
+    let lost = kept < live.(u) in
+    live.(u) <- kept;
     lost
   in
-  match
-    Bitio.Pool.with_buf (fun stage_buf ->
-        (* The stage buffer holds every leaf's gap code; it is rebuilt
-           only after a re-run has changed a leaf. *)
-        let dirty = ref true in
-        for stage = 0 to r - 1 do
-          check_budget ();
-          let fl = Iterated_log.ilog (r - stage - 1) k in
-          let eq_bits =
-            match flat_eq_bits with Some b -> max 2 b | None -> stage_eq_bits fl
-          in
-          let failure = stage_failure fl in
-          let bounds = tree.Vtree.bounds.(stage) in
-          let nodes = Vtree.nodes tree ~level:stage in
-          if !dirty then begin
-            encode_leaves stage_buf ~leaves ~off mine idx start live;
-            dirty := false
-          end;
-          let payload = Bitio.Bitbuf.view stage_buf in
-          (* Node labels "tree/eq/s<stage>/v<vi>" share their prefix
-             within the stage: hash it once, then rewind to it per
-             node.  The re-runs below [restart] the cell, so each
-             stage marks afresh. *)
-          Prng.Rng.Label.restart cell;
-          Prng.Rng.Label.add cell "tree/eq/s";
-          Prng.Rng.Label.add_int cell stage;
-          Prng.Rng.Label.add cell "/v";
-          Prng.Rng.Label.mark cell;
-          let node_label vi =
-            Prng.Rng.Label.rewind cell;
-            Prng.Rng.Label.add_int cell vi;
-            cell
-          in
-          (* Node [vi]'s payload is its leaves' gap codes back to back,
-             as Wire.of_sets laid them out: one bit range of the stage
-             buffer.  Only the eq_bits-wide tag reaches the wire. *)
-          let first vi = off.(bounds.(vi)) in
-          let length vi = off.(bounds.(vi + 1)) - first vi in
-          let nfailed = ref 0 in
-          let fail vi =
-            for u = bounds.(vi) to bounds.(vi + 1) - 1 do
-              failed.(!nfailed) <- u;
-              incr nfailed
-            done
-          in
-          (* Stage messages 1-2: batched equality tests at level
-             L_stage.  Bob replies with the failed-node bitmap plus his
-             bucket sizes under the failed nodes (needed to
-             parameterize the re-runs). *)
-          Obsv.Metrics.observe "tree/eq_bits" eq_bits;
-          Obsv.Trace.span Obsv.Phases.tree_eq
-            ~attrs:[ ("stage", string_of_int stage); ("eq_bits", string_of_int eq_bits) ]
-            (fun () ->
-              match role with
-              | `Alice ->
-                  chan.send
-                    (Bitio.Pool.payload (fun buf ->
-                         for vi = 0 to nodes - 1 do
-                           Strhash.draw_write_range (node_label vi) ~bits:eq_bits buf payload
-                             ~pos:(first vi) ~len:(length vi)
-                         done));
-                  let reader = Bitio.Bitreader.create (chan.recv ()) in
-                  for vi = 0 to nodes - 1 do
-                    if Bitio.Bitreader.read_bit reader then fail vi
-                  done;
-                  for i = 0 to !nfailed - 1 do
-                    theirs.(i) <- Bitio.Codes.read_gamma reader
-                  done
-              | `Bob ->
-                  let reader = Bitio.Bitreader.create (chan.recv ()) in
-                  chan.send
-                    (Bitio.Pool.payload (fun buf ->
-                         for vi = 0 to nodes - 1 do
-                           let ok =
-                             Strhash.draw_matches_range (node_label vi) ~bits:eq_bits reader
-                               payload ~pos:(first vi) ~len:(length vi)
-                           in
-                           Bitio.Bitbuf.write_bit buf (not ok);
-                           if not ok then fail vi
+  let stages buf_a buf_b =
+    (* [!cur] holds every leaf's gap code at [off]: coded whole at
+       stage 0, then patched into [!spare] (and swapped) for the
+       [nchanged] leaves a stage's re-runs changed. *)
+    let cur = ref buf_a and spare = ref buf_b in
+    let nchanged = ref 0 in
+    for stage = 0 to r - 1 do
+      check_budget ();
+      let fl = Iterated_log.ilog (r - stage - 1) k in
+      let eq_bits =
+        match flat_eq_bits with Some b -> Int.max 2 b | None -> stage_eq_bits fl
+      in
+      let failure = stage_failure fl in
+      let nodes = Vtree.nodes tree ~level:stage in
+      let first vi = off.(Vtree.first tree ~level:stage vi) in
+      if stage = 0 then encode_leaves !cur ~leaves ~off mine idx start live
+      else if !nchanged > 0 then begin
+        let src = !cur in
+        patch_leaves !spare (Bitio.Bitbuf.view src) ~leaves ~off ~changed:failed
+          ~nchanged:!nchanged mine idx start live;
+        cur := !spare;
+        spare := src
+      end;
+      nchanged := 0;
+      (* Node [vi]'s payload is its leaves' gap codes back to back,
+         as Wire.of_sets laid them out: one bit range of the stage
+         buffer.  Only the eq_bits-wide tag reaches the wire. *)
+      let payload = Bitio.Bitbuf.view !cur in
+      (* Stage messages 1-2: batched equality tests at level
+         L_stage.  Bob replies with the failed-node bitmap plus his
+         bucket sizes under the failed nodes (needed to
+         parameterize the re-runs). *)
+      Obsv.Metrics.observe "tree/eq_bits" eq_bits;
+      let nfailed =
+        Obsv.Trace.span Obsv.Phases.tree_eq
+          ~attrs:[ ("stage", string_of_int stage); ("eq_bits", string_of_int eq_bits) ]
+          (fun () ->
+            match role with
+            | `Alice ->
+                chan.send
+                  (Bitio.Pool.payload (fun buf ->
+                       for vi = 0 to nodes - 1 do
+                         node_label cell ~stage vi;
+                         let pos = first vi in
+                         Strhash.draw_write_range cell ~bits:eq_bits buf payload ~pos
+                           ~len:(first (vi + 1) - pos)
+                       done));
+                let reader = Bitio.Bitreader.create (chan.recv ()) in
+                let nfailed = read_bitmap reader tree ~level:stage failed in
+                for i = 0 to nfailed - 1 do
+                  theirs.(i) <- Bitio.Codes.read_gamma reader
+                done;
+                nfailed
+            | `Bob ->
+                let reader = Bitio.Bitreader.create (chan.recv ()) in
+                let nfailed = ref 0 in
+                chan.send
+                  (Bitio.Pool.payload (fun buf ->
+                       let from = ref 0 in
+                       while !from < nodes do
+                         let word = ref 0 in
+                         for vi = !from to Int.min nodes (!from + Wire.bitmap_word) - 1 do
+                           node_label cell ~stage vi;
+                           let pos = first vi in
+                           if
+                             not
+                               (Strhash.draw_matches_range cell ~bits:eq_bits reader payload
+                                  ~pos ~len:(first (vi + 1) - pos))
+                           then begin
+                             word := !word lor Wire.bitmap_bit vi;
+                             nfailed := add_leaves failed !nfailed tree ~level:stage vi
+                           end
                          done;
-                         for i = 0 to !nfailed - 1 do
-                           Bitio.Codes.write_gamma buf live.(failed.(i))
-                         done)));
-          (* Stage messages 3-4: batched Basic-Intersection re-runs on
-             every leaf below a failed node (Lemma 3.3, with this
-             stage's error target).  Alice ships her sizes and element
-             tags; Bob filters his buckets, ships his own tags of the
-             pre-filter buckets; Alice filters hers. *)
-          let nfailed = !nfailed in
-          if nfailed > 0 then begin
-            Obsv.Metrics.incr ~by:nfailed "tree/failed_leaves";
-            let tag_bits = Basic_intersection.tag_bits_for ~failure in
-            let bits_of u count = tag_bits ~m:(live.(u) + count) in
-            Prng.Rng.Label.restart cell;
-            Prng.Rng.Label.add cell "tree/bi/leaf";
-            Prng.Rng.Label.mark cell;
-            Obsv.Trace.span Obsv.Phases.tree_rerun ~attrs:[ ("stage", string_of_int stage) ]
-              (fun () ->
-                match role with
-                | `Alice ->
-                    (* Alice keeps the narrow functions until Bob's reply. *)
-                    let coef = Array.make (Strhash.int_fn_slots * nfailed) 0 in
-                    chan.send
-                      (Bitio.Pool.payload (fun buf ->
-                           for i = 0 to nfailed - 1 do
-                             let u = failed.(i) and count = theirs.(i) in
-                             Bitio.Codes.write_gamma buf live.(u);
-                             write_leaf_tags buf ~coef ~pos:(Strhash.int_fn_slots * i) ~u ~count
-                               ~bits:(bits_of u count)
-                           done));
-                    let reader = Bitio.Bitreader.create (chan.recv ()) in
-                    for i = 0 to nfailed - 1 do
-                      let u = failed.(i) and count = theirs.(i) in
-                      let bits = bits_of u count in
-                      if match_leaf reader ~coef ~pos:(Strhash.int_fn_slots * i) ~u ~count ~bits
-                      then dirty := true
-                    done
-                | `Bob ->
-                    let coef = Array.make Strhash.int_fn_slots 0 in
-                    let reader = Bitio.Bitreader.create (chan.recv ()) in
-                    chan.send
-                      (Bitio.Pool.payload (fun buf ->
-                           for i = 0 to nfailed - 1 do
-                             let u = failed.(i) in
-                             let count = Bitio.Codes.read_gamma reader in
-                             let bits = bits_of u count in
-                             write_leaf_tags buf ~coef ~pos:0 ~u ~count ~bits;
-                             if match_leaf reader ~coef ~pos:0 ~u ~count ~bits then dirty := true
-                           done)));
-            for i = 0 to nfailed - 1 do
-              rerun.(failed.(i)) <- rerun.(failed.(i)) + 1
-            done
+                         Wire.write_bitmap_word buf ~width:nodes ~first:!from !word;
+                         from := !from + Wire.bitmap_word
+                       done;
+                       for i = 0 to !nfailed - 1 do
+                         Bitio.Codes.write_gamma buf live.(failed.(i))
+                       done));
+                !nfailed)
+      in
+      (* Stage messages 3-4: batched Basic-Intersection re-runs on
+         every leaf below a failed node (Lemma 3.3, with this
+         stage's error target).  Alice ships her sizes and element
+         tags; Bob filters his buckets, ships his own tags of the
+         pre-filter buckets; Alice filters hers.  Each side then
+         keeps the leaves that lost an element at the front of
+         [failed], for the next stage's patch. *)
+      if nfailed > 0 then begin
+        Obsv.Metrics.incr ~by:nfailed "tree/failed_leaves";
+        let tag_bits = Basic_intersection.tag_bits_for ~failure in
+        let bits_of u count = tag_bits ~m:(live.(u) + count) in
+        let changed u lost =
+          rerun.(u) <- rerun.(u) + 1;
+          if lost then begin
+            failed.(!nchanged) <- u;
+            incr nchanged
           end
-        done)
-  with
+        in
+        Prng.Rng.Label.restart cell;
+        Prng.Rng.Label.add cell "tree/bi/leaf";
+        Prng.Rng.Label.mark cell;
+        Obsv.Trace.span Obsv.Phases.tree_rerun ~attrs:[ ("stage", string_of_int stage) ]
+          (fun () ->
+            match role with
+            | `Alice ->
+                chan.send
+                  (Bitio.Pool.payload (fun buf ->
+                       for i = 0 to nfailed - 1 do
+                         let u = failed.(i) and count = theirs.(i) in
+                         Bitio.Codes.write_gamma buf live.(u);
+                         write_leaf_tags buf ~u ~count ~bits:(bits_of u count)
+                       done));
+                let reader = Bitio.Bitreader.create (chan.recv ()) in
+                for i = 0 to nfailed - 1 do
+                  let u = failed.(i) and count = theirs.(i) in
+                  changed u (match_leaf reader ~u ~count ~bits:(bits_of u count))
+                done
+            | `Bob ->
+                let reader = Bitio.Bitreader.create (chan.recv ()) in
+                chan.send
+                  (Bitio.Pool.payload (fun buf ->
+                       let echo = Some buf in
+                       for i = 0 to nfailed - 1 do
+                         let u = failed.(i) in
+                         let count = Bitio.Codes.read_gamma reader in
+                         changed u (match_leaf ?echo reader ~u ~count ~bits:(bits_of u count))
+                       done)))
+      end
+    done
+  in
+  match Bitio.Pool.with_buf (fun buf_a -> Bitio.Pool.with_buf (fun buf_b -> stages buf_a buf_b)) with
   | () -> survivors mine ~leaves idx start live
   | exception Over_budget ->
       (* stage boundaries are synchronized, so both parties land here with
@@ -337,7 +424,7 @@ let protocol ?buckets ?flat_eq_bits ?k ~r () =
     run =
       (fun rng ~universe s t ->
         Protocol.validate_inputs ~universe s t;
-        let k = match k with Some k -> k | None -> max 1 (max (Array.length s) (Array.length t)) in
+        let k = match k with Some k -> k | None -> Int.max 1 (Int.max (Array.length s) (Array.length t)) in
         let (alice, bob), cost =
           Commsim.Two_party.run
             ~alice:(fun chan -> run_party ?buckets ?flat_eq_bits `Alice rng ~universe ~r ~k chan s)
@@ -353,8 +440,8 @@ let protocol_budgeted ?(budget_factor = 64) ?k ~r () =
     run =
       (fun rng ~universe s t ->
         Protocol.validate_inputs ~universe s t;
-        let k = match k with Some k -> k | None -> max 1 (max (Array.length s) (Array.length t)) in
-        let budget = budget_factor * k * max 1 (Iterated_log.ilog r k) in
+        let k = match k with Some k -> k | None -> Int.max 1 (Int.max (Array.length s) (Array.length t)) in
+        let budget = budget_factor * k * Int.max 1 (Iterated_log.ilog r k) in
         let (alice, bob), cost =
           Commsim.Two_party.run
             ~alice:(fun chan -> run_party ~budget `Alice rng ~universe ~r ~k chan s)
@@ -371,8 +458,14 @@ let protocol_log_star ?k () =
     run =
       (fun rng ~universe s t ->
         let k_eff =
-          match k with Some k -> k | None -> max 1 (max (Array.length s) (Array.length t))
+          match k with Some k -> k | None -> Int.max 1 (Int.max (Array.length s) (Array.length t))
         in
-        let r = max 1 (base ~k_eff) in
+        let r = Int.max 1 (base ~k_eff) in
         (protocol ~k:k_eff ~r ()).Protocol.run rng ~universe s t);
   }
+
+module For_testing = struct
+  let encode_leaves = encode_leaves
+  let patch_leaves = patch_leaves
+  let node_label = node_label
+end

@@ -56,3 +56,50 @@ val protocol_log_star : ?k:int -> unit -> Protocol.t
     Exposed for tests and the bench; with sane factors the fallback fires
     with vanishing probability. *)
 val protocol_budgeted : ?budget_factor:int -> ?k:int -> r:int -> unit -> Protocol.t
+
+(** Test-only bindings: the pieces of {!run_party}'s stage loop that the
+    tests check against references.  They are the functions the runner
+    calls, not another way to run the protocol.
+
+    Leaf layout, as in the runner: [idx] groups indices into the sorted
+    [mine] by leaf, leaf [u] owning [idx.(start.(u)) .. idx.(start.(u) +
+    live.(u) - 1)] in increasing order. *)
+module For_testing : sig
+  (** [encode_leaves buf ~leaves ~off mine idx start live] resets [buf]
+      and gap-codes every leaf in order, each as
+      [Bitio.Set_codec.write_gaps] codes its set, recording leaf [u]'s
+      first bit in [off.(u)] and the end in [off.(leaves)]. *)
+  val encode_leaves :
+    Bitio.Bitbuf.t ->
+    leaves:int ->
+    off:int array ->
+    int array ->
+    int array ->
+    int array ->
+    int array ->
+    unit
+
+  (** [patch_leaves dst src ~leaves ~off ~changed ~nchanged mine idx start
+      live], where [src] and [off] are what {!encode_leaves} produced
+      and only the leaves [changed.(0) .. changed.(nchanged - 1)]
+      (strictly ascending) have changed since, leaves in [dst] and [off]
+      exactly what {!encode_leaves} would: changed leaves are re-coded,
+      the runs between them copied from [src]. *)
+  val patch_leaves :
+    Bitio.Bitbuf.t ->
+    Bitio.Bits.t ->
+    leaves:int ->
+    off:int array ->
+    changed:int array ->
+    nchanged:int ->
+    int array ->
+    int array ->
+    int array ->
+    int array ->
+    unit
+
+  (** [node_label cell ~stage vi], called for [vi = 0, 1, 2, ...] in
+      order with nothing else touching [cell] in between, leaves [cell]'s
+      label at ["tree/eq/s<stage>/v<vi>"]. *)
+  val node_label : Prng.Rng.Label.d -> stage:int -> int -> unit
+end

@@ -1,3 +1,6 @@
+(* [bounds.(l)] for level [l >= 1]; level 0 is the leaves themselves,
+   node [i] covering leaf [i], and is not stored ([bounds.(0)] is
+   empty), which saves a [k + 1]-cell identity array per build. *)
 type t = { k : int; r : int; bounds : int array array }
 
 let degree ~k ~r ~level =
@@ -10,35 +13,31 @@ let degree ~k ~r ~level =
       (top + bottom - 1) / bottom
     end
   in
-  max 2 d
+  Int.max 2 d
+
+let nodes t ~level =
+  if level < 0 || level > t.r then invalid_arg "Vtree.nodes";
+  if level = 0 then t.k else Array.length t.bounds.(level) - 1
+
+let[@inline] first t ~level i = if level = 0 then i else t.bounds.(level).(i)
 
 (* Group the level below [deg] nodes at a time: keep every [deg]-th
    boundary, and the end. *)
-let group_level (below : int array) ~deg =
-  let n = Array.length below - 1 in
-  let count = (n + deg - 1) / deg in
-  let level = Array.make (count + 1) below.(n) in
-  for g = 0 to count - 1 do
-    level.(g) <- below.(g * deg)
-  done;
-  level
-
 let build ~k ~r =
   if k < 1 || r < 1 then invalid_arg "Vtree.build";
-  let bounds = Array.make (r + 1) [||] in
-  let leaves = Array.make (k + 1) 0 in
-  for i = 0 to k do
-    leaves.(i) <- i
-  done;
-  bounds.(0) <- leaves;
+  let t = { k; r; bounds = Array.make (r + 1) [||] } in
   for level = 1 to r do
+    let below = nodes t ~level:(level - 1) in
     let deg =
-      if level = r then max 2 (Array.length bounds.(level - 1) - 1) (* squash into a single root *)
+      if level = r then Int.max 2 below (* squash into a single root *)
       else degree ~k ~r ~level
     in
-    bounds.(level) <- group_level bounds.(level - 1) ~deg
+    let count = (below + deg - 1) / deg in
+    let bounds = Array.make (count + 1) k in
+    for g = 0 to count - 1 do
+      bounds.(g) <- first t ~level:(level - 1) (g * deg)
+    done;
+    t.bounds.(level) <- bounds
   done;
-  assert (Array.length bounds.(r) = 2);
-  { k; r; bounds }
-
-let nodes t ~level = Array.length t.bounds.(level) - 1
+  assert (nodes t ~level:r = 1);
+  t

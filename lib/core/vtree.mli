@@ -9,17 +9,22 @@
     Nodes cover contiguous leaf ranges, so a level is just the list of its
     node boundaries. *)
 
-(** A built tree.  Node [i] of level [l] covers leaves [bounds.(l).(i)]
-    to [bounds.(l).(i + 1) - 1]: [bounds.(l)] rises strictly from [0] to
-    [k], [bounds.(0)] is [0, 1, ..., k] and [bounds.(r)] is [\[|0; k|\]].
-    [private] so shapes only come from {!build}. *)
-type t = private { k : int; r : int; bounds : int array array }
+(** A built tree. *)
+type t
 
 (** [build ~k ~r] for [k >= 1], [r >= 1]. *)
 val build : k:int -> r:int -> t
 
-(** Number of nodes at [level] in [0, r]. *)
+(** Number of nodes at [level] in [0, r]; raises [Invalid_argument] for
+    any other level. *)
 val nodes : t -> level:int -> int
+
+(** [first t ~level i] is the first leaf node [i] of [level] covers: node
+    [i] covers leaves [first t ~level i] to [first t ~level (i + 1) - 1].
+    [first t ~level] rises strictly from [0] to [first t ~level (nodes t
+    ~level) = k]; at level 0 it is the identity (each node a leaf), and
+    [L_r] is the one node covering [0, k). *)
+val first : t -> level:int -> int -> int
 
 (** Target degree at [level] in [1, r] (before clamping to what remains). *)
 val degree : k:int -> r:int -> level:int -> int

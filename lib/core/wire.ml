@@ -11,34 +11,43 @@ let bit_msg b = Bitio.Bits.of_bools [ b ]
 
 let read_bit_msg payload = Bitio.Bits.get payload 0
 
-(* Flags travel 56 to a word: flag [i] of a chunk is bit [i] of the word
-   written (or extracted) at the chunk's position. *)
+(* Flags travel 56 to a word: flag [i] of a bitmap is bit [i mod 56] of
+   word [i / 56], and the last word carries only the flags left. *)
 let bitmap_word = 56
+
+let[@inline] bitmap_bit i = 1 lsl (i mod bitmap_word)
+
+let[@inline] word_width ~width first = Int.min bitmap_word (width - first)
+
+let write_bitmap_word buf ~width ~first word =
+  Bitio.Bitbuf.write_bits buf ~width:(word_width ~width first) word
+
+let read_bitmap_word reader ~width ~first =
+  Bitio.Bitreader.read_bits reader ~width:(word_width ~width first)
 
 let bitmap_msg flags =
   let n = Array.length flags in
   Bitio.Pool.payload (fun buf ->
-      let pos = ref 0 in
-      while !pos < n do
-        let width = min bitmap_word (n - !pos) in
+      let first = ref 0 in
+      while !first < n do
         let w = ref 0 in
-        for i = width - 1 downto 0 do
-          w := (!w lsl 1) lor Bool.to_int flags.(!pos + i)
+        for i = !first to !first + word_width ~width:n !first - 1 do
+          if flags.(i) then w := !w lor bitmap_bit i
         done;
-        Bitio.Bitbuf.write_bits buf ~width !w;
-        pos := !pos + width
+        write_bitmap_word buf ~width:n ~first:!first !w;
+        first := !first + bitmap_word
       done)
 
 let read_bitmap_msg payload ~width =
   if Bitio.Bits.length payload < width then invalid_arg "Wire.read_bitmap_msg";
   let flags = Array.make width false in
-  let pos = ref 0 in
-  while !pos < width do
-    let take = min bitmap_word (width - !pos) in
-    let w = Bitio.Bits.extract payload ~pos:!pos ~width:take in
-    for i = 0 to take - 1 do
-      flags.(!pos + i) <- (w lsr i) land 1 = 1
+  let first = ref 0 in
+  while !first < width do
+    let take = word_width ~width !first in
+    let w = Bitio.Bits.extract payload ~pos:!first ~width:take in
+    for i = !first to !first + take - 1 do
+      flags.(i) <- w land bitmap_bit i <> 0
     done;
-    pos := !pos + take
+    first := !first + bitmap_word
   done;
   flags

@@ -1,10 +1,10 @@
-let default_domains () = max 1 (Domain.recommended_domain_count ())
+let default_domains () = Int.max 1 (Domain.recommended_domain_count ())
 
 (* Chunk size: small enough that uneven trial times balance across workers
    (~8 chunks per worker), large enough that the atomic cursor stays cold.
    Results land in per-index slots, so chunk geometry never affects
    output — only wall-clock. *)
-let chunk_size ~trials ~workers = max 1 (trials / (workers * 8))
+let chunk_size ~trials ~workers = Int.max 1 (trials / (workers * 8))
 
 let map_parallel ~workers ~trials f =
   let results = Array.make trials None in
@@ -14,7 +14,7 @@ let map_parallel ~workers ~trials f =
     let rec loop () =
       let start = Atomic.fetch_and_add cursor chunk in
       if start < trials then begin
-        let stop = min trials (start + chunk) in
+        let stop = Int.min trials (start + chunk) in
         for i = start to stop - 1 do
           results.(i) <- Some (f i)
         done;
@@ -41,7 +41,7 @@ let map ?domains ~trials f =
     | None -> default_domains ()
     | Some d -> if d < 1 then invalid_arg "Engine.Pool.map: domains < 1" else d
   in
-  let workers = min domains (max 1 trials) in
+  let workers = Int.min domains (Int.max 1 trials) in
   if workers = 1 then Array.init trials f else map_parallel ~workers ~trials f
 
 (* Streaming fold: one accumulator per chunk instead of one boxed slot per
@@ -63,7 +63,7 @@ let fold_parallel ~workers ~trials ~init ~step ~merge =
       let c = Atomic.fetch_and_add cursor 1 in
       if c < chunks then begin
         let start = c * chunk in
-        let stop = min trials (start + chunk) in
+        let stop = Int.min trials (start + chunk) in
         let acc = ref (init ()) in
         for i = start to stop - 1 do
           acc := step !acc i
@@ -93,7 +93,7 @@ let fold ?domains ~trials ~init ~step ~merge () =
     | None -> default_domains ()
     | Some d -> if d < 1 then invalid_arg "Engine.Pool.fold: domains < 1" else d
   in
-  let workers = min domains (max 1 trials) in
+  let workers = Int.min domains (Int.max 1 trials) in
   if workers = 1 then begin
     let acc = ref (init ()) in
     for i = 0 to trials - 1 do

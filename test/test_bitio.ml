@@ -205,6 +205,67 @@ let prop_append_concat_agree =
       Bitbuf.append buf b;
       Bits.equal (Bitbuf.contents buf) (Bits.concat a b))
 
+(* [append_range] against a bit-by-bit copy: for every [pos] and [len]
+   in 0-200 of a 400-bit source (exactly sized, so the last loads take
+   the tail path) and every destination offset 0-7 (a prefix of ones the
+   range is ORed next to), the writer holds the prefix, then source bits
+   [pos, pos + len), then a trailer written after it. *)
+let check_append_range src =
+  let dst = Bitbuf.create () and want = Bitbuf.create () in
+  for offset = 0 to 7 do
+    for pos = 0 to 200 do
+      for len = 0 to 200 do
+        Bitbuf.reset dst;
+        Bitbuf.reset want;
+        Bitbuf.write_bits dst ~width:offset ((1 lsl offset) - 1);
+        for _ = 1 to offset do
+          Bitbuf.write_bit want true
+        done;
+        Bitbuf.append_range dst src ~pos ~len;
+        for i = pos to pos + len - 1 do
+          Bitbuf.write_bit want (Bits.get src i)
+        done;
+        Bitbuf.write_bits dst ~width:3 5;
+        List.iter (Bitbuf.write_bit want) [ true; false; true ];
+        if not (Bits.equal (Bitbuf.view dst) (Bitbuf.view want)) then
+          Alcotest.failf "append_range offset=%d pos=%d len=%d" offset pos len
+      done
+    done
+  done
+
+let source_bits f = Bits.of_bools (List.init 400 f)
+
+let test_append_range_ones () = check_append_range (source_bits (fun _ -> true))
+
+let prop_append_range =
+  QCheck.Test.make ~name:"append_range = bit-by-bit copy (random payloads)" ~count:3 QCheck.int
+    (fun seed ->
+      let rng = Prng.Rng.of_int seed in
+      check_append_range (source_bits (fun _ -> Prng.Rng.bool rng));
+      true)
+
+let test_append_range_bounds () =
+  let src = source_bits (fun i -> i mod 3 = 0) and dst = Bitbuf.create () in
+  List.iter
+    (fun (pos, len) ->
+      match Bitbuf.append_range dst src ~pos ~len with
+      | () -> Alcotest.failf "append_range pos=%d len=%d accepted" pos len
+      | exception Invalid_argument _ -> ())
+    [ (-1, 1); (0, -1); (0, 401); (400, 1); (201, 200) ]
+
+(* The unchecked load reads what [extract] reads at every in-range
+   position and width, up to the last bytes of exactly sized payloads. *)
+let test_unsafe_extract () =
+  for length = 0 to 130 do
+    let b = Bits.of_bools (List.init length (fun i -> (i * 7) mod 5 < 2)) in
+    for pos = 0 to length do
+      for width = 0 to Int.min 56 (length - pos) do
+        if Bits.unsafe_extract b ~pos ~width <> Bits.extract b ~pos ~width then
+          Alcotest.failf "unsafe_extract length=%d pos=%d width=%d" length pos width
+      done
+    done
+  done
+
 (* ---------- word-level writer/reader vs a bit-list reference ---------- *)
 
 type op = Bit of bool | Word of int * int | Blob of bool list
@@ -656,6 +717,11 @@ let () =
           qt prop_append_concat_agree;
           qt prop_bitio_differential;
           Alcotest.test_case "extract at the tail" `Quick test_extract_tail;
+          Alcotest.test_case "unsafe_extract = extract" `Quick test_unsafe_extract;
+          Alcotest.test_case "append_range = bit-by-bit copy (all ones)" `Quick
+            test_append_range_ones;
+          qt prop_append_range;
+          Alcotest.test_case "append_range bounds" `Quick test_append_range_bounds;
         ] );
       ( "bignat",
         [

@@ -386,14 +386,22 @@ let partitions ~k bounds =
   done;
   n >= 2 && bounds.(0) = 0 && bounds.(n - 1) = k && !rising
 
+(* Level [level]'s boundaries, node 0's first leaf to the end. *)
+let level_bounds tree ~level =
+  Array.init (Vtree.nodes tree ~level + 1) (Vtree.first tree ~level)
+
 let test_vtree_shape () =
   let tree = Vtree.build ~k:1024 ~r:3 in
-  check "levels" 4 (Array.length tree.Vtree.bounds);
+  check_bool "levels" true
+    (Vtree.nodes tree ~level:3 >= 1
+    && match Vtree.nodes tree ~level:4 with _ -> false | exception Invalid_argument _ -> true);
   check "leaves" 1024 (Vtree.nodes tree ~level:0);
   check "single root" 1 (Vtree.nodes tree ~level:3);
-  check "root covers all" 1024 tree.Vtree.bounds.(3).(1);
+  check "root covers all" 1024 (Vtree.first tree ~level:3 1);
   (* every level partitions the leaves *)
-  Array.iter (fun bounds -> check_bool "partition" true (partitions ~k:1024 bounds)) tree.Vtree.bounds
+  for level = 0 to 3 do
+    check_bool "partition" true (partitions ~k:1024 (level_bounds tree ~level))
+  done
 
 let test_vtree_degrees () =
   (* k = 2^16, r = 3: d1 = log^(2) k = 4, d2 = log k / log^(2) k = 4,
@@ -416,9 +424,9 @@ let prop_vtree_partitions =
     QCheck.(pair (int_range 1 2000) (int_range 1 7))
     (fun (k, r) ->
       let tree = Vtree.build ~k ~r in
-      Array.length tree.Vtree.bounds = r + 1
+      (match Vtree.nodes tree ~level:(r + 1) with _ -> false | exception Invalid_argument _ -> true)
       && Vtree.nodes tree ~level:r = 1
-      && Array.for_all (partitions ~k) tree.Vtree.bounds)
+      && List.for_all (fun level -> partitions ~k (level_bounds tree ~level)) (List.init (r + 1) Fun.id))
 
 (* ---------- Eq_batch ---------- *)
 

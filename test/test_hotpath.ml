@@ -519,6 +519,143 @@ let test_tag_tables () =
           mine)
     [ 1; 3; 8; 24; 47; 48; 49; 61; 62; 63; 64; 96; 130 ]
 
+(* A narrow function drawn from the label cell tags integers exactly as
+   the function [create] builds on the generator [finish] derives. *)
+let test_cell_int_fn () =
+  let cell = Prng.Rng.Label.start (Prng.Rng.of_int 41) in
+  let lanes = Array.make Strhash.int_fn_slots 0 in
+  for bits = 1 to 62 do
+    Prng.Rng.Label.restart cell;
+    Prng.Rng.Label.add cell "tree/bi/leaf";
+    Prng.Rng.Label.add_int cell bits;
+    Strhash.draw_int_fn cell ~bits lanes;
+    let fn = Strhash.create (Prng.Rng.Label.finish cell) ~bits in
+    List.iter
+      (fun x ->
+        check_int
+          (Printf.sprintf "%d bits, x = %d" bits x)
+          (Strhash.int_tag fn x)
+          (Strhash.stored_int_tag lanes ~bits x))
+      [ 0; 1; 2; 12_345; (1 lsl 31) + 7; (1 lsl 60) - 1 ]
+  done
+
+(* ---------- the tree's stage pipeline ---------- *)
+
+(* A random leaf layout as the tree runner builds it: sorted distinct
+   elements, counting-sorted by a random leaf. *)
+let random_layout rng =
+  let leaves = 1 + Prng.Rng.int rng 40 and n = Prng.Rng.int rng 120 in
+  let mine = Array.make n 0 in
+  for i = 0 to n - 1 do
+    let prev = if i = 0 then -1 else mine.(i - 1) in
+    mine.(i) <- prev + 1 + Prng.Rng.int rng (1 lsl Prng.Rng.int rng 20)
+  done;
+  let leaf = Array.init n (fun _ -> Prng.Rng.int rng leaves) in
+  let start = Array.make (leaves + 1) 0 in
+  Array.iter (fun u -> start.(u + 1) <- start.(u + 1) + 1) leaf;
+  for u = 1 to leaves do
+    start.(u) <- start.(u) + start.(u - 1)
+  done;
+  let idx = Array.make n 0 and live = Array.make leaves 0 in
+  Array.iteri
+    (fun i u ->
+      idx.(start.(u) + live.(u)) <- i;
+      live.(u) <- live.(u) + 1)
+    leaf;
+  (leaves, mine, idx, start, live)
+
+(* Three rounds of random re-run outcomes (each leaf changes with
+   probability 1/3, losing a random subset of its elements, possibly
+   none), each patched into the other buffer as the runner does: the
+   patched buffer and offsets equal a fresh [encode_leaves], bit for
+   bit. *)
+let prop_patch_leaves =
+  QCheck.Test.make ~name:"patched stage buffer = fresh encode_leaves" ~count:300 QCheck.int
+    (fun seed ->
+      let module T = Tree_protocol.For_testing in
+      let rng = Prng.Rng.of_int seed in
+      let leaves, mine, idx, start, live = random_layout rng in
+      let off = Array.make (leaves + 1) 0 and fresh_off = Array.make (leaves + 1) 0 in
+      let cur = ref (Bitio.Bitbuf.create ()) and spare = ref (Bitio.Bitbuf.create ()) in
+      let fresh = Bitio.Bitbuf.create () in
+      T.encode_leaves !cur ~leaves ~off mine idx start live;
+      let changed = Array.make leaves 0 in
+      List.for_all
+        (fun _ ->
+          let nchanged = ref 0 in
+          for u = 0 to leaves - 1 do
+            if Prng.Rng.int rng 3 = 0 then begin
+              changed.(!nchanged) <- u;
+              incr nchanged;
+              let s = start.(u) in
+              let w = ref s in
+              for j = s to s + live.(u) - 1 do
+                if Prng.Rng.bool rng then begin
+                  idx.(!w) <- idx.(j);
+                  incr w
+                end
+              done;
+              live.(u) <- !w - s
+            end
+          done;
+          T.patch_leaves !spare (Bitio.Bitbuf.view !cur) ~leaves ~off ~changed ~nchanged:!nchanged
+            mine idx start live;
+          let src = !cur in
+          cur := !spare;
+          spare := src;
+          T.encode_leaves fresh ~leaves ~off:fresh_off mine idx start live;
+          Bitio.Bits.equal (Bitio.Bitbuf.view !cur) (Bitio.Bitbuf.view fresh) && off = fresh_off)
+        [ 1; 2; 3 ])
+
+(* Node labels grouped ten to a prefix hash derive what the printed label
+   derives, across every digit-count boundary up to 10 000. *)
+let test_node_labels () =
+  let root = Prng.Rng.of_int 2014 in
+  let cell = Prng.Rng.Label.start root in
+  List.iter
+    (fun stage ->
+      for vi = 0 to 12_000 do
+        Tree_protocol.For_testing.node_label cell ~stage vi;
+        let label = Printf.sprintf "tree/eq/s%d/v%d" stage vi in
+        let want = Prng.Rng.int64 (Prng.Rng.with_label root label) in
+        if Prng.Rng.int64 (Prng.Rng.Label.finish cell) <> want then Alcotest.failf "%s" label
+      done)
+    [ 0; 1; 3; 12 ]
+
+(* Bob's failed-node bitmap, cut short at every bit inside it: Alice's
+   word-wise read raises [Underflow], as a bit-at-a-time read would.  200
+   leaves at r = 1 make a 200-bit bitmap (three whole words and a
+   partial one). *)
+let test_truncated_bitmap () =
+  let k = 200 and universe = 1 lsl 16 in
+  let pair =
+    Workload.Setgen.pair_with_overlap (Prng.Rng.of_int 33) ~universe ~size_s:k ~size_t:k
+      ~overlap:(k / 2)
+  in
+  let rng = Prng.Rng.of_int 34 in
+  let replies = ref [] in
+  let capture (chan : Commsim.Transport.t) =
+    Commsim.Transport.make
+      ~send:(fun payload ->
+        replies := payload :: !replies;
+        chan.send payload)
+      ~recv:chan.recv
+  in
+  ignore
+    (Commsim.Two_party.run
+       ~alice:(fun chan -> Tree_protocol.run_party `Alice rng ~universe ~r:1 ~k chan pair.Workload.Setgen.s)
+       ~bob:(fun chan ->
+         Tree_protocol.run_party `Bob rng ~universe ~r:1 ~k (capture chan) pair.Workload.Setgen.t));
+  let reply = List.hd (List.rev !replies) in
+  Alcotest.(check bool) "reply holds the bitmap" true (Bitio.Bits.length reply > k);
+  for cut = 0 to k - 1 do
+    let truncated = Bitio.Bitreader.read_blob (Bitio.Bitreader.create reply) ~bits:cut in
+    let chan = Commsim.Transport.make ~send:ignore ~recv:(fun () -> truncated) in
+    match Tree_protocol.run_party `Alice rng ~universe ~r:1 ~k chan pair.Workload.Setgen.s with
+    | _ -> Alcotest.failf "bitmap cut at %d accepted" cut
+    | exception Bitio.Bitreader.Underflow -> ()
+  done
+
 (* The native Carter-Wegman path against the overflow-safe [Modarith]
    formula, with [a] and [b] drawn exactly as [create] draws them, on
    both sides of the 2^31 switch. *)
@@ -616,7 +753,8 @@ let test_codes_reference () =
 
 (* Word-level bitmaps: the message is exactly [Bits.of_bools] of the
    flags, and reads back to them, at every width to 200 — word
-   boundaries 55/56/57 and 112 included. *)
+   boundaries 55/56/57 and 112 included.  Streamed word by word, the
+   same flags write the same bits and read back the same words. *)
 let test_bitmap_round_trip () =
   let rng = Prng.Rng.of_int 10 in
   for width = 0 to 200 do
@@ -624,7 +762,28 @@ let test_bitmap_round_trip () =
     let msg = Wire.bitmap_msg flags in
     let name = Printf.sprintf "width %d" width in
     Alcotest.check bits_t name (Bitio.Bits.of_bools (Array.to_list flags)) msg;
-    Alcotest.(check (array bool)) (name ^ " read") flags (Wire.read_bitmap_msg msg ~width)
+    Alcotest.(check (array bool)) (name ^ " read") flags (Wire.read_bitmap_msg msg ~width);
+    let word first =
+      let w = ref 0 in
+      for i = first to Int.min width (first + Wire.bitmap_word) - 1 do
+        if flags.(i) then w := !w lor Wire.bitmap_bit i
+      done;
+      !w
+    in
+    let firsts = List.filter (fun f -> f mod Wire.bitmap_word = 0) (List.init width Fun.id) in
+    let streamed =
+      Bitio.Pool.payload (fun buf ->
+          List.iter (fun first -> Wire.write_bitmap_word buf ~width ~first (word first)) firsts)
+    in
+    Alcotest.check bits_t (name ^ " streamed") msg streamed;
+    let reader = Bitio.Bitreader.create msg in
+    List.iter
+      (fun first ->
+        Alcotest.(check int)
+          (Printf.sprintf "%s word %d" name first)
+          (word first)
+          (Wire.read_bitmap_word reader ~width ~first))
+      firsts
   done
 
 (* Golden payload digests.  The gates above compare bits, rounds and
@@ -1081,6 +1240,13 @@ let () =
           Alcotest.test_case "range path allocates nothing" `Quick
             test_range_pipeline_allocation_free;
           Alcotest.test_case "forged re-run count underflows" `Quick test_forged_rerun_count;
+          Alcotest.test_case "cell int fn = create + int_tag" `Quick test_cell_int_fn;
+        ] );
+      ( "tree stage",
+        [
+          QCheck_alcotest.to_alcotest prop_patch_leaves;
+          Alcotest.test_case "grouped node labels = with_label" `Quick test_node_labels;
+          Alcotest.test_case "truncated bitmap underflows" `Quick test_truncated_bitmap;
         ] );
       ( "kernels",
         [
