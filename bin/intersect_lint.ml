@@ -1,13 +1,14 @@
 (* intersect-lint: static invariant checker for the whole tree.
 
    Two passes.  The syntactic pass parses every .ml/.mli under lib/,
-   bin/, bench/, and test/ with compiler-libs and enforces the repo's
+   bin/, bench/, test/ and examples/ with compiler-libs and enforces the repo's
    determinism, ambient-state, phase-registry, domain-hygiene, and
    interface-coverage conventions (rules R1..R6).  The typed pass — on
    by default — reads the .cmt artifacts dune produced, builds the
    whole-repo call graph, and enforces the semantic families: R7
    determinism taint, R8 metered-transport accounting, R9 cross-domain
-   escape, R10 dead phases (see lib/lint/rules.mli and DESIGN.md).
+   escape, R10 dead phases, R11 unreachable library bindings (perf/ is
+   loaded as R11 roots only; see lib/lint/rules.mli and DESIGN.md).
 
    Exit codes: 0 clean, 1 findings, 2 could not run (bad root,
    malformed lint.allow, or typed pass requested without build
@@ -61,7 +62,7 @@ let root_arg =
   Arg.(
     value
     & opt string "."
-    & info [ "root" ] ~docv:"DIR" ~doc:"Repository root to lint (contains lib/, bin/, bench/, test/).")
+    & info [ "root" ] ~docv:"DIR" ~doc:"Repository root to lint (contains lib/, bin/, bench/, test/, examples/).")
 
 let json_arg = Arg.(value & flag & info [ "json" ] ~doc:"Emit the machine-readable JSON report.")
 

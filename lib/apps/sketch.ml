@@ -30,8 +30,7 @@ let encode t =
   Bitio.Set_codec.write_gaps buf t.values;
   Bitio.Bitbuf.contents buf
 
-let decode payload =
-  let reader = Bitio.Bitreader.create payload in
+let decode reader =
   let complete = Bitio.Bitreader.read_bit reader in
   { values = Bitio.Set_codec.read_gaps reader; complete }
 
@@ -68,9 +67,7 @@ let exchange rng ~sketch_size s t =
   let parse payload =
     let reader = Bitio.Bitreader.create payload in
     let size = Bitio.Codes.read_gamma reader in
-    let complete = Bitio.Bitreader.read_bit reader in
-    let values = Bitio.Set_codec.read_gaps reader in
-    (size, { values; complete })
+    (size, decode reader)
   in
   let party mine chan =
     let my_sketch, my_message = message mine in

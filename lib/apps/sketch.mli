@@ -24,7 +24,8 @@ val cardinal : t -> int
     protocol below. *)
 val encode : t -> Bitio.Bits.t
 
-val decode : Bitio.Bits.t -> t
+(** Read one {!encode}d sketch at the reader's position. *)
+val decode : Bitio.Bitreader.t -> t
 
 (** [estimate ~size_a ~size_b a b] estimates Jaccard similarity and
     intersection size from two sketches built with the same generator and

@@ -16,21 +16,6 @@ let normalize a =
   done;
   if !n = Array.length a then a else Array.sub a 0 !n
 
-let of_int n =
-  if n < 0 then invalid_arg "Bignat.of_int";
-  let rec limbs n = if n = 0 then [] else (n land (base - 1)) :: limbs (n lsr limb_bits) in
-  Array.of_list (limbs n)
-
-let to_int_opt t =
-  (* max_int has 62 bits = fits in 3 limbs only partially; accumulate with
-     overflow check *)
-  let rec loop i acc =
-    if i < 0 then Some acc
-    else if acc > (max_int - t.(i)) lsr limb_bits then None
-    else loop (i - 1) ((acc lsl limb_bits) lor t.(i))
-  in
-  if Array.length t > 3 then None else loop (Array.length t - 1) 0
-
 let is_zero t = Array.length t = 0
 
 let compare a b =
@@ -44,8 +29,6 @@ let compare a b =
     in
     loop (la - 1)
   end
-
-let equal a b = compare a b = 0
 
 let add a b =
   let la = Array.length a and lb = Array.length b in
@@ -145,19 +128,4 @@ let binomial n k =
       acc := q
     done;
     !acc
-  end
-
-let pp ppf t =
-  (* decimal via repeated division; fine for the sizes tests print *)
-  if is_zero t then Format.pp_print_string ppf "0"
-  else begin
-    let digits = Buffer.create 32 in
-    let cur = ref t in
-    while not (is_zero !cur) do
-      let q, r = div_small !cur 10 in
-      Buffer.add_char digits (Char.chr (Char.code '0' + r));
-      cur := q
-    done;
-    let s = Buffer.contents digits in
-    String.iter (Format.pp_print_char ppf) (String.init (String.length s) (fun i -> s.[String.length s - 1 - i]))
   end

@@ -13,20 +13,11 @@ val zero : t
 (** The natural 1. *)
 val one : t
 
-(** [of_int n] for [n >= 0]. *)
-val of_int : int -> t
-
-(** [to_int t] if it fits in a native int. *)
-val to_int_opt : t -> int option
-
-(** [is_zero t] is [equal t zero]. *)
+(** [is_zero t] is [compare t zero = 0]. *)
 val is_zero : t -> bool
 
 (** Total order on values ([Stdlib.compare] semantics). *)
 val compare : t -> t -> int
-
-(** Structural equality of values. *)
-val equal : t -> t -> bool
 
 (** Exact sum. *)
 val add : t -> t -> t
@@ -52,6 +43,3 @@ val of_bits : (int -> bool) -> width:int -> t
 (** [binomial n k] = C(n, k), exactly; zero when [k < 0] or [k > n].
     Requires [0 <= n < 2^26]. *)
 val binomial : int -> int -> t
-
-(** Decimal rendering, for error messages and tests. *)
-val pp : Format.formatter -> t -> unit

@@ -10,8 +10,6 @@ let reset t bits =
 
 let of_bitbuf buf = { bits = Bitbuf.view buf; position = 0 }
 
-let position t = t.position
-
 let remaining t = Bits.length t.bits - t.position
 
 let read_bit t =

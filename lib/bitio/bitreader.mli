@@ -18,9 +18,6 @@ val reset : t -> Bits.t -> unit
     subsequent write to or reset of [buf]. *)
 val of_bitbuf : Bitbuf.t -> t
 
-(** Bits consumed so far. *)
-val position : t -> int
-
 (** Bits left to read. *)
 val remaining : t -> int
 

@@ -59,8 +59,6 @@ let of_bools bools =
     bools;
   { data; length }
 
-let to_bools b = List.init b.length (get b)
-
 let of_string s = { data = Bytes.of_string s; length = 8 * String.length s }
 
 let unsafe_of_bytes data ~length =
@@ -78,36 +76,3 @@ let equal a b =
   loop 0
 
 let key b = string_of_int b.length ^ ":" ^ Bytes.sub_string b.data 0 (byte_count b.length)
-
-let concat a b =
-  if a.length = 0 then b
-  else if b.length = 0 then a
-  else begin
-    let length = a.length + b.length in
-    let data = Bytes.make (byte_count length) '\000' in
-    Bytes.blit a.data 0 data 0 (byte_count a.length);
-    (* [a] may end mid-byte, so bits of [b] are re-packed one by one. *)
-    for i = 0 to b.length - 1 do
-      if get b i then begin
-        let k = a.length + i in
-        let j = k lsr 3 in
-        let cur = Char.code (Bytes.get data j) in
-        Bytes.set data j (Char.chr (cur lor (1 lsl (k land 7))))
-      end
-    done;
-    { data; length }
-  end
-
-let flip b i =
-  if i < 0 || i >= b.length then invalid_arg "Bits.flip: index out of bounds";
-  let data = Bytes.sub b.data 0 (byte_count b.length) in
-  let j = i lsr 3 in
-  Bytes.set data j (Char.chr (Char.code (Bytes.get data j) lxor (1 lsl (i land 7))));
-  { data; length = b.length }
-
-let pp ppf b =
-  Format.fprintf ppf "%d'" b.length;
-  for i = 0 to min (b.length - 1) 63 do
-    Format.pp_print_char ppf (if get b i then '1' else '0')
-  done;
-  if b.length > 64 then Format.pp_print_string ppf "..."

@@ -34,9 +34,6 @@ val unsafe_extract : t -> pos:int -> width:int -> int
 (** [of_bools l] builds a bit vector from a list of bits. *)
 val of_bools : bool list -> t
 
-(** [to_bools b] lists the bits of [b] in order. *)
-val to_bools : t -> bool list
-
 (** [of_string s] wraps a whole string as a bit vector of [8 * String.length s]
     bits. *)
 val of_string : string -> t
@@ -55,15 +52,3 @@ val equal : t -> t -> bool
 (** [key b] is a canonical string usable as a hashtable key: two bit vectors
     have the same key iff they are {!equal}. *)
 val key : t -> string
-
-(** [concat a b] is [a] followed by [b]. *)
-val concat : t -> t -> t
-
-(** [flip b i] is [b] with bit [i] inverted (a fresh vector; [b] is
-    unchanged).  Raises [Invalid_argument] when [i] is out of bounds.
-    This is the single-bit-corruption primitive used by the adversarial
-    channels. *)
-val flip : t -> int -> t
-
-(** Renders the bits as a [01] string, most recent bit last. *)
-val pp : Format.formatter -> t -> unit

@@ -94,16 +94,6 @@ let read_delta r =
   let low = Bitreader.read_bits r ~width:(w - 1) in
   (low lor (1 lsl (w - 1))) - 1
 
-let write_rice buf ~k n =
-  if n < 0 || k < 0 then invalid_arg "Codes.write_rice";
-  write_unary buf (n lsr k);
-  Bitbuf.write_bits buf ~width:k (n land ((1 lsl k) - 1))
-
-let read_rice r ~k =
-  let q = read_unary r in
-  let rem = Bitreader.read_bits r ~width:k in
-  (q lsl k) lor rem
-
 let write_varint buf n =
   if n < 0 then invalid_arg "Codes.write_varint";
   let rec loop n =
@@ -140,9 +130,3 @@ let delta_cost_exact n =
 let delta_cost_table = Array.init 1024 delta_cost_exact
 
 let delta_cost n = if n >= 0 && n < 1024 then Array.unsafe_get delta_cost_table n else delta_cost_exact n
-
-let rice_cost ~k n = (n lsr k) + 1 + k
-
-let varint_cost n =
-  let rec loop n acc = if n < 128 then acc + 8 else loop (n lsr 7) (acc + 8) in
-  loop n 0

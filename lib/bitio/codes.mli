@@ -33,14 +33,6 @@ val write_delta : Bitbuf.t -> int -> unit
     {!write_delta} codeword has (its gamma part over 61). *)
 val read_delta : Bitreader.t -> int
 
-(** Golomb–Rice with parameter [k]: quotient in unary, remainder in [k]
-    bits.  Near-optimal for geometrically distributed values with mean
-    around [2^k]. *)
-val write_rice : Bitbuf.t -> k:int -> int -> unit
-
-(** Decode one Rice value; [k] must match the writer's parameter. *)
-val read_rice : Bitreader.t -> k:int -> int
-
 (** LEB128-style varint: 7 value bits + 1 continuation bit per group. *)
 val write_varint : Bitbuf.t -> int -> unit
 
@@ -55,9 +47,3 @@ val gamma_cost : int -> int
 (** Exact bit count of {!write_delta} on the argument (memoized for small
     values, like {!gamma_cost}). *)
 val delta_cost : int -> int
-
-(** Exact bit count of {!write_rice} on the argument. *)
-val rice_cost : k:int -> int -> int
-
-(** Exact bit count of {!write_varint} on the argument. *)
-val varint_cost : int -> int

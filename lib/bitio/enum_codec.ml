@@ -10,8 +10,6 @@ let payload_bits ~universe ~k =
     invalid_arg "Enum_codec: universe must be below 2^26";
   Memo.binomial_bits ~n:universe ~k
 
-let cost ~universe ~k = Codes.gamma_cost k + payload_bits ~universe ~k
-
 let write buf ~universe set =
   Set_codec.validate ~universe set;
   let k = Array.length set in

@@ -19,6 +19,3 @@ val write : Bitbuf.t -> universe:int -> int array -> unit
 
 (** Unrank a set written by {!write} with the same [universe]. *)
 val read : Bitreader.t -> universe:int -> int array
-
-(** Exact encoded size in bits for a k-subset of [\[0, n)]. *)
-val cost : universe:int -> k:int -> int

@@ -41,8 +41,10 @@ let binomial n k =
 
 let binomial_bits ~n ~k = Bignat.bit_length (binomial n k)
 
-let bypassed f =
-  let flag = Domain.DLS.get bypass in
-  let saved = !flag in
-  flag := true;
-  Fun.protect ~finally:(fun () -> flag := saved) f
+module For_testing = struct
+  let bypassed f =
+    let flag = Domain.DLS.get bypass in
+    let saved = !flag in
+    flag := true;
+    Fun.protect ~finally:(fun () -> flag := saved) f
+end

@@ -17,7 +17,10 @@ val binomial : int -> int -> Bignat.t
     universe. *)
 val binomial_bits : n:int -> k:int -> int
 
-(** [bypassed f] runs [f] with the cache disabled on the current domain
-    (every coefficient recomputed).  Used by the hot-path tests to compare
-    cached and uncached executions. *)
-val bypassed : (unit -> 'a) -> 'a
+(** Test instruments. *)
+module For_testing : sig
+  (** [bypassed f] runs [f] with the cache disabled on the current domain
+      (every coefficient recomputed), to compare cached and uncached
+      executions. *)
+  val bypassed : (unit -> 'a) -> 'a
+end

@@ -74,8 +74,10 @@ let with_reader bits f =
     v
   end
 
-let bypassed f =
-  let flag = Domain.DLS.get bypass in
-  let saved = !flag in
-  flag := true;
-  Fun.protect ~finally:(fun () -> flag := saved) f
+module For_testing = struct
+  let bypassed f =
+    let flag = Domain.DLS.get bypass in
+    let saved = !flag in
+    flag := true;
+    Fun.protect ~finally:(fun () -> flag := saved) f
+end

@@ -27,7 +27,10 @@ val payload : (Bitbuf.t -> unit) -> Bits.t
     correctness never depends on the pool's contents. *)
 val with_reader : Bits.t -> (Bitreader.t -> 'a) -> 'a
 
-(** [bypassed f] runs [f] with pooling disabled on the current domain:
-    every {!with_buf} inside allocates a fresh writer.  Used by the
-    hot-path tests to compare pooled and unpooled executions. *)
-val bypassed : (unit -> 'a) -> 'a
+(** Test instruments. *)
+module For_testing : sig
+  (** [bypassed f] runs [f] with pooling disabled on the current domain:
+      every {!with_buf} inside allocates a fresh writer, to compare pooled
+      and unpooled executions. *)
+  val bypassed : (unit -> 'a) -> 'a
+end

@@ -9,23 +9,11 @@ let validate ~universe s =
       if i > 0 && s.(i - 1) >= x then invalid_arg "Set_codec: not strictly increasing")
     s
 
-let write_fixed buf ~universe s =
-  validate ~universe s;
-  let width = universe_width universe in
-  Codes.write_gamma buf (Array.length s);
-  Array.iter (fun x -> Bitbuf.write_bits buf ~width x) s
-
 (* A corrupted cardinality prefix must fail fast, not size an allocation:
    every element costs at least one bit, so a count beyond the remaining
    payload cannot belong to a well-formed stream. *)
 let check_count r count =
   if count > Bitreader.remaining r then raise Bitreader.Underflow
-
-let read_fixed r ~universe =
-  let width = universe_width universe in
-  let count = Codes.read_gamma r in
-  if width > 0 && count > Bitreader.remaining r / width then raise Bitreader.Underflow;
-  Array.init count (fun _ -> Bitreader.read_bits r ~width)
 
 let write_gaps buf s =
   Codes.write_gamma buf (Array.length s);

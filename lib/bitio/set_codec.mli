@@ -1,14 +1,10 @@
 (** Wire encodings for sets of elements drawn from a universe [\[0, n)].
 
-    Sets travel as sorted arrays of distinct non-negative integers.  Two
-    encodings are provided:
-
-    - {!write_fixed}: cardinality (Elias gamma) followed by each element in
-      [ceil (log2 n)] bits — the naive exchange.
-    - {!write_gaps}: cardinality followed by delta-coded gaps — within a
-      constant of the information-theoretic [log2 (binom n k)] bound, which is
-      the [O(k log (n/k))] cost quoted for the trivial deterministic
-      protocol. *)
+    Sets travel as sorted arrays of distinct non-negative integers, encoded
+    by {!write_gaps}: cardinality followed by delta-coded gaps — within a
+    constant of the information-theoretic [log2 (binom n k)] bound, which is
+    the [O(k log (n/k))] cost quoted for the trivial deterministic
+    protocol. *)
 
 (** [universe_width n] is the number of bits needed for one element of
     [\[0, n)], i.e. [ceil (log2 n)] (and 1 when [n <= 2]). *)
@@ -17,13 +13,6 @@ val universe_width : int -> int
 (** [validate ~universe s] checks that [s] is strictly increasing with
     elements in [\[0, universe)].  Raises [Invalid_argument] otherwise. *)
 val validate : universe:int -> int array -> unit
-
-(** Naive encoding: gamma cardinality, then each element in
-    [universe_width universe] bits. *)
-val write_fixed : Bitbuf.t -> universe:int -> int array -> unit
-
-(** Decode a set written by {!write_fixed} with the same [universe]. *)
-val read_fixed : Bitreader.t -> universe:int -> int array
 
 (** Gap encoding: gamma cardinality, then delta-coded successive gaps —
     the [O(k log (n/k))]-bit set description (costed by {!gaps_cost}). *)

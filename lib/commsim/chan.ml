@@ -5,14 +5,3 @@ let of_endpoint ep ~peer =
     Transport.send = (fun payload -> Network.send ep ~to_:peer payload);
     recv = (fun () -> Network.recv ep ~from_:peer);
   }
-
-module Sim = struct
-  type addr = Network.endpoint * int
-  type conn = Transport.t
-
-  let connect (ep, peer) = of_endpoint ep ~peer
-  let chan conn = conn
-end
-
-let loopback = Transport.pipe
-let tamper = Transport.tamper

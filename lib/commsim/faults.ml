@@ -22,7 +22,6 @@ let uniform ~seed link =
   if link = clean_link then { clean with seed_ = seed }
   else { seed_ = seed; pick = (fun ~from_:_ ~to_:_ -> link); clean_ = false }
 
-let make ~seed pick = { seed_ = seed; pick; clean_ = false }
 let is_clean plan = plan.clean_
 let seed plan = plan.seed_
 
@@ -71,17 +70,6 @@ let add_tally a b =
     dropped_bits = a.dropped_bits + b.dropped_bits;
   }
 
-let tally_is_clean t =
-  t.flipped_messages = 0 && t.truncated_messages = 0 && t.duplicated_messages = 0
-  && t.dropped_messages = 0
-
-let pp_tally ppf t =
-  Format.fprintf ppf
-    "@[<h>%d delivered, %d bits flipped in %d msgs, %d truncated (-%d bits), %d duplicated, %d \
-     dropped (-%d bits)@]"
-    t.deliveries t.flipped_bits t.flipped_messages t.truncated_messages t.truncated_bits
-    t.duplicated_messages t.dropped_messages t.dropped_bits
-
 type tallies = { links : tally array array }
 
 let tallies_of ~players cell =
@@ -96,11 +84,6 @@ let create_tallies ~players =
 
 let total t =
   Array.fold_left (fun acc row -> Array.fold_left add_tally acc row) (zero_tally ()) t.links
-
-let outgoing t rank = Array.fold_left add_tally (zero_tally ()) t.links.(rank)
-
-let incoming t rank =
-  Array.fold_left (fun acc row -> add_tally acc row.(rank)) (zero_tally ()) t.links
 
 let merge a b =
   if Array.length a.links <> Array.length b.links then invalid_arg "Faults.merge: player counts";
@@ -199,3 +182,7 @@ let apply c ~from_ ~to_ ~index payload =
       end
     end
   end
+
+module For_testing = struct
+  let make ~seed pick = { seed_ = seed; pick; clean_ = false }
+end

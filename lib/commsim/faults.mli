@@ -40,10 +40,6 @@ val clean : plan
     link.  Raises [Invalid_argument] if a rate is outside [\[0, 1\]]. *)
 val uniform : seed:int -> link -> plan
 
-(** [make ~seed pick] chooses the fault rates per directed link; [pick] must
-    be pure.  Rates are validated when the link is first used. *)
-val make : seed:int -> (from_:int -> to_:int -> link) -> plan
-
 (** Does this plan inject no faults on any link? *)
 val is_clean : plan -> bool
 
@@ -83,12 +79,6 @@ val zero_tally : unit -> tally
 (** Field-wise sum of two tallies. *)
 val add_tally : tally -> tally -> tally
 
-(** Did this tally record any injected fault (flip/truncation/dup/drop)? *)
-val tally_is_clean : tally -> bool
-
-(** Human-readable rendering of the non-zero tally fields. *)
-val pp_tally : Format.formatter -> tally -> unit
-
 (** Per-directed-link tallies of one execution: [links.(from_).(to_)]. *)
 type tallies = { links : tally array array }
 
@@ -97,12 +87,6 @@ val create_tallies : players:int -> tallies
 
 (** Aggregate over all links. *)
 val total : tallies -> tally
-
-(** Aggregate over the links leaving one player. *)
-val outgoing : tallies -> int -> tally
-
-(** Aggregate over the links reaching one player. *)
-val incoming : tallies -> int -> tally
 
 (** [merge a b] adds the tallies link-wise (same player count). *)
 val merge : tallies -> tallies -> tallies
@@ -129,3 +113,10 @@ val tallies : channel -> tallies
     and the duplication decision — each decision only when its rate is
     positive. *)
 val apply : channel -> from_:int -> to_:int -> index:int -> Bitio.Bits.t -> action
+
+(** Test instruments. *)
+module For_testing : sig
+  (** [make ~seed pick] chooses the fault rates per directed link; [pick]
+      must be pure.  Rates are validated when the link is first used. *)
+  val make : seed:int -> (from_:int -> to_:int -> link) -> plan
+end

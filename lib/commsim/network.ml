@@ -312,7 +312,3 @@ let run_traced players =
 let run_faulty ~plan players =
   let outcome, cost, _, tallies = run_with ~trace:false ~faults:(Some plan) players in
   (outcome, cost, tallies)
-
-let run_faulty_traced ~plan players =
-  let outcome, cost, entries, tallies = run_with ~trace:true ~faults:(Some plan) players in
-  (outcome, cost, entries, tallies)

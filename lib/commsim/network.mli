@@ -93,14 +93,3 @@ val run_faulty :
   plan:Faults.plan ->
   (endpoint -> 'a) array ->
   'a array outcome * Cost.t * Faults.tallies
-
-(** Like {!run_faulty}, also returning the trace of delivered copies, in
-    send (delivery) order.  The {!run_traced} invariants hold under damage
-    too, for every outcome including [Lost] and [Crashed] (tested): one
-    entry per {e delivered} payload copy (dropped messages leave no entry,
-    duplicated ones leave two), entry bits sum to [cost.total_bits], and
-    the maximum entry depth equals [cost.rounds]. *)
-val run_faulty_traced :
-  plan:Faults.plan ->
-  (endpoint -> 'a) array ->
-  'a array outcome * Cost.t * trace_entry list * Faults.tallies

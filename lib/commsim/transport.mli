@@ -4,9 +4,8 @@
     [send] ships one framed payload, [recv] blocks until the peer's next
     payload arrives.  Protocol implementations consume only this record, so
     the same party function runs unchanged over the in-process coroutine
-    simulator ({!Chan}, the first implementation), a loopback queue pair
-    ({!pipe}), or — eventually — a real socket: a new backend only has to
-    produce a [t].
+    simulator ({!Chan}, the one implementation) or — eventually — a real
+    socket: a new backend only has to produce a [t].
 
     This module deliberately depends on nothing but {!Bitio}: the simulator
     ({!Network}) plugs in from the outside, not the other way around. *)
@@ -21,28 +20,3 @@ val recv : t -> Bitio.Bits.t
 
 (** Build a transport from its two operations. *)
 val make : send:(Bitio.Bits.t -> unit) -> recv:(unit -> Bitio.Bits.t) -> t
-
-(** What a transport backend must provide: a way to name a peer ([addr]),
-    a connection handle, and the first-class channel view party code
-    consumes.  {!Chan.Sim} is the coroutine-simulator instance; a socket
-    backend would implement the same signature with
-    [addr = Unix.sockaddr]-style naming. *)
-module type S = sig
-  type addr
-  type conn
-
-  val connect : addr -> conn
-  val chan : conn -> t
-end
-
-(** [pipe ()] is a pair of transports plumbed back to back with a
-    same-thread queue; useful in unit tests of message-level codecs.  No
-    cost accounting, and [recv] on an empty queue raises [Failure]. *)
-val pipe : unit -> t * t
-
-(** [tamper ?flip_bit ?drop_nth tr] wraps a transport with fault injection
-    for robustness tests: [flip_bit (message_index, payload_length)]
-    returns the bit to corrupt in that outgoing message (or [None]);
-    [drop_nth] silently discards that outgoing message (0-based).
-    Incoming traffic is untouched. *)
-val tamper : ?flip_bit:(int -> int -> int option) -> ?drop_nth:int -> t -> t

@@ -12,7 +12,9 @@ let log_star k =
   let rec loop i k = if k <= 1 then i else loop (i + 1) (log2_ceil k) in
   loop 0 k
 
-let tower i =
-  if i < 0 || i > 4 (* tower 5 = 2^65536 *) then invalid_arg "Iterated_log.tower";
-  let rec loop i acc = if i = 0 then acc else loop (i - 1) (1 lsl acc) in
-  loop i 1
+module For_testing = struct
+  let tower i =
+    if i < 0 || i > 4 (* tower 5 = 2^65536 *) then invalid_arg "Iterated_log.tower";
+    let rec loop i acc = if i = 0 then acc else loop (i - 1) (1 lsl acc) in
+    loop i 1
+end

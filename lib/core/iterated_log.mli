@@ -13,6 +13,9 @@ val ilog : int -> int -> int
 (** [log_star k] is the least [i >= 0] with [ilog i k <= 1]. *)
 val log_star : int -> int
 
-(** [tower i] is the power tower 2^(2^(...)) of height [i]
-    ([tower 0 = 1]); inverse of {!log_star} for tests. *)
-val tower : int -> int
+(** Test references and instruments. *)
+module For_testing : sig
+  (** [tower i] is the power tower 2^(2^(...)) of height [i]
+      ([tower 0 = 1]); inverse of {!log_star} for tests. *)
+  val tower : int -> int
+end

@@ -6,18 +6,9 @@ type t = {
   run : Prng.Rng.t -> universe:int -> Iset.t -> Iset.t -> outcome;
 }
 
-let agreed outcome = Iset.equal outcome.alice outcome.bob
-
 let exact outcome ~s ~t =
   let expected = Iset.inter s t in
   Iset.equal outcome.alice expected && Iset.equal outcome.bob expected
-
-let sandwich_holds outcome ~s ~t =
-  let expected = Iset.inter s t in
-  Iset.subset expected outcome.alice
-  && Iset.subset outcome.alice s
-  && Iset.subset expected outcome.bob
-  && Iset.subset outcome.bob t
 
 let validate_inputs ~universe s t =
   let check_one name set =
@@ -28,3 +19,12 @@ let validate_inputs ~universe s t =
   check_one "S" s;
   check_one "T" t;
   if universe < 1 || universe > 1 lsl 60 then invalid_arg "Protocol: universe out of range"
+
+module For_testing = struct
+  let sandwich_holds outcome ~s ~t =
+    let expected = Iset.inter s t in
+    Iset.subset expected outcome.alice
+    && Iset.subset outcome.alice s
+    && Iset.subset expected outcome.bob
+    && Iset.subset outcome.bob t
+end

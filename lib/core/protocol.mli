@@ -18,15 +18,15 @@ type t = {
   run : Prng.Rng.t -> universe:int -> Iset.t -> Iset.t -> outcome;
 }
 
-(** Did the two parties produce the same set? *)
-val agreed : outcome -> bool
-
 (** Did both parties output exactly [S ∩ T]? *)
 val exact : outcome -> s:Iset.t -> t:Iset.t -> bool
-
-(** Check the sandwich contract on one outcome. *)
-val sandwich_holds : outcome -> s:Iset.t -> t:Iset.t -> bool
 
 (** Validate protocol inputs: sorted distinct elements inside the
     universe.  Raises [Invalid_argument] otherwise. *)
 val validate_inputs : universe:int -> Iset.t -> Iset.t -> unit
+
+(** Test references and instruments. *)
+module For_testing : sig
+  (** Check the sandwich contract on one outcome. *)
+  val sandwich_holds : outcome -> s:Iset.t -> t:Iset.t -> bool
+end

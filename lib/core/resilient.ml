@@ -28,6 +28,17 @@ let bucket_base ~k () =
   let party role rng ~universe mine chan = Bucket_protocol.run_party role rng ~universe ~k chan mine in
   { name = "bucket"; alice = party `Alice; bob = party `Bob }
 
+let base_names = [ "trivial"; "tree"; "bucket" ]
+
+let base_of_name name ~k =
+  match name with
+  | "trivial" -> trivial_base
+  | "tree" -> tree_base ~k ()
+  | "bucket" -> bucket_base ~k ()
+  | _ ->
+      invalid_arg
+        ("unknown resilient protocol " ^ name ^ " (known: " ^ String.concat ", " base_names ^ ")")
+
 type budget = { attempts : int; bits : int }
 
 let default_budget = { attempts = 10; bits = max_int }

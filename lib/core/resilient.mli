@@ -55,6 +55,13 @@ val tree_base : ?r:int -> k:int -> unit -> base
 (** The bucket protocol ({!Bucket_protocol.run_party}). *)
 val bucket_base : k:int -> unit -> base
 
+(** The names {!base_of_name} knows: ["trivial"], ["tree"], ["bucket"]. *)
+val base_names : string list
+
+(** The base of that name ([tree] at [r = log* k]); [Invalid_argument]
+    on an unknown name. *)
+val base_of_name : string -> k:int -> base
+
 (** Retry limits: at most [attempts] base executions, and no new attempt
     once [bits] total bits (over the faulty channel) have been spent. *)
 type budget = { attempts : int; bits : int }

@@ -81,8 +81,6 @@ let create rng ~bits =
   done;
   { point; lanes; bits }
 
-let bits fn = fn.bits
-
 (* Polynomial fingerprint of the bit range [pos, pos + len) of a bit
    string: fold 24-bit chunks with a length prefix so strings of different
    lengths cannot alias — Horner's rule [acc <- acc * point + (chunk + 1)]
@@ -228,7 +226,3 @@ let draw_matches_range d ~bits reader payload ~pos ~len =
 
 let draw_matches d ~bits reader payload =
   draw_matches_range d ~bits reader payload ~pos:0 ~len:(Bitio.Bits.length payload)
-
-let tag rng ~bits payload = apply (create rng ~bits) payload
-
-let tag_int rng ~bits x = apply_int (create rng ~bits) x

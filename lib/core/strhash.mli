@@ -26,9 +26,6 @@ type fn
     supported (wide tags use several lanes). *)
 val create : Prng.Rng.t -> bits:int -> fn
 
-(** Tag width in bits, as requested at {!create}. *)
-val bits : fn -> int
-
 (** Tag of a bit string. *)
 val apply : fn -> Bitio.Bits.t -> Bitio.Bits.t
 
@@ -107,9 +104,3 @@ val draw_write_range :
     {!draw_write_range} tags them. *)
 val draw_matches_range :
   Prng.Rng.Label.d -> bits:int -> Bitio.Bitreader.t -> Bitio.Bits.t -> pos:int -> len:int -> bool
-
-(** One-shot conveniences (draw the function and apply it). *)
-val tag : Prng.Rng.t -> bits:int -> Bitio.Bits.t -> Bitio.Bits.t
-
-(** One-shot {!apply_int} (draw the function and tag the integer). *)
-val tag_int : Prng.Rng.t -> bits:int -> int -> Bitio.Bits.t

@@ -433,23 +433,6 @@ let protocol ?buckets ?flat_eq_bits ?k ~r () =
         { Protocol.alice; bob; cost });
   }
 
-let protocol_budgeted ?(budget_factor = 64) ?k ~r () =
-  {
-    Protocol.name = Printf.sprintf "tree-budgeted(r=%d,factor=%d)" r budget_factor;
-    sandwich = true;
-    run =
-      (fun rng ~universe s t ->
-        Protocol.validate_inputs ~universe s t;
-        let k = match k with Some k -> k | None -> Int.max 1 (Int.max (Array.length s) (Array.length t)) in
-        let budget = budget_factor * k * Int.max 1 (Iterated_log.ilog r k) in
-        let (alice, bob), cost =
-          Commsim.Two_party.run
-            ~alice:(fun chan -> run_party ~budget `Alice rng ~universe ~r ~k chan s)
-            ~bob:(fun chan -> run_party ~budget `Bob rng ~universe ~r ~k chan t)
-        in
-        { Protocol.alice; bob; cost });
-  }
-
 let protocol_log_star ?k () =
   let base ~k_eff = Iterated_log.log_star k_eff in
   {

@@ -24,9 +24,11 @@
     [flat_eq_bits] replaces the per-stage equality budget
     [4 log (log^(r-i-1) k)] with one fixed width;
     [budget] (total bits, counted identically by both sides) arms the
-    worst-case truncation described at {!protocol_budgeted}: when a stage
-    would start beyond the budget, both parties abandon the tree and fall
-    back to the deterministic exchange over the same channel. *)
+    paper's worst-case conversion ("terminating the protocol if it
+    consumes more than a constant factor times its expected communication
+    cost"): when a stage would start beyond the budget, both parties
+    abandon the tree and fall back to the deterministic exchange over the
+    same channel, bounding the worst case at [O(k log(n/k))]. *)
 val run_party :
   ?buckets:int ->
   ?flat_eq_bits:int ->
@@ -46,16 +48,6 @@ val protocol : ?buckets:int -> ?flat_eq_bits:int -> ?k:int -> r:int -> unit -> P
 
 (** Convenience: [r = log* k], the optimal-communication configuration. *)
 val protocol_log_star : ?k:int -> unit -> Protocol.t
-
-(** The paper's worst-case conversion ("terminating the protocol if it
-    consumes more than a constant factor times its expected communication
-    cost"): both parties count their own traffic, and if the tree protocol
-    would exceed [budget_factor * k * log^(r) k] bits they abandon it at a
-    stage boundary and fall back to the deterministic exchange — bounding
-    the worst case at [O(k log(n/k))] while keeping the expected cost.
-    Exposed for tests and the bench; with sane factors the fallback fires
-    with vanishing probability. *)
-val protocol_budgeted : ?budget_factor:int -> ?k:int -> r:int -> unit -> Protocol.t
 
 (** Test-only bindings: the pieces of {!run_party}'s stage loop that the
     tests check against references.  They are the functions the runner

@@ -1,8 +1,5 @@
 let of_set set = Bitio.Pool.payload (fun buf -> Bitio.Set_codec.write_gaps buf set)
 
-let of_sets sets =
-  Bitio.Pool.payload (fun buf -> List.iter (fun set -> Bitio.Set_codec.write_gaps buf set) sets)
-
 let gamma_msg v = Bitio.Pool.payload (fun buf -> Bitio.Codes.write_gamma buf v)
 
 let read_gamma_msg payload = Bitio.Codes.read_gamma (Bitio.Bitreader.create payload)

@@ -4,10 +4,6 @@
     encodings and vice versa — the representation equality tests run on. *)
 val of_set : Iset.t -> Bitio.Bits.t
 
-(** Canonical encoding of an ordered list of sets (e.g. the leaf assignments
-    under a tree node, in leaf order). *)
-val of_sets : Iset.t list -> Bitio.Bits.t
-
 (** A single Elias-gamma-coded integer as a whole message. *)
 val gamma_msg : int -> Bitio.Bits.t
 

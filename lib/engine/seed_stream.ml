@@ -4,12 +4,9 @@
    [Rng.with_label (Rng.of_int base) (sprintf "%s/trial%d" label i)], the
    historical formulation, without the sprintf or the per-trial base
    rebuild.  Pure function of [(base, label, i)] either way. *)
-type t = { base : int; label : string; root : Prng.Rng.t }
+type t = { label : string; root : Prng.Rng.t }
 
-let create ~base ~label = { base; label; root = Prng.Rng.of_int base }
-let base t = t.base
-let label t = t.label
-let trial_label t i = t.label ^ "/trial" ^ string_of_int i
+let create ~base ~label = { label; root = Prng.Rng.of_int base }
 
 let trial_rng t i =
   let d = Prng.Rng.Label.start t.root in

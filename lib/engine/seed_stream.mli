@@ -20,11 +20,6 @@ type t
     ["conform/bucket/k64"], ...). *)
 val create : base:int -> label:string -> t
 
-val base : t -> int
-val label : t -> string
-
-(** The label trial [i] is derived from: ["<label>/trial<i>"]. *)
-val trial_label : t -> int -> string
-
-(** The generator of trial [i]; a pure function of [(base, label, i)]. *)
+(** The generator of trial [i], derived from the label
+    ["<label>/trial<i>"]; a pure function of [(base, label, i)]. *)
 val trial_rng : t -> int -> Prng.Rng.t

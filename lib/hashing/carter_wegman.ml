@@ -1,11 +1,11 @@
-type t = { p : int; a : int; b : int; range : int; seed_bits : int }
+type t = { p : int; a : int; b : int; range : int }
 
 let create rng ~universe ~range =
   if universe < 1 || range < 1 then invalid_arg "Carter_wegman.create";
   let p = Prime.next_prime (max universe 2) in
   let a = 1 + Prng.Rng.int rng (p - 1) in
   let b = Prng.Rng.int rng p in
-  { p; a; b; range; seed_bits = 2 * Bitio.Codes.bit_width p }
+  { p; a; b; range }
 
 (* With [p <= 2^31] and [x < 2^31] the product [a * x] stays below 2^62,
    inside OCaml's native ints: no boxing, no allocation.  That covers
@@ -22,6 +22,6 @@ let hash t x =
     Int64.to_int (Int64.unsigned_rem v (Int64.of_int t.range))
   end
 
-let range t = t.range
-let seed_bits t = t.seed_bits
-let modulus t = t.p
+module For_testing = struct
+  let modulus t = t.p
+end

@@ -25,13 +25,15 @@ let mulmod a b m =
   done;
   !result
 
-let powmod b e m =
-  let result = ref 1L in
-  let b = ref (Int64.unsigned_rem b m) in
-  let e = ref e in
-  while !e <> 0L do
-    if Int64.logand !e 1L = 1L then result := mulmod !result !b m;
-    b := mulmod !b !b m;
-    e := Int64.shift_right_logical !e 1
-  done;
-  !result
+module For_testing = struct
+  let powmod b e m =
+    let result = ref 1L in
+    let b = ref (Int64.unsigned_rem b m) in
+    let e = ref e in
+    while !e <> 0L do
+      if Int64.logand !e 1L = 1L then result := mulmod !result !b m;
+      b := mulmod !b !b m;
+      e := Int64.shift_right_logical !e 1
+    done;
+    !result
+end

@@ -11,5 +11,8 @@ val addmod : int64 -> int64 -> int64 -> int64
     shift-and-add.  Callers whose operands fit a native product use one. *)
 val mulmod : int64 -> int64 -> int64 -> int64
 
-(** [powmod b e m] is [b^e mod m] for unsigned [b < m], [e >= 0]. *)
-val powmod : int64 -> int64 -> int64 -> int64
+(** Test references. *)
+module For_testing : sig
+  (** [powmod b e m] is [b^e mod m] for unsigned [b < m], [e >= 0]. *)
+  val powmod : int64 -> int64 -> int64 -> int64
+end

@@ -112,11 +112,3 @@ let next_prime n =
   if n < 2 then invalid_arg "Prime.next_prime";
   let rec search n = if is_prime n then n else search (n + 1) in
   search n
-
-let random_prime rng ~below =
-  if below <= 2 then invalid_arg "Prime.random_prime";
-  let rec draw () =
-    let candidate = 2 + Prng.Rng.int rng (below - 2) in
-    if is_prime candidate then candidate else draw ()
-  in
-  draw ()

@@ -44,7 +44,6 @@ let build (modus : Cmt_load.modu list) =
   in
   { by_name; succ; pred; names }
 
-let mem g name = Hashtbl.mem g.by_name name
 let binding g name = Hashtbl.find_opt g.by_name name
 let names g = g.names
 

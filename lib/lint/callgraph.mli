@@ -8,7 +8,6 @@
 type t
 
 val build : Cmt_load.modu list -> t
-val mem : t -> string -> bool
 val binding : t -> string -> Cmt_load.binding option
 
 (** All node names, sorted. *)

@@ -1,4 +1,4 @@
-(* Typed-tree loading for the semantic lint pass (rules R7..R10).
+(* Typed-tree loading for the semantic lint pass (rules R7..R11).
 
    The syntactic rules (R1..R6) see one Parsetree at a time; the typed
    pass instead reads the .cmt artifacts dune already produces and
@@ -204,6 +204,26 @@ let extract ~types ~mod_path ~file str =
     | Typedtree.Tmod_constraint (me, _, _, _) -> strip_module me
     | _ -> None
   in
+  let rec alias_target (me : Typedtree.module_expr) =
+    match me.mod_desc with
+    | Typedtree.Tmod_ident (p, _) -> Some p
+    | Typedtree.Tmod_constraint (me, _, _, _) -> alias_target me
+    | _ -> None
+  in
+  let canon p = canon_path ~mod_path ~locals p in
+  (* [module J = Stats.Json] and [let module J = Stats.Json in]: the
+     alias ident stands for its target's canonical name, so [J.member]
+     resolves to [Stats.Json.member] rather than a name no binding has. *)
+  let register_alias id me =
+    match alias_target me with
+    | Some p -> (
+        match canon p with
+        | Some target ->
+            Hashtbl.replace locals (Ident.unique_name id) target;
+            true
+        | None -> false)
+    | None -> false
+  in
   (* Pre-pass: register every top-level binding (and nested module) ident
      so references resolve regardless of item order. *)
   let rec pre prefix its =
@@ -237,6 +257,7 @@ let extract ~types ~mod_path ~file str =
   and pre_module prefix id me =
     match id with
     | None -> ()
+    | Some id when register_alias id me -> ()
     | Some id -> (
         let sub = prefix ^ "." ^ Ident.name id in
         Hashtbl.replace locals (Ident.unique_name id) sub;
@@ -245,7 +266,6 @@ let extract ~types ~mod_path ~file str =
         | None -> ())
   in
   pre mod_path str.Typedtree.str_items;
-  let canon p = canon_path ~mod_path ~locals p in
   let canon_fn (fn : Typedtree.expression) =
     match fn.exp_desc with Typedtree.Texp_ident (p, _, _) -> canon p | _ -> None
   in
@@ -317,6 +337,20 @@ let extract ~types ~mod_path ~file str =
                     List.iter (fun (_, a) -> Option.iter (self.Tast_iterator.expr self) a) args;
                     spawn_ctx := None
                 | _ -> Tast_iterator.default_iterator.expr self e)
+            | Typedtree.Texp_letmodule (Some id, _, _, me, _) ->
+                ignore (register_alias id me : bool);
+                Tast_iterator.default_iterator.expr self e
+            | Typedtree.Texp_letop { let_; ands; _ } ->
+                (* [let*]/[and*] call their operator bindings. *)
+                List.iter
+                  (fun (bop : Typedtree.binding_op) ->
+                    match canon bop.bop_op_path with
+                    | Some name ->
+                        let line, col = pos_of bop.bop_loc in
+                        acc.a_uses <- { upath = name; uline = line; ucol = col } :: acc.a_uses
+                    | None -> ())
+                  (let_ :: ands);
+                Tast_iterator.default_iterator.expr self e
             | Typedtree.Texp_field (_, _, ld) ->
                 let line, col = pos_of e.exp_loc in
                 let ftype =
@@ -466,41 +500,37 @@ let read_cmt ~types ~path =
 
 (* --- in-process typing for fixtures ------------------------------------ *)
 
-let of_sources ~types units =
-  let restore = !Clflags.dont_write_files in
-  Clflags.dont_write_files := true;
-  Fun.protect
-    ~finally:(fun () -> Clflags.dont_write_files := restore)
-    (fun () ->
-      Compmisc.init_path ();
-      let env0 = Compmisc.initial_env () in
-      (* Units are typed in order; each one's signature is entered into
-         the environment as a module, so later fixtures can reference
-         earlier ones cross-"module" the way real compilation units
-         do.  [mod_path] must be a valid module name for that to work. *)
-      let rec go env acc = function
-        | [] -> Ok (List.rev acc)
-        | (mod_path, file, source) :: rest -> (
-            let lexbuf = Lexing.from_string source in
-            Location.init lexbuf file;
-            match Parse.implementation lexbuf with
-            | exception e -> Error (Printf.sprintf "%s: %s" file (Printexc.to_string e))
-            | past -> (
-                match Typemod.type_structure env past with
-                | exception e -> Error (Printf.sprintf "%s: %s" file (Printexc.to_string e))
-                | tstr, sg, _, _, _ ->
-                    let m = extract ~types ~mod_path ~file tstr in
-                    let env =
-                      Env.add_module
-                        (Ident.create_persistent mod_path)
-                        Types.Mp_present (Types.Mty_signature sg) env
-                    in
-                    go env (m :: acc) rest))
-      in
-      go env0 [] units)
-
-let of_source ~types ~mod_path ~file source =
-  match of_sources ~types [ (mod_path, file, source) ] with
-  | Ok [ m ] -> Ok m
-  | Ok _ -> assert false
-  | Error _ as e -> e
+module For_testing = struct
+  let of_sources ~types units =
+    let restore = !Clflags.dont_write_files in
+    Clflags.dont_write_files := true;
+    Fun.protect
+      ~finally:(fun () -> Clflags.dont_write_files := restore)
+      (fun () ->
+        Compmisc.init_path ();
+        let env0 = Compmisc.initial_env () in
+        (* Units are typed in order; each one's signature is entered into
+           the environment as a module, so later fixtures can reference
+           earlier ones cross-"module" the way real compilation units
+           do.  [mod_path] must be a valid module name for that to work. *)
+        let rec go env acc = function
+          | [] -> Ok (List.rev acc)
+          | (mod_path, file, source) :: rest -> (
+              let lexbuf = Lexing.from_string source in
+              Location.init lexbuf file;
+              match Parse.implementation lexbuf with
+              | exception e -> Error (Printf.sprintf "%s: %s" file (Printexc.to_string e))
+              | past -> (
+                  match Typemod.type_structure env past with
+                  | exception e -> Error (Printf.sprintf "%s: %s" file (Printexc.to_string e))
+                  | tstr, sg, _, _, _ ->
+                      let m = extract ~types ~mod_path ~file tstr in
+                      let env =
+                        Env.add_module
+                          (Ident.create_persistent mod_path)
+                          Types.Mp_present (Types.Mty_signature sg) env
+                      in
+                      go env (m :: acc) rest))
+        in
+        go env0 [] units)
+end

@@ -1,4 +1,4 @@
-(** Typed-tree loading for the semantic lint rules (R7..R10).
+(** Typed-tree loading for the semantic lint rules (R7..R11).
 
     Reads the [.cmt] artifacts dune produces (or types fixture sources
     in-process, for tests) and distills each module into a small IR of
@@ -68,17 +68,14 @@ val canon_modname : string -> string option
     implementation (interfaces, generated wrapper units, packs). *)
 val read_cmt : types:types_info -> path:string -> modu option
 
-(** Type a fixture source in-process against the standard library and
-    extract it like a cmt.  Used by tests; [Error] carries the parse or
-    type error text. *)
-val of_source :
-  types:types_info -> mod_path:string -> file:string -> string -> (modu, string) result
-
-(** Type a sequence of fixture units in order, each one's signature made
-    visible to the later ones under its [mod_path] (which must therefore
-    be a plain module name).  This is how tests build cross-module
-    fixtures without writing [.cmt] files to disk. *)
-val of_sources :
-  types:types_info ->
-  (string * string * string) list ->
-  (modu list, string) result
+(** Test references and instruments. *)
+module For_testing : sig
+  (** Type a sequence of fixture units in order, each one's signature made
+      visible to the later ones under its [mod_path] (which must therefore
+      be a plain module name).  This is how tests build cross-module
+      fixtures without writing [.cmt] files to disk. *)
+  val of_sources :
+    types:types_info ->
+    (string * string * string) list ->
+    (modu list, string) result
+end

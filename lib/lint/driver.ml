@@ -1,4 +1,5 @@
-let scan_dirs = [ "lib"; "bin"; "bench"; "test" ]
+let scan_dirs = [ "lib"; "bin"; "bench"; "test"; "examples" ]
+let root_dirs = [ "perf" ]
 let allow_file = "lint.allow"
 
 let ends_with ~suffix s =
@@ -7,7 +8,7 @@ let ends_with ~suffix s =
 
 (* Source discovery: sorted traversal, skipping _build-style and hidden
    directories, so file order (hence report order) is stable. *)
-let list_files ~root =
+let list_files ~root dirs =
   let acc = ref [] in
   let rec walk rel =
     let abs = Filename.concat root rel in
@@ -23,7 +24,7 @@ let list_files ~root =
         else if ends_with ~suffix:".ml" name || ends_with ~suffix:".mli" name then acc := rel' :: !acc)
       entries
   in
-  List.iter (fun dir -> if Sys.file_exists (Filename.concat root dir) then walk dir) scan_dirs;
+  List.iter (fun dir -> if Sys.file_exists (Filename.concat root dir) then walk dir) dirs;
   List.sort String.compare !acc
 
 let syntax_finding ~file (loc : Location.t) msg =
@@ -75,7 +76,7 @@ let run ?(root = ".") ?(typed = true) () =
     match allow with
     | Error _ as e -> e
     | Ok allow -> (
-        let files = list_files ~root in
+        let files = list_files ~root scan_dirs in
         let per_file =
           List.concat_map
             (fun file -> lint_source ~path:file (read_file (Filename.concat root file)))
@@ -86,11 +87,19 @@ let run ?(root = ".") ?(typed = true) () =
            silently skips its strongest rules is worse than one that
            fails loudly. *)
         let typed_result =
-          if typed then Typed.run ~root ~files () else Ok (0, [])
+          if typed then Typed.run ~root ~files:(files @ list_files ~root root_dirs) ()
+          else Ok (0, [])
         in
         match typed_result with
         | Error e -> Error e
         | Ok (typed_modules, typed_findings) ->
+            (* [root_dirs] files only root the call graph (R11): they
+               are not scanned, so nothing is reported in them. *)
+            let scanned = Hashtbl.create 256 in
+            List.iter (fun f -> Hashtbl.replace scanned f ()) files;
+            let typed_findings =
+              List.filter (fun (f : Finding.t) -> Hashtbl.mem scanned f.file) typed_findings
+            in
             let findings =
               per_file @ Rules.check_mli_coverage ~files @ typed_findings
               |> List.filter (fun (f : Finding.t) ->

@@ -25,9 +25,10 @@ type report = {
 }
 
 (** Lint the tree rooted at [root] (default ["."]).  [typed] (default
-    [true]) additionally runs the cmt-based semantic rules R7..R10 over
+    [true]) additionally runs the cmt-based semantic rules R7..R11 over
     the build artifacts in [root/_build/default] (or [root] itself when
-    already inside a build tree).  [Error] means the linter could not
+    already inside a build tree); the typed pass also loads [perf/] as
+    call-graph roots for R11 and reports nothing in it.  [Error] means the linter could not
     run at all — missing root, malformed allowlist, or typed pass
     requested with no build artifacts — as opposed to a clean run with
     findings. *)

@@ -13,6 +13,7 @@ let catalogue =
     ("R8", "metered transport (typed): every Transport send/recv runs under a Trace.span");
     ("R9", "cross-domain escape (typed): no module-global or spawn-captured mutable values");
     ("R10", "phase registry, reverse (typed): no dead Obsv.Phases constants");
+    ("R11", "unreachable library binding (typed): every lib/ binding is reached from an executable");
   ]
 
 let rule_ids = List.map fst catalogue
@@ -90,6 +91,16 @@ let explain id =
         "Phase registry, reverse direction: an Obsv.Phases constant that no span call site \
          uses and nothing outside the registry references is a dead phase — a ledger bucket \
          the profiler promises but no bits can ever land in. Drop it or span it."
+  | "R11" ->
+      Some
+        "Typed reachability: every binding of every file under bin/, bench/, perf/ and \
+         examples/ roots the call graph, and a top-level lib/ binding no root reaches is \
+         flagged. Tests are not roots: code only a test calls is code the program does not \
+         run. References through module aliases (module M = P, let module M = P in) and \
+         binding operators (let*, and*) count as edges. Synthetic (init:N) bindings are never \
+         reported, and a module's For_testing submodule is the declared home of test \
+         oracles and instruments. Delete the binding, or move it into For_testing when a test \
+         needs it as a reference."
   | _ -> None
 
 let starts_with ~prefix s =

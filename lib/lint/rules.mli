@@ -30,14 +30,22 @@
     Structural exemptions above are part of the rule; anything else
     belongs in the allowlist ({!Allow}).
 
-    The typed rule families R7..R10 (determinism taint, metered
-    transport, cross-domain escape, dead phases) are implemented over
-    the cmt-based IR in {!Typed}/{!Taint}/{!Escape}; their catalogue
-    entries and explanations live here so the id set, the allowlist
-    validation, and [--rules]/[--explain] output stay in one place. *)
+    The typed rule families R7..R11 (determinism taint, metered
+    transport, cross-domain escape, dead phases, unreachable library
+    bindings) are implemented over the cmt-based IR in
+    {!Typed}/{!Taint}/{!Escape}; their catalogue entries and
+    explanations live here so the id set, the allowlist validation, and
+    [--rules]/[--explain] output stay in one place.
+
+    - {b R11 unreachable library binding} (typed) — every binding in
+      [bin/], [bench/], [perf/] and [examples/] roots the call graph; a
+      top-level [lib/] binding none of them reaches is a finding.  Tests
+      are not roots.  [(init:N)] bindings are never reported, and
+      bindings inside a [For_testing] submodule (the home of test
+      oracles and instruments) are exempt. *)
 
 (** Rule ids with one-line descriptions, in report order ([syntax]
-    first, then R1..R10).  This is also the id set allowlists are
+    first, then R1..R11).  This is also the id set allowlists are
     validated against. *)
 val catalogue : (string * string) list
 

@@ -1,5 +1,5 @@
 (* The typed lint pass: cmt discovery, call-graph construction, and the
-   semantic rule families R7..R10.
+   semantic rule families R7..R11.
 
    Scopes live in a [config] value instead of being hard-wired into the
    rules so the test suite can run the same analyses over in-process
@@ -102,6 +102,46 @@ let dead_phases ~config (modus : Cmt_load.modu list) =
       constants
   end
 
+(* --- R11: unreachable library bindings --------------------------------- *)
+
+(* Library code exists to be run: a top-level binding under [lib/] that
+   no binding of any executable reaches over call edges is dead weight
+   (tests are not roots — a binding only a test calls checks nothing
+   the program does).  Synthetic [(init:N)] bindings have no name to
+   call, and a [For_testing] submodule is the declared home of test
+   oracles and instruments, so neither is reported. *)
+let exempt name =
+  List.exists
+    (fun c -> c = "For_testing" || starts_with ~prefix:"(init:" c)
+    (String.split_on_char '.' name)
+
+let executables = [ "bin/"; "bench/"; "perf/"; "examples/" ]
+
+let unreachable g =
+  let bindings = Callgraph.bindings g in
+  let roots =
+    List.filter_map
+      (fun (b : Cmt_load.binding) ->
+        if any_prefix executables b.bfile then Some b.Cmt_load.name else None)
+      bindings
+  in
+  let reached = Callgraph.reach_fwd g ~skip:(fun _ -> false) roots in
+  List.filter_map
+    (fun (b : Cmt_load.binding) ->
+      if
+        starts_with ~prefix:"lib/" b.bfile
+        && (not (Hashtbl.mem reached b.Cmt_load.name))
+        && not (exempt b.name)
+      then
+        Some
+          (Finding.v ~rule:"R11" ~file:b.bfile ~line:b.bline ~col:b.bcol
+             (Printf.sprintf
+                "%s is unreachable from every executable: delete it, or move it into its \
+                 module's For_testing submodule if a test needs it as a reference"
+                b.name))
+      else None)
+    bindings
+
 (* --- the pass ---------------------------------------------------------- *)
 
 let analyze ?(config = default_config) ~types (modus : Cmt_load.modu list) =
@@ -126,7 +166,8 @@ let analyze ?(config = default_config) ~types (modus : Cmt_load.modu list) =
       ~exempt_capture:(any_prefix config.escape_capture_exempt)
   in
   let r10 = dead_phases ~config modus in
-  List.sort Finding.compare (r7 @ r8 @ r9 @ r10)
+  let r11 = unreachable g in
+  List.sort Finding.compare (r7 @ r8 @ r9 @ r10 @ r11)
 
 (* --- cmt discovery ----------------------------------------------------- *)
 

@@ -1,6 +1,7 @@
 (** The typed lint pass: cmt discovery, call-graph construction, and the
     semantic rule families R7 (determinism taint), R8 (metered-transport
-    accounting), R9 (cross-domain escape), R10 (dead phases). *)
+    accounting), R9 (cross-domain escape), R10 (dead phases), R11
+    (unreachable library bindings). *)
 
 (** Analysis scopes, parameterised so tests can run the same rules over
     in-process fixtures with their own module names.  All prefixes match
@@ -22,10 +23,12 @@ type config = {
 (** This repo's layout: parties in [lib/core] / [lib/multiparty] /
     [lib/apps] / [lib/session]; randomness sanctioned in [lib/prng] and
     the seed stream; transport is [Commsim.Transport]; spans are
-    [Obsv.Trace.span]; the phase registry is [Obsv.Phases]. *)
+    [Obsv.Trace.span]; the phase registry is [Obsv.Phases].  R11's
+    scopes are fixed: the bindings of [bin/], [bench/], [perf/] and
+    [examples/] must reach every [lib/] binding. *)
 val default_config : config
 
-(** Run R7..R10 over loaded modules.  Findings come back sorted
+(** Run R7..R11 over loaded modules.  Findings come back sorted
     ({!Finding.compare}) and byte-stable across runs. *)
 val analyze : ?config:config -> types:Cmt_load.types_info -> Cmt_load.modu list -> Finding.t list
 

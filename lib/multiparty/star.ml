@@ -64,5 +64,7 @@ let run ?r ?max_attempts ?(broadcast = false) rng ~universe ~k sets =
   let results, cost = run_internal ?r ?max_attempts ~broadcast rng ~universe ~k sets in
   (results.(0), cost)
 
-let run_all ?r ?max_attempts rng ~universe ~k sets =
-  run_internal ?r ?max_attempts ~broadcast:true rng ~universe ~k sets
+module For_testing = struct
+  let run_all ?r ?max_attempts rng ~universe ~k sets =
+    run_internal ?r ?max_attempts ~broadcast:true rng ~universe ~k sets
+end

@@ -24,12 +24,15 @@ val run :
   Iset.t array ->
   Iset.t * Commsim.Cost.t
 
-(** Like {!run} with [~broadcast:true], returning every player's output. *)
-val run_all :
-  ?r:int ->
-  ?max_attempts:int ->
-  Prng.Rng.t ->
-  universe:int ->
-  k:int ->
-  Iset.t array ->
-  Iset.t array * Commsim.Cost.t
+(** Test references and instruments. *)
+module For_testing : sig
+  (** Like {!run} with [~broadcast:true], returning every player's output. *)
+  val run_all :
+    ?r:int ->
+    ?max_attempts:int ->
+    Prng.Rng.t ->
+    universe:int ->
+    k:int ->
+    Iset.t array ->
+    Iset.t array * Commsim.Cost.t
+end

@@ -203,8 +203,6 @@ let phases c =
     (Trace.spans c);
   List.rev_map (fun name -> !(Hashtbl.find acc name)) !order
 
-let total_phase_bits c = List.fold_left (fun acc p -> acc + p.bits) 0 (phases c)
-
 (* Merge per-execution ledgers (e.g. one per engine trial) into one: rows
    with the same phase name add their bits and messages and keep the
    deepest depth; row order is first appearance across the lists in the
@@ -255,8 +253,6 @@ let phase_table_of ?(title = "per-phase communication") rows =
     [ "total"; Table.cell_int total; Table.cell_int total_messages; Table.cell_int total_spans; "-"; "100.0%" ];
   table
 
-let phase_table ?title c = phase_table_of ?title (phases c)
-
 let phases_json_of rows =
   Json.List
     (List.map
@@ -270,5 +266,3 @@ let phases_json_of rows =
              ("max_depth", Json.Int p.max_depth);
            ])
        rows)
-
-let phases_json c = phases_json_of (phases c)

@@ -33,10 +33,6 @@ type phase = {
     only, keeping the bits-exactness property untouched. *)
 val phases : Trace.collector -> phase list
 
-(** Sum of {!phases} bits — by construction the total bits of every message
-    the collector saw. *)
-val total_phase_bits : Trace.collector -> int
-
 (** [merge_phases ledgers] combines per-execution ledgers (e.g. one per
     engine trial) into one: rows with the same phase name add bits and
     messages and keep the deepest depth; row order is first appearance
@@ -45,14 +41,9 @@ val total_phase_bits : Trace.collector -> int
     aggregation. *)
 val merge_phases : phase list list -> phase list
 
-(** The ledger as a rendered {!Stats.Table} with a share column and a total
-    row. *)
-val phase_table : ?title:string -> Trace.collector -> Stats.Table.t
-
-(** {!phase_table} over an explicit (possibly merged) ledger. *)
+(** A (possibly merged) ledger as a rendered {!Stats.Table} with a share
+    column and a total row. *)
 val phase_table_of : ?title:string -> phase list -> Stats.Table.t
 
-val phases_json : Trace.collector -> Stats.Json.t
-
-(** {!phases_json} over an explicit (possibly merged) ledger. *)
+(** A (possibly merged) ledger as JSON, one object per row. *)
 val phases_json_of : phase list -> Stats.Json.t

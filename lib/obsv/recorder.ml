@@ -24,7 +24,6 @@ let create ?(capacity = default_capacity) () =
 let disabled = { enabled = false; capacity = 0; buf = [||]; total = 0 }
 
 let ambient_recorder = Domain.DLS.new_key (fun () -> disabled)
-let current () = Domain.DLS.get ambient_recorder
 let active () = (Domain.DLS.get ambient_recorder).enabled
 
 let with_recorder r f =

@@ -28,8 +28,6 @@ val create : ?capacity:int -> unit -> t
 (** The shared no-op recorder (the ambient default). *)
 val disabled : t
 
-val current : unit -> t
-
 (** [active ()] is true when the ambient recorder is enabled — use it to
     guard any formatting work at the call site. *)
 val active : unit -> bool

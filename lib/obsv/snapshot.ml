@@ -70,10 +70,6 @@ let to_json t =
       ("at", Stats.Json.Int t.at);
       ("counters", Stats.Json.Obj (List.map (fun (k, v) -> (k, Stats.Json.Int v)) t.counters));
       ("gauges", Stats.Json.Obj (List.map (fun (k, v) -> (k, Stats.Json.Int v)) t.gauges));
-      (* Frozen stream format: every distribution is a sketch now, and the
-         key stays, always empty, so committed telemetry streams keep
-         their bytes. *)
-      ("histograms", Stats.Json.Obj []);
       ("sketches", Stats.Json.Obj (List.map (fun (k, s) -> (k, sketch_json s)) t.sketches));
     ]
 
@@ -104,19 +100,3 @@ let rates_json ~prev t =
       ("dt", Stats.Json.Int dt);
       ("counters", Stats.Json.Obj entries);
     ]
-
-(* One JSONL line per snapshot, with a rates line after every snapshot
-   that has a predecessor. *)
-let series_lines snapshots =
-  let rec go prev = function
-    | [] -> []
-    | s :: rest ->
-        let snap = Stats.Json.to_string (to_json s) in
-        let lines =
-          match prev with
-          | None -> [ snap ]
-          | Some p -> [ snap; Stats.Json.to_string (rates_json ~prev:p s) ]
-        in
-        lines @ go (Some s) rest
-  in
-  go None snapshots

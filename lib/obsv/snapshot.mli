@@ -39,9 +39,8 @@ val gauge : t -> string -> int option
 val sketch : t -> string -> sketch_summary option
 
 (** One snapshot as a single-line-able JSON object
-    ([{"event":"snapshot"; ...}]).  Its ["histograms"] object is always
-    empty (the registry holds no other distribution than sketches); the
-    key stays so the stream format does not change. *)
+    ([{"event":"snapshot"; ...}]): counters, gauges and sketch
+    summaries. *)
 val to_json : t -> Stats.Json.t
 
 (** [rates_json ~prev t] derives integer rates from two consecutive
@@ -49,7 +48,3 @@ val to_json : t -> Stats.Json.t
     [per_1000] ([delta * 1000 / dt], floor division; 0 when [dt <= 0]).
     Unchanged counters are omitted. *)
 val rates_json : prev:t -> t -> Stats.Json.t
-
-(** The full JSONL series: each snapshot line followed by its rates line
-    (snapshots after the first). *)
-val series_lines : t list -> string list

@@ -135,13 +135,10 @@ let with_label t label =
   Label.add d label;
   Label.finish d
 
-let split t = of_seed (Splitmix64.next t.gen)
-let int64 t = Splitmix64.next t.gen
-
 (* The draws below take the top bits of the 64-bit output, assembled from
    the generator's unboxed 32-bit halves so no Int64 is ever built on the
    hot path.  Each is draw-for-draw identical to
-   [Int64.shift_right_logical (int64 t) (64 - width)]. *)
+   [Int64.shift_right_logical (For_testing.int64 t) (64 - width)]. *)
 let bits t ~width =
   if width < 0 || width > 62 then invalid_arg "Rng.bits: width";
   if width = 0 then 0
@@ -186,17 +183,7 @@ let threshold ~p =
 
 let below t threshold = bits53 t < threshold
 
-let bernoulli t ~p = below t (threshold ~p)
-
 let scan_below t ~threshold ~limit = Splitmix64.scan_below t.gen ~threshold ~limit
-
-let geometric t ~p =
-  if p <= 0.0 || p > 1.0 then invalid_arg "Rng.geometric";
-  if p >= 1.0 then 0
-  else begin
-    let u = 1.0 -. float t (* in (0, 1] *) in
-    int_of_float (Float.floor (log u /. log (1.0 -. p)))
-  end
 
 (* Fisher-Yates with the draws of [int t (i + 1)] for [i] from [n - 1]
    down to 1, inlined: [bit_width i] changes only when [i] falls below a
@@ -224,3 +211,7 @@ let shuffle t a =
       a.(j) <- tmp
     done
   end
+
+module For_testing = struct
+  let int64 t = Splitmix64.For_testing.next t.gen
+end

@@ -1,4 +1,4 @@
-(** Deterministic, splittable randomness.
+(** Deterministic, seeded randomness.
 
     This module plays the role of the paper's {e common random string}: two
     parties seeded with the same root seed and asking for the same labels
@@ -77,11 +77,6 @@ module Label : sig
   val draws : d -> int -> int array
 end
 
-(** [split t] draws a fresh child generator from [t] (advances [t]). *)
-val split : t -> t
-
-val int64 : t -> int64
-
 (** [bits t ~width] is a uniform integer of [width] bits, [0 <= width <= 62]. *)
 val bits : t -> width:int -> int
 
@@ -94,20 +89,16 @@ val bool : t -> bool
 (** Uniform in [\[0, 1)]. *)
 val float : t -> float
 
-(** [bernoulli t ~p] is [float t < p]; raises [Invalid_argument] unless
-    [0 <= p <= 1]. *)
-val bernoulli : t -> p:float -> bool
-
 (** {2 Integer Bernoulli decisions}
 
     [threshold ~p] is [ceil (p * 2^53)], in [\[0, 2^53\]]; [p] must lie
     in [\[0, 1\]].  Since a 53-bit draw [v] gives [float t = v / 2^53]
     exactly, [float t < p] holds iff [v < threshold ~p]: the decisions
-    below are draw-for-draw those of {!bernoulli}, on integers.  Note that
+    below are draw-for-draw those of [float t < p], on integers.  Note that
     [threshold ~p > 0] iff [p > 0]. *)
 val threshold : p:float -> int
 
-(** [below t threshold] is [bernoulli t ~p] for [threshold = threshold ~p]:
+(** [below t threshold] is [float t < p] for [threshold = threshold ~p]:
     one draw. *)
 val below : t -> int -> bool
 
@@ -121,9 +112,12 @@ val below : t -> int -> bool
     memory. *)
 val scan_below : t -> threshold:int -> limit:int -> int
 
-(** [geometric t ~p] is the number of failures before the first success of a
-    Bernoulli([p]) sequence; [0 < p <= 1]. *)
-val geometric : t -> p:float -> int
-
 (** Fisher–Yates shuffle, in place. *)
 val shuffle : t -> 'a array -> unit
+
+(** Test references and instruments. *)
+module For_testing : sig
+  (** The next full 64-bit output (advances [t]): a probe of the
+      generator's state. *)
+  val int64 : t -> int64
+end

@@ -74,13 +74,15 @@ let fill61 ~hi ~lo buf n =
 let out_hi t = t.out_hi
 let out_lo t = t.out_lo
 
-let next t =
-  step t;
-  join t.out_hi t.out_lo
-
-let mix z = mix64 z
-
 let reseed_mixed t ~hi ~lo =
   set_out t (mix64 (join (hi land 0xFFFFFFFF) (lo land 0xFFFFFFFF)));
   t.hi <- t.out_hi;
   t.lo <- t.out_lo
+
+module For_testing = struct
+  let next t =
+    step t;
+    join t.out_hi t.out_lo
+
+  let mix z = mix64 z
+end

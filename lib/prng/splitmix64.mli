@@ -6,9 +6,6 @@ type t
 
 val create : int64 -> t
 
-(** Next 64-bit output; advances the state. *)
-val next : t -> int64
-
 (** Advance the state one step without boxing the output; read the two
     32-bit halves with {!out_hi} / {!out_lo}.  Draw-for-draw identical to
     {!next}: [next t = (out_hi t << 32) | out_lo t] after the same step. *)
@@ -28,9 +25,6 @@ val out_lo : t -> int
     the same number of {!step}s would, and allocates nothing. *)
 val scan_below : t -> threshold:int -> limit:int -> int
 
-(** Stateless single-step mix, used for seed derivation. *)
-val mix : int64 -> int64
-
 (** [reseed_mixed t ~hi ~lo] puts [t] in the state [create (mix seed)]
     would have, for the 64-bit seed whose 32-bit halves are [hi]/[lo]
     (masked to 32 bits), in place and without boxing an [Int64].  Until
@@ -45,3 +39,12 @@ val reseed_mixed : t -> hi:int -> lo:int -> unit
     state stays in a local, so no generator is built and nothing is
     allocated. *)
 val fill61 : hi:int -> lo:int -> int array -> int -> unit
+
+(** Test references and instruments. *)
+module For_testing : sig
+  (** Next 64-bit output; advances the state. *)
+  val next : t -> int64
+
+  (** Stateless single-step mix, used for seed derivation. *)
+  val mix : int64 -> int64
+end

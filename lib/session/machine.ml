@@ -106,13 +106,6 @@ let fingerprint cfg =
     (Commsim.Faults.seed cfg.plan)
     (if Commsim.Faults.is_clean cfg.plan then ":clean" else "")
 
-let base_of cfg =
-  match cfg.protocol with
-  | "trivial" -> Intersect.Resilient.trivial_base
-  | "tree" -> Intersect.Resilient.tree_base ~k:cfg.k ()
-  | "bucket" -> Intersect.Resilient.bucket_base ~k:cfg.k ()
-  | p -> invalid_arg (Printf.sprintf "Session: unknown protocol %S" p)
-
 let universe cfg = 1 lsl cfg.universe_bits
 
 (* Admission bound for the last-resort deterministic exchange: a safe
@@ -133,7 +126,7 @@ let validate cfg =
   if cfg.backoff_base < 0 then invalid_arg "Session: backoff_base must be >= 0";
   if cfg.backoff_cap < cfg.backoff_base then
     invalid_arg "Session: backoff_cap must be >= backoff_base";
-  ignore (base_of cfg)
+  ignore (Intersect.Resilient.base_of_name cfg.protocol ~k:cfg.k)
 
 let start cfg =
   validate cfg;
@@ -272,7 +265,7 @@ let run_attempt st rung ~s ~t =
           ("check_bits", string_of_int width);
         ]
       (fun () ->
-        Intersect.Resilient.attempt_once (base_of cfg)
+        Intersect.Resilient.attempt_once (Intersect.Resilient.base_of_name cfg.protocol ~k:cfg.k)
           ~plan:(Commsim.Faults.reseed cfg.plan ~salt:i)
           ~check_bits:width ~attempt:i attempt_rng ~universe:(universe cfg) s t)
   in
@@ -451,62 +444,64 @@ let result_of = function
   | Completed r | Degraded r -> Some r
   | Failed_safe _ -> None
 
-let diagnosis_json d =
-  Stats.Json.Obj
-    [
-      ("reason", Stats.Json.Str d.reason);
-      ("rejected", Stats.Json.Int d.rejected);
-      ("stalled", Stats.Json.Int d.stalled);
-      ("crashed", Stats.Json.Int d.crashed);
-      ( "last_failure",
-        match d.last_failure with
-        | None -> Stats.Json.Null
-        | Some (k, detail) ->
-            Stats.Json.Obj
-              [ ("kind", Stats.Json.Str (kind_name k)); ("detail", Stats.Json.Str detail) ]
-      );
-      ("remaining_bits", Stats.Json.Int d.remaining_bits);
-      ("reserve_bits", Stats.Json.Int d.reserve_bits);
-    ]
+module For_testing = struct
+  let diagnosis_json d =
+    Stats.Json.Obj
+      [
+        ("reason", Stats.Json.Str d.reason);
+        ("rejected", Stats.Json.Int d.rejected);
+        ("stalled", Stats.Json.Int d.stalled);
+        ("crashed", Stats.Json.Int d.crashed);
+        ( "last_failure",
+          match d.last_failure with
+          | None -> Stats.Json.Null
+          | Some (k, detail) ->
+              Stats.Json.Obj
+                [ ("kind", Stats.Json.Str (kind_name k)); ("detail", Stats.Json.Str detail) ]
+        );
+        ("remaining_bits", Stats.Json.Int d.remaining_bits);
+        ("reserve_bits", Stats.Json.Int d.reserve_bits);
+      ]
 
-let set_json s = Stats.Json.List (Array.to_list s |> List.map (fun x -> Stats.Json.Int x))
+  let set_json s = Stats.Json.List (Array.to_list s |> List.map (fun x -> Stats.Json.Int x))
 
-let ledger_json (l : ledger) =
-  Stats.Json.Obj
-    [
-      ("spent_bits", Stats.Json.Int l.spent_bits);
-      ("backoff_ticks", Stats.Json.Int l.backoff_ticks);
-      ("wasted_bits", Stats.Json.Int l.wasted_bits);
-      ("total_bits", Stats.Json.Int l.cost.Commsim.Cost.total_bits);
-      ("messages", Stats.Json.Int l.cost.Commsim.Cost.messages);
-      ("rounds", Stats.Json.Int l.cost.Commsim.Cost.rounds);
-    ]
+  let ledger_json (l : ledger) =
+    Stats.Json.Obj
+      [
+        ("spent_bits", Stats.Json.Int l.spent_bits);
+        ("backoff_ticks", Stats.Json.Int l.backoff_ticks);
+        ("wasted_bits", Stats.Json.Int l.wasted_bits);
+        ("total_bits", Stats.Json.Int l.cost.Commsim.Cost.total_bits);
+        ("messages", Stats.Json.Int l.cost.Commsim.Cost.messages);
+        ("rounds", Stats.Json.Int l.cost.Commsim.Cost.rounds);
+      ]
 
-let report_json (r : report) =
-  Stats.Json.Obj
-    ([
-       ("outcome", Stats.Json.Str (outcome_name r.outcome));
-       ( "result",
-         match result_of r.outcome with None -> Stats.Json.Null | Some s -> set_json s );
-       ("attempts", Stats.Json.Int r.attempts);
-       ("resumes", Stats.Json.Int r.resumes);
-       ("final_rung", Stats.Json.Str (rung_name r.final_rung));
-       ("final_width", Stats.Json.Int r.final_width);
-       ( "failures",
-         Stats.Json.List
-           (List.map
-              (fun (k, d) ->
-                Stats.Json.Obj
-                  [ ("kind", Stats.Json.Str (kind_name k)); ("detail", Stats.Json.Str d) ])
-              r.failures) );
-       ("ledger", ledger_json r.ledger);
-     ]
-    @
-    match r.outcome with
-    | Failed_safe { partial; diagnosis } ->
-        [
-          ( "partial",
-            match partial with None -> Stats.Json.Null | Some s -> set_json s );
-          ("diagnosis", diagnosis_json diagnosis);
-        ]
-    | Completed _ | Degraded _ -> [])
+  let report_json (r : report) =
+    Stats.Json.Obj
+      ([
+         ("outcome", Stats.Json.Str (outcome_name r.outcome));
+         ( "result",
+           match result_of r.outcome with None -> Stats.Json.Null | Some s -> set_json s );
+         ("attempts", Stats.Json.Int r.attempts);
+         ("resumes", Stats.Json.Int r.resumes);
+         ("final_rung", Stats.Json.Str (rung_name r.final_rung));
+         ("final_width", Stats.Json.Int r.final_width);
+         ( "failures",
+           Stats.Json.List
+             (List.map
+                (fun (k, d) ->
+                  Stats.Json.Obj
+                    [ ("kind", Stats.Json.Str (kind_name k)); ("detail", Stats.Json.Str d) ])
+                r.failures) );
+         ("ledger", ledger_json r.ledger);
+       ]
+      @
+      match r.outcome with
+      | Failed_safe { partial; diagnosis } ->
+          [
+            ( "partial",
+              match partial with None -> Stats.Json.Null | Some s -> set_json s );
+            ("diagnosis", diagnosis_json diagnosis);
+          ]
+      | Completed _ | Degraded _ -> [])
+end

@@ -159,5 +159,8 @@ val outcome_name : outcome -> string
     failed-safe; the unverified partial deliberately does not qualify). *)
 val result_of : outcome -> Iset.t option
 
-(** Machine-readable report (used by the chaos harness and the CLI). *)
-val report_json : report -> Stats.Json.t
+(** Test instruments. *)
+module For_testing : sig
+  (** The whole report as JSON, for pinning a session byte for byte. *)
+  val report_json : report -> Stats.Json.t
+end

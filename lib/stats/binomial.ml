@@ -11,6 +11,3 @@ let wilson ~failures ~trials ~z =
   (Float.max 0.0 ((center -. spread) /. denom), Float.min 1.0 ((center +. spread) /. denom))
 
 let upper95 ~failures ~trials = snd (wilson ~failures ~trials ~z:1.96)
-
-let describe ~failures ~trials =
-  Printf.sprintf "%d/%d (<= %.2g)" failures trials (upper95 ~failures ~trials)

@@ -15,6 +15,3 @@ val wilson : failures:int -> trials:int -> z:float -> float * float
 (** Upper end of the 95% Wilson interval — the largest failure rate still
     plausibly consistent with the observations. *)
 val upper95 : failures:int -> trials:int -> float
-
-(** ["3/1000 (<= 0.0081)"]-style rendering for tables. *)
-val describe : failures:int -> trials:int -> string

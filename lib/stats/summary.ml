@@ -39,9 +39,3 @@ let of_floats values =
   }
 
 let of_ints values = of_floats (List.map float_of_int values)
-
-let ci95 t = if t.count < 2 then 0.0 else 1.96 *. t.stddev /. sqrt (float_of_int t.count)
-
-let pp ppf t =
-  Format.fprintf ppf "@[<h>mean=%.1f +/-%.1f sd=%.1f p50=%.1f p95=%.1f min=%.1f max=%.1f (n=%d)@]"
-    t.mean (ci95 t) t.stddev t.p50 t.p95 t.min t.max t.count

@@ -12,9 +12,3 @@ type t = {
 
 val of_floats : float list -> t
 val of_ints : int list -> t
-
-(** Half-width of the 95% normal-approximation confidence interval for the
-    mean. *)
-val ci95 : t -> float
-
-val pp : Format.formatter -> t -> unit

@@ -118,19 +118,6 @@ let add_trial t ~bits ~rounds ~exact =
 
 (* ---------- the resilient wrapper ---------- *)
 
-let resilient_protocols = [ "trivial"; "tree"; "bucket" ]
-
-let resilient_base name ~k =
-  match name with
-  | "trivial" -> Resilient.trivial_base
-  | "tree" -> Resilient.tree_base ~k ()
-  | "bucket" -> Resilient.bucket_base ~k ()
-  | _ ->
-      invalid_arg
-        ("unknown resilient protocol " ^ name ^ " (known: "
-        ^ String.concat ", " resilient_protocols
-        ^ ")")
-
 let error_bound ~budget_attempts ~check_bits =
   float_of_int budget_attempts *. (2.0 ** float_of_int (-check_bits))
 

@@ -93,13 +93,6 @@ val add_trial : tally -> bits:int -> rounds:int -> exact:bool -> unit
 
 (** {1 The resilient wrapper} *)
 
-(** Base protocols the faulted campaigns run under the wrapper:
-    ["trivial"], ["tree"], ["bucket"]. *)
-val resilient_protocols : string list
-
-(** Base lookup; [Invalid_argument] on an unknown name. *)
-val resilient_base : string -> k:int -> Intersect.Resilient.base
-
 (** The wrapper's rare-event bound [budget_attempts * 2^-check_bits]. *)
 val error_bound : budget_attempts:int -> check_bits:int -> float
 

@@ -17,14 +17,3 @@ let shingles ~w ~universe_bits text =
     (max 0 (Array.length arr - w + 1))
     (fun i -> hash (String.concat " " (List.init w (fun j -> arr.(i + j)))))
   |> Iset.of_list
-
-let keyed_table rng ~universe ~rows ~payload =
-  let keys = Setgen.random_set rng ~universe ~size:rows in
-  Array.map (fun key -> (key, payload key)) keys
-
-let correlated_streams rng ~length ~alphabet ~lag =
-  if length < 1 || alphabet < 1 || lag < 0 then invalid_arg "Scenarios.correlated_streams";
-  let base = Array.init (length + lag) (fun _ -> Prng.Rng.int rng alphabet) in
-  let left = Array.sub base lag length in
-  let right = Array.sub base 0 length in
-  (left, right)

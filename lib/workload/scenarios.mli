@@ -7,13 +7,3 @@
     apply the same public embedding, so equal shingles collide on
     purpose). *)
 val shingles : w:int -> universe_bits:int -> string -> Iset.t
-
-(** [keyed_table rng ~universe ~rows ~payload] draws distinct keys and
-    attaches [payload key] to each. *)
-val keyed_table :
-  Prng.Rng.t -> universe:int -> rows:int -> payload:(int -> string) -> (int * string) array
-
-(** [correlated_streams rng ~length ~alphabet ~lag] builds two streams over
-    [\[0, alphabet)] where the second lags the first by [lag] positions
-    (high window overlap for small lags). *)
-val correlated_streams : Prng.Rng.t -> length:int -> alphabet:int -> lag:int -> int array * int array

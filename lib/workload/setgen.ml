@@ -1,7 +1,5 @@
 type pair = { s : int array; t : int array }
 
-let is_sorted_set = Iset.is_valid
-
 (* Floyd's sampling: a uniform [size]-subset of [0, universe) in O(size)
    expected time, independent of the universe.  Membership lives in a flat
    linear-probing table (power-of-two capacity, load <= 1/2, -1 empty) —
@@ -135,61 +133,62 @@ let family_with_core rng ~universe ~players ~size ~core =
 
 type shape = { shape : string; universe : int; pair : pair }
 
-(* The corner cases protocols historically get wrong: empty inputs (no
-   tags to exchange), full overlap (every pair is a hit), singletons
-   (k = 1 degenerates most size-derived widths), nesting (one-sided
-   sandwich), and a dense universe n = 2k where universe reduction and
-   bucketing have no slack.  Property tests run every protocol across all
-   of these; sizes are exact, so |S ∩ T| is known by construction. *)
-let adversarial rng ~k =
-  if k < 2 then invalid_arg "Setgen.adversarial: k >= 2";
-  let u = max (4 * k) 64 in
-  let draw label ~universe ~size_s ~size_t ~overlap =
-    pair_with_overlap (Prng.Rng.with_label rng label) ~universe ~size_s ~size_t ~overlap
-  in
-  let identical =
-    let s = random_set (Prng.Rng.with_label rng "identical") ~universe:u ~size:k in
-    { s; t = Array.copy s }
-  in
-  let nested =
-    let outer = random_set (Prng.Rng.with_label rng "nested") ~universe:u ~size:k in
-    { s = Array.sub outer 0 (k / 2); t = outer }
-  in
-  [
-    { shape = "empty-both"; universe = u; pair = { s = [||]; t = [||] } };
-    {
-      shape = "empty-s";
-      universe = u;
-      pair = draw "empty-s" ~universe:u ~size_s:0 ~size_t:k ~overlap:0;
-    };
-    {
-      shape = "empty-t";
-      universe = u;
-      pair = draw "empty-t" ~universe:u ~size_s:k ~size_t:0 ~overlap:0;
-    };
-    { shape = "identical"; universe = u; pair = identical };
-    { shape = "nested"; universe = u; pair = nested };
-    {
-      shape = "singleton-equal";
-      universe = u;
-      pair = draw "singleton-equal" ~universe:u ~size_s:1 ~size_t:1 ~overlap:1;
-    };
-    {
-      shape = "singleton-disjoint";
-      universe = u;
-      pair = draw "singleton-disjoint" ~universe:u ~size_s:1 ~size_t:1 ~overlap:0;
-    };
-    {
-      shape = "disjoint";
-      universe = u;
-      pair = draw "disjoint" ~universe:u ~size_s:k ~size_t:k ~overlap:0;
-    };
-    {
-      shape = "dense-universe";
-      universe = 2 * k;
-      pair = draw "dense-universe" ~universe:(2 * k) ~size_s:k ~size_t:k ~overlap:(k / 2);
-    };
-  ]
-
 let intersect = Iset.inter
-let union = Iset.union
+
+module For_testing = struct
+  (* The corner cases protocols historically get wrong: empty inputs (no
+     tags to exchange), full overlap (every pair is a hit), singletons
+     (k = 1 degenerates most size-derived widths), nesting (one-sided
+     sandwich), and a dense universe n = 2k where universe reduction and
+     bucketing have no slack.  Property tests run every protocol across all
+     of these; sizes are exact, so |S ∩ T| is known by construction. *)
+  let adversarial rng ~k =
+    if k < 2 then invalid_arg "Setgen.adversarial: k >= 2";
+    let u = max (4 * k) 64 in
+    let draw label ~universe ~size_s ~size_t ~overlap =
+      pair_with_overlap (Prng.Rng.with_label rng label) ~universe ~size_s ~size_t ~overlap
+    in
+    let identical =
+      let s = random_set (Prng.Rng.with_label rng "identical") ~universe:u ~size:k in
+      { s; t = Array.copy s }
+    in
+    let nested =
+      let outer = random_set (Prng.Rng.with_label rng "nested") ~universe:u ~size:k in
+      { s = Array.sub outer 0 (k / 2); t = outer }
+    in
+    [
+      { shape = "empty-both"; universe = u; pair = { s = [||]; t = [||] } };
+      {
+        shape = "empty-s";
+        universe = u;
+        pair = draw "empty-s" ~universe:u ~size_s:0 ~size_t:k ~overlap:0;
+      };
+      {
+        shape = "empty-t";
+        universe = u;
+        pair = draw "empty-t" ~universe:u ~size_s:k ~size_t:0 ~overlap:0;
+      };
+      { shape = "identical"; universe = u; pair = identical };
+      { shape = "nested"; universe = u; pair = nested };
+      {
+        shape = "singleton-equal";
+        universe = u;
+        pair = draw "singleton-equal" ~universe:u ~size_s:1 ~size_t:1 ~overlap:1;
+      };
+      {
+        shape = "singleton-disjoint";
+        universe = u;
+        pair = draw "singleton-disjoint" ~universe:u ~size_s:1 ~size_t:1 ~overlap:0;
+      };
+      {
+        shape = "disjoint";
+        universe = u;
+        pair = draw "disjoint" ~universe:u ~size_s:k ~size_t:k ~overlap:0;
+      };
+      {
+        shape = "dense-universe";
+        universe = 2 * k;
+        pair = draw "dense-universe" ~universe:(2 * k) ~size_s:k ~size_t:k ~overlap:(k / 2);
+      };
+    ]
+end

@@ -31,16 +31,16 @@ val family_with_core :
 (** A named corner-case input with the universe it lives in. *)
 type shape = { shape : string; universe : int; pair : pair }
 
-(** [adversarial rng ~k] ([k >= 2]) draws the catalogue of shapes
-    protocols historically get wrong: ["empty-both"], ["empty-s"],
-    ["empty-t"], ["identical"] ([|S ∩ T| = k]), ["nested"] ([S ⊂ T]),
-    ["singleton-equal"], ["singleton-disjoint"], ["disjoint"], and
-    ["dense-universe"] ([n = 2k], no slack for universe reduction or
-    bucketing).  Deterministic given the generator's root and [k]. *)
-val adversarial : Prng.Rng.t -> k:int -> shape list
-
 (** Ground-truth helpers on sorted arrays. *)
 val intersect : int array -> int array -> int array
 
-val union : int array -> int array -> int array
-val is_sorted_set : int array -> bool
+(** Test references and instruments. *)
+module For_testing : sig
+  (** [adversarial rng ~k] ([k >= 2]) draws the catalogue of shapes
+      protocols historically get wrong: ["empty-both"], ["empty-s"],
+      ["empty-t"], ["identical"] ([|S ∩ T| = k]), ["nested"] ([S ⊂ T]),
+      ["singleton-equal"], ["singleton-disjoint"], ["disjoint"], and
+      ["dense-universe"] ([n = 2k], no slack for universe reduction or
+      bucketing).  Deterministic given the generator's root and [k]. *)
+  val adversarial : Prng.Rng.t -> k:int -> shape list
+end

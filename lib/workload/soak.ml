@@ -29,7 +29,7 @@ let default =
     k = 24;
     universe_bits = 20;
     overlap = 12;
-    protocols = Campaign.resilient_protocols;
+    protocols = Intersect.Resilient.base_names;
     plans = plan_catalogue;
     (* Attempts beyond ~8 are wasted work for message-heavy protocols under
        heavy flipping: per-attempt survival is low enough there that the
@@ -121,7 +121,7 @@ let run ?domains ?sink (config : config) =
   let cells =
     List.concat_map
       (fun protocol ->
-        let base = Campaign.resilient_base protocol ~k:config.k in
+        let base = Intersect.Resilient.base_of_name protocol ~k:config.k in
         (* Fault-free cost of the wrapper on this protocol — the
            denominator of the overhead column.  A few dozen trials pin
            the mean well enough. *)

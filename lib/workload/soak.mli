@@ -16,7 +16,7 @@ type config = {
   k : int;  (** both input sets have this size *)
   universe_bits : int;  (** universe [2^universe_bits] *)
   overlap : int;  (** planted [|S ∩ T|] *)
-  protocols : string list;  (** subset of {!Campaign.resilient_protocols} *)
+  protocols : string list;  (** subset of {!Intersect.Resilient.base_names} *)
   plans : (string * Commsim.Faults.link) list;  (** named per-link fault rates *)
   budget_attempts : int;  (** retry budget handed to {!Intersect.Resilient} *)
   check_bits : int;  (** initial verification-fingerprint width *)

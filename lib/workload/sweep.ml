@@ -63,11 +63,6 @@ let smoke =
     plans = List.filter (fun (name, _) -> name = "flip-1e-3") Soak.plan_catalogue;
   }
 
-let total_trials (c : config) =
-  let clean = List.length c.protocols * List.length c.ks in
-  let faulted = List.length c.fault_protocols * List.length c.fault_ks * List.length c.plans in
-  (clean + faulted) * c.trials_per_cell
-
 type report = { config : config; cells : Campaign.gate list; total_trials : int; pass : bool }
 
 let run ?domains ?sink (config : config) =
@@ -89,7 +84,7 @@ let run ?domains ?sink (config : config) =
           (fun k ->
             List.map
               (fun (plan, link) () ->
-                let base = Campaign.resilient_base protocol ~k in
+                let base = Intersect.Resilient.base_of_name protocol ~k in
                 Campaign.run_cell ?domains ?sink Campaign.tally ~campaign:"sweep"
                   ~cell:(Printf.sprintf "%s/k%d/%s" protocol k plan)
                   ~seed:config.seed ~trials:config.trials_per_cell

@@ -28,7 +28,7 @@ type config = {
   universe_bits : int;  (** universe [2^universe_bits] *)
   protocols : string list;  (** clean cells: subset of {!Conform.entry_names} *)
   ks : int list;  (** clean-cell set sizes *)
-  fault_protocols : string list;  (** faulted cells: subset of {!Campaign.resilient_protocols} *)
+  fault_protocols : string list;  (** faulted cells: subset of {!Intersect.Resilient.base_names} *)
   fault_ks : int list;  (** faulted-cell set sizes *)
   plans : (string * Commsim.Faults.link) list;  (** from {!Soak.plan_catalogue} *)
   budget_attempts : int;  (** {!Resilient} retry budget (faulted cells) *)
@@ -42,9 +42,6 @@ val default : config
 
 (** Seconds-scale: 3 cells × 400 trials, for the tier1 smoke gate. *)
 val smoke : config
-
-(** Trials the matrix will run ([cells × trials_per_cell]). *)
-val total_trials : config -> int
 
 type report = { config : config; cells : Campaign.gate list; total_trials : int; pass : bool }
 

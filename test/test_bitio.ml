@@ -13,7 +13,7 @@ let test_bits_of_bools () =
   check_bool "bit 0" true (Bits.get b 0);
   check_bool "bit 1" false (Bits.get b 1);
   check_bool "bit 3" true (Bits.get b 3);
-  Alcotest.(check (list bool)) "roundtrip" [ true; false; true; true ] (Bits.to_bools b)
+  Alcotest.(check (list bool)) "roundtrip" [ true; false; true; true ] (Bits_ref.to_bools b)
 
 let test_bits_get_bounds () =
   let b = Bits.of_bools [ true ] in
@@ -31,15 +31,6 @@ let test_bits_equal () =
   check_bool "different bit" false (Bits.equal a c);
   check_bool "different length" false (Bits.equal a d);
   check_bool "empty" true (Bits.equal Bits.empty Bits.empty)
-
-let test_bits_concat () =
-  let a = Bits.of_bools [ true; true; false ] in
-  let b = Bits.of_bools [ false; true ] in
-  let ab = Bits.concat a b in
-  check "length" 5 (Bits.length ab);
-  Alcotest.(check (list bool)) "contents" [ true; true; false; false; true ] (Bits.to_bools ab);
-  check_bool "concat empty left" true (Bits.equal a (Bits.concat Bits.empty a));
-  check_bool "concat empty right" true (Bits.equal a (Bits.concat a Bits.empty))
 
 let test_bits_of_string () =
   let b = Bits.of_string "A" (* 0x41 = 0b01000001 *) in
@@ -111,23 +102,13 @@ let small_values = [ 0; 1; 2; 3; 7; 8; 100; 1 lsl 20; (1 lsl 40) + 17 ]
 let test_gamma = roundtrip_code "gamma" Codes.write_gamma Codes.read_gamma (Some Codes.gamma_cost) small_values
 let test_delta = roundtrip_code "delta" Codes.write_delta Codes.read_delta (Some Codes.delta_cost) small_values
 
+(* One byte per started group of 7 value bits. *)
 let test_varint =
-  roundtrip_code "varint" Codes.write_varint Codes.read_varint (Some Codes.varint_cost) small_values
+  roundtrip_code "varint" Codes.write_varint Codes.read_varint
+    (Some (fun v -> if v = 0 then 8 else 8 * ((Codes.bit_width v + 6) / 7)))
+    small_values
 
 let test_unary = roundtrip_code "unary" Codes.write_unary Codes.read_unary None [ 0; 1; 5; 63 ]
-
-let test_rice () =
-  (* Values sized so the unary quotient stays small: Rice is only sensible
-     when the parameter is near log2 of the data. *)
-  List.iter
-    (fun k ->
-      let values = [ 0; 1; 2; (1 lsl k) - 1; 1 lsl k; (1 lsl k) + 1; 40 * (1 lsl k) ] in
-      roundtrip_code "rice"
-        (fun buf v -> Codes.write_rice buf ~k v)
-        (fun r -> Codes.read_rice r ~k)
-        (Some (fun v -> Codes.rice_cost ~k v))
-        values ())
-    [ 0; 1; 4; 9 ]
 
 let test_gamma_cost_shape () =
   (* Gamma spends 2 log n + O(1): strictly less than 25 bits for n < 2^12. *)
@@ -147,7 +128,7 @@ let prop_gamma_roundtrip =
 let prop_mixed_stream =
   (* Interleave several codes in one stream; everything must read back in order. *)
   QCheck.Test.make ~name:"mixed code stream roundtrip" ~count:200
-    QCheck.(list (pair (int_bound 3) (map abs small_signed_int)))
+    QCheck.(list (pair (int_bound 2) (map abs small_signed_int)))
     (fun items ->
       let buf = Bitbuf.create () in
       List.iter
@@ -155,8 +136,7 @@ let prop_mixed_stream =
           match code with
           | 0 -> Codes.write_gamma buf v
           | 1 -> Codes.write_delta buf v
-          | 2 -> Codes.write_varint buf v
-          | _ -> Codes.write_rice buf ~k:3 v)
+          | _ -> Codes.write_varint buf v)
         items;
       let r = Bitreader.create (Bitbuf.contents buf) in
       List.for_all
@@ -165,8 +145,7 @@ let prop_mixed_stream =
             match code with
             | 0 -> Codes.read_gamma r
             | 1 -> Codes.read_delta r
-            | 2 -> Codes.read_varint r
-            | _ -> Codes.read_rice r ~k:3
+            | _ -> Codes.read_varint r
           in
           got = v)
         items)
@@ -203,7 +182,7 @@ let prop_append_concat_agree =
       let buf = Bitbuf.create () in
       Bitbuf.append buf a;
       Bitbuf.append buf b;
-      Bits.equal (Bitbuf.contents buf) (Bits.concat a b))
+      Bits.equal (Bitbuf.contents buf) (Bits_ref.concat a b))
 
 (* [append_range] against a bit-by-bit copy: for every [pos] and [len]
    in 0-200 of a 400-bit source (exactly sized, so the last loads take
@@ -389,7 +368,7 @@ let test_decoders_total () =
         (fun v ->
           let buf = Bitbuf.create () in
           write buf v;
-          let full = Bits.to_bools (Bitbuf.contents buf) in
+          let full = Bits_ref.to_bools (Bitbuf.contents buf) in
           check (name ^ " roundtrip") v (read (Bitreader.create (Bits.of_bools full)));
           for len = 0 to List.length full - 1 do
             let cut = Bits.of_bools (List.filteri (fun i _ -> i < len) full) in
@@ -480,12 +459,13 @@ let reference_gamma r =
    after it, then where decoding stopped and whether it underflowed. *)
 let decode_all read payload =
   let r = Bitreader.create payload in
+  let position () = Bits.length payload - Bitreader.remaining r in
   let rec go acc =
-    if Bitreader.remaining r = 0 then List.rev (`End (Bitreader.position r) :: acc)
+    if Bitreader.remaining r = 0 then List.rev (`End (position ()) :: acc)
     else
-      let before = Bitreader.position r in
+      let before = position () in
       match read r with
-      | v -> go (`Value (v, Bitreader.position r) :: acc)
+      | v -> go (`Value (v, position ()) :: acc)
       | exception Bitreader.Underflow -> List.rev (`Underflow before :: acc)
   in
   go []
@@ -534,8 +514,8 @@ let prop_gamma_differential =
         | `None -> intact
         | `Cut f ->
             let len = int_of_float (f *. float_of_int n) in
-            Bits.of_bools (List.filteri (fun i _ -> i < len) (Bits.to_bools intact))
-        | `Flip l -> if n = 0 then intact else List.fold_left (fun b i -> Bits.flip b (i mod n)) intact l
+            Bits.of_bools (List.filteri (fun i _ -> i < len) (Bits_ref.to_bools intact))
+        | `Flip l -> if n = 0 then intact else List.fold_left (fun b i -> Bits_ref.flip b (i mod n)) intact l
         | `Ones len -> Bits.of_bools (List.init len (fun _ -> true))
       in
       let got = decode_all Codes.read_gamma payload in
@@ -551,21 +531,38 @@ let sorted_set = QCheck.make ~print:(fun a -> QCheck.Print.(array int) a) sorted
 
 (* ---------- Bignat ---------- *)
 
+(* Native-int conversions, built from the bit-level interface. *)
+let bignat_of_int n =
+  if n < 0 then invalid_arg "bignat_of_int";
+  if n = 0 then Bignat.zero else Bignat.of_bits (fun i -> (n lsr i) land 1 = 1) ~width:(Codes.bit_width n)
+
+let bignat_to_int_opt t =
+  let w = Bignat.bit_length t in
+  if w > 62 then None
+  else
+    let v = ref 0 in
+    for i = w - 1 downto 0 do
+      v := (!v lsl 1) lor if Bignat.bit t i then 1 else 0
+    done;
+    Some !v
+
+let bignat_equal a b = Bignat.compare a b = 0
+
 let test_bignat_basic () =
   check_bool "zero" true (Bignat.is_zero Bignat.zero);
-  Alcotest.(check (option int)) "roundtrip" (Some 123456789) (Bignat.to_int_opt (Bignat.of_int 123456789));
-  Alcotest.(check (option int)) "max_int" (Some max_int) (Bignat.to_int_opt (Bignat.of_int max_int));
-  check "compare" 0 (Bignat.compare (Bignat.of_int 42) (Bignat.of_int 42));
-  check_bool "lt" true (Bignat.compare (Bignat.of_int 41) (Bignat.of_int 42) < 0)
+  Alcotest.(check (option int)) "roundtrip" (Some 123456789) (bignat_to_int_opt (bignat_of_int 123456789));
+  Alcotest.(check (option int)) "max_int" (Some max_int) (bignat_to_int_opt (bignat_of_int max_int));
+  check "compare" 0 (Bignat.compare (bignat_of_int 42) (bignat_of_int 42));
+  check_bool "lt" true (Bignat.compare (bignat_of_int 41) (bignat_of_int 42) < 0)
 
 let test_bignat_arithmetic () =
-  let a = Bignat.of_int 999_999_999_999 and b = Bignat.of_int 123_456_789 in
-  Alcotest.(check (option int)) "add" (Some 1_000_123_456_788) (Bignat.to_int_opt (Bignat.add a b));
-  Alcotest.(check (option int)) "sub" (Some 999_876_543_210) (Bignat.to_int_opt (Bignat.sub a b));
+  let a = bignat_of_int 999_999_999_999 and b = bignat_of_int 123_456_789 in
+  Alcotest.(check (option int)) "add" (Some 1_000_123_456_788) (bignat_to_int_opt (Bignat.add a b));
+  Alcotest.(check (option int)) "sub" (Some 999_876_543_210) (bignat_to_int_opt (Bignat.sub a b));
   Alcotest.(check (option int)) "mul_small" (Some 2_999_999_999_997)
-    (Bignat.to_int_opt (Bignat.mul_small a 3));
+    (bignat_to_int_opt (Bignat.mul_small a 3));
   let q, r = Bignat.div_small a 7 in
-  Alcotest.(check (option int)) "div q" (Some 142_857_142_857) (Bignat.to_int_opt q);
+  Alcotest.(check (option int)) "div q" (Some 142_857_142_857) (bignat_to_int_opt q);
   check "div r" 0 r
 
 let test_bignat_big () =
@@ -578,7 +575,7 @@ let test_bignat_big () =
   check "bit length" 201 (Bignat.bit_length !v);
   check_bool "top bit" true (Bignat.bit !v 200);
   check_bool "low bit" false (Bignat.bit !v 0);
-  Alcotest.(check (option int)) "too big" None (Bignat.to_int_opt !v);
+  Alcotest.(check (option int)) "too big" None (bignat_to_int_opt !v);
   (* divide back down *)
   let w = ref !v in
   for _ = 1 to 200 do
@@ -586,14 +583,14 @@ let test_bignat_big () =
     check "even" 0 r;
     w := q
   done;
-  check_bool "back to one" true (Bignat.equal !w Bignat.one)
+  check_bool "back to one" true (bignat_equal !w Bignat.one)
 
 let test_bignat_binomial () =
   let check_binom n k expected =
     Alcotest.(check (option int))
       (Printf.sprintf "C(%d,%d)" n k)
       (Some expected)
-      (Bignat.to_int_opt (Bignat.binomial n k))
+      (bignat_to_int_opt (Bignat.binomial n k))
   in
   check_binom 10 5 252;
   check_binom 52 5 2_598_960;
@@ -608,10 +605,14 @@ let prop_pascal =
   QCheck.Test.make ~name:"Pascal identity C(n,k)=C(n-1,k-1)+C(n-1,k)" ~count:200
     QCheck.(pair (int_range 1 300) (int_range 0 300))
     (fun (n, k) ->
-      Bignat.equal (Bignat.binomial n k)
+      bignat_equal (Bignat.binomial n k)
         (Bignat.add (Bignat.binomial (n - 1) (k - 1)) (Bignat.binomial (n - 1) k)))
 
 (* ---------- Enum_codec ---------- *)
+
+(* Exact encoded size of a k-subset of [0, n): the gamma cardinality, then
+   ceil(log2 C(n, k)) rank bits. *)
+let enum_cost ~universe ~k = Codes.gamma_cost k + Memo.binomial_bits ~n:universe ~k
 
 let prop_enum_roundtrip =
   QCheck.Test.make ~name:"enumerative codec roundtrip" ~count:150 sorted_set (fun s ->
@@ -619,13 +620,13 @@ let prop_enum_roundtrip =
       let buf = Bitbuf.create () in
       Enum_codec.write buf ~universe s;
       let r = Bitreader.create (Bitbuf.contents buf) in
-      Enum_codec.read r ~universe = s && Bitbuf.length buf = Enum_codec.cost ~universe ~k:(Array.length s))
+      Enum_codec.read r ~universe = s && Bitbuf.length buf = enum_cost ~universe ~k:(Array.length s))
 
 let test_enum_exactly_entropy () =
   (* The payload is exactly ceil(log2 C(n,k)) bits. *)
   let universe = 4096 and k = 128 in
   let entropy = Set_codec.log2_binomial universe k in
-  let cost = Enum_codec.cost ~universe ~k - Codes.gamma_cost k in
+  let cost = enum_cost ~universe ~k - Codes.gamma_cost k in
   check "ceil entropy" (int_of_float (Float.ceil entropy)) cost
 
 let test_enum_beats_gaps () =
@@ -633,7 +634,7 @@ let test_enum_beats_gaps () =
   let universe = 1024 and k = 256 in
   let s = Array.init k (fun i -> i * 4) in
   let gaps = Set_codec.gaps_cost s in
-  let enum = Enum_codec.cost ~universe ~k in
+  let enum = enum_cost ~universe ~k in
   check_bool (Printf.sprintf "enum %d < gaps %d" enum gaps) true (enum < gaps)
 
 let test_enum_extremes () =
@@ -658,14 +659,6 @@ let prop_gaps_roundtrip =
       let r = Bitreader.create (Bitbuf.contents buf) in
       Set_codec.read_gaps r = s)
 
-let prop_fixed_roundtrip =
-  QCheck.Test.make ~name:"set fixed roundtrip" ~count:300 sorted_set (fun s ->
-      let universe = 10_001 in
-      let buf = Bitbuf.create () in
-      Set_codec.write_fixed buf ~universe s;
-      let r = Bitreader.create (Bitbuf.contents buf) in
-      Set_codec.read_fixed r ~universe = s)
-
 let prop_gaps_cost_exact =
   QCheck.Test.make ~name:"gaps_cost matches written bits" ~count:300 sorted_set (fun s ->
       let buf = Bitbuf.create () in
@@ -683,11 +676,10 @@ let test_gaps_near_entropy () =
     Alcotest.failf "gap encoding too fat: %.0f bits vs entropy %.0f" cost entropy
 
 let test_codec_validation () =
-  let buf = Bitbuf.create () in
   Alcotest.check_raises "unsorted" (Invalid_argument "Set_codec: not strictly increasing") (fun () ->
-      Set_codec.write_fixed buf ~universe:10 [| 3; 2 |]);
+      Set_codec.validate ~universe:10 [| 3; 2 |]);
   Alcotest.check_raises "out of universe" (Invalid_argument "Set_codec: element out of universe")
-    (fun () -> Set_codec.write_fixed buf ~universe:10 [| 3; 10 |])
+    (fun () -> Set_codec.validate ~universe:10 [| 3; 10 |])
 
 let test_log2_binomial () =
   (* binom(10, 5) = 252 -> log2 = 7.977... *)
@@ -703,7 +695,6 @@ let () =
           Alcotest.test_case "of_bools/get" `Quick test_bits_of_bools;
           Alcotest.test_case "get bounds" `Quick test_bits_get_bounds;
           Alcotest.test_case "equal" `Quick test_bits_equal;
-          Alcotest.test_case "concat" `Quick test_bits_concat;
           Alcotest.test_case "of_string" `Quick test_bits_of_string;
         ] );
       ( "bitbuf",
@@ -745,18 +736,16 @@ let () =
           Alcotest.test_case "delta roundtrip+cost" `Quick test_delta;
           Alcotest.test_case "varint roundtrip+cost" `Quick test_varint;
           Alcotest.test_case "unary roundtrip" `Quick test_unary;
-          Alcotest.test_case "rice roundtrip+cost" `Quick test_rice;
           Alcotest.test_case "gamma cost shape" `Quick test_gamma_cost_shape;
           qt prop_gamma_roundtrip;
           qt prop_mixed_stream;
           Alcotest.test_case "decoders total on truncation" `Quick test_decoders_total;
-          Alcotest.test_case "gamma prefix over 61 underflows" `Quick test_gamma_overlong;
           qt prop_gamma_differential;
+          Alcotest.test_case "gamma prefix over 61 underflows" `Quick test_gamma_overlong;
         ] );
       ( "set_codec",
         [
           qt prop_gaps_roundtrip;
-          qt prop_fixed_roundtrip;
           qt prop_gaps_cost_exact;
           Alcotest.test_case "near entropy" `Quick test_gaps_near_entropy;
           Alcotest.test_case "validation" `Quick test_codec_validation;

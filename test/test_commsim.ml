@@ -207,18 +207,6 @@ let test_cost_aggregates () =
   check "max player bits" 16 (Cost.max_player_bits cost);
   Alcotest.(check (float 0.001)) "avg player bits" 8.0 (Cost.avg_player_bits cost)
 
-(* ---------- Chan.loopback ---------- *)
-
-let test_loopback () =
-  let a, b = Chan.loopback () in
-  a.Chan.send (bits_of_int ~width:8 77);
-  check "b receives" 77 (int_of_bits ~width:8 (b.Chan.recv ()));
-  b.Chan.send (bits_of_int ~width:8 78);
-  check "a receives" 78 (int_of_bits ~width:8 (a.Chan.recv ()));
-  match a.Chan.recv () with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "expected failure on empty queue"
-
 let () =
   Alcotest.run "commsim"
     [
@@ -242,5 +230,4 @@ let () =
           Alcotest.test_case "out of range rejected" `Quick test_out_of_range_rejected;
           Alcotest.test_case "pairwise fifo" `Quick test_pairwise_fifo_across_interleaving;
         ] );
-      ("chan", [ Alcotest.test_case "loopback" `Quick test_loopback ]);
     ]

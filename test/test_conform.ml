@@ -117,7 +117,11 @@ let test_sweep_smoke_passes_domain_independent () =
   let r1 = Workload.Sweep.run ~domains:1 config in
   let r3 = Workload.Sweep.run ~domains:3 config in
   check_bool "pass" true r1.Workload.Sweep.pass;
-  check "total trials" (Workload.Sweep.total_trials config) r1.Workload.Sweep.total_trials;
+  let cells =
+    (List.length config.Workload.Sweep.protocols * List.length config.ks)
+    + (List.length config.fault_protocols * List.length config.fault_ks * List.length config.plans)
+  in
+  check "total trials" (cells * config.trials_per_cell) r1.Workload.Sweep.total_trials;
   Alcotest.(check string)
     "domain-independent"
     (Stats.Json.to_string (Workload.Sweep.to_json r1))

@@ -95,7 +95,7 @@ let prop_one_round_sandwich =
     (fun (seed, ls, lt) ->
       let s = Iset.of_list ls and t = Iset.of_list lt in
       let outcome = run_protocol (One_round_hash.protocol ()) seed ~universe:501 s t in
-      Protocol.sandwich_holds outcome ~s ~t)
+      Protocol.For_testing.sandwich_holds outcome ~s ~t)
 
 (* ---------- Bucket protocol (Theorem 3.1) ---------- *)
 
@@ -227,18 +227,36 @@ let test_tree_communication_decreases_with_r () =
   let b1 = avg_bits 1 and b3 = avg_bits 3 in
   check_bool (Printf.sprintf "r=3 (%d bits) cheaper than r=1 (%d bits)" b3 b1) true (b3 < b1)
 
+(* The paper's worst-case conversion: both parties abandon the tree for the
+   deterministic exchange once [budget_factor * k * log^(r) k] bits are
+   spent. *)
+let tree_budgeted ~budget_factor ~r ~k =
+  let budget = budget_factor * k * Int.max 1 (Iterated_log.ilog r k) in
+  {
+    Protocol.name = "tree-budgeted";
+    sandwich = true;
+    run =
+      (fun rng ~universe s t ->
+        let (alice, bob), cost =
+          Commsim.Two_party.run
+            ~alice:(fun chan -> Tree_protocol.run_party ~budget `Alice rng ~universe ~r ~k chan s)
+            ~bob:(fun chan -> Tree_protocol.run_party ~budget `Bob rng ~universe ~r ~k chan t)
+        in
+        { Protocol.alice; bob; cost });
+  }
+
 let test_tree_budgeted () =
   let pair = gen_pair 18 ~universe:(1 lsl 30) ~size_s:256 ~size_t:256 ~overlap:64 in
   let run protocol = run_protocol protocol 18 ~universe:(1 lsl 30) pair.Workload.Setgen.s pair.Workload.Setgen.t in
   (* a generous budget never trips: identical run to the plain protocol *)
   let plain = run (Tree_protocol.protocol ~r:2 ~k:256 ()) in
-  let generous = run (Tree_protocol.protocol_budgeted ~budget_factor:1000 ~r:2 ~k:256 ()) in
+  let generous = run (tree_budgeted ~budget_factor:1000 ~r:2 ~k:256) in
   check "same bits" plain.Protocol.cost.Commsim.Cost.total_bits
     generous.Protocol.cost.Commsim.Cost.total_bits;
   check_bool "exact" true (Protocol.exact generous ~s:pair.Workload.Setgen.s ~t:pair.Workload.Setgen.t);
   (* a starvation budget forces the deterministic fallback: still exact,
      bounded by budget + one stage + the trivial exchange *)
-  let starved = run (Tree_protocol.protocol_budgeted ~budget_factor:1 ~r:2 ~k:256 ()) in
+  let starved = run (tree_budgeted ~budget_factor:1 ~r:2 ~k:256) in
   check_bool "fallback exact" true
     (Protocol.exact starved ~s:pair.Workload.Setgen.s ~t:pair.Workload.Setgen.t);
   (* the fallback fired (cost profile differs from the uninterrupted run)
@@ -259,7 +277,7 @@ let prop_tree_sandwich =
     (fun (seed, ls, lt) ->
       let s = Iset.of_list ls and t = Iset.of_list lt in
       let outcome = run_protocol (Tree_protocol.protocol ~r:2 ()) seed ~universe:301 s t in
-      Protocol.sandwich_holds outcome ~s ~t)
+      Protocol.For_testing.sandwich_holds outcome ~s ~t)
 
 (* ---------- Verified wrapper ---------- *)
 

@@ -131,13 +131,13 @@ let test_seed_stream_matches_legacy () =
     in
     Alcotest.(check int64)
       (Printf.sprintf "trial %d" i)
-      (Prng.Rng.int64 legacy) (Prng.Rng.int64 engine)
+      (Prng.Rng.For_testing.int64 legacy) (Prng.Rng.For_testing.int64 engine)
   done
 
 let test_seed_stream_trials_independent () =
   let stream = Engine.Seed_stream.create ~base:7 ~label:"x" in
-  let a = Prng.Rng.int64 (Engine.Seed_stream.trial_rng stream 1) in
-  let b = Prng.Rng.int64 (Engine.Seed_stream.trial_rng stream 2) in
+  let a = Prng.Rng.For_testing.int64 (Engine.Seed_stream.trial_rng stream 1) in
+  let b = Prng.Rng.For_testing.int64 (Engine.Seed_stream.trial_rng stream 2) in
   check_bool "distinct streams" true (a <> b)
 
 (* The allocation-free fragment derivation must agree with the
@@ -156,7 +156,7 @@ let test_seed_stream_matches_legacy_label_shapes () =
           in
           Alcotest.(check int64)
             (Printf.sprintf "%s trial %d" label i)
-            (Prng.Rng.int64 legacy) (Prng.Rng.int64 engine))
+            (Prng.Rng.For_testing.int64 legacy) (Prng.Rng.For_testing.int64 engine))
         [ 1; 2; 9; 10; 11; 99; 100; 101; 12345; 1000000 ])
     [
       (2014, "conform/bucket/k256");
@@ -185,7 +185,7 @@ let test_seed_stream_no_collisions_100k () =
     (fun label ->
       let stream = Engine.Seed_stream.create ~base:2014 ~label in
       for i = 1 to per_label do
-        let draw = Prng.Rng.int64 (Engine.Seed_stream.trial_rng stream i) in
+        let draw = Prng.Rng.For_testing.int64 (Engine.Seed_stream.trial_rng stream i) in
         (match Hashtbl.find_opt seen draw with
         | Some (l, j) ->
             Alcotest.failf "collision: %s/trial%d = %s/trial%d (draw %Ld)" label i l j draw
@@ -201,7 +201,7 @@ let test_seed_stream_stable_across_domains () =
   let stream = Engine.Seed_stream.create ~base:2014 ~label:"sweep/bucket/k64" in
   let draws domains =
     Engine.Pool.map ~domains ~trials:200 (fun i ->
-        Prng.Rng.int64 (Engine.Seed_stream.trial_rng stream (i + 1)))
+        Prng.Rng.For_testing.int64 (Engine.Seed_stream.trial_rng stream (i + 1)))
   in
   let reference = draws 1 in
   List.iter
@@ -260,12 +260,12 @@ let shape_protocols k =
   ]
 
 let test_shapes_well_formed () =
-  let shapes = Workload.Setgen.adversarial (Prng.Rng.of_int 11) ~k:16 in
+  let shapes = Workload.Setgen.For_testing.adversarial (Prng.Rng.of_int 11) ~k:16 in
   check "count" 9 (List.length shapes);
   List.iter
     (fun { Workload.Setgen.shape; universe; pair } ->
-      check_bool (shape ^ " s sorted") true (Workload.Setgen.is_sorted_set pair.Workload.Setgen.s);
-      check_bool (shape ^ " t sorted") true (Workload.Setgen.is_sorted_set pair.Workload.Setgen.t);
+      check_bool (shape ^ " s sorted") true (Iset.is_valid pair.Workload.Setgen.s);
+      check_bool (shape ^ " t sorted") true (Iset.is_valid pair.Workload.Setgen.t);
       Array.iter
         (fun x -> check_bool (shape ^ " s in universe") true (0 <= x && x < universe))
         pair.Workload.Setgen.s;
@@ -296,7 +296,7 @@ let test_shapes_well_formed () =
 let test_protocols_exact_on_shapes () =
   List.iter
     (fun k ->
-      let shapes = Workload.Setgen.adversarial (Prng.Rng.of_int 4242) ~k in
+      let shapes = Workload.Setgen.For_testing.adversarial (Prng.Rng.of_int 4242) ~k in
       List.iter
         (fun { Workload.Setgen.shape; universe; pair } ->
           List.iter

@@ -1,5 +1,6 @@
 (* Tests for the extension layer: message traces, the private-coin
-   compilation, the entropy-coded baseline, and windowed stream rarity. *)
+   compilation, the entropy-coded baseline, sketches, incremental sync,
+   scenarios, transport tampering and broadcast. *)
 
 open Intersect
 
@@ -176,44 +177,6 @@ let test_entropy_beats_gaps_protocol () =
     (Printf.sprintf "entropy %d <= gaps %d" entropy_bits gaps_bits)
     true (entropy_bits <= gaps_bits)
 
-(* ---------- Stream rarity ---------- *)
-
-let test_stream_rarity_known_windows () =
-  (* Construct streams whose first window shares exactly half its
-     elements. *)
-  let left = Array.init 32 (fun i -> i) in
-  let right = Array.init 32 (fun i -> if i < 16 then i else 1000 + i) in
-  let result =
-    Apps.Stream_rarity.run (Prng.Rng.of_int 1) ~universe:10_000 ~window:32 ~stride:32 left right
-  in
-  match result.Apps.Stream_rarity.steps with
-  | [ step ] ->
-      (* union = 48, intersection = 16 *)
-      Alcotest.(check (float 1e-9)) "rarity2" (16.0 /. 48.0) step.Apps.Stream_rarity.rarity2;
-      Alcotest.(check (float 1e-9)) "rarity1" (32.0 /. 48.0) step.Apps.Stream_rarity.rarity1;
-      check "position" 0 step.Apps.Stream_rarity.position
-  | steps -> Alcotest.failf "expected one step, got %d" (List.length steps)
-
-let test_stream_rarity_sliding () =
-  let n = 100 in
-  let left = Array.init n (fun i -> i mod 37) in
-  let right = Array.init n (fun i -> (i + 5) mod 37) in
-  let result = Apps.Stream_rarity.run (Prng.Rng.of_int 2) ~universe:1000 ~window:20 left right in
-  let steps = result.Apps.Stream_rarity.steps in
-  check "step count" (((n - 20) / 10) + 1) (List.length steps);
-  List.iter
-    (fun (step : Apps.Stream_rarity.step) ->
-      check_bool "rarities sum to 1" true
-        (abs_float (step.Apps.Stream_rarity.rarity1 +. step.Apps.Stream_rarity.rarity2 -. 1.0)
-        < 1e-9))
-    steps;
-  check_bool "cost accumulated" true (result.Apps.Stream_rarity.cost.Commsim.Cost.total_bits > 0)
-
-let test_stream_rarity_validation () =
-  Alcotest.check_raises "length mismatch" (Invalid_argument "Stream_rarity.run: stream lengths")
-    (fun () ->
-      ignore (Apps.Stream_rarity.run (Prng.Rng.of_int 1) ~universe:10 ~window:2 [| 1 |] [| 1; 2 |]))
-
 (* ---------- Sketch (bottom-k / min-wise) ---------- *)
 
 let test_sketch_estimates_jaccard () =
@@ -251,7 +214,7 @@ let test_sketch_roundtrip () =
   let s = Workload.Setgen.random_set (Prng.Rng.of_int 16) ~universe:(1 lsl 30) ~size:300 in
   let sketch = Apps.Sketch.create (Prng.Rng.of_int 17) ~size:64 s in
   check "cardinal" 64 (Apps.Sketch.cardinal sketch);
-  let back = Apps.Sketch.decode (Apps.Sketch.encode sketch) in
+  let back = Apps.Sketch.decode (Bitio.Bitreader.create (Apps.Sketch.encode sketch)) in
   check "roundtrip cardinal" 64 (Apps.Sketch.cardinal back)
 
 (* ---------- Incremental sync ---------- *)
@@ -358,33 +321,21 @@ let test_incremental_validation () =
            ~alice_update:{ Apps.Incremental.inserts = [| 1 |]; deletes = [||] }
            ~bob_update:{ Apps.Incremental.inserts = [||]; deletes = [||] }))
 
-(* ---------- Poly family ---------- *)
-
-let test_poly_family_range_and_collisions () =
-  let rng = Prng.Rng.of_int 61 in
-  List.iter
-    (fun independence ->
-      let h = Hashing.Poly_family.create rng ~universe:1_000_000 ~range:512 ~independence in
-      Alcotest.(check int) "independence" independence (Hashing.Poly_family.independence h);
-      for x = 0 to 2000 do
-        let v = Hashing.Poly_family.hash h x in
-        if v < 0 || v >= 512 then Alcotest.failf "out of range %d" v
-      done)
-    [ 1; 2; 4; 6 ]
-
-let test_poly_family_collision_rate () =
-  let rng = Prng.Rng.of_int 62 in
-  let failures = ref 0 in
-  let trials = 1000 in
-  for _ = 1 to trials do
-    let h = Hashing.Poly_family.create rng ~universe:1_000_000 ~range:1000 ~independence:4 in
-    let s = Array.init 10 (fun i -> (i * 99_991) + 7) in
-    if Hashing.Hash_family.has_collision ~hash:(Hashing.Poly_family.hash h) s then incr failures
-  done;
-  (* expected ~ binom(10,2)/1000 = 4.5% *)
-  if !failures > trials / 10 then Alcotest.failf "collisions %d/%d" !failures trials
-
 (* ---------- Tamper ---------- *)
+
+(* Message-level fault injection on the sending side of a transport:
+   [flip_bit index length] picks the bit to corrupt in outgoing message
+   [index] (or [None]); [drop_nth] silently discards that message. *)
+let tamper ?(flip_bit = fun _ _ -> None) ?drop_nth (chan : Commsim.Transport.t) =
+  let sent = ref 0 in
+  Commsim.Transport.make ~recv:chan.recv ~send:(fun payload ->
+      let index = !sent in
+      incr sent;
+      if Some index <> drop_nth then
+        chan.send
+          (match flip_bit index (Bitio.Bits.length payload) with
+          | Some bit -> Bits_ref.flip payload bit
+          | None -> payload))
 
 let test_tamper_equality_catches_corruption () =
   (* Flipping any tag bit must turn an equal-inputs equality test negative:
@@ -396,7 +347,7 @@ let test_tamper_equality_catches_corruption () =
       Commsim.Two_party.run
         ~alice:(fun chan ->
           let chan =
-            Commsim.Chan.tamper ~flip_bit:(fun index _ -> if index = 0 then Some bit else None) chan
+            tamper ~flip_bit:(fun index _ -> if index = 0 then Some bit else None) chan
           in
           Equality.run_alice shared ~bits:20 chan payload)
         ~bob:(fun chan -> Equality.run_bob shared ~bits:20 chan payload)
@@ -410,7 +361,7 @@ let test_tamper_drop_deadlocks () =
   let attempt () =
     Commsim.Two_party.run
       ~alice:(fun chan ->
-        let chan = Commsim.Chan.tamper ~drop_nth:0 chan in
+        let chan = tamper ~drop_nth:0 chan in
         chan.Commsim.Chan.send (Bitio.Bits.of_bools [ true ]);
         chan.Commsim.Chan.recv ())
       ~bob:(fun chan ->
@@ -433,25 +384,6 @@ let test_scenarios_shingles () =
   (* deterministic public embedding: same text, same set *)
   Alcotest.check iset "deterministic" a
     (Workload.Scenarios.shingles ~w:2 ~universe_bits:30 "the cat sat on the mat")
-
-let test_scenarios_correlated_streams () =
-  let left, right =
-    Workload.Scenarios.correlated_streams (Prng.Rng.of_int 91) ~length:200 ~alphabet:50 ~lag:3
-  in
-  check "left length" 200 (Array.length left);
-  check "right length" 200 (Array.length right);
-  (* lagged copies: left.(i) = right.(i + lag) *)
-  for i = 0 to 196 do
-    check "lagged" right.(i + 3) left.(i)
-  done
-
-let test_scenarios_keyed_table () =
-  let table =
-    Workload.Scenarios.keyed_table (Prng.Rng.of_int 92) ~universe:10000 ~rows:100
-      ~payload:(fun key -> "p" ^ string_of_int key)
-  in
-  check "rows" 100 (Array.length table);
-  Array.iter (fun (key, payload) -> Alcotest.(check string) "payload" ("p" ^ string_of_int key) payload) table
 
 (* ---------- Sketch error scaling ---------- *)
 
@@ -484,7 +416,7 @@ let test_star_run_all () =
     Workload.Setgen.family_with_core (Prng.Rng.of_int 71) ~universe:100000 ~players:7 ~size:24
       ~core:9
   in
-  let results, cost = Multiparty.Star.run_all (Prng.Rng.of_int 72) ~universe:100000 ~k:24 sets in
+  let results, cost = Multiparty.Star.For_testing.run_all (Prng.Rng.of_int 72) ~universe:100000 ~k:24 sets in
   let expected = Iset.inter_many (Array.to_list sets) in
   Array.iteri
     (fun rank result ->
@@ -495,7 +427,7 @@ let test_star_run_all () =
   check "extra messages" 6 (cost.Commsim.Cost.messages - base_cost.Commsim.Cost.messages)
 
 let test_star_run_all_single () =
-  let results, _ = Multiparty.Star.run_all (Prng.Rng.of_int 73) ~universe:100 ~k:2 [| [| 1 |] |] in
+  let results, _ = Multiparty.Star.For_testing.run_all (Prng.Rng.of_int 73) ~universe:100 ~k:2 [| [| 1 |] |] in
   Alcotest.check iset "single" [| 1 |] results.(0)
 
 let test_tournament_run_all () =
@@ -504,7 +436,7 @@ let test_tournament_run_all () =
       ~core:6
   in
   let results, _ =
-    Multiparty.Tournament.run_all (Prng.Rng.of_int 82) ~universe:100000 ~k:20 sets
+    Multiparty.Tournament.For_testing.run_all (Prng.Rng.of_int 82) ~universe:100000 ~k:20 sets
   in
   let expected = Iset.inter_many (Array.to_list sets) in
   Array.iteri
@@ -532,12 +464,6 @@ let () =
           Alcotest.test_case "exact" `Quick test_entropy_protocol_exact;
           Alcotest.test_case "beats gaps" `Quick test_entropy_beats_gaps_protocol;
         ] );
-      ( "stream_rarity",
-        [
-          Alcotest.test_case "known windows" `Quick test_stream_rarity_known_windows;
-          Alcotest.test_case "sliding" `Quick test_stream_rarity_sliding;
-          Alcotest.test_case "validation" `Quick test_stream_rarity_validation;
-        ] );
       ( "sketch",
         [
           Alcotest.test_case "estimates jaccard" `Quick test_sketch_estimates_jaccard;
@@ -549,8 +475,6 @@ let () =
       ( "scenarios",
         [
           Alcotest.test_case "shingles" `Quick test_scenarios_shingles;
-          Alcotest.test_case "correlated streams" `Quick test_scenarios_correlated_streams;
-          Alcotest.test_case "keyed table" `Quick test_scenarios_keyed_table;
         ] );
       ( "incremental",
         [
@@ -559,11 +483,6 @@ let () =
           Alcotest.test_case "insert shared element" `Quick test_incremental_insert_shared_element;
           Alcotest.test_case "cost scales with delta" `Quick test_incremental_cost_scales_with_delta;
           Alcotest.test_case "validation" `Quick test_incremental_validation;
-        ] );
-      ( "poly_family",
-        [
-          Alcotest.test_case "range and independence" `Quick test_poly_family_range_and_collisions;
-          Alcotest.test_case "collision rate" `Quick test_poly_family_collision_rate;
         ] );
       ( "tamper",
         [

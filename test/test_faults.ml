@@ -126,7 +126,7 @@ let test_crash_is_captured () =
         (String.length exn > 0)
   | _ -> Alcotest.fail "a raising player must surface as Crashed"
 
-(* ---------- Seed replay: identical trace and tallies ---------- *)
+(* ---------- Seed replay: identical outcome, cost and tallies ---------- *)
 
 let storm = { Faults.flip = 0.02; trunc = 0.1; dup = 0.3; drop = 0.1 }
 
@@ -139,10 +139,10 @@ let chatter (ep : Network.endpoint) =
 
 let test_replay_determinism () =
   let run () =
-    Network.run_faulty_traced ~plan:(Faults.uniform ~seed:99 storm) [| chatter; chatter |]
+    Network.run_faulty ~plan:(Faults.uniform ~seed:99 storm) [| chatter; chatter |]
   in
-  let outcome1, cost1, trace1, tallies1 = run () in
-  let outcome2, cost2, trace2, tallies2 = run () in
+  let outcome1, cost1, tallies1 = run () in
+  let outcome2, cost2, tallies2 = run () in
   check_bool "outcome replays" true
     ((match (outcome1, outcome2) with
      | Network.Completed _, Network.Completed _ -> true
@@ -151,34 +151,12 @@ let test_replay_determinism () =
          Network.Crashed { rank = rb; exn = eb; _ } ) -> ra = rb && ea = eb
      | _ -> false));
   check_bool "cost replays" true (cost1 = cost2);
-  check_bool "trace replays" true (trace1 = trace2);
   check_bool "tallies replay" true (tallies1 = tallies2);
-  check_bool "the storm did something" false (Faults.tally_is_clean (Faults.total tallies1))
-
-(* ---------- Trace invariants survive damage ----------
-   One entry per delivered copy, in send order: bits sum to the metered
-   total and the deepest entry is the causal round count, whatever the
-   plan drops or duplicates (the documented run_faulty_traced contract). *)
-
-let test_traced_invariants_under_damage () =
-  let check_plan name plan =
-    let _outcome, cost, trace, _tallies =
-      Network.run_faulty_traced ~plan [| chatter; chatter |]
-    in
-    check
-      (name ^ ": entry bits sum to cost.total_bits")
-      cost.Cost.total_bits
-      (List.fold_left (fun acc e -> acc + e.Network.bits) 0 trace);
-    check (name ^ ": one entry per delivered copy") cost.Cost.messages (List.length trace);
-    check
-      (name ^ ": max entry depth equals cost.rounds")
-      cost.Cost.rounds
-      (List.fold_left (fun acc e -> max acc e.Network.depth) 0 trace)
-  in
-  check_plan "storm (flips, dups, drops)" (Faults.uniform ~seed:99 storm);
-  check_plan "dup-heavy" (Faults.uniform ~seed:3 { Faults.flip = 0.0; trunc = 0.0; dup = 1.0; drop = 0.0 });
-  check_plan "drop-heavy" (Faults.uniform ~seed:5 (Faults.dropping 0.5));
-  check_plan "clean" Faults.clean
+  let total = Faults.total tallies1 in
+  check_bool "the storm did something" true
+    (total.flipped_messages + total.truncated_messages + total.duplicated_messages
+     + total.dropped_messages
+    > 0)
 
 let test_reseed () =
   let plan = Faults.uniform ~seed:99 storm in
@@ -214,7 +192,7 @@ let reference_apply ~seed (link : Faults.link) ~from_ ~to_ ~index payload =
       for i = 0 to Bitio.Bits.length payload - 1 do
         if draw link.flip then begin
           incr flipped;
-          damaged := Bitio.Bits.flip !damaged i
+          damaged := Bits_ref.flip !damaged i
         end
       done;
     let copies = if link.dup > 0.0 && draw link.dup then 2 else 1 in
@@ -280,8 +258,8 @@ let reference_frame ~tag_bits ~seed =
   in
   fun seq payload ->
     let seq = bits_of_int ~width:20 seq in
-    Bitio.Bits.concat seq
-      (Bitio.Bits.concat (Intersect.Strhash.apply h (Bitio.Bits.concat seq payload)) payload)
+    Bits_ref.concat seq
+      (Bits_ref.concat (Intersect.Strhash.apply h (Bits_ref.concat seq payload)) payload)
 
 let gen_payloads = QCheck.Gen.(list_size (int_range 1 6) (list_size (int_bound 200) bool))
 
@@ -333,7 +311,7 @@ let prop_guard_recv_total =
         | 1 ->
             Bitio.Bitreader.read_blob (Bitio.Bitreader.create frame)
               ~bits:(List.hd positions mod n)
-        | _ -> List.fold_left (fun f i -> Bitio.Bits.flip f (i mod n)) frame positions
+        | _ -> List.fold_left (fun f i -> Bits_ref.flip f (i mod n)) frame positions
       in
       match receive ~tag_bits ~seed damaged with
       | Ok got -> (Bitio.Bits.equal damaged frame && Bitio.Bits.equal got payload) || tag_bits < 24
@@ -505,8 +483,6 @@ let () =
           Alcotest.test_case "truncation tally" `Quick test_truncation_tally;
           Alcotest.test_case "crash captured" `Quick test_crash_is_captured;
           Alcotest.test_case "seed replay determinism" `Quick test_replay_determinism;
-          Alcotest.test_case "traced invariants under damage" `Quick
-            test_traced_invariants_under_damage;
           Alcotest.test_case "reseed derives fresh noise" `Quick test_reseed;
           QCheck_alcotest.to_alcotest prop_apply_matches_reference;
         ] );

@@ -1,5 +1,5 @@
-(* Tests for modular arithmetic, primality, and the hash families of
-   Fact 2.2 / the FKS reduction. *)
+(* Tests for modular arithmetic, primality, and the Carter–Wegman family
+   of Fact 2.2. *)
 
 open Hashing
 
@@ -21,7 +21,7 @@ let test_mulmod_matches_reference () =
   let rng = Prng.Rng.of_int 5 in
   for _ = 1 to 2000 do
     let m = Int64.of_int (2 + Prng.Rng.int rng 1_000_000) in
-    let a = Int64.rem (Prng.Rng.int64 rng) m and b = Int64.rem (Prng.Rng.int64 rng) m in
+    let a = Int64.rem (Prng.Rng.For_testing.int64 rng) m and b = Int64.rem (Prng.Rng.For_testing.int64 rng) m in
     let a = Int64.abs a and b = Int64.abs b in
     let expected = Int64.rem (Int64.mul a b) m in
     Alcotest.(check int64) "mulmod" expected (Modarith.mulmod a b m)
@@ -33,13 +33,13 @@ let test_mulmod_large () =
      self-consistency instead: mulmod x x m = powmod x 2 m. *)
   let m = Int64.sub (Int64.shift_left 1L 41) 1L in
   let x = Int64.shift_left 1L 40 in
-  Alcotest.(check int64) "square" (Modarith.powmod x 2L m) (Modarith.mulmod x x m);
+  Alcotest.(check int64) "square" (Modarith.For_testing.powmod x 2L m) (Modarith.mulmod x x m);
   (* 2^41 mod (2^41 - 1) = 1 *)
-  Alcotest.(check int64) "order" 1L (Modarith.powmod 2L 41L m)
+  Alcotest.(check int64) "order" 1L (Modarith.For_testing.powmod 2L 41L m)
 
 let test_powmod () =
-  Alcotest.(check int64) "3^4 mod 5" 1L (Modarith.powmod 3L 4L 5L);
-  Alcotest.(check int64) "fermat" 1L (Modarith.powmod 17L 1_000_002L 1_000_003L)
+  Alcotest.(check int64) "3^4 mod 5" 1L (Modarith.For_testing.powmod 3L 4L 5L);
+  Alcotest.(check int64) "fermat" 1L (Modarith.For_testing.powmod 17L 1_000_002L 1_000_003L)
 
 (* ---------- Prime ---------- *)
 
@@ -121,17 +121,20 @@ let test_next_prime () =
   check "from prime" 97 (Prime.next_prime 97);
   check "from 2" 2 (Prime.next_prime 2)
 
-let test_random_prime () =
-  let rng = Prng.Rng.of_int 17 in
-  for _ = 1 to 200 do
-    let p = Prime.random_prime rng ~below:10_000 in
-    if not (Prime.is_prime p) then Alcotest.failf "not prime: %d" p;
-    if p >= 10_000 then Alcotest.failf "too large: %d" p
-  done
-
 (* ---------- Hash families ---------- *)
 
-let no_collision_rate (module H : Hash_family.S) ~universe ~range ~set_size ~trials seed =
+(* Does any pair of distinct elements of [s] collide under [hash]? *)
+let has_collision ~hash s =
+  let seen = Hashtbl.create (Array.length s) in
+  Array.exists
+    (fun x ->
+      let h = hash x in
+      Hashtbl.mem seen h || (Hashtbl.replace seen h (); false))
+    s
+
+(* The fraction of [trials] random [set_size]-subsets on which a freshly
+   drawn Carter–Wegman function has a collision. *)
+let collision_rate ~universe ~range ~set_size ~trials seed =
   let rng = Prng.Rng.of_int seed in
   let failures = ref 0 in
   for _ = 1 to trials do
@@ -141,8 +144,8 @@ let no_collision_rate (module H : Hash_family.S) ~universe ~range ~set_size ~tri
       Hashtbl.replace table (Prng.Rng.int rng universe) ()
     done;
     let s = Array.of_seq (Hashtbl.to_seq_keys table) in
-    let h = H.create rng ~universe ~range in
-    if Hash_family.has_collision ~hash:(H.hash h) s then incr failures
+    let h = Carter_wegman.create rng ~universe ~range in
+    if has_collision ~hash:(Carter_wegman.hash h) s then incr failures
   done;
   float_of_int !failures /. float_of_int trials
 
@@ -158,8 +161,7 @@ let test_cw_collision_bound () =
   (* Pairwise independence: k=10 elements into range 1000 collide with
      probability <= binom(10,2)/1000 = 4.5% (plus mod-range slack). *)
   let rate =
-    no_collision_rate (module Carter_wegman) ~universe:1_000_000 ~range:1000 ~set_size:10
-      ~trials:2000 7
+    collision_rate ~universe:1_000_000 ~range:1000 ~set_size:10 ~trials:2000 7
   in
   if rate > 0.09 then Alcotest.failf "collision rate too high: %f" rate
 
@@ -177,58 +179,6 @@ let test_cw_large_universe () =
   done;
   (* 1000 draws into 1024 buckets should touch many distinct buckets. *)
   if Hashtbl.length seen < 400 then Alcotest.failf "suspiciously few buckets: %d" (Hashtbl.length seen)
-
-let test_multiply_shift_collisions () =
-  let rate =
-    no_collision_rate (module Multiply_shift) ~universe:1_000_000 ~range:1024 ~set_size:10
-      ~trials:2000 19
-  in
-  if rate > 0.15 then Alcotest.failf "collision rate too high: %f" rate
-
-let test_tabulation_collisions () =
-  let rate =
-    no_collision_rate (module Tabulation) ~universe:1_000_000 ~range:1024 ~set_size:10 ~trials:1000 23
-  in
-  if rate > 0.15 then Alcotest.failf "collision rate too high: %f" rate
-
-let test_collision_helpers () =
-  let hash x = x mod 3 in
-  check_bool "has" true (Hash_family.has_collision ~hash [| 1; 4; 2 |]);
-  check_bool "hasn't" false (Hash_family.has_collision ~hash [| 0; 1; 2 |]);
-  check "pairs" 3 (Hash_family.colliding_pairs ~hash [| 0; 3; 6 |]);
-  check "no pairs" 0 (Hash_family.colliding_pairs ~hash [| 0; 1; 2 |])
-
-(* ---------- FKS ---------- *)
-
-let test_fks_no_collisions_whp () =
-  let rng = Prng.Rng.of_int 29 in
-  let universe = 1 lsl 40 in
-  let set_size = 64 in
-  let trials = 500 in
-  let failures = ref 0 in
-  for _ = 1 to trials do
-    let s = Array.init set_size (fun i -> (i * 104_729) + Prng.Rng.int rng 1000 + (i * i)) in
-    let s = Array.of_list (List.sort_uniq compare (Array.to_list s)) in
-    let f = Fks.create rng ~universe ~set_size:(Array.length s) ~failure:0.01 in
-    if Hash_family.has_collision ~hash:(Fks.hash f) s then incr failures
-  done;
-  (* failure target is 1%; allow generous slack for the union-bound constants *)
-  if !failures > trials / 20 then Alcotest.failf "FKS failed %d/%d times" !failures trials
-
-let test_fks_modulus_size () =
-  (* The prime should be polynomially bounded: q = O~(k^2 log n / delta). *)
-  let bound = Fks.prime_bound ~universe:(1 lsl 40) ~set_size:64 ~failure:0.01 in
-  check_bool "bound positive" true (bound > 64);
-  (* k^2 log n / (2 delta) = 4096 * 40 / 0.02 = 8.19e6; ln factor ~ 17 *)
-  check_bool "bound sane" true (bound < 400_000_000);
-  let rng = Prng.Rng.of_int 31 in
-  let f = Fks.create rng ~universe:(1 lsl 40) ~set_size:64 ~failure:0.01 in
-  check_bool "modulus <= bound" true (Fks.modulus f <= bound);
-  check_bool "seed bits small" true (Fks.seed_bits f <= 64)
-
-let test_fks_rejects_bad_args () =
-  Alcotest.check_raises "bad failure" (Invalid_argument "Fks.prime_bound: failure") (fun () ->
-      ignore (Fks.prime_bound ~universe:100 ~set_size:5 ~failure:0.0))
 
 let () =
   Alcotest.run "hashing"
@@ -248,21 +198,11 @@ let () =
           Alcotest.test_case "next_prime" `Quick test_next_prime;
           Alcotest.test_case "native boundary" `Quick test_prime_native_boundary;
           Alcotest.test_case "next_prime protocol moduli" `Quick test_next_prime_protocol_moduli;
-          Alcotest.test_case "random_prime" `Quick test_random_prime;
         ] );
       ( "families",
         [
           Alcotest.test_case "cw range" `Quick test_cw_range;
           Alcotest.test_case "cw collision bound" `Quick test_cw_collision_bound;
           Alcotest.test_case "cw large universe" `Quick test_cw_large_universe;
-          Alcotest.test_case "multiply-shift collisions" `Quick test_multiply_shift_collisions;
-          Alcotest.test_case "tabulation collisions" `Quick test_tabulation_collisions;
-          Alcotest.test_case "collision helpers" `Quick test_collision_helpers;
-        ] );
-      ( "fks",
-        [
-          Alcotest.test_case "no collisions whp" `Quick test_fks_no_collisions_whp;
-          Alcotest.test_case "modulus size" `Quick test_fks_modulus_size;
-          Alcotest.test_case "bad args" `Quick test_fks_rejects_bad_args;
         ] );
     ]

@@ -10,13 +10,13 @@
 open Intersect
 
 let iset = Alcotest.testable Iset.pp Iset.equal
-let bits_t = Alcotest.testable Bitio.Bits.pp Bitio.Bits.equal
+let bits_t = Alcotest.testable Bits_ref.pp Bitio.Bits.equal
 let check_int = Alcotest.(check int)
 
 let universe = 1 lsl 16
 
 (* Both caches off: the pre-optimization execution path. *)
-let unoptimized f = Bitio.Pool.bypassed (fun () -> Bitio.Memo.bypassed f)
+let unoptimized f = Bitio.Pool.For_testing.bypassed (fun () -> Bitio.Memo.For_testing.bypassed f)
 
 let run_protocol ~name ~k =
   let protocol = Workload.Regress.protocol_of ~name ~k in
@@ -66,14 +66,14 @@ let test_memo_transparent () =
   List.iter
     (fun (n, k) ->
       let cached = Bitio.Memo.binomial n k in
-      let direct = Bitio.Memo.bypassed (fun () -> Bitio.Memo.binomial n k) in
+      let direct = Bitio.Memo.For_testing.bypassed (fun () -> Bitio.Memo.binomial n k) in
       Alcotest.(check bool)
         (Printf.sprintf "C(%d,%d)" n k)
         true
-        (Bitio.Bignat.equal direct cached);
+        (Bitio.Bignat.compare direct cached = 0);
       check_int
         (Printf.sprintf "bits C(%d,%d)" n k)
-        (Bitio.Memo.bypassed (fun () -> Bitio.Memo.binomial_bits ~n ~k))
+        (Bitio.Memo.For_testing.bypassed (fun () -> Bitio.Memo.binomial_bits ~n ~k))
         (Bitio.Memo.binomial_bits ~n ~k))
     [ (0, 0); (1, 0); (64, 32); (256, 17); (1024, 3); (4096, 2) ];
   let set = Array.init 24 (fun i -> (i * 131) mod 4096) in
@@ -128,19 +128,19 @@ let ref_splitmix state =
 let test_splitmix_reference () =
   let g = Prng.Splitmix64.create 0L in
   List.iter
-    (fun expected -> Alcotest.(check int64) "vector (seed 0)" expected (Prng.Splitmix64.next g))
+    (fun expected -> Alcotest.(check int64) "vector (seed 0)" expected (Prng.Splitmix64.For_testing.next g))
     [ 0xE220A8397B1DCDAFL; 0x6E789E6AA1B965F4L; 0x06C45D188009454FL ];
   for seed = 0 to 99 do
     let s = Int64.mul (Int64.of_int ((seed * 2654435761) + 1)) 0x9E3779B97F4A7C15L in
     let g = Prng.Splitmix64.create s in
     let r = ref s in
     for _ = 1 to 200 do
-      Alcotest.(check int64) "step = Int64 reference" (ref_splitmix r) (Prng.Splitmix64.next g)
+      Alcotest.(check int64) "step = Int64 reference" (ref_splitmix r) (Prng.Splitmix64.For_testing.next g)
     done
   done;
   let a = Prng.Splitmix64.create 42L and b = Prng.Splitmix64.create 42L in
   for _ = 1 to 100 do
-    let boxed = Prng.Splitmix64.next a in
+    let boxed = Prng.Splitmix64.For_testing.next a in
     Prng.Splitmix64.step b;
     let unboxed =
       Int64.logor
@@ -181,7 +181,7 @@ let test_with_label_reference () =
       let root = 0x0FEDCBA987654321L in
       let derived = Prng.Rng.with_label (Prng.Rng.of_seed root) label in
       let reference =
-        Prng.Rng.of_seed (Prng.Splitmix64.mix (Int64.logxor root (ref_fnv1a64 label)))
+        Prng.Rng.of_seed (Prng.Splitmix64.For_testing.mix (Int64.logxor root (ref_fnv1a64 label)))
       in
       for _ = 1 to 50 do
         check_int ("with_label " ^ label)
@@ -311,7 +311,8 @@ let test_fused_strhash () =
             Bitio.Bits.equal tag (Strhash.apply (Strhash.create (Prng.Rng.Label.finish cell) ~bits) mine)
           in
           if got <> want then Alcotest.failf "%s matches %s" label what;
-          if Bitio.Bitreader.position reader <> bits then Alcotest.failf "%s reader advance" label)
+          if Bitio.Bits.length tag - Bitio.Bitreader.remaining reader <> bits then
+            Alcotest.failf "%s reader advance" label)
         [ ("same", payload); ("other", other) ]
     done
   done
@@ -388,7 +389,8 @@ let test_range_strhash () =
         (name ^ " matches")
         true
         (Strhash.draw_matches_range cell ~bits reader payload ~pos ~len);
-      check_int (name ^ " reader advance") bits (Bitio.Bitreader.position reader)
+      check_int (name ^ " reader advance") bits
+        (Bitio.Bitbuf.length whole - Bitio.Bitreader.remaining reader)
     done
   done;
   Alcotest.check_raises "range past the end" (Invalid_argument "Strhash: range out of bounds")
@@ -617,8 +619,8 @@ let test_node_labels () =
       for vi = 0 to 12_000 do
         Tree_protocol.For_testing.node_label cell ~stage vi;
         let label = Printf.sprintf "tree/eq/s%d/v%d" stage vi in
-        let want = Prng.Rng.int64 (Prng.Rng.with_label root label) in
-        if Prng.Rng.int64 (Prng.Rng.Label.finish cell) <> want then Alcotest.failf "%s" label
+        let want = Prng.Rng.For_testing.int64 (Prng.Rng.with_label root label) in
+        if Prng.Rng.For_testing.int64 (Prng.Rng.Label.finish cell) <> want then Alcotest.failf "%s" label
       done)
     [ 0; 1; 3; 12 ]
 
@@ -672,7 +674,7 @@ let test_carter_wegman_reference () =
       let a = Int64.of_int (1 + Prng.Rng.int rng (p - 1)) in
       let b = Int64.of_int (Prng.Rng.int rng p) in
       let p = Int64.of_int p in
-      check_int (label ^ " modulus") (Int64.to_int p) (Hashing.Carter_wegman.modulus h);
+      check_int (label ^ " modulus") (Int64.to_int p) (Hashing.Carter_wegman.For_testing.modulus h);
       let reference x =
         let open Hashing.Modarith in
         Int64.to_int
@@ -868,7 +870,7 @@ let golden_digests () =
         { (Session.Machine.default ~k ~plan) with seed = 18; deadline_bits = 4_000_000 }
       in
       let report = Session.Machine.run config ~s:pair.Workload.Setgen.s ~t:pair.Workload.Setgen.t in
-      hex_of_string (Stats.Json.to_string (Session.Machine.report_json report)) );
+      hex_of_string (Stats.Json.to_string (Session.Machine.For_testing.report_json report)) );
   ]
 
 (* Batch equality run on its own, over a tapped channel; the verdicts of
@@ -902,7 +904,7 @@ let variable_length_instances () =
         if i mod 2 = 0 then xs.(i)
         else if i mod 4 = 1 then bits ((i mod 37) + 1) i
         else if i mod 37 = 0 then bits 1 i
-        else Bitio.Bits.flip xs.(i) (i mod (i mod 37)))
+        else Bits_ref.flip xs.(i) (i mod (i mod 37)))
   in
   (xs, ys)
 
@@ -915,7 +917,7 @@ let carter_wegman_digest () =
           (Prng.Rng.with_label (Prng.Rng.of_int 20) (string_of_int universe))
           ~universe ~range
       in
-      Buffer.add_string log (Printf.sprintf "p=%d;" (Hashing.Carter_wegman.modulus h));
+      Buffer.add_string log (Printf.sprintf "p=%d;" (Hashing.Carter_wegman.For_testing.modulus h));
       for i = 0 to 999 do
         let x = (i * 0x9E3779B97) land (universe - 1) in
         Buffer.add_string log (Printf.sprintf "%d;" (Hashing.Carter_wegman.hash h x))
@@ -963,19 +965,26 @@ let tree_path_digests () =
     ("tree r=2 k=1024", tree_digest ~seed:25 ~k:1024 ~r:2 ());
     ("tree flat eq bits k=1024", tree_digest ~flat_eq_bits:6 ~seed:26 ~k:1024 ~r:3 ());
     ( "tree budgeted fallback k=1024",
-      (* [protocol_budgeted ~budget_factor:1]'s budget, k * log^(r) k bits:
-         the first stage alone exceeds it *)
-      let k = 1024 and r = 2 in
+      (* A budget of k * log^(r) k bits (the worst-case conversion at
+         factor 1): the first stage alone exceeds it *)
+      let k = 1024 and r = 2 and universe = 1 lsl 20 in
       let budget = k * max 1 (Iterated_log.ilog r k) in
-      let pair = golden_pair ~seed:27 ~universe:(1 lsl 20) ~k in
-      let outcome =
-        (Tree_protocol.protocol_budgeted ~budget_factor:1 ~r ()).Protocol.run (Prng.Rng.of_int 28)
-          ~universe:(1 lsl 20) pair.Workload.Setgen.s pair.Workload.Setgen.t
+      let pair = golden_pair ~seed:27 ~universe ~k in
+      let s = pair.Workload.Setgen.s and t = pair.Workload.Setgen.t in
+      let k_eff = max 1 (max (Array.length s) (Array.length t)) in
+      let budget_eff = k_eff * max 1 (Iterated_log.ilog r k_eff) in
+      let rng = Prng.Rng.of_int 28 in
+      let (alice, bob), cost =
+        Commsim.Two_party.run
+          ~alice:(fun chan ->
+            Tree_protocol.run_party ~budget:budget_eff `Alice rng ~universe ~r ~k:k_eff chan s)
+          ~bob:(fun chan ->
+            Tree_protocol.run_party ~budget:budget_eff `Bob rng ~universe ~r ~k:k_eff chan t)
       in
       hex_of_string
         (tree_digest ~budget ~seed:27 ~k ~r ()
-        ^ Printf.sprintf "bits=%d;alice=%d;bob=%d" outcome.Protocol.cost.Commsim.Cost.total_bits
-            (Iset.cardinal outcome.Protocol.alice) (Iset.cardinal outcome.Protocol.bob)) );
+        ^ Printf.sprintf "bits=%d;alice=%d;bob=%d" cost.Commsim.Cost.total_bits
+            (Iset.cardinal alice) (Iset.cardinal bob)) );
     ( "tree faulty attempt k=1024",
       let k = 1024 and universe = 1 lsl 16 in
       let pair = golden_pair ~seed:29 ~universe ~k in
@@ -1018,13 +1027,20 @@ let tap_both log (chan : Commsim.Transport.t) =
       record "r" payload;
       payload)
 
+let tally_string (t : Commsim.Faults.tally) =
+  Printf.sprintf
+    "%d delivered, %d bits flipped in %d msgs, %d truncated (-%d bits), %d duplicated, %d \
+     dropped (-%d bits)"
+    t.deliveries t.flipped_bits t.flipped_messages t.truncated_messages t.truncated_bits
+    t.duplicated_messages t.dropped_messages t.dropped_bits
+
 let tallies_string (tallies : Commsim.Faults.tallies) =
   String.concat "|"
     (Array.to_list
        (Array.map
           (fun row ->
             String.concat ","
-              (Array.to_list (Array.map (Format.asprintf "%a" Commsim.Faults.pp_tally) row)))
+              (Array.to_list (Array.map tally_string row)))
           tallies.Commsim.Faults.links))
 
 let outcome_string = function
@@ -1057,7 +1073,7 @@ let dup_drop_link =
   { Commsim.Faults.flip = 1e-4; trunc = 2e-3; dup = 0.3; drop = 2e-3 }
 
 let asymmetric_plan ~seed =
-  Commsim.Faults.make ~seed (fun ~from_ ~to_:_ ->
+  Commsim.Faults.For_testing.make ~seed (fun ~from_ ~to_:_ ->
       if from_ = 0 then { Commsim.Faults.clean_link with flip = 3e-4; dup = 0.2 }
       else { Commsim.Faults.clean_link with trunc = 2e-2; dup = 0.1 })
 
@@ -1200,9 +1216,9 @@ let expected_report_digests =
   [
     ("soak smoke json", "db9222f4c08a31cc0fa2ffade04d2fe7");
     ("sweep smoke json", "f801866bb13113c1598716950ff786f8");
-    ("soak smoke telemetry", "8fc3aa71c973dd3b523948a0018985f7");
-    ("chaos smoke telemetry", "18122194784c078f6bae37ef8ebbf5e9");
-    ("sweep smoke telemetry", "25289774a719e94cfa2fbcd3de13b7f8");
+    ("soak smoke telemetry", "1a078dbfda84c085ea413b9aacaeb4b0");
+    ("chaos smoke telemetry", "c9f435ef3db05acd7290906841756edb");
+    ("sweep smoke telemetry", "803583915921460941862125a449b35a");
   ]
 
 let test_report_digests () = check_digests (report_digests ()) expected_report_digests

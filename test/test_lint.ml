@@ -217,12 +217,16 @@ let test_golden_sarif_report () =
 (* Fixture units are typed against the stdlib in order (each unit's
    signature visible to the later ones), then pushed through the same
    Typed.analyze the repo gate runs — only the scope config differs,
-   because fixture modules are not called Commsim or Obsv. *)
-let analyze_units ?config units =
+   because fixture modules are not called Commsim or Obsv.  Most fixtures
+   have no executable, so every lib/ binding in them is unreachable: R11
+   findings are kept only where a test asks for them. *)
+let analyze_units ?config ?(r11 = false) units =
   let types = Lint.Cmt_load.create_types () in
-  match Lint.Cmt_load.of_sources ~types units with
+  match Lint.Cmt_load.For_testing.of_sources ~types units with
   | Error e -> Alcotest.fail e
-  | Ok modus -> Lint.Typed.analyze ?config ~types modus
+  | Ok modus ->
+      Lint.Typed.analyze ?config ~types modus
+      |> List.filter (fun (f : Lint.Finding.t) -> r11 || f.rule <> "R11")
 
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
@@ -298,6 +302,32 @@ let test_r7_sanctioned_prng_passes () =
             ("Seeds", "lib/prng/seeds.ml", "let fresh n = Stdlib.Random.int n\n");
             ("Party", "lib/core/party.ml", "let run () = Seeds.fresh 10\n");
           ]))
+
+(* Both module-alias forms resolve to their target, so an alias cannot
+   hide the chain from party code to a sink. *)
+let test_r7_through_module_alias () =
+  let findings =
+    analyze_units
+      [
+        ("Launder", "lib/workload/launder.ml", "let fresh n = Stdlib.Random.int n\n");
+        ("Party", "lib/core/party.ml", "module L = Launder\nlet run () = L.fresh 10\n");
+      ]
+  in
+  let f = find_rule "R7" findings in
+  check_bool "chain through the alias" true
+    (contains ~sub:"Party.run -> Launder.fresh" f.Lint.Finding.message)
+
+let test_r7_through_let_module () =
+  let findings =
+    analyze_units
+      [
+        ("Launder", "lib/workload/launder.ml", "let fresh n = Stdlib.Random.int n\n");
+        ("Party", "lib/core/party.ml", "let run () =\n  let module L = Launder in\n  L.fresh 10\n");
+      ]
+  in
+  let f = find_rule "R7" findings in
+  check_bool "chain through the local alias" true
+    (contains ~sub:"Party.run -> Launder.fresh" f.Lint.Finding.message)
 
 let test_r7_leaves_direct_use_to_r1 () =
   (* A sink used directly in a party file is syntactic R1's report, not a
@@ -493,6 +523,73 @@ let test_r10_registry_internal_refs_do_not_count () =
   let findings = analyze_units ~config:r10_cfg [ r10_registry; obs_unit ] in
   check "all three dead" 3 (count_rule "R10" findings)
 
+(* R11: library bindings no executable reaches.  [bin/] and [examples/]
+   fixtures root the graph; [lib/] fixtures are checked. *)
+
+let r11 units = count_rule "R11" (analyze_units ~r11:true units)
+
+let r11_lib =
+  ("Util", "lib/util/util_fx.ml", "let used () = 1\nlet only_tested () = 2\n")
+
+let test_r11_flags_test_only_binding () =
+  let findings =
+    analyze_units ~r11:true
+      [
+        r11_lib;
+        ("Main", "bin/main_fx.ml", "let () = ignore (Util.used ())\n");
+        ("Test_util", "test/test_util_fx.ml", "let () = ignore (Util.only_tested ())\n");
+      ]
+  in
+  let f = find_rule "R11" findings in
+  check_str "at the binding" "lib/util/util_fx.ml" f.Lint.Finding.file;
+  check_bool "names it" true (contains ~sub:"Util.only_tested" f.Lint.Finding.message)
+
+let test_r11_root_reach_passes () =
+  check "reached directly" 0
+    (r11
+       [
+         r11_lib;
+         ( "Main",
+           "bin/main_fx.ml",
+           "let () = ignore (Util.used ())\nlet () = ignore (Util.only_tested ())\n" );
+       ]);
+  check "reached through let module" 0
+    (r11
+       [
+         r11_lib;
+         ( "Main",
+           "bin/main_fx.ml",
+           "let () =\n  let module U = Util in\n  ignore (U.used () + U.only_tested ())\n" );
+       ]);
+  check "reached through a top-level alias" 0
+    (r11
+       [
+         r11_lib;
+         ( "Main",
+           "examples/main_fx.ml",
+           "module U = Util\nlet () = ignore (U.used () + U.only_tested ())\n" );
+       ])
+
+let test_r11_binding_operator_is_an_edge () =
+  check "let* reaches its operator" 0
+    (r11
+       [
+         ("Opt", "lib/util/opt_fx.ml", "let ( let* ) x f = Option.bind x f\n");
+         ("Main", "bin/main_fx.ml", "let () = ignore (Opt.(let* y = Some 1 in Some (y + 1)))\n");
+       ])
+
+let test_r11_for_testing_exempt () =
+  check "For_testing is the test home" 0
+    (r11
+       [
+         ("Util", "lib/util/util_fx.ml", "module For_testing = struct\n  let oracle x = x + 1\nend\n");
+         ("Test_util", "test/test_util_fx.ml", "let () = ignore (Util.For_testing.oracle 1)\n");
+       ])
+
+let test_r11_init_never_reported () =
+  check "module initialisers have no caller" 0
+    (r11 [ ("Util", "lib/util/util_fx.ml", "let () = print_string \"\"\nlet _ = 1 + 1\n") ])
+
 let test_typed_analyze_deterministic () =
   let run () =
     analyze_units
@@ -590,6 +687,8 @@ let () =
           Alcotest.test_case "transitive chain" `Quick test_r7_transitive_chain;
           Alcotest.test_case "monotonic clock" `Quick test_r7_flags_monotonic_clock;
           Alcotest.test_case "sanctioned in lib/prng" `Quick test_r7_sanctioned_prng_passes;
+          Alcotest.test_case "through module alias" `Quick test_r7_through_module_alias;
+          Alcotest.test_case "through let module" `Quick test_r7_through_let_module;
           Alcotest.test_case "direct use is R1's" `Quick test_r7_leaves_direct_use_to_r1;
           Alcotest.test_case "unreachable helper" `Quick test_r7_unreachable_helper_passes;
         ] );
@@ -615,6 +714,14 @@ let () =
           Alcotest.test_case "dead phase" `Quick test_r10_flags_dead_phase;
           Alcotest.test_case "internal refs don't count" `Quick
             test_r10_registry_internal_refs_do_not_count;
+        ] );
+      ( "R11 reachability",
+        [
+          Alcotest.test_case "test-only binding" `Quick test_r11_flags_test_only_binding;
+          Alcotest.test_case "reached from a root" `Quick test_r11_root_reach_passes;
+          Alcotest.test_case "binding operator edge" `Quick test_r11_binding_operator_is_an_edge;
+          Alcotest.test_case "For_testing exempt" `Quick test_r11_for_testing_exempt;
+          Alcotest.test_case "init never reported" `Quick test_r11_init_never_reported;
         ] );
       ( "report",
         [

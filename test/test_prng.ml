@@ -9,14 +9,14 @@ let check_bool = Alcotest.(check bool)
 let test_splitmix_reference () =
   (* Reference outputs for seed 0 from the published SplitMix64 algorithm. *)
   let g = Splitmix64.create 0L in
-  Alcotest.(check string) "first" "e220a8397b1dcdaf" (Printf.sprintf "%Lx" (Splitmix64.next g));
-  Alcotest.(check string) "second" "6e789e6aa1b965f4" (Printf.sprintf "%Lx" (Splitmix64.next g));
-  Alcotest.(check string) "third" "6c45d188009454f" (Printf.sprintf "%Lx" (Splitmix64.next g))
+  Alcotest.(check string) "first" "e220a8397b1dcdaf" (Printf.sprintf "%Lx" (Splitmix64.For_testing.next g));
+  Alcotest.(check string) "second" "6e789e6aa1b965f4" (Printf.sprintf "%Lx" (Splitmix64.For_testing.next g));
+  Alcotest.(check string) "third" "6c45d188009454f" (Printf.sprintf "%Lx" (Splitmix64.For_testing.next g))
 
 let test_determinism () =
   let a = Rng.of_int 42 and b = Rng.of_int 42 in
   for _ = 1 to 100 do
-    Alcotest.(check int64) "same stream" (Rng.int64 a) (Rng.int64 b)
+    Alcotest.(check int64) "same stream" (Rng.For_testing.int64 a) (Rng.For_testing.int64 b)
   done
 
 let test_label_independent_of_position () =
@@ -25,25 +25,19 @@ let test_label_independent_of_position () =
   let a = Rng.of_int 7 in
   let b = Rng.of_int 7 in
   for _ = 1 to 13 do
-    ignore (Rng.int64 b)
+    ignore (Rng.For_testing.int64 b)
   done;
   let la = Rng.with_label a "stage1/node3" in
   let lb = Rng.with_label b "stage1/node3" in
   for _ = 1 to 20 do
-    Alcotest.(check int64) "label stream equal" (Rng.int64 la) (Rng.int64 lb)
+    Alcotest.(check int64) "label stream equal" (Rng.For_testing.int64 la) (Rng.For_testing.int64 lb)
   done
 
 let test_labels_distinct () =
   let root = Rng.of_int 7 in
-  let a = Rng.int64 (Rng.with_label root "x") in
-  let b = Rng.int64 (Rng.with_label root "y") in
+  let a = Rng.For_testing.int64 (Rng.with_label root "x") in
+  let b = Rng.For_testing.int64 (Rng.with_label root "y") in
   check_bool "different labels differ" true (a <> b)
-
-let test_split_advances () =
-  let root = Rng.of_int 3 in
-  let a = Rng.split root in
-  let b = Rng.split root in
-  check_bool "children differ" true (Rng.int64 a <> Rng.int64 b)
 
 let test_int_bounds () =
   let rng = Rng.of_int 1 in
@@ -88,28 +82,6 @@ let test_float_range () =
     if v < 0.0 || v >= 1.0 then Alcotest.failf "float out of range: %f" v
   done
 
-let test_bernoulli_mean () =
-  let rng = Rng.of_int 21 in
-  let trials = 50_000 in
-  let hits = ref 0 in
-  for _ = 1 to trials do
-    if Rng.bernoulli rng ~p:0.3 then incr hits
-  done;
-  let mean = float_of_int !hits /. float_of_int trials in
-  if abs_float (mean -. 0.3) > 0.02 then Alcotest.failf "bernoulli mean %f" mean
-
-let test_geometric_mean () =
-  (* E[failures before success] = (1-p)/p = 1 for p = 1/2. *)
-  let rng = Rng.of_int 31 in
-  let trials = 50_000 in
-  let sum = ref 0 in
-  for _ = 1 to trials do
-    sum := !sum + Rng.geometric rng ~p:0.5
-  done;
-  let mean = float_of_int !sum /. float_of_int trials in
-  if abs_float (mean -. 1.0) > 0.05 then Alcotest.failf "geometric mean %f" mean;
-  check "p = 1 is constant 0" 0 (Rng.geometric rng ~p:1.0)
-
 let test_shuffle_permutes () =
   let rng = Rng.of_int 8 in
   let a = Array.init 100 (fun i -> i) in
@@ -137,7 +109,7 @@ let test_shuffle_matches_per_element () =
         b.(j) <- tmp
       done;
       Alcotest.(check (array int)) (Printf.sprintf "permutation n=%d" n) b a;
-      Alcotest.(check int64) (Printf.sprintf "final state n=%d" n) (Rng.int64 theirs) (Rng.int64 mine)
+      Alcotest.(check int64) (Printf.sprintf "final state n=%d" n) (Rng.For_testing.int64 theirs) (Rng.For_testing.int64 mine)
     done
   done
 
@@ -186,8 +158,8 @@ let prop_scan_matches_per_draw =
         List.filter (fun _ -> Rng.below b threshold) (List.init n Fun.id)
       in
       let scanned = successes_scanned c ~p n in
-      let next = Rng.int64 a in
-      want = scanned && want = per_below && next = Rng.int64 b && next = Rng.int64 c)
+      let next = Rng.For_testing.int64 a in
+      want = scanned && want = per_below && next = Rng.For_testing.int64 b && next = Rng.For_testing.int64 c)
 
 (* Draws right at the threshold decide exactly as the float comparison:
    every 53-bit value within two of [threshold ~p]. *)
@@ -217,7 +189,7 @@ let test_threshold_edges () =
   (* an empty scan consumes nothing *)
   let a = Rng.of_int 3 and b = Rng.of_int 3 in
   check "empty scan" 0 (Rng.scan_below a ~threshold:(1 lsl 53) ~limit:0);
-  Alcotest.(check int64) "empty scan leaves the state" (Rng.int64 b) (Rng.int64 a)
+  Alcotest.(check int64) "empty scan leaves the state" (Rng.For_testing.int64 b) (Rng.For_testing.int64 a)
 
 let test_scan_allocation_free () =
   let rng = Rng.of_int 9 in
@@ -241,14 +213,11 @@ let () =
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "label independent of position" `Quick test_label_independent_of_position;
           Alcotest.test_case "labels distinct" `Quick test_labels_distinct;
-          Alcotest.test_case "split advances" `Quick test_split_advances;
           Alcotest.test_case "int bounds" `Quick test_int_bounds;
           Alcotest.test_case "int bad bound" `Quick test_int_rejects_bad_bound;
           Alcotest.test_case "int uniformity" `Quick test_int_uniformity;
           Alcotest.test_case "bits width" `Quick test_bits_width;
           Alcotest.test_case "float range" `Quick test_float_range;
-          Alcotest.test_case "bernoulli mean" `Quick test_bernoulli_mean;
-          Alcotest.test_case "geometric mean" `Quick test_geometric_mean;
           Alcotest.test_case "shuffle permutes" `Quick test_shuffle_permutes;
           Alcotest.test_case "shuffle = per-element int" `Quick test_shuffle_matches_per_element;
           qt prop_int_in_bounds;

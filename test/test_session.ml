@@ -220,8 +220,8 @@ let test_run_is_reproducible () =
   let a = M.run cfg ~s:s8 ~t:t8 and b = M.run cfg ~s:s8 ~t:t8 in
   check_bool "same config, same report" true (replay_eq a b);
   check_str "same JSON"
-    (Stats.Json.to_string (M.report_json a))
-    (Stats.Json.to_string (M.report_json b))
+    (Stats.Json.to_string (M.For_testing.report_json a))
+    (Stats.Json.to_string (M.For_testing.report_json b))
 
 (* ---------- Resilient attempt log (session's raw material) ---------- *)
 
