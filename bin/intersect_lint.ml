@@ -1,9 +1,11 @@
 (* intersect-lint: static invariant checker for the whole tree.
 
    Two passes.  The syntactic pass parses every .ml/.mli under lib/,
-   bin/, bench/, test/ and examples/ with compiler-libs and enforces the repo's
-   determinism, ambient-state, phase-registry, domain-hygiene, and
-   interface-coverage conventions (rules R1..R6).  The typed pass — on
+   bin/, bench/, test/ and examples/ (minus the empty interface stubs
+   dune generates for executables) with compiler-libs and enforces the
+   repo's determinism, ambient-state, domain-hygiene, interface-coverage
+   and flight-recorder conventions (rules R1, R2, R4..R6; phase names
+   need no rule, as Trace.span takes an Obsv.Phases.t).  The typed pass — on
    by default — reads the .cmt artifacts dune produced, builds the
    whole-repo call graph, and enforces the semantic families: R7
    determinism taint, R8 metered-transport accounting, R9 cross-domain
@@ -78,8 +80,8 @@ let syntactic_arg =
     & flag
     & info [ "syntactic" ]
         ~doc:
-          "Skip the typed (cmt-based) pass and run only the syntactic rules R1..R6. The typed \
-           pass is on by default; this exists for linting a tree that has not been built.")
+          "Skip the typed (cmt-based) pass and run only the syntactic rules R1, R2 and \
+           R4..R6. The typed pass is on by default; this exists for linting a tree that has not been built.")
 
 let explain_arg =
   Arg.(

@@ -34,7 +34,7 @@ let sync_party role rng ~universe ~batch state update chan =
   let new_current = Iset.union (Iset.diff state.current update.deletes) update.inserts in
   (* simultaneous size exchange: the tag width must be agreed, and it
      depends on both sides' sizes (as in Lemma 3.3) *)
-  Obsv.Trace.span Obsv.Phases.app_sync (fun () ->
+  Obsv.Trace.span Obsv.Phases.App_sync (fun () ->
       chan.send (Wire.gamma_msg (Iset.cardinal new_current)));
   let their_size = Wire.read_gamma_msg (chan.recv ()) in
   let bits =
@@ -75,13 +75,13 @@ let sync_party role rng ~universe ~batch state update chan =
   let their_deletes, their_insert_keys, my_insert_bitmap =
     match role with
     | `Alice ->
-        Obsv.Trace.span Obsv.Phases.app_sync (fun () -> chan.send (delta_message ()));
+        Obsv.Trace.span Obsv.Phases.App_sync (fun () -> chan.send (delta_message ()));
         let reader = Bitio.Bitreader.create (chan.recv ()) in
         let deletes, insert_keys = parse_deltas reader in
         let bitmap =
           Array.init (Iset.cardinal update.inserts) (fun _ -> Bitio.Bitreader.read_bit reader)
         in
-        Obsv.Trace.span Obsv.Phases.app_sync (fun () -> chan.send (membership_bitmap insert_keys));
+        Obsv.Trace.span Obsv.Phases.App_sync (fun () -> chan.send (membership_bitmap insert_keys));
         (deletes, insert_keys, bitmap)
     | `Bob ->
         let reader = Bitio.Bitreader.create (chan.recv ()) in
@@ -89,7 +89,7 @@ let sync_party role rng ~universe ~batch state update chan =
         let buf = Bitio.Bitbuf.create () in
         Bitio.Bitbuf.append buf (delta_message ());
         Bitio.Bitbuf.append buf (membership_bitmap insert_keys);
-        Obsv.Trace.span Obsv.Phases.app_sync (fun () -> chan.send (Bitio.Bitbuf.contents buf));
+        Obsv.Trace.span Obsv.Phases.App_sync (fun () -> chan.send (Bitio.Bitbuf.contents buf));
         let bitmap =
           Wire.read_bitmap_msg (chan.recv ()) ~width:(Iset.cardinal update.inserts)
         in

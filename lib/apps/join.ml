@@ -57,14 +57,14 @@ let run ?protocol rng ~universe ~left ~right =
   let (alice_join, bob_join), exchange_cost =
     Commsim.Two_party.run
       ~alice:(fun chan ->
-        Obsv.Trace.span Obsv.Phases.app_join (fun () ->
+        Obsv.Trace.span Obsv.Phases.App_join (fun () ->
             Commsim.Transport.send chan (matches_message left outcome.Protocol.alice));
         let their_keys, their_payloads = read_matches (Commsim.Transport.recv chan) in
         join_against left their_keys their_payloads outcome.Protocol.alice
         |> List.map (fun (key, mine, theirs) -> { key; left = mine; right = theirs }))
       ~bob:(fun chan ->
         let payload = Commsim.Transport.recv chan in
-        Obsv.Trace.span Obsv.Phases.app_join (fun () ->
+        Obsv.Trace.span Obsv.Phases.App_join (fun () ->
             Commsim.Transport.send chan (matches_message right outcome.Protocol.bob));
         let their_keys, their_payloads = read_matches payload in
         join_against right their_keys their_payloads outcome.Protocol.bob

@@ -17,11 +17,11 @@ let default_protocol () = Verified.protocol (Tree_protocol.protocol_log_star ())
 let exchange_sizes s t =
   Commsim.Two_party.run
     ~alice:(fun chan ->
-      Obsv.Trace.span Obsv.Phases.app_similarity (fun () ->
+      Obsv.Trace.span Obsv.Phases.App_similarity (fun () ->
           Commsim.Transport.send chan (Wire.gamma_msg (Array.length s)));
       Wire.read_gamma_msg (Commsim.Transport.recv chan))
     ~bob:(fun chan ->
-      Obsv.Trace.span Obsv.Phases.app_similarity (fun () ->
+      Obsv.Trace.span Obsv.Phases.App_similarity (fun () ->
           Commsim.Transport.send chan (Wire.gamma_msg (Array.length t)));
       Wire.read_gamma_msg (Commsim.Transport.recv chan))
 

@@ -71,7 +71,7 @@ let exchange rng ~sketch_size s t =
   in
   let party mine chan =
     let my_sketch, my_message = message mine in
-    Obsv.Trace.span Obsv.Phases.app_sketch (fun () -> Commsim.Transport.send chan my_message);
+    Obsv.Trace.span Obsv.Phases.App_sketch (fun () -> Commsim.Transport.send chan my_message);
     let their_size, their_sketch = parse (Commsim.Transport.recv chan) in
     estimate ~size_a:(Array.length mine) ~size_b:their_size my_sketch their_sketch
   in

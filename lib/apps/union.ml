@@ -10,7 +10,7 @@ type result = {
 let run _rng ~universe s t =
   Protocol.validate_inputs ~universe s t;
   let alice chan =
-    Obsv.Trace.span Obsv.Phases.app_union (fun () -> Commsim.Transport.send chan (Wire.of_set s));
+    Obsv.Trace.span Obsv.Phases.App_union (fun () -> Commsim.Transport.send chan (Wire.of_set s));
     let reader = Bitio.Bitreader.create (Commsim.Transport.recv chan) in
     let t_minus_s = Bitio.Set_codec.read_gaps reader in
     let s_minus_t_flags = Array.map (fun _ -> Bitio.Bitreader.read_bit reader) s in
@@ -28,7 +28,7 @@ let run _rng ~universe s t =
     Bitio.Set_codec.write_gaps buf t_minus_s;
     (* bitmap over Alice's elements, in her sorted order: 1 = not in T *)
     Array.iter (fun x -> Bitio.Bitbuf.write_bit buf (not (Iset.mem t x))) received;
-    Obsv.Trace.span Obsv.Phases.app_union (fun () ->
+    Obsv.Trace.span Obsv.Phases.App_union (fun () ->
         Commsim.Transport.send chan (Bitio.Bitbuf.contents buf));
     ( Iset.union received t_minus_s,
       Iset.inter received t,

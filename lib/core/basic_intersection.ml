@@ -66,7 +66,7 @@ let run rng ~failure chan ~first mine =
   let open Commsim.Transport in
   let my_size = Array.length mine in
   let their_size =
-    Obsv.Trace.span Obsv.Phases.bi_sizes (fun () ->
+    Obsv.Trace.span Obsv.Phases.Bi_sizes (fun () ->
         if first then begin
           chan.send (Wire.gamma_msg my_size);
           Wire.read_gamma_msg (chan.recv ())
@@ -83,7 +83,8 @@ let run rng ~failure chan ~first mine =
   let my_tags = Bitio.Pool.payload (fun buf -> write_tags buf fn mine) in
   Obsv.Metrics.observe "bi/tag_bits" bits;
   let their_tags =
-    Obsv.Trace.span Obsv.Phases.bi_tags ~attrs:[ ("bits", string_of_int bits) ] (fun () ->
+    Obsv.Trace.span Obsv.Phases.Bi_tags (fun () ->
+        Obsv.Trace.attr "bits" bits;
         if first then begin
           chan.send my_tags;
           chan.recv ()

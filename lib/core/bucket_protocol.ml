@@ -60,7 +60,8 @@ let run_party ?sequential ?(reduce = true) role rng ~universe ~k chan mine =
         let reader = Bitio.Bitreader.create payload in
         Array.init k (fun _ -> Bitio.Codes.read_gamma reader)
       in
-      Obsv.Trace.span Obsv.Phases.bucket_assign ~attrs:[ ("attempt", string_of_int attempt) ] (fun () ->
+      Obsv.Trace.span Obsv.Phases.Bucket_assign (fun () ->
+          Obsv.Trace.attr "attempt" attempt;
           match role with
           | `Alice ->
               chan.send counts_msg;
@@ -124,8 +125,8 @@ let run_party ?sequential ?(reduce = true) role rng ~universe ~k chan mine =
   Obsv.Metrics.set_gauge "bucket/instances" pair_count;
   let eq_rng = Prng.Rng.with_label rng "bucket/eq-batch" in
   let verdicts =
-    Obsv.Trace.span Obsv.Phases.bucket_eq ~attrs:[ ("instances", string_of_int pair_count) ]
-      (fun () ->
+    Obsv.Trace.span Obsv.Phases.Bucket_eq (fun () ->
+        Obsv.Trace.attr "instances" pair_count;
         match role with
         | `Alice -> Eq_batch.run_alice ?sequential eq_rng chan instances
         | `Bob -> Eq_batch.run_bob ?sequential eq_rng chan instances)

@@ -44,13 +44,13 @@ let hw ?(bits_per_message = 8) ?(round_cap_factor = 4) rng ~universe s t =
         if size = 0 then begin
           let buf = Bitio.Bitbuf.create () in
           write_control buf Empty_set;
-          Obsv.Trace.span Obsv.Phases.disj_round (fun () -> chan.send (Bitio.Bitbuf.contents buf));
+          Obsv.Trace.span Obsv.Phases.Disj_round (fun () -> chan.send (Bitio.Bitbuf.contents buf));
           verdict := Some true
         end
         else if !round >= cap then begin
           let buf = Bitio.Bitbuf.create () in
           write_control buf Give_up;
-          Obsv.Trace.span Obsv.Phases.disj_round (fun () -> chan.send (Bitio.Bitbuf.contents buf));
+          Obsv.Trace.span Obsv.Phases.Disj_round (fun () -> chan.send (Bitio.Bitbuf.contents buf));
           verdict := Some false
         end
         else begin
@@ -66,7 +66,7 @@ let hw ?(bits_per_message = 8) ?(round_cap_factor = 4) rng ~universe s t =
           write_control buf Index;
           Bitio.Codes.write_gamma buf size;
           Bitio.Codes.write_gamma buf (j - 1);
-          Obsv.Trace.span Obsv.Phases.disj_round (fun () -> chan.send (Bitio.Bitbuf.contents buf))
+          Obsv.Trace.span Obsv.Phases.Disj_round (fun () -> chan.send (Bitio.Bitbuf.contents buf))
         end
       end
       else begin

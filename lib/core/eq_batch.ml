@@ -223,20 +223,20 @@ let run ?(sequential = true) ?(max_iterations = default_max_iterations) role rng
   let process () =
     let iteration = ref 0 in
     while !nact > 0 do
-      if !iteration >= max_iterations then Obsv.Trace.span Obsv.Phases.eq_exact exact_round
+      if !iteration >= max_iterations then Obsv.Trace.span Obsv.Phases.Eq_exact exact_round
       else begin
         let bits = Int.min 32 (2 lsl !iteration) in
         Obsv.Metrics.incr "eq/tag_rounds";
         Obsv.Metrics.observe "eq/tag_bits" bits;
         let mismatches =
-          Obsv.Trace.span Obsv.Phases.eq_tags (fun () -> tag_round ~iteration:!iteration ~bits)
+          Obsv.Trace.span Obsv.Phases.Eq_tags (fun () -> tag_round ~iteration:!iteration ~bits)
         in
         let ncand = settle mismatches in
         if ncand > 0 then begin
           Obsv.Metrics.incr "eq/joint_checks";
           (* [mismatch = false] means the joint tags agreed: declare equal. *)
           let failed =
-            Obsv.Trace.span Obsv.Phases.eq_joint (fun () -> joint_round ~iteration:!iteration ncand)
+            Obsv.Trace.span Obsv.Phases.Eq_joint (fun () -> joint_round ~iteration:!iteration ncand)
           in
           for c = 0 to ncand - 1 do
             if not failed.(c) then declare_equal cand.(c)

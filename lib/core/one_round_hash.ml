@@ -7,7 +7,7 @@ let tag_bits ~k ~confidence =
 let run_party ?(confidence = 4) rng ~k chan mine =
   let bits = tag_bits ~k ~confidence in
   let fn = Strhash.create (Prng.Rng.with_label rng "one-round/fn") ~bits in
-  Obsv.Trace.span Obsv.Phases.orh_tags (fun () ->
+  Obsv.Trace.span Obsv.Phases.Orh_tags (fun () ->
       Commsim.Transport.send chan
         (Bitio.Pool.payload (fun buf ->
              Bitio.Codes.write_gamma buf (Array.length mine);

@@ -20,7 +20,7 @@ let protocol base =
               let seed = Prng.Rng.bits (Prng.Rng.with_label rng "private/draw") ~width:bits in
               let buf = Bitio.Bitbuf.create () in
               Bitio.Bitbuf.write_bits buf ~width:bits seed;
-              Obsv.Trace.span Obsv.Phases.private_seed (fun () ->
+              Obsv.Trace.span Obsv.Phases.Private_seed (fun () ->
                   Commsim.Transport.send chan (Bitio.Bitbuf.contents buf));
               seed)
             ~bob:(fun chan ->

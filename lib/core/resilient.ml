@@ -2,14 +2,14 @@ type party = Prng.Rng.t -> universe:int -> Iset.t -> Commsim.Transport.t -> Iset
 type base = { name : string; alice : party; bob : party }
 
 let trivial_alice _rng ~universe:_ mine chan =
-  Obsv.Trace.span Obsv.Phases.trivial_offer (fun () ->
+  Obsv.Trace.span Obsv.Phases.Trivial_offer (fun () ->
       Commsim.Transport.send chan (Wire.of_set mine));
   Bitio.Set_codec.read_gaps (Bitio.Bitreader.create (Commsim.Transport.recv chan))
 
 let trivial_bob _rng ~universe:_ mine chan =
   let received = Bitio.Set_codec.read_gaps (Bitio.Bitreader.create (Commsim.Transport.recv chan)) in
   let intersection = Iset.inter received mine in
-  Obsv.Trace.span Obsv.Phases.trivial_reply (fun () ->
+  Obsv.Trace.span Obsv.Phases.Trivial_reply (fun () ->
       Commsim.Transport.send chan (Wire.of_set intersection));
   intersection
 
@@ -141,16 +141,15 @@ let attempt_once base ~plan ~check_bits ~attempt rng ~universe s t =
   let check_rng = Prng.Rng.with_label rng "check" in
   let frame_rng = Prng.Rng.with_label rng "transport" in
   let outcome, cost, tallies =
-    Obsv.Trace.span Obsv.Phases.resilient_attempt
-      ~attrs:
-        [ ("attempt", string_of_int attempt); ("check_bits", string_of_int check_bits) ]
-      (fun () ->
+    Obsv.Trace.span Obsv.Phases.Resilient_attempt (fun () ->
+        Obsv.Trace.attr "attempt" attempt;
+        Obsv.Trace.attr "check_bits" check_bits;
         Commsim.Two_party.run_faulty ~plan
           ~alice:(fun chan ->
             let chan = guard frame_rng ~tag_bits:transport_tag_bits chan in
             let candidate = base.alice base_rng ~universe s chan in
             let accepted =
-              Obsv.Trace.span Obsv.Phases.resilient_verify (fun () ->
+              Obsv.Trace.span Obsv.Phases.Resilient_verify (fun () ->
                   Equality.run_alice_set check_rng ~bits:check_bits chan candidate)
             in
             (candidate, accepted))
@@ -158,7 +157,7 @@ let attempt_once base ~plan ~check_bits ~attempt rng ~universe s t =
             let chan = guard frame_rng ~tag_bits:transport_tag_bits chan in
             let candidate = base.bob base_rng ~universe t chan in
             let accepted =
-              Obsv.Trace.span Obsv.Phases.resilient_verify (fun () ->
+              Obsv.Trace.span Obsv.Phases.Resilient_verify (fun () ->
                   Equality.run_bob_set check_rng ~bits:check_bits chan candidate)
             in
             (candidate, accepted)))
@@ -222,7 +221,7 @@ let run base ~plan ?(budget = default_budget) ?check_bits rng ~universe s t =
   let fallback ~attempts ~failures ~log ~width =
     Obsv.Metrics.incr "resilient/fallbacks";
     let (result, _), cost =
-      Obsv.Trace.span Obsv.Phases.resilient_fallback (fun () ->
+      Obsv.Trace.span Obsv.Phases.Resilient_fallback (fun () ->
           Commsim.Two_party.run
             ~alice:(fun chan -> trivial_alice rng ~universe s chan)
             ~bob:(fun chan -> trivial_bob rng ~universe t chan))

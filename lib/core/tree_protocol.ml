@@ -9,7 +9,7 @@ let stage_eq_bits fl = Int.max 8 (4 * Iterated_log.log2_ceil (fl + 1))
 let trivial_fallback role chan mine =
   let open Commsim.Transport in
   Obsv.Metrics.incr "tree/fallbacks";
-  Obsv.Trace.span Obsv.Phases.tree_fallback (fun () ->
+  Obsv.Trace.span Obsv.Phases.Tree_fallback (fun () ->
       match role with
       | `Alice ->
           chan.send (Wire.of_set mine);
@@ -313,9 +313,9 @@ let run_party ?buckets ?flat_eq_bits ?budget role rng ~universe ~r ~k chan mine 
          parameterize the re-runs). *)
       Obsv.Metrics.observe "tree/eq_bits" eq_bits;
       let nfailed =
-        Obsv.Trace.span Obsv.Phases.tree_eq
-          ~attrs:[ ("stage", string_of_int stage); ("eq_bits", string_of_int eq_bits) ]
-          (fun () ->
+        Obsv.Trace.span Obsv.Phases.Tree_eq (fun () ->
+            Obsv.Trace.attr "stage" stage;
+            Obsv.Trace.attr "eq_bits" eq_bits;
             match role with
             | `Alice ->
                 chan.send
@@ -381,8 +381,8 @@ let run_party ?buckets ?flat_eq_bits ?budget role rng ~universe ~r ~k chan mine 
         Prng.Rng.Label.restart cell;
         Prng.Rng.Label.add cell "tree/bi/leaf";
         Prng.Rng.Label.mark cell;
-        Obsv.Trace.span Obsv.Phases.tree_rerun ~attrs:[ ("stage", string_of_int stage) ]
-          (fun () ->
+        Obsv.Trace.span Obsv.Phases.Tree_rerun (fun () ->
+            Obsv.Trace.attr "stage" stage;
             match role with
             | `Alice ->
                 chan.send

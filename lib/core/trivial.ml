@@ -6,7 +6,7 @@ let protocol =
       (fun _rng ~universe s t ->
         Protocol.validate_inputs ~universe s t;
         let alice chan =
-          Obsv.Trace.span Obsv.Phases.trivial_offer (fun () -> Commsim.Transport.send chan (Wire.of_set s));
+          Obsv.Trace.span Obsv.Phases.Trivial_offer (fun () -> Commsim.Transport.send chan (Wire.of_set s));
           Bitio.Set_codec.read_gaps (Bitio.Bitreader.create (Commsim.Transport.recv chan))
         in
         let bob chan =
@@ -14,7 +14,7 @@ let protocol =
             Bitio.Set_codec.read_gaps (Bitio.Bitreader.create (Commsim.Transport.recv chan))
           in
           let intersection = Iset.inter received t in
-          Obsv.Trace.span Obsv.Phases.trivial_reply (fun () ->
+          Obsv.Trace.span Obsv.Phases.Trivial_reply (fun () ->
               Commsim.Transport.send chan (Wire.of_set intersection));
           intersection
         in
@@ -34,13 +34,13 @@ let protocol_entropy =
         in
         let decode payload = Bitio.Enum_codec.read (Bitio.Bitreader.create payload) ~universe in
         let alice chan =
-          Obsv.Trace.span Obsv.Phases.trivial_offer (fun () -> Commsim.Transport.send chan (encode s));
+          Obsv.Trace.span Obsv.Phases.Trivial_offer (fun () -> Commsim.Transport.send chan (encode s));
           decode (Commsim.Transport.recv chan)
         in
         let bob chan =
           let received = decode (Commsim.Transport.recv chan) in
           let intersection = Iset.inter received t in
-          Obsv.Trace.span Obsv.Phases.trivial_reply (fun () -> Commsim.Transport.send chan (encode intersection));
+          Obsv.Trace.span Obsv.Phases.Trivial_reply (fun () -> Commsim.Transport.send chan (encode intersection));
           intersection
         in
         let (alice, bob), cost = Commsim.Two_party.run ~alice ~bob in
@@ -55,7 +55,7 @@ let protocol_full_exchange =
       (fun _rng ~universe s t ->
         Protocol.validate_inputs ~universe s t;
         let party mine chan =
-          Obsv.Trace.span Obsv.Phases.trivial_offer (fun () -> Commsim.Transport.send chan (Wire.of_set mine));
+          Obsv.Trace.span Obsv.Phases.Trivial_offer (fun () -> Commsim.Transport.send chan (Wire.of_set mine));
           let theirs =
             Bitio.Set_codec.read_gaps (Bitio.Bitreader.create (Commsim.Transport.recv chan))
           in

@@ -10,12 +10,14 @@ let run base ~bits ~max_attempts rng ~universe s t =
     let attempt_rng = Prng.Rng.with_label rng ("verified/attempt" ^ string_of_int i) in
     Obsv.Metrics.incr "verified/attempts";
     let outcome =
-      Obsv.Trace.span Obsv.Phases.verified_attempt ~attrs:[ ("attempt", string_of_int i) ] (fun () ->
+      Obsv.Trace.span Obsv.Phases.Verified_attempt (fun () ->
+          Obsv.Trace.attr "attempt" i;
           base.Protocol.run attempt_rng ~universe s t)
     in
     let eq_rng = Prng.Rng.with_label attempt_rng "verified/check" in
     let (passed, _), check_cost =
-      Obsv.Trace.span Obsv.Phases.verified_check ~attrs:[ ("attempt", string_of_int i) ] (fun () ->
+      Obsv.Trace.span Obsv.Phases.Verified_check (fun () ->
+          Obsv.Trace.attr "attempt" i;
           Commsim.Two_party.run
             ~alice:(fun chan -> Equality.run_alice_set eq_rng ~bits chan outcome.Protocol.alice)
             ~bob:(fun chan -> Equality.run_bob_set eq_rng ~bits chan outcome.Protocol.bob))
@@ -34,12 +36,13 @@ let run_party role rng ~bits ~max_attempts chan ~party =
   let rec attempt i =
     let attempt_rng = Prng.Rng.with_label rng ("attempt" ^ string_of_int i) in
     let candidate =
-      Obsv.Trace.span Obsv.Phases.verified_attempt ~attrs:[ ("attempt", string_of_int i) ] (fun () ->
+      Obsv.Trace.span Obsv.Phases.Verified_attempt (fun () ->
+          Obsv.Trace.attr "attempt" i;
           party attempt_rng chan)
     in
     let eq_rng = Prng.Rng.with_label attempt_rng "check" in
     let passed =
-      Obsv.Trace.span Obsv.Phases.verified_check (fun () ->
+      Obsv.Trace.span Obsv.Phases.Verified_check (fun () ->
           match role with
           | `Alice -> Equality.run_alice_set eq_rng ~bits chan candidate
           | `Bob -> Equality.run_bob_set eq_rng ~bits chan candidate)

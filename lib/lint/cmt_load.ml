@@ -1,19 +1,19 @@
 (* Typed-tree loading for the semantic lint pass (rules R7..R11).
 
-   The syntactic rules (R1..R6) see one Parsetree at a time; the typed
-   pass instead reads the .cmt artifacts dune already produces and
-   distills every module into a small IR: its top-level bindings, every
-   value they reference (canonical dotted names, so cross-module edges
-   line up), the calls they make, record-field uses (with the record's
-   type), references captured inside Domain.spawn closure arguments, and
-   the type declarations that carry mutable state.  Everything downstream
+   The syntactic rules (R1, R2, R4..R6) see one Parsetree at a time;
+   the typed pass instead reads the .cmt artifacts dune already produces
+   and distills every module into a small IR: its top-level bindings,
+   every value they reference (canonical dotted names, so cross-module
+   edges line up), the calls they make, record-field uses (with the
+   record's type), the variant constructors they build and declare,
+   references captured inside Domain.spawn closure arguments, and the
+   type declarations that carry mutable state.  Everything downstream
    (Callgraph, Taint, Escape) works on this IR only, which is also what
    lets tests type small fixture sources in-process and run the same
    analyses on them. *)
 
 type use = { upath : string; uline : int; ucol : int }
-type arg = Astr of string | Apath of string | Adyn
-type call = { fn : string; argv : arg; cline : int; ccol : int }
+type call = { fn : string; cline : int; ccol : int }
 type field_use = { ftype : string; flabel : string; fline : int; fcol : int }
 type capture = { cvar : string; cheads : string list; kline : int; kcol : int }
 
@@ -26,12 +26,12 @@ type binding = {
   calls : call list;
   field_uses : field_use list;
   captures : capture list;
-  str_const : string option;
+  builds : use list;
   top_heads : string list;
   r2_ctor : bool;
 }
 
-type modu = { mod_path : string; mfile : string; bindings : binding list }
+type modu = { mod_path : string; mfile : string; bindings : binding list; ctors : use list }
 
 (* --- type registry: which type names carry mutable state ------------- *)
 
@@ -169,6 +169,15 @@ let type_heads ~canon ty =
       name :: List.concat_map (fun a -> match head a with Some (n, _) -> [ n ] | None -> []) args
   | Some (name, _) -> [ name ]
 
+(* A constructor is named after the module declaring its type, so
+   [Phases.Tree_eq] built anywhere and declared in [Phases] line up; the
+   predefined types ([bool], [list], [exn], ...) have no module and are
+   not recorded. *)
+let ctor_name tname cname =
+  match String.rindex_opt tname '.' with
+  | Some i -> Some (String.sub tname 0 (i + 1) ^ cname)
+  | None -> None
+
 (* --- structure extraction --------------------------------------------- *)
 
 let pos_of (loc : Location.t) =
@@ -194,6 +203,7 @@ type walk_acc = {
   mutable a_calls : call list;
   mutable a_fields : field_use list;
   mutable a_caps : capture list;
+  mutable a_builds : use list;
 }
 
 let extract ~types ~mod_path ~file str =
@@ -266,12 +276,13 @@ let extract ~types ~mod_path ~file str =
         | None -> ())
   in
   pre mod_path str.Typedtree.str_items;
+  let type_name p = match canon p with Some n -> n | None -> canon_global_path p in
   let canon_fn (fn : Typedtree.expression) =
     match fn.exp_desc with Typedtree.Texp_ident (p, _, _) -> canon p | _ -> None
   in
   (* Expression walk for one top-level binding body. *)
   let walk_expr expr =
-    let acc = { a_uses = []; a_calls = []; a_fields = []; a_caps = [] } in
+    let acc = { a_uses = []; a_calls = []; a_fields = []; a_caps = []; a_builds = [] } in
     let spawn_ctx : (string, unit) Hashtbl.t option ref = ref None in
     let maybe_capture name (e : Typedtree.expression) p =
       match !spawn_ctx with
@@ -310,22 +321,8 @@ let extract ~types ~mod_path ~file str =
             | Typedtree.Texp_apply (fn, args) -> (
                 (match canon_fn fn with
                 | Some fname ->
-                    let argv =
-                      match
-                        List.find_opt
-                          (fun (label, a) -> label = Asttypes.Nolabel && a <> None)
-                          args
-                      with
-                      | Some (_, Some (a : Typedtree.expression)) -> (
-                          match a.exp_desc with
-                          | Typedtree.Texp_constant (Asttypes.Const_string (s, _, _)) -> Astr s
-                          | Typedtree.Texp_ident (ap, _, _) -> (
-                              match canon ap with Some n -> Apath n | None -> Adyn)
-                          | _ -> Adyn)
-                      | _ -> Adyn
-                    in
                     let line, col = pos_of e.exp_loc in
-                    acc.a_calls <- { fn = fname; argv; cline = line; ccol = col } :: acc.a_calls
+                    acc.a_calls <- { fn = fname; cline = line; ccol = col } :: acc.a_calls
                 | None -> ());
                 match canon_fn fn with
                 | Some fname when List.mem fname spawn_paths && !spawn_ctx = None ->
@@ -351,12 +348,21 @@ let extract ~types ~mod_path ~file str =
                     | None -> ())
                   (let_ :: ands);
                 Tast_iterator.default_iterator.expr self e
+            | Typedtree.Texp_construct (_, cd, _) ->
+                (match Types.get_desc cd.cstr_res with
+                | Types.Tconstr (p, _, _) -> (
+                    match ctor_name (type_name p) cd.cstr_name with
+                    | Some name ->
+                        let uline, ucol = pos_of e.exp_loc in
+                        acc.a_builds <- { upath = name; uline; ucol } :: acc.a_builds
+                    | None -> ())
+                | _ -> ());
+                Tast_iterator.default_iterator.expr self e
             | Typedtree.Texp_field (_, _, ld) ->
                 let line, col = pos_of e.exp_loc in
                 let ftype =
                   match Types.get_desc ld.lbl_res with
-                  | Types.Tconstr (p, _, _) -> (
-                      match canon p with Some n -> n | None -> canon_global_path p)
+                  | Types.Tconstr (p, _, _) -> type_name p
                   | _ -> "<unknown>"
                 in
                 acc.a_fields <-
@@ -377,7 +383,7 @@ let extract ~types ~mod_path ~file str =
     it.Tast_iterator.expr it expr;
     acc
   in
-  let bindings = ref [] in
+  let bindings = ref [] and ctors = ref [] in
   let init_count = ref 0 in
   let rec unwrap_lazy (e : Typedtree.expression) =
     match e.exp_desc with Typedtree.Texp_lazy e -> unwrap_lazy e | _ -> e
@@ -388,7 +394,7 @@ let extract ~types ~mod_path ~file str =
         match canon_fn fn with Some n -> List.mem n r2_ctor_paths | None -> false)
     | _ -> false
   in
-  let add_binding ~name ~loc ~(acc : walk_acc) ~str_const ~top_heads ~r2_ctor =
+  let add_binding ~name ~loc ~(acc : walk_acc) ~top_heads ~r2_ctor =
     let line, col = pos_of loc in
     bindings :=
       {
@@ -400,7 +406,7 @@ let extract ~types ~mod_path ~file str =
         calls = List.rev acc.a_calls;
         field_uses = List.rev acc.a_fields;
         captures = List.rev acc.a_caps;
-        str_const;
+        builds = List.rev acc.a_builds;
         top_heads;
         r2_ctor;
       }
@@ -414,11 +420,6 @@ let extract ~types ~mod_path ~file str =
             List.iter
               (fun (vb : Typedtree.value_binding) ->
                 let acc = walk_expr vb.vb_expr in
-                let str_const =
-                  match vb.vb_expr.exp_desc with
-                  | Typedtree.Texp_constant (Asttypes.Const_string (s, _, _)) -> Some s
-                  | _ -> None
-                in
                 let r2_ctor = is_r2_ctor vb.vb_expr in
                 match Typedtree.pat_bound_idents_full vb.vb_pat with
                 | [] ->
@@ -427,13 +428,13 @@ let extract ~types ~mod_path ~file str =
                     incr init_count;
                     add_binding
                       ~name:(Printf.sprintf "%s.(init:%d)" prefix !init_count)
-                      ~loc:vb.vb_pat.pat_loc ~acc ~str_const:None ~top_heads:[] ~r2_ctor
+                      ~loc:vb.vb_pat.pat_loc ~acc ~top_heads:[] ~r2_ctor
                 | ids ->
                     List.iter
                       (fun (id, (sloc : string Asttypes.loc), ty) ->
                         add_binding
                           ~name:(prefix ^ "." ^ Ident.name id)
-                          ~loc:sloc.loc ~acc ~str_const ~top_heads:(type_heads ~canon ty) ~r2_ctor)
+                          ~loc:sloc.loc ~acc ~top_heads:(type_heads ~canon ty) ~r2_ctor)
                       ids)
               vbs
         | Typedtree.Tstr_eval (e, _) ->
@@ -441,7 +442,7 @@ let extract ~types ~mod_path ~file str =
             incr init_count;
             add_binding
               ~name:(Printf.sprintf "%s.(init:%d)" prefix !init_count)
-              ~loc:item.str_loc ~acc ~str_const:None ~top_heads:[] ~r2_ctor:false
+              ~loc:item.str_loc ~acc ~top_heads:[] ~r2_ctor:false
         | Typedtree.Tstr_module mb -> (
             match mb.mb_id with
             | None -> ()
@@ -468,6 +469,14 @@ let extract ~types ~mod_path ~file str =
                     if List.exists (fun ld -> ld.Types.ld_mutable = Asttypes.Mutable) lds then
                       Hashtbl.replace types.mutable_records tname ()
                 | _ -> ());
+                (match td.typ_kind with
+                | Typedtree.Ttype_variant cds ->
+                    List.iter
+                      (fun (cd : Typedtree.constructor_declaration) ->
+                        let uline, ucol = pos_of cd.cd_name.loc in
+                        ctors := { upath = prefix ^ "." ^ cd.cd_name.txt; uline; ucol } :: !ctors)
+                      cds
+                | _ -> ());
                 match td.typ_type.Types.type_manifest with
                 | Some ty -> (
                     match Types.get_desc ty with
@@ -483,7 +492,7 @@ let extract ~types ~mod_path ~file str =
       its
   in
   items mod_path str.Typedtree.str_items;
-  { mod_path; mfile = file; bindings = List.rev !bindings }
+  { mod_path; mfile = file; bindings = List.rev !bindings; ctors = List.rev !ctors }
 
 (* --- cmt reading ------------------------------------------------------- *)
 

@@ -3,17 +3,13 @@
     Reads the [.cmt] artifacts dune produces (or types fixture sources
     in-process, for tests) and distills each module into a small IR of
     top-level bindings with canonical dotted references, calls, field
-    uses, [Domain.spawn] captures, and a registry of which type names
-    carry mutable state. *)
+    uses, constructors built, [Domain.spawn] captures, and a registry of
+    which type names carry mutable state. *)
 
 (** One reference to a named value inside a binding body. *)
 type use = { upath : string; uline : int; ucol : int }
 
-(** First positional argument of a call, as far as it is statically
-    known: a string literal, a named value, or dynamic. *)
-type arg = Astr of string | Apath of string | Adyn
-
-type call = { fn : string; argv : arg; cline : int; ccol : int }
+type call = { fn : string; cline : int; ccol : int }
 
 (** A record-field access, with the canonical name of the record type it
     projects from (so [chan.send] is attributable to [Transport.t] even
@@ -33,12 +29,19 @@ type binding = {
   calls : call list;
   field_uses : field_use list;
   captures : capture list;
-  str_const : string option;  (** [Some s] when the body is the literal [s] *)
+  builds : use list;
+      (** variant constructors the body builds, named after the module
+          declaring their type (["Obsv.Phases.Tree_eq"]) *)
   top_heads : string list;  (** head constructor names of the binding's type *)
   r2_ctor : bool;  (** body is a direct R2-recognised state constructor *)
 }
 
-type modu = { mod_path : string; mfile : string; bindings : binding list }
+type modu = {
+  mod_path : string;
+  mfile : string;
+  bindings : binding list;
+  ctors : use list;  (** constructors its variant types declare, named as in [builds] *)
+}
 
 (** Mutable-state type registry accumulated across all loaded modules:
     records with [mutable] fields plus alias links from type manifests. *)

@@ -14,9 +14,8 @@ val allow_file : string
 
 (** Lint one source held in memory (used by the test fixtures; no
     allowlist, no R5).  [path] selects the rules' structural scopes and
-    the extension selects implementation vs interface parsing;
-    [registry] defaults to {!Obsv.Phases.mem}. *)
-val lint_source : ?registry:(string -> bool) -> path:string -> string -> Finding.t list
+    the extension selects implementation vs interface parsing. *)
+val lint_source : path:string -> string -> Finding.t list
 
 type report = {
   files : int;  (** number of source files scanned *)

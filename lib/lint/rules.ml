@@ -5,14 +5,13 @@ let catalogue =
     ("syntax", "source file must parse with the project's compiler front end");
     ("R1", "determinism: no ambient randomness or wall-clock reads outside lib/prng");
     ("R2", "ambient state: no top-level mutable globals outside lib/obsv");
-    ("R3", "phase registry: string literals passed to Trace.span must be in Obsv.Phases");
     ("R4", "domain hygiene: Domain.spawn/Domain.DLS only in lib/engine and lib/obsv");
     ("R5", "interface coverage: every lib/**.ml has a matching .mli");
     ("R6", "flight recorder: Obsv.Recorder.event written only from lib/session and lib/obsv");
     ("R7", "determinism taint (typed): nothing reachable from party code reads ambient state");
     ("R8", "metered transport (typed): every Transport send/recv runs under a Trace.span");
     ("R9", "cross-domain escape (typed): no module-global or spawn-captured mutable values");
-    ("R10", "phase registry, reverse (typed): no dead Obsv.Phases constants");
+    ("R10", "dead phases (typed): every Obsv.Phases constructor is built outside the registry");
     ("R11", "unreachable library binding (typed): every lib/ binding is reached from an executable");
   ]
 
@@ -41,11 +40,6 @@ let explain id =
          .create outside lib/obsv are flagged. Module-global mutable state is shared by \
          every domain and every trial; state is passed explicitly or kept behind Obsv's \
          domain-local wrappers. (R9 is the typed generalisation by type, not constructor.)"
-  | "R3" ->
-      Some
-        "Phase registry, forward direction: a string literal passed to Trace.span must be a \
-         registered Obsv.Phases constant, so profile bits cannot land in a typo'd bucket. \
-         R10 checks the reverse direction."
   | "R4" ->
       Some
         "Domain hygiene: Domain.spawn and Domain.DLS appear only in lib/engine (the pool) \
@@ -88,9 +82,10 @@ let explain id =
          lib/obsv's collectors are the structural homes."
   | "R10" ->
       Some
-        "Phase registry, reverse direction: an Obsv.Phases constant that no span call site \
-         uses and nothing outside the registry references is a dead phase — a ledger bucket \
-         the profiler promises but no bits can ever land in. Drop it or span it."
+        "Dead phases: Trace.span takes an Obsv.Phases.t, so the type checker already rejects \
+         a phase the registry does not list. The reverse direction is this rule: a Phases.t \
+         constructor that no binding outside Obsv.Phases builds is a dead phase — a ledger \
+         bucket the profiler promises but no bits can ever land in. Drop it or span it."
   | "R11" ->
       Some
         "Typed reachability: every binding of every file under bin/, bench/, perf/ and \
@@ -157,11 +152,8 @@ let r6_ident parts =
          lib/session (or harvest them via post_mortem_json) instead of writing directly"
   | _ -> None
 
-let is_span_path parts =
-  match parts with [ "Trace"; "span" ] | [ "Obsv"; "Trace"; "span" ] -> true | _ -> false
-
-(* R1/R3/R4 are expression-level rules walked over the whole AST. *)
-let check_expressions ~registry ~file structure =
+(* R1/R4/R6 are expression-level rules walked over the whole AST. *)
+let check_expressions ~file structure =
   let acc = ref [] in
   let add ~rule loc msg = if not (exempt ~file rule) then acc := finding ~rule ~file loc msg :: !acc in
   let ident_path e = match e.pexp_desc with Pexp_ident { txt; _ } -> Some (norm (Longident.flatten txt)) | _ -> None in
@@ -191,16 +183,6 @@ let check_expressions ~registry ~file structure =
                   "Hashtbl.create ~random uses the runtime's random seed; iteration order would differ per run"
             | _ -> ())
           args
-    | Some parts when is_span_path parts -> (
-        match List.find_opt (fun (label, _) -> label = Asttypes.Nolabel) args with
-        | Some (_, { pexp_desc = Pexp_constant (Pconst_string (name, _, _)); pexp_loc; _ }) ->
-            if not (registry name) then
-              add ~rule:"R3" pexp_loc
-                (Printf.sprintf
-                   "span name %S is not registered; add it to Obsv.Phases (or use its constant) so \
-                    profile bits cannot land in a typo'd bucket"
-                   name)
-        | _ -> ())
     | _ -> ()
   in
   let expr self (e : expression) =
@@ -275,8 +257,8 @@ let check_toplevel_state ~file structure =
     walk_items structure;
     !acc
 
-let check_structure ~registry ~file structure =
-  check_expressions ~registry ~file structure @ check_toplevel_state ~file structure
+let check_structure ~file structure =
+  check_expressions ~file structure @ check_toplevel_state ~file structure
 
 let check_mli_coverage ~files =
   let have = List.filter (ends_with ~suffix:".mli") files in

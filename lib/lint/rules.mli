@@ -15,9 +15,6 @@
       [Stack.create]/[Buffer.create], also under [lazy]) outside
       [lib/obsv], whose Domain-local wrappers are the sanctioned home
       for ambient state.
-    - {b R3 phase registry} — a string literal passed to [Trace.span]
-      must be registered (see {!Obsv.Phases}); constants pass by
-      construction.
     - {b R4 domain hygiene} — [Domain.spawn]/[Domain.DLS] only in
       [lib/engine] and [lib/obsv].
     - {b R5 interface coverage} — every [lib/**.ml] has a matching
@@ -28,7 +25,9 @@
       [post_mortem_json]/[events].
 
     Structural exemptions above are part of the rule; anything else
-    belongs in the allowlist ({!Allow}).
+    belongs in the allowlist ({!Allow}).  Phase names need no rule:
+    [Obsv.Trace.span] takes an [Obsv.Phases.t].  The id R3 is not used,
+    so an allowlist entry naming it fails the run.
 
     The typed rule families R7..R11 (determinism taint, metered
     transport, cross-domain escape, dead phases, unreachable library
@@ -37,6 +36,9 @@
     explanations live here so the id set, the allowlist validation, and
     [--rules]/[--explain] output stay in one place.
 
+    - {b R10 dead phases} (typed) — every [Obsv.Phases.t] constructor
+      is built by some binding outside [Obsv.Phases]; one that is not
+      is a ledger bucket no bits can reach.
     - {b R11 unreachable library binding} (typed) — every binding in
       [bin/], [bench/], [perf/] and [examples/] roots the call graph; a
       top-level [lib/] binding none of them reaches is a finding.  Tests
@@ -45,7 +47,7 @@
       oracles and instruments) are exempt. *)
 
 (** Rule ids with one-line descriptions, in report order ([syntax]
-    first, then R1..R11).  This is also the id set allowlists are
+    first, then R1, R2 and R4..R11).  This is also the id set allowlists are
     validated against. *)
 val catalogue : (string * string) list
 
@@ -56,11 +58,9 @@ val rule_ids : string list
     unknown ids. *)
 val explain : string -> string option
 
-(** Check one parsed implementation.  [registry] decides R3 membership
-    (the production linter passes [Obsv.Phases.mem]).  [file] is the
-    root-relative path and selects each rule's structural scope. *)
-val check_structure :
-  registry:(string -> bool) -> file:string -> Parsetree.structure -> Finding.t list
+(** Check one parsed implementation.  [file] is the root-relative path
+    and selects each rule's structural scope. *)
+val check_structure : file:string -> Parsetree.structure -> Finding.t list
 
 (** R5 over the discovered file set: [files] are root-relative paths of
     every source file scanned; flags each [lib/**.ml] with no matching

@@ -20,7 +20,7 @@ type config = {
   transport_labels : string list;
   escape_global_exempt : string list;  (* R9(a): the ambient-state home *)
   escape_capture_exempt : string list;  (* R9(b): the sanctioned domain-pool homes *)
-  registry_module : string;  (* R10: the phase-constant module *)
+  registry_module : string;  (* R10: the module declaring the phase variant *)
 }
 
 let default_config =
@@ -46,61 +46,36 @@ let any_prefix prefixes file = List.exists (fun p -> starts_with ~prefix:p file)
 
 (* --- R10: dead phases -------------------------------------------------- *)
 
-(* The registry is checked both ways: syntactic R3 rejects span literals
-   missing from the registry; R10 reports registry constants nothing
-   uses — a dead phase is a bucket the profiler promises but no bits can
-   ever land in.  "Used" means referenced by name from outside the
-   registry module (covers spans via the constant, and structural users
-   like the ledger's bucket list) or appearing as a literal span name. *)
+(* [Trace.span] takes a registry constructor, so the type checker keeps
+   span sites inside the registry; R10 checks the reverse: a constructor
+   that no binding outside the registry module builds is a dead phase — a
+   bucket the profiler promises but no bits can ever land in.  The
+   registry's own [For_testing.all] list does not count. *)
 let dead_phases ~config (modus : Cmt_load.modu list) =
-  let reg = config.registry_module in
-  let in_registry name = starts_with ~prefix:(reg ^ ".") name in
-  let constants =
-    List.concat_map
-      (fun (m : Cmt_load.modu) ->
-        List.filter
-          (fun (b : Cmt_load.binding) -> in_registry b.Cmt_load.name && b.str_const <> None)
-          m.bindings)
-      modus
-  in
-  if constants = [] then []
-  else begin
-    let used_names = Hashtbl.create 64 and span_literals = Hashtbl.create 64 in
-    List.iter
-      (fun (m : Cmt_load.modu) ->
-        List.iter
-          (fun (b : Cmt_load.binding) ->
-            if not (in_registry b.Cmt_load.name) then
-              List.iter
-                (fun (u : Cmt_load.use) ->
-                  if in_registry u.upath then Hashtbl.replace used_names u.upath ())
-                b.uses;
-            List.iter
-              (fun (c : Cmt_load.call) ->
-                if List.mem c.Cmt_load.fn config.span_fns then
-                  match c.argv with
-                  | Cmt_load.Astr s -> Hashtbl.replace span_literals s ()
-                  | _ -> ())
-              b.calls)
-          m.bindings)
-      modus;
-    List.filter_map
-      (fun (b : Cmt_load.binding) ->
-        let alive =
-          Hashtbl.mem used_names b.Cmt_load.name
-          || match b.str_const with Some s -> Hashtbl.mem span_literals s | None -> false
-        in
-        if alive then None
-        else
-          Some
-            (Finding.v ~rule:"R10" ~file:b.bfile ~line:b.bline ~col:b.bcol
-               (Printf.sprintf
-                  "phase %s (%S) has no span call site and no outside reference: a dead \
-                   registry entry is a ledger bucket no bits can reach; drop it or span it"
-                  b.name
-                  (Option.value ~default:"" b.str_const))))
-      constants
-  end
+  let in_registry name = starts_with ~prefix:(config.registry_module ^ ".") name in
+  let built = Hashtbl.create 64 in
+  List.iter
+    (fun (m : Cmt_load.modu) ->
+      List.iter
+        (fun (b : Cmt_load.binding) ->
+          if not (in_registry b.Cmt_load.name) then
+            List.iter (fun (u : Cmt_load.use) -> Hashtbl.replace built u.upath ()) b.builds)
+        m.bindings)
+    modus;
+  List.concat_map
+    (fun (m : Cmt_load.modu) ->
+      List.filter_map
+        (fun (c : Cmt_load.use) ->
+          if (not (in_registry c.upath)) || Hashtbl.mem built c.upath then None
+          else
+            Some
+              (Finding.v ~rule:"R10" ~file:m.mfile ~line:c.uline ~col:c.ucol
+                 (Printf.sprintf
+                    "phase %s is built by no binding outside the registry: a dead phase is a \
+                     ledger bucket no bits can reach; drop it or span it"
+                    c.upath)))
+        m.ctors)
+    modus
 
 (* --- R11: unreachable library bindings --------------------------------- *)
 
@@ -193,8 +168,7 @@ let cmt_root root =
   let candidate = Filename.concat (Filename.concat root "_build") "default" in
   if is_dir candidate then candidate else root
 
-let load ?(config = default_config) ~root ~files () =
-  ignore config;
+let load ~root ~files =
   let file_set = Hashtbl.create 256 in
   List.iter (fun f -> Hashtbl.replace file_set f ()) files;
   let top_dirs =
@@ -229,7 +203,7 @@ let load ?(config = default_config) ~root ~files () =
          croot)
   else Ok (types, modus)
 
-let run ?(config = default_config) ~root ~files () =
-  match load ~config ~root ~files () with
+let run ~root ~files () =
+  match load ~root ~files with
   | Error _ as e -> e
-  | Ok (types, modus) -> Ok (List.length modus, analyze ~config ~types modus)
+  | Ok (types, modus) -> Ok (List.length modus, analyze ~types modus)

@@ -35,17 +35,10 @@ val analyze : ?config:config -> types:Cmt_load.types_info -> Cmt_load.modu list 
 (** Discover and load the [.cmt] artifacts for [files] (repo-relative
     scanned sources) under [root] — looking in [root/_build/default]
     when present, so the linter works both from a source checkout and
-    from inside the build tree.  Duplicate artifacts for one source
+    from inside the build tree — and {!analyze} them with
+    {!default_config}.  Duplicate artifacts for one source
     (per-executable object dirs) collapse to the first in sorted path
-    order; artifacts for files outside the scanned set are ignored. *)
-val load :
-  ?config:config ->
-  root:string ->
-  files:string list ->
-  unit ->
-  (Cmt_load.types_info * Cmt_load.modu list, string) result
-
-(** [load] + [analyze]: returns the number of typed modules and the
-    findings, or an error when no artifacts exist (not built yet). *)
-val run :
-  ?config:config -> root:string -> files:string list -> unit -> (int * Finding.t list, string) result
+    order; artifacts for files outside the scanned set are ignored.
+    Returns the number of typed modules and the findings, or an error
+    when no artifacts exist (not built yet). *)
+val run : root:string -> files:string list -> unit -> (int * Finding.t list, string) result

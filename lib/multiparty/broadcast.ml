@@ -5,7 +5,7 @@ let run ep set =
     let rec loop d = if 1 lsl d >= m then d else loop (d + 1) in
     loop 0
   in
-  Obsv.Trace.span Obsv.Phases.multiparty_broadcast (fun () ->
+  Obsv.Trace.span Obsv.Phases.Multiparty_broadcast (fun () ->
       let holding = ref set in
       for t = depth downto 1 do
         let stride = 1 lsl t in

@@ -27,9 +27,9 @@ let run_internal ?r ?(max_attempts = 30) ~broadcast rng ~universe ~k sets =
             let pair_rng member =
               Prng.Rng.with_label rng (Printf.sprintf "star/l%d/pair%d" !level member)
             in
-            let level_attrs = [ ("level", string_of_int !level) ] in
             if rank = coordinator then
-              Obsv.Trace.span Obsv.Phases.star_coordinate ~attrs:level_attrs (fun () ->
+              Obsv.Trace.span Obsv.Phases.Star_coordinate (fun () ->
+                  Obsv.Trace.attr "level" !level;
                   let sessions =
                     List.map
                       (fun member ->
@@ -43,7 +43,8 @@ let run_internal ?r ?(max_attempts = 30) ~broadcast rng ~universe ~k sets =
                   let results = Commsim.Multiplex.run ep sessions in
                   holding := List.fold_left Iset.inter !holding results)
             else
-              Obsv.Trace.span Obsv.Phases.star_pair ~attrs:level_attrs (fun () ->
+              Obsv.Trace.span Obsv.Phases.Star_pair (fun () ->
+                  Obsv.Trace.attr "level" !level;
                   let chan = Commsim.Chan.of_endpoint ep ~peer:coordinator in
                   let candidate =
                     (Verified.run_party `Alice (pair_rng rank) ~bits ~max_attempts chan

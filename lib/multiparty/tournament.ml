@@ -31,9 +31,9 @@ let run_internal ?r ?(max_attempts = 30) ~broadcast rng ~universe ~k sets =
         let chan_to pos = Commsim.Chan.of_endpoint ep ~peer:group.(pos) in
         (* One full tournament pass; returns the root verdict. *)
         let run_attempt attempt =
-          Obsv.Trace.span Obsv.Phases.tour_pass
-            ~attrs:[ ("level", string_of_int !level); ("attempt", string_of_int attempt) ]
-          @@ fun () ->
+          Obsv.Trace.span Obsv.Phases.Tour_pass @@ fun () ->
+          Obsv.Trace.attr "level" !level;
+          Obsv.Trace.attr "attempt" attempt;
           let candidate = ref !holding in
           for t = 1 to depth do
             let stride = 1 lsl t in
@@ -64,13 +64,13 @@ let run_internal ?r ?(max_attempts = 30) ~broadcast rng ~universe ~k sets =
               Prng.Rng.with_label rng
                 (Printf.sprintf "tour/a%d/l%d/root%d" attempt !level group.(0))
             in
-            Obsv.Trace.span Obsv.Phases.tour_root_check (fun () ->
+            Obsv.Trace.span Obsv.Phases.Tour_root_check (fun () ->
                 if my_pos = 0 then
                   verdict :=
                     Equality.run_alice_set eq_rng ~bits:check_bits (chan_to root_partner) !candidate
                 else if my_pos = root_partner then
                   verdict := Equality.run_bob_set eq_rng ~bits:check_bits (chan_to 0) !candidate);
-            Obsv.Trace.span Obsv.Phases.tour_verdict (fun () ->
+            Obsv.Trace.span Obsv.Phases.Tour_verdict (fun () ->
                 for t = depth downto 1 do
                   let half = 1 lsl (t - 1) in
                   if my_pos mod (1 lsl t) = 0 && my_pos + half < g then

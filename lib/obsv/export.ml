@@ -20,7 +20,7 @@ let chrome_trace c =
       (fun (s : Trace.span) ->
         Json.Obj
           [
-            ("name", Json.Str s.Trace.name);
+            ("name", Json.Str (Phases.name s.Trace.phase));
             ("cat", Json.Str "span");
             ("ph", Json.Str "X");
             ("ts", Json.Int s.Trace.start_seq);
@@ -107,7 +107,7 @@ let jsonl c =
                ("event", Json.Str "span_open");
                ("seq", Json.Int s.Trace.start_seq);
                ("span", Json.Int s.Trace.id);
-               ("name", Json.Str s.Trace.name);
+               ("name", Json.Str (Phases.name s.Trace.phase));
                ("rank", match s.Trace.rank with None -> Json.Null | Some r -> Json.Int r);
                ("parent", match s.Trace.parent with None -> Json.Null | Some p -> Json.Int p);
              ]
@@ -123,7 +123,7 @@ let jsonl c =
               ("event", Json.Str "span_close");
               ("seq", Json.Int (end_seq_of c s));
               ("span", Json.Int s.Trace.id);
-              ("name", Json.Str s.Trace.name);
+              ("name", Json.Str (Phases.name s.Trace.phase));
               ("bits", Json.Int s.Trace.bits);
               ("messages", Json.Int s.Trace.messages);
             ] ))
@@ -146,7 +146,7 @@ let jsonl c =
                 | None -> Json.Str unattributed
                 | Some id -> (
                     match Hashtbl.find_opt idx id with
-                    | Some s -> Json.Str s.Trace.name
+                    | Some s -> Json.Str (Phases.name s.Trace.phase)
                     | None -> Json.Str unattributed) );
             ] ))
       (Trace.messages c)
@@ -176,7 +176,9 @@ let phases c =
         match m.Trace.span with
         | None -> unattributed
         | Some id -> (
-            match Hashtbl.find_opt idx id with Some s -> s.Trace.name | None -> unattributed)
+            match Hashtbl.find_opt idx id with
+            | Some s -> Phases.name s.Trace.phase
+            | None -> unattributed)
       in
       let row =
         match Hashtbl.find_opt acc name with
@@ -197,7 +199,7 @@ let phases c =
     (Trace.messages c);
   List.iter
     (fun (s : Trace.span) ->
-      match Hashtbl.find_opt acc s.Trace.name with
+      match Hashtbl.find_opt acc (Phases.name s.Trace.phase) with
       | Some row -> row := { !row with spans = !row.spans + 1 }
       | None -> ())
     (Trace.spans c);

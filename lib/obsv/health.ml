@@ -34,7 +34,7 @@ type report = { ok : bool; sessions : int; verdicts : verdict list }
 let per_mille part whole = if whole <= 0 then 0 else part * 1000 / whole
 
 let evaluate ?(slos = default_slos) snap =
-  Trace.span Phases.telemetry_health (fun () ->
+  Trace.span Phases.Telemetry_health (fun () ->
       let sessions = Snapshot.counter snap k_sessions in
       let wrong = Snapshot.counter snap k_wrong in
       let failed_safe = Snapshot.counter snap (k_outcome "failed_safe") in

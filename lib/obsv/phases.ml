@@ -1,86 +1,83 @@
-(* The span-name registry.  Every Trace.span call site refers to one of
-   these constants; intersect_lint (rule R3) rejects string literals that
-   are not in [all], so a phase name cannot drift from the registry. *)
+(* The phase registry: one constructor per span name.  [Trace.span]
+   takes a [t], so a phase name cannot drift from this list. *)
+
+type t =
+  | App_join | App_similarity | App_sketch | App_sync | App_union
+  | Bi_sizes | Bi_tags
+  | Bucket_assign | Bucket_eq
+  | Disj_round
+  | Eq_exact | Eq_joint | Eq_tags
+  | Multiparty_broadcast
+  | Orh_tags
+  | Private_seed
+  | Resilient_attempt | Resilient_fallback | Resilient_verify
+  | Session_attempt | Session_backoff | Session_fallback | Session_resume
+  | Star_coordinate | Star_pair
+  | Telemetry_health | Telemetry_snapshot
+  | Tour_pass | Tour_root_check | Tour_verdict
+  | Tree_eq | Tree_fallback | Tree_rerun
+  | Trivial_offer | Trivial_reply
+  | Verified_attempt | Verified_check
+
+let name = function
+  | App_join -> "app/join"
+  | App_similarity -> "app/similarity"
+  | App_sketch -> "app/sketch"
+  | App_sync -> "app/sync"
+  | App_union -> "app/union"
+  | Bi_sizes -> "bi/sizes"
+  | Bi_tags -> "bi/tags"
+  | Bucket_assign -> "bucket/assign"
+  | Bucket_eq -> "bucket/eq"
+  | Disj_round -> "disj/round"
+  | Eq_exact -> "eq/exact"
+  | Eq_joint -> "eq/joint"
+  | Eq_tags -> "eq/tags"
+  | Multiparty_broadcast -> "multiparty/broadcast"
+  | Orh_tags -> "orh/tags"
+  | Private_seed -> "private/seed"
+  | Resilient_attempt -> "resilient/attempt"
+  | Resilient_fallback -> "resilient/fallback"
+  | Resilient_verify -> "resilient/verify"
+  | Session_attempt -> "session/attempt"
+  | Session_backoff -> "session/backoff"
+  | Session_fallback -> "session/fallback"
+  | Session_resume -> "session/resume"
+  | Star_coordinate -> "star/coordinate"
+  | Star_pair -> "star/pair"
+  | Telemetry_health -> "telemetry/health"
+  | Telemetry_snapshot -> "telemetry/snapshot"
+  | Tour_pass -> "tour/pass"
+  | Tour_root_check -> "tour/root-check"
+  | Tour_verdict -> "tour/verdict"
+  | Tree_eq -> "tree/eq"
+  | Tree_fallback -> "tree/fallback"
+  | Tree_rerun -> "tree/rerun"
+  | Trivial_offer -> "trivial/offer"
+  | Trivial_reply -> "trivial/reply"
+  | Verified_attempt -> "verified/attempt"
+  | Verified_check -> "verified/check"
 
 let unattributed = "(unattributed)"
-let app_join = "app/join"
-let app_similarity = "app/similarity"
-let app_sketch = "app/sketch"
-let app_sync = "app/sync"
-let app_union = "app/union"
-let bi_sizes = "bi/sizes"
-let bi_tags = "bi/tags"
-let bucket_assign = "bucket/assign"
-let bucket_eq = "bucket/eq"
-let disj_round = "disj/round"
-let eq_exact = "eq/exact"
-let eq_joint = "eq/joint"
-let eq_tags = "eq/tags"
-let multiparty_broadcast = "multiparty/broadcast"
-let orh_tags = "orh/tags"
-let private_seed = "private/seed"
-let resilient_attempt = "resilient/attempt"
-let resilient_fallback = "resilient/fallback"
-let resilient_verify = "resilient/verify"
-let session_attempt = "session/attempt"
-let session_backoff = "session/backoff"
-let session_fallback = "session/fallback"
-let session_resume = "session/resume"
-let star_coordinate = "star/coordinate"
-let star_pair = "star/pair"
-let telemetry_health = "telemetry/health"
-let telemetry_snapshot = "telemetry/snapshot"
-let tour_pass = "tour/pass"
-let tour_root_check = "tour/root-check"
-let tour_verdict = "tour/verdict"
-let tree_eq = "tree/eq"
-let tree_fallback = "tree/fallback"
-let tree_rerun = "tree/rerun"
-let trivial_offer = "trivial/offer"
-let trivial_reply = "trivial/reply"
-let verified_attempt = "verified/attempt"
-let verified_check = "verified/check"
 
-let all =
-  [
-    unattributed;
-    app_join;
-    app_similarity;
-    app_sketch;
-    app_sync;
-    app_union;
-    bi_sizes;
-    bi_tags;
-    bucket_assign;
-    bucket_eq;
-    disj_round;
-    eq_exact;
-    eq_joint;
-    eq_tags;
-    multiparty_broadcast;
-    orh_tags;
-    private_seed;
-    resilient_attempt;
-    resilient_fallback;
-    resilient_verify;
-    session_attempt;
-    session_backoff;
-    session_fallback;
-    session_resume;
-    star_coordinate;
-    star_pair;
-    telemetry_health;
-    telemetry_snapshot;
-    tour_pass;
-    tour_root_check;
-    tour_verdict;
-    tree_eq;
-    tree_fallback;
-    tree_rerun;
-    trivial_offer;
-    trivial_reply;
-    verified_attempt;
-    verified_check;
-  ]
-
-let mem name = List.mem name all
+module For_testing = struct
+  let all =
+    [
+      App_join; App_similarity; App_sketch; App_sync; App_union;
+      Bi_sizes; Bi_tags;
+      Bucket_assign; Bucket_eq;
+      Disj_round;
+      Eq_exact; Eq_joint; Eq_tags;
+      Multiparty_broadcast;
+      Orh_tags;
+      Private_seed;
+      Resilient_attempt; Resilient_fallback; Resilient_verify;
+      Session_attempt; Session_backoff; Session_fallback; Session_resume;
+      Star_coordinate; Star_pair;
+      Telemetry_health; Telemetry_snapshot;
+      Tour_pass; Tour_root_check; Tour_verdict;
+      Tree_eq; Tree_fallback; Tree_rerun;
+      Trivial_offer; Trivial_reply;
+      Verified_attempt; Verified_check;
+    ]
+end

@@ -1,97 +1,44 @@
-(** The span-name registry: one constant per phase name that may appear in
-    a {!Trace.span} call, extracted from the instrumented protocols so the
-    names have a single source of truth.
+(** The phase registry: one constructor per phase a {!Trace.span} may
+    open, extracted from the instrumented protocols so the names have a
+    single source of truth.
 
-    The static analyzer ([intersect_lint], rule R3) flags any string
-    literal passed to [Trace.span] that is not in {!all}: a typo'd phase
-    would otherwise land silently in the profile's "(unattributed)" bucket
-    (or worse, a fresh misspelled bucket) and corrupt the per-phase
-    budget breakdown.  To add a phase, add a constant here, list it in
-    {!all}, and use the constant at the call site. *)
+    {!Trace.span} takes a {!t}, so the type checker rejects a phase that
+    is not listed here: a typo'd phase cannot land silently in a fresh
+    misspelled ledger bucket.  The reverse direction, a constructor no
+    span site builds, is lint rule R10.  To add a phase, add a
+    constructor and its {!name}, and build it at the call site.
 
-(** Bucket used by {!Export} for messages sent outside any span. *)
+    Each constructor spells its span name: [Bucket_assign] is
+    ["bucket/assign"], [Tour_root_check] is ["tour/root-check"]. *)
+
+type t =
+  | App_join | App_similarity | App_sketch | App_sync | App_union
+  | Bi_sizes | Bi_tags
+  | Bucket_assign | Bucket_eq
+  | Disj_round
+  | Eq_exact | Eq_joint | Eq_tags
+  | Multiparty_broadcast
+  | Orh_tags
+  | Private_seed
+  | Resilient_attempt | Resilient_fallback | Resilient_verify
+  | Session_attempt | Session_backoff | Session_fallback | Session_resume
+  | Star_coordinate | Star_pair
+  | Telemetry_health | Telemetry_snapshot
+  | Tour_pass | Tour_root_check | Tour_verdict
+  | Tree_eq | Tree_fallback | Tree_rerun
+  | Trivial_offer | Trivial_reply
+  | Verified_attempt | Verified_check
+
+(** The phase's span name, as it appears in every export and ledger
+    (["bucket/assign"], ["tree/rerun"], ...).  Injective, and never equal
+    to {!unattributed}. *)
+val name : t -> string
+
+(** Ledger row name {!Export} uses for messages sent outside any span. *)
 val unattributed : string
 
-(** {2 Application-layer exchanges (lib/apps)} *)
+(** Test references. *)
+module For_testing : sig
 
-val app_join : string
-val app_similarity : string
-val app_sketch : string
-val app_sync : string
-val app_union : string
-
-(** {2 Basic_intersection (Lemma 3.3)} *)
-
-val bi_sizes : string
-val bi_tags : string
-
-(** {2 Bucket_protocol (Theorem 3.1)} *)
-
-val bucket_assign : string
-val bucket_eq : string
-
-(** {2 Disjointness (Håstad–Wigderson)} *)
-
-val disj_round : string
-
-(** {2 Eq_batch (Fact 3.5 / batched equality)} *)
-
-val eq_exact : string
-val eq_joint : string
-val eq_tags : string
-
-(** {2 One_round_hash / Private_coin} *)
-
-val orh_tags : string
-val private_seed : string
-
-(** {2 Multiparty} *)
-
-val multiparty_broadcast : string
-val star_coordinate : string
-val star_pair : string
-val tour_pass : string
-val tour_root_check : string
-val tour_verdict : string
-
-(** {2 Resilient (adversarial channels)} *)
-
-val resilient_attempt : string
-val resilient_fallback : string
-val resilient_verify : string
-
-(** {2 Session (robustness layer)} *)
-
-val session_attempt : string
-val session_backoff : string
-val session_fallback : string
-val session_resume : string
-
-(** {2 Telemetry (fleet observability)} *)
-
-val telemetry_health : string
-val telemetry_snapshot : string
-
-(** {2 Tree_protocol (Theorem 3.6)} *)
-
-val tree_eq : string
-val tree_fallback : string
-val tree_rerun : string
-
-(** {2 Trivial} *)
-
-val trivial_offer : string
-val trivial_reply : string
-
-(** {2 Verified} *)
-
-val verified_attempt : string
-val verified_check : string
-
-(** Every registered span name (including {!unattributed}), sorted,
-    without duplicates.  This is the set rule R3 checks literals against
-    and the one {!mem} consults. *)
-val all : string list
-
-(** [mem name] is true iff [name] is a registered phase name. *)
-val mem : string -> bool
+  val all : t list
+end

@@ -36,7 +36,7 @@ let summarize_sketch s =
   }
 
 let take ~seq ~at registry =
-  Trace.span Phases.telemetry_snapshot (fun () ->
+  Trace.span Phases.Telemetry_snapshot (fun () ->
       {
         seq;
         at;

@@ -2,8 +2,8 @@ type attr = string * string
 
 type span = {
   id : int;
-  name : string;
-  attrs : attr list;
+  phase : Phases.t;
+  mutable attrs : attr list;
   rank : int option;
   parent : int option;
   start_seq : int;
@@ -75,23 +75,24 @@ let top = function [] -> None | sp :: _ -> Some sp
 let innermost c ~rank =
   match top (stack_of c rank) with Some sp -> Some sp | None -> top c.ambient
 
+(* The innermost span of the code running now: the parent of a span it
+   opens, and the span an attribute it sets lands on. *)
+let current_span c =
+  match c.current_rank with None -> top c.ambient | Some rank -> innermost c ~rank
+
 let set_rank c rank = if c.enabled then c.current_rank <- rank
 
-let span ?(attrs = []) name f =
+let span phase f =
   let c = Domain.DLS.get ambient_collector in
   if not c.enabled then f ()
   else begin
     let rank = c.current_rank in
-    let parent =
-      match rank with
-      | None -> top c.ambient
-      | Some r -> ( match top (stack_of c r) with Some sp -> Some sp | None -> top c.ambient)
-    in
+    let parent = current_span c in
     let sp =
       {
         id = c.next_span_id;
-        name;
-        attrs;
+        phase;
+        attrs = [];
         rank;
         parent = Option.map (fun p -> p.id) parent;
         start_seq = next_seq c;
@@ -117,6 +118,17 @@ let span ?(attrs = []) name f =
             | _ -> ()))
       f
   end
+
+let add_attr c key value =
+  match current_span c with Some s -> s.attrs <- s.attrs @ [ (key, value) ] | None -> ()
+
+let attr key value =
+  let c = Domain.DLS.get ambient_collector in
+  if c.enabled then add_attr c key (string_of_int value)
+
+let attr_string key value =
+  let c = Domain.DLS.get ambient_collector in
+  if c.enabled then add_attr c key value
 
 let on_message c ~from_ ~to_ ~bits ~depth =
   if not c.enabled then None

@@ -15,15 +15,20 @@
     The collector is ambient: {!with_collector} installs one for the
     duration of a run and instrumented code calls {!span} without threading
     a handle.  The default is {!disabled}, a shared no-op: when nobody is
-    tracing, {!span} costs one load and one branch and allocates nothing,
-    and the simulator's cost accounting is untouched either way. *)
+    tracing, {!span}, {!attr} and {!attr_string} each cost one load and
+    one branch and allocate nothing, and the simulator's cost accounting
+    is untouched either way.  That holds for a whole span site too:
+    attributes are set from the span's body, and {!attr} turns its int
+    into a string only when a collector is recording, so a disabled site
+    allocates nothing but its body closure (none when the closure
+    captures no variable). *)
 
 type attr = string * string
 
 type span = {
   id : int;  (** 1-based, in creation order *)
-  name : string;
-  attrs : attr list;
+  phase : Phases.t;
+  mutable attrs : attr list;  (** in the order the body set them *)
   rank : int option;  (** opening player, [None] = orchestrator code *)
   parent : int option;  (** enclosing span id *)
   start_seq : int;
@@ -56,12 +61,21 @@ val current : unit -> collector
     duration of [f] (restored on exception). *)
 val with_collector : collector -> (unit -> 'a) -> 'a
 
-(** [span ~attrs name f] runs [f] inside a span named [name] on the ambient
-    collector.  Inside a simulated execution the span belongs to the player
-    whose code opened it; outside it belongs to the orchestrator and acts
-    as a fallback parent for every player.  No-op when tracing is
-    disabled. *)
-val span : ?attrs:attr list -> string -> (unit -> 'a) -> 'a
+(** [span phase f] runs [f] inside a span named [Phases.name phase] on
+    the ambient collector.  Inside a simulated execution the span belongs
+    to the player whose code opened it; outside it belongs to the
+    orchestrator and acts as a fallback parent for every player.  No-op
+    when tracing is disabled. *)
+val span : Phases.t -> (unit -> 'a) -> 'a
+
+(** [attr key n] records the attribute [(key, string_of_int n)] on the
+    span the calling code opened last, so called from the first lines of
+    a span's body it lands on that span.  No-op (no allocation) when
+    tracing is disabled. *)
+val attr : string -> int -> unit
+
+(** [attr_string key v] is {!attr} for a string value. *)
+val attr_string : string -> string -> unit
 
 (** Scheduler hook: the player about to run ([None] outside a simulated
     execution).  Called by {!Commsim.Network}. *)

@@ -224,7 +224,7 @@ let run_fallback st ~s ~t =
   let rng = Prng.Rng.with_label (Prng.Rng.of_int st.cfg.seed) "session/fallback" in
   let u = universe st.cfg in
   let (result, _), cost =
-    Obsv.Trace.span Obsv.Phases.session_fallback (fun () ->
+    Obsv.Trace.span Obsv.Phases.Session_fallback (fun () ->
         Commsim.Two_party.run
           ~alice:(fun chan -> trivial.Intersect.Resilient.alice rng ~universe:u s chan)
           ~bob:(fun chan -> trivial.Intersect.Resilient.bob rng ~universe:u t chan))
@@ -257,14 +257,10 @@ let run_attempt st rung ~s ~t =
     Prng.Rng.with_label (Prng.Rng.of_int cfg.seed) (Printf.sprintf "session/attempt%d" i)
   in
   let verdict, cost, tallies =
-    Obsv.Trace.span Obsv.Phases.session_attempt
-      ~attrs:
-        [
-          ("attempt", string_of_int i);
-          ("rung", rung_name rung);
-          ("check_bits", string_of_int width);
-        ]
-      (fun () ->
+    Obsv.Trace.span Obsv.Phases.Session_attempt (fun () ->
+        Obsv.Trace.attr "attempt" i;
+        Obsv.Trace.attr_string "rung" (rung_name rung);
+        Obsv.Trace.attr "check_bits" width;
         Intersect.Resilient.attempt_once (Intersect.Resilient.base_of_name cfg.protocol ~k:cfg.k)
           ~plan:(Commsim.Faults.reseed cfg.plan ~salt:i)
           ~check_bits:width ~attempt:i attempt_rng ~universe:(universe cfg) s t)
@@ -319,9 +315,9 @@ let run_attempt st rung ~s ~t =
       let ticks =
         Backoff.ticks ~seed:cfg.seed ~base:cfg.backoff_base ~cap:cfg.backoff_cap ~attempt:i
       in
-      Obsv.Trace.span Obsv.Phases.session_backoff
-        ~attrs:[ ("attempt", string_of_int i); ("ticks", string_of_int ticks) ]
-        (fun () -> ());
+      Obsv.Trace.span Obsv.Phases.Session_backoff (fun () ->
+          Obsv.Trace.attr "attempt" i;
+          Obsv.Trace.attr "ticks" ticks);
       Obsv.Metrics.observe "session/backoff_ticks" ticks;
       if Obsv.Recorder.active () then
         Obsv.Recorder.event ~kind:"backoff"
@@ -395,9 +391,8 @@ let restore cfg ck =
     | Error _ as e -> e
     | Ok failures ->
         Obsv.Metrics.incr "session/resumes";
-        Obsv.Trace.span Obsv.Phases.session_resume
-          ~attrs:[ ("attempts", string_of_int ck.Checkpoint.attempts) ]
-          (fun () -> ());
+        Obsv.Trace.span Obsv.Phases.Session_resume (fun () ->
+            Obsv.Trace.attr "attempts" ck.Checkpoint.attempts);
         if Obsv.Recorder.active () then
           Obsv.Recorder.event ~kind:"resume"
             ~attrs:[ ("attempts", string_of_int ck.Checkpoint.attempts) ]

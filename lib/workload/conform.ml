@@ -66,10 +66,10 @@ let eq_trial ~cache:_ rng ~universe ~k =
   let (va, vb), cost =
     Commsim.Two_party.run
       ~alice:(fun chan ->
-        Obsv.Trace.span Obsv.Phases.eq_tags (fun () ->
+        Obsv.Trace.span Obsv.Phases.Eq_tags (fun () ->
             Equality.run_alice_set (Prng.Rng.with_label rng "eq") ~bits:k chan pair.Setgen.s))
       ~bob:(fun chan ->
-        Obsv.Trace.span Obsv.Phases.eq_tags (fun () ->
+        Obsv.Trace.span Obsv.Phases.Eq_tags (fun () ->
             Equality.run_bob_set (Prng.Rng.with_label rng "eq") ~bits:k chan pair.Setgen.t))
   in
   let truth = Iset.equal pair.Setgen.s pair.Setgen.t in

@@ -14,7 +14,7 @@ let check_str = Alcotest.(check string)
 
 let rules_of findings = List.map (fun (f : Lint.Finding.t) -> f.rule) findings
 
-let lint ?registry ~path source = Lint.Driver.lint_source ?registry ~path source
+let lint ~path source = Lint.Driver.lint_source ~path source
 
 let count_rule rule findings = List.length (List.filter (( = ) rule) (rules_of findings))
 
@@ -78,28 +78,6 @@ let test_r2_exempt_in_obsv () =
   check "lib/obsv owns ambient state" 0
     (List.length (lint ~path:"lib/obsv/fixture.ml" "let registry = Hashtbl.create 16\n"))
 
-(* --- R3: phase registry ---------------------------------------------- *)
-
-let test_r3_flags_unregistered_span_literal () =
-  let src = {|let f () = Obsv.Trace.span "bogus/phase" (fun () -> ())|} in
-  let findings = lint ~path:"lib/core/fixture.ml" src in
-  check "typo'd phase caught" 1 (count_rule "R3" findings)
-
-let test_r3_registered_literal_passes () =
-  let src = {|let f () = Obsv.Trace.span "bucket/assign" (fun () -> ())|} in
-  check "registered name passes" 0 (List.length (lint ~path:"lib/core/fixture.ml" src))
-
-let test_r3_constant_passes () =
-  let src = "let f () = Obsv.Trace.span Obsv.Phases.bucket_eq (fun () -> ())\n" in
-  check "Phases constant passes" 0 (List.length (lint ~path:"lib/core/fixture.ml" src))
-
-let test_r3_custom_registry () =
-  let src = {|let f () = Trace.span "custom/phase" ignore|} in
-  check "custom registry accepts" 0
-    (List.length (lint ~registry:(( = ) "custom/phase") ~path:"lib/core/fixture.ml" src));
-  check "custom registry rejects" 1
-    (count_rule "R3" (lint ~registry:(fun _ -> false) ~path:"lib/core/fixture.ml" src))
-
 (* --- R4: domain hygiene ---------------------------------------------- *)
 
 let test_r4_flags_domain_outside_engine () =
@@ -160,7 +138,7 @@ let test_syntax_error_is_a_finding () =
 
 let test_allow_parse_and_match () =
   let known = Lint.Rules.rule_ids in
-  match Lint.Allow.parse ~known "# header\nR1 bench/ # wall clock\n\nR3 test/\n" with
+  match Lint.Allow.parse ~known "# header\nR1 bench/ # wall clock\n\nR6 test/\n" with
   | Error e -> Alcotest.fail e
   | Ok entries ->
       check "two entries" 2 (List.length entries);
@@ -172,10 +150,13 @@ let test_allow_parse_and_match () =
         (Lint.Allow.allows entries ~rule:"R2" ~file:"bench/micro.ml")
 
 let test_allow_rejects_unknown_rule () =
-  check_bool "unknown rule id fails parse" true
-    (match Lint.Allow.parse ~known:Lint.Rules.rule_ids "R99 lib/\n" with
-    | Error _ -> true
-    | Ok _ -> false)
+  let rejects text =
+    match Lint.Allow.parse ~known:Lint.Rules.rule_ids text with Error _ -> true | Ok _ -> false
+  in
+  check_bool "unknown rule id fails parse" true (rejects "R99 lib/\n");
+  (* R3 (span names in a string registry) is gone: the type checker
+     holds it now, and its id is not reused. *)
+  check_bool "R3 is an unknown id" true (rejects "R3 test/test_obsv.ml\n")
 
 let test_allow_knows_typed_rules () =
   (* R7..R10 are valid allowlist targets now that the typed pass exists. *)
@@ -488,17 +469,16 @@ let test_r9_engine_capture_exempt () =
   check "lib/engine owns its pools" 0
     (List.length (analyze_units [ ("Pool", "lib/engine/pool_fx.ml", r9_spawn_race) ]))
 
-(* R10: registry constants nothing spans or references. *)
+(* R10: registry constructors no binding outside the registry builds. *)
 
 let r10_cfg = { typed_cfg with Lint.Typed.registry_module = "Phases" }
 
 let r10_registry =
   ( "Phases",
     "lib/obsv/phases_fx.ml",
-    "let alive = \"p/alive\"\n\
-     let spanned = \"p/spanned\"\n\
-     let dead = \"p/dead\"\n\
-     let all = [ alive; spanned; dead ]\n" )
+    "type t = Alive | Matched | Dead\n\
+     let name = function Alive -> \"p/alive\" | Matched -> \"p/matched\" | Dead -> \"p/dead\"\n\
+     let all = [ Alive; Matched; Dead ]\n" )
 
 let test_r10_flags_dead_phase () =
   let findings =
@@ -508,18 +488,23 @@ let test_r10_flags_dead_phase () =
         obs_unit;
         ( "Use",
           "lib/core/use.ml",
-          "let f () = Obs.span Phases.alive (fun () -> ())\n\
-           let g () = Obs.span \"p/spanned\" (fun () -> ())\n" );
+          "let f () = Obs.span Phases.Alive (fun () -> ())\n\
+           let g (p : Phases.t) = match p with Phases.Matched -> 1 | _ -> 0\n" );
       ]
   in
-  let f = find_rule "R10" findings in
-  check_str "at the registry entry" "lib/obsv/phases_fx.ml" f.Lint.Finding.file;
-  check_bool "names the dead phase" true (contains ~sub:"p/dead" f.Lint.Finding.message);
-  check "alive and spanned survive" 1 (List.length findings)
+  (* Built outside the registry: Alive lives.  Matched only in a
+     pattern, Dead nowhere: both are dead, since a pattern builds
+     nothing. *)
+  check "Matched and Dead are dead" 2 (count_rule "R10" findings);
+  check_bool "Alive lives" false
+    (List.exists (fun (f : Lint.Finding.t) -> contains ~sub:"Alive" f.Lint.Finding.message) findings);
+  let f = List.hd findings in
+  check_str "at the registry's declaration" "lib/obsv/phases_fx.ml" f.Lint.Finding.file;
+  check "on its constructor's line" 1 f.Lint.Finding.line
 
 let test_r10_registry_internal_refs_do_not_count () =
-  (* The registry's own [all] list references every constant; with no
-     outside user, all three are dead. *)
+  (* The registry's own name table and [all] list build every
+     constructor; with no outside user, all three are dead. *)
   let findings = analyze_units ~config:r10_cfg [ r10_registry; obs_unit ] in
   check "all three dead" 3 (count_rule "R10" findings)
 
@@ -619,6 +604,38 @@ let test_repo_lints_clean () =
         ""
         (String.concat "\n" (List.map Lint.Finding.to_line findings))
 
+(* dune writes an interface stub that declares nothing for every
+   executable in _build/default.  Outside lib/ it is not counted, so the
+   file count is the same from the source tree and the build tree; in
+   lib/ an .mli is counted whatever it holds. *)
+let test_exe_stubs_not_counted () =
+  let stub = "(* Auto-generated by Dune *)\n" in
+  let tree =
+    [
+      ("lib/a.ml", "let x = 1\n");
+      ("lib/a.mli", stub);
+      ("bin/main.ml", "let () = ignore Sys.argv\n");
+      ("bin/main.mli", stub);
+      ("test/test_a.mli", "");
+      ("examples/ex.mli", "val x : int\n");
+    ]
+  in
+  let root = Filename.temp_dir "lint_fixture" "" in
+  let path rel = Filename.concat root rel in
+  List.iter (fun d -> Sys.mkdir (path d) 0o755) [ "lib"; "bin"; "test"; "examples" ];
+  List.iter
+    (fun (rel, text) -> Out_channel.with_open_bin (path rel) (fun oc -> output_string oc text))
+    tree;
+  let result = Lint.Driver.run ~root ~typed:false () in
+  List.iter (fun (rel, _) -> Sys.remove (path rel)) tree;
+  List.iter (fun d -> Sys.rmdir (path d)) [ "lib"; "bin"; "test"; "examples" ];
+  Sys.rmdir root;
+  match result with
+  | Error e -> Alcotest.fail e
+  | Ok { Lint.Driver.files; findings; _ } ->
+      check "lib/a.ml, lib/a.mli, bin/main.ml, examples/ex.mli" 4 files;
+      check "no findings" 0 (List.length findings)
+
 let test_repo_report_deterministic () =
   let render () =
     match Lint.Driver.run ~root:repo_root () with
@@ -627,12 +644,6 @@ let test_repo_report_deterministic () =
         Stats.Json.to_string (Lint.Finding.report_json ~files ~typed_modules findings)
   in
   check_str "byte-identical consecutive runs" (render ()) (render ())
-
-let test_phase_registry_is_sorted_and_unique () =
-  let all = Obsv.Phases.all in
-  check_bool "sorted" true (List.sort String.compare all = all);
-  check "unique" (List.length all) (List.length (List.sort_uniq String.compare all));
-  check_bool "unattributed registered" true (Obsv.Phases.mem Obsv.Phases.unattributed)
 
 let () =
   Alcotest.run "lint"
@@ -650,13 +661,6 @@ let () =
           Alcotest.test_case "flags top-level mutable" `Quick test_r2_flags_toplevel_mutable;
           Alcotest.test_case "function-local passes" `Quick test_r2_function_local_state_passes;
           Alcotest.test_case "exempt in lib/obsv" `Quick test_r2_exempt_in_obsv;
-        ] );
-      ( "R3 phase registry",
-        [
-          Alcotest.test_case "unregistered literal" `Quick test_r3_flags_unregistered_span_literal;
-          Alcotest.test_case "registered literal" `Quick test_r3_registered_literal_passes;
-          Alcotest.test_case "Phases constant" `Quick test_r3_constant_passes;
-          Alcotest.test_case "custom registry" `Quick test_r3_custom_registry;
         ] );
       ( "R4 domain hygiene",
         [
@@ -731,6 +735,6 @@ let () =
             test_typed_analyze_deterministic;
           Alcotest.test_case "repo lints clean" `Quick test_repo_lints_clean;
           Alcotest.test_case "deterministic report" `Quick test_repo_report_deterministic;
-          Alcotest.test_case "phase registry sorted" `Quick test_phase_registry_is_sorted_and_unique;
+          Alcotest.test_case "executable stubs not counted" `Quick test_exe_stubs_not_counted;
         ] );
     ]

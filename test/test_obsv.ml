@@ -16,7 +16,8 @@ let bits_of_int ~width v =
 
 (* A two-player exchange with nested spans on the sender's side: three
    messages from Alice (8, 4 and 2 bits; the middle one inside an inner
-   span) and one 3-bit reply from Bob. *)
+   span) and one 3-bit reply from Bob.  Each span body sets attributes;
+   the outer one sets one more after the inner span has closed. *)
 let run_spanned () =
   let collector = Trace.create () in
   let _, cost, trace =
@@ -24,33 +25,38 @@ let run_spanned () =
         Commsim.Network.run_traced
           [|
             (fun ep ->
-              Trace.span "alice/outer" (fun () ->
+              Trace.span Phases.Tree_eq (fun () ->
+                  Trace.attr "stage" 1;
                   Commsim.Network.send ep ~to_:1 (bits_of_int ~width:8 42);
-                  Trace.span "alice/inner" ~attrs:[ ("step", "2") ] (fun () ->
+                  Trace.span Phases.Tree_rerun (fun () ->
+                      Trace.attr "stage" 2;
+                      Trace.attr_string "step" "inner";
                       Commsim.Network.send ep ~to_:1 (bits_of_int ~width:4 7));
+                  Trace.attr "after" 3;
                   Commsim.Network.send ep ~to_:1 (bits_of_int ~width:2 1));
               ignore (Commsim.Network.recv ep ~from_:1));
             (fun ep ->
               ignore (Commsim.Network.recv ep ~from_:0);
               ignore (Commsim.Network.recv ep ~from_:0);
               ignore (Commsim.Network.recv ep ~from_:0);
-              Trace.span "bob/reply" (fun () ->
+              Trace.span Phases.Bi_tags (fun () ->
+                  Trace.attr "bits" 3;
                   Commsim.Network.send ep ~to_:0 (bits_of_int ~width:3 5)));
           |])
   in
   (collector, cost, trace)
 
-let span_named collector name =
-  match List.find_opt (fun (s : Trace.span) -> s.Trace.name = name) (Trace.spans collector) with
+let span_of collector phase =
+  match List.find_opt (fun (s : Trace.span) -> s.Trace.phase = phase) (Trace.spans collector) with
   | Some s -> s
-  | None -> Alcotest.failf "span %s not recorded" name
+  | None -> Alcotest.failf "span %s not recorded" (Phases.name phase)
 
 let test_span_nesting () =
   let collector, _, _ = run_spanned () in
   check "three spans" 3 (List.length (Trace.spans collector));
-  let outer = span_named collector "alice/outer" in
-  let inner = span_named collector "alice/inner" in
-  let reply = span_named collector "bob/reply" in
+  let outer = span_of collector Phases.Tree_eq in
+  let inner = span_of collector Phases.Tree_rerun in
+  let reply = span_of collector Phases.Bi_tags in
   check_bool "outer has no parent" true (outer.Trace.parent = None);
   check_bool "inner nests under outer" true (inner.Trace.parent = Some outer.Trace.id);
   check_bool "reply has no parent" true (reply.Trace.parent = None);
@@ -58,7 +64,19 @@ let test_span_nesting () =
   check_bool "reply belongs to player 1" true (reply.Trace.rank = Some 1);
   check_bool "spans are closed" true
     (List.for_all (fun (s : Trace.span) -> s.Trace.end_seq >= 0) (Trace.spans collector));
-  check_bool "inner keeps its attrs" true (inner.Trace.attrs = [ ("step", "2") ])
+  check_bool "outer keeps its attrs, in order" true
+    (outer.Trace.attrs = [ ("stage", "1"); ("after", "3") ]);
+  check_bool "inner keeps its attrs, in order" true
+    (inner.Trace.attrs = [ ("stage", "2"); ("step", "inner") ]);
+  check_bool "reply keeps its attrs" true (reply.Trace.attrs = [ ("bits", "3") ])
+
+(* Every phase has its own ledger name, and none is the unattributed
+   bucket's. *)
+let test_phase_names_injective () =
+  let names = List.map Phases.name Phases.For_testing.all in
+  check "injective" (List.length names) (List.length (List.sort_uniq String.compare names));
+  check_bool "no phase is named like the unattributed bucket" false
+    (List.mem Phases.unattributed names)
 
 
 (* The ledger's bits: by construction the total of every message the
@@ -67,9 +85,9 @@ let phase_bits c = List.fold_left (fun acc (p : Export.phase) -> acc + p.Export.
 
 let test_message_attribution () =
   let collector, cost, trace = run_spanned () in
-  let outer = span_named collector "alice/outer" in
-  let inner = span_named collector "alice/inner" in
-  let reply = span_named collector "bob/reply" in
+  let outer = span_of collector Phases.Tree_eq in
+  let inner = span_of collector Phases.Tree_rerun in
+  let reply = span_of collector Phases.Bi_tags in
   (* The innermost open span of the sender wins; bits accumulate where
      they were attributed, never twice. *)
   check "outer gets the 8-bit and 2-bit sends" 10 outer.Trace.bits;
@@ -88,7 +106,7 @@ let test_message_attribution () =
     List.map (fun (p : Export.phase) -> (p.Export.phase, p.Export.bits)) (Export.phases collector)
   in
   check_bool "ledger rows" true
-    (by_phase = [ ("alice/outer", 10); ("alice/inner", 4); ("bob/reply", 3) ])
+    (by_phase = [ ("tree/eq", 10); ("tree/rerun", 4); ("bi/tags", 3) ])
 
 let test_unattributed_messages () =
   let collector = Trace.create () in
@@ -112,7 +130,7 @@ let test_disabled_is_ambient_default () =
   check_bool "ambient collector is the disabled one" true (Trace.current () == Trace.disabled);
   check_bool "ambient registry is the disabled one" true
     (Metrics.current () == Metrics.disabled);
-  let r = Trace.span "ignored" (fun () -> 17) in
+  let r = Trace.span Phases.Bucket_eq (fun () -> 17) in
   check "span still runs its body" 17 r;
   check "nothing recorded" 0 (List.length (Trace.spans Trace.disabled));
   Metrics.incr "ignored";
@@ -120,19 +138,34 @@ let test_disabled_is_ambient_default () =
   check "metrics drop writes when disabled" 0 (Metrics.counter_value Metrics.disabled "ignored");
   check_bool "no sketch on the disabled registry" true (Metrics.sketches_list Metrics.disabled = [])
 
+(* A disabled span site, with attributes or without, allocates exactly
+   what its body does.  The body closures are built before the window
+   opens, so the window sees what a site adds: the span call and its
+   attribute calls, whose int values become strings only under a
+   collector.  1000 calls per window, so one word per call would read
+   as 8000 bytes. *)
 let test_disabled_span_allocates_nothing () =
-  let body () = () in
-  for _ = 1 to 100 do
-    Trace.span "warmup" body
-  done;
-  let w0 = Gc.minor_words () in
-  for _ = 1 to 1000 do
-    Trace.span "hot" body
-  done;
-  let w1 = Gc.minor_words () in
-  (* One load and one branch per call: allow a little slack for the
-     Gc.minor_words probes themselves, nothing per-iteration. *)
-  check_bool "under 100 minor words for 1000 disabled spans" true (w1 -. w0 < 100.0)
+  let stage = Sys.opaque_identity 3 in
+  let plain () = stage + 1 in
+  let attributed () =
+    Trace.attr "stage" stage;
+    Trace.attr_string "rung" "guarded";
+    stage + 1
+  in
+  let bytes f =
+    let _, w =
+      Window.measure (fun () ->
+          for _ = 1 to 1000 do
+            ignore (Sys.opaque_identity (f ()))
+          done)
+    in
+    w.Window.alloc_bytes
+  in
+  let body_only = bytes plain in
+  check "span site without attributes: 0 B" 0
+    (bytes (fun () -> Trace.span Phases.Tree_eq plain) - body_only);
+  check "span site with attributes: 0 B" 0
+    (bytes (fun () -> Trace.span Phases.Tree_rerun attributed) - body_only)
 
 (* The measurement window.  Allocations smaller than a minor heap are
    read exactly only because both ends of the window empty it: without
@@ -253,6 +286,7 @@ let () =
           Alcotest.test_case "innermost-span attribution" `Quick test_message_attribution;
           Alcotest.test_case "unattributed bucket" `Quick test_unattributed_messages;
         ] );
+      ("phases", [ Alcotest.test_case "names injective" `Quick test_phase_names_injective ]);
       ( "disabled",
         [
           Alcotest.test_case "ambient default is a no-op" `Quick test_disabled_is_ambient_default;

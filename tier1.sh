@@ -38,14 +38,17 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
 # Static invariant gate: the whole tree must lint clean — the syntactic
-# rules (determinism, ambient state, phase registry, domain hygiene,
-# interface coverage, flight-recorder writes — R1..R6) plus the typed
-# cross-module pass over the .cmt artifacts (determinism taint,
-# metered-transport accounting, cross-domain escape, dead phases —
-# R7..R10; see DESIGN.md "Static analysis" and "Typed analysis").  The
+# rules (determinism, ambient state, domain hygiene, interface
+# coverage, flight-recorder writes — R1, R2, R4..R6; phase names are
+# typed, so there is no R3) plus the typed cross-module pass over the
+# .cmt artifacts (determinism taint, metered-transport accounting,
+# cross-domain escape, dead phases, unreachable library code —
+# R7..R11; see DESIGN.md "Static analysis" and "Typed analysis").  The
 # JSON report and the SARIF export must pass their schema validators,
 # and the linter must be deterministic: two consecutive runs over the
-# same tree are byte-identical, in both formats.
+# same tree are byte-identical, in both formats.  It must also scan the
+# same files from the source tree as from the build tree, where dune
+# adds an interface stub for every executable.
 dune build @check @lint
 dune exec bin/intersect_lint.exe -- --json | $json_check --lint-report
 dune exec bin/intersect_lint.exe -- --sarif | $json_check --lint-sarif
@@ -54,6 +57,13 @@ for format in json sarif; do
   dune exec bin/intersect_lint.exe -- --$format > "$tmp/lint.b"
   cmp "$tmp/lint.a" "$tmp/lint.b"
 done
+lint_files() {
+  ./_build/default/bin/intersect_lint.exe --root "$1" --json | sed -n 's/.*"files":\([0-9]*\).*/\1/p'
+}
+if [ "$(lint_files .)" != "$(lint_files _build/default)" ]; then
+  echo "tier1: intersect_lint counts $(lint_files .) files from . but $(lint_files _build/default) from _build/default" >&2
+  exit 1
+fi
 
 # [expect_status N cmd...] fails the gate unless cmd exits N.
 expect_status() {
