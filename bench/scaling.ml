@@ -116,14 +116,18 @@ let protocol_trial ~k protocol () =
    instead of kept per leaf, and [Vtree] stopped storing the leaf
    level.  All three fell again (from 661 773, 1 001 520 and 192 568)
    when span attributes were set from span bodies and stopped being
-   built while tracing is off. *)
+   built while tracing is off.  All three fell again (from 661 445,
+   1 000 256 and 192 119) when a message stopped costing more than its
+   receiver's suspension: sends became direct calls, inboxes and the run
+   queue rings, and batch equality's verdict bitmaps were read in place
+   instead of as bool arrays. *)
 let bucket_case =
   {
     name = "bucket";
     label = "bench/scaling/alloc";
     k = 1024;
     trial = protocol_trial ~k:1024 (fun () -> Bucket_protocol.protocol ~k:1024 ());
-    baseline = 661_445.0;
+    baseline = 491_396.0;
   }
 
 let tree_case =
@@ -132,7 +136,7 @@ let tree_case =
     label = "bench/scaling/alloc/tree";
     k = 4096;
     trial = protocol_trial ~k:4096 (fun () -> Tree_protocol.protocol_log_star ~k:4096 ());
-    baseline = 1_000_256.0;
+    baseline = 994_976.0;
   }
 
 let guarded_attempt_trial () =
@@ -160,7 +164,7 @@ let guarded_case =
     label = "bench/scaling/alloc/guarded";
     k = 256;
     trial = guarded_attempt_trial;
-    baseline = 192_119.0;
+    baseline = 146_076.0;
   }
 
 (* The small-k trial path Conform and the sweep run: one one-round k=64
@@ -168,8 +172,10 @@ let guarded_case =
    exactness check; the baseline once Iset's kernels were int-specialised,
    pair generation stopped sorting and one-round's tag table went flat
    (37 884 bytes/trial before), lowered from 31 284 by the tree's
-   patched stage buffer and cell-drawn re-run lanes, and from 30 738
-   when span attributes stopped being built while tracing is off. *)
+   patched stage buffer and cell-drawn re-run lanes, from 30 738
+   when span attributes stopped being built while tracing is off, and
+   from 30 115 when sends stopped being effects and inboxes became
+   rings. *)
 let conform_smallk_trial () =
   let cache = Engine.Instance_cache.create () and universe = 1 lsl universe_bits in
   let one_round = Workload.Conform.entry_of_name "one-round"
@@ -190,7 +196,7 @@ let conform_smallk_case =
     label = "bench/scaling/alloc/conform-smallk";
     k = 64;
     trial = conform_smallk_trial;
-    baseline = 30_115.0;
+    baseline = 25_554.0;
   }
 
 let alloc_cases = [ bucket_case; tree_case; guarded_case; conform_smallk_case ]

@@ -93,7 +93,16 @@ let merge a b =
    cell over the plan's seed, whose mark sits after ["faults/"]. *)
 type channel = { plan : plan; label : Prng.Rng.Label.d; tallies : tallies }
 
+(* Every link's rates are checked here, before the execution starts, so a
+   bad rate raises out of {!Network.run_faulty} rather than inside a
+   player's send. *)
 let channel plan ~players =
+  if not plan.clean_ then
+    for from_ = 0 to players - 1 do
+      for to_ = 0 to players - 1 do
+        if from_ <> to_ then validate_link (plan.pick ~from_ ~to_)
+      done
+    done;
   let label = Prng.Rng.Label.start (Prng.Rng.of_int plan.seed_) in
   Prng.Rng.Label.add label "faults/";
   Prng.Rng.Label.mark label;
@@ -137,7 +146,6 @@ let apply c ~from_ ~to_ ~index payload =
   end
   else begin
     let link = c.plan.pick ~from_ ~to_ in
-    validate_link link;
     let len = Bitio.Bits.length payload in
     (* One fresh generator per message coordinate: the draw sequence below is
        fixed, so the decision depends on nothing but (seed, link, index).

@@ -117,6 +117,8 @@ val apply : channel -> from_:int -> to_:int -> index:int -> Bitio.Bits.t -> acti
 (** Test instruments. *)
 module For_testing : sig
   (** [make ~seed pick] chooses the fault rates per directed link; [pick]
-      must be pure.  Rates are validated when the link is first used. *)
+      must be pure.  Rates are validated when a {!channel} is built over
+      the plan, for every link of the execution, so an invalid rate
+      raises out of {!Network.run_faulty} before any player runs. *)
   val make : seed:int -> (from_:int -> to_:int -> link) -> plan
 end

@@ -3,45 +3,10 @@ open Effect.Deep
 
 type payload = Bitio.Bits.t
 
-type _ Effect.t +=
-  | Send_eff : int * payload -> unit Effect.t
-  | Recv_eff : int -> payload Effect.t
-  | Recv_any_eff : (int * payload) Effect.t
-
-type status =
-  | Runnable
-  | Blocked of (payload, unit) continuation * int (* waiting for this sender *)
-  | Blocked_any of (int * payload, unit) continuation
-  | Finished
-
-type player_state = {
-  rank : int;
-  size : int;
-  inboxes : (payload * int) Queue.t array; (* (payload, depth), indexed by sender *)
-  mutable clock : int;
-  mutable status : status;
-  mutable sent_bits : int;
-  mutable received_bits : int;
-  mutable sent_messages : int;
-  mutable consumed_messages : int;
-}
-
-type endpoint = player_state
-
-let rank ep = ep.rank
-let size ep = ep.size
-
-let send ep ~to_ payload =
-  if to_ < 0 || to_ >= ep.size then invalid_arg "Network.send: rank out of range";
-  if to_ = ep.rank then invalid_arg "Network.send: self-send";
-  perform (Send_eff (to_, payload))
-
-let recv ep ~from_ =
-  if from_ < 0 || from_ >= ep.size then invalid_arg "Network.recv: rank out of range";
-  if from_ = ep.rank then invalid_arg "Network.recv: self-recv";
-  perform (Recv_eff from_)
-
-let recv_any _ep = perform Recv_any_eff
+(* The scheduler's one effect: a player whose receive found its inbox
+   empty suspends.  It carries nothing; what the player waits for is in
+   its state ([awaiting]), and the inbox is read after it resumes. *)
+type _ Effect.t += Recv_eff : unit Effect.t
 
 exception Deadlock of string
 
@@ -62,183 +27,321 @@ type 'r outcome =
   | Lost of diagnosis
   | Crashed of { rank : int; exn : string; after_messages : int }
 
+(* One directed link's undelivered messages: a growable ring of payloads
+   and their causal depths, [len] of them from [head]. *)
+type inbox = {
+  mutable payloads : payload array;
+  mutable depths : int array;
+  mutable head : int;
+  mutable len : int;
+}
+
+type status =
+  | Fresh (* queued to start *)
+  | Runnable
+  | Blocked of (unit, unit) continuation (* in a receive; see [awaiting] *)
+  | Finished
+
+type player_state = {
+  rank : int;
+  size : int;
+  net : net;
+  inboxes : inbox array; (* indexed by sender *)
+  mutable clock : int;
+  mutable status : status;
+  mutable awaiting : int; (* the sender a blocked player waits on; -1 = any *)
+  mutable sent_bits : int;
+  mutable received_bits : int;
+  mutable sent_messages : int;
+  mutable consumed_messages : int;
+}
+
+(* One execution's shared state.  Only the scheduler switches players, so
+   [current] is the player whose code is running (or last ran). *)
+and net = {
+  mutable states : player_state array;
+  mutable current : int;
+  (* The run queue: ranks to start or wake, a growable ring. *)
+  mutable queue : int array;
+  mutable queue_head : int;
+  mutable queue_len : int;
+  mutable rounds : int;
+  mutable total_bits : int;
+  mutable messages : int;
+  trace : bool;
+  mutable entries : trace_entry list; (* newest first *)
+  (* The ambient observability hooks.  They never touch the cost meters:
+     with tracing disabled (the default collector) every call is a no-op
+     branch, and with it enabled only the sidecar event record grows, so
+     [Cost.t] is bit-identical either way. *)
+  collector : Obsv.Trace.collector;
+  observing : bool;
+  channel : Faults.channel option;
+  link_index : int array array; (* messages sent per directed link; faulty runs only *)
+  mutable first_drop : drop_site option;
+  mutable crash : (int * string * int) option; (* the first player to raise *)
+}
+
+type endpoint = player_state
+
+let rank (ep : endpoint) = ep.rank
+let size (ep : endpoint) = ep.size
+
+let[@inline] wrap i cap = if i >= cap then i - cap else i
+
+(* A ring's [len] entries from [head], moved to the front of a doubled
+   array (at least [2] long) whose other cells hold [fill]. *)
+let grown ring ~head ~len fill =
+  let cap = Array.length ring in
+  let next = Array.make (Int.max 2 (2 * cap)) fill in
+  for i = 0 to len - 1 do
+    next.(i) <- ring.(wrap (head + i) cap)
+  done;
+  next
+
+let push_inbox ib payload depth =
+  if ib.len = Array.length ib.payloads then begin
+    ib.payloads <- grown ib.payloads ~head:ib.head ~len:ib.len Bitio.Bits.empty;
+    ib.depths <- grown ib.depths ~head:ib.head ~len:ib.len 0;
+    ib.head <- 0
+  end;
+  let j = wrap (ib.head + ib.len) (Array.length ib.payloads) in
+  ib.payloads.(j) <- payload;
+  ib.depths.(j) <- depth;
+  ib.len <- ib.len + 1
+
+let enqueue net rank =
+  if net.queue_len = Array.length net.queue then begin
+    net.queue <- grown net.queue ~head:net.queue_head ~len:net.queue_len 0;
+    net.queue_head <- 0
+  end;
+  net.queue.(wrap (net.queue_head + net.queue_len) (Array.length net.queue)) <- rank;
+  net.queue_len <- net.queue_len + 1
+
+let dequeue net =
+  let rank = net.queue.(net.queue_head) in
+  net.queue_head <- wrap (net.queue_head + 1) (Array.length net.queue);
+  net.queue_len <- net.queue_len - 1;
+  rank
+
+(* The inbox must be non-empty.  The slot is cleared so the ring keeps no
+   payload alive once it is consumed. *)
+let consume st from_ =
+  let ib = st.inboxes.(from_) in
+  let h = ib.head in
+  let payload = ib.payloads.(h) in
+  st.clock <- Int.max st.clock ib.depths.(h);
+  ib.payloads.(h) <- Bitio.Bits.empty;
+  ib.head <- wrap (h + 1) (Array.length ib.payloads);
+  ib.len <- ib.len - 1;
+  st.received_bits <- st.received_bits + Bitio.Bits.length payload;
+  st.consumed_messages <- st.consumed_messages + 1;
+  payload
+
+(* The lowest sender from [from_] on with a message waiting, or -1. *)
+let rec first_nonempty_inbox st from_ =
+  if from_ >= st.size then -1
+  else if st.inboxes.(from_).len > 0 then from_
+  else first_nonempty_inbox st (from_ + 1)
+
+(* Cost meters every payload copy that actually crosses the wire: in a
+   clean run that is exactly one per send; the channel can turn one send
+   into zero (drop) or two (duplication) metered deliveries.  A send never
+   blocks, so delivery is a direct call on the sender's side: the
+   recipient only learns of it through the run queue, and only if it is
+   blocked on this sender (or on any). *)
+let deliver st ~to_ payload =
+  let net = st.net in
+  let depth = st.clock + 1 in
+  let len = Bitio.Bits.length payload in
+  net.rounds <- Int.max net.rounds depth;
+  net.total_bits <- net.total_bits + len;
+  net.messages <- net.messages + 1;
+  (* [observe] self-gates on the ambient registry, so metrics work with or
+     without tracing. *)
+  Obsv.Metrics.observe "net/payload_bits" len;
+  let span =
+    if net.observing then Obsv.Trace.on_message net.collector ~from_:st.rank ~to_ ~bits:len ~depth
+    else None
+  in
+  if net.trace then net.entries <- { from_ = st.rank; to_; bits = len; depth; span } :: net.entries;
+  st.sent_bits <- st.sent_bits + len;
+  st.sent_messages <- st.sent_messages + 1;
+  let peer = net.states.(to_) in
+  push_inbox peer.inboxes.(st.rank) payload depth;
+  match peer.status with
+  | Blocked _ when peer.awaiting = st.rank || peer.awaiting < 0 -> enqueue net to_
+  | Fresh | Runnable | Blocked _ | Finished -> ()
+
+let rec deliver_all st ~to_ = function
+  | [] -> ()
+  | payload :: rest ->
+      deliver st ~to_ payload;
+      deliver_all st ~to_ rest
+
+let send ep ~to_ payload =
+  if to_ < 0 || to_ >= ep.size then invalid_arg "Network.send: rank out of range";
+  if to_ = ep.rank then invalid_arg "Network.send: self-send";
+  let net = ep.net in
+  match net.channel with
+  | None -> deliver ep ~to_ payload
+  | Some c -> (
+      let index = net.link_index.(ep.rank).(to_) in
+      net.link_index.(ep.rank).(to_) <- index + 1;
+      match Faults.apply c ~from_:ep.rank ~to_ ~index payload with
+      | Faults.Drop ->
+          if net.first_drop = None then
+            net.first_drop <- Some { drop_from = ep.rank; drop_to = to_; drop_index = index }
+      | Faults.Deliver copies -> deliver_all ep ~to_ copies)
+
+let recv ep ~from_ =
+  if from_ < 0 || from_ >= ep.size then invalid_arg "Network.recv: rank out of range";
+  if from_ = ep.rank then invalid_arg "Network.recv: self-recv";
+  if ep.inboxes.(from_).len = 0 then begin
+    ep.awaiting <- from_;
+    perform Recv_eff
+  end;
+  consume ep from_
+
+let recv_any ep =
+  let from_ = first_nonempty_inbox ep 0 in
+  let from_ =
+    if from_ >= 0 then from_
+    else begin
+      ep.awaiting <- -1;
+      perform Recv_eff;
+      first_nonempty_inbox ep 0
+    end
+  in
+  (from_, consume ep from_)
+
+(* Wake-ups can go stale (two sends queue two wakes but the first one lets
+   the player move on), so a wake re-checks the condition before resuming. *)
+let ready st =
+  if st.awaiting >= 0 then st.inboxes.(st.awaiting).len > 0 else first_nonempty_inbox st 0 >= 0
+
+let switch_to net st =
+  net.current <- st.rank;
+  if net.observing then Obsv.Trace.set_rank net.collector (Some st.rank)
+
+let schedule net players handler =
+  while net.queue_len > 0 do
+    let st = net.states.(dequeue net) in
+    match st.status with
+    | Fresh ->
+        st.status <- Runnable;
+        switch_to net st;
+        match_with players.(st.rank) st handler
+    | Blocked k when ready st ->
+        st.status <- Runnable;
+        switch_to net st;
+        continue k ()
+    | Blocked _ | Runnable | Finished -> ()
+  done
+
+let new_inbox _ = { payloads = [||]; depths = [||]; head = 0; len = 0 }
+
 let run_with ~trace ~faults players =
   let m = Array.length players in
   if m < 2 then invalid_arg "Network.run: need at least two players";
-  let states =
+  let collector = Obsv.Trace.current () in
+  let channel =
+    match faults with None -> None | Some plan -> Some (Faults.channel plan ~players:m)
+  in
+  let net =
+    {
+      states = [||];
+      current = 0;
+      queue = Array.init m Fun.id;
+      queue_head = 0;
+      queue_len = m;
+      rounds = 0;
+      total_bits = 0;
+      messages = 0;
+      trace;
+      entries = [];
+      collector;
+      observing = Obsv.Trace.enabled collector;
+      channel;
+      link_index = (match channel with None -> [||] | Some _ -> Array.make_matrix m m 0);
+      first_drop = None;
+      crash = None;
+    }
+  in
+  net.states <-
     Array.init m (fun rank ->
         {
           rank;
           size = m;
-          inboxes = Array.init m (fun _ -> Queue.create ());
+          net;
+          inboxes = Array.init m new_inbox;
           clock = 0;
-          status = Runnable;
+          status = Fresh;
+          awaiting = -1;
           sent_bits = 0;
           received_bits = 0;
           sent_messages = 0;
           consumed_messages = 0;
-        })
-  in
+        });
   let results = Array.make m None in
-  let runnable : (unit -> unit) Queue.t = Queue.create () in
-  let rounds = ref 0 and total_bits = ref 0 and messages = ref 0 in
-  (* Entries accumulate newest-first; the single [List.rev] at the return
-     site below restores send order. *)
-  let entries = ref [] in
-  (* The ambient observability hooks.  They never touch the cost meters:
-     with tracing disabled (the default collector) every call below is a
-     no-op branch, and with it enabled only the sidecar event record grows,
-     so [Cost.t] is bit-identical either way. *)
-  let collector = Obsv.Trace.current () in
-  let observing = Obsv.Trace.enabled collector in
-  let channel =
-    match faults with None -> None | Some plan -> Some (Faults.channel plan ~players:m)
+  (* One handler for every player: the running player is [net.current]. *)
+  let block = Some (fun k -> net.states.(net.current).status <- Blocked k) in
+  let handler =
+    {
+      retc =
+        (fun r ->
+          let st = net.states.(net.current) in
+          results.(st.rank) <- Some r;
+          st.status <- Finished);
+      exnc =
+        (match faults with
+        | None -> raise
+        | Some _ ->
+            fun e ->
+              let st = net.states.(net.current) in
+              if net.crash = None then
+                net.crash <- Some (st.rank, Printexc.to_string e, st.consumed_messages);
+              st.status <- Finished);
+      effc =
+        (fun (type c) (eff : c Effect.t) ->
+          match eff with
+          | Recv_eff -> (block : ((c, unit) continuation -> unit) option)
+          | _ -> None);
+    }
   in
-  let tallies =
-    match channel with Some c -> Faults.tallies c | None -> Faults.create_tallies ~players:m
-  in
-  let link_index = Array.init m (fun _ -> Array.make m 0) in
-  let crashes = ref [] in
-  let first_drop = ref None in
-  let consume st from_ =
-    let payload, depth = Queue.pop st.inboxes.(from_) in
-    st.clock <- max st.clock depth;
-    st.received_bits <- st.received_bits + Bitio.Bits.length payload;
-    st.consumed_messages <- st.consumed_messages + 1;
-    payload
-  in
-  let first_nonempty_inbox st =
-    let rec scan from_ =
-      if from_ >= m then None
-      else if not (Queue.is_empty st.inboxes.(from_)) then Some from_
-      else scan (from_ + 1)
-    in
-    scan 0
-  in
-  (* Wake-ups can go stale (two sends queue two wakes but the first one lets
-     the player move on), so a wake re-checks the condition before resuming. *)
-  let try_resume st =
-    match st.status with
-    | Blocked (k, from_) when not (Queue.is_empty st.inboxes.(from_)) ->
-        st.status <- Runnable;
-        if observing then Obsv.Trace.set_rank collector (Some st.rank);
-        continue k (consume st from_)
-    | Blocked_any k -> begin
-        match first_nonempty_inbox st with
-        | Some from_ ->
-            st.status <- Runnable;
-            if observing then Obsv.Trace.set_rank collector (Some st.rank);
-            continue k (from_, consume st from_)
-        | None -> ()
-      end
-    | Blocked _ | Runnable | Finished -> ()
-  in
-  (* Cost meters every payload copy that actually crosses the wire: in a
-     clean run that is exactly one per send; the channel ([faults]) can turn
-     one send into zero (drop) or two (duplication) metered deliveries. *)
-  let deliver st ~to_ payload =
-    let depth = st.clock + 1 in
-    let len = Bitio.Bits.length payload in
-    rounds := max !rounds depth;
-    total_bits := !total_bits + len;
-    incr messages;
-    (* [observe] self-gates on the ambient registry, so metrics work with or
-       without tracing. *)
-    Obsv.Metrics.observe "net/payload_bits" len;
-    let span =
-      if observing then Obsv.Trace.on_message collector ~from_:st.rank ~to_ ~bits:len ~depth
-      else None
-    in
-    if trace then entries := { from_ = st.rank; to_; bits = len; depth; span } :: !entries;
-    st.sent_bits <- st.sent_bits + len;
-    st.sent_messages <- st.sent_messages + 1;
-    let peer = states.(to_) in
-    Queue.add (payload, depth) peer.inboxes.(st.rank);
-    match peer.status with
-    | Blocked (_, from_) when from_ = st.rank -> Queue.add (fun () -> try_resume peer) runnable
-    | Blocked_any _ -> Queue.add (fun () -> try_resume peer) runnable
-    | Blocked _ | Runnable | Finished -> ()
-  in
-  let start st rank () =
-    if observing then Obsv.Trace.set_rank collector (Some rank);
-    match_with (players.(rank)) st
-      {
-        retc =
-          (fun r ->
-            results.(rank) <- Some r;
-            st.status <- Finished);
-        exnc =
-          (match faults with
-          | None -> raise
-          | Some _ ->
-              fun e ->
-                crashes := (st.rank, Printexc.to_string e, st.consumed_messages) :: !crashes;
-                st.status <- Finished);
-        effc =
-          (fun (type c) (eff : c Effect.t) ->
-            match eff with
-            | Send_eff (to_, payload) ->
-                Some
-                  (fun (k : (c, unit) continuation) ->
-                    (match channel with
-                    | None -> deliver st ~to_ payload
-                    | Some c ->
-                        let index = link_index.(st.rank).(to_) in
-                        link_index.(st.rank).(to_) <- index + 1;
-                        (match Faults.apply c ~from_:st.rank ~to_ ~index payload with
-                        | Faults.Drop ->
-                            if !first_drop = None then
-                              first_drop :=
-                                Some { drop_from = st.rank; drop_to = to_; drop_index = index }
-                        | Faults.Deliver copies -> List.iter (deliver st ~to_) copies));
-                    continue k ())
-            | Recv_eff from_ ->
-                Some
-                  (fun (k : (c, unit) continuation) ->
-                    if Queue.is_empty st.inboxes.(from_) then st.status <- Blocked (k, from_)
-                    else continue k (consume st from_))
-            | Recv_any_eff ->
-                Some
-                  (fun (k : (c, unit) continuation) ->
-                    match first_nonempty_inbox st with
-                    | Some from_ -> continue k (from_, consume st from_)
-                    | None -> st.status <- Blocked_any k)
-            | _ -> None);
-      }
-  in
-  Array.iteri (fun rank st -> Queue.add (start st rank) runnable) states;
-  let rec schedule () =
-    match Queue.take_opt runnable with
-    | Some thunk ->
-        thunk ();
-        schedule ()
-    | None -> ()
-  in
-  if observing then
-    Fun.protect ~finally:(fun () -> Obsv.Trace.set_rank collector None) schedule
-  else schedule ();
+  if net.observing then
+    Fun.protect
+      ~finally:(fun () -> Obsv.Trace.set_rank collector None)
+      (fun () -> schedule net players handler)
+  else schedule net players handler;
+  let states = net.states in
   let outcome =
-    match List.rev !crashes with
-    | (rank, exn, after_messages) :: _ -> Crashed { rank; exn; after_messages }
-    | [] -> begin
+    match net.crash with
+    | Some (rank, exn, after_messages) -> Crashed { rank; exn; after_messages }
+    | None when Array.for_all (fun st -> match st.status with Finished -> true | _ -> false) states
+      ->
+        Completed
+          (Array.map
+             (function Some r -> r | None -> assert false (* Finished implies stored *))
+             results)
+    | None -> begin
         let stuck =
           Array.to_list states
           |> List.filter_map (fun st ->
                  match st.status with
                  | Finished -> None
-                 | Blocked (_, from_) ->
+                 | Blocked _ when st.awaiting >= 0 ->
                      Some
-                       { rank = st.rank; waiting_for = Some from_; consumed = st.consumed_messages }
-                 | Blocked_any _ | Runnable ->
+                       {
+                         rank = st.rank;
+                         waiting_for = Some st.awaiting;
+                         consumed = st.consumed_messages;
+                       }
+                 | Blocked _ | Fresh | Runnable ->
                      Some { rank = st.rank; waiting_for = None; consumed = st.consumed_messages })
         in
-        match stuck with
-        | [] ->
-            Completed
-              (Array.map
-                 (function Some r -> r | None -> assert false (* Finished implies stored *))
-                 results)
-        | stuck when faults = None ->
+        match channel with
+        | None ->
             (* Clean executions keep the historical behaviour: a hang is a
                protocol bug and raises. *)
             let b = List.hd stuck in
@@ -251,7 +354,8 @@ let run_with ~trace ~faults players =
                        from_
                  | None ->
                      Printf.sprintf "player %d waits for a message that never comes" b.rank))
-        | stuck ->
+        | Some c ->
+            let tallies = Faults.tallies c in
             let dropped = (Faults.total tallies).Faults.dropped_messages in
             let describe b =
               match b.waiting_for with
@@ -261,14 +365,14 @@ let run_with ~trace ~faults players =
                     "player %d waits for player %d after consuming %d message(s) (link %d->%d: \
                      %d sent, %d dropped, %d truncated)"
                     b.rank from_ b.consumed from_ b.rank
-                    link_index.(from_).(b.rank)
+                    net.link_index.(from_).(b.rank)
                     t.Faults.dropped_messages t.Faults.truncated_messages
               | None ->
                   Printf.sprintf "player %d waits for a message from any player after consuming %d"
                     b.rank b.consumed
             in
             let first =
-              match !first_drop with
+              match net.first_drop with
               | None -> ""
               | Some d ->
                   Printf.sprintf "; first drop was message #%d on link %d->%d" d.drop_index
@@ -279,7 +383,7 @@ let run_with ~trace ~faults players =
                 (String.concat "; " (List.map describe stuck))
                 dropped first
             in
-            Lost { blocked = stuck; dropped; first_drop = !first_drop; detail }
+            Lost { blocked = stuck; dropped; first_drop = net.first_drop; detail }
       end
   in
   let players_cost =
@@ -293,22 +397,29 @@ let run_with ~trace ~faults players =
       states
   in
   ( outcome,
-    { Cost.players = players_cost; total_bits = !total_bits; messages = !messages; rounds = !rounds },
-    List.rev !entries,
-    tallies )
+    {
+      Cost.players = players_cost;
+      total_bits = net.total_bits;
+      messages = net.messages;
+      rounds = net.rounds;
+    },
+    net )
 
 let completed_exn = function
   | Completed r -> r
   | Lost _ | Crashed _ -> assert false (* clean executions always complete or raise *)
 
 let run players =
-  let outcome, cost, _, _ = run_with ~trace:false ~faults:None players in
+  let outcome, cost, _ = run_with ~trace:false ~faults:None players in
   (completed_exn outcome, cost)
 
 let run_traced players =
-  let outcome, cost, entries, _ = run_with ~trace:true ~faults:None players in
-  (completed_exn outcome, cost, entries)
+  let outcome, cost, net = run_with ~trace:true ~faults:None players in
+  (completed_exn outcome, cost, List.rev net.entries)
 
 let run_faulty ~plan players =
-  let outcome, cost, _, tallies = run_with ~trace:false ~faults:(Some plan) players in
+  let outcome, cost, net = run_with ~trace:false ~faults:(Some plan) players in
+  let tallies =
+    match net.channel with Some c -> Faults.tallies c | None -> assert false (* faulty run *)
+  in
   (outcome, cost, tallies)

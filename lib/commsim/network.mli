@@ -7,7 +7,17 @@
     information barrier of the communication model is enforced by scoping,
     not by convention.  The scheduler delivers messages, meters every
     payload, and tracks rounds as the longest chain of causally dependent
-    messages (see {!Cost}). *)
+    messages (see {!Cost}).
+
+    A message costs its receiver's one suspension and nothing else.  A
+    send never blocks, so it delivers by a direct call from the sender's
+    code; a receive with a message waiting consumes it directly.  Only a
+    receive on an empty inbox performs an effect (one preallocated value,
+    handled by one handler built per run), and the player resumes when
+    the scheduler's run queue reaches it after a matching delivery.
+    Each directed link's inbox is a growable ring of payloads and causal
+    depths, and the run queue a ring of ranks.  Players switch only
+    inside a blocking receive. *)
 
 type endpoint
 
@@ -17,12 +27,17 @@ val rank : endpoint -> int
 (** Number of players. *)
 val size : endpoint -> int
 
-(** [send ep ~to_ payload] enqueues [payload] for player [to_].
-    Sending to yourself or out of range raises [Invalid_argument]. *)
+(** [send ep ~to_ payload] meters [payload] and appends it to player
+    [to_]'s inbox from this player, then returns: the sender keeps
+    running, and [to_] is queued to wake if it is blocked on this sender
+    (or on any).  Under {!run_faulty} the channel treats the message
+    first.  Sending to yourself or out of range raises
+    [Invalid_argument]. *)
 val send : endpoint -> to_:int -> Bitio.Bits.t -> unit
 
-(** [recv ep ~from_] blocks until a message from player [from_] arrives and
-    returns it.  Messages between a fixed pair arrive in FIFO order. *)
+(** [recv ep ~from_] returns the oldest message from player [from_],
+    suspending this player (the only point where players switch) while
+    there is none.  Messages between a fixed pair arrive in FIFO order. *)
 val recv : endpoint -> from_:int -> Bitio.Bits.t
 
 (** [recv_any ep] blocks until a message from {e any} player arrives and

@@ -8,6 +8,25 @@ let joint_bits ~k =
    getting here) the remaining strings are exchanged verbatim. *)
 let default_max_iterations = 40
 
+(* Bob's verdicts go straight into his reply, a word at a time: verdict
+   [p] of [width] joins [word], and a word is written out once its last
+   flag is in.  Returns the word to carry on with. *)
+let[@inline] add_flag buf ~width p word mismatch =
+  let word = if mismatch then word lor Wire.bitmap_bit p else word in
+  let first = p - (p mod Wire.bitmap_word) in
+  if p + 1 = width || p + 1 = first + Wire.bitmap_word then begin
+    Wire.write_bitmap_word buf ~width ~first word;
+    0
+  end
+  else word
+
+(* Bob's reply to a round: the verdict bitmap [write] puts in a fresh
+   payload, sent and kept for his own settling. *)
+let send_reply (chan : Commsim.Transport.t) write =
+  let reply = Bitio.Pool.payload write in
+  chan.send reply;
+  reply
+
 let run ?(sequential = true) ?(max_iterations = default_max_iterations) role rng chan instances =
   let open Commsim.Transport in
   let k = Array.length instances in
@@ -88,7 +107,8 @@ let run ?(sequential = true) ?(max_iterations = default_max_iterations) role rng
   in
   (* One tag round over the live ranges of the groups in play: Alice
      ships a [bits]-wide tag per undecided instance, Bob replies with the
-     bitmap of positions whose tags differ from his own. *)
+     bitmap of positions whose tags differ from his own.  Each round
+     returns that reply, which both parties read in place. *)
   let tag_round ~iteration ~bits =
     match role with
     | Alice ->
@@ -102,35 +122,37 @@ let run ?(sequential = true) ?(max_iterations = default_max_iterations) role rng
                    Strhash.draw_write (instance_label idx) ~bits buf instances.(idx)
                  done
                done));
-        Wire.read_bitmap_msg (chan.recv ()) ~width:(live_count ())
+        chan.recv ()
     | Bob ->
         Bitio.Pool.with_reader (chan.recv ()) (fun reader ->
-            let mismatches = Array.make (live_count ()) false in
-            let p = ref 0 in
-            for a = 0 to !nact - 1 do
-              let g = act.(a) in
-              mark_group g iteration;
-              for j = lo.(g) to lo.(g) + live.(g) - 1 do
-                let idx = order.(j) in
-                mismatches.(!p) <-
-                  not (Strhash.draw_matches (instance_label idx) ~bits reader instances.(idx));
-                incr p
-              done
-            done;
-            chan.send (Wire.bitmap_msg mismatches);
-            mismatches)
+            let width = live_count () in
+            send_reply chan (fun buf ->
+                let p = ref 0 and word = ref 0 in
+                for a = 0 to !nact - 1 do
+                  let g = act.(a) in
+                  mark_group g iteration;
+                  for j = lo.(g) to lo.(g) + live.(g) - 1 do
+                    let idx = order.(j) in
+                    let matches =
+                      Strhash.draw_matches (instance_label idx) ~bits reader instances.(idx)
+                    in
+                    word := add_flag buf ~width !p !word (not matches);
+                    incr p
+                  done
+                done))
   in
   (* Settle a tag round: mismatching instances leave their group's range
      (unequal, with certainty); a group that lost none is a joint-test
      candidate.  Returns the candidate count. *)
-  let settle mismatches =
+  let settle reply =
+    let width = live_count () in
     let p = ref 0 and ncand = ref 0 in
     for a = 0 to !nact - 1 do
       let g = act.(a) in
       let first = lo.(g) and n = live.(g) in
       let kept = ref first in
       for j = first to first + n - 1 do
-        if not mismatches.(!p) then begin
+        if not (Wire.bitmap_flag reply ~width !p) then begin
           order.(!kept) <- order.(j);
           incr kept
         end;
@@ -147,7 +169,7 @@ let run ?(sequential = true) ?(max_iterations = default_max_iterations) role rng
   in
   (* Joint test of the candidates: one [jbits]-wide tag of each group's
      length-prefixed strings, assembled in a scratch writer and hashed
-     through its zero-copy view.  Returns the mismatch bitmap. *)
+     through its zero-copy view.  Returns Bob's mismatch bitmap. *)
   let joint_round ~iteration ncand =
     let with_payload g f =
       Bitio.Pool.with_buf (fun tmp ->
@@ -162,16 +184,17 @@ let run ?(sequential = true) ?(max_iterations = default_max_iterations) role rng
                  with_payload cand.(c) (fun label payload ->
                      Strhash.draw_write label ~bits:jbits buf payload)
                done));
-        Wire.read_bitmap_msg (chan.recv ()) ~width:ncand
+        chan.recv ()
     | Bob ->
         Bitio.Pool.with_reader (chan.recv ()) (fun reader ->
-            let mismatches =
-              Array.init ncand (fun c ->
-                  with_payload cand.(c) (fun label payload ->
-                      not (Strhash.draw_matches label ~bits:jbits reader payload)))
-            in
-            chan.send (Wire.bitmap_msg mismatches);
-            mismatches)
+            send_reply chan (fun buf ->
+                let word = ref 0 in
+                for c = 0 to ncand - 1 do
+                  word :=
+                    add_flag buf ~width:ncand c !word
+                      (with_payload cand.(c) (fun label payload ->
+                           not (Strhash.draw_matches label ~bits:jbits reader payload)))
+                done))
   in
   let declare_equal g =
     for j = lo.(g) to lo.(g) + live.(g) - 1 do
@@ -184,7 +207,7 @@ let run ?(sequential = true) ?(max_iterations = default_max_iterations) role rng
     let n = live_count () in
     Obsv.Metrics.incr "eq/exact_fallbacks";
     Obsv.Metrics.incr ~by:n "eq/exact_instances";
-    let mismatches =
+    let reply =
       match role with
       | Alice ->
           chan.send
@@ -192,28 +215,28 @@ let run ?(sequential = true) ?(max_iterations = default_max_iterations) role rng
                  for a = 0 to !nact - 1 do
                    write_group buf act.(a)
                  done));
-          Wire.read_bitmap_msg (chan.recv ()) ~width:n
+          chan.recv ()
       | Bob ->
           Bitio.Pool.with_reader (chan.recv ()) (fun reader ->
-              let mismatches = Array.make n false in
-              let p = ref 0 in
-              for a = 0 to !nact - 1 do
-                let g = act.(a) in
-                for j = lo.(g) to lo.(g) + live.(g) - 1 do
-                  let len = Bitio.Codes.read_gamma reader in
-                  let theirs = Bitio.Bitreader.read_blob reader ~bits:len in
-                  mismatches.(!p) <- not (Bitio.Bits.equal theirs instances.(order.(j)));
-                  incr p
-                done
-              done;
-              chan.send (Wire.bitmap_msg mismatches);
-              mismatches)
+              send_reply chan (fun buf ->
+                  let p = ref 0 and word = ref 0 in
+                  for a = 0 to !nact - 1 do
+                    let g = act.(a) in
+                    for j = lo.(g) to lo.(g) + live.(g) - 1 do
+                      let len = Bitio.Codes.read_gamma reader in
+                      let theirs = Bitio.Bitreader.read_blob reader ~bits:len in
+                      word :=
+                        add_flag buf ~width:n !p !word
+                          (not (Bitio.Bits.equal theirs instances.(order.(j))));
+                      incr p
+                    done
+                  done))
     in
     let p = ref 0 in
     for a = 0 to !nact - 1 do
       let g = act.(a) in
       for j = lo.(g) to lo.(g) + live.(g) - 1 do
-        if not mismatches.(!p) then Bytes.set equal order.(j) '\001';
+        if not (Wire.bitmap_flag reply ~width:n !p) then Bytes.set equal order.(j) '\001';
         incr p
       done
     done;
@@ -228,18 +251,18 @@ let run ?(sequential = true) ?(max_iterations = default_max_iterations) role rng
         let bits = Int.min 32 (2 lsl !iteration) in
         Obsv.Metrics.incr "eq/tag_rounds";
         Obsv.Metrics.observe "eq/tag_bits" bits;
-        let mismatches =
+        let reply =
           Obsv.Trace.span Obsv.Phases.Eq_tags (fun () -> tag_round ~iteration:!iteration ~bits)
         in
-        let ncand = settle mismatches in
+        let ncand = settle reply in
         if ncand > 0 then begin
           Obsv.Metrics.incr "eq/joint_checks";
           (* [mismatch = false] means the joint tags agreed: declare equal. *)
-          let failed =
+          let reply =
             Obsv.Trace.span Obsv.Phases.Eq_joint (fun () -> joint_round ~iteration:!iteration ncand)
           in
           for c = 0 to ncand - 1 do
-            if not failed.(c) then declare_equal cand.(c)
+            if not (Wire.bitmap_flag reply ~width:ncand c) then declare_equal cand.(c)
           done;
           compact ()
         end;

@@ -48,3 +48,9 @@ let read_bitmap_msg payload ~width =
     first := !first + bitmap_word
   done;
   flags
+
+(* Flag [i] sits at bit [bitmap_bit i] of the word starting at bit
+   [i - i mod bitmap_word]: payload bit [i]. *)
+let bitmap_flag payload ~width i =
+  if Bitio.Bits.length payload < width then invalid_arg "Wire.read_bitmap_msg";
+  Bitio.Bits.get payload i

@@ -42,3 +42,10 @@ val bitmap_msg : bool array -> Bitio.Bits.t
 
 (** Decode a message written by {!bitmap_msg} with the same [width]. *)
 val read_bitmap_msg : Bitio.Bits.t -> width:int -> bool array
+
+(** [bitmap_flag payload ~width i] is flag [i] of the [width]-flag bitmap
+    at the front of [payload], read in place: [(read_bitmap_msg payload
+    ~width).(i)] for [0 <= i < width], without building the array.
+    Raises [Invalid_argument "Wire.read_bitmap_msg"] when [payload] is
+    shorter than [width], as {!read_bitmap_msg} does. *)
+val bitmap_flag : Bitio.Bits.t -> width:int -> int -> bool

@@ -207,6 +207,82 @@ let test_cost_aggregates () =
   check "max player bits" 16 (Cost.max_player_bits cost);
   Alcotest.(check (float 0.001)) "avg player bits" 8.0 (Cost.avg_player_bits cost)
 
+let test_inbox_ring_wraps () =
+  (* Player 1 takes the first of player 0's two messages, then waits on
+     player 2 while player 0 sends three more: its inbox from player 0
+     fills while the ring has wrapped, and grows from there. *)
+  let send ep ~to_ v = Network.send ep ~to_ (bits_of_int ~width:8 v) in
+  let value ep ~from_ = int_of_bits ~width:8 (Network.recv ep ~from_) in
+  let sender ep =
+    List.iter (send ep ~to_:1) [ 0; 1 ];
+    ignore (value ep ~from_:2);
+    List.iter (send ep ~to_:1) [ 2; 3; 4 ];
+    []
+  and receiver ep =
+    let first = value ep ~from_:0 in
+    send ep ~to_:2 0;
+    ignore (value ep ~from_:2);
+    first :: List.init 4 (fun _ -> value ep ~from_:0)
+  and releaser ep =
+    ignore (value ep ~from_:1);
+    send ep ~to_:0 0;
+    send ep ~to_:1 0;
+    []
+  in
+  let results, _ = Network.run [| sender; receiver; releaser |] in
+  Alcotest.(check (list int)) "in order" [ 0; 1; 2; 3; 4 ] results.(1)
+
+(* ---------- Allocation ---------- *)
+
+(* Bytes one two-party run of [round_trips] ping-pongs allocates; the
+   payload and the party closures are built outside the window. *)
+let ping_pong_bytes round_trips =
+  let payload = bits_of_int ~width:8 42 in
+  let alice chan =
+    for _ = 1 to round_trips do
+      chan.Chan.send payload;
+      ignore (chan.Chan.recv ())
+    done
+  and bob chan =
+    for _ = 1 to round_trips do
+      ignore (chan.Chan.recv ());
+      chan.Chan.send payload
+    done
+  in
+  let _, w =
+    Obsv.Window.measure (fun () -> ignore (Sys.opaque_identity (Two_party.run ~alice ~bob)))
+  in
+  w.Obsv.Window.alloc_bytes
+
+(* A message costs one suspension of its receiver (the continuation and
+   the blocked status holding it) and nothing else.  2 000 messages of a
+   1 000-round-trip ping-pong, less the same run with none, must read at
+   most 64 bytes a message; an effect per send and a closure per wake
+   read 400.  The empty run's fixed set-up, which sweep-sized trials pay
+   once each, must stay within 2 175 bytes (2 736 with that scheduler). *)
+let test_message_allocation () =
+  ignore (ping_pong_bytes 10);
+  let setup = ping_pong_bytes 0 in
+  let per_message = (ping_pong_bytes 1000 - setup) / 2000 in
+  if per_message > 64 then Alcotest.failf "%d bytes per message (at most 64)" per_message;
+  if setup > 2175 then Alcotest.failf "%d bytes of run set-up (at most 2 175)" setup
+
+(* ---------- Faulty channels ---------- *)
+
+(* A plan's bad rate raises out of [run_faulty] itself, before any
+   player runs: it is the caller's error, not a player crash, although
+   the channel treats each message from inside the sender's code. *)
+let test_invalid_link_escapes () =
+  let plan =
+    Faults.For_testing.make ~seed:1 (fun ~from_ ~to_:_ ->
+        if from_ = 0 then { Faults.clean_link with flip = 2.0 } else Faults.clean_link)
+  in
+  let alice chan = chan.Chan.send (bits_of_int ~width:8 1) and bob chan = chan.Chan.recv () in
+  match Two_party.run_faulty ~plan ~alice ~bob with
+  | exception Invalid_argument msg ->
+      Alcotest.(check string) "the rate check" "Faults: flip rate outside [0, 1]" msg
+  | _ -> Alcotest.fail "an invalid link did not raise out of run_faulty"
+
 let () =
   Alcotest.run "commsim"
     [
@@ -229,5 +305,11 @@ let () =
           Alcotest.test_case "self send rejected" `Quick test_self_send_rejected;
           Alcotest.test_case "out of range rejected" `Quick test_out_of_range_rejected;
           Alcotest.test_case "pairwise fifo" `Quick test_pairwise_fifo_across_interleaving;
+          Alcotest.test_case "inbox ring wraps" `Quick test_inbox_ring_wraps;
+        ] );
+      ( "message path",
+        [
+          Alcotest.test_case "allocation per message" `Quick test_message_allocation;
+          Alcotest.test_case "invalid link escapes run_faulty" `Quick test_invalid_link_escapes;
         ] );
     ]

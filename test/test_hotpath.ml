@@ -658,6 +658,44 @@ let test_truncated_bitmap () =
     | exception Bitio.Bitreader.Underflow -> ()
   done
 
+(* Eq_batch's Alice reads Bob's verdict bitmaps in place: a reply
+   shorter than the instances it settles still fails as the array read
+   did, with [Invalid_argument "Wire.read_bitmap_msg"] on Alice's side
+   at the same message, so session failure details are unchanged.
+   Nine instances make three groups of three, settled one group at a
+   time; a scripted Bob cuts his reply short in the tag round, in the
+   joint round after an all-match tag bitmap, or in the exact round. *)
+let test_short_eq_bitmap () =
+  let xs = Array.init 9 (fun i -> Bitio.Bits.of_string (Printf.sprintf "x%d" i)) in
+  let short = "Invalid_argument(\"Wire.read_bitmap_msg\")" in
+  let script replies chan =
+    List.iter
+      (fun reply ->
+        ignore (chan.Commsim.Transport.recv ());
+        chan.Commsim.Transport.send reply)
+      replies
+  in
+  List.iter
+    (fun (name, max_iterations, replies) ->
+      let alice chan = ignore (Eq_batch.run_alice ~max_iterations (Prng.Rng.of_int 5) chan xs) in
+      (match Commsim.Two_party.run ~alice ~bob:(script replies) with
+      | exception Invalid_argument msg ->
+          Alcotest.(check string) (name ^ ": clean run raises") "Wire.read_bitmap_msg" msg
+      | _ -> Alcotest.failf "%s: short bitmap accepted" name);
+      match
+        Commsim.Two_party.run_faulty ~plan:Commsim.Faults.clean ~alice ~bob:(script replies)
+      with
+      | Commsim.Network.Crashed { rank; exn; after_messages }, _, _ ->
+          check_int (name ^ ": crashed rank") 0 rank;
+          Alcotest.(check string) (name ^ ": crash") short exn;
+          check_int (name ^ ": after messages") (List.length replies) after_messages
+      | _ -> Alcotest.failf "%s: faulty run did not crash" name)
+    [
+      ("tag round", 40, [ Wire.bitmap_msg [| false; false |] ]);
+      ("joint round", 40, [ Wire.bitmap_msg [| false; false; false |]; Bitio.Bits.empty ]);
+      ("exact round", 0, [ Wire.bitmap_msg [| true; false |] ]);
+    ]
+
 (* The native Carter-Wegman path against the overflow-safe [Modarith]
    formula, with [a] and [b] drawn exactly as [create] draws them, on
    both sides of the 2^31 switch. *)
@@ -787,6 +825,27 @@ let test_bitmap_round_trip () =
           (Wire.read_bitmap_word reader ~width ~first))
       firsts
   done
+
+(* The in-place bitmap reader against the array read: every flag of
+   every width 0-200, from a payload that may carry trailing bits past
+   the bitmap (as a reply with more fields after it would). *)
+let prop_bitmap_flag =
+  QCheck.Test.make ~name:"bitmap_flag = read_bitmap_msg" ~count:20 QCheck.int (fun seed ->
+      let rng = Prng.Rng.of_int seed in
+      List.for_all
+        (fun width ->
+          let flags = Array.init width (fun _ -> Prng.Rng.bool rng) in
+          let payload =
+            Bitio.Pool.payload (fun buf ->
+                Bitio.Bitbuf.append buf (Wire.bitmap_msg flags);
+                let tail = Prng.Rng.int rng 9 in
+                Bitio.Bitbuf.write_bits buf ~width:tail (Prng.Rng.int rng (1 lsl tail)))
+          in
+          let read = Wire.read_bitmap_msg payload ~width in
+          List.for_all
+            (fun i -> Wire.bitmap_flag payload ~width i = read.(i))
+            (List.init width Fun.id))
+        (List.init 201 Fun.id))
 
 (* Golden payload digests.  The gates above compare bits, rounds and
    message counts; these pin the payload contents — every tag, every
@@ -1272,6 +1331,8 @@ let () =
             test_carter_wegman_allocation_free;
           Alcotest.test_case "iset int sort = List.sort_uniq" `Quick test_iset_sort_reference;
           Alcotest.test_case "bitmap round trip = Bits.of_bools" `Quick test_bitmap_round_trip;
+          QCheck_alcotest.to_alcotest prop_bitmap_flag;
+          Alcotest.test_case "short eq_batch bitmap rejected" `Quick test_short_eq_bitmap;
           Alcotest.test_case "delta codeword and bit width = references" `Quick
             test_codes_reference;
         ] );
