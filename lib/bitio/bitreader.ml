@@ -73,3 +73,24 @@ let read_blob t ~bits =
     pos := !pos + take
   done;
   Bits.unsafe_of_bytes buf ~length:bits
+
+(* The whole run is checked once, so each step is one unchecked load from
+   either side; a mismatch still consumes all [bits]. *)
+let read_matches t ~bits b ~pos ~len =
+  if bits < 0 then invalid_arg "Bitreader.read_matches: bits";
+  if pos < 0 || len < 0 || pos + len > Bits.length b then
+    invalid_arg "Bitreader.read_matches: out of bounds";
+  if t.position + bits > Bits.length t.bits then raise Underflow;
+  let start = t.position in
+  t.position <- start + bits;
+  bits = len
+  &&
+  let i = ref 0 and same = ref true in
+  while !same && !i < len do
+    let take = Int.min 56 (len - !i) in
+    same :=
+      Bits.unsafe_extract t.bits ~pos:(start + !i) ~width:take
+      = Bits.unsafe_extract b ~pos:(pos + !i) ~width:take;
+    i := !i + take
+  done;
+  !same

@@ -9,8 +9,8 @@ exception Underflow
 val create : Bits.t -> t
 
 (** [reset t bits] repoints [t] at [bits], rewound to the beginning —
-    [create] without the allocation.  {!Pool.with_reader} uses this to
-    recycle reader cells. *)
+    [create] without the allocation, for a party that reads every
+    message of a run through one reader. *)
 val reset : t -> Bits.t -> unit
 
 (** [of_bitbuf buf] reads the bits written to [buf] so far without copying
@@ -45,3 +45,11 @@ val read_ones : t -> int
 (** [read_blob t ~bits] reads the next [bits] bits as an opaque bit vector
     (e.g. a hash tag of arbitrary width). *)
 val read_blob : t -> bits:int -> Bits.t
+
+(** [read_matches t ~bits b ~pos ~len] consumes the next [bits] bits and
+    says whether they equal bits [\[pos, pos + len)] of [b] (never when
+    [bits <> len]): [Bits.equal (read_blob t ~bits) r] for [r] that
+    range, compared 56 bits per load without building either side.
+    Raises [Underflow], consuming nothing, when fewer than [bits] bits
+    remain, and [Invalid_argument] unless the range lies inside [b]. *)
+val read_matches : t -> bits:int -> Bits.t -> pos:int -> len:int -> bool

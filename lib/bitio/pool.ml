@@ -9,33 +9,52 @@
    bits a caller writes — and therefore every transcript — are identical
    to what a fresh buffer would produce.
 
-   The freelist is a LIFO list, so nested [with_buf] calls simply take
-   distinct buffers.  [bypassed] switches the current domain to fresh
-   allocation for the duration of a callback; the hot-path tests use it to
-   check pooled and unpooled runs byte-for-byte against each other. *)
+   The freelist is a LIFO stack on a growable array, so nested
+   [with_buf] calls simply take distinct buffers and a push or pop
+   allocates nothing once the array has grown to the nesting depth.
+   [bypassed] switches the current domain to fresh allocation for the
+   duration of a callback; the hot-path tests use it to check pooled and
+   unpooled runs byte-for-byte against each other. *)
 
-let freelist : Bitbuf.t list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
+(* Cells [0, size) of [items] are the free values, the top last.  Cells
+   at and above [size] may still hold values already handed out; they are
+   never read, and the next push overwrites them. *)
+type 'a stack = { mutable items : 'a array; mutable size : int }
+
+let new_stack () = { items = [||]; size = 0 }
+
+let push s x =
+  if s.size = Array.length s.items then begin
+    let items = Array.make (Int.max 4 (2 * s.size)) x in
+    Array.blit s.items 0 items 0 s.size;
+    s.items <- items
+  end;
+  Array.unsafe_set s.items s.size x;
+  s.size <- s.size + 1
+
+(* Only when [s.size > 0]. *)
+let[@inline] pop s =
+  s.size <- s.size - 1;
+  Array.unsafe_get s.items s.size
+
+let writers : Bitbuf.t stack Domain.DLS.key = Domain.DLS.new_key new_stack
 let bypass : bool ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref false)
 
 (* Pooled buffers start at a payload-sized capacity so most cells never
    regrow; a buffer that did grow keeps its larger storage for next time. *)
 let fresh () = Bitbuf.create ~capacity:1024 ()
 
+let acquire free = if free.size = 0 then fresh () else pop free
+
 let release free buf =
   Bitbuf.reset buf;
-  free := buf :: !free
+  push free buf
 
 let with_buf f =
   if !(Domain.DLS.get bypass) then f (fresh ())
   else begin
-    let free = Domain.DLS.get freelist in
-    let buf =
-      match !free with
-      | [] -> fresh ()
-      | buf :: rest ->
-          free := rest;
-          buf
-    in
+    let free = Domain.DLS.get writers in
+    let buf = acquire free in
     (* [Fun.protect] without its closures: the buffer goes back on the
        freelist whether [f] returns or raises. *)
     match f buf with
@@ -47,31 +66,25 @@ let with_buf f =
         raise e
   end
 
-let payload f = with_buf (fun buf -> f buf; Bitbuf.contents buf)
-
-(* Reader cells are recycled the same way.  No [Fun.protect]: a cell in
-   flight when an exception unwinds is simply dropped (the next acquisition
-   allocates a fresh one), which keeps the happy path free of closure
-   setup.  Parking the cell on [Bits.empty] releases its payload
-   reference. *)
-let readers : Bitreader.t list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
-
-let with_reader bits f =
-  if !(Domain.DLS.get bypass) then f (Bitreader.create bits)
+(* [with_buf] written out, so [f] runs without a second closure around
+   it: the copy is taken before the buffer goes back. *)
+let payload f =
+  if !(Domain.DLS.get bypass) then begin
+    let buf = fresh () in
+    f buf;
+    Bitbuf.contents buf
+  end
   else begin
-    let free = Domain.DLS.get readers in
-    let reader =
-      match !free with
-      | [] -> Bitreader.create bits
-      | r :: rest ->
-          free := rest;
-          Bitreader.reset r bits;
-          r
-    in
-    let v = f reader in
-    Bitreader.reset reader Bits.empty;
-    free := reader :: !free;
-    v
+    let free = Domain.DLS.get writers in
+    let buf = acquire free in
+    match f buf with
+    | () ->
+        let bits = Bitbuf.contents buf in
+        release free buf;
+        bits
+    | exception e ->
+        release free buf;
+        raise e
   end
 
 module For_testing = struct

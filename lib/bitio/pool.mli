@@ -6,7 +6,10 @@
     pooling changes allocation behaviour only, never transcripts.  The
     freelist lives in [Domain.DLS], so each domain pools independently and
     no synchronisation is involved (this module carries the lint R4
-    allowlist entry for [Domain.DLS] outside lib/engine and lib/obsv). *)
+    allowlist entry for [Domain.DLS] outside lib/engine and lib/obsv).  It
+    is a stack on a growable array: once it has grown to the deepest
+    nesting of borrows, a warm {!with_buf} allocates nothing of its own
+    and a warm {!payload} only its copy. *)
 
 (** [with_buf f] runs [f] with a reset writer borrowed from the current
     domain's freelist and returns the writer on exit (also on exception).
@@ -17,15 +20,9 @@ val with_buf : (Bitbuf.t -> 'a) -> 'a
 
 (** [payload f] assembles one payload: runs [f] on a borrowed writer and
     returns the frozen (copied, safe-to-keep) {!Bitbuf.contents}.  The
-    common one-message case of {!with_buf}. *)
+    common one-message case of {!with_buf}, calling [f] directly rather
+    than through a closure around it. *)
 val payload : (Bitbuf.t -> unit) -> Bits.t
-
-(** [with_reader bits f] runs [f] with a {!Bitreader} over [bits] borrowed
-    from the current domain's reader arena (rewound via {!Bitreader.reset},
-    so reads are exactly those of a fresh reader).  The reader must not
-    escape [f].  If [f] raises, the cell is dropped rather than recycled —
-    correctness never depends on the pool's contents. *)
-val with_reader : Bits.t -> (Bitreader.t -> 'a) -> 'a
 
 (** Test instruments. *)
 module For_testing : sig

@@ -30,8 +30,6 @@ let reseed plan ~salt =
   else
     { plan with seed_ = Prng.Rng.bits (Prng.Rng.with_label (Prng.Rng.of_int plan.seed_) (Printf.sprintf "reseed/%d" salt)) ~width:30 }
 
-type action = Deliver of Bitio.Bits.t list | Drop
-
 (* Mutable so {!apply} records each message's damage in the run's own
    tallies in place; the interface exports the type private, so no other
    module can write a tally. *)
@@ -89,24 +87,51 @@ let merge a b =
   if Array.length a.links <> Array.length b.links then invalid_arg "Faults.merge: player counts";
   { links = Array.map2 (Array.map2 add_tally) a.links b.links }
 
-(* One execution's view of a plan: the tallies it records into and a label
-   cell over the plan's seed, whose mark sits after ["faults/"]. *)
-type channel = { plan : plan; label : Prng.Rng.Label.d; tallies : tallies }
+(* One execution's view of a plan: the tallies it records into, a label
+   cell over the plan's seed, whose mark sits after ["faults/"], and each
+   directed link's four decision thresholds ([Rng.threshold] of its drop,
+   trunc, flip and dup rates, in that order, at [4 * (from_ * players +
+   to_)]), so a message decides on integers that were computed once.
+   [delivered] is the payload the last [apply] handed on. *)
+type channel = {
+  plan : plan;
+  label : Prng.Rng.Label.d;
+  tallies : tallies;
+  players : int;
+  thresholds : int array;
+  mutable delivered : Bitio.Bits.t;
+}
 
 (* Every link's rates are checked here, before the execution starts, so a
    bad rate raises out of {!Network.run_faulty} rather than inside a
    player's send. *)
 let channel plan ~players =
+  let thresholds = Array.make (if plan.clean_ then 0 else 4 * players * players) 0 in
   if not plan.clean_ then
     for from_ = 0 to players - 1 do
       for to_ = 0 to players - 1 do
-        if from_ <> to_ then validate_link (plan.pick ~from_ ~to_)
+        if from_ <> to_ then begin
+          let link = plan.pick ~from_ ~to_ in
+          validate_link link;
+          let base = 4 * ((from_ * players) + to_) in
+          thresholds.(base) <- Prng.Rng.threshold ~p:link.drop;
+          thresholds.(base + 1) <- Prng.Rng.threshold ~p:link.trunc;
+          thresholds.(base + 2) <- Prng.Rng.threshold ~p:link.flip;
+          thresholds.(base + 3) <- Prng.Rng.threshold ~p:link.dup
+        end
       done
     done;
   let label = Prng.Rng.Label.start (Prng.Rng.of_int plan.seed_) in
   Prng.Rng.Label.add label "faults/";
   Prng.Rng.Label.mark label;
-  { plan; label; tallies = tallies_of ~players (fun _ -> zero_tally ()) }
+  {
+    plan;
+    label;
+    tallies = tallies_of ~players (fun _ -> zero_tally ());
+    players;
+    thresholds;
+    delivered = Bitio.Bits.empty;
+  }
 
 let tallies c = c.tallies
 
@@ -135,17 +160,21 @@ let flip_bits rng ~threshold tally payload =
     Bitio.Bits.unsafe_of_bytes data ~length:n
   end
 
-(* One Bernoulli decision, drawn only for a positive rate. *)
-let decide rng p = p > 0.0 && Prng.Rng.below rng (Prng.Rng.threshold ~p)
+(* One Bernoulli decision, drawn only for a positive rate (a positive
+   threshold). *)
+let[@inline] decide rng threshold = threshold > 0 && Prng.Rng.below rng threshold
+
+let delivered c = c.delivered
 
 let apply c ~from_ ~to_ ~index payload =
   let tally = c.tallies.links.(from_).(to_) in
   if c.plan.clean_ then begin
     tally.deliveries <- tally.deliveries + 1;
-    Deliver [ payload ]
+    c.delivered <- payload;
+    1
   end
   else begin
-    let link = c.plan.pick ~from_ ~to_ in
+    let th = c.thresholds and base = 4 * ((from_ * c.players) + to_) in
     let len = Bitio.Bits.length payload in
     (* One fresh generator per message coordinate: the draw sequence below is
        fixed, so the decision depends on nothing but (seed, link, index).
@@ -159,14 +188,14 @@ let apply c ~from_ ~to_ ~index payload =
     Prng.Rng.Label.add_char d '/';
     Prng.Rng.Label.add_int d index;
     let rng = Prng.Rng.Label.finish d in
-    if decide rng link.drop then begin
+    if decide rng th.(base) then begin
       tally.dropped_messages <- tally.dropped_messages + 1;
       tally.dropped_bits <- tally.dropped_bits + len;
-      Drop
+      0
     end
     else begin
       let payload =
-        if len > 0 && decide rng link.trunc then begin
+        if len > 0 && decide rng th.(base + 1) then begin
           let keep = Prng.Rng.int rng len in
           tally.truncated_messages <- tally.truncated_messages + 1;
           tally.truncated_bits <- tally.truncated_bits + (len - keep);
@@ -174,19 +203,16 @@ let apply c ~from_ ~to_ ~index payload =
         end
         else payload
       in
-      let payload =
-        if link.flip > 0.0 then
-          flip_bits rng ~threshold:(Prng.Rng.threshold ~p:link.flip) tally payload
-        else payload
-      in
-      if decide rng link.dup then begin
+      let flip = th.(base + 2) in
+      c.delivered <- (if flip > 0 then flip_bits rng ~threshold:flip tally payload else payload);
+      if decide rng th.(base + 3) then begin
         tally.duplicated_messages <- tally.duplicated_messages + 1;
         tally.deliveries <- tally.deliveries + 2;
-        Deliver [ payload; payload ]
+        2
       end
       else begin
         tally.deliveries <- tally.deliveries + 1;
-        Deliver [ payload ]
+        1
       end
     end
   end

@@ -54,11 +54,6 @@ val seed : plan -> int
     on {!clean}. *)
 val reseed : plan -> salt:int -> plan
 
-(** What the channel decided to do with one message: the payload copies to
-    deliver, in order (possibly corrupted; two copies when duplicated), or
-    nothing at all. *)
-type action = Deliver of Bitio.Bits.t list | Drop
-
 (** Fault bookkeeping for one directed link (or an aggregate of links).
     Private: only {!apply} writes a tally, in place, into the tallies of
     its own {!channel}; everything else reads. *)
@@ -92,8 +87,10 @@ val total : tallies -> tally
 val merge : tallies -> tallies -> tallies
 
 (** One execution's channel: a plan together with the tallies the
-    execution's damage is recorded in and the scratch that derives each
-    message's generator.  Plain mutable state: one per execution. *)
+    execution's damage is recorded in, each link's decision thresholds
+    (computed once, when the channel is built) and the scratch that
+    derives each message's generator.  Plain mutable state: one per
+    execution. *)
 type channel
 
 (** [channel plan ~players] starts a [players]-party execution over
@@ -104,15 +101,22 @@ val channel : plan -> players:int -> channel
 val tallies : channel -> tallies
 
 (** [apply c ~from_ ~to_ ~index payload] is the channel's treatment of the
-    [index]-th message sent on the directed link [from_ -> to_]; the
+    [index]-th message sent on the directed link [from_ -> to_]: how many
+    copies of {!delivered} to hand to the recipient, in order — [0] when
+    the message is dropped, [2] when it is duplicated, else [1].  The
     damage it injects is added to [tallies c].  Deterministic in
     [(seed plan, from_, to_, index)] alone: the message's generator is
     derived from the plan seed and the label ["faults/<from_>-><to_>/<index>"],
     and draws, in order, the drop decision, the truncation decision and
     point, one flip decision per bit of the (possibly truncated) payload,
     and the duplication decision — each decision only when its rate is
-    positive. *)
-val apply : channel -> from_:int -> to_:int -> index:int -> Bitio.Bits.t -> action
+    positive.  A message that is neither truncated nor flipped allocates
+    nothing. *)
+val apply : channel -> from_:int -> to_:int -> index:int -> Bitio.Bits.t -> int
+
+(** The payload the last {!apply} on the channel delivers: its [payload]
+    itself unless truncated or flipped.  Unspecified after a drop. *)
+val delivered : channel -> Bitio.Bits.t
 
 (** Test instruments. *)
 module For_testing : sig

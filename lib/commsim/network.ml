@@ -173,26 +173,25 @@ let deliver st ~to_ payload =
   | Blocked _ when peer.awaiting = st.rank || peer.awaiting < 0 -> enqueue net to_
   | Fresh | Runnable | Blocked _ | Finished -> ()
 
-let rec deliver_all st ~to_ = function
-  | [] -> ()
-  | payload :: rest ->
-      deliver st ~to_ payload;
-      deliver_all st ~to_ rest
-
 let send ep ~to_ payload =
   if to_ < 0 || to_ >= ep.size then invalid_arg "Network.send: rank out of range";
   if to_ = ep.rank then invalid_arg "Network.send: self-send";
   let net = ep.net in
   match net.channel with
   | None -> deliver ep ~to_ payload
-  | Some c -> (
+  | Some c ->
       let index = net.link_index.(ep.rank).(to_) in
       net.link_index.(ep.rank).(to_) <- index + 1;
-      match Faults.apply c ~from_:ep.rank ~to_ ~index payload with
-      | Faults.Drop ->
-          if net.first_drop = None then
-            net.first_drop <- Some { drop_from = ep.rank; drop_to = to_; drop_index = index }
-      | Faults.Deliver copies -> deliver_all ep ~to_ copies)
+      let copies = Faults.apply c ~from_:ep.rank ~to_ ~index payload in
+      if copies = 0 then begin
+        if net.first_drop = None then
+          net.first_drop <- Some { drop_from = ep.rank; drop_to = to_; drop_index = index }
+      end
+      else begin
+        let payload = Faults.delivered c in
+        deliver ep ~to_ payload;
+        if copies = 2 then deliver ep ~to_ payload
+      end
 
 let recv ep ~from_ =
   if from_ < 0 || from_ >= ep.size then invalid_arg "Network.recv: rank out of range";

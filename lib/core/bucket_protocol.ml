@@ -24,14 +24,6 @@ let run_party ?sequential ?(reduce = true) role rng ~universe ~k chan mine =
     | Some h -> Iset.of_array (Array.map (Hashing.Carter_wegman.hash h) mine)
   in
   let width = Bitio.Set_codec.universe_width n_reduced in
-  (* An instance input is its image's [width]-bit encoding over a whole
-     8-byte word (the bits past [width] are zero), so every fingerprint
-     chunk of it is a single load. *)
-  let encode_image image =
-    let word = Bytes.create 8 in
-    Bytes.set_int64_le word 0 (Int64.of_int image);
-    Bitio.Bits.unsafe_of_bytes word ~length:width
-  in
   (* Bucket assignment, flat: [keys.(j)] is image [j]'s bucket under the
      current draw and [counts.(i)] bucket [i]'s size, both refilled in
      place by a retry.  Draw buckets, exchange counts; retry together if
@@ -92,58 +84,63 @@ let run_party ?sequential ?(reduce = true) role rng ~universe ~k chan mine =
     slots.(start.(b) + counts.(b)) <- j;
     counts.(b) <- counts.(b) + 1
   done;
-  (* The common instance table: for bucket i, the cross product of
-     Alice's and Bob's elements, in the canonical order both sides share —
-     bucket index, then Alice's rank, then Bob's rank.  [walk f] calls [f
-     j first step count] for each of this party's images [j], bucket by
-     bucket in rank order: its instances are [first + t * step] for the
-     peer's ranks [t < count] — a run of a row for Alice, a column for
-     Bob. *)
+  (* The common instance table, packed: for bucket i, the cross product
+     of Alice's and Bob's elements, in the canonical order both sides
+     share — bucket index, then Alice's rank, then Bob's rank — each
+     instance one [width]-bit image, so instance [t] is bits
+     [\[t * width, (t + 1) * width)].  A party's input to an instance is
+     its own image: Alice writes each of her images once per peer element
+     of its bucket (a run of a row), Bob his bucket's row once per peer
+     element (a column apiece). *)
   let alice = match role with `Alice -> true | `Bob -> false in
-  let walk f =
-    let base = ref 0 in
-    for i = 0 to k - 1 do
-      let mine_count = counts.(i) and theirs = their_counts.(i) in
-      for m = 0 to mine_count - 1 do
-        let j = slots.(start.(i) + m) in
-        if alice then f j (!base + (m * theirs)) 1 theirs else f j (!base + m) mine_count theirs
-      done;
-      base := !base + (mine_count * theirs)
-    done
-  in
-  (* Each party's input to an instance is its own element's image
-     encoding, encoded once per element; the pair count is known from the
-     exchanged counts, so the table is filled directly. *)
-  let instances = Array.make pair_count Bitio.Bits.empty in
-  walk (fun j first step count ->
-      if count > 0 then begin
-        let encoded = encode_image images.(j) in
-        for t = 0 to count - 1 do
-          instances.(first + (t * step)) <- encoded
-        done
-      end);
   Obsv.Metrics.set_gauge "bucket/instances" pair_count;
   let eq_rng = Prng.Rng.with_label rng "bucket/eq-batch" in
   let verdicts =
-    Obsv.Trace.span Obsv.Phases.Bucket_eq (fun () ->
-        Obsv.Trace.attr "instances" pair_count;
-        match role with
-        | `Alice -> Eq_batch.run_alice ?sequential eq_rng chan instances
-        | `Bob -> Eq_batch.run_bob ?sequential eq_rng chan instances)
+    Bitio.Pool.with_buf (fun table ->
+        for i = 0 to k - 1 do
+          let first = start.(i) and mine_count = counts.(i) and theirs = their_counts.(i) in
+          if alice then
+            for m = first to first + mine_count - 1 do
+              let image = images.(slots.(m)) in
+              for _ = 1 to theirs do
+                Bitio.Bitbuf.write_bits table ~width image
+              done
+            done
+          else
+            for _ = 1 to theirs do
+              for m = first to first + mine_count - 1 do
+                Bitio.Bitbuf.write_bits table ~width images.(slots.(m))
+              done
+            done
+        done;
+        Obsv.Trace.span Obsv.Phases.Bucket_eq (fun () ->
+            Obsv.Trace.attr "instances" pair_count;
+            Eq_batch.run_table ?sequential role eq_rng chan (Bitio.Bitbuf.view table)
+              (Eq_batch.Uniform { count = pair_count; width })))
   in
   (* An instance's input is its owner's image, so the matched images are
-     the ones with an instance that tested equal: marked by the same walk
-     and read off [images] in order, which keeps them sorted. *)
+     the ones with an instance that tested equal.  Image [j] of bucket i
+     at rank [m] has its instances at [first + t * step] for the peer's
+     ranks [t < theirs] — a run of a row for Alice, a column for Bob;
+     they are read off [images] in order, which keeps them sorted. *)
   let hit = Bytes.make n '\000' and hits = ref 0 in
-  walk (fun j first step count ->
+  let base = ref 0 in
+  for i = 0 to k - 1 do
+    let mine_count = counts.(i) and theirs = their_counts.(i) in
+    let step = if alice then 1 else mine_count in
+    for m = 0 to mine_count - 1 do
+      let first = if alice then !base + (m * theirs) else !base + m in
       let t = ref 0 in
-      while !t < count && not verdicts.(first + (!t * step)) do
+      while !t < theirs && Bytes.get verdicts (first + (!t * step)) = '\000' do
         incr t
       done;
-      if !t < count then begin
-        Bytes.set hit j '\001';
+      if !t < theirs then begin
+        Bytes.set hit slots.(start.(i) + m) '\001';
         incr hits
-      end);
+      end
+    done;
+    base := !base + (mine_count * theirs)
+  done;
   let matched = Array.make !hits 0 in
   let h = ref 0 in
   for j = 0 to n - 1 do

@@ -1,4 +1,4 @@
-type role = Alice | Bob
+type layout = Uniform of { count : int; width : int } | Ranges of int array
 
 let joint_bits ~k =
   let k = Int.max 1 k in
@@ -7,6 +7,29 @@ let joint_bits ~k =
 (* After this many tag iterations (probability ~2^-(2+4+8+...) per instance of
    getting here) the remaining strings are exchanged verbatim. *)
 let default_max_iterations = 40
+
+(* Instance [i]'s bits in the table: [stride >= 0] for a uniform layout,
+   else [off]'s ranges. *)
+let[@inline] range_pos ~stride off i = if stride >= 0 then i * stride else Array.unsafe_get off i
+
+let[@inline] range_len ~stride off i =
+  if stride >= 0 then stride else Array.unsafe_get off (i + 1) - Array.unsafe_get off i
+
+(* The instance count and the [stride]/[off] pair the range reads take,
+   after one check that every range lies inside [table]. *)
+let check_layout table = function
+  | Uniform { count; width } ->
+      if count < 0 || width < 0 || count * width > Bitio.Bits.length table then
+        invalid_arg "Eq_batch.run_table: layout";
+      (count, width, [||])
+  | Ranges off ->
+      let k = Array.length off - 1 in
+      if k < 0 || off.(0) < 0 || off.(k) > Bitio.Bits.length table then
+        invalid_arg "Eq_batch.run_table: layout";
+      for i = 0 to k - 1 do
+        if off.(i + 1) < off.(i) then invalid_arg "Eq_batch.run_table: layout"
+      done;
+      (k, -1, off)
 
 (* Bob's verdicts go straight into his reply, a word at a time: verdict
    [p] of [width] joins [word], and a word is written out once its last
@@ -20,16 +43,15 @@ let[@inline] add_flag buf ~width p word mismatch =
   end
   else word
 
-(* Bob's reply to a round: the verdict bitmap [write] puts in a fresh
-   payload, sent and kept for his own settling. *)
-let send_reply (chan : Commsim.Transport.t) write =
-  let reply = Bitio.Pool.payload write in
-  chan.send reply;
-  reply
-
-let run ?(sequential = true) ?(max_iterations = default_max_iterations) role rng chan instances =
-  let open Commsim.Transport in
-  let k = Array.length instances in
+(* The core, over a packed table and with a scratch writer borrowed for
+   the whole run.  Every closure below is built once per run: a round
+   reads its iteration, tag width and candidate count from the cells
+   [iteration], [bits] and [ncand], so driving a round allocates nothing
+   but its payloads. *)
+let run_core ~sequential ~max_iterations role rng (chan : Commsim.Transport.t) table layout
+    scratch =
+  let alice = match role with `Alice -> true | `Bob -> false in
+  let k, stride, off = check_layout table layout in
   let jbits = joint_bits ~k in
   let group_count = if k = 0 then 0 else int_of_float (Float.ceil (sqrt (float_of_int k))) in
   let group_size = if k = 0 then 0 else (k + group_count - 1) / group_count in
@@ -37,31 +59,36 @@ let run ?(sequential = true) ?(max_iterations = default_max_iterations) role rng
      group; group [g]'s undecided instances are [order.(lo.(g))] to
      [order.(lo.(g) + live.(g) - 1)], compacted in place (order kept) as
      instances settle.  [act.(0 .. !nact - 1)] are the gids in play,
-     ascending; [cand] collects the clean groups of a tag round.  A
+     ascending; [cand] collects the clean groups of a tag round and
+     [jstart] where each one's joint payload lies in [scratch].  A
      verdict byte is ['\001'] once its instance is declared equal. *)
   let order = Array.init k Fun.id in
   let lo = Array.init group_count (fun g -> g * group_size) in
   let live = Array.init group_count (fun g -> Int.max 0 (Int.min group_size (k - (g * group_size)))) in
   let act = Array.make group_count 0 and nact = ref 0 in
-  let cand = Array.make group_count 0 in
+  let cand = Array.make group_count 0 and ncand = ref 0 in
+  let jstart = Array.make (group_count + 1) 0 in
   let equal = Bytes.make k '\000' in
+  let iteration = ref 0 and bits = ref 0 in
+  (* Bob reads each message of Alice's through this one reader. *)
+  let reader = Bitio.Bitreader.create Bitio.Bits.empty in
   (* Both parties make the same tag draws from the shared rng and the
      same label coordinates.  The label is folded incrementally into
      one derivation cell reused for every tag of the run ([Rng.Label]
      hashes fragment by fragment, bit-identical to hashing the
      concatenated string), so labelling a tag builds no string and
-     allocates nothing; the fused [Strhash.draw_*] then draw straight
-     from the cell and apply the tag without building a generator or a
-     [Strhash.fn].  A group's tags in one round share the prefix
+     allocates nothing; the fused [Strhash.draw_*_range] then draw
+     straight from the cell and tag an instance's range of the table in
+     place.  A group's tags in one round share the prefix
      "eqb/g<gid>/t<iteration>/i": it is hashed once, marked, and rewound
      to per instance. *)
   let cell = Prng.Rng.Label.start rng in
-  let mark_group g iteration =
+  let mark_group g =
     Prng.Rng.Label.restart cell;
     Prng.Rng.Label.add cell "eqb/g";
     Prng.Rng.Label.add_int cell g;
     Prng.Rng.Label.add cell "/t";
-    Prng.Rng.Label.add_int cell iteration;
+    Prng.Rng.Label.add_int cell !iteration;
     Prng.Rng.Label.add cell "/i";
     Prng.Rng.Label.mark cell
   in
@@ -70,21 +97,22 @@ let run ?(sequential = true) ?(max_iterations = default_max_iterations) role rng
     Prng.Rng.Label.add_int cell idx;
     cell
   in
-  let joint_label g iteration =
+  let joint_label g =
     Prng.Rng.Label.restart cell;
     Prng.Rng.Label.add cell "eqb/joint/g";
     Prng.Rng.Label.add_int cell g;
     Prng.Rng.Label.add cell "/t";
-    Prng.Rng.Label.add_int cell iteration;
+    Prng.Rng.Label.add_int cell !iteration;
     cell
   in
   (* Group [g]'s undecided strings, each with its gamma-coded length:
      the joint test's payload and the exact round's message. *)
   let write_group buf g =
     for j = lo.(g) to lo.(g) + live.(g) - 1 do
-      let x = instances.(order.(j)) in
-      Bitio.Codes.write_gamma buf (Bitio.Bits.length x);
-      Bitio.Bitbuf.append buf x
+      let i = order.(j) in
+      let len = range_len ~stride off i in
+      Bitio.Codes.write_gamma buf len;
+      Bitio.Bitbuf.append_range buf table ~pos:(range_pos ~stride off i) ~len
     done
   in
   let live_count () =
@@ -105,48 +133,61 @@ let run ?(sequential = true) ?(max_iterations = default_max_iterations) role rng
     done;
     nact := !kept
   in
-  (* One tag round over the live ranges of the groups in play: Alice
-     ships a [bits]-wide tag per undecided instance, Bob replies with the
-     bitmap of positions whose tags differ from his own.  Each round
-     returns that reply, which both parties read in place. *)
-  let tag_round ~iteration ~bits =
-    match role with
-    | Alice ->
-        chan.send
-          (Bitio.Pool.payload (fun buf ->
-               for a = 0 to !nact - 1 do
-                 let g = act.(a) in
-                 mark_group g iteration;
-                 for j = lo.(g) to lo.(g) + live.(g) - 1 do
-                   let idx = order.(j) in
-                   Strhash.draw_write (instance_label idx) ~bits buf instances.(idx)
-                 done
-               done));
-        chan.recv ()
-    | Bob ->
-        Bitio.Pool.with_reader (chan.recv ()) (fun reader ->
-            let width = live_count () in
-            send_reply chan (fun buf ->
-                let p = ref 0 and word = ref 0 in
-                for a = 0 to !nact - 1 do
-                  let g = act.(a) in
-                  mark_group g iteration;
-                  for j = lo.(g) to lo.(g) + live.(g) - 1 do
-                    let idx = order.(j) in
-                    let matches =
-                      Strhash.draw_matches (instance_label idx) ~bits reader instances.(idx)
-                    in
-                    word := add_flag buf ~width !p !word (not matches);
-                    incr p
-                  done
-                done))
+  (* One round trip: Alice sends what [alice_write] writes and receives
+     Bob's verdict bitmap; Bob reads her message through [reader] and
+     sends back, and keeps, what [bob_write] writes.  Both return the
+     bitmap, which they read in place. *)
+  let exchange alice_write bob_write =
+    if alice then begin
+      chan.send (Bitio.Pool.payload alice_write);
+      chan.recv ()
+    end
+    else begin
+      Bitio.Bitreader.reset reader (chan.recv ());
+      let reply = Bitio.Pool.payload bob_write in
+      chan.send reply;
+      reply
+    end
   in
+  (* A tag round over the live ranges of the groups in play: Alice ships
+     a [bits]-wide tag per undecided instance, Bob flags the positions
+     whose tags differ from his own. *)
+  let write_tags buf =
+    for a = 0 to !nact - 1 do
+      let g = act.(a) in
+      mark_group g;
+      for j = lo.(g) to lo.(g) + live.(g) - 1 do
+        let i = order.(j) in
+        Strhash.draw_write_range (instance_label i) ~bits:!bits buf table
+          ~pos:(range_pos ~stride off i) ~len:(range_len ~stride off i)
+      done
+    done
+  in
+  let write_tag_flags buf =
+    let width = live_count () in
+    let p = ref 0 and word = ref 0 in
+    for a = 0 to !nact - 1 do
+      let g = act.(a) in
+      mark_group g;
+      for j = lo.(g) to lo.(g) + live.(g) - 1 do
+        let i = order.(j) in
+        let matches =
+          Strhash.draw_matches_range (instance_label i) ~bits:!bits reader table
+            ~pos:(range_pos ~stride off i) ~len:(range_len ~stride off i)
+        in
+        word := add_flag buf ~width !p !word (not matches);
+        incr p
+      done
+    done
+  in
+  let tag_round () = exchange write_tags write_tag_flags in
   (* Settle a tag round: mismatching instances leave their group's range
      (unequal, with certainty); a group that lost none is a joint-test
-     candidate.  Returns the candidate count. *)
+     candidate, counted in [ncand]. *)
   let settle reply =
     let width = live_count () in
-    let p = ref 0 and ncand = ref 0 in
+    let p = ref 0 in
+    ncand := 0;
     for a = 0 to !nact - 1 do
       let g = act.(a) in
       let first = lo.(g) and n = live.(g) in
@@ -164,74 +205,75 @@ let run ?(sequential = true) ?(max_iterations = default_max_iterations) role rng
         incr ncand
       end
     done;
-    compact ();
-    !ncand
+    compact ()
   in
   (* Joint test of the candidates: one [jbits]-wide tag of each group's
-     length-prefixed strings, assembled in a scratch writer and hashed
-     through its zero-copy view.  Returns Bob's mismatch bitmap. *)
-  let joint_round ~iteration ncand =
-    let with_payload g f =
-      Bitio.Pool.with_buf (fun tmp ->
-          write_group tmp g;
-          f (joint_label g iteration) (Bitio.Bitbuf.view tmp))
-    in
-    match role with
-    | Alice ->
-        chan.send
-          (Bitio.Pool.payload (fun buf ->
-               for c = 0 to ncand - 1 do
-                 with_payload cand.(c) (fun label payload ->
-                     Strhash.draw_write label ~bits:jbits buf payload)
-               done));
-        chan.recv ()
-    | Bob ->
-        Bitio.Pool.with_reader (chan.recv ()) (fun reader ->
-            send_reply chan (fun buf ->
-                let word = ref 0 in
-                for c = 0 to ncand - 1 do
-                  word :=
-                    add_flag buf ~width:ncand c !word
-                      (with_payload cand.(c) (fun label payload ->
-                           not (Strhash.draw_matches label ~bits:jbits reader payload)))
-                done))
+     length-prefixed strings.  They are assembled one after another in
+     [scratch], candidate [c] at [jstart.(c)], and tagged as ranges of
+     one zero-copy view. *)
+  let joint_payloads () =
+    Bitio.Bitbuf.reset scratch;
+    for c = 0 to !ncand - 1 do
+      jstart.(c) <- Bitio.Bitbuf.length scratch;
+      write_group scratch cand.(c)
+    done;
+    jstart.(!ncand) <- Bitio.Bitbuf.length scratch;
+    Bitio.Bitbuf.view scratch
   in
+  let write_joint buf =
+    let payloads = joint_payloads () in
+    for c = 0 to !ncand - 1 do
+      Strhash.draw_write_range (joint_label cand.(c)) ~bits:jbits buf payloads ~pos:jstart.(c)
+        ~len:(jstart.(c + 1) - jstart.(c))
+    done
+  in
+  let write_joint_flags buf =
+    let payloads = joint_payloads () in
+    let word = ref 0 in
+    for c = 0 to !ncand - 1 do
+      let matches =
+        Strhash.draw_matches_range (joint_label cand.(c)) ~bits:jbits reader payloads
+          ~pos:jstart.(c) ~len:(jstart.(c + 1) - jstart.(c))
+      in
+      word := add_flag buf ~width:!ncand c !word (not matches)
+    done
+  in
+  let joint_round () = exchange write_joint write_joint_flags in
   let declare_equal g =
     for j = lo.(g) to lo.(g) + live.(g) - 1 do
       Bytes.set equal order.(j) '\001'
     done;
     live.(g) <- 0
   in
-  (* Unconditional-termination fallback: exchange the remaining strings. *)
+  (* Unconditional-termination fallback: exchange the remaining strings.
+     Bob compares each against his range of the table as he reads it. *)
+  let write_exact buf =
+    for a = 0 to !nact - 1 do
+      write_group buf act.(a)
+    done
+  in
+  let write_exact_flags buf =
+    let width = live_count () in
+    let p = ref 0 and word = ref 0 in
+    for a = 0 to !nact - 1 do
+      let g = act.(a) in
+      for j = lo.(g) to lo.(g) + live.(g) - 1 do
+        let i = order.(j) in
+        let theirs = Bitio.Codes.read_gamma reader in
+        let same =
+          Bitio.Bitreader.read_matches reader ~bits:theirs table ~pos:(range_pos ~stride off i)
+            ~len:(range_len ~stride off i)
+        in
+        word := add_flag buf ~width !p !word (not same);
+        incr p
+      done
+    done
+  in
   let exact_round () =
     let n = live_count () in
     Obsv.Metrics.incr "eq/exact_fallbacks";
     Obsv.Metrics.incr ~by:n "eq/exact_instances";
-    let reply =
-      match role with
-      | Alice ->
-          chan.send
-            (Bitio.Pool.payload (fun buf ->
-                 for a = 0 to !nact - 1 do
-                   write_group buf act.(a)
-                 done));
-          chan.recv ()
-      | Bob ->
-          Bitio.Pool.with_reader (chan.recv ()) (fun reader ->
-              send_reply chan (fun buf ->
-                  let p = ref 0 and word = ref 0 in
-                  for a = 0 to !nact - 1 do
-                    let g = act.(a) in
-                    for j = lo.(g) to lo.(g) + live.(g) - 1 do
-                      let len = Bitio.Codes.read_gamma reader in
-                      let theirs = Bitio.Bitreader.read_blob reader ~bits:len in
-                      word :=
-                        add_flag buf ~width:n !p !word
-                          (not (Bitio.Bits.equal theirs instances.(order.(j))));
-                      incr p
-                    done
-                  done))
-    in
+    let reply = exchange write_exact write_exact_flags in
     let p = ref 0 in
     for a = 0 to !nact - 1 do
       let g = act.(a) in
@@ -244,25 +286,20 @@ let run ?(sequential = true) ?(max_iterations = default_max_iterations) role rng
   in
   (* Drive the groups in [act] until every instance is settled. *)
   let process () =
-    let iteration = ref 0 in
+    iteration := 0;
     while !nact > 0 do
       if !iteration >= max_iterations then Obsv.Trace.span Obsv.Phases.Eq_exact exact_round
       else begin
-        let bits = Int.min 32 (2 lsl !iteration) in
+        bits := Int.min 32 (2 lsl !iteration);
         Obsv.Metrics.incr "eq/tag_rounds";
-        Obsv.Metrics.observe "eq/tag_bits" bits;
-        let reply =
-          Obsv.Trace.span Obsv.Phases.Eq_tags (fun () -> tag_round ~iteration:!iteration ~bits)
-        in
-        let ncand = settle reply in
-        if ncand > 0 then begin
+        Obsv.Metrics.observe "eq/tag_bits" !bits;
+        settle (Obsv.Trace.span Obsv.Phases.Eq_tags tag_round);
+        if !ncand > 0 then begin
           Obsv.Metrics.incr "eq/joint_checks";
-          (* [mismatch = false] means the joint tags agreed: declare equal. *)
-          let reply =
-            Obsv.Trace.span Obsv.Phases.Eq_joint (fun () -> joint_round ~iteration:!iteration ncand)
-          in
-          for c = 0 to ncand - 1 do
-            if not (Wire.bitmap_flag reply ~width:ncand c) then declare_equal cand.(c)
+          (* A clear flag means the joint tags agreed: declare equal. *)
+          let reply = Obsv.Trace.span Obsv.Phases.Eq_joint joint_round in
+          for c = 0 to !ncand - 1 do
+            if not (Wire.bitmap_flag reply ~width:!ncand c) then declare_equal cand.(c)
           done;
           compact ()
         end;
@@ -280,10 +317,29 @@ let run ?(sequential = true) ?(max_iterations = default_max_iterations) role rng
     end
   done;
   process ();
-  Array.init k (fun i -> Bytes.get equal i = '\001')
+  equal
+
+let run_table ?(sequential = true) ?(max_iterations = default_max_iterations) role rng chan table
+    layout =
+  Bitio.Pool.with_buf (run_core ~sequential ~max_iterations role rng chan table layout)
+
+(* Pack the instances into one table, back to back, and unpack the
+   verdict bytes. *)
+let run_array ?sequential ?max_iterations role rng chan instances =
+  let k = Array.length instances in
+  let off = Array.make (k + 1) 0 in
+  for i = 0 to k - 1 do
+    off.(i + 1) <- off.(i) + Bitio.Bits.length instances.(i)
+  done;
+  let equal =
+    Bitio.Pool.with_buf (fun buf ->
+        Array.iter (Bitio.Bitbuf.append buf) instances;
+        run_table ?sequential ?max_iterations role rng chan (Bitio.Bitbuf.view buf) (Ranges off))
+  in
+  Array.init k (fun i -> Bytes.get equal i <> '\000')
 
 let run_alice ?sequential ?max_iterations rng chan xs =
-  run ?sequential ?max_iterations Alice rng chan xs
+  run_array ?sequential ?max_iterations `Alice rng chan xs
 
 let run_bob ?sequential ?max_iterations rng chan ys =
-  run ?sequential ?max_iterations Bob rng chan ys
+  run_array ?sequential ?max_iterations `Bob rng chan ys

@@ -23,12 +23,41 @@
       ([O(log k)] with [~sequential:false], an ablation knob the paper's
       framing forbids but modern pipelining allows). *)
 
-(** [run_alice rng chan xs] / [run_bob rng chan ys]: both parties must pass
-    equally many instances and generators in identical states.  Returns one
-    verdict per instance ([true] = declared equal).  [max_iterations]
-    (default 40, same value on both sides) caps the tag rounds before the
-    verbatim-exchange fallback; tests set it to 0 to drive the fallback
-    directly. *)
+(** Where each instance lies in a packed table: one {!Bitio.Bits.t}
+    holding every instance's input back to back. *)
+type layout =
+  | Uniform of { count : int; width : int }
+      (** [count] instances, instance [i] at bits
+          [\[i * width, (i + 1) * width)] *)
+  | Ranges of int array
+      (** [Ranges off]: [Array.length off - 1] instances, instance [i] at
+          bits [\[off.(i), off.(i + 1))]; [off] must not decrease *)
+
+(** [run_table role rng chan table layout] is one party's side of a batch
+    over the instances [layout] places in [table].  Both parties must
+    pass equally many instances and generators in identical states (each
+    its own table).  Returns one verdict byte per instance, ['\001'] for
+    declared equal and ['\000'] otherwise.  A party's tags are drawn over
+    its ranges in place, and in the exact round Bob compares Alice's
+    strings with his ranges as he reads them, so the table is never cut
+    into per-instance values.  [max_iterations] (default 40, same value
+    on both sides) caps the tag rounds before the verbatim-exchange
+    fallback; tests set it to 0 to drive the fallback directly.  Raises
+    [Invalid_argument] if a range lies outside [table]. *)
+val run_table :
+  ?sequential:bool ->
+  ?max_iterations:int ->
+  [ `Alice | `Bob ] ->
+  Prng.Rng.t ->
+  Commsim.Transport.t ->
+  Bitio.Bits.t ->
+  layout ->
+  Bytes.t
+
+(** [run_alice rng chan xs] / [run_bob rng chan ys]: {!run_table} over
+    the instances packed back to back, with the verdicts unpacked
+    ([true] = declared equal).  Same transcript as {!run_table} on the
+    same inputs. *)
 val run_alice :
   ?sequential:bool ->
   ?max_iterations:int ->

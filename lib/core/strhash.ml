@@ -197,7 +197,7 @@ let write_int fn buf x =
    lane even after a mismatch, so the reader always advances by exactly
    [bits]. *)
 let draw_write_range d ~bits buf payload ~pos ~len =
-  check_bits "draw_write" bits;
+  check_bits "draw_write_range" bits;
   let lanes = lane_count bits in
   let r = Prng.Rng.Label.draws d (1 + (2 * lanes)) in
   let v = fingerprint (point_of r.(0)) payload ~pos ~len in
@@ -207,11 +207,8 @@ let draw_write_range d ~bits buf payload ~pos ~len =
     Bitio.Bitbuf.write_bits buf ~width (lane_tag a r.((2 * i) + 2) v ~width)
   done
 
-let draw_write d ~bits buf payload =
-  draw_write_range d ~bits buf payload ~pos:0 ~len:(Bitio.Bits.length payload)
-
 let draw_matches_range d ~bits reader payload ~pos ~len =
-  check_bits "draw_matches" bits;
+  check_bits "draw_matches_range" bits;
   let lanes = lane_count bits in
   let r = Prng.Rng.Label.draws d (1 + (2 * lanes)) in
   let v = fingerprint (point_of r.(0)) payload ~pos ~len in
@@ -223,6 +220,3 @@ let draw_matches_range d ~bits reader payload ~pos ~len =
     ok := !ok && theirs = lane_tag a r.((2 * i) + 2) v ~width
   done;
   !ok
-
-let draw_matches d ~bits reader payload =
-  draw_matches_range d ~bits reader payload ~pos:0 ~len:(Bitio.Bits.length payload)

@@ -79,28 +79,22 @@ val stored_int_tag : int array -> bits:int -> int -> int
     coefficients), with no generator and no [fn] built.  The cell's label
     is left as it was.
 
-    [draw_write d ~bits buf payload] appends
-    [apply (create (Prng.Rng.Label.finish d) ~bits) payload] to [buf]
-    without building the tag.  The path for tags used once. *)
-val draw_write : Prng.Rng.Label.d -> bits:int -> Bitio.Bitbuf.t -> Bitio.Bits.t -> unit
-
-(** [draw_matches d ~bits reader payload] consumes exactly [bits] bits
-    from [reader] (a peer's tag, as {!draw_write} wrote it from a cell
-    with the same root and label) and says whether they equal the tag
-    {!draw_write} would write for [payload].  The reader advances fully
-    even on a mismatch, so framing is position-identical to a
-    read-then-compare round trip. *)
-val draw_matches : Prng.Rng.Label.d -> bits:int -> Bitio.Bitreader.t -> Bitio.Bits.t -> bool
-
-(** [draw_write_range d ~bits buf payload ~pos ~len] is [draw_write] on
-    the bits [\[pos, pos + len)] of [payload], without extracting them:
-    a range tags exactly like a payload holding just its bits.  Raises
-    [Invalid_argument] unless the range lies inside [payload]. *)
+    [draw_write_range d ~bits buf payload ~pos ~len] appends
+    [apply (create (Prng.Rng.Label.finish d) ~bits) r] to [buf], for [r]
+    the bits [\[pos, pos + len)] of [payload], without building the tag
+    or extracting [r]: a range tags exactly like a payload holding just
+    its bits, and a whole payload passes [~pos:0 ~len:(length payload)].
+    The path for tags used once.  Raises [Invalid_argument] unless the
+    range lies inside [payload]. *)
 val draw_write_range :
   Prng.Rng.Label.d -> bits:int -> Bitio.Bitbuf.t -> Bitio.Bits.t -> pos:int -> len:int -> unit
 
-(** [draw_matches_range d ~bits reader payload ~pos ~len] is
-    [draw_matches] on the bits [\[pos, pos + len)] of [payload], as
-    {!draw_write_range} tags them. *)
+(** [draw_matches_range d ~bits reader payload ~pos ~len] consumes
+    exactly [bits] bits from [reader] (a peer's tag, as
+    {!draw_write_range} wrote it from a cell with the same root and
+    label) and says whether they equal the tag {!draw_write_range} would
+    write for the same range.  The reader advances fully even on a
+    mismatch, so framing is position-identical to a read-then-compare
+    round trip. *)
 val draw_matches_range :
   Prng.Rng.Label.d -> bits:int -> Bitio.Bitreader.t -> Bitio.Bits.t -> pos:int -> len:int -> bool

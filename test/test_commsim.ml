@@ -234,9 +234,10 @@ let test_inbox_ring_wraps () =
 
 (* ---------- Allocation ---------- *)
 
-(* Bytes one two-party run of [round_trips] ping-pongs allocates; the
+(* Bytes one two-party run of [round_trips] ping-pongs allocates, over
+   [Two_party.run] or, given a [plan], [Two_party.run_faulty]; the
    payload and the party closures are built outside the window. *)
-let ping_pong_bytes round_trips =
+let ping_pong_bytes ?plan round_trips =
   let payload = bits_of_int ~width:8 42 in
   let alice chan =
     for _ = 1 to round_trips do
@@ -249,9 +250,12 @@ let ping_pong_bytes round_trips =
       chan.Chan.send payload
     done
   in
-  let _, w =
-    Obsv.Window.measure (fun () -> ignore (Sys.opaque_identity (Two_party.run ~alice ~bob)))
+  let run () =
+    match plan with
+    | None -> ignore (Sys.opaque_identity (Two_party.run ~alice ~bob))
+    | Some plan -> ignore (Sys.opaque_identity (Two_party.run_faulty ~plan ~alice ~bob))
   in
+  let _, w = Obsv.Window.measure run in
   w.Obsv.Window.alloc_bytes
 
 (* A message costs one suspension of its receiver (the continuation and
@@ -259,13 +263,47 @@ let ping_pong_bytes round_trips =
    1 000-round-trip ping-pong, less the same run with none, must read at
    most 64 bytes a message; an effect per send and a closure per wake
    read 400.  The empty run's fixed set-up, which sweep-sized trials pay
-   once each, must stay within 2 175 bytes (2 736 with that scheduler). *)
+   once each, must stay within 2 175 bytes (2 736 with that scheduler).
+   A faulty run's channel adds nothing per message while no fault fires:
+   the same 64-byte bound holds under [Faults.clean] (a delivery list
+   per message read 72) and under a plan with every rate positive but
+   too small to fire in 2 000 messages (120 with a float boxed per
+   decision). *)
 let test_message_allocation () =
-  ignore (ping_pong_bytes 10);
-  let setup = ping_pong_bytes 0 in
-  let per_message = (ping_pong_bytes 1000 - setup) / 2000 in
-  if per_message > 64 then Alcotest.failf "%d bytes per message (at most 64)" per_message;
-  if setup > 2175 then Alcotest.failf "%d bytes of run set-up (at most 2 175)" setup
+  let quiet =
+    Faults.uniform ~seed:3 { Faults.flip = 1e-12; trunc = 1e-12; dup = 1e-12; drop = 1e-12 }
+  in
+  let payload = bits_of_int ~width:8 42 in
+  (match
+     Two_party.run_faulty ~plan:quiet
+       ~alice:(fun chan ->
+         for _ = 1 to 1000 do
+           chan.Chan.send payload;
+           ignore (chan.Chan.recv ())
+         done)
+       ~bob:(fun chan ->
+         for _ = 1 to 1000 do
+           ignore (chan.Chan.recv ());
+           chan.Chan.send payload
+         done)
+   with
+  | Network.Completed _, _, tallies ->
+      let t = Faults.total tallies in
+      check "quiet plan: deliveries" 2000 t.Faults.deliveries;
+      check "quiet plan: no damage" 0
+        (t.Faults.flipped_bits + t.Faults.truncated_messages + t.Faults.duplicated_messages
+       + t.Faults.dropped_messages)
+  | _ -> Alcotest.fail "quiet plan: the ping-pong did not complete");
+  List.iter
+    (fun (name, plan) ->
+      ignore (ping_pong_bytes ?plan 10);
+      let setup = ping_pong_bytes ?plan 0 in
+      let per_message = (ping_pong_bytes ?plan 1000 - setup) / 2000 in
+      if per_message > 64 then
+        Alcotest.failf "%s: %d bytes per message (at most 64)" name per_message;
+      if Option.is_none plan && setup > 2175 then
+        Alcotest.failf "%d bytes of run set-up (at most 2 175)" setup)
+    [ ("run", None); ("run_faulty clean", Some Faults.clean); ("run_faulty quiet", Some quiet) ]
 
 (* ---------- Faulty channels ---------- *)
 

@@ -221,8 +221,8 @@ let prop_apply_matches_reference =
       let c = Faults.channel (Faults.uniform ~seed link) ~players:3 in
       let got =
         match Faults.apply c ~from_ ~to_ ~index payload with
-        | Faults.Drop -> None
-        | Faults.Deliver copies -> Some copies
+        | 0 -> None
+        | copies -> Some (List.init copies (fun _ -> Faults.delivered c))
       in
       let t = (Faults.tallies c).Faults.links.(from_).(to_) in
       (match (want, got) with

@@ -281,6 +281,13 @@ let test_label_draws () =
 
 let payload_of len salt = Bitio.Bits.of_bools (List.init len (fun i -> ((i * 7) + salt) mod 11 < 4))
 
+(* The fused forms over a whole payload. *)
+let draw_write cell ~bits buf payload =
+  Strhash.draw_write_range cell ~bits buf payload ~pos:0 ~len:(Bitio.Bits.length payload)
+
+let draw_matches cell ~bits reader payload =
+  Strhash.draw_matches_range cell ~bits reader payload ~pos:0 ~len:(Bitio.Bits.length payload)
+
 (* The fused draw-and-tag forms against [create] + [apply] on the
    generator the cell's [finish] derives: same tag bits, same verdicts,
    and the reader advanced by exactly [bits], for single- and multi-lane
@@ -300,13 +307,13 @@ let test_fused_strhash () =
       let payload = payload_of len bits in
       let other = payload_of len (bits + 1) in
       Bitio.Bitbuf.reset buf;
-      Strhash.draw_write cell ~bits buf payload;
+      draw_write cell ~bits buf payload;
       let tag = Strhash.apply (Strhash.create (Prng.Rng.Label.finish cell) ~bits) payload in
       if not (Bitio.Bits.equal tag (Bitio.Bitbuf.contents buf)) then Alcotest.failf "%s write" label;
       List.iter
         (fun (what, mine) ->
           let reader = Bitio.Bitreader.create tag in
-          let got = Strhash.draw_matches cell ~bits reader mine in
+          let got = draw_matches cell ~bits reader mine in
           let want =
             Bitio.Bits.equal tag (Strhash.apply (Strhash.create (Prng.Rng.Label.finish cell) ~bits) mine)
           in
@@ -334,14 +341,14 @@ let test_tag_pipeline_allocation_free () =
   let reps = 1000 in
   let w0 = Gc.minor_words () in
   for i = 1 to reps do
-    Strhash.draw_write (label i) ~bits:80 buf payload
+    draw_write (label i) ~bits:80 buf payload
   done;
   let w1 = Gc.minor_words () in
   let reader = Bitio.Bitreader.of_bitbuf buf in
   let ok = ref true in
   let w2 = Gc.minor_words () in
   for i = 1 to reps do
-    ok := Strhash.draw_matches (label i) ~bits:80 reader payload && !ok
+    ok := draw_matches (label i) ~bits:80 reader payload && !ok
   done;
   let w3 = Gc.minor_words () in
   Alcotest.(check bool) "tags match" true !ok;
@@ -380,7 +387,7 @@ let test_range_strhash () =
       Bitio.Bitbuf.reset range;
       Bitio.Bitbuf.reset whole;
       Strhash.draw_write_range cell ~bits range payload ~pos ~len;
-      Strhash.draw_write cell ~bits whole copy;
+      draw_write cell ~bits whole copy;
       let tag = Strhash.apply (Strhash.create (Prng.Rng.Label.finish cell) ~bits) copy in
       Alcotest.check bits_t (name ^ " write") tag (Bitio.Bitbuf.contents range);
       Alcotest.check bits_t (name ^ " whole") tag (Bitio.Bitbuf.contents whole);
@@ -1282,6 +1289,247 @@ let expected_report_digests =
 
 let test_report_digests () = check_digests (report_digests ()) expected_report_digests
 
+(* ---------- Eq_batch over a packed table ---------- *)
+
+(* [instances] packed back to back into one table, with their offsets. *)
+let pack instances =
+  let off = Array.make (Array.length instances + 1) 0 in
+  Array.iteri (fun i x -> off.(i + 1) <- off.(i) + Bitio.Bits.length x) instances;
+  let buf = Bitio.Bitbuf.create () in
+  Array.iter (Bitio.Bitbuf.append buf) instances;
+  (Bitio.Bitbuf.contents buf, off)
+
+let verdict_list equal = List.init (Bytes.length equal) (fun i -> Bytes.get equal i <> '\000')
+
+(* The exact round on its own ([max_iterations:0]): instances of 0, 1,
+   55, 56, 57 and 200 bits — either side of the 56-bit chunk Bob compares
+   per load — each once equal, once differing in its last bit and once
+   against a string one bit longer, get exact verdicts on both sides. *)
+let test_packed_exact () =
+  let cases =
+    List.concat_map
+      (fun len ->
+        let x = payload_of len len in
+        let flipped =
+          if len = 0 then payload_of 1 0
+          else Bitio.Bits.of_bools (List.init len (fun i -> Bitio.Bits.get x i <> (i = len - 1)))
+        in
+        [ (x, x, true); (x, flipped, false); (x, payload_of (len + 1) len, false) ])
+      [ 0; 1; 55; 56; 57; 200 ]
+  in
+  let xs = Array.of_list (List.map (fun (x, _, _) -> x) cases) in
+  let ys = Array.of_list (List.map (fun (_, y, _) -> y) cases) in
+  let want = List.map (fun (_, _, v) -> v) cases in
+  let table_a, off_a = pack xs and table_b, off_b = pack ys in
+  let rng = Prng.Rng.of_int 41 in
+  let (va, vb), _ =
+    Commsim.Two_party.run
+      ~alice:(fun chan ->
+        Eq_batch.run_table ~max_iterations:0 `Alice rng chan table_a (Eq_batch.Ranges off_a))
+      ~bob:(fun chan ->
+        Eq_batch.run_table ~max_iterations:0 `Bob rng chan table_b (Eq_batch.Ranges off_b))
+  in
+  Alcotest.(check (list bool)) "alice's verdicts" want (verdict_list va);
+  Alcotest.(check (list bool)) "bob's verdicts" want (verdict_list vb)
+
+(* Bob's exact-round compare: [read_matches] is [read_blob] then
+   [Bits.equal] against the table's range, consumes exactly the bits the
+   peer announced whatever the verdict, and builds no blob (no
+   allocation at all).  Every announced length 0-130 against ranges of
+   that length and one more, at every table offset 0-9. *)
+let test_read_matches () =
+  let table = payload_of 400 3 in
+  let stream = payload_of 300 5 in
+  let reader = Bitio.Bitreader.create stream in
+  for bits = 0 to 130 do
+    for pos = 0 to 9 do
+      List.iter
+        (fun len ->
+          let want =
+            Bitio.Bits.equal
+              (Bitio.Bitreader.read_blob (Bitio.Bitreader.create stream) ~bits)
+              (Bitio.Bitreader.read_blob
+                 (let r = Bitio.Bitreader.create table in
+                  Bitio.Bitreader.skip r pos;
+                  r)
+                 ~bits:len)
+          in
+          Bitio.Bitreader.reset reader stream;
+          let got = Bitio.Bitreader.read_matches reader ~bits table ~pos ~len in
+          let name = Printf.sprintf "bits %d pos %d len %d" bits pos len in
+          Alcotest.(check bool) name want got;
+          check_int (name ^ " consumed") bits (300 - Bitio.Bitreader.remaining reader))
+        [ bits; bits + 1 ]
+    done
+  done;
+  (* An equal range: the stream's own bits, at an offset. *)
+  Bitio.Bitreader.reset reader stream;
+  Bitio.Bitreader.skip reader 7;
+  Alcotest.(check bool) "own range" true
+    (Bitio.Bitreader.read_matches reader ~bits:200 stream ~pos:7 ~len:200);
+  let _, w =
+    Obsv.Window.measure (fun () ->
+        for _ = 1 to 1000 do
+          Bitio.Bitreader.reset reader stream;
+          ignore
+            (Sys.opaque_identity
+               (Bitio.Bitreader.read_matches reader ~bits:200 table ~pos:3 ~len:200))
+        done)
+  in
+  let _, empty = Obsv.Window.measure (fun () -> ()) in
+  check_int "bytes for 1 000 compares" 0
+    (w.Obsv.Window.alloc_bytes - empty.Obsv.Window.alloc_bytes);
+  Bitio.Bitreader.reset reader (payload_of 20 0);
+  (match Bitio.Bitreader.read_matches reader ~bits:21 table ~pos:0 ~len:21 with
+  | _ -> Alcotest.fail "a short stream was read"
+  | exception Bitio.Bitreader.Underflow -> ());
+  check_int "an underflow consumes nothing" 20 (Bitio.Bitreader.remaining reader)
+
+(* A short exact-round payload from Alice fails on Bob's side as the
+   blob read did: [Bitreader.Underflow] out of a clean run, and a crash
+   of rank 1 after one message with the same diagnosis in a faulty run.
+   Nine 16-bit instances make three groups of three; Alice's first
+   message (group 0's strings, each after its gamma-coded length) is cut
+   inside a length, inside the first string and inside the last. *)
+let test_short_exact_payload () =
+  let xs = Array.init 9 (fun i -> Bitio.Bits.of_string (Printf.sprintf "x%d" i)) in
+  let full =
+    Bitio.Pool.payload (fun buf ->
+        for i = 0 to 2 do
+          Bitio.Codes.write_gamma buf 16;
+          Bitio.Bitbuf.append buf xs.(i)
+        done)
+  in
+  let cut bits = Bitio.Bitreader.read_blob (Bitio.Bitreader.create full) ~bits in
+  let bob chan = ignore (Eq_batch.run_bob ~max_iterations:0 (Prng.Rng.of_int 5) chan xs) in
+  List.iter
+    (fun keep ->
+      let name = Printf.sprintf "cut at %d of %d" keep (Bitio.Bits.length full) in
+      let alice chan =
+        chan.Commsim.Transport.send (cut keep);
+        ignore (chan.Commsim.Transport.recv ())
+      in
+      (match Commsim.Two_party.run ~alice ~bob with
+      | exception Bitio.Bitreader.Underflow -> ()
+      | _ -> Alcotest.failf "%s: short payload accepted" name);
+      match Commsim.Two_party.run_faulty ~plan:Commsim.Faults.clean ~alice ~bob with
+      | Commsim.Network.Crashed { rank; exn; after_messages }, _, _ ->
+          check_int (name ^ ": crashed rank") 1 rank;
+          Alcotest.(check string) (name ^ ": crash") "Bitio.Bitreader.Underflow" exn;
+          check_int (name ^ ": after messages") 1 after_messages
+      | _ -> Alcotest.failf "%s: faulty run did not crash" name)
+    [ 0; 5; 9 + 4; (3 * 25) - 1 ]
+
+(* The [Bits.t array] adapter and the packed entry are one core: on
+   random variable-length tables (and uniform ones, which the packed
+   entry takes as [Uniform]) both give the same verdicts and the same
+   payloads, at every iteration cap. *)
+let prop_adapter_is_packed =
+  let gen =
+    QCheck.Gen.(
+      triple (int_bound 1000) (oneofl [ 0; 1; 2; 40 ])
+        (pair (opt (int_range 0 70))
+           (list_size (int_bound 60) (triple (int_bound 90) bool small_nat))))
+  in
+  QCheck.Test.make ~name:"array adapter = packed entry (verdicts, payloads)" ~count:150
+    (QCheck.make gen) (fun (seed, max_iterations, (width, specs)) ->
+      let specs = Array.of_list specs in
+      let len l = match width with Some w -> w | None -> l in
+      let xs = Array.map (fun (l, _, salt) -> payload_of (len l) salt) specs in
+      let ys =
+        Array.map
+          (fun (l, same, salt) -> payload_of (len l) (if same then salt else salt + 1))
+          specs
+      in
+      let rng = Prng.Rng.of_int seed in
+      let adapter_log = Buffer.create 256 in
+      let (va, vb), _ =
+        Commsim.Two_party.run
+          ~alice:(fun chan -> Eq_batch.run_alice ~max_iterations rng (tap adapter_log chan) xs)
+          ~bob:(fun chan -> Eq_batch.run_bob ~max_iterations rng (tap adapter_log chan) ys)
+      in
+      let layout off =
+        match width with
+        | Some width -> Eq_batch.Uniform { count = Array.length specs; width }
+        | None -> Eq_batch.Ranges off
+      in
+      let table_a, off_a = pack xs and table_b, off_b = pack ys in
+      let packed_log = Buffer.create 256 in
+      let (pa, pb), _ =
+        Commsim.Two_party.run
+          ~alice:(fun chan ->
+            Eq_batch.run_table ~max_iterations `Alice rng (tap packed_log chan) table_a
+              (layout off_a))
+          ~bob:(fun chan ->
+            Eq_batch.run_table ~max_iterations `Bob rng (tap packed_log chan) table_b
+              (layout off_b))
+      in
+      Array.to_list va = verdict_list pa
+      && Array.to_list vb = verdict_list pb
+      && Buffer.contents adapter_log = Buffer.contents packed_log)
+
+(* Bytes [f ()] allocates over 1 000 warm calls, less an empty window's
+   own reading. *)
+let warm_bytes f =
+  f ();
+  let _, w =
+    Obsv.Window.measure (fun () ->
+        for _ = 1 to 1000 do
+          f ()
+        done)
+  in
+  let _, empty = Obsv.Window.measure (fun () -> ()) in
+  w.Obsv.Window.alloc_bytes - empty.Obsv.Window.alloc_bytes
+
+(* A warm pool hands out writers without allocating: [with_buf], nested
+   or not, allocates nothing, and [payload] nothing beyond the copy
+   [Bitbuf.contents] takes. *)
+let test_pool_allocation () =
+  let write buf = Bitio.Bitbuf.write_bits buf ~width:60 12345 in
+  let nested _ = Bitio.Pool.with_buf write in
+  check_int "with_buf" 0 (warm_bytes (fun () -> Bitio.Pool.with_buf write));
+  check_int "nested with_buf" 0 (warm_bytes (fun () -> Bitio.Pool.with_buf nested));
+  let buf = Bitio.Bitbuf.create () in
+  write buf;
+  let copy = warm_bytes (fun () -> ignore (Sys.opaque_identity (Bitio.Bitbuf.contents buf))) in
+  check_int "payload = its copy" copy
+    (warm_bytes (fun () -> ignore (Sys.opaque_identity (Bitio.Pool.payload write))))
+
+(* One warm 1 000-instance batch over packed 30-bit tables (one instance
+   in three equal, the bucket protocol's shape) must allocate at most
+   96 B a message plus 24 B an instance, both parties together.  Fitted
+   over batches of 500 to 4 000 instances, this code reads about 76 B a
+   message (its payload copy and the transport's suspension) and 20 B
+   an instance (each party's slot in the group order and its verdict
+   byte), 48 752 B for this batch against a 50 304 B bound; building
+   the tag round's span thunk once per round again reads 58 864 B.  The same
+   batch through the [Bits.t array] entry, before the table was packed,
+   read 149 840 B: about 364 B a message and 39 B an instance. *)
+let test_eq_batch_allocation () =
+  let k = 1000 and width = 30 in
+  let values = Prng.Rng.of_int 8 in
+  let table f =
+    Bitio.Pool.payload (fun buf ->
+        for i = 0 to k - 1 do
+          Bitio.Bitbuf.write_bits buf ~width (f i)
+        done)
+  in
+  let xs = Array.init k (fun _ -> Prng.Rng.bits values ~width) in
+  let ta = table (fun i -> xs.(i))
+  and tb = table (fun i -> if i mod 3 = 0 then xs.(i) else xs.(i) lxor 1) in
+  let layout = Eq_batch.Uniform { count = k; width } in
+  let rng = Prng.Rng.of_int 9 in
+  let alice chan = ignore (Eq_batch.run_table `Alice rng chan ta layout)
+  and bob chan = ignore (Eq_batch.run_table `Bob rng chan tb layout) in
+  let run () = snd (Commsim.Two_party.run ~alice ~bob) in
+  ignore (run ());
+  let cost, w = Obsv.Window.measure run in
+  let messages = cost.Commsim.Cost.messages in
+  let bytes = w.Obsv.Window.alloc_bytes in
+  let bound = (96 * messages) + (24 * k) in
+  if bytes > bound then
+    Alcotest.failf "%d bytes over %d messages and %d instances (at most %d)" bytes messages k bound
+
 let () =
   Alcotest.run "hotpath"
     [
@@ -1335,6 +1583,16 @@ let () =
           Alcotest.test_case "short eq_batch bitmap rejected" `Quick test_short_eq_bitmap;
           Alcotest.test_case "delta codeword and bit width = references" `Quick
             test_codes_reference;
+        ] );
+      ( "eq_batch",
+        [
+          Alcotest.test_case "exact verdicts on a packed table" `Quick test_packed_exact;
+          Alcotest.test_case "read_matches = read_blob + equal" `Quick test_read_matches;
+          Alcotest.test_case "short exact payload underflows" `Quick test_short_exact_payload;
+          QCheck_alcotest.to_alcotest prop_adapter_is_packed;
+          Alcotest.test_case "warm pool allocates only the copy" `Quick test_pool_allocation;
+          Alcotest.test_case "eq_batch allocation per message and instance" `Quick
+            test_eq_batch_allocation;
         ] );
       ( "golden",
         [
