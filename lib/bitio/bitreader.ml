@@ -32,17 +32,11 @@ let skip t n =
   t.position <- t.position + n
 
 (* Number of trailing one bits of [w >= 0]: [lnot w land (w + 1)] isolates
-   the lowest zero bit, whose index a binary search finds. *)
-let trailing_ones w =
-  let z = lnot w land (w + 1) in
-  let n = ref 0 and z = ref z in
-  if !z lsr 32 <> 0 then (n := 32; z := !z lsr 32);
-  if !z lsr 16 <> 0 then (n := !n + 16; z := !z lsr 16);
-  if !z lsr 8 <> 0 then (n := !n + 8; z := !z lsr 8);
-  if !z lsr 4 <> 0 then (n := !n + 4; z := !z lsr 4);
-  if !z lsr 2 <> 0 then (n := !n + 2; z := !z lsr 2);
-  if !z lsr 1 <> 0 then n := !n + 1;
-  !n
+   the lowest zero bit, a power of two, which [Float.of_int] converts
+   exactly at any size; its index is the double's biased exponent field
+   minus 1023.  No branch on [w]'s bits and no boxing. *)
+let[@inline] trailing_ones w =
+  (Int64.to_int (Int64.bits_of_float (Float.of_int (lnot w land (w + 1)))) lsr 52) - 1023
 
 (* Up to 56 bits per load; stops at the first zero, which stays unread. *)
 let rec read_ones t acc =

@@ -1,14 +1,11 @@
-(* A binary search for the highest set bit. *)
+(* [x = v land lnot (v lsr 1)] keeps v's top bit 2^t and clears bit t-1,
+   so 2^t <= x < 1.5 2^t: [Float.of_int x], even rounded to 53 bits,
+   never reaches 2^(t+1), and its biased exponent field (bits 52-62 of
+   the double) is t + 1023 at every width up to 62.  The width is that
+   field minus 1022: no branch on [v]'s bits and no boxing. *)
 let bit_width v =
   if v < 1 then invalid_arg "Codes.bit_width";
-  let n = ref 1 and v = ref v in
-  if !v lsr 32 <> 0 then (n := !n + 32; v := !v lsr 32);
-  if !v lsr 16 <> 0 then (n := !n + 16; v := !v lsr 16);
-  if !v lsr 8 <> 0 then (n := !n + 8; v := !v lsr 8);
-  if !v lsr 4 <> 0 then (n := !n + 4; v := !v lsr 4);
-  if !v lsr 2 <> 0 then (n := !n + 2; v := !v lsr 2);
-  if !v lsr 1 <> 0 then n := !n + 1;
-  !n
+  (Int64.to_int (Int64.bits_of_float (Float.of_int (v land lnot (v lsr 1)))) lsr 52) - 1022
 
 let write_unary buf n =
   if n < 0 then invalid_arg "Codes.write_unary";

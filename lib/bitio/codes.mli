@@ -6,7 +6,8 @@
     one to admit zero. *)
 
 (** [bit_width v] is the number of bits in the binary representation of
-    [v >= 1], i.e. [floor (log2 v) + 1]. *)
+    [v >= 1], i.e. [floor (log2 v) + 1].  It reads the exponent of a
+    float conversion, with no branch on [v]'s bits and no allocation. *)
 val bit_width : int -> int
 
 (** Unary: [n] is written as [n] one bits followed by a zero ([n + 1] bits). *)

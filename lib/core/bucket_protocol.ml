@@ -121,34 +121,33 @@ let run_party ?sequential ?(reduce = true) role rng ~universe ~k chan mine =
   (* An instance's input is its owner's image, so the matched images are
      the ones with an instance that tested equal.  Image [j] of bucket i
      at rank [m] has its instances at [first + t * step] for the peer's
-     ranks [t < theirs] — a run of a row for Alice, a column for Bob;
-     they are read off [images] in order, which keeps them sorted. *)
-  let hit = Bytes.make n '\000' and hits = ref 0 in
+     ranks [t < theirs] — a run of a row for Alice, a column for Bob.
+     Verdicts are random to the branch predictor, so the walk ORs each
+     image's verdict bytes (each 0 or 1) with no early exit, and the
+     images are gathered in order (which keeps them sorted) into [keys],
+     free since the counting sort, each written and kept by its hit
+     bit. *)
+  let hit = Bytes.make n '\000' in
   let base = ref 0 in
   for i = 0 to k - 1 do
     let mine_count = counts.(i) and theirs = their_counts.(i) in
     let step = if alice then 1 else mine_count in
     for m = 0 to mine_count - 1 do
       let first = if alice then !base + (m * theirs) else !base + m in
-      let t = ref 0 in
-      while !t < theirs && Bytes.get verdicts (first + (!t * step)) = '\000' do
-        incr t
+      let any = ref 0 in
+      for t = 0 to theirs - 1 do
+        any := !any lor Char.code (Bytes.get verdicts (first + (t * step)))
       done;
-      if !t < theirs then begin
-        Bytes.set hit slots.(start.(i) + m) '\001';
-        incr hits
-      end
+      Bytes.set hit slots.(start.(i) + m) (Char.unsafe_chr !any)
     done;
     base := !base + (mine_count * theirs)
   done;
-  let matched = Array.make !hits 0 in
   let h = ref 0 in
   for j = 0 to n - 1 do
-    if Bytes.get hit j <> '\000' then begin
-      matched.(!h) <- images.(j);
-      incr h
-    end
+    keys.(!h) <- images.(j);
+    h := !h + Char.code (Bytes.get hit j)
   done;
+  let matched = Array.sub keys 0 !h in
   (* Back through H: the elements whose image matched (sorted, since
      [mine] is). *)
   match reduction with

@@ -33,9 +33,11 @@ let check_layout table = function
 
 (* Bob's verdicts go straight into his reply, a word at a time: verdict
    [p] of [width] joins [word], and a word is written out once its last
-   flag is in.  Returns the word to carry on with. *)
+   flag is in.  Returns the word to carry on with.  A verdict is as good
+   as a coin flip to the branch predictor, so its bit is multiplied in
+   rather than tested. *)
 let[@inline] add_flag buf ~width p word mismatch =
-  let word = if mismatch then word lor Wire.bitmap_bit p else word in
+  let word = word lor (Bool.to_int mismatch * Wire.bitmap_bit p) in
   let first = p - (p mod Wire.bitmap_word) in
   if p + 1 = width || p + 1 = first + Wire.bitmap_word then begin
     Wire.write_bitmap_word buf ~width ~first word;
@@ -183,7 +185,9 @@ let run_core ~sequential ~max_iterations role rng (chan : Commsim.Transport.t) t
   let tag_round () = exchange write_tags write_tag_flags in
   (* Settle a tag round: mismatching instances leave their group's range
      (unequal, with certainty); a group that lost none is a joint-test
-     candidate, counted in [ncand]. *)
+     candidate, counted in [ncand].  Every instance is written to the
+     next kept slot and the slot advances by its keep bit, so the
+     compaction does not branch on the verdicts. *)
   let settle reply =
     let width = live_count () in
     let p = ref 0 in
@@ -193,10 +197,8 @@ let run_core ~sequential ~max_iterations role rng (chan : Commsim.Transport.t) t
       let first = lo.(g) and n = live.(g) in
       let kept = ref first in
       for j = first to first + n - 1 do
-        if not (Wire.bitmap_flag reply ~width !p) then begin
-          order.(!kept) <- order.(j);
-          incr kept
-        end;
+        order.(!kept) <- order.(j);
+        kept := !kept + 1 - Bool.to_int (Wire.bitmap_flag reply ~width !p);
         incr p
       done;
       live.(g) <- !kept - first;

@@ -3,8 +3,10 @@
    Every intermediate below stays under 2^62 (the largest OCaml int is
    2^62 - 1).  [canon] makes any x < 2p canonical with one conditional
    subtraction, so a canonical residue plus a value below p needs nothing
-   more.  Since 2^61 = 1 (mod p), [fold x = (x land p) + (x lsr 61)] keeps
-   the residue, and for x < 2^62 it is at most 2^61 = p + 1, so
+   more.  Its branch is kept because its callers almost never reach p;
+   the lane sums, which reach it half the time, use [canon_masked].
+   Since 2^61 = 1 (mod p), [fold x = (x land p) + (x lsr 61)] keeps the
+   residue, and for x < 2^62 it is at most 2^61 = p + 1, so
    [reduce = canon (fold x)] makes any x < 2^62 canonical.
 
    [mul61 a b] for a, b < 2^61 splits each operand 31/30
@@ -58,9 +60,21 @@ let a_of v = 1 + (v mod (p61 - 1))
 let draw_point rng = point_of (draw_mod_p rng)
 let draw_a rng = a_of (draw_mod_p rng)
 
+(* [canon] without a branch, for the lane sums: every node and every
+   instance draws a fresh [b], so whether x >= p is close to a coin flip.
+   For x < 2p, d = x - p lies in [-p, p), so [d asr 62] is all ones
+   exactly when x < p, and adding p back under that mask makes x
+   canonical.  [canon]'s other callers ([reduce], and so every product,
+   and the fingerprint steps) keep the branch: their sums reach p with
+   odds near 2^-37 or below, so it is always predicted, and the mask
+   there measured slower end to end (registry entry 037). *)
+let[@inline] canon_masked x =
+  let d = x - p61 in
+  d + (p61 land (d asr 62))
+
 (* Lane tag of the collapsed value [v]: the low [width] bits of a
    near-uniform value mod p. *)
-let[@inline] lane_tag a b v ~width = canon (mul61 a v + b) land ((1 lsl width) - 1)
+let[@inline] lane_tag a b v ~width = canon_masked (mul61 a v + b) land ((1 lsl width) - 1)
 
 let check_bits name bits = if bits < 1 then invalid_arg ("Strhash." ^ name ^ ": bits")
 
@@ -220,3 +234,7 @@ let draw_matches_range d ~bits reader payload ~pos ~len =
     ok := !ok && theirs = lane_tag a r.((2 * i) + 2) v ~width
   done;
   !ok
+
+module For_testing = struct
+  let canon_masked = canon_masked
+end

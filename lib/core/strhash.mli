@@ -98,3 +98,11 @@ val draw_write_range :
     round trip. *)
 val draw_matches_range :
   Prng.Rng.Label.d -> bits:int -> Bitio.Bitreader.t -> Bitio.Bits.t -> pos:int -> len:int -> bool
+
+(** Test instruments. *)
+module For_testing : sig
+  (** [canon_masked x] is [x mod (2^61 - 1)] for [0 <= x < 2 (2^61 - 1)],
+      computed with a sign mask instead of a branch: the reduction every
+      lane tag ends with. *)
+  val canon_masked : int -> int
+end

@@ -10,12 +10,19 @@ let create rng ~universe ~range =
 (* With [p <= 2^31] and [x < 2^31] the product [a * x] stays below 2^62,
    inside OCaml's native ints: no boxing, no allocation.  That covers
    every universe the protocols hash; wider ones go through [Modarith]'s
-   overflow-safe unsigned arithmetic. *)
+   overflow-safe unsigned arithmetic.  There [y = (a * x mod p) + b < 2p],
+   so the second [mod p] is one subtraction of [p], undone under a sign
+   mask rather than a branch, which [b]'s randomness would make a coin
+   flip: d = y - p lies in [-p, p), and [d asr 62] is all ones exactly
+   when y < p. *)
 let native_limit = 1 lsl 31
 
 let hash t x =
   if x < 0 then invalid_arg "Carter_wegman.hash: negative";
-  if t.p <= native_limit && x < native_limit then ((t.a * x mod t.p) + t.b) mod t.p mod t.range
+  if t.p <= native_limit && x < native_limit then begin
+    let d = (t.a * x mod t.p) + t.b - t.p in
+    (d + (t.p land (d asr 62))) mod t.range
+  end
   else begin
     let p = Int64.of_int t.p and a = Int64.of_int t.a and b = Int64.of_int t.b in
     let v = Modarith.addmod (Modarith.mulmod a (Int64.of_int x) p) b p in

@@ -84,6 +84,48 @@ let test_bit_width () =
   check "255" 8 (Codes.bit_width 255);
   check "256" 9 (Codes.bit_width 256)
 
+(* [read_ones], a word at a time, against a count of one bits read off
+   the payload bit by bit: every run length 0..120 at every offset 0..7,
+   the run followed by a zero and more bits, by a zero that ends the
+   payload, or by the end of the payload.  The zero stays unread, and
+   [read_ones] never raises; [read_unary] on the same stream raises
+   [Underflow] exactly when [read_bit] would, when the run reaches the
+   end, having consumed the whole run. *)
+let test_read_ones_reference () =
+  let rng = Prng.Rng.of_int 12 in
+  for off = 0 to 7 do
+    for run = 0 to 120 do
+      List.iter
+        (fun (tail_name, tail) ->
+          let prefix = List.init off (fun _ -> Prng.Rng.bool rng) in
+          let payload = Bits.of_bools (prefix @ List.init run (fun _ -> true) @ tail) in
+          let len = Bits.length payload in
+          let name = Printf.sprintf "off %d run %d, %s" off run tail_name in
+          let rec ones i = if i < len && Bits.get payload i then ones (i + 1) else i - off in
+          let want = ones off in
+          let r = Bitreader.create payload in
+          Bitreader.skip r off;
+          check (name ^ ": ones") want (Bitreader.read_ones r);
+          check (name ^ ": position") (len - off - want) (Bitreader.remaining r);
+          let outcome read =
+            let r = Bitreader.create payload in
+            Bitreader.skip r off;
+            let v = match read r with n -> Some n | exception Bitreader.Underflow -> None in
+            (v, Bitreader.remaining r)
+          in
+          let rec unary r n = if Bitreader.read_bit r then unary r (n + 1) else n in
+          Alcotest.(check (pair (option int) int))
+            (name ^ ": read_unary")
+            (outcome (fun r -> unary r 0))
+            (outcome Codes.read_unary))
+        [
+          ("zero then bits", false :: List.init 70 (fun _ -> Prng.Rng.bool rng));
+          ("zero at the end", [ false ]);
+          ("payload end", []);
+        ]
+    done
+  done
+
 let roundtrip_code name write read cost values () =
   List.iter
     (fun v ->
@@ -703,6 +745,7 @@ let () =
           Alcotest.test_case "width checks" `Quick test_bitbuf_width_checks;
           Alcotest.test_case "underflow" `Quick test_reader_underflow;
           Alcotest.test_case "growth" `Quick test_bitbuf_growth;
+          Alcotest.test_case "read_ones = bit-by-bit count" `Quick test_read_ones_reference;
           Alcotest.test_case "extract matches get" `Quick test_extract_matches_get;
           Alcotest.test_case "read_blob misaligned" `Quick test_read_blob_misaligned;
           qt prop_append_concat_agree;

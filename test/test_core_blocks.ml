@@ -99,6 +99,15 @@ let test_strhash_int_range () =
   Alcotest.check_raises "negative" (Invalid_argument "Strhash.apply_int: out of range") (fun () ->
       ignore (Strhash.apply_int fn (-1)))
 
+(* The sign-mask reduction every lane tag ends with, at the sums around
+   its switch: 0, p - 1, p, p + 1 and the largest lane sum 2p - 2, with
+   the values next to them. *)
+let test_lane_canon () =
+  let p = (1 lsl 61) - 1 in
+  List.iter
+    (fun x -> check (Printf.sprintf "x = %d" x) (x mod p) (Strhash.For_testing.canon_masked x))
+    [ 0; 1; p - 2; p - 1; p; p + 1; p + 2; (2 * p) - 3; (2 * p) - 2; (2 * p) - 1 ]
+
 let prop_strhash_equal_inputs =
   QCheck.Test.make ~name:"equal inputs, equal tags" ~count:300
     QCheck.(pair small_signed_int (small_list bool))
@@ -535,6 +544,7 @@ let () =
           Alcotest.test_case "collision rate" `Quick test_strhash_collision_rate;
           Alcotest.test_case "length matters" `Quick test_strhash_length_matters;
           Alcotest.test_case "int range" `Quick test_strhash_int_range;
+          Alcotest.test_case "lane sum reduction" `Quick test_lane_canon;
           qt prop_strhash_equal_inputs;
           qt prop_strhash_reference;
         ] );

@@ -705,12 +705,15 @@ let test_short_eq_bitmap () =
 
 (* The native Carter-Wegman path against the overflow-safe [Modarith]
    formula, with [a] and [b] drawn exactly as [create] draws them, on
-   both sides of the 2^31 switch. *)
+   both sides of the 2^31 switch, for a power-of-two range and one that
+   is not.  Besides the edges and random points, x is solved for each
+   sum [(a x mod p) + b] in {p - 1, p, p + 1}, where the native path's
+   masked subtraction of p switches; at universes 2^20 and 2^31 - 1 all
+   three must be reachable. *)
 let test_carter_wegman_reference () =
   List.iter
-    (fun universe ->
+    (fun (universe, range) ->
       let label = string_of_int universe in
-      let range = 1_000_003 in
       let h =
         Hashing.Carter_wegman.create (Prng.Rng.with_label (Prng.Rng.of_int 3) label) ~universe ~range
       in
@@ -719,20 +722,41 @@ let test_carter_wegman_reference () =
       let a = Int64.of_int (1 + Prng.Rng.int rng (p - 1)) in
       let b = Int64.of_int (Prng.Rng.int rng p) in
       let p = Int64.of_int p in
+      let label = Printf.sprintf "%d range %d" universe range in
       check_int (label ^ " modulus") (Int64.to_int p) (Hashing.Carter_wegman.For_testing.modulus h);
+      let open Hashing.Modarith in
       let reference x =
-        let open Hashing.Modarith in
         Int64.to_int
           (Int64.unsigned_rem (addmod (mulmod a (Int64.of_int x) p) b p) (Int64.of_int range))
       in
+      let inverse = For_testing.powmod a (Int64.sub p 2L) p in
+      let solved =
+        List.filter_map
+          (fun sum ->
+            let r = Int64.sub sum b in
+            if r < 0L || r >= p then None
+            else begin
+              let x = mulmod r inverse p in
+              check_int
+                (Printf.sprintf "%s: a x mod p + b = %Ld" label sum)
+                (Int64.to_int sum)
+                (Int64.to_int (Int64.add (mulmod a x p) b));
+              Some (Int64.to_int x)
+            end)
+          [ Int64.pred p; p; Int64.succ p ]
+      in
+      if universe = 1 lsl 20 || universe = (1 lsl 31) - 1 then
+        check_int (label ^ ": sums solved") 3 (List.length solved);
       let draws = Prng.Rng.of_int 4 in
       let edges = [ 0; 1; universe - 1; (1 lsl 31) - 1; 1 lsl 31 ] in
+      let random = List.init 2000 (fun _ -> Prng.Rng.int draws universe) in
       List.iter
         (fun x ->
-          if x < universe then
-            check_int (Printf.sprintf "%s x=%d" label x) (reference x) (Hashing.Carter_wegman.hash h x))
-        (edges @ List.init 2000 (fun _ -> Prng.Rng.int draws universe)))
-    [ 1 lsl 20; (1 lsl 31) - 1; 1 lsl 31; (1 lsl 31) + 1; 1 lsl 40; (1 lsl 61) - 2 ]
+          check_int (Printf.sprintf "%s x=%d" label x) (reference x) (Hashing.Carter_wegman.hash h x))
+        (List.filter (fun x -> x < universe) edges @ random @ solved))
+    (List.concat_map
+       (fun universe -> [ (universe, 1_000_003); (universe, 1 lsl 10) ])
+       [ 1 lsl 20; (1 lsl 31) - 1; 1 lsl 31; (1 lsl 31) + 1; 1 lsl 40; (1 lsl 61) - 2 ])
 
 let test_carter_wegman_allocation_free () =
   let h = Hashing.Carter_wegman.create (Prng.Rng.of_int 6) ~universe:(1 lsl 30) ~range:1024 in
@@ -748,6 +772,67 @@ let test_carter_wegman_allocation_free () =
     (Printf.sprintf "%.0f words for %d hashes" (w1 -. w0) reps)
     true
     (w1 -. w0 < 16.0)
+
+(* The branch-free kernels allocate nothing, the float exponent read
+   included: 10 000 calls each of [bit_width] (at every width from 1
+   to 62), [write_delta] and [read_delta], [read_ones] (runs to 120
+   bits) and [draw_write_range], in [Obsv.Window]s read against an empty
+   one. *)
+let test_kernels_allocation_free () =
+  let reps = 10_000 in
+  let bytes f =
+    let _, w = Obsv.Window.measure f in
+    let _, empty = Obsv.Window.measure (fun () -> ()) in
+    w.Obsv.Window.alloc_bytes - empty.Obsv.Window.alloc_bytes
+  in
+  (* every width from 1 to 62 *)
+  let value v = ((v * 0x5DEECE66D) lsl 14) lsr (v mod 64) in
+  let acc = ref 0 in
+  check_int "bit_width" 0
+    (bytes (fun () ->
+         for v = 1 to reps do
+           acc := !acc + Bitio.Codes.bit_width (value v lor 1)
+         done));
+  let buf = Bitio.Bitbuf.create ~capacity:(reps * 130) () in
+  check_int "write_delta" 0
+    (bytes (fun () ->
+         for v = 1 to reps do
+           Bitio.Codes.write_delta buf (value v)
+         done));
+  let reader = Bitio.Bitreader.of_bitbuf buf in
+  check_int "read_delta" 0
+    (bytes (fun () ->
+         for _ = 1 to reps do
+           acc := !acc + Bitio.Codes.read_delta reader
+         done));
+  check_int "every delta read" 0 (Bitio.Bitreader.remaining reader);
+  Bitio.Bitbuf.reset buf;
+  for v = 1 to reps do
+    Bitio.Codes.write_unary buf (v mod 121)
+  done;
+  let reader = Bitio.Bitreader.of_bitbuf buf in
+  check_int "read_ones" 0
+    (bytes (fun () ->
+         for _ = 1 to reps do
+           acc := !acc + Bitio.Bitreader.read_ones reader;
+           Bitio.Bitreader.skip reader 1
+         done));
+  check_int "every run read" 0 (Bitio.Bitreader.remaining reader);
+  let cell = Prng.Rng.Label.start (Prng.Rng.of_int 13) in
+  let payload = Bitio.Bits.of_bools (List.init 300 (fun i -> i mod 3 = 0)) in
+  let buf = Bitio.Bitbuf.create ~capacity:((reps + 1) * 80) () in
+  (* the cell makes its draw buffer on its first draw *)
+  Strhash.draw_write_range cell ~bits:80 buf payload ~pos:0 ~len:0;
+  check_int "draw_write_range" 0
+    (bytes (fun () ->
+         for i = 1 to reps do
+           Prng.Rng.Label.restart cell;
+           Prng.Rng.Label.add cell "kernel/s";
+           Prng.Rng.Label.add_int cell i;
+           Strhash.draw_write_range cell ~bits:80 buf payload ~pos:(i mod 50)
+             ~len:(i mod 250)
+         done));
+  ignore (Sys.opaque_identity !acc)
 
 (* The int sort behind [Iset.of_list]/[of_array] against [List.sort_uniq
    compare]: every length to 300, with duplicates, negatives, extremes,
@@ -1577,6 +1662,8 @@ let () =
             test_carter_wegman_reference;
           Alcotest.test_case "carter-wegman native path allocates nothing" `Quick
             test_carter_wegman_allocation_free;
+          Alcotest.test_case "branch-free kernels allocate nothing" `Quick
+            test_kernels_allocation_free;
           Alcotest.test_case "iset int sort = List.sort_uniq" `Quick test_iset_sort_reference;
           Alcotest.test_case "bitmap round trip = Bits.of_bools" `Quick test_bitmap_round_trip;
           QCheck_alcotest.to_alcotest prop_bitmap_flag;

@@ -423,9 +423,9 @@ let load_repo () =
 
 let test_repo_verifies () =
   let registry = load_repo () in
-  check_int "36 entries" 36 (List.length registry.R.entries);
+  check_int "37 entries" 37 (List.length registry.R.entries);
   let _, _, complete, superseded = R.census registry in
-  check_int "complete" 33 complete;
+  check_int "complete" 34 complete;
   check_int "superseded (023 by 027, 027 by 028, 028 by 029)" 3 superseded;
   let violations =
     R.verify ~env:(R.repo_env ~root:"..") ~cli_subcommands:repo_cli_subcommands registry
