@@ -125,14 +125,17 @@ let protocol_trial ~k protocol () =
    instance table with closures built once per run, the writer pool's
    freelist became an array stack and the faulty channel stopped
    allocating per message; tree-log-star, which runs no batch, kept its
-   baseline (it reads 994 208, the pool no longer consing). *)
+   baseline (it reads 994 208, the pool no longer consing).  All three
+   fell again (from 254 442, 994 976 and 89 383) when each protocol's
+   k-sized run state moved into a workspace borrowed from a per-domain
+   freelist and [Vtree] became closed-form. *)
 let bucket_case =
   {
     name = "bucket";
     label = "bench/scaling/alloc";
     k = 1024;
     trial = protocol_trial ~k:1024 (fun () -> Bucket_protocol.protocol ~k:1024 ());
-    baseline = 254_442.0;
+    baseline = 143_446.0;
   }
 
 let tree_case =
@@ -141,7 +144,7 @@ let tree_case =
     label = "bench/scaling/alloc/tree";
     k = 4096;
     trial = protocol_trial ~k:4096 (fun () -> Tree_protocol.protocol_log_star ~k:4096 ());
-    baseline = 994_976.0;
+    baseline = 438_952.0;
   }
 
 let guarded_attempt_trial () =
@@ -169,7 +172,7 @@ let guarded_case =
     label = "bench/scaling/alloc/guarded";
     k = 256;
     trial = guarded_attempt_trial;
-    baseline = 89_383.0;
+    baseline = 85_975.0;
   }
 
 (* The small-k trial path Conform and the sweep run: one one-round k=64
@@ -180,8 +183,9 @@ let guarded_case =
    patched stage buffer and cell-drawn re-run lanes, from 30 738
    when span attributes stopped being built while tracing is off,
    from 30 115 when sends stopped being effects and inboxes became
-   rings, and from 25 554 when the writer pool's freelist became an
-   array stack. *)
+   rings, from 25 554 when the writer pool's freelist became an
+   array stack, and from 25 026 when the tree, bucket and batch-equality
+   run state moved into pooled workspaces. *)
 let conform_smallk_trial () =
   let cache = Engine.Instance_cache.create () and universe = 1 lsl universe_bits in
   let one_round = Workload.Conform.entry_of_name "one-round"
@@ -202,7 +206,7 @@ let conform_smallk_case =
     label = "bench/scaling/alloc/conform-smallk";
     k = 64;
     trial = conform_smallk_trial;
-    baseline = 25_026.0;
+    baseline = 22_122.0;
   }
 
 let alloc_cases = [ bucket_case; tree_case; guarded_case; conform_smallk_case ]

@@ -1,4 +1,4 @@
-(* Domain-local freelist of Bitbuf writers.
+(* Domain-local freelists: Bitbuf writers and protocol run workspaces.
 
    Hot protocol paths assemble many short-lived payloads; allocating a
    fresh Bitbuf (and its backing bytes) per payload dominated their
@@ -7,14 +7,16 @@
    the freelist is Domain.DLS-local there is no cross-domain sharing and
    no locking, and because a pooled buffer is always handed out reset, the
    bits a caller writes — and therefore every transcript — are identical
-   to what a fresh buffer would produce.
+   to what a fresh buffer would produce.  A protocol's run workspace (its
+   k-sized arrays) goes through a freelist of the same kind, one per
+   workspace type.
 
-   The freelist is a LIFO stack on a growable array, so nested
-   [with_buf] calls simply take distinct buffers and a push or pop
-   allocates nothing once the array has grown to the nesting depth.
-   [bypassed] switches the current domain to fresh allocation for the
-   duration of a callback; the hot-path tests use it to check pooled and
-   unpooled runs byte-for-byte against each other. *)
+   A freelist is a LIFO stack on a growable array, so nested borrows
+   simply take distinct values and a push or pop allocates nothing once
+   the array has grown to the nesting depth.  [bypassed] switches the
+   current domain to fresh allocation for the duration of a callback; the
+   hot-path tests use it to check pooled and unpooled runs byte-for-byte
+   against each other. *)
 
 (* Cells [0, size) of [items] are the free values, the top last.  Cells
    at and above [size] may still hold values already handed out; they are
@@ -37,55 +39,52 @@ let[@inline] pop s =
   s.size <- s.size - 1;
   Array.unsafe_get s.items s.size
 
-let writers : Bitbuf.t stack Domain.DLS.key = Domain.DLS.new_key new_stack
 let bypass : bool ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref false)
+
+type 'a freelist = { free : 'a stack Domain.DLS.key; create : unit -> 'a }
+
+let freelist create = { free = Domain.DLS.new_key new_stack; create }
+
+let borrow fl =
+  if !(Domain.DLS.get bypass) then fl.create ()
+  else
+    let free = Domain.DLS.get fl.free in
+    if free.size = 0 then fl.create () else pop free
+
+let give_back fl x = if not !(Domain.DLS.get bypass) then push (Domain.DLS.get fl.free) x
 
 (* Pooled buffers start at a payload-sized capacity so most cells never
    regrow; a buffer that did grow keeps its larger storage for next time. *)
-let fresh () = Bitbuf.create ~capacity:1024 ()
+let writers = freelist (fun () -> Bitbuf.create ~capacity:1024 ())
 
-let acquire free = if free.size = 0 then fresh () else pop free
-
-let release free buf =
+let release buf =
   Bitbuf.reset buf;
-  push free buf
+  give_back writers buf
 
 let with_buf f =
-  if !(Domain.DLS.get bypass) then f (fresh ())
-  else begin
-    let free = Domain.DLS.get writers in
-    let buf = acquire free in
-    (* [Fun.protect] without its closures: the buffer goes back on the
-       freelist whether [f] returns or raises. *)
-    match f buf with
-    | v ->
-        release free buf;
-        v
-    | exception e ->
-        release free buf;
-        raise e
-  end
+  let buf = borrow writers in
+  (* [Fun.protect] without its closures: the buffer goes back on the
+     freelist whether [f] returns or raises. *)
+  match f buf with
+  | v ->
+      release buf;
+      v
+  | exception e ->
+      release buf;
+      raise e
 
 (* [with_buf] written out, so [f] runs without a second closure around
    it: the copy is taken before the buffer goes back. *)
 let payload f =
-  if !(Domain.DLS.get bypass) then begin
-    let buf = fresh () in
-    f buf;
-    Bitbuf.contents buf
-  end
-  else begin
-    let free = Domain.DLS.get writers in
-    let buf = acquire free in
-    match f buf with
-    | () ->
-        let bits = Bitbuf.contents buf in
-        release free buf;
-        bits
-    | exception e ->
-        release free buf;
-        raise e
-  end
+  let buf = borrow writers in
+  match f buf with
+  | () ->
+      let bits = Bitbuf.contents buf in
+      release buf;
+      bits
+  | exception e ->
+      release buf;
+      raise e
 
 module For_testing = struct
   let bypassed f =

@@ -4,6 +4,35 @@ let max_retries = 4
    tail, so retries are rare while the worst case stays linear. *)
 let instance_ceiling k = 20 * k
 
+(* One party's run state, borrowed from a per-domain freelist and grown
+   to each run: [keys], [slots] and [hit] hold at least n cells (one per
+   image), [counts], [their_counts] and [start] at least k (one per
+   bucket).  See [run_party] for what each holds. *)
+type workspace = {
+  mutable keys : int array;
+  mutable slots : int array;
+  mutable hit : Bytes.t;
+  mutable counts : int array;
+  mutable their_counts : int array;
+  mutable start : int array;
+}
+
+let workspaces =
+  Bitio.Pool.freelist (fun () ->
+      { keys = [||]; slots = [||]; hit = Bytes.empty; counts = [||]; their_counts = [||]; start = [||] })
+
+let fit ws ~n ~k =
+  if Array.length ws.keys < n then begin
+    ws.keys <- Array.make n 0;
+    ws.slots <- Array.make n 0;
+    ws.hit <- Bytes.create n
+  end;
+  if Array.length ws.counts < k then begin
+    ws.counts <- Array.make k 0;
+    ws.their_counts <- Array.make k 0;
+    ws.start <- Array.make k 0
+  end
+
 let run_party ?sequential ?(reduce = true) role rng ~universe ~k chan mine =
   if k < 1 then invalid_arg "Bucket_protocol.run_party";
   let open Commsim.Transport in
@@ -24,13 +53,18 @@ let run_party ?sequential ?(reduce = true) role rng ~universe ~k chan mine =
     | Some h -> Iset.of_array (Array.map (Hashing.Carter_wegman.hash h) mine)
   in
   let width = Bitio.Set_codec.universe_width n_reduced in
-  (* Bucket assignment, flat: [keys.(j)] is image [j]'s bucket under the
-     current draw and [counts.(i)] bucket [i]'s size, both refilled in
-     place by a retry.  Draw buckets, exchange counts; retry together if
-     the pair count is extreme (both parties see the same counts, so they
-     stay in lockstep). *)
+  (* Bucket assignment, flat, in a borrowed workspace: [keys.(j)] is
+     image [j]'s bucket under the current draw, and [counts.(i)] and
+     [their_counts.(i)] the two parties' sizes of bucket [i], all
+     refilled in place by a retry.  Draw buckets, exchange counts; retry
+     together if the pair count is extreme (both parties see the same
+     counts, so they stay in lockstep).  Every array is filled before it
+     is read ([start.(0)] is never written and stays 0), so a reused
+     workspace needs no clearing. *)
   let n = Array.length images in
-  let keys = Array.make n 0 and counts = Array.make k 0 in
+  let ws = Bitio.Pool.borrow workspaces in
+  fit ws ~n ~k;
+  let { keys; slots; hit; counts; their_counts; start } = ws in
   let rec choose_buckets attempt =
     if attempt > 0 then Obsv.Metrics.incr "bucket/retries";
     let h =
@@ -45,39 +79,44 @@ let run_party ?sequential ?(reduce = true) role rng ~universe ~k chan mine =
       counts.(b) <- counts.(b) + 1
     done;
     let counts_msg =
-      Bitio.Pool.payload (fun buf -> Array.iter (Bitio.Codes.write_gamma buf) counts)
+      Bitio.Pool.payload (fun buf ->
+          for i = 0 to k - 1 do
+            Bitio.Codes.write_gamma buf counts.(i)
+          done)
     in
-    let their_counts =
-      let read payload =
-        let reader = Bitio.Bitreader.create payload in
-        Array.init k (fun _ -> Bitio.Codes.read_gamma reader)
-      in
-      Obsv.Trace.span Obsv.Phases.Bucket_assign (fun () ->
-          Obsv.Trace.attr "attempt" attempt;
-          match role with
-          | `Alice ->
-              chan.send counts_msg;
-              read (chan.recv ())
-          | `Bob ->
-              let payload = chan.recv () in
-              chan.send counts_msg;
-              read payload)
+    let read payload =
+      let reader = Bitio.Bitreader.create payload in
+      for i = 0 to k - 1 do
+        their_counts.(i) <- Bitio.Codes.read_gamma reader
+      done
     in
+    Obsv.Trace.span Obsv.Phases.Bucket_assign (fun () ->
+        Obsv.Trace.attr "attempt" attempt;
+        match role with
+        | `Alice ->
+            chan.send counts_msg;
+            read (chan.recv ())
+        | `Bob ->
+            let payload = chan.recv () in
+            chan.send counts_msg;
+            read payload);
     let pair_count = ref 0 in
-    Array.iteri (fun i c -> pair_count := !pair_count + (c * their_counts.(i))) counts;
+    for i = 0 to k - 1 do
+      pair_count := !pair_count + (counts.(i) * their_counts.(i))
+    done;
     if !pair_count > instance_ceiling k && attempt < max_retries then choose_buckets (attempt + 1)
-    else (their_counts, !pair_count)
+    else !pair_count
   in
-  let their_counts, pair_count = choose_buckets 0 in
+  let pair_count = choose_buckets 0 in
   if Obsv.Metrics.enabled (Obsv.Metrics.current ()) then
-    Array.iter (Obsv.Metrics.observe "bucket/occupancy") counts;
+    for i = 0 to k - 1 do
+      Obsv.Metrics.observe "bucket/occupancy" counts.(i)
+    done;
   (* Counting sort: bucket [i]'s images are [slots.(start.(i))] to
      [slots.(start.(i) + counts.(i) - 1)], in increasing order. *)
-  let start = Array.make k 0 in
   for i = 1 to k - 1 do
     start.(i) <- start.(i - 1) + counts.(i - 1)
   done;
-  let slots = Array.make n 0 in
   Array.fill counts 0 k 0;
   for j = 0 to n - 1 do
     let b = keys.(j) in
@@ -127,7 +166,6 @@ let run_party ?sequential ?(reduce = true) role rng ~universe ~k chan mine =
      images are gathered in order (which keeps them sorted) into [keys],
      free since the counting sort, each written and kept by its hit
      bit. *)
-  let hit = Bytes.make n '\000' in
   let base = ref 0 in
   for i = 0 to k - 1 do
     let mine_count = counts.(i) and theirs = their_counts.(i) in
@@ -148,6 +186,7 @@ let run_party ?sequential ?(reduce = true) role rng ~universe ~k chan mine =
     h := !h + Char.code (Bytes.get hit j)
   done;
   let matched = Array.sub keys 0 !h in
+  Bitio.Pool.give_back workspaces ws;
   (* Back through H: the elements whose image matched (sorted, since
      [mine] is). *)
   match reduction with

@@ -45,6 +45,45 @@ let[@inline] add_flag buf ~width p word mismatch =
   end
   else word
 
+(* A run's group state, borrowed from a per-domain freelist and grown to
+   each run: [order] holds at least k cells (one per instance), the
+   others at least one per group, [jstart] one more.  See [run_core] for
+   what each holds. *)
+type workspace = {
+  mutable order : int array;
+  mutable lo : int array;
+  mutable live : int array;
+  mutable act : int array;
+  mutable cand : int array;
+  mutable jstart : int array;
+}
+
+let workspaces =
+  Bitio.Pool.freelist (fun () ->
+      { order = [||]; lo = [||]; live = [||]; act = [||]; cand = [||]; jstart = [||] })
+
+(* The bucket protocol's instance count is heavy-tailed (26 000 bucket
+   k=1024 runs at one seed needed about 1 500 each, and once 16 828), so
+   a large [order] is also replaced when it holds over four times this
+   run's need.  Kept at the largest count ever seen, it held the peak
+   major heap of those runs up to 12% above the unpooled code's, against
+   at most 3% once it tracks recent runs.  Below [order_kept] cells it is
+   kept whatever the need: replacing it there saves nothing, and small-k
+   sweeps, whose batches range over 4x and more, would replace it at
+   every other run. *)
+let order_kept = 4096
+
+let fit ws ~k ~groups =
+  let have = Array.length ws.order in
+  if have < k || have > Int.max order_kept (4 * k) then ws.order <- Array.make k 0;
+  if Array.length ws.lo < groups then begin
+    ws.lo <- Array.make groups 0;
+    ws.live <- Array.make groups 0;
+    ws.act <- Array.make groups 0;
+    ws.cand <- Array.make groups 0;
+    ws.jstart <- Array.make (groups + 1) 0
+  end
+
 (* The core, over a packed table and with a scratch writer borrowed for
    the whole run.  Every closure below is built once per run: a round
    reads its iteration, tag width and candidate count from the cells
@@ -57,19 +96,26 @@ let run_core ~sequential ~max_iterations role rng (chan : Commsim.Transport.t) t
   let jbits = joint_bits ~k in
   let group_count = if k = 0 then 0 else int_of_float (Float.ceil (sqrt (float_of_int k))) in
   let group_size = if k = 0 then 0 else (k + group_count - 1) / group_count in
-  (* Group state on flat arrays.  [order] holds instance indices group by
-     group; group [g]'s undecided instances are [order.(lo.(g))] to
-     [order.(lo.(g) + live.(g) - 1)], compacted in place (order kept) as
-     instances settle.  [act.(0 .. !nact - 1)] are the gids in play,
-     ascending; [cand] collects the clean groups of a tag round and
-     [jstart] where each one's joint payload lies in [scratch].  A
-     verdict byte is ['\001'] once its instance is declared equal. *)
-  let order = Array.init k Fun.id in
-  let lo = Array.init group_count (fun g -> g * group_size) in
-  let live = Array.init group_count (fun g -> Int.max 0 (Int.min group_size (k - (g * group_size)))) in
-  let act = Array.make group_count 0 and nact = ref 0 in
-  let cand = Array.make group_count 0 and ncand = ref 0 in
-  let jstart = Array.make (group_count + 1) 0 in
+  (* Group state on flat arrays, in a borrowed workspace.  [order] holds
+     instance indices group by group; group [g]'s undecided instances are
+     [order.(lo.(g))] to [order.(lo.(g) + live.(g) - 1)], compacted in
+     place (order kept) as instances settle.  [act.(0 .. !nact - 1)] are
+     the gids in play, ascending; [cand] collects the clean groups of a
+     tag round and [jstart] where each one's joint payload lies in
+     [scratch].  [order], [lo] and [live] are filled here, the others
+     written before they are read.  A verdict byte is ['\001'] once its
+     instance is declared equal. *)
+  let ws = Bitio.Pool.borrow workspaces in
+  fit ws ~k ~groups:group_count;
+  let { order; lo; live; act; cand; jstart } = ws in
+  for i = 0 to k - 1 do
+    order.(i) <- i
+  done;
+  for g = 0 to group_count - 1 do
+    lo.(g) <- g * group_size;
+    live.(g) <- Int.max 0 (Int.min group_size (k - (g * group_size)))
+  done;
+  let nact = ref 0 and ncand = ref 0 in
   let equal = Bytes.make k '\000' in
   let iteration = ref 0 and bits = ref 0 in
   (* Bob reads each message of Alice's through this one reader. *)
@@ -319,6 +365,7 @@ let run_core ~sequential ~max_iterations role rng (chan : Commsim.Transport.t) t
     end
   done;
   process ();
+  Bitio.Pool.give_back workspaces ws;
   equal
 
 let run_table ?(sequential = true) ?(max_iterations = default_max_iterations) role rng chan table

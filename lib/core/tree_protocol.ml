@@ -22,11 +22,6 @@ let trivial_fallback role chan mine =
 
 exception Over_budget
 
-(* Re-runs match a leaf's narrow tags (at most 62 bits) against at most
-   [scratch_tags] peer tags by a scan of one int scratch; wider tags, or
-   more peer tags, go through Basic_intersection's table. *)
-let scratch_tags = 32
-
 (* Gap-code one leaf's live elements [idx.(first) ..] onto [buf],
    exactly as [Set_codec.write_gaps] codes its set. *)
 let encode_leaf buf mine idx ~first ~live =
@@ -121,28 +116,87 @@ let read_bitmap reader tree ~level failed =
   done;
   !n
 
-(* [mine] filtered by the surviving leaf ranges, so still sorted. *)
-let survivors mine ~leaves idx start live =
-  let keep = Bytes.make (Array.length mine) '\000' in
-  let count = ref 0 in
+(* [mine] filtered by the surviving leaf ranges, so still sorted.  The
+   keep marks go in [keep] (n cells, free by now) and the survivors are
+   gathered into [idx] once the marks are in: every element is written to
+   the next slot, which advances by its keep bit, since that bit is a coin
+   flip to the branch predictor. *)
+let survivors mine ~leaves ~keep idx start live =
+  let n = Array.length mine in
+  Array.fill keep 0 n 0;
   for u = 0 to leaves - 1 do
     for j = start.(u) to start.(u) + live.(u) - 1 do
-      Bytes.set keep idx.(j) '\001'
-    done;
-    count := !count + live.(u)
+      keep.(idx.(j)) <- 1
+    done
   done;
-  let out = Array.make !count 0 in
   let w = ref 0 in
-  for i = 0 to Array.length mine - 1 do
-    if Bytes.get keep i <> '\000' then begin
-      out.(!w) <- mine.(i);
-      incr w
-    end
+  for i = 0 to n - 1 do
+    idx.(!w) <- mine.(i);
+    w := !w + keep.(i)
   done;
-  out
+  Array.sub idx 0 !w
+
+(* A re-run reads its leaf's count of earlier re-runs, at most one a
+   stage and so below [r]; the counts are kept in bytes. *)
+let max_stages = 256
+
+(* One party's run state, borrowed from a per-domain freelist and grown
+   to each run (see [run_party] for what each array holds): [leaf] and
+   [idx] hold at least n cells, [start] and [off] at least leaves + 1,
+   [live], [failed], [theirs] and [rerun] at least leaves. *)
+type workspace = {
+  mutable leaf : int array;
+  mutable idx : int array;
+  mutable start : int array;
+  mutable live : int array;
+  mutable off : int array;
+  mutable failed : int array;
+  mutable theirs : int array;
+  mutable rerun : Bytes.t;
+  scratch : int array;
+  coef : int array;
+}
+
+(* Re-runs match a leaf's narrow tags (at most 62 bits) against at most
+   [scratch_tags] peer tags by a scan of one int scratch; wider tags, or
+   more peer tags, go through Basic_intersection's table. *)
+let scratch_tags = 32
+
+let workspaces =
+  Bitio.Pool.freelist (fun () ->
+      {
+        leaf = [||];
+        idx = [||];
+        start = [||];
+        live = [||];
+        off = [||];
+        failed = [||];
+        theirs = [||];
+        rerun = Bytes.empty;
+        scratch = Array.make scratch_tags 0;
+        coef = Array.make Strhash.int_fn_slots 0;
+      })
+
+(* Grow [ws] to fit [n] elements over [leaves] leaves; only Alice uses
+   [theirs]. *)
+let fit ws role ~n ~leaves =
+  if Array.length ws.leaf < n then begin
+    ws.leaf <- Array.make n 0;
+    ws.idx <- Array.make n 0
+  end;
+  if Array.length ws.live < leaves then begin
+    ws.start <- Array.make (leaves + 1) 0;
+    ws.live <- Array.make leaves 0;
+    ws.off <- Array.make (leaves + 1) 0;
+    ws.failed <- Array.make leaves 0;
+    ws.rerun <- Bytes.create leaves
+  end;
+  match role with
+  | `Alice when Array.length ws.theirs < leaves -> ws.theirs <- Array.make leaves 0
+  | `Alice | `Bob -> ()
 
 let run_party ?buckets ?flat_eq_bits ?budget role rng ~universe ~r ~k chan mine =
-  if r < 1 || k < 1 then invalid_arg "Tree_protocol.run_party";
+  if r < 1 || r > max_stages || k < 1 then invalid_arg "Tree_protocol.run_party";
   let open Commsim.Transport in
   (* both parties see every message once, so sent + received is a shared
      counter and budget decisions stay in lockstep *)
@@ -176,39 +230,42 @@ let run_party ?buckets ?flat_eq_bits ?budget role rng ~universe ~r ~k chan mine 
      deriving a generator builds no label string ([Rng.Label] is
      bit-identical to [with_label] on the concatenated label). *)
   let cell = Prng.Rng.Label.start rng in
-  (* Leaf state.  [idx] holds the indices into [mine] grouped by leaf (a
-     counting sort), in leaf order and increasing within a leaf: leaf [u]
-     owns [idx.(start.(u)) .. idx.(start.(u) + live.(u) - 1)], and its
-     re-runs compact that range in place.  [off.(u)] is leaf [u]'s first
-     bit in the stage buffer and [rerun.(u)] counts its re-runs so far.
-     Per stage, [failed] lists the leaves below failed nodes, and Alice
-     keeps Bob's sizes of them in [theirs]; after the re-runs its front
-     lists the leaves that lost an element. *)
-  let leaf = Array.map (Hashing.Carter_wegman.hash bucket) mine in
-  let start = Array.make (leaves + 1) 0 in
+  (* Leaf state, in a borrowed workspace.  [idx] holds the indices into
+     [mine] grouped by leaf (a counting sort on [leaf], each element's
+     leaf), in leaf order and increasing within a leaf: leaf [u] owns
+     [idx.(start.(u)) .. idx.(start.(u) + live.(u) - 1)], and its re-runs
+     compact that range in place.  [off.(u)] is leaf [u]'s first bit in
+     the stage buffer and [rerun] counts its re-runs so far.  Per stage,
+     [failed] lists the leaves below failed nodes, and Alice keeps Bob's
+     sizes of them in [theirs]; after the re-runs its front lists the
+     leaves that lost an element.  Only [start], [live] and [rerun] are
+     read before the run writes them, so only they are cleared. *)
+  let ws = Bitio.Pool.borrow workspaces in
+  fit ws role ~n ~leaves;
+  let { leaf; idx; start; live; off; failed; theirs; rerun; scratch; coef } = ws in
+  Array.fill start 0 (leaves + 1) 0;
+  Array.fill live 0 leaves 0;
+  Bytes.fill rerun 0 leaves '\000';
   for i = 0 to n - 1 do
-    start.(leaf.(i) + 1) <- start.(leaf.(i) + 1) + 1
+    let u = Hashing.Carter_wegman.hash bucket mine.(i) in
+    leaf.(i) <- u;
+    start.(u + 1) <- start.(u + 1) + 1
   done;
   for u = 1 to leaves do
     start.(u) <- start.(u) + start.(u - 1)
   done;
-  let idx = Array.make n 0 and live = Array.make leaves 0 in
   for i = 0 to n - 1 do
     let u = leaf.(i) in
     idx.(start.(u) + live.(u)) <- i;
     live.(u) <- live.(u) + 1
   done;
-  let off = Array.make (leaves + 1) 0 and rerun = Array.make leaves 0 in
-  let failed = Array.make leaves 0 in
-  let theirs = match role with `Alice -> Array.make leaves 0 | `Bob -> [||] in
-  let scratch = Array.make scratch_tags 0 and coef = Array.make Strhash.int_fn_slots 0 in
   (* Leaf labels "tree/bi/leaf<u>/run<rerun u>": each stage's re-runs mark
      the shared prefix once. *)
   let leaf_label u =
     Prng.Rng.Label.rewind cell;
     Prng.Rng.Label.add_int cell u;
     Prng.Rng.Label.add cell "/run";
-    Prng.Rng.Label.add_int cell rerun.(u)
+    Prng.Rng.Label.add_int cell (Bytes.get_uint8 rerun u)
   in
   let narrow ~count ~bits = bits <= 62 && count <= scratch_tags in
   (* A narrow re-run function is drawn from the cell into [coef] (again
@@ -372,7 +429,7 @@ let run_party ?buckets ?flat_eq_bits ?budget role rng ~universe ~r ~k chan mine 
         let tag_bits = Basic_intersection.tag_bits_for ~failure in
         let bits_of u count = tag_bits ~m:(live.(u) + count) in
         let changed u lost =
-          rerun.(u) <- rerun.(u) + 1;
+          Bytes.set_uint8 rerun u (Bytes.get_uint8 rerun u + 1);
           if lost then begin
             failed.(!nchanged) <- u;
             incr nchanged
@@ -410,9 +467,15 @@ let run_party ?buckets ?flat_eq_bits ?budget role rng ~universe ~r ~k chan mine 
       end
     done
   in
+  (* The workspace goes back on return and on the budget fallback; a
+     party that raised otherwise, or was abandoned, leaves it to the GC. *)
   match Bitio.Pool.with_buf (fun buf_a -> Bitio.Pool.with_buf (fun buf_b -> stages buf_a buf_b)) with
-  | () -> survivors mine ~leaves idx start live
+  | () ->
+      let out = survivors mine ~leaves ~keep:leaf idx start live in
+      Bitio.Pool.give_back workspaces ws;
+      out
   | exception Over_budget ->
+      Bitio.Pool.give_back workspaces ws;
       (* stage boundaries are synchronized, so both parties land here with
          the channel quiescent *)
       trivial_fallback role chan mine

@@ -17,7 +17,9 @@
 
 (** [run_party role rng ~universe ~r ~k chan mine] is the message-level
     runner ([`Alice] talks first); exposed for embedding in multi-party
-    executions.
+    executions.  [r] is at most 256 ([log* k] is at most 5 for any [k]
+    a machine holds); each party keeps its O(k) run state in a workspace
+    borrowed from a per-domain {!Bitio.Pool.freelist}.
 
     Ablation knobs (defaults reproduce the paper):
     [buckets] overrides the number of leaves (paper: [k]);

@@ -1,7 +1,8 @@
-(* [bounds.(l)] for level [l >= 1]; level 0 is the leaves themselves,
-   node [i] covering leaf [i], and is not stored ([bounds.(0)] is
-   empty), which saves a [k + 1]-cell identity array per build. *)
-type t = { k : int; r : int; bounds : int array array }
+(* Level [l] groups the level below [deg l] nodes at a time, so its node
+   [i] starts at leaf [i * span l], [span l] being the product of the
+   degrees up to [l] (capped at [k]: a level whose span reaches [k] is the
+   single root), and its last node ends at leaf [k]. *)
+type t = { k : int; span : int array; count : int array }
 
 let degree ~k ~r ~level =
   if level < 1 || level > r then invalid_arg "Vtree.degree";
@@ -16,28 +17,22 @@ let degree ~k ~r ~level =
   Int.max 2 d
 
 let nodes t ~level =
-  if level < 0 || level > t.r then invalid_arg "Vtree.nodes";
-  if level = 0 then t.k else Array.length t.bounds.(level) - 1
+  if level < 0 || level >= Array.length t.count then invalid_arg "Vtree.nodes";
+  t.count.(level)
 
-let[@inline] first t ~level i = if level = 0 then i else t.bounds.(level).(i)
+let[@inline] first t ~level i = Int.min t.k (i * t.span.(level))
 
-(* Group the level below [deg] nodes at a time: keep every [deg]-th
-   boundary, and the end. *)
 let build ~k ~r =
   if k < 1 || r < 1 then invalid_arg "Vtree.build";
-  let t = { k; r; bounds = Array.make (r + 1) [||] } in
+  let span = Array.make (r + 1) 1 and count = Array.make (r + 1) k in
   for level = 1 to r do
-    let below = nodes t ~level:(level - 1) in
+    let below = count.(level - 1) in
     let deg =
       if level = r then Int.max 2 below (* squash into a single root *)
       else degree ~k ~r ~level
     in
-    let count = (below + deg - 1) / deg in
-    let bounds = Array.make (count + 1) k in
-    for g = 0 to count - 1 do
-      bounds.(g) <- first t ~level:(level - 1) (g * deg)
-    done;
-    t.bounds.(level) <- bounds
+    count.(level) <- (below + deg - 1) / deg;
+    span.(level) <- Int.min k (span.(level - 1) * deg)
   done;
-  assert (nodes t ~level:r = 1);
-  t
+  assert (count.(r) = 1);
+  { k; span; count }

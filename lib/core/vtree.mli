@@ -6,8 +6,9 @@
     a node [v] in [L_i] covers about [log^(r-i) k] leaves — the shape that
     makes the per-stage equality traffic sum to [O(k log^(r) k)].
 
-    Nodes cover contiguous leaf ranges, so a level is just the list of its
-    node boundaries. *)
+    Nodes cover contiguous leaf ranges of one width per level (the last
+    node of a level may be short), so a built tree is closed-form: a span
+    and a node count per level, [O(r)] words whatever [k]. *)
 
 (** A built tree. *)
 type t
@@ -23,7 +24,9 @@ val nodes : t -> level:int -> int
     [i] covers leaves [first t ~level i] to [first t ~level (i + 1) - 1].
     [first t ~level] rises strictly from [0] to [first t ~level (nodes t
     ~level) = k]; at level 0 it is the identity (each node a leaf), and
-    [L_r] is the one node covering [0, k). *)
+    [L_r] is the one node covering [0, k).  It is [min k (i * span)] for
+    the level's span, so it is defined for every [i] in [0, nodes t
+    ~level] without a lookup. *)
 val first : t -> level:int -> int -> int
 
 (** Target degree at [level] in [1, r] (before clamping to what remains). *)

@@ -430,6 +430,45 @@ let prop_vtree_partitions =
       && Vtree.nodes tree ~level:r = 1
       && List.for_all (fun level -> partitions ~k (level_bounds tree ~level)) (List.init (r + 1) Fun.id))
 
+(* The boundary construction [Vtree] replaced, kept as the reference:
+   level [l]'s boundaries group the level below [deg] nodes at a time
+   (every [deg]-th boundary, and the end), level 0 being the leaves. *)
+let reference_bounds ~k ~r =
+  let bounds = Array.make (r + 1) (Array.init (k + 1) Fun.id) in
+  for level = 1 to r do
+    let below = Array.length bounds.(level - 1) - 1 in
+    let deg = if level = r then Int.max 2 below else Vtree.degree ~k ~r ~level in
+    let count = (below + deg - 1) / deg in
+    bounds.(level) <- Array.init (count + 1) (fun g -> if g = count then k else bounds.(level - 1).(g * deg))
+  done;
+  bounds
+
+let same_as_reference ~k ~r =
+  let tree = Vtree.build ~k ~r and bounds = reference_bounds ~k ~r in
+  Array.for_all Fun.id
+    (Array.mapi (fun level b -> b = level_bounds tree ~level) bounds)
+
+(* Closed-form [nodes] and [first] against the reference at every
+   level: every k in 1..2 000 at r = 1..5, and k = 4 096 and 65 536.
+   At r = 64 and up every level has degree at least 2, so the span's
+   product of degrees would overflow without its cap at k. *)
+let test_vtree_reference () =
+  let check ~k ~r =
+    if not (same_as_reference ~k ~r) then Alcotest.failf "vtree k=%d r=%d differs" k r
+  in
+  for k = 1 to 2000 do
+    for r = 1 to 5 do
+      check ~k ~r
+    done
+  done;
+  List.iter
+    (fun k ->
+      for r = 1 to 5 do
+        check ~k ~r
+      done)
+    [ 4096; 65536 ];
+  List.iter (fun (k, r) -> check ~k ~r) [ (1, 64); (2, 100); (1000, 64); (4096, 256) ]
+
 (* ---------- Eq_batch ---------- *)
 
 let bits_of_string s = Bitio.Bits.of_string s
@@ -576,6 +615,7 @@ let () =
           Alcotest.test_case "degrees" `Quick test_vtree_degrees;
           Alcotest.test_case "small trees" `Quick test_vtree_small;
           qt prop_vtree_partitions;
+          Alcotest.test_case "closed form = boundary reference" `Quick test_vtree_reference;
         ] );
       ( "eq_batch",
         [

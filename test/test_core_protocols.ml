@@ -188,7 +188,10 @@ let test_tree_edge_cases () =
       Alcotest.check iset "same singleton" [| 3 |] outcome.Protocol.bob;
       let outcome = run_protocol (Tree_protocol.protocol ~r ()) 13 ~universe:100 [| 3 |] [| 4 |] in
       Alcotest.check iset "disjoint singleton" Iset.empty outcome.Protocol.alice)
-    [ 1; 2; 3 ]
+    [ 1; 2; 3; 256 ];
+  (* a leaf's re-run count is kept in a byte, so r stops at 256 *)
+  Alcotest.check_raises "r = 257" (Invalid_argument "Tree_protocol.run_party") (fun () ->
+      ignore (run_protocol (Tree_protocol.protocol ~r:257 ()) 11 ~universe:100 [| 3 |] [| 3 |]))
 
 let test_tree_identical_sets () =
   let s = Iset.of_list (List.init 200 (fun i -> (i * 13) + 1)) in

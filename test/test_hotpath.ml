@@ -1286,6 +1286,111 @@ let faulty_path_digests () =
                report.attempt_log)) );
   ]
 
+(* ---------- run workspaces ---------- *)
+
+(* One run of [party] over a clean faulty-path channel, as a string of
+   its outcome (both outputs in full when it completed), its cost and the
+   digest of every payload sent.  With [crash_at = n], Alice's [n]th
+   receive raises: she crashes mid-run and Bob is abandoned, both with
+   their workspaces borrowed. *)
+let reuse_record ?crash_at ~seed ~universe ~k party =
+  let pair = golden_pair ~seed ~universe ~k in
+  let rng = Prng.Rng.of_int (seed + 1) in
+  let log = Buffer.create 4096 in
+  let channel role chan =
+    let chan = tap log chan in
+    match (crash_at, role) with
+    | Some n, `Alice ->
+        let received = ref 0 in
+        Commsim.Transport.make ~send:chan.Commsim.Transport.send ~recv:(fun () ->
+            incr received;
+            if !received = n then failwith "crash" else chan.Commsim.Transport.recv ())
+    | _ -> chan
+  in
+  let outcome, cost, _ =
+    Commsim.Two_party.run_faulty ~plan:Commsim.Faults.clean
+      ~alice:(fun chan -> party `Alice rng (channel `Alice chan) pair.Workload.Setgen.s)
+      ~bob:(fun chan -> party `Bob rng (channel `Bob chan) pair.Workload.Setgen.t)
+  in
+  let set s = String.concat "," (List.map string_of_int (Array.to_list s)) in
+  Printf.sprintf "%s bits=%d messages=%d rounds=%d digest=%s"
+    (match outcome with
+    | Commsim.Network.Completed (a, b) -> Printf.sprintf "alice=%s bob=%s" (set a) (set b)
+    | outcome -> outcome_string outcome)
+    cost.Commsim.Cost.total_bits cost.Commsim.Cost.messages cost.Commsim.Cost.rounds
+    (hex_of_string (Buffer.contents log))
+
+let tree_reuse ?budget ?crash_at ~seed ~k ~r () =
+  let universe = 1 lsl 20 in
+  reuse_record ?crash_at ~seed ~universe ~k (fun role rng chan mine ->
+      Tree_protocol.run_party ?budget role rng ~universe ~r ~k chan mine)
+
+let bucket_reuse ~seed ~k () =
+  let universe = 1 lsl 20 in
+  reuse_record ~seed ~universe ~k (fun role rng chan mine ->
+      Bucket_protocol.run_party role rng ~universe ~k chan mine)
+
+(* Runs that share one domain's workspaces in this order: large, small
+   (which must not read the large run's leftovers past its own size),
+   large again, a budget fallback (which gives its workspace back early),
+   a party crashing mid-stage 0 (after the equality reply, before the
+   re-run reply; neither workspace comes back), a large run after the
+   crash, and bucket runs large, reduced small and large (their batch
+   equality borrowing its own workspaces). *)
+let reuse_runs =
+  let log_star = Iterated_log.log_star 4096 in
+  [
+    ("tree k=4096", fun () -> tree_reuse ~seed:51 ~k:4096 ~r:log_star ());
+    ("tree r=2 k=64", fun () -> tree_reuse ~seed:52 ~k:64 ~r:2 ());
+    ("tree k=4096 again", fun () -> tree_reuse ~seed:53 ~k:4096 ~r:log_star ());
+    ( "tree budgeted fallback k=1024",
+      fun () -> tree_reuse ~budget:(1024 * Iterated_log.ilog 2 1024) ~seed:54 ~k:1024 ~r:2 () );
+    ( "tree crash mid-stage k=4096",
+      fun () -> tree_reuse ~crash_at:2 ~seed:55 ~k:4096 ~r:log_star () );
+    ("tree k=4096 after the crash", fun () -> tree_reuse ~seed:56 ~k:4096 ~r:log_star ());
+    ("bucket k=1024", bucket_reuse ~seed:57 ~k:1024);
+    ("bucket k=16", bucket_reuse ~seed:58 ~k:16);
+    ("bucket k=1024 again", bucket_reuse ~seed:59 ~k:1024);
+  ]
+
+let test_workspace_reuse () =
+  let pooled = List.map (fun (name, run) -> (name, run ())) reuse_runs in
+  List.iter2
+    (fun (name, pooled) (_, run) ->
+      Alcotest.(check string) name (Bitio.Pool.For_testing.bypassed run) pooled)
+    pooled reuse_runs;
+  Alcotest.(check bool)
+    "the crash crashed" true
+    (String.starts_with ~prefix:"crashed 0" (List.assoc "tree crash mid-stage k=4096" pooled));
+  let metrics = Obsv.Metrics.create () in
+  ignore (Obsv.Metrics.with_registry metrics (List.assoc "tree budgeted fallback k=1024" reuse_runs));
+  check_int "both parties fell back" 2 (Obsv.Metrics.counter_value metrics "tree/fallbacks")
+
+(* Bytes one warm run of [protocol] at [k] allocates, both parties
+   together, in an [Obsv.Window]. *)
+let warm_run_bytes protocol ~k =
+  let universe = 1 lsl 20 in
+  let pair = golden_pair ~seed:60 ~universe ~k in
+  let run () =
+    protocol.Protocol.run (Prng.Rng.of_int 61) ~universe pair.Workload.Setgen.s
+      pair.Workload.Setgen.t
+  in
+  ignore (run ());
+  let _, w = Obsv.Window.measure run in
+  w.Obsv.Window.alloc_bytes
+
+(* A warm run keeps its k-sized state in the borrowed workspaces: what it
+   allocates is its payloads, the outputs and per-run set-up.  Here tree
+   log* k=4096 reads 63 720 B and bucket k=1024 48 848 B; while each
+   party allocated its arrays afresh (and the tree its level boundaries)
+   they read 618 976 B and 162 000 B. *)
+let test_workspace_allocation () =
+  let bound name bytes limit =
+    if bytes > limit then Alcotest.failf "%s: %d bytes a warm run (at most %d)" name bytes limit
+  in
+  bound "tree log* k=4096" (warm_run_bytes (Tree_protocol.protocol_log_star ~k:4096 ()) ~k:4096) 96_000;
+  bound "bucket k=1024" (warm_run_bytes (Bucket_protocol.protocol ~k:1024 ()) ~k:1024) 64_000
+
 let expected_faulty_path_digests =
   [
     ("guard frames dup+drop k=256", "8bf011a72df7cf92447c6f6d51e18e5a");
@@ -1582,14 +1687,16 @@ let test_pool_allocation () =
 
 (* One warm 1 000-instance batch over packed 30-bit tables (one instance
    in three equal, the bucket protocol's shape) must allocate at most
-   96 B a message plus 24 B an instance, both parties together.  Fitted
-   over batches of 500 to 4 000 instances, this code reads about 76 B a
+   96 B a message plus 12 B an instance, both parties together.  Fitted
+   over batches of 500 to 4 000 instances, this code read about 76 B a
    message (its payload copy and the transport's suspension) and 20 B
    an instance (each party's slot in the group order and its verdict
-   byte), 48 752 B for this batch against a 50 304 B bound; building
-   the tag round's span thunk once per round again reads 58 864 B.  The same
-   batch through the [Bits.t array] entry, before the table was packed,
-   read 149 840 B: about 364 B a message and 39 B an instance. *)
+   byte), 48 752 B for this batch, while each run allocated its group
+   order; with the group state in a pooled workspace it reads 29 936 B
+   against a 38 304 B bound, and building the tag round's span thunk
+   once per round again reads 41 744 B.  The same batch through the [Bits.t array]
+   entry, before the table was packed, read 149 840 B: about 364 B a
+   message and 39 B an instance. *)
 let test_eq_batch_allocation () =
   let k = 1000 and width = 30 in
   let values = Prng.Rng.of_int 8 in
@@ -1611,7 +1718,7 @@ let test_eq_batch_allocation () =
   let cost, w = Obsv.Window.measure run in
   let messages = cost.Commsim.Cost.messages in
   let bytes = w.Obsv.Window.alloc_bytes in
-  let bound = (96 * messages) + (24 * k) in
+  let bound = (96 * messages) + (12 * k) in
   if bytes > bound then
     Alcotest.failf "%d bytes over %d messages and %d instances (at most %d)" bytes messages k bound
 
@@ -1680,6 +1787,11 @@ let () =
           Alcotest.test_case "warm pool allocates only the copy" `Quick test_pool_allocation;
           Alcotest.test_case "eq_batch allocation per message and instance" `Quick
             test_eq_batch_allocation;
+        ] );
+      ( "workspaces",
+        [
+          Alcotest.test_case "reused runs = bypassed runs" `Quick test_workspace_reuse;
+          Alcotest.test_case "warm runs stay within bounds" `Quick test_workspace_allocation;
         ] );
       ( "golden",
         [

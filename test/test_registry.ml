@@ -421,12 +421,36 @@ let load_repo () =
   check_int "repo parses clean" 0 (List.length violations);
   registry
 
+(* What the entry files under experiments/ say, read without the
+   registry: how many there are and how many carry each status line. *)
+let files_census () =
+  let entry name =
+    String.length name > 4
+    && String.for_all (fun c -> c >= '0' && c <= '9') (String.sub name 0 3)
+    && name.[3] = '-'
+    && Filename.check_suffix name ".md"
+  in
+  let statuses =
+    List.map
+      (fun name ->
+        let lines =
+          String.split_on_char '\n'
+            (In_channel.with_open_bin (Filename.concat "../experiments" name) In_channel.input_all)
+        in
+        List.find (String.starts_with ~prefix:"status: ") lines)
+      (List.filter entry (Array.to_list (Sys.readdir "../experiments")))
+  in
+  let count status = List.length (List.filter (String.equal ("status: " ^ status)) statuses) in
+  (List.length statuses, count "Complete", count "Superseded")
+
 let test_repo_verifies () =
   let registry = load_repo () in
-  check_int "37 entries" 37 (List.length registry.R.entries);
+  let entries, complete_files, superseded_files = files_census () in
+  check_bool "some entries" true (entries > 0);
+  check_int "entries = entry files" entries (List.length registry.R.entries);
   let _, _, complete, superseded = R.census registry in
-  check_int "complete" 34 complete;
-  check_int "superseded (023 by 027, 027 by 028, 028 by 029)" 3 superseded;
+  check_int "complete = Complete status lines" complete_files complete;
+  check_int "superseded = Superseded status lines" superseded_files superseded;
   let violations =
     R.verify ~env:(R.repo_env ~root:"..") ~cli_subcommands:repo_cli_subcommands registry
   in
