@@ -93,42 +93,7 @@ let protocol_trial ~k protocol () =
   let protocol = protocol () and universe = 1 lsl universe_bits in
   fun stream i -> ignore (Sys.opaque_identity (trial_of ~protocol ~stream ~universe ~k i))
 
-(* Bucket at k=1024: the baseline once batch equality kept its group
-   state on flat arrays and bucket's instances, hashing and final sort
-   went native (on top of the allocation-free tag pipeline).
-   Tree-log-star at k=4096: the baseline once the tree protocol kept its
-   leaf state on flat arrays and hashed node payloads as bit ranges of one
-   stage buffer.
-   Guarded attempt at k=256: one [Resilient.attempt_once] of bucket over
-   the perf session-noisy workload's link, each trial on its own seeded
-   plan; the baseline once guard frames were built word by word and the
-   fault draws became integer threshold scans (451 180 bytes/trial
-   before).
-   All three fell again (from 757 358, 1 227 896 and 218 538) when pair
-   generation stopped sorting its two sets and the primality test behind
-   every [Carter_wegman.create] stopped allocating.  Bucket and the
-   guarded attempt fell once more (from 743 197 and 210 866) when bucket
-   assignment went flat: one keys array and a counting sort in place of
-   k bucket arrays, the matched set read off the images without
-   extraction or sort.  Tree-log-star fell once more (from 1 183 888)
-   when each stage patched only the leaves its re-runs changed into the
-   stage buffer, re-run lanes were drawn again from the label cell
-   instead of kept per leaf, and [Vtree] stopped storing the leaf
-   level.  All three fell again (from 661 773, 1 001 520 and 192 568)
-   when span attributes were set from span bodies and stopped being
-   built while tracing is off.  All three fell again (from 661 445,
-   1 000 256 and 192 119) when a message stopped costing more than its
-   receiver's suspension: sends became direct calls, inboxes and the run
-   queue rings, and batch equality's verdict bitmaps were read in place
-   instead of as bool arrays.  Bucket and the guarded attempt fell again
-   (from 491 396 and 146 076) when batch equality ran over one packed
-   instance table with closures built once per run, the writer pool's
-   freelist became an array stack and the faulty channel stopped
-   allocating per message; tree-log-star, which runs no batch, kept its
-   baseline (it reads 994 208, the pool no longer consing).  All three
-   fell again (from 254 442, 994 976 and 89 383) when each protocol's
-   k-sized run state moved into a workspace borrowed from a per-domain
-   freelist and [Vtree] became closed-form. *)
+(* Bytes per trial: bucket k=1024, tree-log-star k=4096, one guarded bucket k=256 attempt. *)
 let bucket_case =
   {
     name = "bucket";
@@ -175,17 +140,7 @@ let guarded_case =
     baseline = 85_975.0;
   }
 
-(* The small-k trial path Conform and the sweep run: one one-round k=64
-   trial and one tree-r2 k=16 trial, each with its set generation and
-   exactness check; the baseline once Iset's kernels were int-specialised,
-   pair generation stopped sorting and one-round's tag table went flat
-   (37 884 bytes/trial before), lowered from 31 284 by the tree's
-   patched stage buffer and cell-drawn re-run lanes, from 30 738
-   when span attributes stopped being built while tracing is off,
-   from 30 115 when sends stopped being effects and inboxes became
-   rings, from 25 554 when the writer pool's freelist became an
-   array stack, and from 25 026 when the tree, bucket and batch-equality
-   run state moved into pooled workspaces. *)
+(* Bytes per trial of the small-k path Conform and the sweep run: one-round k=64 + tree-r2 k=16. *)
 let conform_smallk_trial () =
   let cache = Engine.Instance_cache.create () and universe = 1 lsl universe_bits in
   let one_round = Workload.Conform.entry_of_name "one-round"

@@ -1,30 +1,14 @@
 (* Command-line driver for the intersection protocols.
 
    Examples:
-     intersect_cli two --protocol tree -r 3 -k 1024 --overlap 512 --trials 5
-     intersect_cli two --protocol trivial -k 256 --universe-bits 40
-     intersect_cli multi --players 16 -k 64 --flavor star
+     intersect_cli profile --protocol tree-r3 -k 1024 --overlap 512 --trials 5
+     intersect_cli profile --protocol trivial -k 256 --universe-bits 40
+     intersect_cli trace --protocol star --players 16 -k 64 --format jsonl
      intersect_cli disj -k 128 --overlap 0
      intersect_cli chaos --smoke --json        # any seeded campaign; see "campaigns" below *)
 
 open Cmdliner
 open Intersect
-
-let protocol_of_name name ~r ~k =
-  match name with
-  | "trivial" -> Ok Trivial.protocol
-  | "full-exchange" -> Ok Trivial.protocol_full_exchange
-  | "one-round" -> Ok (One_round_hash.protocol ())
-  | "basic" -> Ok (Basic_intersection.protocol ~failure:1e-3)
-  | "bucket" -> Ok (Bucket_protocol.protocol ~k ())
-  | "tree" -> Ok (Tree_protocol.protocol ~r ~k ())
-  | "tree-log-star" -> Ok (Tree_protocol.protocol_log_star ~k ())
-  | "verified-tree" -> Ok (Verified.protocol (Tree_protocol.protocol_log_star ~k ()))
-  | _ ->
-      Error
-        (`Msg
-          "unknown protocol (try: trivial, full-exchange, one-round, basic, bucket, tree, \
-           tree-log-star, verified-tree)")
 
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 let k_arg = Arg.(value & opt int 1024 & info [ "k"; "set-size" ] ~docv:"K" ~doc:"Set-size bound.")
@@ -38,140 +22,24 @@ let overlap_arg =
     & opt (some int) None
     & info [ "overlap" ] ~docv:"O" ~doc:"Planted intersection size (default k/2).")
 
-let trials_arg = Arg.(value & opt int 3 & info [ "trials" ] ~docv:"N" ~doc:"Number of trials.")
+(* The CLI's one error rule: input the library rejects is a usage error,
+   exit 2 with one stderr line naming the subcommand. *)
+let guarded name body =
+  match body () with
+  | exception Invalid_argument msg ->
+      Printf.eprintf "%s: %s\n" name msg;
+      2
+  | status -> status
 
-(* Message-level trace of one tree-protocol run (the protocol the trace
-   mode drives; the others hide their sessions behind Protocol.run). *)
-let print_trace ~r ~k ~universe ~overlap ~seed =
-  let rng = Prng.Rng.with_label (Prng.Rng.of_int seed) "cli-trace" in
-  let pair =
-    Workload.Setgen.pair_with_overlap
-      (Prng.Rng.with_label rng "workload")
-      ~universe ~size_s:k ~size_t:k ~overlap
-  in
-  let results, cost, trace =
-    Commsim.Network.run_traced
-      [|
-        (fun ep ->
-          Tree_protocol.run_party `Alice rng ~universe ~r ~k
-            (Commsim.Chan.of_endpoint ep ~peer:1)
-            pair.Workload.Setgen.s);
-        (fun ep ->
-          Tree_protocol.run_party `Bob rng ~universe ~r ~k
-            (Commsim.Chan.of_endpoint ep ~peer:0)
-            pair.Workload.Setgen.t);
-      |]
-  in
-  Printf.printf "message trace (tree r=%d, k=%d):\n" r k;
-  List.iteri
-    (fun i entry ->
-      Printf.printf "  #%-3d %s  round %d  %6d bits\n" (i + 1)
-        (if entry.Commsim.Network.from_ = 0 then "A->B" else "B->A")
-        entry.Commsim.Network.depth entry.Commsim.Network.bits)
-    trace;
-  Format.printf "total: %a; |result| = %d@." Commsim.Cost.pp cost (Iset.cardinal results.(0))
-
-let two_cmd =
-  let protocol_arg =
-    Arg.(value & opt string "tree-log-star" & info [ "protocol" ] ~docv:"P" ~doc:"Protocol name.")
-  in
-  let r_arg = Arg.(value & opt int 3 & info [ "r"; "stages" ] ~docv:"R" ~doc:"Stage budget for tree.") in
-  let trace_arg =
-    Arg.(value & flag & info [ "trace" ] ~doc:"Print the per-message trace of one tree-protocol run.")
-  in
-  let run name r k universe_bits overlap trials seed trace =
-    if trace then begin
-      print_trace ~r ~k ~universe:(1 lsl universe_bits)
-        ~overlap:(Option.value overlap ~default:(k / 2))
-        ~seed;
-      0
-    end
-    else match protocol_of_name name ~r ~k with
-    | Error (`Msg m) -> prerr_endline m; 1
-    | Ok protocol ->
-        let universe = 1 lsl universe_bits in
-        let overlap = Option.value overlap ~default:(k / 2) in
-        Printf.printf "protocol=%s k=%d universe=2^%d overlap=%d trials=%d\n%!"
-          protocol.Protocol.name k universe_bits overlap trials;
-        let exact = ref 0 in
-        for trial = 1 to trials do
-          let rng = Prng.Rng.with_label (Prng.Rng.of_int (seed + trial)) "cli" in
-          let pair =
-            Workload.Setgen.pair_with_overlap
-              (Prng.Rng.with_label rng "workload")
-              ~universe ~size_s:k ~size_t:k ~overlap
-          in
-          let outcome = protocol.Protocol.run rng ~universe pair.Workload.Setgen.s pair.Workload.Setgen.t in
-          let ok = Protocol.exact outcome ~s:pair.Workload.Setgen.s ~t:pair.Workload.Setgen.t in
-          if ok then incr exact;
-          Format.printf "  trial %d: %a  |result|=%d  %s@." trial Commsim.Cost.pp
-            outcome.Protocol.cost
-            (Iset.cardinal outcome.Protocol.alice)
-            (if ok then "exact" else "INEXACT")
-        done;
-        Printf.printf "exact: %d/%d\n" !exact trials;
-        0
-  in
-  Cmd.v
-    (Cmd.info "two" ~doc:"Run a two-party intersection protocol on generated sets.")
-    Term.(
-      const run $ protocol_arg $ r_arg $ k_arg $ universe_bits_arg $ overlap_arg $ trials_arg
-      $ seed_arg $ trace_arg)
-
-let multi_cmd =
-  let players_arg =
-    Arg.(value & opt int 8 & info [ "players" ] ~docv:"M" ~doc:"Number of players.")
-  in
-  let flavor_arg =
-    Arg.(
-      value
-      & opt (enum [ ("star", `Star); ("tournament", `Tournament) ]) `Star
-      & info [ "flavor" ] ~docv:"F" ~doc:"star (Cor 4.1) or tournament (Cor 4.2).")
-  in
-  let core_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "core" ] ~docv:"C" ~doc:"Size of the planted common core (default k/4).")
-  in
-  let run players flavor k universe_bits core seed =
-    let universe = 1 lsl universe_bits in
-    let core = Option.value core ~default:(k / 4) in
-    let rng = Prng.Rng.of_int seed in
-    let sets =
-      Workload.Setgen.family_with_core
-        (Prng.Rng.with_label rng "workload")
-        ~universe ~players ~size:k ~core
-    in
-    let result, cost =
-      match flavor with
-      | `Star -> Multiparty.Star.run (Prng.Rng.with_label rng "star") ~universe ~k sets
-      | `Tournament -> Multiparty.Tournament.run (Prng.Rng.with_label rng "tournament") ~universe ~k sets
-    in
-    let truth = Iset.inter_many (Array.to_list sets) in
-    Format.printf "m=%d k=%d core=%d: %a@." players k core Commsim.Cost.pp cost;
-    Printf.printf "avg bits/player %.0f, busiest player %d bits\n"
-      (Commsim.Cost.avg_player_bits cost)
-      (Commsim.Cost.max_player_bits cost);
-    Printf.printf "result %s (|intersection| = %d)\n"
-      (if Iset.equal result truth then "exact" else "INEXACT")
-      (Iset.cardinal result);
-    let per_player =
-      Stats.Table.create ~title:"per-player" ~columns:Commsim.Cost.breakdown_columns
-    in
-    List.iter (Stats.Table.add_row per_player) (Commsim.Cost.breakdown_rows cost);
-    Stats.Table.print per_player;
-    0
-  in
-  Cmd.v
-    (Cmd.info "multi" ~doc:"Run a multi-party intersection protocol.")
-    Term.(const run $ players_arg $ flavor_arg $ k_arg $ universe_bits_arg $ core_arg $ seed_arg)
+(* A one-shot subcommand: [term] applies its flags to a body that prints
+   and returns the exit status, run under [guarded]. *)
+let one_shot name ~doc term = Cmd.v (Cmd.info name ~doc) (Term.app (Term.const (guarded name)) term)
 
 let disj_cmd =
   let bits_arg =
     Arg.(value & opt int 8 & info [ "bits-per-message" ] ~docv:"B" ~doc:"HW density knob.")
   in
-  let run k universe_bits overlap bits seed =
+  let run k universe_bits overlap bits seed () =
     let universe = 1 lsl universe_bits in
     let overlap = Option.value overlap ~default:0 in
     let rng = Prng.Rng.of_int seed in
@@ -190,8 +58,7 @@ let disj_cmd =
       Commsim.Cost.pp outcome.Disjointness.cost;
     0
   in
-  Cmd.v
-    (Cmd.info "disj" ~doc:"Run the Hastad-Wigderson-style disjointness baseline.")
+  one_shot "disj" ~doc:"Run the Hastad-Wigderson-style disjointness baseline."
     Term.(const run $ k_arg $ universe_bits_arg $ overlap_arg $ bits_arg $ seed_arg)
 
 let similarity_cmd =
@@ -202,7 +69,7 @@ let similarity_cmd =
       & info [ "sketch" ] ~docv:"S"
           ~doc:"Also run a bottom-$(docv) min-wise sketch for comparison.")
   in
-  let run k universe_bits overlap seed sketch =
+  let run k universe_bits overlap seed sketch () =
     let universe = 1 lsl universe_bits in
     let overlap = Option.value overlap ~default:(k / 3) in
     let rng = Prng.Rng.of_int seed in
@@ -233,15 +100,14 @@ let similarity_cmd =
           sketch_size j inter Commsim.Cost.pp cost);
     0
   in
-  Cmd.v
-    (Cmd.info "similarity" ~doc:"Exact similarity statistics (optionally vs a min-wise sketch).")
+  one_shot "similarity" ~doc:"Exact similarity statistics (optionally vs a min-wise sketch)."
     Term.(const run $ k_arg $ universe_bits_arg $ overlap_arg $ seed_arg $ sketch_arg)
 
-(* ---------- trace / profile: phase-attributed observability ---------- *)
+(* ---------- trace / profile: the one way to run a named protocol ---------- *)
 
-let obsv_protocol_names =
-  "trivial, full-exchange, one-round, basic, bucket, tree, tree-log-star, verified-tree, \
-   resilient, session, star, tournament"
+(* The registered two-party suite, then the runs outside Protocol.t. *)
+let protocol_names =
+  Workload.Regress.protocol_names @ [ "resilient"; "session"; "star"; "tournament" ]
 
 let domains_arg =
   Arg.(
@@ -254,8 +120,10 @@ let domains_arg =
            value; only wall-clock changes.")
 
 (* Run one seeded workload under a fresh collector + metrics registry.
-   Returns the collected events alongside the exact execution cost. *)
-let collect_with ~name ~r ~k ~universe_bits ~overlap ~players ~rng =
+   Returns the collected events alongside the exact execution cost.
+   Raises [Invalid_argument] on an unknown name or input the library
+   rejects. *)
+let collect_with ~name ~k ~universe_bits ~overlap ~players ~rng =
   let universe = 1 lsl universe_bits in
   let collector = Obsv.Trace.create () in
   let registry = Obsv.Metrics.create () in
@@ -279,7 +147,7 @@ let collect_with ~name ~r ~k ~universe_bits ~overlap ~players ~rng =
             Multiparty.Star.run (Prng.Rng.with_label rng "star") ~universe ~k sets
           else Multiparty.Tournament.run (Prng.Rng.with_label rng "tournament") ~universe ~k sets
         in
-        Ok (cost, Iset.cardinal result)
+        (cost, Iset.cardinal result)
     | "resilient" ->
         let pair = two_party_pair () in
         let report =
@@ -293,7 +161,7 @@ let collect_with ~name ~r ~k ~universe_bits ~overlap ~players ~rng =
             | Resilient.Channel_lost d -> Printf.eprintf "resilient: channel lost: %s\n" d
             | Resilient.Party_crashed d -> Printf.eprintf "resilient: party crashed: %s\n" d)
           report.Resilient.failures;
-        Ok (report.Resilient.cost, Iset.cardinal report.Resilient.result)
+        (report.Resilient.cost, Iset.cardinal report.Resilient.result)
     | "session" ->
         (* One full session over a mildly dropping link: exercises the
            ladder (and its session/* spans) end to end. *)
@@ -323,34 +191,30 @@ let collect_with ~name ~r ~k ~universe_bits ~overlap ~players ~rng =
           | Some result -> Iset.cardinal result
           | None -> 0
         in
-        Ok (report.Session.Machine.ledger.Session.Machine.cost, size)
-    | name -> begin
-        match protocol_of_name name ~r ~k with
-        | Error _ -> Error (`Msg ("unknown protocol (try: " ^ obsv_protocol_names ^ ")"))
-        | Ok protocol ->
-            let pair = two_party_pair () in
-            let outcome =
-              protocol.Protocol.run rng ~universe pair.Workload.Setgen.s pair.Workload.Setgen.t
-            in
-            Ok (outcome.Protocol.cost, Iset.cardinal outcome.Protocol.alice)
-      end
+        (report.Session.Machine.ledger.Session.Machine.cost, size)
+    | name when List.mem name Workload.Regress.protocol_names ->
+        let protocol = Workload.Regress.protocol_of ~name ~k in
+        let pair = two_party_pair () in
+        let outcome =
+          protocol.Protocol.run rng ~universe pair.Workload.Setgen.s pair.Workload.Setgen.t
+        in
+        (outcome.Protocol.cost, Iset.cardinal outcome.Protocol.alice)
+    | name ->
+        invalid_arg
+          (Printf.sprintf "unknown protocol %s (one of: %s)" name
+             (String.concat ", " protocol_names))
   in
-  match Obsv.Trace.with_collector collector (fun () -> Obsv.Metrics.with_registry registry run) with
-  | Error e -> Error e
-  | Ok (cost, size) -> Ok (collector, registry, cost, size)
-
-let collect_run ~name ~r ~k ~universe_bits ~overlap ~players ~seed =
-  collect_with ~name ~r ~k ~universe_bits ~overlap ~players
-    ~rng:(Prng.Rng.with_label (Prng.Rng.of_int seed) "cli-obsv")
+  let cost, size =
+    Obsv.Trace.with_collector collector (fun () -> Obsv.Metrics.with_registry registry run)
+  in
+  (collector, registry, cost, size)
 
 let obsv_protocol_arg =
   Arg.(
     value
     & opt string "bucket"
-    & info [ "protocol" ] ~docv:"P" ~doc:("Protocol name (one of: " ^ obsv_protocol_names ^ ")."))
-
-let obsv_r_arg =
-  Arg.(value & opt int 3 & info [ "r"; "stages" ] ~docv:"R" ~doc:"Stage budget for tree.")
+    & info [ "protocol" ] ~docv:"P"
+        ~doc:("Protocol name (one of: " ^ String.concat ", " protocol_names ^ ")."))
 
 let obsv_players_arg =
   Arg.(value & opt int 8 & info [ "players" ] ~docv:"M" ~doc:"Players (star/tournament only).")
@@ -366,24 +230,22 @@ let trace_cmd =
       & info [ "format" ] ~docv:"F"
           ~doc:"chrome (trace_event JSON for chrome://tracing) or jsonl (one event per line).")
   in
-  let run name r k universe_bits overlap players seed format =
-    match collect_run ~name ~r ~k ~universe_bits ~overlap ~players ~seed with
-    | Error (`Msg m) ->
-        prerr_endline m;
-        1
-    | Ok (collector, _registry, _cost, _size) ->
-        (match format with
-        | `Chrome -> print_endline (Stats.Json.to_string_pretty (Obsv.Export.chrome_trace collector))
-        | `Jsonl -> List.iter print_endline (Obsv.Export.jsonl collector));
-        0
+  let run name k universe_bits overlap players seed format () =
+    let collector, _, _, _ =
+      collect_with ~name ~k ~universe_bits ~overlap ~players
+        ~rng:(Prng.Rng.with_label (Prng.Rng.of_int seed) "cli-obsv")
+    in
+    (match format with
+    | `Chrome -> print_endline (Stats.Json.to_string_pretty (Obsv.Export.chrome_trace collector))
+    | `Jsonl -> List.iter print_endline (Obsv.Export.jsonl collector));
+    0
   in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:
-         "Run one seeded execution of a named protocol with phase tracing enabled and emit the \
-          trace (Chrome trace_event JSON by default; load it in chrome://tracing or Perfetto).")
+  one_shot "trace"
+    ~doc:
+      "Run one seeded execution of a named protocol with phase tracing enabled and emit the \
+       trace (Chrome trace_event JSON by default; load it in chrome://tracing or Perfetto)."
     Term.(
-      const run $ obsv_protocol_arg $ obsv_r_arg $ obsv_k_arg $ universe_bits_arg $ overlap_arg
+      const run $ obsv_protocol_arg $ obsv_k_arg $ universe_bits_arg $ overlap_arg
       $ obsv_players_arg $ seed_arg $ format_arg)
 
 let profile_cmd =
@@ -398,125 +260,107 @@ let profile_cmd =
             "Seeded executions to aggregate (engine seed stream; per-trial costs, phase ledgers \
              and metrics registries are merged in trial order).")
   in
-  let run name r k universe_bits overlap players seed json trials domains =
-    if trials < 1 then begin
-      prerr_endline "profile: --trials must be >= 1";
-      2
-    end
+  let run name k universe_bits overlap players seed json trials domains () =
+    if trials < 1 then invalid_arg "--trials must be >= 1";
+    let stream = Engine.Seed_stream.create ~base:seed ~label:"cli-obsv" in
+    let results =
+      Array.to_list
+        (Engine.Pool.map ?domains ~trials (fun i ->
+             collect_with ~name ~k ~universe_bits ~overlap ~players
+               ~rng:(Engine.Seed_stream.trial_rng stream (i + 1))))
+    in
+    let costs = List.map (fun (_, _, cost, _) -> cost) results in
+    let cost =
+      Engine.Merge.costs ~players:(Array.length (List.hd costs).Commsim.Cost.players) costs
+    in
+    let registry = Engine.Merge.metrics (List.map (fun (_, reg, _, _) -> reg) results) in
+    let phases =
+      Obsv.Export.merge_phases
+        (List.map (fun (collector, _, _, _) -> Obsv.Export.phases collector) results)
+    in
+    let _, _, _, size = List.hd results in
+    let phase_bits = List.fold_left (fun acc p -> acc + p.Obsv.Export.bits) 0 phases in
+    let exact = phase_bits = cost.Commsim.Cost.total_bits in
+    if json then
+      print_endline
+        (Stats.Json.to_string_pretty
+           (Stats.Json.Obj
+              [
+                ("protocol", Stats.Json.Str name);
+                ("k", Stats.Json.Int k);
+                ("seed", Stats.Json.Int seed);
+                ("trials", Stats.Json.Int trials);
+                ("total_bits", Stats.Json.Int cost.Commsim.Cost.total_bits);
+                ("messages", Stats.Json.Int cost.Commsim.Cost.messages);
+                ("rounds", Stats.Json.Int cost.Commsim.Cost.rounds);
+                ("result_size", Stats.Json.Int size);
+                ("phase_bits", Stats.Json.Int phase_bits);
+                ("phase_bits_exact", Stats.Json.Bool exact);
+                ("phases", Obsv.Export.phases_json_of phases);
+                ("metrics", Obsv.Metrics.to_json registry);
+              ]))
     else begin
-      let stream = Engine.Seed_stream.create ~base:seed ~label:"cli-obsv" in
-      let results =
-        Engine.Pool.map ?domains ~trials (fun i ->
-            collect_with ~name ~r ~k ~universe_bits ~overlap ~players
-              ~rng:(Engine.Seed_stream.trial_rng stream (i + 1)))
+      Printf.printf "profile: protocol=%s k=%d universe=2^%d seed=%d trials=%d\n" name k
+        universe_bits seed trials;
+      Format.printf "%a; |result| = %d@." Commsim.Cost.pp_breakdown cost size;
+      print_newline ();
+      Stats.Table.print (Obsv.Export.phase_table_of phases);
+      print_newline ();
+      let per_player =
+        Stats.Table.create ~title:"per-player" ~columns:Commsim.Cost.breakdown_columns
       in
-      match Array.to_list results with
-      | Error (`Msg m) :: _ ->
-          prerr_endline m;
-          1
-      | trial_results -> begin
-          let oks =
-            List.filter_map (function Ok r -> Some r | Error _ -> None) trial_results
+      List.iter (Stats.Table.add_row per_player) (Commsim.Cost.breakdown_rows cost);
+      Stats.Table.print per_player;
+      (* Sketches appear only as the quantile table below. *)
+      (match
+         List.map (fun (m, v) -> [ m; "counter"; string_of_int v ])
+           (Obsv.Metrics.counters_list registry)
+         @ List.map (fun (m, v) -> [ m; "gauge"; string_of_int v ])
+             (Obsv.Metrics.gauges_list registry)
+       with
+      | [] -> ()
+      | rows ->
+          print_newline ();
+          let scalars =
+            Stats.Table.create ~title:"counters and gauges"
+              ~columns:[ "metric"; "kind"; "value" ]
           in
-          let costs = List.map (fun (_, _, cost, _) -> cost) oks in
-          let cost =
-            Engine.Merge.costs
-              ~players:(Array.length (List.hd costs).Commsim.Cost.players)
-              costs
+          List.iter (Stats.Table.add_row scalars) rows;
+          Stats.Table.print scalars);
+      (match Obsv.Metrics.sketches_list registry with
+      | [] -> ()
+      | sketches ->
+          print_newline ();
+          let qtable =
+            Stats.Table.create ~title:"sketch quantiles (1/16 relative error)"
+              ~columns:[ "sketch"; "count"; "p50"; "p90"; "p99"; "max" ]
           in
-          let registry = Engine.Merge.metrics (List.map (fun (_, reg, _, _) -> reg) oks) in
-          let phases =
-            Obsv.Export.merge_phases
-              (List.map (fun (collector, _, _, _) -> Obsv.Export.phases collector) oks)
-          in
-          let size = match oks with (_, _, _, s) :: _ -> s | [] -> 0 in
-          let phase_bits =
-            List.fold_left (fun acc p -> acc + p.Obsv.Export.bits) 0 phases
-          in
-          let exact = phase_bits = cost.Commsim.Cost.total_bits in
-          if json then
-            print_endline
-              (Stats.Json.to_string_pretty
-                 (Stats.Json.Obj
-                    [
-                      ("protocol", Stats.Json.Str name);
-                      ("k", Stats.Json.Int k);
-                      ("seed", Stats.Json.Int seed);
-                      ("trials", Stats.Json.Int trials);
-                      ("total_bits", Stats.Json.Int cost.Commsim.Cost.total_bits);
-                      ("messages", Stats.Json.Int cost.Commsim.Cost.messages);
-                      ("rounds", Stats.Json.Int cost.Commsim.Cost.rounds);
-                      ("result_size", Stats.Json.Int size);
-                      ("phase_bits", Stats.Json.Int phase_bits);
-                      ("phase_bits_exact", Stats.Json.Bool exact);
-                      ("phases", Obsv.Export.phases_json_of phases);
-                      ("metrics", Obsv.Metrics.to_json registry);
-                    ]))
-          else begin
-            Printf.printf "profile: protocol=%s k=%d universe=2^%d seed=%d trials=%d\n" name k
-              universe_bits seed trials;
-            Format.printf "%a; |result| = %d@." Commsim.Cost.pp_breakdown cost size;
-            print_newline ();
-            Stats.Table.print (Obsv.Export.phase_table_of phases);
-            print_newline ();
-            let per_player =
-              Stats.Table.create ~title:"per-player" ~columns:Commsim.Cost.breakdown_columns
-            in
-            List.iter (Stats.Table.add_row per_player) (Commsim.Cost.breakdown_rows cost);
-            Stats.Table.print per_player;
-            (* Sketches appear only as the quantile table below. *)
-            (match
-               List.map (fun (m, v) -> [ m; "counter"; string_of_int v ])
-                 (Obsv.Metrics.counters_list registry)
-               @ List.map (fun (m, v) -> [ m; "gauge"; string_of_int v ])
-                   (Obsv.Metrics.gauges_list registry)
-             with
-            | [] -> ()
-            | rows ->
-                print_newline ();
-                let scalars =
-                  Stats.Table.create ~title:"counters and gauges"
-                    ~columns:[ "metric"; "kind"; "value" ]
-                in
-                List.iter (Stats.Table.add_row scalars) rows;
-                Stats.Table.print scalars);
-            (match Obsv.Metrics.sketches_list registry with
-            | [] -> ()
-            | sketches ->
-                print_newline ();
-                let qtable =
-                  Stats.Table.create ~title:"sketch quantiles (1/16 relative error)"
-                    ~columns:[ "sketch"; "count"; "p50"; "p90"; "p99"; "max" ]
-                in
-                List.iter
-                  (fun (sname, s) ->
-                    let open Obsv.Sketch in
-                    Stats.Table.add_row qtable
-                      (sname
-                      :: List.map string_of_int
-                           [ count s; p50 s; p90 s; p99 s; Option.value ~default:0 (max_value s) ]))
-                  sketches;
-                Stats.Table.print qtable);
-            print_newline ();
-            Printf.printf "phase bits %d %s Cost.total_bits %d\n" phase_bits
-              (if exact then "=" else "<>")
-              cost.Commsim.Cost.total_bits
-          end;
-          if exact then 0 else 1
-        end
-    end
+          List.iter
+            (fun (sname, s) ->
+              let open Obsv.Sketch in
+              Stats.Table.add_row qtable
+                (sname
+                :: List.map string_of_int
+                     [ count s; p50 s; p90 s; p99 s; Option.value ~default:0 (max_value s) ]))
+            sketches;
+          Stats.Table.print qtable);
+      print_newline ();
+      Printf.printf "phase bits %d %s Cost.total_bits %d\n" phase_bits
+        (if exact then "=" else "<>")
+        cost.Commsim.Cost.total_bits
+    end;
+    if exact then 0 else 1
   in
-  Cmd.v
-    (Cmd.info "profile"
-       ~doc:
-         "Run seeded executions of a named protocol on the trial engine and print the merged \
-          per-phase budget breakdown (bits attributed to the sender's innermost span), the \
-          per-player cost table, the merged registry's counters and gauges, and the p50/p90/p99 \
-          of each of its quantile sketches (payload sizes, tag widths, bucket occupancy, ...); \
-          --json prints the whole registry instead.  Exits \
-          non-zero if the per-phase bits fail to sum to the exact Cost.total_bits.")
+  one_shot "profile"
+    ~doc:
+      "Run seeded executions of a named protocol on the trial engine and print the merged \
+       per-phase budget breakdown (bits attributed to the sender's innermost span), the \
+       per-player cost table, the merged registry's counters and gauges, and the p50/p90/p99 of \
+       each of its quantile sketches (payload sizes, tag widths, bucket occupancy, ...); --json \
+       prints the whole registry instead.  Exits 1 if the per-phase bits fail to sum to the \
+       exact Cost.total_bits."
     Term.(
-      const run $ obsv_protocol_arg $ obsv_r_arg $ obsv_k_arg $ universe_bits_arg $ overlap_arg
+      const run $ obsv_protocol_arg $ obsv_k_arg $ universe_bits_arg $ overlap_arg
       $ obsv_players_arg $ seed_arg $ json_arg $ profile_trials_arg $ domains_arg)
 
 (* ---------- campaigns: one driver behind every seeded campaign ---------- *)
@@ -613,15 +457,9 @@ let finish sub violations =
 (* Every campaign subcommand runs through here.  Its body prints the
    report and returns the violations; input the library rejects — the
    campaign runner validates every config before any cell runs — exits 2
-   as a usage error. *)
+   as a usage error ([guarded]). *)
 let campaign_cmd name ~doc term =
-  let drive body =
-    match body () with
-    | exception Invalid_argument msg ->
-        Printf.eprintf "%s: %s\n" name msg;
-        2
-    | violations -> finish name violations
-  in
+  let drive body = guarded name (fun () -> finish name (body ())) in
   Cmd.v (Cmd.info name ~doc) Term.(const drive $ term)
 
 let soak_cmd =
@@ -1178,8 +1016,6 @@ let () =
   let doc = "Set-intersection communication protocols (PODC'14 reproduction)." in
   let base =
     [
-      two_cmd;
-      multi_cmd;
       disj_cmd;
       similarity_cmd;
       soak_cmd;

@@ -10,8 +10,6 @@ type _ Effect.t += Recv_eff : unit Effect.t
 
 exception Deadlock of string
 
-type trace_entry = { from_ : int; to_ : int; bits : int; depth : int; span : int option }
-
 type blocked = { rank : int; waiting_for : int option; consumed : int }
 type drop_site = { drop_from : int; drop_to : int; drop_index : int }
 
@@ -68,12 +66,11 @@ and net = {
   mutable rounds : int;
   mutable total_bits : int;
   mutable messages : int;
-  trace : bool;
-  mutable entries : trace_entry list; (* newest first *)
-  (* The ambient observability hooks.  They never touch the cost meters:
-     with tracing disabled (the default collector) every call is a no-op
-     branch, and with it enabled only the sidecar event record grows, so
-     [Cost.t] is bit-identical either way. *)
+  (* The ambient observability hooks, and the one record of the messages.
+     They never touch the cost meters: with tracing disabled (the default
+     collector) every call is a no-op branch, and with it enabled only the
+     collector's event record grows, so [Cost.t] is bit-identical either
+     way. *)
   collector : Obsv.Trace.collector;
   observing : bool;
   channel : Faults.channel option;
@@ -160,11 +157,7 @@ let deliver st ~to_ payload =
   (* [observe] self-gates on the ambient registry, so metrics work with or
      without tracing. *)
   Obsv.Metrics.observe "net/payload_bits" len;
-  let span =
-    if net.observing then Obsv.Trace.on_message net.collector ~from_:st.rank ~to_ ~bits:len ~depth
-    else None
-  in
-  if net.trace then net.entries <- { from_ = st.rank; to_; bits = len; depth; span } :: net.entries;
+  if net.observing then Obsv.Trace.on_message net.collector ~from_:st.rank ~to_ ~bits:len ~depth;
   st.sent_bits <- st.sent_bits + len;
   st.sent_messages <- st.sent_messages + 1;
   let peer = net.states.(to_) in
@@ -240,7 +233,7 @@ let schedule net players handler =
 
 let new_inbox _ = { payloads = [||]; depths = [||]; head = 0; len = 0 }
 
-let run_with ~trace ~faults players =
+let run_with ~faults players =
   let m = Array.length players in
   if m < 2 then invalid_arg "Network.run: need at least two players";
   let collector = Obsv.Trace.current () in
@@ -257,8 +250,6 @@ let run_with ~trace ~faults players =
       rounds = 0;
       total_bits = 0;
       messages = 0;
-      trace;
-      entries = [];
       collector;
       observing = Obsv.Trace.enabled collector;
       channel;
@@ -409,15 +400,11 @@ let completed_exn = function
   | Lost _ | Crashed _ -> assert false (* clean executions always complete or raise *)
 
 let run players =
-  let outcome, cost, _ = run_with ~trace:false ~faults:None players in
+  let outcome, cost, _ = run_with ~faults:None players in
   (completed_exn outcome, cost)
 
-let run_traced players =
-  let outcome, cost, net = run_with ~trace:true ~faults:None players in
-  (completed_exn outcome, cost, List.rev net.entries)
-
 let run_faulty ~plan players =
-  let outcome, cost, net = run_with ~trace:false ~faults:(Some plan) players in
+  let outcome, cost, net = run_with ~faults:(Some plan) players in
   let tallies =
     match net.channel with Some c -> Faults.tallies c | None -> assert false (* faulty run *)
   in

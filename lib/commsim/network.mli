@@ -17,7 +17,15 @@
     the scheduler's run queue reaches it after a matching delivery.
     Each directed link's inbox is a growable ring of payloads and causal
     depths, and the run queue a ring of ranks.  Players switch only
-    inside a blocking receive. *)
+    inside a blocking receive.
+
+    The one record of an execution's messages is the ambient
+    {!Obsv.Trace} collector's: under {!Obsv.Trace.with_collector}, {!run}
+    and {!run_faulty} record each metered delivery, in delivery order,
+    as an {!Obsv.Trace.message} (sender, recipient, bits, causal depth
+    and the sender's innermost open span).  Invariants (tested): one
+    event per delivered copy, event bits sum to [Cost.total_bits], and
+    the maximum depth equals [Cost.rounds]. *)
 
 type endpoint
 
@@ -49,22 +57,11 @@ exception Deadlock of string
 (** Raised by {!run} when every unfinished player is blocked on a message
     that can no longer arrive. *)
 
-(** One sent message, as recorded by {!run_traced}: sender, recipient,
-    payload length, the message's causal depth (its round), and — when an
-    {!Obsv.Trace} collector is installed — the id of the sender's innermost
-    open span at send time. *)
-type trace_entry = { from_ : int; to_ : int; bits : int; depth : int; span : int option }
-
 (** [run players] runs all player functions to completion and returns their
     results with the cost of the execution.  Players may finish in any
     order; any leftover undelivered messages are allowed (they are already
     metered). *)
 val run : (endpoint -> 'a) array -> 'a array * Cost.t
-
-(** Like {!run}, also returning the full message trace in send order.
-    Invariants (tested): one entry per message, entry bits sum to
-    [cost.total_bits], and the maximum depth equals [cost.rounds]. *)
-val run_traced : (endpoint -> 'a) array -> 'a array * Cost.t * trace_entry list
 
 (** One player that can no longer make progress: the sender it waits on
     ([None] when blocked in {!recv_any}) and how many messages it had

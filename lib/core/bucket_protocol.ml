@@ -33,10 +33,10 @@ let fit ws ~n ~k =
     ws.start <- Array.make k 0
   end
 
-let run_party ?sequential ?(reduce = true) role rng ~universe ~k chan mine =
+let run_party role rng ~universe ~k chan mine =
   if k < 1 then invalid_arg "Bucket_protocol.run_party";
   let open Commsim.Transport in
-  let n_reduced = if reduce then Int.max 64 (k * k * k) else universe in
+  let n_reduced = Int.max 64 (k * k * k) in
   (* Universe reduction H: [n] -> [k^3]; identity when already small.
      The reduced images form the set the buckets are drawn over. *)
   let reduction =
@@ -154,7 +154,7 @@ let run_party ?sequential ?(reduce = true) role rng ~universe ~k chan mine =
         done;
         Obsv.Trace.span Obsv.Phases.Bucket_eq (fun () ->
             Obsv.Trace.attr "instances" pair_count;
-            Eq_batch.run_table ?sequential role eq_rng chan (Bitio.Bitbuf.view table)
+            Eq_batch.run_table role eq_rng chan (Bitio.Bitbuf.view table)
               (Eq_batch.Uniform { count = pair_count; width })))
   in
   (* An instance's input is its owner's image, so the matched images are
@@ -193,7 +193,7 @@ let run_party ?sequential ?(reduce = true) role rng ~universe ~k chan mine =
   | None -> matched
   | Some h -> Iset.filter (fun x -> Iset.mem matched (Hashing.Carter_wegman.hash h x)) mine
 
-let protocol ?sequential ?reduce ?k () =
+let protocol ?k () =
   {
     Protocol.name = "bucket-eq(sqrt-k rounds)";
     sandwich = true;
@@ -203,8 +203,8 @@ let protocol ?sequential ?reduce ?k () =
         let k = match k with Some k -> k | None -> Int.max 1 (Int.max (Array.length s) (Array.length t)) in
         let (alice, bob), cost =
           Commsim.Two_party.run
-            ~alice:(fun chan -> run_party ?sequential ?reduce `Alice rng ~universe ~k chan s)
-            ~bob:(fun chan -> run_party ?sequential ?reduce `Bob rng ~universe ~k chan t)
+            ~alice:(fun chan -> run_party `Alice rng ~universe ~k chan s)
+            ~bob:(fun chan -> run_party `Bob rng ~universe ~k chan t)
         in
         { Protocol.alice; bob; cost });
   }

@@ -17,12 +17,8 @@
     Outputs satisfy the candidate-sandwich contract; both equal [S ∩ T]
     except with probability [O(1/k) + 2^-Ω(√k)]. *)
 
-(** [reduce] (default [true]) enables the FKS-style universe reduction; the
-    A2 ablation turns it off to expose how the instance strings — and hence
-    the total bits — grow with [log n]. *)
+(** One party's side of the protocol over [chan]. *)
 val run_party :
-  ?sequential:bool ->
-  ?reduce:bool ->
   [ `Alice | `Bob ] ->
   Prng.Rng.t ->
   universe:int ->
@@ -31,6 +27,6 @@ val run_party :
   Iset.t ->
   Iset.t
 
-(** Protocol record over {!run_party}; [k] (default 64) sizes the bucket
-    table, [sequential] and [reduce] as in {!run_party}. *)
-val protocol : ?sequential:bool -> ?reduce:bool -> ?k:int -> unit -> Protocol.t
+(** Protocol record over {!run_party}; [k] (default: the larger input's
+    size) sizes the bucket table. *)
+val protocol : ?k:int -> unit -> Protocol.t

@@ -27,11 +27,11 @@ let membership fn threshold x =
 let threshold_of_density q =
   max 1 (int_of_float (q *. 1073741824.0 (* 2^30 *)))
 
-let hw ?(bits_per_message = 8) ?(round_cap_factor = 4) rng ~universe s t =
+let hw ?(bits_per_message = 8) rng ~universe s t =
   Protocol.validate_inputs ~universe s t;
   let b = max 2 bits_per_message in
   let k0 = max 1 (max (Array.length s) (Array.length t)) in
-  let cap = round_cap_factor * (2 + (((k0 * (Iterated_log.log2_ceil (k0 + 2) + 4)) + b) / b)) in
+  let cap = 4 * (2 + (((k0 * (Iterated_log.log2_ceil (k0 + 2) + 4)) + b) / b)) in
   let party is_alice mine chan =
     let open Commsim.Transport in
     let current = ref mine in

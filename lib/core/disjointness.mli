@@ -25,12 +25,11 @@ type outcome = {
   cost : Commsim.Cost.t;
 }
 
-(** [hw ?bits_per_message ?round_cap_factor rng ~universe s t].  Error is
-    one-sided: [disjoint = true] is always correct; [disjoint = false] is
-    wrong with probability vanishing in the round cap. *)
+(** [hw ?bits_per_message rng ~universe s t].  Error is one-sided:
+    [disjoint = true] is always correct; [disjoint = false] is wrong with
+    probability vanishing in the round cap. *)
 val hw :
   ?bits_per_message:int ->
-  ?round_cap_factor:int ->
   Prng.Rng.t ->
   universe:int ->
   Iset.t ->

@@ -52,13 +52,12 @@ let run_party role rng ~bits ~max_attempts chan ~party =
   in
   attempt 1
 
-let protocol ?bits ?(max_attempts = 20) base =
+let protocol base =
   {
     Protocol.name = "verified(" ^ base.Protocol.name ^ ")";
     sandwich = true;
     run =
       (fun rng ~universe s t ->
         let k = max 1 (max (Array.length s) (Array.length t)) in
-        let bits = match bits with Some b -> b | None -> max 16 k in
-        (run base ~bits ~max_attempts rng ~universe s t).outcome);
+        (run base ~bits:(max 16 k) ~max_attempts:20 rng ~universe s t).outcome);
   }

@@ -30,9 +30,9 @@ val run :
   Iset.t ->
   result
 
-(** Wrap as a protocol; [bits] defaults to [max 16 k], [max_attempts] to
-    20. *)
-val protocol : ?bits:int -> ?max_attempts:int -> Protocol.t -> Protocol.t
+(** Wrap as a protocol: {!run} with [bits = max 16 k] and
+    [max_attempts = 20]. *)
+val protocol : Protocol.t -> Protocol.t
 
 (** What one side of {!run_party} learned: the candidate it ended on, how
     many base executions it took, and whether the final equality check

@@ -14,13 +14,10 @@
 
 (** [run rng ~universe ~k sets] returns player 0's final set and the
     execution cost.  [r] defaults to [log* k] (optimal communication);
-    [max_attempts] bounds the verify-and-repeat loop per pair.  With
-    [~broadcast:true] every player additionally learns the result
-    ({!Broadcast}), which costs [m - 1] extra set transmissions. *)
+    [max_attempts] bounds the verify-and-repeat loop per pair. *)
 val run :
   ?r:int ->
   ?max_attempts:int ->
-  ?broadcast:bool ->
   Prng.Rng.t ->
   universe:int ->
   k:int ->
@@ -29,7 +26,8 @@ val run :
 
 (** Test references and instruments. *)
 module For_testing : sig
-  (** Like {!run} with [~broadcast:true], returning every player's output. *)
+  (** Like {!run}, then every player learns the result ({!Broadcast}, at
+      [m - 1] extra set transmissions); returns every player's output. *)
   val run_all :
     ?r:int ->
     ?max_attempts:int ->

@@ -95,8 +95,8 @@ let run_internal ?r ?(max_attempts = 30) ~broadcast rng ~universe ~k sets =
     Commsim.Network.run (Array.init m (fun rank -> player rank sets.(rank)))
   end
 
-let run ?r ?max_attempts ?(broadcast = false) rng ~universe ~k sets =
-  let results, cost = run_internal ?r ?max_attempts ~broadcast rng ~universe ~k sets in
+let run ?r ?max_attempts rng ~universe ~k sets =
+  let results, cost = run_internal ?r ?max_attempts ~broadcast:false rng ~universe ~k sets in
   (results.(0), cost)
 
 module For_testing = struct

@@ -17,7 +17,6 @@
 val run :
   ?r:int ->
   ?max_attempts:int ->
-  ?broadcast:bool ->
   Prng.Rng.t ->
   universe:int ->
   k:int ->
@@ -26,7 +25,8 @@ val run :
 
 (** Test references and instruments. *)
 module For_testing : sig
-  (** Like {!run} with [~broadcast:true], returning every player's output. *)
+  (** Like {!run}, then every player learns the result ({!Broadcast}, at
+      [m - 1] extra set transmissions); returns every player's output. *)
   val run_all :
     ?r:int ->
     ?max_attempts:int ->

@@ -231,12 +231,13 @@ let merge_phases ledgers =
     ledgers;
   List.rev_map (fun name -> !(Hashtbl.find acc name)) !order
 
-let phase_table_of ?(title = "per-phase communication") rows =
+let phase_table_of rows =
   let total = List.fold_left (fun acc p -> acc + p.bits) 0 rows in
   let total_messages = List.fold_left (fun acc p -> acc + p.messages) 0 rows in
   let total_spans = List.fold_left (fun acc p -> acc + p.spans) 0 rows in
   let table =
-    Table.create ~title ~columns:[ "phase"; "bits"; "msgs"; "spans"; "max depth"; "share" ]
+    Table.create ~title:"per-phase communication"
+      ~columns:[ "phase"; "bits"; "msgs"; "spans"; "max depth"; "share" ]
   in
   List.iter
     (fun p ->

@@ -41,9 +41,9 @@ val phases : Trace.collector -> phase list
     aggregation. *)
 val merge_phases : phase list list -> phase list
 
-(** A (possibly merged) ledger as a rendered {!Stats.Table} with a share
-    column and a total row. *)
-val phase_table_of : ?title:string -> phase list -> Stats.Table.t
+(** A (possibly merged) ledger as a rendered {!Stats.Table} titled
+    "per-phase communication", with a share column and a total row. *)
+val phase_table_of : phase list -> Stats.Table.t
 
 (** A (possibly merged) ledger as JSON, one object per row. *)
 val phases_json_of : phase list -> Stats.Json.t

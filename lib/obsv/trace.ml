@@ -131,8 +131,7 @@ let attr_string key value =
   if c.enabled then add_attr c key value
 
 let on_message c ~from_ ~to_ ~bits ~depth =
-  if not c.enabled then None
-  else begin
+  if c.enabled then begin
     let sp = innermost c ~rank:from_ in
     (match sp with
     | Some s ->
@@ -140,8 +139,7 @@ let on_message c ~from_ ~to_ ~bits ~depth =
         s.messages <- s.messages + 1
     | None -> ());
     let span = Option.map (fun (s : span) -> s.id) sp in
-    c.messages_rev <- { seq = next_seq c; from_; to_; bits; depth; span } :: c.messages_rev;
-    span
+    c.messages_rev <- { seq = next_seq c; from_; to_; bits; depth; span } :: c.messages_rev
   end
 
 let spans c = List.rev c.spans_rev

@@ -42,7 +42,7 @@ type message = {
   from_ : int;
   to_ : int;
   bits : int;
-  depth : int;  (** causal depth, as in {!Commsim.Network.trace_entry} *)
+  depth : int;  (** causal depth: the longest message chain ending here (its round) *)
   span : int option;  (** innermost open span of the sender *)
 }
 
@@ -81,10 +81,10 @@ val attr_string : string -> string -> unit
     execution).  Called by {!Commsim.Network}. *)
 val set_rank : collector -> int option -> unit
 
-(** Scheduler hook: record one delivered payload and return the id of the
+(** Scheduler hook: record one delivered payload, attributed to the
     sender's innermost open span.  Called by {!Commsim.Network} at delivery
-    time; [None] when disabled or unattributed. *)
-val on_message : collector -> from_:int -> to_:int -> bits:int -> depth:int -> int option
+    time; a no-op when disabled. *)
+val on_message : collector -> from_:int -> to_:int -> bits:int -> depth:int -> unit
 
 (** All spans in creation order. *)
 val spans : collector -> span list

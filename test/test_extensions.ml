@@ -16,6 +16,16 @@ let bits_of_int ~width v =
 
 (* ---------- Network traces ---------- *)
 
+(* [f]'s result and the message events a fresh collector saw while it
+   ran: an execution's one message record. *)
+let traced f =
+  let collector = Obsv.Trace.create () in
+  let result = Obsv.Trace.with_collector collector f in
+  (result, Obsv.Trace.messages collector)
+
+let sum_bits trace = List.fold_left (fun acc (e : Obsv.Trace.message) -> acc + e.bits) 0 trace
+let max_depth trace = List.fold_left (fun acc (e : Obsv.Trace.message) -> max acc e.depth) 0 trace
+
 let test_trace_invariants () =
   let alice ep =
     let chan = Commsim.Chan.of_endpoint ep ~peer:1 in
@@ -29,21 +39,22 @@ let test_trace_invariants () =
     chan.Commsim.Chan.send (bits_of_int ~width:6 3);
     ignore (chan.Commsim.Chan.recv ())
   in
-  let _, cost, trace = Commsim.Network.run_traced [| alice; bob |] in
-  check "one entry per message" cost.Commsim.Cost.messages (List.length trace);
-  check "bits add up" cost.Commsim.Cost.total_bits
-    (List.fold_left (fun acc e -> acc + e.Commsim.Network.bits) 0 trace);
-  check "max depth = rounds" cost.Commsim.Cost.rounds
-    (List.fold_left (fun acc e -> max acc e.Commsim.Network.depth) 0 trace);
+  let (_, cost), trace = traced (fun () -> Commsim.Network.run [| alice; bob |]) in
+  check "one event per message" cost.Commsim.Cost.messages (List.length trace);
+  check "bits add up" cost.Commsim.Cost.total_bits (sum_bits trace);
+  check "max depth = rounds" cost.Commsim.Cost.rounds (max_depth trace);
   (* trace is in send order with correct endpoints *)
   match trace with
   | [ m1; m2; m3 ] ->
-      check "m1 from" 0 m1.Commsim.Network.from_;
-      check "m1 to" 1 m1.Commsim.Network.to_;
-      check "m1 depth" 1 m1.Commsim.Network.depth;
-      check "m2 from" 1 m2.Commsim.Network.from_;
-      check "m2 depth" 2 m2.Commsim.Network.depth;
-      check "m3 depth" 3 m3.Commsim.Network.depth
+      check "m1 from" 0 m1.Obsv.Trace.from_;
+      check "m1 to" 1 m1.Obsv.Trace.to_;
+      check "m1 depth" 1 m1.Obsv.Trace.depth;
+      check "m2 from" 1 m2.Obsv.Trace.from_;
+      check "m2 to" 0 m2.Obsv.Trace.to_;
+      check "m2 depth" 2 m2.Obsv.Trace.depth;
+      check "m3 depth" 3 m3.Obsv.Trace.depth;
+      check_bool "sequence numbers rise" true
+        (m1.Obsv.Trace.seq < m2.Obsv.Trace.seq && m2.Obsv.Trace.seq < m3.Obsv.Trace.seq)
   | _ -> Alcotest.fail "expected 3 messages"
 
 let test_trace_of_protocol () =
@@ -53,25 +64,61 @@ let test_trace_of_protocol () =
       ~overlap:20
   in
   let rng = Prng.Rng.of_int 6 in
-  let results, cost, trace =
-    Commsim.Network.run_traced
-      [|
-        (fun ep ->
-          Tree_protocol.run_party `Alice rng ~universe:10000 ~r:3 ~k:50
-            (Commsim.Chan.of_endpoint ep ~peer:1)
-            pair.Workload.Setgen.s);
-        (fun ep ->
-          Tree_protocol.run_party `Bob rng ~universe:10000 ~r:3 ~k:50
-            (Commsim.Chan.of_endpoint ep ~peer:0)
-            pair.Workload.Setgen.t);
-      |]
+  let (results, cost), trace =
+    traced (fun () ->
+        Commsim.Network.run
+          [|
+            (fun ep ->
+              Tree_protocol.run_party `Alice rng ~universe:10000 ~r:3 ~k:50
+                (Commsim.Chan.of_endpoint ep ~peer:1)
+                pair.Workload.Setgen.s);
+            (fun ep ->
+              Tree_protocol.run_party `Bob rng ~universe:10000 ~r:3 ~k:50
+                (Commsim.Chan.of_endpoint ep ~peer:0)
+                pair.Workload.Setgen.t);
+          |])
   in
   Alcotest.check iset "exact"
     (Iset.inter pair.Workload.Setgen.s pair.Workload.Setgen.t)
     results.(0);
-  check "entries = messages" cost.Commsim.Cost.messages (List.length trace);
-  check "bits sum" cost.Commsim.Cost.total_bits
-    (List.fold_left (fun acc e -> acc + e.Commsim.Network.bits) 0 trace)
+  check "events = messages" cost.Commsim.Cost.messages (List.length trace);
+  check "bits sum" cost.Commsim.Cost.total_bits (sum_bits trace);
+  check "max depth = rounds" cost.Commsim.Cost.rounds (max_depth trace)
+
+(* The same record over a channel that drops, duplicates and truncates:
+   one event per delivered copy (a dropped message has none, a
+   duplicated one two), each carrying the bits that crossed the wire.
+   Each player alternates a burst of sends with one receive, so a drop
+   leaves the rest of the burst to carry the conversation on. *)
+let test_faulty_trace () =
+  let player ~me ~peer ep =
+    for phase = 0 to 7 do
+      if phase mod 2 = me then
+        for i = 1 to 6 do
+          Commsim.Network.send ep ~to_:peer (bits_of_int ~width:(8 + i) i)
+        done
+      else ignore (Commsim.Network.recv ep ~from_:peer)
+    done
+  in
+  let plan =
+    Commsim.Faults.uniform ~seed:17
+      { Commsim.Faults.clean_link with drop = 0.2; dup = 0.2; trunc = 0.2 }
+  in
+  let (outcome, cost, tallies), trace =
+    traced (fun () ->
+        Commsim.Network.run_faulty ~plan [| player ~me:0 ~peer:1; player ~me:1 ~peer:0 |])
+  in
+  let total = Commsim.Faults.total tallies in
+  check_bool "completed" true
+    (match outcome with Commsim.Network.Completed _ -> true | Lost _ | Crashed _ -> false);
+  check_bool "the channel dropped, duplicated and truncated" true
+    (total.Commsim.Faults.dropped_messages > 0
+    && total.Commsim.Faults.duplicated_messages > 0
+    && total.Commsim.Faults.truncated_messages > 0);
+  check "one event per delivered copy" total.Commsim.Faults.deliveries (List.length trace);
+  check "events = messages" cost.Commsim.Cost.messages (List.length trace);
+  check "bits sum" cost.Commsim.Cost.total_bits (sum_bits trace);
+  check "max depth = rounds" cost.Commsim.Cost.rounds (max_depth trace)
 
 let test_trace_of_multiparty_star () =
   (* trace invariants must hold for a full m-player execution too *)
@@ -80,7 +127,6 @@ let test_trace_of_multiparty_star () =
       ~core:5
   in
   let rng = Prng.Rng.of_int 96 in
-  (* run the star protocol manually under run_traced *)
   let _, cost = Multiparty.Star.run rng ~universe:100000 ~k:16 sets in
   check_bool "messages counted" true (cost.Commsim.Cost.messages > 0);
   (* per-player conservation: every sent bit is someone's sent_bits *)
@@ -451,6 +497,7 @@ let () =
         [
           Alcotest.test_case "invariants" `Quick test_trace_invariants;
           Alcotest.test_case "protocol trace" `Quick test_trace_of_protocol;
+          Alcotest.test_case "faulty trace" `Quick test_faulty_trace;
           Alcotest.test_case "multiparty conservation" `Quick test_trace_of_multiparty_star;
         ] );
       ( "private_coin",

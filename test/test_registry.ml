@@ -412,8 +412,8 @@ let test_check_json_agrees () =
 
 let repo_cli_subcommands =
   [
-    "bench-regress"; "chaos"; "conform"; "disj"; "experiments"; "health"; "multi"; "profile";
-    "similarity"; "soak"; "sweep"; "telemetry-overhead"; "top"; "trace"; "two";
+    "bench-regress"; "chaos"; "conform"; "disj"; "experiments"; "health"; "profile"; "similarity";
+    "soak"; "sweep"; "telemetry-overhead"; "top"; "trace";
   ]
 
 let load_repo () =

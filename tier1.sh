@@ -5,8 +5,9 @@
 # exits non-zero on any violation, each report is byte-identical at 1
 # and 2 worker domains, and each rejects invalid input with exit 2), an
 # observability smoke: the trace subcommand must emit valid JSON and the
-# profile subcommand must account for every metered bit (it exits
-# non-zero on a phase-sum mismatch), the alloc gate, the engine-scaling
+# profile subcommand must account for every metered bit of every named
+# protocol (it exits 1 on a phase-sum mismatch, 2 on bad input), the
+# alloc gate, the engine-scaling
 # smoke, the hot-path and fleet-telemetry gates, and the
 # experiment-registry gate (experiments/ coherence + regen smoke).
 set -eu
@@ -85,7 +86,6 @@ printf '{"a":1,}' | expect_status 1 $json_check --bench-chaos
 expect_status 2 $json_check --no-such-mode < /dev/null
 
 $cli trace --protocol bucket -k 64 --seed 1 | $json_check
-$cli profile --protocol bucket -k 64 --seed 1 > /dev/null
 
 # Campaign smokes and the engine's determinism contract: each smoke
 # campaign exits non-zero on any violation (soak: a cell outside the
@@ -108,6 +108,21 @@ for c in soak chaos sweep conform health top bench-regress; do
   expect_usage_error $c --smoke --trials 0
 done
 expect_usage_error telemetry-overhead --smoke --sessions 0
+
+# trace and profile share that rule: an unknown protocol name (the error
+# line lists every accepted name) or input the library rejects exits 2.
+# profile then runs every accepted name; each run exits 1 if its phase
+# bits miss Cost.total_bits.
+expect_usage_error profile --protocol no-such-protocol
+expect_usage_error profile --protocol bucket -k 0
+protocols=$($cli profile --protocol no-such-protocol 2>&1 | sed -n 's/.*(one of: \(.*\))$/\1/p' | tr -d ,)
+if [ -z "$protocols" ]; then
+  echo "tier1: profile's unknown-protocol error lists no protocol names" >&2
+  exit 1
+fi
+for p in $protocols; do
+  $cli profile --protocol "$p" -k 16 --universe-bits 20 --seed 1 > /dev/null
+done
 
 # The committed BENCH_chaos.json and BENCH_sweep.json must be
 # schema-valid (chaos: outcome taxonomy partitions the trials, zero
