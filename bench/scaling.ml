@@ -100,7 +100,7 @@ let bucket_case =
     label = "bench/scaling/alloc";
     k = 1024;
     trial = protocol_trial ~k:1024 (fun () -> Bucket_protocol.protocol ~k:1024 ());
-    baseline = 143_446.0;
+    baseline = 143_302.0;
   }
 
 let tree_case =
@@ -109,7 +109,7 @@ let tree_case =
     label = "bench/scaling/alloc/tree";
     k = 4096;
     trial = protocol_trial ~k:4096 (fun () -> Tree_protocol.protocol_log_star ~k:4096 ());
-    baseline = 438_952.0;
+    baseline = 438_664.0;
   }
 
 let guarded_attempt_trial () =
@@ -137,7 +137,7 @@ let guarded_case =
     label = "bench/scaling/alloc/guarded";
     k = 256;
     trial = guarded_attempt_trial;
-    baseline = 85_975.0;
+    baseline = 56_622.0;
   }
 
 (* Bytes per trial of the small-k path Conform and the sweep run: one-round k=64 + tree-r2 k=16. *)
@@ -161,7 +161,7 @@ let conform_smallk_case =
     label = "bench/scaling/alloc/conform-smallk";
     k = 64;
     trial = conform_smallk_trial;
-    baseline = 22_122.0;
+    baseline = 21_818.0;
   }
 
 let alloc_cases = [ bucket_case; tree_case; guarded_case; conform_smallk_case ]

@@ -9,7 +9,8 @@
    bits a caller writes — and therefore every transcript — are identical
    to what a fresh buffer would produce.  A protocol's run workspace (its
    k-sized arrays) goes through a freelist of the same kind, one per
-   workspace type.
+   workspace type.  Every borrow is scoped: the value goes back when the
+   scope returns or raises, an abandoned player's unwinding included.
 
    A freelist is a LIFO stack on a growable array, so nested borrows
    simply take distinct values and a push or pop allocates nothing once
@@ -41,9 +42,9 @@ let[@inline] pop s =
 
 let bypass : bool ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref false)
 
-type 'a freelist = { free : 'a stack Domain.DLS.key; create : unit -> 'a }
+type 'a freelist = { free : 'a stack Domain.DLS.key; create : unit -> 'a; reset : 'a -> unit }
 
-let freelist create = { free = Domain.DLS.new_key new_stack; create }
+let freelist create = { free = Domain.DLS.new_key new_stack; create; reset = ignore }
 
 let borrow fl =
   if !(Domain.DLS.get bypass) then fl.create ()
@@ -51,40 +52,33 @@ let borrow fl =
     let free = Domain.DLS.get fl.free in
     if free.size = 0 then fl.create () else pop free
 
-let give_back fl x = if not !(Domain.DLS.get bypass) then push (Domain.DLS.get fl.free) x
+let give_back fl x =
+  if not !(Domain.DLS.get bypass) then begin
+    fl.reset x;
+    push (Domain.DLS.get fl.free) x
+  end
+
+(* [Fun.protect] without its closures. *)
+let using fl f =
+  let x = borrow fl in
+  match f x with
+  | v -> give_back fl x; v
+  | exception e -> give_back fl x; raise e
 
 (* Pooled buffers start at a payload-sized capacity so most cells never
-   regrow; a buffer that did grow keeps its larger storage for next time. *)
-let writers = freelist (fun () -> Bitbuf.create ~capacity:1024 ())
+   regrow; a buffer that did grow keeps its larger storage for next time.
+   Each is reset on its way back. *)
+let writers = { (freelist (fun () -> Bitbuf.create ~capacity:1024 ())) with reset = Bitbuf.reset }
 
-let release buf =
-  Bitbuf.reset buf;
-  give_back writers buf
-
-let with_buf f =
-  let buf = borrow writers in
-  (* [Fun.protect] without its closures: the buffer goes back on the
-     freelist whether [f] returns or raises. *)
-  match f buf with
-  | v ->
-      release buf;
-      v
-  | exception e ->
-      release buf;
-      raise e
+let with_buf f = using writers f
 
 (* [with_buf] written out, so [f] runs without a second closure around
    it: the copy is taken before the buffer goes back. *)
 let payload f =
   let buf = borrow writers in
   match f buf with
-  | () ->
-      let bits = Bitbuf.contents buf in
-      release buf;
-      bits
-  | exception e ->
-      release buf;
-      raise e
+  | () -> let bits = Bitbuf.contents buf in give_back writers buf; bits
+  | exception e -> give_back writers buf; raise e
 
 module For_testing = struct
   let bypassed f =

@@ -8,7 +8,7 @@
     no synchronisation is involved (this module carries the lint R4
     allowlist entry for [Domain.DLS] outside lib/engine and lib/obsv).  It
     is a stack on a growable array: once it has grown to the deepest
-    nesting of borrows, a warm {!with_buf} or {!borrow} allocates nothing
+    nesting of borrows, a warm {!with_buf} or {!using} allocates nothing
     of its own and a warm {!payload} only its copy. *)
 
 (** [with_buf f] runs [f] with a reset writer borrowed from the current
@@ -36,21 +36,18 @@ type 'a freelist
     domain then keeps its own stack. *)
 val freelist : (unit -> 'a) -> 'a freelist
 
-(** [borrow fl] pops a value from the current domain's freelist, or
-    creates one.  Under {!For_testing.bypassed} it always creates one.
-    Values borrowed and not yet given back are distinct. *)
-val borrow : 'a freelist -> 'a
-
-(** [give_back fl x] pushes [x] for the next {!borrow} on this domain
-    (dropped under {!For_testing.bypassed}).  Nothing may still use [x]
-    afterwards.  A value never given back — its borrower raised or was
-    abandoned — is simply left to the GC. *)
-val give_back : 'a freelist -> 'a -> unit
+(** [using fl f] runs [f] on a value popped from the current domain's
+    freelist (or created, when it is empty or under
+    {!For_testing.bypassed}) and pushes the value back when [f] returns
+    or raises — also when a simulated player is unwound with
+    [Obsv.Trace.Abandoned] at the end of its run.  The value must not
+    escape [f].  Nested calls get distinct values. *)
+val using : 'a freelist -> ('a -> 'b) -> 'b
 
 (** Test instruments. *)
 module For_testing : sig
   (** [bypassed f] runs [f] with pooling disabled on the current domain:
-      every {!with_buf} and {!borrow} inside allocates afresh, to compare
+      every {!with_buf} and {!using} inside allocates afresh, to compare
       pooled and unpooled executions. *)
   val bypassed : (unit -> 'a) -> 'a
 end

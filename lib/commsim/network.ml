@@ -231,6 +231,20 @@ let schedule net players handler =
     | Blocked _ | Runnable | Finished -> ()
   done
 
+(* Once a run's outcome and cost are fixed, each player still blocked in a
+   receive unwinds, freeing its fiber; whatever else it raises is dropped. *)
+let abandon net =
+  for i = 0 to Array.length net.states - 1 do
+    let st = net.states.(i) in
+    match st.status with
+    | Blocked k -> (
+        st.status <- Finished;
+        switch_to net st;
+        match discontinue k Obsv.Trace.Abandoned with () | (exception _) -> ())
+    | Fresh | Runnable | Finished -> ()
+  done;
+  if net.observing then Obsv.Trace.set_rank net.collector None
+
 let new_inbox _ = { payloads = [||]; depths = [||]; head = 0; len = 0 }
 
 let run_with ~faults players =
@@ -286,12 +300,14 @@ let run_with ~faults players =
       exnc =
         (match faults with
         | None -> raise
-        | Some _ ->
-            fun e ->
-              let st = net.states.(net.current) in
-              if net.crash = None then
-                net.crash <- Some (st.rank, Printexc.to_string e, st.consumed_messages);
-              st.status <- Finished);
+        | Some _ -> (
+            function
+            | Obsv.Trace.Abandoned -> ()
+            | e ->
+                let st = net.states.(net.current) in
+                if net.crash = None then
+                  net.crash <- Some (st.rank, Printexc.to_string e, st.consumed_messages);
+                st.status <- Finished));
       effc =
         (fun (type c) (eff : c Effect.t) ->
           match eff with
@@ -299,11 +315,11 @@ let run_with ~faults players =
           | _ -> None);
     }
   in
-  if net.observing then
-    Fun.protect
-      ~finally:(fun () -> Obsv.Trace.set_rank collector None)
-      (fun () -> schedule net players handler)
-  else schedule net players handler;
+  (match schedule net players handler with
+  | () -> ()
+  | exception e ->
+      abandon net;
+      raise e);
   let states = net.states in
   let outcome =
     match net.crash with
@@ -335,6 +351,7 @@ let run_with ~faults players =
             (* Clean executions keep the historical behaviour: a hang is a
                protocol bug and raises. *)
             let b = List.hd stuck in
+            abandon net;
             raise
               (Deadlock
                  (match b.waiting_for with
@@ -386,14 +403,12 @@ let run_with ~faults players =
         })
       states
   in
-  ( outcome,
-    {
-      Cost.players = players_cost;
-      total_bits = net.total_bits;
-      messages = net.messages;
-      rounds = net.rounds;
-    },
-    net )
+  let cost =
+    { Cost.players = players_cost; total_bits = net.total_bits; messages = net.messages;
+      rounds = net.rounds }
+  in
+  abandon net;
+  (outcome, cost, net)
 
 let completed_exn = function
   | Completed r -> r

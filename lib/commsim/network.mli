@@ -60,7 +60,9 @@ exception Deadlock of string
 (** [run players] runs all player functions to completion and returns their
     results with the cost of the execution.  Players may finish in any
     order; any leftover undelivered messages are allowed (they are already
-    metered). *)
+    metered).  A player's exception, or {!Deadlock}, ends the run; before
+    it leaves [run], every player still blocked in a receive is unwound
+    with {!Obsv.Trace.Abandoned}, so its scopes give back what they hold. *)
 val run : (endpoint -> 'a) array -> 'a array * Cost.t
 
 (** One player that can no longer make progress: the sender it waits on
@@ -100,7 +102,9 @@ type 'r outcome =
     nothing, duplicated ones are metered once per delivery); the tallies
     record the injected damage per directed link.  Replay-deterministic:
     the same players and plan produce the identical outcome, cost, trace
-    and tallies. *)
+    and tallies.  Once the outcome and cost are fixed, every player still
+    blocked in a receive is unwound as under {!run}; [Abandoned] is never
+    a crash. *)
 val run_faulty :
   plan:Faults.plan ->
   (endpoint -> 'a) array ->

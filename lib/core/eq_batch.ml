@@ -47,8 +47,9 @@ let[@inline] add_flag buf ~width p word mismatch =
 
 (* A run's group state, borrowed from a per-domain freelist and grown to
    each run: [order] holds at least k cells (one per instance), the
-   others at least one per group, [jstart] one more.  See [run_core] for
-   what each holds. *)
+   others at least one per group, [jstart] one more, and [scratch] is
+   the run's writer for joint payloads.  See [run_core] for what each
+   holds. *)
 type workspace = {
   mutable order : int array;
   mutable lo : int array;
@@ -56,11 +57,13 @@ type workspace = {
   mutable act : int array;
   mutable cand : int array;
   mutable jstart : int array;
+  scratch : Bitio.Bitbuf.t;
 }
 
 let workspaces =
   Bitio.Pool.freelist (fun () ->
-      { order = [||]; lo = [||]; live = [||]; act = [||]; cand = [||]; jstart = [||] })
+      { order = [||]; lo = [||]; live = [||]; act = [||]; cand = [||]; jstart = [||];
+        scratch = Bitio.Bitbuf.create ~capacity:1024 () })
 
 (* The bucket protocol's instance count is heavy-tailed (26 000 bucket
    k=1024 runs at one seed needed about 1 500 each, and once 16 828), so
@@ -84,19 +87,18 @@ let fit ws ~k ~groups =
     ws.jstart <- Array.make (groups + 1) 0
   end
 
-(* The core, over a packed table and with a scratch writer borrowed for
-   the whole run.  Every closure below is built once per run: a round
-   reads its iteration, tag width and candidate count from the cells
-   [iteration], [bits] and [ncand], so driving a round allocates nothing
-   but its payloads. *)
-let run_core ~sequential ~max_iterations role rng (chan : Commsim.Transport.t) table layout
-    scratch =
+(* The core, over a packed table, in a workspace borrowed for the whole
+   run.  Every closure below is built once per run: a round reads its
+   iteration, tag width and candidate count from the cells [iteration],
+   [bits] and [ncand], so driving a round allocates nothing but its
+   payloads. *)
+let run_core ~sequential ~max_iterations role rng (chan : Commsim.Transport.t) table layout ws =
   let alice = match role with `Alice -> true | `Bob -> false in
   let k, stride, off = check_layout table layout in
   let jbits = joint_bits ~k in
   let group_count = if k = 0 then 0 else int_of_float (Float.ceil (sqrt (float_of_int k))) in
   let group_size = if k = 0 then 0 else (k + group_count - 1) / group_count in
-  (* Group state on flat arrays, in a borrowed workspace.  [order] holds
+  (* Group state on flat arrays, in the workspace.  [order] holds
      instance indices group by group; group [g]'s undecided instances are
      [order.(lo.(g))] to [order.(lo.(g) + live.(g) - 1)], compacted in
      place (order kept) as instances settle.  [act.(0 .. !nact - 1)] are
@@ -105,9 +107,8 @@ let run_core ~sequential ~max_iterations role rng (chan : Commsim.Transport.t) t
      [scratch].  [order], [lo] and [live] are filled here, the others
      written before they are read.  A verdict byte is ['\001'] once its
      instance is declared equal. *)
-  let ws = Bitio.Pool.borrow workspaces in
   fit ws ~k ~groups:group_count;
-  let { order; lo; live; act; cand; jstart } = ws in
+  let { order; lo; live; act; cand; jstart; scratch } = ws in
   for i = 0 to k - 1 do
     order.(i) <- i
   done;
@@ -365,12 +366,11 @@ let run_core ~sequential ~max_iterations role rng (chan : Commsim.Transport.t) t
     end
   done;
   process ();
-  Bitio.Pool.give_back workspaces ws;
   equal
 
 let run_table ?(sequential = true) ?(max_iterations = default_max_iterations) role rng chan table
     layout =
-  Bitio.Pool.with_buf (run_core ~sequential ~max_iterations role rng chan table layout)
+  Bitio.Pool.using workspaces (run_core ~sequential ~max_iterations role rng chan table layout)
 
 (* Pack the instances into one table, back to back, and unpack the
    verdict bytes. *)

@@ -16,6 +16,7 @@ let trivial_bob _rng ~universe:_ mine chan =
 let trivial_base = { name = "trivial"; alice = trivial_alice; bob = trivial_bob }
 
 let tree_base ?r ~k () =
+  if k < 1 then invalid_arg "Resilient.tree_base";
   let r = match r with Some r -> max 1 r | None -> max 1 (Iterated_log.log_star k) in
   let party role rng ~universe mine chan = Tree_protocol.run_party role rng ~universe ~r ~k chan mine in
   {
@@ -25,6 +26,7 @@ let tree_base ?r ~k () =
   }
 
 let bucket_base ~k () =
+  if k < 1 then invalid_arg "Resilient.bucket_base";
   let party role rng ~universe mine chan = Bucket_protocol.run_party role rng ~universe ~k chan mine in
   { name = "bucket"; alice = party `Alice; bob = party `Bob }
 

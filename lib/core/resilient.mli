@@ -49,10 +49,11 @@ type base = { name : string; alice : party; bob : party }
 val trivial_base : base
 
 (** The tree protocol ({!Tree_protocol.run_party}); [r] defaults to
-    [log* k]. *)
+    [log* k].  Raises [Invalid_argument] if [k < 1]. *)
 val tree_base : ?r:int -> k:int -> unit -> base
 
-(** The bucket protocol ({!Bucket_protocol.run_party}). *)
+(** The bucket protocol ({!Bucket_protocol.run_party}).  Raises
+    [Invalid_argument] if [k < 1]. *)
 val bucket_base : k:int -> unit -> base
 
 (** The names {!base_of_name} knows: ["trivial"], ["tree"], ["bucket"]. *)

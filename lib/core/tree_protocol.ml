@@ -143,7 +143,8 @@ let max_stages = 256
 (* One party's run state, borrowed from a per-domain freelist and grown
    to each run (see [run_party] for what each array holds): [leaf] and
    [idx] hold at least n cells, [start] and [off] at least leaves + 1,
-   [live], [failed], [theirs] and [rerun] at least leaves. *)
+   [live], [failed], [theirs] and [rerun] at least leaves; [buf_a] and
+   [buf_b] are the two stage buffers. *)
 type workspace = {
   mutable leaf : int array;
   mutable idx : int array;
@@ -155,6 +156,8 @@ type workspace = {
   mutable rerun : Bytes.t;
   scratch : int array;
   coef : int array;
+  buf_a : Bitio.Bitbuf.t;
+  buf_b : Bitio.Bitbuf.t;
 }
 
 (* Re-runs match a leaf's narrow tags (at most 62 bits) against at most
@@ -175,6 +178,8 @@ let workspaces =
         rerun = Bytes.empty;
         scratch = Array.make scratch_tags 0;
         coef = Array.make Strhash.int_fn_slots 0;
+        buf_a = Bitio.Bitbuf.create ~capacity:1024 ();
+        buf_b = Bitio.Bitbuf.create ~capacity:1024 ();
       })
 
 (* Grow [ws] to fit [n] elements over [leaves] leaves; only Alice uses
@@ -230,9 +235,10 @@ let run_party ?buckets ?flat_eq_bits ?budget role rng ~universe ~r ~k chan mine 
      deriving a generator builds no label string ([Rng.Label] is
      bit-identical to [with_label] on the concatenated label). *)
   let cell = Prng.Rng.Label.start rng in
-  (* Leaf state, in a borrowed workspace.  [idx] holds the indices into
-     [mine] grouped by leaf (a counting sort on [leaf], each element's
-     leaf), in leaf order and increasing within a leaf: leaf [u] owns
+  (* Leaf state, in a workspace borrowed for the scope of
+     [in_workspace].  [idx] holds the indices into [mine] grouped by leaf
+     (a counting sort on [leaf], each element's leaf), in leaf order and
+     increasing within a leaf: leaf [u] owns
      [idx.(start.(u)) .. idx.(start.(u) + live.(u) - 1)], and its re-runs
      compact that range in place.  [off.(u)] is leaf [u]'s first bit in
      the stage buffer and [rerun] counts its re-runs so far.  Per stage,
@@ -240,106 +246,106 @@ let run_party ?buckets ?flat_eq_bits ?budget role rng ~universe ~r ~k chan mine 
      sizes of them in [theirs]; after the re-runs its front lists the
      leaves that lost an element.  Only [start], [live] and [rerun] are
      read before the run writes them, so only they are cleared. *)
-  let ws = Bitio.Pool.borrow workspaces in
-  fit ws role ~n ~leaves;
-  let { leaf; idx; start; live; off; failed; theirs; rerun; scratch; coef } = ws in
-  Array.fill start 0 (leaves + 1) 0;
-  Array.fill live 0 leaves 0;
-  Bytes.fill rerun 0 leaves '\000';
-  for i = 0 to n - 1 do
-    let u = Hashing.Carter_wegman.hash bucket mine.(i) in
-    leaf.(i) <- u;
-    start.(u + 1) <- start.(u + 1) + 1
-  done;
-  for u = 1 to leaves do
-    start.(u) <- start.(u) + start.(u - 1)
-  done;
-  for i = 0 to n - 1 do
-    let u = leaf.(i) in
-    idx.(start.(u) + live.(u)) <- i;
-    live.(u) <- live.(u) + 1
-  done;
-  (* Leaf labels "tree/bi/leaf<u>/run<rerun u>": each stage's re-runs mark
-     the shared prefix once. *)
-  let leaf_label u =
-    Prng.Rng.Label.rewind cell;
-    Prng.Rng.Label.add_int cell u;
-    Prng.Rng.Label.add cell "/run";
-    Prng.Rng.Label.add_int cell (Bytes.get_uint8 rerun u)
-  in
-  let narrow ~count ~bits = bits <= 62 && count <= scratch_tags in
-  (* A narrow re-run function is drawn from the cell into [coef] (again
-     at match time, rather than kept per leaf); a wide one is built. *)
-  let wide_fn u ~bits =
-    leaf_label u;
-    Strhash.create (Prng.Rng.Label.finish cell) ~bits
-  in
-  let narrow_fn u ~bits =
-    leaf_label u;
-    Strhash.draw_int_fn cell ~bits coef
-  in
-  (* Alice's tags of leaf [u], before any filtering. *)
-  let write_leaf_tags buf ~u ~count ~bits =
-    let s = start.(u) in
-    if narrow ~count ~bits then begin
-      narrow_fn u ~bits;
-      for j = s to s + live.(u) - 1 do
-        Bitio.Bitbuf.write_bits buf ~width:bits (Strhash.stored_int_tag coef ~bits mine.(idx.(j)))
-      done
-    end
-    else begin
-      let fn = wide_fn u ~bits in
-      for j = s to s + live.(u) - 1 do
-        Strhash.write_int fn buf mine.(idx.(j))
-      done
-    end
-  in
-  (* Keep the elements of leaf [u] whose tag is among the [count] tags
-     [reader] holds next; says whether it lost one.  On Bob's side each
-     element's tag, before filtering, is also written to [echo]: a narrow
-     tag is worked out once for both. *)
-  let match_leaf ?echo reader ~u ~count ~bits =
-    let s = start.(u) in
-    let w = ref s in
-    if narrow ~count ~bits then begin
-      for t = 0 to count - 1 do
-        scratch.(t) <- Bitio.Bitreader.read_bits reader ~width:bits
-      done;
-      narrow_fn u ~bits;
-      for j = s to s + live.(u) - 1 do
-        let tag = Strhash.stored_int_tag coef ~bits mine.(idx.(j)) in
-        (match echo with Some buf -> Bitio.Bitbuf.write_bits buf ~width:bits tag | None -> ());
-        let t = ref 0 in
-        while !t < count && scratch.(!t) <> tag do
-          incr t
+  let in_workspace ws =
+    fit ws role ~n ~leaves;
+    let { leaf; idx; start; live; off; failed; theirs; rerun; scratch; coef; buf_a; buf_b } = ws in
+    Array.fill start 0 (leaves + 1) 0;
+    Array.fill live 0 leaves 0;
+    Bytes.fill rerun 0 leaves '\000';
+    for i = 0 to n - 1 do
+      let u = Hashing.Carter_wegman.hash bucket mine.(i) in
+      leaf.(i) <- u;
+      start.(u + 1) <- start.(u + 1) + 1
+    done;
+    for u = 1 to leaves do
+      start.(u) <- start.(u) + start.(u - 1)
+    done;
+    for i = 0 to n - 1 do
+      let u = leaf.(i) in
+      idx.(start.(u) + live.(u)) <- i;
+      live.(u) <- live.(u) + 1
+    done;
+    (* Leaf labels "tree/bi/leaf<u>/run<rerun u>": each stage's re-runs mark
+       the shared prefix once. *)
+    let leaf_label u =
+      Prng.Rng.Label.rewind cell;
+      Prng.Rng.Label.add_int cell u;
+      Prng.Rng.Label.add cell "/run";
+      Prng.Rng.Label.add_int cell (Bytes.get_uint8 rerun u)
+    in
+    let narrow ~count ~bits = bits <= 62 && count <= scratch_tags in
+    (* A narrow re-run function is drawn from the cell into [coef] (again
+       at match time, rather than kept per leaf); a wide one is built. *)
+    let wide_fn u ~bits =
+      leaf_label u;
+      Strhash.create (Prng.Rng.Label.finish cell) ~bits
+    in
+    let narrow_fn u ~bits =
+      leaf_label u;
+      Strhash.draw_int_fn cell ~bits coef
+    in
+    (* Alice's tags of leaf [u], before any filtering. *)
+    let write_leaf_tags buf ~u ~count ~bits =
+      let s = start.(u) in
+      if narrow ~count ~bits then begin
+        narrow_fn u ~bits;
+        for j = s to s + live.(u) - 1 do
+          Bitio.Bitbuf.write_bits buf ~width:bits (Strhash.stored_int_tag coef ~bits mine.(idx.(j)))
+        done
+      end
+      else begin
+        let fn = wide_fn u ~bits in
+        for j = s to s + live.(u) - 1 do
+          Strhash.write_int fn buf mine.(idx.(j))
+        done
+      end
+    in
+    (* Keep the elements of leaf [u] whose tag is among the [count] tags
+       [reader] holds next; says whether it lost one.  On Bob's side each
+       element's tag, before filtering, is also written to [echo]: a narrow
+       tag is worked out once for both. *)
+    let match_leaf ?echo reader ~u ~count ~bits =
+      let s = start.(u) in
+      let w = ref s in
+      if narrow ~count ~bits then begin
+        for t = 0 to count - 1 do
+          scratch.(t) <- Bitio.Bitreader.read_bits reader ~width:bits
         done;
-        if !t < count then begin
-          idx.(!w) <- idx.(j);
-          incr w
-        end
-      done
-    end
-    else begin
-      let table = Basic_intersection.read_tag_keys reader ~bits ~count in
-      let fn = wide_fn u ~bits in
-      for j = s to s + live.(u) - 1 do
-        let x = mine.(idx.(j)) in
-        (match echo with Some buf -> Strhash.write_int fn buf x | None -> ());
-        if Basic_intersection.tag_matches fn table x then begin
-          idx.(!w) <- idx.(j);
-          incr w
-        end
-      done
-    end;
-    let kept = !w - s in
-    let lost = kept < live.(u) in
-    live.(u) <- kept;
-    lost
-  in
-  let stages buf_a buf_b =
+        narrow_fn u ~bits;
+        for j = s to s + live.(u) - 1 do
+          let tag = Strhash.stored_int_tag coef ~bits mine.(idx.(j)) in
+          (match echo with Some buf -> Bitio.Bitbuf.write_bits buf ~width:bits tag | None -> ());
+          let t = ref 0 in
+          while !t < count && scratch.(!t) <> tag do
+            incr t
+          done;
+          if !t < count then begin
+            idx.(!w) <- idx.(j);
+            incr w
+          end
+        done
+      end
+      else begin
+        let table = Basic_intersection.read_tag_keys reader ~bits ~count in
+        let fn = wide_fn u ~bits in
+        for j = s to s + live.(u) - 1 do
+          let x = mine.(idx.(j)) in
+          (match echo with Some buf -> Strhash.write_int fn buf x | None -> ());
+          if Basic_intersection.tag_matches fn table x then begin
+            idx.(!w) <- idx.(j);
+            incr w
+          end
+        done
+      end;
+      let kept = !w - s in
+      let lost = kept < live.(u) in
+      live.(u) <- kept;
+      lost
+    in
     (* [!cur] holds every leaf's gap code at [off]: coded whole at
        stage 0, then patched into [!spare] (and swapped) for the
-       [nchanged] leaves a stage's re-runs changed. *)
+       [nchanged] leaves a stage's re-runs changed.  Both are reset
+       before they are written. *)
     let cur = ref buf_a and spare = ref buf_b in
     let nchanged = ref 0 in
     for stage = 0 to r - 1 do
@@ -465,17 +471,14 @@ let run_party ?buckets ?flat_eq_bits ?budget role rng ~universe ~r ~k chan mine 
                          changed u (match_leaf ?echo reader ~u ~count ~bits:(bits_of u count))
                        done)))
       end
-    done
+    done;
+    survivors mine ~leaves ~keep:leaf idx start live
   in
-  (* The workspace goes back on return and on the budget fallback; a
-     party that raised otherwise, or was abandoned, leaves it to the GC. *)
-  match Bitio.Pool.with_buf (fun buf_a -> Bitio.Pool.with_buf (fun buf_b -> stages buf_a buf_b)) with
-  | () ->
-      let out = survivors mine ~leaves ~keep:leaf idx start live in
-      Bitio.Pool.give_back workspaces ws;
-      out
+  (* The workspace goes back on every exit, so the budget fallback runs
+     without it. *)
+  match Bitio.Pool.using workspaces in_workspace with
+  | out -> out
   | exception Over_budget ->
-      Bitio.Pool.give_back workspaces ws;
       (* stage boundaries are synchronized, so both parties land here with
          the channel quiescent *)
       trivial_fallback role chan mine

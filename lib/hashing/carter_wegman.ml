@@ -8,13 +8,14 @@ let create rng ~universe ~range =
   { p; a; b; range }
 
 (* With [p <= 2^31] and [x < 2^31] the product [a * x] stays below 2^62,
-   inside OCaml's native ints: no boxing, no allocation.  That covers
-   every universe the protocols hash; wider ones go through [Modarith]'s
-   overflow-safe unsigned arithmetic.  There [y = (a * x mod p) + b < 2p],
-   so the second [mod p] is one subtraction of [p], undone under a sign
-   mask rather than a branch, which [b]'s randomness would make a coin
-   flip: d = y - p lies in [-p, p), and [d asr 62] is all ones exactly
-   when y < p. *)
+   inside OCaml's native ints: no boxing, no allocation.  There
+   [y = (a * x mod p) + b < 2p], so the second [mod p] is one subtraction
+   of [p], undone under a sign mask rather than a branch, which [b]'s
+   randomness would make a coin flip: d = y - p lies in [-p, p), and
+   [d asr 62] is all ones exactly when y < p.  Wider universes go through
+   [Modarith]'s boxing arithmetic: the bucket protocol's assignment hash
+   over k^3 from k = 1 291, and the tree's leaf hash over n > 2^31
+   (ROADMAP item 14 plans an allocation-free path below 2^62). *)
 let native_limit = 1 lsl 31
 
 let hash t x =

@@ -80,6 +80,8 @@ let innermost c ~rank =
 let current_span c =
   match c.current_rank with None -> top c.ambient | Some rank -> innermost c ~rank
 
+exception Abandoned
+
 let set_rank c rank = if c.enabled then c.current_rank <- rank
 
 let span phase f =
@@ -106,17 +108,19 @@ let span phase f =
     (match rank with
     | None -> c.ambient <- sp :: c.ambient
     | Some r -> Hashtbl.replace c.stacks r (sp :: stack_of c r));
-    Fun.protect
-      ~finally:(fun () ->
-        sp.end_seq <- next_seq c;
-        match rank with
-        | None -> (
-            match c.ambient with s :: rest when s == sp -> c.ambient <- rest | _ -> ())
-        | Some r -> (
-            match stack_of c r with
-            | s :: rest when s == sp -> Hashtbl.replace c.stacks r rest
-            | _ -> ()))
-      f
+    let close () =
+      sp.end_seq <- next_seq c;
+      match rank with
+      | None -> ( match c.ambient with s :: rest when s == sp -> c.ambient <- rest | _ -> ())
+      | Some r -> (
+          match stack_of c r with
+          | s :: rest when s == sp -> Hashtbl.replace c.stacks r rest
+          | _ -> ())
+    in
+    match f () with
+    | v -> close (); v
+    | exception Abandoned -> raise Abandoned
+    | exception e -> close (); raise e
   end
 
 let add_attr c key value =

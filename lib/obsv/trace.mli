@@ -61,11 +61,17 @@ val current : unit -> collector
     duration of [f] (restored on exception). *)
 val with_collector : collector -> (unit -> 'a) -> 'a
 
+exception Abandoned
+(** What {!Commsim.Network} unwinds a player still blocked in a receive
+    with when an execution ends.  Player code must let it pass. *)
+
 (** [span phase f] runs [f] inside a span named [Phases.name phase] on
     the ambient collector.  Inside a simulated execution the span belongs
     to the player whose code opened it; outside it belongs to the
-    orchestrator and acts as a fallback parent for every player.  No-op
-    when tracing is disabled. *)
+    orchestrator and acts as a fallback parent for every player.  It
+    closes when [f] returns or raises, except on {!Abandoned}: then it
+    stays open ([end_seq = -1]), as if its player had never resumed, and
+    exporters end it at {!final_seq}.  No-op when tracing is disabled. *)
 val span : Phases.t -> (unit -> 'a) -> 'a
 
 (** [attr key n] records the attribute [(key, string_of_int n)] on the

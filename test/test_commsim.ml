@@ -321,6 +321,144 @@ let test_invalid_link_escapes () =
       Alcotest.(check string) "the rate check" "Faults: flip rate outside [0, 1]" msg
   | _ -> Alcotest.fail "an invalid link did not raise out of run_faulty"
 
+(* ---------- Abandoned players ---------- *)
+
+(* A run that ends with a player blocked in a receive unwinds it: the
+   player resumes with [Obsv.Trace.Abandoned], so a [Fun.protect]
+   around its receive finalises exactly once, and the outcome, cost and
+   diagnosis read as if it had been dropped.  [guarded unwound seen f]
+   counts [f]'s exits in [unwound] and keeps the exception it unwound
+   with in [seen]. *)
+let guarded unwound seen f =
+  Fun.protect
+    ~finally:(fun () -> incr unwound)
+    (fun () ->
+      match f () with
+      | v -> v
+      | exception e ->
+          seen := Some e;
+          raise e)
+
+let check_abandoned name seen =
+  match !seen with
+  | Some Obsv.Trace.Abandoned -> ()
+  | Some e -> Alcotest.failf "%s: unwound with %s" name (Printexc.to_string e)
+  | None -> Alcotest.failf "%s: not unwound" name
+
+(* Drop every message on the link [0 -> 1]. *)
+let drop_alice =
+  Faults.For_testing.make ~seed:5 (fun ~from_ ~to_:_ ->
+      if from_ = 0 then { Faults.clean_link with drop = 1.0 } else Faults.clean_link)
+
+let test_crashed_unwinds_peer () =
+  let unwound = ref 0 and seen = ref None in
+  let alice chan =
+    ignore (chan.Chan.recv ());
+    failwith "boom"
+  and bob chan =
+    guarded unwound seen (fun () ->
+        chan.Chan.send (bits_of_int ~width:8 1);
+        ignore (chan.Chan.recv ()))
+  in
+  (match Two_party.run_faulty ~plan:Faults.clean ~alice ~bob with
+  | Network.Crashed { rank; exn; after_messages }, cost, _ ->
+      check "crashed rank" 0 rank;
+      Alcotest.(check string) "crash" "Failure(\"boom\")" exn;
+      check "after messages" 1 after_messages;
+      check "cost bits" 8 cost.Cost.total_bits
+  | _ -> Alcotest.fail "expected a crash");
+  check "finally runs once" 1 !unwound;
+  check_abandoned "bob" seen
+
+let test_lost_unwinds_both () =
+  let unwound_a = ref 0 and seen_a = ref None in
+  let unwound_b = ref 0 and seen_b = ref None in
+  let alice chan =
+    guarded unwound_a seen_a (fun () ->
+        chan.Chan.send (bits_of_int ~width:8 1);
+        ignore (chan.Chan.recv ()))
+  and bob chan = guarded unwound_b seen_b (fun () -> ignore (chan.Chan.recv ())) in
+  (match Two_party.run_faulty ~plan:drop_alice ~alice ~bob with
+  | Network.Lost d, _, _ ->
+      Alcotest.(check string)
+        "diagnosis"
+        "player 0 waits for player 1 after consuming 0 message(s) (link 1->0: 0 sent, 0 dropped, \
+         0 truncated); player 1 waits for player 0 after consuming 0 message(s) (link 0->1: 1 \
+         sent, 1 dropped, 0 truncated); channel dropped 1 message(s) in total; first drop was \
+         message #0 on link 0->1"
+        d.Network.detail
+  | _ -> Alcotest.fail "expected a lost run");
+  check "alice unwound once" 1 !unwound_a;
+  check "bob unwound once" 1 !unwound_b;
+  check_abandoned "alice" seen_a;
+  check_abandoned "bob" seen_b
+
+let test_deadlock_unwinds () =
+  let unwound = ref 0 and seen = ref None in
+  let party chan = guarded unwound seen (fun () -> ignore (chan.Chan.recv ())) in
+  (match Two_party.run ~alice:party ~bob:party with
+  | exception Network.Deadlock msg ->
+      Alcotest.(check string)
+        "message" "player 0 waits for a message from player 1 that never comes" msg
+  | _ -> Alcotest.fail "expected deadlock");
+  check "both unwound once" 2 !unwound;
+  check_abandoned "deadlocked party" seen
+
+let test_clean_raise_unwinds_peer () =
+  let unwound = ref 0 and seen = ref None in
+  let alice chan =
+    ignore (chan.Chan.recv ());
+    failwith "boom"
+  and bob chan =
+    guarded unwound seen (fun () ->
+        chan.Chan.send (bits_of_int ~width:8 1);
+        ignore (chan.Chan.recv ()))
+  in
+  (match Two_party.run ~alice ~bob with
+  | exception Failure msg -> Alcotest.(check string) "alice's exception" "boom" msg
+  | _ -> Alcotest.fail "expected alice's exception");
+  check "bob unwound once" 1 !unwound;
+  check_abandoned "bob" seen
+
+(* Alice's reply never comes, so her span is open when the run ends: it
+   keeps [end_seq = -1] and the export ends it at [final_seq], byte for
+   byte as before abandoned players were unwound (the digest is of that
+   export). *)
+let test_traced_abandoned_spans () =
+  let c = Obsv.Trace.create () in
+  let outcome =
+    Obsv.Trace.with_collector c (fun () ->
+        let alice chan =
+          Obsv.Trace.span Obsv.Phases.Trivial_offer (fun () ->
+              chan.Chan.send (bits_of_int ~width:8 1);
+              ignore (chan.Chan.recv ()))
+        and bob chan =
+          Obsv.Trace.span Obsv.Phases.Trivial_reply (fun () ->
+              ignore (chan.Chan.recv ());
+              chan.Chan.send (bits_of_int ~width:8 2))
+        in
+        let drop_bob =
+          Faults.For_testing.make ~seed:5 (fun ~from_ ~to_:_ ->
+              if from_ = 1 then { Faults.clean_link with drop = 1.0 } else Faults.clean_link)
+        in
+        let outcome, _, _ = Two_party.run_faulty ~plan:drop_bob ~alice ~bob in
+        outcome)
+  in
+  (match outcome with Network.Lost _ -> () | _ -> Alcotest.fail "expected a lost run");
+  (match Obsv.Trace.spans c with
+  | [ a; b ] ->
+      Alcotest.(check (option int)) "alice's span" (Some 0) a.Obsv.Trace.rank;
+      check "alice's span stays open" (-1) a.Obsv.Trace.end_seq;
+      Alcotest.(check bool) "bob's span closed" true (b.Obsv.Trace.end_seq >= 0)
+  | spans -> Alcotest.failf "%d spans, expected 2" (List.length spans));
+  let export =
+    Stats.Json.to_string (Obsv.Export.chrome_trace c)
+    ^ String.concat "\n" (Obsv.Export.jsonl c)
+  in
+  Alcotest.(check string)
+    "export digest" "95953b9874676df1194e137dc9d0b58f"
+    (Digest.to_hex (Digest.string export))
+
 let () =
   Alcotest.run "commsim"
     [
@@ -349,5 +487,13 @@ let () =
         [
           Alcotest.test_case "allocation per message" `Quick test_message_allocation;
           Alcotest.test_case "invalid link escapes run_faulty" `Quick test_invalid_link_escapes;
+        ] );
+      ( "abandoned players",
+        [
+          Alcotest.test_case "crashed run unwinds its peer" `Quick test_crashed_unwinds_peer;
+          Alcotest.test_case "lost run unwinds both" `Quick test_lost_unwinds_both;
+          Alcotest.test_case "deadlock unwinds" `Quick test_deadlock_unwinds;
+          Alcotest.test_case "clean raise unwinds its peer" `Quick test_clean_raise_unwinds_peer;
+          Alcotest.test_case "traced abandoned spans" `Quick test_traced_abandoned_spans;
         ] );
     ]

@@ -409,6 +409,24 @@ let test_resilient_degrades_when_budget_exhausted () =
   check_bool "fallback paid for" true (report.Intersect.Resilient.fallback_bits > 0);
   check_bool "still exact" true (Iset.equal report.Intersect.Resilient.result truth)
 
+(* k < 1 is the caller's error, rejected when the base is built: the
+   party would raise it on every attempt, which [Resilient.run] would
+   count as crashes before falling back to the trivial exchange. *)
+let test_resilient_bases_reject_empty_k () =
+  List.iter
+    (fun k ->
+      Alcotest.check_raises
+        (Printf.sprintf "bucket k = %d" k)
+        (Invalid_argument "Resilient.bucket_base")
+        (fun () -> ignore (Intersect.Resilient.bucket_base ~k ()));
+      Alcotest.check_raises
+        (Printf.sprintf "tree k = %d" k)
+        (Invalid_argument "Resilient.tree_base")
+        (fun () -> ignore (Intersect.Resilient.tree_base ~k ())))
+    [ 0; -1 ];
+  ignore (Intersect.Resilient.bucket_base ~k:1 ());
+  ignore (Intersect.Resilient.tree_base ~k:1 ())
+
 let test_resilient_reproducible () =
   let plan = Faults.uniform ~seed:23 (Faults.flipping 1e-3) in
   let a = run_resilient ~plan 23 and b = run_resilient ~plan 23 in
@@ -500,6 +518,7 @@ let () =
           Alcotest.test_case "degrades on exhausted budget" `Quick
             test_resilient_degrades_when_budget_exhausted;
           Alcotest.test_case "reproducible" `Quick test_resilient_reproducible;
+          Alcotest.test_case "bases reject k < 1" `Quick test_resilient_bases_reject_empty_k;
         ] );
       ( "verified",
         [ Alcotest.test_case "run_party exposes the signal" `Quick test_run_party_verified_signal ] );

@@ -1291,8 +1291,8 @@ let faulty_path_digests () =
 (* One run of [party] over a clean faulty-path channel, as a string of
    its outcome (both outputs in full when it completed), its cost and the
    digest of every payload sent.  With [crash_at = n], Alice's [n]th
-   receive raises: she crashes mid-run and Bob is abandoned, both with
-   their workspaces borrowed. *)
+   receive raises: she crashes mid-run and Bob is left blocked, both
+   with their workspaces borrowed. *)
 let reuse_record ?crash_at ~seed ~universe ~k party =
   let pair = golden_pair ~seed ~universe ~k in
   let rng = Prng.Rng.of_int (seed + 1) in
@@ -1325,18 +1325,20 @@ let tree_reuse ?budget ?crash_at ~seed ~k ~r () =
   reuse_record ?crash_at ~seed ~universe ~k (fun role rng chan mine ->
       Tree_protocol.run_party ?budget role rng ~universe ~r ~k chan mine)
 
-let bucket_reuse ~seed ~k () =
+let bucket_reuse ?crash_at ~seed ~k () =
   let universe = 1 lsl 20 in
-  reuse_record ~seed ~universe ~k (fun role rng chan mine ->
+  reuse_record ?crash_at ~seed ~universe ~k (fun role rng chan mine ->
       Bucket_protocol.run_party role rng ~universe ~k chan mine)
 
 (* Runs that share one domain's workspaces in this order: large, small
    (which must not read the large run's leftovers past its own size),
-   large again, a budget fallback (which gives its workspace back early),
-   a party crashing mid-stage 0 (after the equality reply, before the
-   re-run reply; neither workspace comes back), a large run after the
-   crash, and bucket runs large, reduced small and large (their batch
-   equality borrowing its own workspaces). *)
+   large again, a budget fallback (which gives its workspace back before
+   the trivial exchange), a party crashing mid-stage 0 (after the
+   equality reply, before the re-run reply: both workspaces come back
+   mid-run, Alice's as her exception unwinds her and Bob's when the run
+   unwinds him), a large run after the crash on those workspaces, and
+   bucket runs large, reduced small, crashed inside the batch equality
+   (which borrows its own workspaces) and large again. *)
 let reuse_runs =
   let log_star = Iterated_log.log_star 4096 in
   [
@@ -1348,9 +1350,10 @@ let reuse_runs =
     ( "tree crash mid-stage k=4096",
       fun () -> tree_reuse ~crash_at:2 ~seed:55 ~k:4096 ~r:log_star () );
     ("tree k=4096 after the crash", fun () -> tree_reuse ~seed:56 ~k:4096 ~r:log_star ());
-    ("bucket k=1024", bucket_reuse ~seed:57 ~k:1024);
-    ("bucket k=16", bucket_reuse ~seed:58 ~k:16);
-    ("bucket k=1024 again", bucket_reuse ~seed:59 ~k:1024);
+    ("bucket k=1024", fun () -> bucket_reuse ~seed:57 ~k:1024 ());
+    ("bucket k=16", fun () -> bucket_reuse ~seed:58 ~k:16 ());
+    ("bucket crash in the batch k=1024", fun () -> bucket_reuse ~crash_at:2 ~seed:62 ~k:1024 ());
+    ("bucket k=1024 again", fun () -> bucket_reuse ~seed:59 ~k:1024 ());
   ]
 
 let test_workspace_reuse () =
@@ -1367,8 +1370,9 @@ let test_workspace_reuse () =
   check_int "both parties fell back" 2 (Obsv.Metrics.counter_value metrics "tree/fallbacks")
 
 (* Bytes one warm run of [protocol] at [k] allocates, both parties
-   together, in an [Obsv.Window]. *)
-let warm_run_bytes protocol ~k =
+   together, in an [Obsv.Window]; [between] runs after the warm-up run,
+   just before the measured one. *)
+let warm_run_bytes ?(between = ignore) protocol ~k =
   let universe = 1 lsl 20 in
   let pair = golden_pair ~seed:60 ~universe ~k in
   let run () =
@@ -1376,20 +1380,33 @@ let warm_run_bytes protocol ~k =
       pair.Workload.Setgen.t
   in
   ignore (run ());
+  between ();
   let _, w = Obsv.Window.measure run in
   w.Obsv.Window.alloc_bytes
 
 (* A warm run keeps its k-sized state in the borrowed workspaces: what it
    allocates is its payloads, the outputs and per-run set-up.  Here tree
-   log* k=4096 reads 63 720 B and bucket k=1024 48 848 B; while each
+   log* k=4096 reads 63 432 B and bucket k=1024 48 704 B; while each
    party allocated its arrays afresh (and the tree its level boundaries)
-   they read 618 976 B and 162 000 B. *)
+   they read 618 976 B and 162 000 B.  A bucket run right after a run
+   that crashed inside the batch equality is as warm: the crashed
+   party's workspaces came back as it unwound and its blocked peer's
+   when the run unwound it: 48 704 B, against 170 800 B while both were
+   dropped and the next run allocated them afresh. *)
 let test_workspace_allocation () =
   let bound name bytes limit =
     if bytes > limit then Alcotest.failf "%s: %d bytes a warm run (at most %d)" name bytes limit
   in
   bound "tree log* k=4096" (warm_run_bytes (Tree_protocol.protocol_log_star ~k:4096 ()) ~k:4096) 96_000;
-  bound "bucket k=1024" (warm_run_bytes (Bucket_protocol.protocol ~k:1024 ()) ~k:1024) 64_000
+  bound "bucket k=1024" (warm_run_bytes (Bucket_protocol.protocol ~k:1024 ()) ~k:1024) 64_000;
+  let crash () =
+    let record = bucket_reuse ~crash_at:2 ~seed:62 ~k:1024 () in
+    if not (String.starts_with ~prefix:"crashed 0" record) then
+      Alcotest.failf "the bucket crash did not crash: %s" record
+  in
+  bound "bucket k=1024 after a crash"
+    (warm_run_bytes ~between:crash (Bucket_protocol.protocol ~k:1024 ()) ~k:1024)
+    64_000
 
 let expected_faulty_path_digests =
   [
@@ -1692,7 +1709,7 @@ let test_pool_allocation () =
    message (its payload copy and the transport's suspension) and 20 B
    an instance (each party's slot in the group order and its verdict
    byte), 48 752 B for this batch, while each run allocated its group
-   order; with the group state in a pooled workspace it reads 29 936 B
+   order; with the group state in a pooled workspace it reads 29 920 B
    against a 38 304 B bound, and building the tag round's span thunk
    once per round again reads 41 744 B.  The same batch through the [Bits.t array]
    entry, before the table was packed, read 149 840 B: about 364 B a

@@ -115,6 +115,7 @@ expect_usage_error telemetry-overhead --smoke --sessions 0
 # bits miss Cost.total_bits.
 expect_usage_error profile --protocol no-such-protocol
 expect_usage_error profile --protocol bucket -k 0
+expect_usage_error profile --protocol resilient -k 0
 protocols=$($cli profile --protocol no-such-protocol 2>&1 | sed -n 's/.*(one of: \(.*\))$/\1/p' | tr -d ,)
 if [ -z "$protocols" ]; then
   echo "tier1: profile's unknown-protocol error lists no protocol names" >&2
