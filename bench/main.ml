@@ -8,24 +8,11 @@
 
      --quick        smaller sweeps (CI-friendly)
      --only T1,T3   run a subset of the tables
-     --engine-scaling  only the trial-engine throughput measurement
-                       (writes BENCH_engine_scaling.json, throughput
-                       unverified; fails if the merged results differ
-                       across domain counts)
-     --alloc-gate      only the allocations-per-trial regression gate
-                       (exit 1 if any of its four cases — bucket k=1024,
-                       tree-log-star k=4096, a guarded bucket attempt
-                       at k=256 over a noisy link, and a Conform
-                       one-round k=64 plus tree-r2 k=16 trial pair —
-                       allocates more than its committed baseline plus
-                       2%) *)
 
-let run quick only engine_scaling alloc_gate =
-  if alloc_gate then exit (Scaling.alloc_gate ());
-  if engine_scaling then begin
-    Scaling.run ();
-    exit 0
-  end;
+   Allocation is gated by `intersect_cli bench-regress --baseline
+   BENCH_hotpath.json`. *)
+
+let run quick only =
   (match List.find_opt (fun n -> not (List.mem n Tables.names)) only with
   | Some bad ->
       Printf.eprintf "unknown table %S (known: %s)\n" bad (String.concat ", " Tables.names);
@@ -53,26 +40,9 @@ let only =
     & opt (list string) []
     & info [ "only" ] ~docv:"TABLES" ~doc:"Comma-separated subset of tables to run (e.g. T1,T3,A2).")
 
-let engine_scaling =
-  Arg.(
-    value & flag
-    & info [ "engine-scaling" ]
-        ~doc:
-          "Measure trial-engine throughput at 1/2/4 worker domains and write \
-           BENCH_engine_scaling.json.")
-
-let alloc_gate =
-  Arg.(
-    value & flag
-    & info [ "alloc-gate" ]
-        ~doc:
-          "Run only the allocations-per-trial regression gate: exit 1 if the bucket k=1024 \
-           trial, the tree-log-star k=4096 trial, the guarded bucket k=256 attempt or the \
-           conform-smallk trial pair allocates more bytes than its committed baseline plus 2%.")
-
 let cmd =
   let doc = "Regenerate the experiment tables of the PODC'14 set-intersection reproduction." in
   Cmd.v (Cmd.info "bench" ~doc)
-    Term.(const run $ quick $ only $ engine_scaling $ alloc_gate)
+    Term.(const run $ quick $ only)
 
 let () = exit (Cmd.eval cmd)

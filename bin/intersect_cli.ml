@@ -22,11 +22,12 @@ let overlap_arg =
     & opt (some int) None
     & info [ "overlap" ] ~docv:"O" ~doc:"Planted intersection size (default k/2).")
 
-(* The CLI's one error rule: input the library rejects is a usage error,
-   exit 2 with one stderr line naming the subcommand. *)
+(* The CLI's one error rule: input the library rejects, or a file path
+   it cannot read or write, is a usage error, exit 2 with one stderr line
+   naming the subcommand. *)
 let guarded name body =
   match body () with
-  | exception Invalid_argument msg ->
+  | exception (Invalid_argument msg | Sys_error msg) ->
       Printf.eprintf "%s: %s\n" name msg;
       2
   | status -> status
@@ -678,8 +679,8 @@ let bench_regress_cmd =
       value & flag
       & info [ "deterministic-json" ]
           ~doc:
-            "Print only the seeded fields (bits, messages, rounds) as JSON; two runs of the \
-             same config must be byte-identical.")
+            "Print every field but allocation (bits, messages, rounds) as JSON, to compare \
+             a change that moves bytes/run with its parent.")
   in
   let baseline_arg =
     Arg.(
@@ -687,16 +688,13 @@ let bench_regress_cmd =
       & opt (some string) None
       & info [ "baseline" ] ~docv:"FILE"
           ~doc:
-            "Compare against a committed BENCH_hotpath.json: deterministic fields must match \
-             exactly; allocation bytes/run within tolerance.  Exit 1 on violation.")
+            "Compare against a committed BENCH_hotpath.json: every field of every cell, \
+             allocation bytes/run included, must match exactly.  Exit 1 on violation.")
   in
-  let tolerance_arg =
-    Arg.(
-      value & opt float 0.5
-      & info [ "tolerance" ] ~docv:"F"
-          ~doc:"Allowed fractional allocation regression vs the baseline (0.5 allows 1.5x).")
-  in
-  let run c deterministic baseline tolerance ks protocols () =
+  let run c deterministic baseline ks protocols () =
+    let baseline =
+      Option.map (fun path -> (path, In_channel.with_open_text path In_channel.input_all)) baseline
+    in
     let base = if c.smoke then R.smoke else R.default in
     let config =
       {
@@ -715,28 +713,27 @@ let bench_regress_cmd =
     emit { c with json = c.json && not deterministic } ~table (R.to_json report);
     match baseline with
     | None -> []
-    | Some path -> (
-        match Stats.Json.of_string (In_channel.with_open_text path In_channel.input_all) with
+    | Some (path, text) -> (
+        match Stats.Json.of_string text with
         | Error e -> [ Printf.sprintf "cannot parse %s: %s" path e ]
-        | Ok json -> R.baseline_violations ~tolerance report json)
+        | Ok json -> R.baseline_violations report json)
   in
   campaign_cmd "bench-regress"
     ~doc:
       "Hot-path regression bench: seeded end-to-end runs of every registered protocol \
        measuring allocation bytes/run, with exact (deterministic) bit, message and round \
-       counts.  With --baseline, enforces exact transcript fields and tolerance-bounded \
-       allocation against a committed BENCH_hotpath.json.  Wall-clock time is measured by \
-       perf/run.sh."
+       counts.  With --baseline, every field must match a committed BENCH_hotpath.json \
+       exactly, allocation included.  Wall-clock time is measured by perf/run.sh."
     Term.(
       const run
       $ campaign_term ~trials:("trials", "Seeded trials per cell.") ~domains:false
           ~telemetry:false ()
-      $ deterministic_arg $ baseline_arg $ tolerance_arg
+      $ deterministic_arg $ baseline_arg
       $ list_arg Arg.int [ "k"; "set-size" ] ~docv:"K,K,..." ~doc:"Set-size sweep (comma-separated)."
       $ list_arg Arg.string [ "protocols" ] ~docv:"P,P,..."
           ~doc:
-            ("Protocols to bench, comma-separated (default: all of "
-            ^ String.concat ", " R.protocol_names
+            ("Cells to bench, comma-separated (default: all of "
+            ^ String.concat ", " R.default.R.protocols
             ^ ")."))
 
 let conform_cmd =

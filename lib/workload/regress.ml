@@ -1,15 +1,15 @@
 (* Hot-path regression bench: seeded end-to-end runs of every registered
-   two-party protocol, measuring allocation pressure (bytes allocated per
-   run, read through one Obsv.Window) and the exact deterministic
+   two-party protocol, plus a guarded bucket attempt and Conform's small-k
+   trial pair, measuring allocation pressure (bytes allocated per run,
+   read through one Obsv.Window) and the exact deterministic
    communication fields (bits, messages, rounds).  Wall-clock time is
    perf/'s to measure (`bash perf/run.sh`); this bench reports none.
 
-   The deterministic fields are the contract: a perf PR may change
-   bytes/run, but bits/messages/rounds must stay byte-identical for a
-   fixed seed (pooling and codec caching must not perturb transcripts).
-   Comparison against a committed BENCH_hotpath.json baseline enforces
-   both halves: exact equality on the deterministic fields, a configurable
-   tolerance on the allocation bytes. *)
+   A warm sweep allocates the same bytes on every run, so the committed
+   BENCH_hotpath.json is the repo's allocation baseline and a run must
+   reproduce every field of it exactly.  A perf PR that lowers bytes/run
+   regenerates the file; bits/messages/rounds must stay byte-identical
+   (pooling and codec caching must not perturb transcripts). *)
 
 open Intersect
 
@@ -76,45 +76,39 @@ let protocol_of ~name ~k =
    other protocol runs the full sweep. *)
 let k_cap ~name = match name with "trivial-entropy" -> 256 | _ -> max_int
 
+(* Two cells run a fixed workload at their own k, whatever [ks] says: one
+   guarded bucket attempt over session-noisy's link, and the small-k trial
+   pair Conform and the sweep run. *)
+let guarded_attempt = "guarded-attempt"
+let conform_smallk = "conform-smallk"
+
 let default =
-  { seed = 2014; universe_bits = 20; trials = 3; ks = [ 64; 1024; 4096 ]; protocols = protocol_names }
+  {
+    seed = 2014;
+    universe_bits = 20;
+    trials = 3;
+    ks = [ 64; 1024; 4096 ];
+    protocols = protocol_names @ [ guarded_attempt; conform_smallk ];
+  }
 
 let smoke = { default with ks = [ 64 ] }
 
-let run_cell ~seed ~universe_bits ~trials ~name ~k =
-  let universe = 1 lsl universe_bits in
-  let protocol = protocol_of ~name ~k in
-  let stream =
-    Engine.Seed_stream.create ~base:seed ~label:(Printf.sprintf "regress/%s/k%d" name k)
-  in
-  let pairs =
-    Array.init trials (fun i ->
-        let rng = Engine.Seed_stream.trial_rng stream (i + 1) in
-        Setgen.pair_with_overlap
-          (Prng.Rng.with_label rng "workload")
-          ~universe ~size_s:k ~size_t:k ~overlap:(k / 2))
-  in
-  let run_trial i =
-    let rng = Engine.Seed_stream.trial_rng stream (i + 1) in
-    let pair = pairs.(i) in
-    protocol.Protocol.run
-      (Prng.Rng.with_label rng "run")
-      ~universe pair.Setgen.s pair.Setgen.t
-  in
-  (* Deterministic pass: exact cost fields, summed across trials. *)
+(* One cell: [exact i] runs trial [i] and returns its (bits, messages,
+   rounds); [run i] runs it again inside the allocation window, one warm
+   sweep over the trial set.  The exact pass doubles as warm-up (codec
+   caches hot, buffers pooled). *)
+let measure ~name ~k ~trials ~exact run =
   let total_bits = ref 0 and messages = ref 0 and rounds = ref 0 in
   for i = 0 to trials - 1 do
-    let outcome = run_trial i in
-    total_bits := !total_bits + outcome.Protocol.cost.Commsim.Cost.total_bits;
-    messages := !messages + outcome.Protocol.cost.Commsim.Cost.messages;
-    rounds := !rounds + outcome.Protocol.cost.Commsim.Cost.rounds
+    let b, m, r = exact i in
+    total_bits := !total_bits + b;
+    messages := !messages + m;
+    rounds := !rounds + r
   done;
-  (* Allocation pass: one sweep over the same trials.  The deterministic
-     pass above doubles as warm-up (codec caches hot, buffers pooled). *)
   let (), w =
     Obsv.Window.measure (fun () ->
         for i = 0 to trials - 1 do
-          ignore (run_trial i)
+          run i
         done)
   in
   {
@@ -127,40 +121,124 @@ let run_cell ~seed ~universe_bits ~trials ~name ~k =
     rounds = !rounds;
   }
 
+(* A cell whose trial returns its metered cost. *)
+let cost_cell ~name ~k ~trials run_trial =
+  let exact i =
+    let c = run_trial i in
+    (c.Commsim.Cost.total_bits, c.messages, c.rounds)
+  in
+  measure ~name ~k ~trials ~exact (fun i -> ignore (run_trial i))
+
+let stream_of ~seed ~name ~k =
+  Engine.Seed_stream.create ~base:seed ~label:(Printf.sprintf "regress/%s/k%d" name k)
+
+(* A cell's seed stream and its inputs, drawn before the window opens. *)
+let stream_and_pairs ~seed ~name ~k ~universe ~trials =
+  let stream = stream_of ~seed ~name ~k in
+  let pairs =
+    Array.init trials (fun i ->
+        let rng = Engine.Seed_stream.trial_rng stream (i + 1) in
+        Setgen.pair_with_overlap
+          (Prng.Rng.with_label rng "workload")
+          ~universe ~size_s:k ~size_t:k ~overlap:(k / 2))
+  in
+  (stream, pairs)
+
+let protocol_cell ~seed ~universe_bits ~trials ~name ~k =
+  let universe = 1 lsl universe_bits in
+  let protocol = protocol_of ~name ~k in
+  let stream, pairs = stream_and_pairs ~seed ~name ~k ~universe ~trials in
+  let run_trial i =
+    let rng = Engine.Seed_stream.trial_rng stream (i + 1) in
+    let pair = pairs.(i) in
+    (protocol.Protocol.run (Prng.Rng.with_label rng "run") ~universe pair.Setgen.s pair.Setgen.t)
+      .Protocol.cost
+  in
+  cost_cell ~name ~k ~trials run_trial
+
+(* One guarded bucket attempt (the unit a session retries) at k = 256 over
+   universe 2^16, on a link flipping 1e-5 of the bits and truncating 1e-2
+   of the messages: session-noisy's workload, one attempt at a time. *)
+let guarded_cell ~seed ~trials =
+  let name = guarded_attempt and k = 256 and universe = 1 lsl 16 in
+  let base = Resilient.bucket_base ~k () in
+  let link = { Commsim.Faults.clean_link with flip = 1e-5; trunc = 1e-2 } in
+  let stream, pairs = stream_and_pairs ~seed ~name ~k ~universe ~trials in
+  let run_trial i =
+    let rng = Engine.Seed_stream.trial_rng stream (i + 1) in
+    let pair = pairs.(i) in
+    let plan =
+      Commsim.Faults.uniform ~seed:(Prng.Rng.bits (Prng.Rng.with_label rng "faults") ~width:30) link
+    in
+    let _, cost, _ =
+      Resilient.attempt_once base ~plan ~check_bits:k ~attempt:1 (Prng.Rng.with_label rng "run")
+        ~universe pair.Setgen.s pair.Setgen.t
+    in
+    cost
+  in
+  cost_cell ~name ~k ~trials run_trial
+
+(* A one-round k = 64 trial plus a tree-r2 k = 16 trial through Conform's
+   cached trial path, each drawing its inputs inside the window.  Conform's
+   outcome carries bits and rounds only, so the exact pass counts messages
+   from the metrics registry's payload sketch (one observation a delivery). *)
+let conform_cell ~seed ~universe_bits ~trials =
+  let name = conform_smallk and k = 64 in
+  let universe = 1 lsl universe_bits and cache = Engine.Instance_cache.create () in
+  let one_round = Conform.entry_of_name "one-round" and tree_r2 = Conform.entry_of_name "tree-r2" in
+  let stream = stream_of ~seed ~name ~k in
+  let run_pair i =
+    let rng = Engine.Seed_stream.trial_rng stream (i + 1) in
+    let a = one_round.Conform.trial ~cache (Prng.Rng.with_label rng "one-round") ~universe ~k in
+    (a, tree_r2.Conform.trial ~cache (Prng.Rng.with_label rng "tree-r2") ~universe ~k:16)
+  in
+  let exact i =
+    let registry = Obsv.Metrics.create () in
+    let a, b = Obsv.Metrics.with_registry registry (fun () -> run_pair i) in
+    let messages =
+      Option.fold ~none:0 ~some:Obsv.Sketch.count
+        (Obsv.Metrics.sketch_of registry "net/payload_bits")
+    in
+    (a.Conform.t_bits + b.Conform.t_bits, messages, a.Conform.t_rounds + b.Conform.t_rounds)
+  in
+  measure ~name ~k ~trials ~exact (fun i -> ignore (run_pair i))
+
 let run (config : config) : report =
   Campaign.validate ~trials:config.trials ~ks:config.ks ();
+  List.iter
+    (fun name ->
+      if not (List.mem name default.protocols) then
+        invalid_arg
+          ("Regress: unknown cell " ^ name ^ " (known: "
+          ^ String.concat ", " default.protocols
+          ^ ")"))
+    config.protocols;
+  let { seed; universe_bits; trials; _ } = config in
   let cells =
     List.concat_map
       (fun name ->
-        List.filter_map
-          (fun k ->
-            if k > k_cap ~name then None
-            else
-              Some
-                (run_cell ~seed:config.seed ~universe_bits:config.universe_bits
-                   ~trials:config.trials ~name ~k))
-          config.ks)
+        if name = guarded_attempt then [ guarded_cell ~seed ~trials ]
+        else if name = conform_smallk then [ conform_cell ~seed ~universe_bits ~trials ]
+        else
+          List.filter_map
+            (fun k ->
+              if k > k_cap ~name then None
+              else Some (protocol_cell ~seed ~universe_bits ~trials ~name ~k))
+            config.ks)
       config.protocols
   in
-  {
-    seed = config.seed;
-    universe_bits = config.universe_bits;
-    trials = config.trials;
-    ks = config.ks;
-    cells;
-  }
+  { seed; universe_bits; trials; ks = config.ks; cells }
 
-let cell_json c =
-  Stats.Json.Obj
-    [
-      ("protocol", Stats.Json.Str c.protocol);
-      ("k", Stats.Json.Int c.k);
-      ("trials", Stats.Json.Int c.trials);
-      ("alloc_bytes_per_run", Stats.Json.Float c.alloc_bytes_per_run);
-      ("total_bits", Stats.Json.Int c.total_bits);
-      ("messages", Stats.Json.Int c.messages);
-      ("rounds", Stats.Json.Int c.rounds);
-    ]
+let cell_fields c =
+  [
+    ("protocol", Stats.Json.Str c.protocol);
+    ("k", Stats.Json.Int c.k);
+    ("trials", Stats.Json.Int c.trials);
+    ("alloc_bytes_per_run", Stats.Json.Float c.alloc_bytes_per_run);
+    ("total_bits", Stats.Json.Int c.total_bits);
+    ("messages", Stats.Json.Int c.messages);
+    ("rounds", Stats.Json.Int c.rounds);
+  ]
 
 let to_json (report : report) =
   Stats.Json.Obj
@@ -170,11 +248,11 @@ let to_json (report : report) =
       ("universe_bits", Stats.Json.Int report.universe_bits);
       ("trials", Stats.Json.Int report.trials);
       ("ks", Stats.Json.List (List.map (fun k -> Stats.Json.Int k) report.ks));
-      ("cells", Stats.Json.List (List.map cell_json report.cells));
+      ("cells", Stats.Json.List (List.map (fun c -> Stats.Json.Obj (cell_fields c)) report.cells));
     ]
 
-(* Allocation stripped: what two runs of the same config must agree on, byte
-   for byte (the tier-1 determinism gate cmps two of these). *)
+(* Allocation stripped: what a change that moves bytes/run must still
+   reproduce byte for byte against its parent. *)
 let deterministic_json (report : report) =
   Stats.Json.Obj
     [
@@ -187,14 +265,7 @@ let deterministic_json (report : report) =
           (List.map
              (fun c ->
                Stats.Json.Obj
-                 [
-                   ("protocol", Stats.Json.Str c.protocol);
-                   ("k", Stats.Json.Int c.k);
-                   ("trials", Stats.Json.Int c.trials);
-                   ("total_bits", Stats.Json.Int c.total_bits);
-                   ("messages", Stats.Json.Int c.messages);
-                   ("rounds", Stats.Json.Int c.rounds);
-                 ])
+                 (List.filter (fun (name, _) -> name <> "alloc_bytes_per_run") (cell_fields c)))
              report.cells) );
     ]
 
@@ -236,46 +307,29 @@ let baseline_cells json =
            cells)
   | _ -> Error "baseline: missing cells array"
 
-(* Compare a fresh report against a committed baseline.  Deterministic
-   fields (bits, messages, rounds, trials) must match exactly;
-   alloc-bytes/run may regress by at most [tolerance] (a fraction: 0.5
-   allows 1.5x the baseline).  Cells absent from the baseline are skipped,
-   so a smoke run checks only the cells it shares with the committed
-   sweep — but a run sharing no cell at all is a violation, not a pass. *)
-let baseline_violations ~tolerance (report : report) json =
+(* Compare a fresh report against a committed baseline: every field of
+   every run cell, [alloc_bytes_per_run] included, must render exactly as
+   the baseline's does.  A warm sweep's bytes repeat as exactly as its
+   bits, so there is no tolerance.  Baseline cells the run skips are
+   ignored, so a smoke run checks its slice; a run cell the baseline
+   lacks, or a run with no cell, is a violation. *)
+let baseline_violations (report : report) json =
   match baseline_cells json with
   | Error e -> [ e ]
+  | Ok _ when report.cells = [] -> [ "baseline: this run has no cell to compare" ]
   | Ok base ->
-      let shared =
-        List.filter_map
-          (fun c -> Option.map (fun b -> (c, b)) (List.assoc_opt (c.protocol, c.k) base))
-          report.cells
-      in
-      let cell_violations (c, bcell) =
+      let cell_violations c =
         let where = Printf.sprintf "%s k=%d" c.protocol c.k in
-        let field name = Stats.Json.member name bcell in
-        let int_field name current =
-          match Option.bind (field name) Stats.Json.to_int_opt with
-          | Some b when b <> current ->
-              [ Printf.sprintf "%s: %s baseline %d, current %d" where name b current ]
-          | Some _ -> []
-          | None -> [ Printf.sprintf "%s: %s missing from the baseline" where name ]
-        in
-        let alloc =
-          let current = c.alloc_bytes_per_run in
-          match Option.bind (field "alloc_bytes_per_run") Stats.Json.to_float_opt with
-          | Some b when Float.is_finite b && b > 0.0 && current > b *. (1.0 +. tolerance) ->
-              [ Printf.sprintf "%s: alloc_bytes_per_run baseline %.0f, current %.0f" where b current ]
-          | _ -> []
-        in
-        List.concat
-          [
-            int_field "total_bits" c.total_bits;
-            int_field "messages" c.messages;
-            int_field "rounds" c.rounds;
-            int_field "trials" c.trials;
-            alloc;
-          ]
+        match List.assoc_opt (c.protocol, c.k) base with
+        | None -> [ where ^ ": cell missing from the baseline" ]
+        | Some bcell ->
+            List.filter_map
+              (fun (name, v) ->
+                let current = Stats.Json.to_string v in
+                match Option.map Stats.Json.to_string (Stats.Json.member name bcell) with
+                | Some b when b = current -> None
+                | Some b -> Some (Printf.sprintf "%s: %s baseline %s, current %s" where name b current)
+                | None -> Some (Printf.sprintf "%s: %s missing from the baseline" where name))
+              (cell_fields c)
       in
-      if shared = [] then [ "baseline: shares no (protocol, k) cell with this run" ]
-      else List.concat_map cell_violations shared
+      List.concat_map cell_violations report.cells

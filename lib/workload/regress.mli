@@ -1,11 +1,15 @@
 (** Hot-path regression bench over the registered two-party protocols.
 
-    Each cell is one [(protocol, k)] pair run on seeded workloads:
-    allocation bytes/run is the tracked performance trajectory
-    (BENCH_hotpath.json), while total bits, message and round counts are
-    deterministic and must reproduce byte-for-byte for a fixed seed — the
-    transcript-invariance contract every perf PR is gated on.  Wall-clock
-    time is measured by [perf/] alone. *)
+    Each cell is one [(protocol, k)] pair run on seeded workloads, plus
+    two fixed cells: ["guarded-attempt"] (one [Resilient.attempt_once] of
+    bucket at k = 256 over universe 2^16, on a link flipping 1e-5 of the
+    bits and truncating 1e-2 of the messages) and ["conform-smallk"]
+    (Conform's cached one-round k = 64 plus tree-r2 k = 16 trial pair,
+    inputs drawn inside the window).  Every field is deterministic for a
+    fixed seed, allocation bytes/run of a warm sweep included, so the
+    committed BENCH_hotpath.json is the repo's one allocation baseline
+    and is gated byte for byte.  Wall-clock time is measured by [perf/]
+    alone. *)
 
 type cell = {
   protocol : string;
@@ -43,7 +47,8 @@ val protocol_of : name:string -> k:int -> Intersect.Protocol.t
 
 (** Full sweep: every registered protocol at k ∈ 64, 1024, 4096 (the
     enumerative-codec cell is capped at k = 256; its bignum unranking is
-    super-linear in k). *)
+    super-linear in k), then the two fixed cells, which run at their own
+    k whatever [ks] holds.  [default.protocols] lists every cell name. *)
 val default : config
 
 (** The k = 64 slice of {!default}, trial count included, so it compares
@@ -51,24 +56,26 @@ val default : config
     for the tier-1 gate. *)
 val smoke : config
 
-(** Run the configured sweep.  Raises [Invalid_argument] on unknown
-    protocol names and on inputs {!Campaign.validate} rejects. *)
+(** Run the configured sweep.  Raises [Invalid_argument] before any cell
+    runs on a name outside [default.protocols] and on inputs
+    {!Campaign.validate} rejects. *)
 val run : config -> report
 
 (** The BENCH_hotpath.json document. *)
 val to_json : report -> Stats.Json.t
 
-(** Only the seeded fields (bits, messages, rounds, counts): two runs of
-    the same config must produce byte-identical renderings of this. *)
+(** Every field but allocation: what a change that moves bytes/run must
+    still reproduce byte for byte (compare the parent's rendering with
+    the change's). *)
 val deterministic_json : report -> Stats.Json.t
 
 val summary : report -> string
 
-(** [baseline_violations ~tolerance report baseline_json] checks [report]
-    against a parsed committed baseline, one line per violation (empty
-    when it holds): deterministic fields must match exactly;
-    [alloc_bytes_per_run] may exceed the baseline by at most a factor of
-    [1 + tolerance].  Cells missing from the baseline
-    are skipped, so smoke subsets compare cleanly; a malformed baseline,
-    or one sharing no cell with the run, is itself a violation. *)
-val baseline_violations : tolerance:float -> report -> Stats.Json.t -> string list
+(** [baseline_violations report baseline_json] checks [report] against a
+    parsed committed baseline, one line per violation naming the cell and
+    the field (empty when it holds): every field of every run cell,
+    [alloc_bytes_per_run] included, must render exactly as the
+    baseline's.  Baseline cells the run skips are ignored, so a smoke
+    slice compares cleanly; a run cell the baseline lacks, a run with no
+    cell and a malformed baseline are violations. *)
+val baseline_violations : report -> Stats.Json.t -> string list

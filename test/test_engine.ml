@@ -19,7 +19,32 @@ let test_pool_matches_sequential () =
       Alcotest.(check (array int))
         (Printf.sprintf "domains=%d trials=%d" domains trials)
         sequential parallel)
-    [ (1, 100); (2, 100); (4, 100); (3, 101); (4, 3); (8, 1); (2, 0) ]
+    [ (1, 100); (2, 100); (4, 100); (3, 101); (4, 3); (8, 1); (2, 0) ];
+  (* A seeded bucket k=64 trial grid, one shared protocol value: every
+     trial's bits, rounds and output are the same at 1, 2 and 4 domains. *)
+  let universe = 1 lsl 20 and k = 64 and trials = 24 in
+  let protocol = Bucket_protocol.protocol ~k () in
+  let stream = Engine.Seed_stream.create ~base:2014 ~label:"test/engine/bucket" in
+  let trial i =
+    let rng = Engine.Seed_stream.trial_rng stream (i + 1) in
+    let pair =
+      Workload.Setgen.pair_with_overlap (Prng.Rng.with_label rng "pair") ~universe ~size_s:k
+        ~size_t:k ~overlap:(k / 2)
+    in
+    let o =
+      protocol.Protocol.run (Prng.Rng.with_label rng "protocol") ~universe pair.Workload.Setgen.s
+        pair.Workload.Setgen.t
+    in
+    (o.Protocol.cost.Commsim.Cost.total_bits, o.Protocol.cost.Commsim.Cost.rounds, o.Protocol.alice)
+  in
+  let sequential = Array.init trials trial in
+  List.iter
+    (fun domains ->
+      Alcotest.(check (array (triple int int (array int))))
+        (Printf.sprintf "bucket k=64 grid, domains=%d" domains)
+        sequential
+        (Engine.Pool.map ~domains ~trials trial))
+    [ 1; 2; 4 ]
 
 let test_pool_propagates_exceptions () =
   List.iter

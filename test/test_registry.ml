@@ -349,6 +349,56 @@ let test_bench_hotpath_schema () =
   check_bool "decreasing k rejected" false
     (accepts "bench-hotpath" (hotpath_doc [ hotpath_cell ~k:1024 (); ok ]))
 
+(* bench-regress --baseline: every field of every run cell must render
+   exactly as the committed file's, through a text round trip. *)
+let test_hotpath_baseline_exact () =
+  let module Rg = Workload.Regress in
+  let cell protocol k alloc =
+    {
+      Rg.protocol;
+      k;
+      trials = 3;
+      alloc_bytes_per_run = alloc;
+      total_bits = 126911;
+      messages = 42;
+      rounds = 42;
+    }
+  in
+  let report cells = { Rg.seed = 2014; universe_bits = 20; trials = 3; ks = [ 64; 1024 ]; cells } in
+  let committed = report [ cell "bucket" 64 10288.0; cell "bucket" 1024 (144179.0 /. 3.0) ] in
+  let baseline =
+    match Stats.Json.of_string (Stats.Json.to_string_pretty (Rg.to_json committed)) with
+    | Ok json -> json
+    | Error e -> Alcotest.fail e
+  in
+  let violations r = Rg.baseline_violations r baseline in
+  let one_naming what r =
+    match violations r with
+    | [ v ] ->
+        List.iter
+          (fun needle ->
+            if not (has_violation ~substring:needle [ { R.file = None; what = v } ]) then
+              Alcotest.failf "%s: %S does not name %S" what v needle)
+          [ "bucket k=1024"; what ]
+    | vs -> Alcotest.failf "%s: %d violations, expected 1" what (List.length vs)
+  in
+  check_int "identical report" 0 (List.length (violations committed));
+  check_int "smoke slice" 0 (List.length (violations (report [ cell "bucket" 64 10288.0 ])));
+  one_naming "alloc_bytes_per_run" (report [ cell "bucket" 1024 (144180.0 /. 3.0) ]);
+  one_naming "total_bits"
+    (report [ { (cell "bucket" 1024 (144179.0 /. 3.0)) with total_bits = 126912 } ]);
+  check_int "cell missing from the baseline" 1
+    (List.length (violations (report [ cell "bucket" 4096 1.0 ])));
+  check_int "run with no cell" 1 (List.length (violations (report [])));
+  List.iter
+    (fun text ->
+      match Stats.Json.of_string text with
+      | Error e -> Alcotest.fail e
+      | Ok json ->
+          if Rg.baseline_violations committed json = [] then
+            Alcotest.failf "malformed baseline %s accepted" text)
+    [ "\"x\""; "{\"cells\": 3}"; "{\"cells\": [{\"k\": 64}]}"; "{\"cells\": [{\"protocol\": \"bucket\", \"k\": 64}]}" ]
+
 let telemetry_doc ?(on_bits = 1015352) ?(ratio = 1.095) ?(matched = true) () =
   Printf.sprintf
     "{\"bench\": \"telemetry\", \"config\": {\"seed\": 2014, \"k\": 1024, \
@@ -491,6 +541,7 @@ let () =
       ( "schemas",
         [
           Alcotest.test_case "bench-hotpath" `Quick test_bench_hotpath_schema;
+          Alcotest.test_case "hotpath baseline exact" `Quick test_hotpath_baseline_exact;
           Alcotest.test_case "bench-telemetry" `Quick test_bench_telemetry_schema;
           Alcotest.test_case "unparseable in every mode" `Quick test_unparseable_every_mode;
           Alcotest.test_case "check_json = check on artifacts" `Quick test_check_json_agrees;
