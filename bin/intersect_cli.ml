@@ -455,17 +455,32 @@ let finish sub violations =
   List.iter (Printf.eprintf "%s: %s\n" sub) violations;
   if violations = [] then 0 else 1
 
-(* Every campaign subcommand runs through here.  Its body prints the
-   report and returns the violations; input the library rejects — the
-   campaign runner validates every config before any cell runs — exits 2
-   as a usage error ([guarded]). *)
-let campaign_cmd name ~doc term =
-  let drive body = guarded name (fun () -> finish name (body ())) in
-  Cmd.v (Cmd.info name ~doc) Term.(const drive $ term)
+(* Open [path] for writing, as [write_lines] will, without truncating it,
+   and remove it again if it was not there: a path that cannot be written
+   raises [Sys_error] now rather than after the campaign. *)
+let check_writable path =
+  let existed = Sys.file_exists path in
+  Out_channel.with_open_gen [ Open_wronly; Open_creat; Open_text ] 0o666 path ignore;
+  if not existed then Sys.remove path
+
+(* Every campaign subcommand runs through here.  [term] takes the
+   campaign flags and runs the campaign: it prints the report and returns
+   the violations.  Input the library rejects — the campaign runner
+   validates every config before any cell runs — and an --out or
+   --telemetry path that cannot be written, checked before that, exit 2
+   as a usage error ([guarded]) with nothing on stdout. *)
+let campaign_cmd name ~doc campaign term =
+  let drive c body =
+    guarded name (fun () ->
+        Option.iter check_writable c.out;
+        Option.iter check_writable c.telemetry;
+        finish name (body c))
+  in
+  Cmd.v (Cmd.info name ~doc) Term.(const drive $ campaign $ term)
 
 let soak_cmd =
   let module S = Workload.Soak in
-  let run c k overlap () =
+  let run k overlap c =
     let base = if c.smoke then S.smoke else S.default in
     let config =
       {
@@ -490,10 +505,8 @@ let soak_cmd =
       "Soak the resilient wrapper against adversarial channels: seeded trials per (protocol x \
        fault plan) cell, each checked against the paper's error bound.  Exits non-zero on any \
        cell outside it."
-    Term.(
-      const run
-      $ campaign_term ~trials:("trials", "Trials per (protocol x plan) cell.") ()
-      $ campaign_k_arg $ overlap_arg)
+    (campaign_term ~trials:("trials", "Trials per (protocol x plan) cell.") ())
+    Term.(const run $ campaign_k_arg $ overlap_arg)
 
 (* The chaos config, shared by chaos and the fleet views built on it. *)
 let chaos_config c k overlap =
@@ -511,7 +524,7 @@ let chaos_trials = ("trials", "Trials per (protocol x campaign) cell.")
 
 let chaos_cmd =
   let module C = Workload.Chaos in
-  let run c k overlap () =
+  let run k overlap c =
     let config = chaos_config c k overlap in
     let sink = sink_of c in
     let report = C.run ?domains:c.domains ?sink config in
@@ -528,7 +541,8 @@ let chaos_cmd =
        against the session robustness layer and check the chaos invariant: outcomes partition \
        the trials, no wrong intersection, every resume replays identically.  Exits non-zero on \
        any violation.  --telemetry also enables per-session flight recorders."
-    Term.(const run $ campaign_term ~trials:chaos_trials () $ campaign_k_arg $ overlap_arg)
+    (campaign_term ~trials:chaos_trials ())
+    Term.(const run $ campaign_k_arg $ overlap_arg)
 
 (* ---------- health / top: fleet telemetry over a chaos campaign ---------- *)
 
@@ -592,7 +606,7 @@ let fleet_finish c ~slos sink report ~table =
       violations
 
 let health_cmd =
-  let run c k overlap all_campaigns slos () =
+  let run k overlap all_campaigns slos c =
     let config = fleet_config c k overlap ~all_campaigns in
     let sink = Workload.Telemetry.create_sink () in
     let report = Workload.Chaos.run ?domains:c.domains ~sink config in
@@ -609,10 +623,8 @@ let health_cmd =
        against the declared SLOs (wrong-answer rate is hard-wired to zero; failed-safe / \
        degraded / p99-deadline-burn rates take per-mille thresholds).  Exits non-zero on any \
        SLO or chaos-invariant violation."
-    Term.(
-      const run
-      $ campaign_term ~trials:chaos_trials ~out:false ()
-      $ campaign_k_arg $ overlap_arg $ all_campaigns_arg $ slos_term)
+    (campaign_term ~trials:chaos_trials ~out:false ())
+    Term.(const run $ campaign_k_arg $ overlap_arg $ all_campaigns_arg $ slos_term)
 
 let top_cmd =
   let no_ansi_arg =
@@ -652,7 +664,7 @@ let top_cmd =
       cell.Workload.Chaos.trials cell.Workload.Chaos.completed cell.Workload.Chaos.degraded
       cell.Workload.Chaos.failed_safe cell.Workload.Chaos.resumed
   in
-  let run c k overlap all_campaigns no_ansi slos () =
+  let run k overlap all_campaigns no_ansi slos c =
     let config = fleet_config c k overlap ~all_campaigns in
     let sink = Workload.Telemetry.create_sink () in
     let report =
@@ -667,10 +679,9 @@ let top_cmd =
        fleet-telemetry sink and redraws a frame per cell (sessions, outcome taxonomy, \
        spend-sketch percentiles), finishing with the SLO health table.  Frames are event-time \
        snapshots, so the stream is deterministic for a fixed seed."
+    (campaign_term ~trials:chaos_trials ~json:false ~out:false ())
     Term.(
-      const run
-      $ campaign_term ~trials:chaos_trials ~json:false ~out:false ()
-      $ campaign_k_arg $ overlap_arg $ all_campaigns_arg $ no_ansi_arg $ slos_term)
+      const run $ campaign_k_arg $ overlap_arg $ all_campaigns_arg $ no_ansi_arg $ slos_term)
 
 let bench_regress_cmd =
   let module R = Workload.Regress in
@@ -691,7 +702,7 @@ let bench_regress_cmd =
             "Compare against a committed BENCH_hotpath.json: every field of every cell, \
              allocation bytes/run included, must match exactly.  Exit 1 on violation.")
   in
-  let run c deterministic baseline ks protocols () =
+  let run deterministic baseline ks protocols c =
     let baseline =
       Option.map (fun path -> (path, In_channel.with_open_text path In_channel.input_all)) baseline
     in
@@ -724,11 +735,9 @@ let bench_regress_cmd =
        measuring allocation bytes/run, with exact (deterministic) bit, message and round \
        counts.  With --baseline, every field must match a committed BENCH_hotpath.json \
        exactly, allocation included.  Wall-clock time is measured by perf/run.sh."
+    (campaign_term ~trials:("trials", "Seeded trials per cell.") ~domains:false ~telemetry:false ())
     Term.(
-      const run
-      $ campaign_term ~trials:("trials", "Seeded trials per cell.") ~domains:false
-          ~telemetry:false ()
-      $ deterministic_arg $ baseline_arg
+      const run $ deterministic_arg $ baseline_arg
       $ list_arg Arg.int [ "k"; "set-size" ] ~docv:"K,K,..." ~doc:"Set-size sweep (comma-separated)."
       $ list_arg Arg.string [ "protocols" ] ~docv:"P,P,..."
           ~doc:
@@ -738,7 +747,7 @@ let bench_regress_cmd =
 
 let conform_cmd =
   let module C = Workload.Conform in
-  let run c ks protocols () =
+  let run ks protocols c =
     let base = if c.smoke then C.smoke else C.default in
     let config =
       {
@@ -767,10 +776,10 @@ let conform_cmd =
        protocol stays inside its paper envelope (rounds budget per trial, constant-factor bits \
        envelope on the mean, Wilson-bounded error rate).  Exits non-zero on any envelope \
        violation."
+    (campaign_term ~trials:("trials", "Trials per (protocol x k) cell.") ~out:false
+       ~telemetry:false ())
     Term.(
       const run
-      $ campaign_term ~trials:("trials", "Trials per (protocol x k) cell.") ~out:false
-          ~telemetry:false ()
       $ list_arg Arg.int [ "k"; "set-size" ] ~docv:"K,K,..." ~doc:"Set-size sweep (comma-separated)."
       $ list_arg Arg.string [ "protocols" ] ~docv:"P,P,..."
           ~doc:
@@ -780,7 +789,7 @@ let conform_cmd =
 
 let sweep_cmd =
   let module S = Workload.Sweep in
-  let run c () =
+  let run c =
     let base = if c.smoke then S.smoke else S.default in
     let config =
       {
@@ -810,7 +819,8 @@ let sweep_cmd =
        1/poly(k) envelope (Wilson 95% bounds) or the resilient wrapper's rare-event bound.  \
        Byte-identical report at every --domains value.  Exits non-zero on any envelope \
        violation."
-    Term.(const run $ campaign_term ~trials:("trials", "Trials per matrix cell.") ())
+    (campaign_term ~trials:("trials", "Trials per matrix cell.") ())
+    (Term.const run)
 
 let telemetry_overhead_cmd =
   let module T = Workload.Telemetry in
@@ -821,7 +831,7 @@ let telemetry_overhead_cmd =
       & info [ "max-ratio" ] ~docv:"R"
           ~doc:"Fail when the telemetry-on/off wall-clock ratio exceeds R.")
   in
-  let run c k max_ratio () =
+  let run k max_ratio c =
     let base = if c.smoke then T.overhead_smoke else T.overhead_default in
     let config =
       {
@@ -845,11 +855,8 @@ let telemetry_overhead_cmd =
        sessions run in alternating off/on pairs of passes, and the ratio is the median per-pair \
        on/off ratio.  Exits non-zero when the deterministic session fields diverge between the \
        passes or the ratio exceeds --max-ratio (the gate behind BENCH_telemetry.json)."
-    Term.(
-      const run
-      $ campaign_term ~trials:("sessions", "Sessions per pass.") ~domains:false ~telemetry:false
-          ()
-      $ campaign_k_arg $ max_ratio_arg)
+    (campaign_term ~trials:("sessions", "Sessions per pass.") ~domains:false ~telemetry:false ())
+    Term.(const run $ campaign_k_arg $ max_ratio_arg)
 
 (* The hypothesis-driven experiment registry (experiments/NNN-slug.md;
    see experiments/README.md).  [verify] receives the group's own

@@ -129,8 +129,9 @@ let run_core ~sequential ~max_iterations role rng (chan : Commsim.Transport.t) t
      allocates nothing; the fused [Strhash.draw_*_range] then draw
      straight from the cell and tag an instance's range of the table in
      place.  A group's tags in one round share the prefix
-     "eqb/g<gid>/t<iteration>/i": it is hashed once, marked, and rewound
-     to per instance. *)
+     "eqb/g<gid>/t<iteration>/i": it is hashed once and marked, and
+     [Label.index] adds each instance's digits to it, folding only the
+     last one while the instances' tens stay the same. *)
   let cell = Prng.Rng.Label.start rng in
   let mark_group g =
     Prng.Rng.Label.restart cell;
@@ -142,8 +143,7 @@ let run_core ~sequential ~max_iterations role rng (chan : Commsim.Transport.t) t
     Prng.Rng.Label.mark cell
   in
   let instance_label idx =
-    Prng.Rng.Label.rewind cell;
-    Prng.Rng.Label.add_int cell idx;
+    Prng.Rng.Label.index cell idx;
     cell
   in
   let joint_label g =

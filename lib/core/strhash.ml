@@ -54,12 +54,6 @@ let rec draw_mod_p rng =
   let v = Prng.Rng.bits rng ~width:61 in
   if v < p61 then v else draw_mod_p rng
 
-(* The evaluation point and a lane's multiplier, from one draw each. *)
-let point_of v = 2 + (v mod (p61 - 4))
-let a_of v = 1 + (v mod (p61 - 1))
-let draw_point rng = point_of (draw_mod_p rng)
-let draw_a rng = a_of (draw_mod_p rng)
-
 (* [canon] without a branch, for the lane sums: every node and every
    instance draws a fresh [b], so whether x >= p is close to a coin flip.
    For x < 2p, d = x - p lies in [-p, p), so [d asr 62] is all ones
@@ -71,6 +65,22 @@ let draw_a rng = a_of (draw_mod_p rng)
 let[@inline] canon_masked x =
   let d = x - p61 in
   d + (p61 land (d asr 62))
+
+(* The evaluation point and a lane's multiplier, from one draw [v] each:
+   [2 + v mod (p - 4)] and [1 + v mod (p - 1)].  Rejection keeps
+   [v < p], so each [mod] is at most one subtraction of its modulus m,
+   made under the sign mask of [v - m] as in [canon_masked]; no
+   division. *)
+let[@inline] point_of v =
+  let d = v - (p61 - 4) in
+  2 + d + ((p61 - 4) land (d asr 62))
+
+let[@inline] a_of v =
+  let d = v - (p61 - 1) in
+  1 + d + ((p61 - 1) land (d asr 62))
+
+let draw_point rng = point_of (draw_mod_p rng)
+let draw_a rng = a_of (draw_mod_p rng)
 
 (* Lane tag of the collapsed value [v]: the low [width] bits of a
    near-uniform value mod p. *)
@@ -237,4 +247,6 @@ let draw_matches_range d ~bits reader payload ~pos ~len =
 
 module For_testing = struct
   let canon_masked = canon_masked
+  let point_of = point_of
+  let a_of = a_of
 end

@@ -105,4 +105,12 @@ module For_testing : sig
       computed with a sign mask instead of a branch: the reduction every
       lane tag ends with. *)
   val canon_masked : int -> int
+
+  (** [point_of v] is [2 + v mod (2^61 - 5)] and [a_of v] is
+      [1 + v mod (2^61 - 2)], for a draw [0 <= v < 2^61 - 1]: the
+      evaluation point and a lane's multiplier, computed with one masked
+      subtraction each. *)
+  val point_of : int -> int
+
+  val a_of : int -> int
 end

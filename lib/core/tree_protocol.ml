@@ -75,21 +75,18 @@ let patch_leaves dst src ~leaves ~off ~changed ~nchanged mine idx start live =
   off.(leaves) <- Bitio.Bitbuf.length dst
 
 (* Node labels "tree/eq/s<stage>/v<vi>", for [vi] = 0, 1, ... in order:
-   the prefix and every digit of [vi] but the last are hashed once per
-   ten nodes and marked, and each node rewinds to them and adds its last
-   digit. *)
+   the prefix is hashed and marked at [vi = 0], and [Label.index] adds
+   each node's digits, folding one byte a node between tens. *)
 let node_label cell ~stage vi =
   let open Prng.Rng.Label in
-  if vi mod 10 = 0 then begin
+  if vi = 0 then begin
     restart cell;
     add cell "tree/eq/s";
     add_int cell stage;
     add cell "/v";
-    if vi > 0 then add_int cell (vi / 10);
     mark cell
   end;
-  rewind cell;
-  add_char cell (Char.unsafe_chr (Char.code '0' + (vi mod 10)))
+  index cell vi
 
 (* List the leaves of node [vi] in [failed] from position [n]; the new
    count.  Nodes fail in order, so [failed] stays ascending. *)
@@ -143,8 +140,9 @@ let max_stages = 256
 (* One party's run state, borrowed from a per-domain freelist and grown
    to each run (see [run_party] for what each array holds): [leaf] and
    [idx] hold at least n cells, [start] and [off] at least leaves + 1,
-   [live], [failed], [theirs] and [rerun] at least leaves; [buf_a] and
-   [buf_b] are the two stage buffers. *)
+   [live], [failed], [theirs] and [rerun] at least leaves, and [coefs]
+   [Strhash.int_fn_slots] cells for each of a stage's failed leaves;
+   [buf_a] and [buf_b] are the two stage buffers. *)
 type workspace = {
   mutable leaf : int array;
   mutable idx : int array;
@@ -154,6 +152,7 @@ type workspace = {
   mutable failed : int array;
   mutable theirs : int array;
   mutable rerun : Bytes.t;
+  mutable coefs : int array;
   scratch : int array;
   coef : int array;
   buf_a : Bitio.Bitbuf.t;
@@ -176,6 +175,7 @@ let workspaces =
         failed = [||];
         theirs = [||];
         rerun = Bytes.empty;
+        coefs = [||];
         scratch = Array.make scratch_tags 0;
         coef = Array.make Strhash.int_fn_slots 0;
         buf_a = Bitio.Bitbuf.create ~capacity:1024 ();
@@ -183,7 +183,7 @@ let workspaces =
       })
 
 (* Grow [ws] to fit [n] elements over [leaves] leaves; only Alice uses
-   [theirs]. *)
+   [theirs] (and [coefs], grown per stage). *)
 let fit ws role ~n ~leaves =
   if Array.length ws.leaf < n then begin
     ws.leaf <- Array.make n 0;
@@ -244,11 +244,15 @@ let run_party ?buckets ?flat_eq_bits ?budget role rng ~universe ~r ~k chan mine 
      the stage buffer and [rerun] counts its re-runs so far.  Per stage,
      [failed] lists the leaves below failed nodes, and Alice keeps Bob's
      sizes of them in [theirs]; after the re-runs its front lists the
-     leaves that lost an element.  Only [start], [live] and [rerun] are
-     read before the run writes them, so only they are cleared. *)
+     leaves that lost an element.  Alice keeps the re-run coefficients of
+     the [i]th failed leaf, if narrow, in [coefs] from slot [i] on.  Only
+     [start], [live] and [rerun] are read before the run writes them, so
+     only they are cleared. *)
   let in_workspace ws =
     fit ws role ~n ~leaves;
-    let { leaf; idx; start; live; off; failed; theirs; rerun; scratch; coef; buf_a; buf_b } = ws in
+    let { leaf; idx; start; live; off; failed; theirs; rerun; coefs = _; scratch; coef; buf_a; buf_b } =
+      ws
+    in
     Array.fill start 0 (leaves + 1) 0;
     Array.fill live 0 leaves 0;
     Bytes.fill rerun 0 leaves '\000';
@@ -266,16 +270,16 @@ let run_party ?buckets ?flat_eq_bits ?budget role rng ~universe ~r ~k chan mine 
       live.(u) <- live.(u) + 1
     done;
     (* Leaf labels "tree/bi/leaf<u>/run<rerun u>": each stage's re-runs mark
-       the shared prefix once. *)
+       the shared prefix once, and the failed leaves come in ascending
+       order, so [index] mostly folds one digit of [u]. *)
     let leaf_label u =
-      Prng.Rng.Label.rewind cell;
-      Prng.Rng.Label.add_int cell u;
+      Prng.Rng.Label.index cell u;
       Prng.Rng.Label.add cell "/run";
       Prng.Rng.Label.add_int cell (Bytes.get_uint8 rerun u)
     in
     let narrow ~count ~bits = bits <= 62 && count <= scratch_tags in
-    (* A narrow re-run function is drawn from the cell into [coef] (again
-       at match time, rather than kept per leaf); a wide one is built. *)
+    (* A narrow re-run function is drawn from the cell into [coef]; a wide
+       one is built. *)
     let wide_fn u ~bits =
       leaf_label u;
       Strhash.create (Prng.Rng.Label.finish cell) ~bits
@@ -284,11 +288,14 @@ let run_party ?buckets ?flat_eq_bits ?budget role rng ~universe ~r ~k chan mine 
       leaf_label u;
       Strhash.draw_int_fn cell ~bits coef
     in
-    (* Alice's tags of leaf [u], before any filtering. *)
-    let write_leaf_tags buf ~u ~count ~bits =
+    (* Alice's tags of leaf [u], the [slot]th failed leaf, before any
+       filtering; a narrow function's coefficients are kept in [coefs]
+       for [match_leaf]. *)
+    let write_leaf_tags buf ~slot ~u ~count ~bits =
       let s = start.(u) in
       if narrow ~count ~bits then begin
         narrow_fn u ~bits;
+        Array.blit coef 0 ws.coefs (slot * Strhash.int_fn_slots) Strhash.int_fn_slots;
         for j = s to s + live.(u) - 1 do
           Bitio.Bitbuf.write_bits buf ~width:bits (Strhash.stored_int_tag coef ~bits mine.(idx.(j)))
         done
@@ -301,17 +308,21 @@ let run_party ?buckets ?flat_eq_bits ?budget role rng ~universe ~r ~k chan mine 
       end
     in
     (* Keep the elements of leaf [u] whose tag is among the [count] tags
-       [reader] holds next; says whether it lost one.  On Bob's side each
-       element's tag, before filtering, is also written to [echo]: a narrow
-       tag is worked out once for both. *)
-    let match_leaf ?echo reader ~u ~count ~bits =
+       [reader] holds next; says whether it lost one.  A narrow function
+       is read back from Alice's [coefs] at [slot], or drawn when [slot]
+       is -1 (Bob).  On Bob's side each element's tag, before filtering,
+       is also written to [echo]: a narrow tag is worked out once for
+       both. *)
+    let match_leaf ?echo reader ~slot ~u ~count ~bits =
       let s = start.(u) in
       let w = ref s in
       if narrow ~count ~bits then begin
         for t = 0 to count - 1 do
           scratch.(t) <- Bitio.Bitreader.read_bits reader ~width:bits
         done;
-        narrow_fn u ~bits;
+        if slot >= 0 then
+          Array.blit ws.coefs (slot * Strhash.int_fn_slots) coef 0 Strhash.int_fn_slots
+        else narrow_fn u ~bits;
         for j = s to s + live.(u) - 1 do
           let tag = Strhash.stored_int_tag coef ~bits mine.(idx.(j)) in
           (match echo with Some buf -> Bitio.Bitbuf.write_bits buf ~width:bits tag | None -> ());
@@ -448,17 +459,20 @@ let run_party ?buckets ?flat_eq_bits ?budget role rng ~universe ~r ~k chan mine 
             Obsv.Trace.attr "stage" stage;
             match role with
             | `Alice ->
+                let need = nfailed * Strhash.int_fn_slots in
+                if Array.length ws.coefs < need then
+                  ws.coefs <- Array.make (Int.max need (2 * Array.length ws.coefs)) 0;
                 chan.send
                   (Bitio.Pool.payload (fun buf ->
                        for i = 0 to nfailed - 1 do
                          let u = failed.(i) and count = theirs.(i) in
                          Bitio.Codes.write_gamma buf live.(u);
-                         write_leaf_tags buf ~u ~count ~bits:(bits_of u count)
+                         write_leaf_tags buf ~slot:i ~u ~count ~bits:(bits_of u count)
                        done));
                 let reader = Bitio.Bitreader.create (chan.recv ()) in
                 for i = 0 to nfailed - 1 do
                   let u = failed.(i) and count = theirs.(i) in
-                  changed u (match_leaf reader ~u ~count ~bits:(bits_of u count))
+                  changed u (match_leaf reader ~slot:i ~u ~count ~bits:(bits_of u count))
                 done
             | `Bob ->
                 let reader = Bitio.Bitreader.create (chan.recv ()) in
@@ -468,7 +482,8 @@ let run_party ?buckets ?flat_eq_bits ?budget role rng ~universe ~r ~k chan mine 
                        for i = 0 to nfailed - 1 do
                          let u = failed.(i) in
                          let count = Bitio.Codes.read_gamma reader in
-                         changed u (match_leaf ?echo reader ~u ~count ~bits:(bits_of u count))
+                         changed u
+                           (match_leaf ?echo reader ~slot:(-1) ~u ~count ~bits:(bits_of u count))
                        done)))
       end
     done;

@@ -20,19 +20,24 @@ let of_int n = of_seed (Int64.of_int n)
    building the label string at all.  A derivation cell owns the generator
    [finish] hands out, so a hot loop that [restart]s one cell derives any
    number of generators with no allocation, and a loop whose labels share
-   a prefix hashes the prefix once and [rewind]s to it.  A caller that
-   needs only a few bounded draws skips the generator: [draws] derives and
+   a prefix hashes the prefix once and [rewind]s to it; a loop over
+   indexed labels ([index]) folds one digit a label.  A caller that needs
+   only a few bounded draws skips the generator: [draws] derives and
    draws in one step, into the cell's own buffer. *)
 module Label = struct
   (* [h_*]: the hash of the fragments fed so far; [m_*]: the hash at the
-     mark, which [rewind] restores; [buf]: the values [draws] returns,
-     empty until the first [draws], so a cell that only derives
-     generators (every [with_label]) allocates no buffer. *)
+     mark, which [rewind] restores; [c_*]: the hash at the mark followed
+     by the digits of [c_q] ([index]'s cache; [c_q = -1] when there is
+     none); [buf]: the values [draws] returns, empty until the first
+     [draws]. *)
   type d = {
     mutable h_hi : int;
     mutable h_lo : int;
     mutable m_hi : int;
     mutable m_lo : int;
+    mutable c_hi : int;
+    mutable c_lo : int;
+    mutable c_q : int;
     r_hi : int;
     r_lo : int;
     out : t;
@@ -48,6 +53,9 @@ module Label = struct
       h_lo = offset_lo;
       m_hi = offset_hi;
       m_lo = offset_lo;
+      c_hi = 0;
+      c_lo = 0;
+      c_q = -1;
       r_hi = t.root_hi;
       r_lo = t.root_lo;
       out = { gen = Splitmix64.create 0L; root_hi = 0; root_lo = 0 };
@@ -58,11 +66,13 @@ module Label = struct
     d.h_hi <- offset_hi;
     d.h_lo <- offset_lo;
     d.m_hi <- offset_hi;
-    d.m_lo <- offset_lo
+    d.m_lo <- offset_lo;
+    d.c_q <- -1
 
   let mark d =
     d.m_hi <- d.h_hi;
-    d.m_lo <- d.h_lo
+    d.m_lo <- d.h_lo;
+    d.c_q <- -1
 
   let rewind d =
     d.h_hi <- d.m_hi;
@@ -115,6 +125,29 @@ module Label = struct
     else if n < 1_000_000_000_000_000 then add_small d n
     else add_nat d n
 
+  (* The digits of [i] are those of [i / 10] (none when it is 0) and then
+     [i mod 10], so the hash at the mark followed by the digits of [i / 10]
+     is shared by ten consecutive indices: it is kept with its quotient,
+     and a call whose quotient matches folds one byte. *)
+  let index d i =
+    if i < 0 || i >= 1_000_000_000_000_000 then begin
+      rewind d;
+      add_int d i
+    end
+    else begin
+      let q = i / 10 in
+      if q <> d.c_q then begin
+        rewind d;
+        if q > 0 then add_small d q;
+        d.c_hi <- d.h_hi;
+        d.c_lo <- d.h_lo;
+        d.c_q <- q
+      end;
+      let h = fold (join d.c_hi d.c_lo) (Char.code '0' + i - (q * 10)) in
+      d.h_hi <- hi32 h;
+      d.h_lo <- lo32 h
+    end
+
   let finish d =
     let g = d.out in
     Splitmix64.reseed_mixed g.gen ~hi:(d.r_hi lxor d.h_hi) ~lo:(d.r_lo lxor d.h_lo);
@@ -130,10 +163,16 @@ module Label = struct
     d.buf
 end
 
+(* [Label.start], [add] and [finish] in one pass: the hash stays in a
+   local and only the returned generator is built. *)
 let with_label t label =
-  let d = Label.start t in
-  Label.add d label;
-  Label.finish d
+  let h = ref (join Label.offset_hi Label.offset_lo) in
+  for i = 0 to String.length label - 1 do
+    h := Label.fold !h (Char.code (String.unsafe_get label i))
+  done;
+  let gen = Splitmix64.create 0L in
+  Splitmix64.reseed_mixed gen ~hi:(t.root_hi lxor hi32 !h) ~lo:(t.root_lo lxor lo32 !h);
+  { gen; root_hi = Splitmix64.out_hi gen; root_lo = Splitmix64.out_lo gen }
 
 (* The draws below take the top bits of the 64-bit output, assembled from
    the generator's unboxed 32-bit halves so no Int64 is ever built on the

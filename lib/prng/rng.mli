@@ -17,7 +17,8 @@ val of_int : int -> t
     seed and [label] only.  It does not advance [t], and the result is
     independent of how many values were drawn from [t] — this is what lets
     two parties agree on per-stage / per-node hash functions.  Labels are
-    hashed with FNV-1a 64. *)
+    hashed with FNV-1a 64.  Allocates the returned generator and nothing
+    else (72 bytes). *)
 val with_label : t -> string -> t
 
 (** Incremental label derivation for hot paths that would otherwise build
@@ -60,6 +61,17 @@ module Label : sig
 
   (** The decimal digits [string_of_int] would produce. *)
   val add_int : d -> int -> unit
+
+  (** [index d i] is [rewind d; add_int d i]: the label at the mark
+      followed by the digits of [i].  The cell keeps the hash of the mark
+      followed by the digits of [i / 10], with that quotient, so a call
+      whose [i / 10] matches the last one's folds a single byte; looping
+      [i] upwards rehashes a prefix once every ten indices.  [start],
+      [restart] and [mark] drop the cached prefix; [rewind], the other
+      fragments and [finish] leave it.  Negative [i] and [i >= 10^15]
+      take [add_int] (and a negative one allocates its string, as
+      there); other calls allocate nothing. *)
+  val index : d -> int -> unit
 
   (** The generator [with_label t label] would return for the fragments
       fed since [start] or the last [restart].  Owned by [d]: the next

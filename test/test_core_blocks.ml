@@ -108,6 +108,19 @@ let test_lane_canon () =
     (fun x -> check (Printf.sprintf "x = %d" x) (x mod p) (Strhash.For_testing.canon_masked x))
     [ 0; 1; p - 2; p - 1; p; p + 1; p + 2; (2 * p) - 3; (2 * p) - 2; (2 * p) - 1 ]
 
+(* The evaluation point and lane multiplier against their [mod] forms,
+   at every draw where a masked subtraction could switch: 0, 1 and the
+   top of the draw range, p - 6 to p - 2 (rejection keeps draws below
+   p), plus p - 1 for the multiplier. *)
+let test_point_and_multiplier () =
+  let p = (1 lsl 61) - 1 in
+  List.iter
+    (fun v ->
+      check (Printf.sprintf "point_of %d" v) (2 + (v mod (p - 4))) (Strhash.For_testing.point_of v);
+      check (Printf.sprintf "a_of %d" v) (1 + (v mod (p - 1))) (Strhash.For_testing.a_of v))
+    [ 0; 1; 2; p - 6; p - 5; p - 4; p - 3; p - 2 ];
+  check "a_of (p - 1)" (1 + ((p - 1) mod (p - 1))) (Strhash.For_testing.a_of (p - 1))
+
 let prop_strhash_equal_inputs =
   QCheck.Test.make ~name:"equal inputs, equal tags" ~count:300
     QCheck.(pair small_signed_int (small_list bool))
@@ -584,6 +597,7 @@ let () =
           Alcotest.test_case "length matters" `Quick test_strhash_length_matters;
           Alcotest.test_case "int range" `Quick test_strhash_int_range;
           Alcotest.test_case "lane sum reduction" `Quick test_lane_canon;
+          Alcotest.test_case "point and multiplier" `Quick test_point_and_multiplier;
           qt prop_strhash_equal_inputs;
           qt prop_strhash_reference;
         ] );

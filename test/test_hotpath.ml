@@ -616,8 +616,9 @@ let prop_patch_leaves =
           Bitio.Bits.equal (Bitio.Bitbuf.view !cur) (Bitio.Bitbuf.view fresh) && off = fresh_off)
         [ 1; 2; 3 ])
 
-(* Node labels grouped ten to a prefix hash derive what the printed label
-   derives, across every digit-count boundary up to 10 000. *)
+(* Node labels, a marked stage prefix plus [Label.index], derive what
+   the printed label derives, across every digit-count boundary up to
+   10 000. *)
 let test_node_labels () =
   let root = Prng.Rng.of_int 2014 in
   let cell = Prng.Rng.Label.start root in
@@ -776,8 +777,9 @@ let test_carter_wegman_allocation_free () =
 (* The branch-free kernels allocate nothing, the float exponent read
    included: 10 000 calls each of [bit_width] (at every width from 1
    to 62), [write_delta] and [read_delta], [read_ones] (runs to 120
-   bits) and [draw_write_range], in [Obsv.Window]s read against an empty
-   one. *)
+   bits), [draw_write_range] and [Label.index], in [Obsv.Window]s read
+   against an empty one; and [with_label] allocates only the generator
+   it returns, 72 B a call. *)
 let test_kernels_allocation_free () =
   let reps = 10_000 in
   let bytes f =
@@ -832,6 +834,24 @@ let test_kernels_allocation_free () =
            Strhash.draw_write_range cell ~bits:80 buf payload ~pos:(i mod 50)
              ~len:(i mod 250)
          done));
+  Prng.Rng.Label.restart cell;
+  Prng.Rng.Label.add cell "kernel/i";
+  Prng.Rng.Label.mark cell;
+  check_int "Label.index" 0
+    (bytes (fun () ->
+         for i = 1 to reps do
+           (* ascending, with a decreasing index every seventh call *)
+           Prng.Rng.Label.index cell (if i mod 7 = 0 then reps - i else i)
+         done));
+  let root = Prng.Rng.of_int 14 in
+  let per_call =
+    bytes (fun () ->
+        for _ = 1 to reps do
+          ignore (Sys.opaque_identity (Prng.Rng.with_label root "kernel/with_label"))
+        done)
+    / reps
+  in
+  Alcotest.(check bool) (Printf.sprintf "with_label %d B a call" per_call) true (per_call <= 72);
   ignore (Sys.opaque_identity !acc)
 
 (* The int sort behind [Iset.of_list]/[of_array] against [List.sort_uniq

@@ -202,6 +202,88 @@ let test_scan_allocation_free () =
   let words = Gc.minor_words () -. before in
   if words > 64.0 then Alcotest.failf "scan_below allocated %.0f words over 100 scans" words
 
+(* [Label.index] against [rewind] + [add_int] on a twin cell, over
+   random interleavings of the cell's operations.  Indices come near the
+   decade edges, the packed-digit limit 10^15 and zero, as steps from the
+   last index (so repeated and decreasing runs occur), and at random; after
+   every operation both cells must give the same [draws] and the same
+   [finish] generator. *)
+type label_op = Restart | Add of string | Mark | Rewind | Index of int | Step of int
+
+let label_op_gen =
+  let open QCheck.Gen in
+  let edge =
+    oneofl
+      [ 0; 1; 9; 10; 11; 19; 20; 99; 100; 101; 999; 1000; 1001; 9_999; 10_000;
+        999_999_999_999_999; 1_000_000_000_000_000; 1_000_000_000_000_001; max_int; -1; -9;
+        -10; -11; min_int ]
+  in
+  frequency
+    [
+      (1, return Restart);
+      (2, map (fun s -> Add s) (string_size ~gen:char (int_range 0 4)));
+      (1, return Mark);
+      (1, return Rewind);
+      (3, map (fun i -> Index i) (oneof [ edge; int_range 0 2_000; int_range (-50) 50; int ]));
+      (4, map (fun d -> Step d) (int_range (-12) 12));
+    ]
+
+let show_label_op = function
+  | Restart -> "restart"
+  | Add s -> Printf.sprintf "add %S" s
+  | Mark -> "mark"
+  | Rewind -> "rewind"
+  | Index i -> Printf.sprintf "index %d" i
+  | Step d -> Printf.sprintf "step %d" d
+
+let prop_label_index =
+  QCheck.Test.make ~name:"index = rewind + add_int" ~count:400
+    (QCheck.make
+       ~print:(fun (seed, ops) -> Printf.sprintf "seed %d: %s" seed (String.concat "; " (List.map show_label_op ops)))
+       QCheck.Gen.(pair int (list_size (int_range 1 60) label_op_gen)))
+    (fun (seed, ops) ->
+      let root = Rng.of_int seed in
+      let a = Rng.Label.start root and b = Rng.Label.start root in
+      let last = ref 0 in
+      let same () =
+        let n = 3 in
+        Array.sub (Rng.Label.draws a n) 0 n = Array.sub (Rng.Label.draws b n) 0 n
+        && Rng.For_testing.int64 (Rng.Label.finish a) = Rng.For_testing.int64 (Rng.Label.finish b)
+      in
+      let index i =
+        last := i;
+        Rng.Label.index a i;
+        Rng.Label.rewind b;
+        Rng.Label.add_int b i
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Restart -> Rng.Label.restart a; Rng.Label.restart b
+          | Add s -> Rng.Label.add a s; Rng.Label.add b s
+          | Mark -> Rng.Label.mark a; Rng.Label.mark b
+          | Rewind -> Rng.Label.rewind a; Rng.Label.rewind b
+          | Index i -> index i
+          | Step d -> index (!last + d));
+          same ())
+        ops)
+
+(* [with_label] against the cell it stands for, [Label.start], [add] and
+   [finish], on random roots and labels of any bytes, the empty label and
+   bytes of 128 and above included. *)
+let with_label_reference root label =
+  let d = Rng.Label.start root in
+  Rng.Label.add d label;
+  Rng.Label.finish d
+
+let prop_with_label =
+  QCheck.Test.make ~name:"with_label = start + add + finish" ~count:300
+    QCheck.(pair int64 (oneof [ string; always ""; always "\x80\xff"; always "eqb/g\xc3\xa9/t3" ]))
+    (fun (seed, label) ->
+      let root = Rng.of_seed seed in
+      let got = Rng.with_label root label and want = with_label_reference root label in
+      List.for_all (fun _ -> Rng.For_testing.int64 got = Rng.For_testing.int64 want) [ 1; 2; 3; 4 ])
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "prng"
@@ -222,6 +304,7 @@ let () =
           Alcotest.test_case "shuffle = per-element int" `Quick test_shuffle_matches_per_element;
           qt prop_int_in_bounds;
         ] );
+      ("labels", [ qt prop_label_index; qt prop_with_label ]);
       ( "bernoulli thresholds",
         [
           Alcotest.test_case "threshold edges" `Quick test_threshold_edges;

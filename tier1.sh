@@ -110,7 +110,16 @@ done
 expect_usage_error telemetry-overhead --smoke --sessions 0
 # So is a file path the command cannot read or write.
 expect_usage_error bench-regress --smoke --baseline "$tmp/no-such-baseline.json"
-expect_usage_error soak --smoke --out "$tmp/no-such-dir/soak.json"
+# An unwritable --out or --telemetry is refused before the first cell
+# runs, so nothing reaches stdout.
+for flag in --out --telemetry; do
+  status=0
+  $cli soak --smoke $flag "$tmp/no-such-dir/soak.json" > "$tmp/early.out" 2> /dev/null || status=$?
+  if [ "$status" -ne 2 ] || [ -s "$tmp/early.out" ]; then
+    echo "tier1: 'soak --smoke $flag' into a missing directory exited $status, or printed to stdout" >&2
+    exit 1
+  fi
+done
 
 # trace and profile share that rule: an unknown protocol name (the error
 # line lists every accepted name) or input the library rejects exits 2.
