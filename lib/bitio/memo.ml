@@ -1,4 +1,5 @@
-(* Domain-local memo tables for derived codec values.
+(* Domain-local memo tables for derived codec values, and small caches of
+   pure int functions.
 
    Binomial coefficients drive the enumerative set codec: ranking touches
    O(k) of them and the unranking decoder's binary search touches
@@ -40,6 +41,34 @@ let binomial n k =
   end
 
 let binomial_bits ~n ~k = Bignat.bit_length (binomial n k)
+
+(* The last [entries] arguments of one int function and their results,
+   filled in order and then replaced round-robin from [next]. *)
+type ints = { keys : int array; values : int array; mutable filled : int; mutable next : int }
+
+(* A hit is a scan of at most [entries] ints with no allocation; a
+   [let rec] search here would build a closure on every call. *)
+let ints ~entries f =
+  if entries < 1 then invalid_arg "Memo.ints";
+  let slot =
+    Domain.DLS.new_key (fun () ->
+        { keys = Array.make entries 0; values = Array.make entries 0; filled = 0; next = 0 })
+  in
+  fun x ->
+    let c = Domain.DLS.get slot in
+    let i = ref 0 in
+    while !i < c.filled && c.keys.(!i) <> x do
+      incr i
+    done;
+    if !i < c.filled then c.values.(!i)
+    else begin
+      let v = f x in
+      c.keys.(c.next) <- x;
+      c.values.(c.next) <- v;
+      c.next <- (c.next + 1) mod entries;
+      c.filled <- Int.min entries (c.filled + 1);
+      v
+    end
 
 module For_testing = struct
   let bypassed f =

@@ -1,5 +1,5 @@
 (** Domain-local caching of derived codec tables (binomial coefficients
-    for the combinatorial number system).
+    for the combinatorial number system) and of small pure int functions.
 
     Everything here is a pure function of its arguments; the cache only
     changes how often the underlying bignum arithmetic runs, never a
@@ -16,6 +16,14 @@ val binomial : int -> int -> Bignat.t
     payload width of the enumerative codec for a [k]-subset of an [n]
     universe. *)
 val binomial_bits : n:int -> k:int -> int
+
+(** [ints ~entries f] is [f], for a pure [f], remembering on each domain
+    the last [entries] distinct arguments it was called on and their
+    results: a remembered argument costs a scan of at most [entries]
+    ints and allocates nothing.  An argument on which [f] raises is not
+    remembered.  Build it once, at module initialisation.  Raises
+    [Invalid_argument] if [entries < 1]. *)
+val ints : entries:int -> (int -> int) -> int -> int
 
 (** Test instruments. *)
 module For_testing : sig

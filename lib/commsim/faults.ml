@@ -87,15 +87,17 @@ let merge a b =
   if Array.length a.links <> Array.length b.links then invalid_arg "Faults.merge: player counts";
   { links = Array.map2 (Array.map2 add_tally) a.links b.links }
 
-(* One execution's view of a plan: the tallies it records into, a label
-   cell over the plan's seed, whose mark sits after ["faults/"], and each
-   directed link's four decision thresholds ([Rng.threshold] of its drop,
-   trunc, flip and dup rates, in that order, at [4 * (from_ * players +
-   to_)]), so a message decides on integers that were computed once.
-   [delivered] is the payload the last [apply] handed on. *)
+(* One execution's view of a plan: the tallies it records into, one label
+   cell per directed link over the plan's seed, marked after
+   ["faults/<from_>-><to_>/"] and stored at [from_ * players + to_], and
+   each directed link's four decision thresholds ([Rng.threshold] of its
+   drop, trunc, flip and dup rates, in that order, at [4 * (from_ *
+   players + to_)]), so a message adds only its index to a prefix hashed
+   once and decides on integers that were computed once.  [delivered] is
+   the payload the last [apply] handed on. *)
 type channel = {
   plan : plan;
-  label : Prng.Rng.Label.d;
+  labels : Prng.Rng.Label.d array;
   tallies : tallies;
   players : int;
   thresholds : int array;
@@ -104,29 +106,41 @@ type channel = {
 
 (* Every link's rates are checked here, before the execution starts, so a
    bad rate raises out of {!Network.run_faulty} rather than inside a
-   player's send. *)
+   player's send.  A clean plan draws nothing and gets no cells. *)
 let channel plan ~players =
-  let thresholds = Array.make (if plan.clean_ then 0 else 4 * players * players) 0 in
-  if not plan.clean_ then
-    for from_ = 0 to players - 1 do
-      for to_ = 0 to players - 1 do
+  let links = if plan.clean_ then 0 else players * players in
+  let thresholds = Array.make (4 * links) 0 in
+  let labels =
+    if links = 0 then [||]
+    else begin
+      let root = Prng.Rng.of_int plan.seed_ in
+      (* The diagonal, which carries no messages, shares one unused cell. *)
+      let labels = Array.make links (Prng.Rng.Label.start root) in
+      for l = 0 to links - 1 do
+        let from_ = l / players and to_ = l mod players in
         if from_ <> to_ then begin
           let link = plan.pick ~from_ ~to_ in
           validate_link link;
-          let base = 4 * ((from_ * players) + to_) in
-          thresholds.(base) <- Prng.Rng.threshold ~p:link.drop;
-          thresholds.(base + 1) <- Prng.Rng.threshold ~p:link.trunc;
-          thresholds.(base + 2) <- Prng.Rng.threshold ~p:link.flip;
-          thresholds.(base + 3) <- Prng.Rng.threshold ~p:link.dup
+          thresholds.(4 * l) <- Prng.Rng.threshold ~p:link.drop;
+          thresholds.((4 * l) + 1) <- Prng.Rng.threshold ~p:link.trunc;
+          thresholds.((4 * l) + 2) <- Prng.Rng.threshold ~p:link.flip;
+          thresholds.((4 * l) + 3) <- Prng.Rng.threshold ~p:link.dup;
+          let d = Prng.Rng.Label.start root in
+          Prng.Rng.Label.add d "faults/";
+          Prng.Rng.Label.add_int d from_;
+          Prng.Rng.Label.add d "->";
+          Prng.Rng.Label.add_int d to_;
+          Prng.Rng.Label.add_char d '/';
+          Prng.Rng.Label.mark d;
+          labels.(l) <- d
         end
-      done
-    done;
-  let label = Prng.Rng.Label.start (Prng.Rng.of_int plan.seed_) in
-  Prng.Rng.Label.add label "faults/";
-  Prng.Rng.Label.mark label;
+      done;
+      labels
+    end
+  in
   {
     plan;
-    label;
+    labels;
     tallies = tallies_of ~players (fun _ -> zero_tally ());
     players;
     thresholds;
@@ -174,19 +188,16 @@ let apply c ~from_ ~to_ ~index payload =
     1
   end
   else begin
-    let th = c.thresholds and base = 4 * ((from_ * c.players) + to_) in
+    let link = (from_ * c.players) + to_ in
+    let th = c.thresholds and base = 4 * link in
     let len = Bitio.Bits.length payload in
     (* One fresh generator per message coordinate: the draw sequence below is
        fixed, so the decision depends on nothing but (seed, link, index).
-       The label is "faults/<from>-><to>/<index>", fed to the cell without
-       building the string. *)
-    let d = c.label in
-    Prng.Rng.Label.rewind d;
-    Prng.Rng.Label.add_int d from_;
-    Prng.Rng.Label.add d "->";
-    Prng.Rng.Label.add_int d to_;
-    Prng.Rng.Label.add_char d '/';
-    Prng.Rng.Label.add_int d index;
+       The label is "faults/<from>-><to>/<index>": the link's cell holds
+       the prefix, and [Label.index] adds the index, folding one digit
+       while the index's tens stay the same. *)
+    let d = c.labels.(link) in
+    Prng.Rng.Label.index d index;
     let rng = Prng.Rng.Label.finish d in
     if decide rng th.(base) then begin
       tally.dropped_messages <- tally.dropped_messages + 1;

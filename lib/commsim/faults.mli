@@ -88,9 +88,10 @@ val merge : tallies -> tallies -> tallies
 
 (** One execution's channel: a plan together with the tallies the
     execution's damage is recorded in, each link's decision thresholds
-    (computed once, when the channel is built) and the scratch that
-    derives each message's generator.  Plain mutable state: one per
-    execution. *)
+    and each link's label cell, which holds the hash of
+    ["faults/<from_>-><to_>/"] (both computed once, when the channel is
+    built) and derives each message's generator.  Plain mutable state:
+    one per execution. *)
 type channel
 
 (** [channel plan ~players] starts a [players]-party execution over

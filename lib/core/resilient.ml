@@ -58,30 +58,29 @@ let seq_width = 20
    and is discarded).  Undetected corruption needs a fingerprint collision:
    probability [~2^-tag_bits] per message.
 
-   Each guard reuses two writers: [scratch] holds [seq | payload], whose
-   fingerprint is read as an int straight off its view, and [frame]
-   assembles the outgoing frame word by word, so a message costs one
-   frame copy on send and one payload copy on receive.  A tag of at most
-   62 bits written as one int is bit-for-bit the tag [Strhash.apply]
-   builds lane by lane. *)
+   Both fingerprints are taken in place: [Strhash.prefixed_int_tag]
+   hashes [seq | payload] with the sequence number as a 20-bit prefix,
+   the sender over its payload and the receiver over the payload bits
+   inside the received frame, before anything is copied.  The one writer,
+   [frame], assembles the outgoing frame word by word, so a message costs
+   one frame copy on send and, only once the frame is accepted, one
+   payload copy on receive.  A tag of at most 62 bits written as one int
+   is bit-for-bit the tag [Strhash.apply] builds lane by lane. *)
 let guard rng ~tag_bits chan =
   if tag_bits < 1 || tag_bits > 62 then invalid_arg "Resilient.guard: tag_bits";
   let h = Strhash.create (Prng.Rng.with_label rng "frame") ~bits:tag_bits in
-  let scratch = Bitio.Bitbuf.create () and frame = Bitio.Bitbuf.create () in
+  let frame = Bitio.Bitbuf.create () in
   let reader = Bitio.Bitreader.create Bitio.Bits.empty in
   let next_send = ref 0 and next_recv = ref 0 in
-  let fingerprint seq payload =
-    Bitio.Bitbuf.reset scratch;
-    Bitio.Bitbuf.write_bits scratch ~width:seq_width seq;
-    Bitio.Bitbuf.append scratch payload;
-    Strhash.range_int_tag h (Bitio.Bitbuf.view scratch) ~pos:0
-      ~len:(Bitio.Bitbuf.length scratch)
-  in
+  let header = seq_width + tag_bits in
   let send payload =
     if !next_send >= 1 lsl seq_width then invalid_arg "Resilient.guard: sequence space exhausted";
     let seq = !next_send in
     incr next_send;
-    let tag = fingerprint seq payload in
+    let tag =
+      Strhash.prefixed_int_tag h ~prefix:seq ~prefix_bits:seq_width payload ~pos:0
+        ~len:(Bitio.Bits.length payload)
+    in
     Bitio.Bitbuf.reset frame;
     Bitio.Bitbuf.write_bits frame ~width:seq_width seq;
     Bitio.Bitbuf.write_bits frame ~width:tag_bits tag;
@@ -89,19 +88,22 @@ let guard rng ~tag_bits chan =
     Commsim.Transport.send chan (Bitio.Bitbuf.contents frame)
   in
   let rec recv () =
-    Bitio.Bitreader.reset reader (Commsim.Transport.recv chan);
-    if Bitio.Bitreader.remaining reader < seq_width + tag_bits then
-      raise (Corrupted "frame truncated");
+    let received = Commsim.Transport.recv chan in
+    let len = Bitio.Bits.length received - header in
+    if len < 0 then raise (Corrupted "frame truncated");
+    Bitio.Bitreader.reset reader received;
     let seq = Bitio.Bitreader.read_bits reader ~width:seq_width in
     let tag = Bitio.Bitreader.read_bits reader ~width:tag_bits in
-    let payload = Bitio.Bitreader.read_blob reader ~bits:(Bitio.Bitreader.remaining reader) in
-    if tag <> fingerprint seq payload then raise (Corrupted "frame fingerprint mismatch")
+    let ours =
+      Strhash.prefixed_int_tag h ~prefix:seq ~prefix_bits:seq_width received ~pos:header ~len
+    in
+    if tag <> ours then raise (Corrupted "frame fingerprint mismatch")
     else if seq < !next_recv then recv () (* duplicate of a consumed frame *)
     else if seq > !next_recv then
       raise (Corrupted (Printf.sprintf "sequence gap: got %d, expected %d" seq !next_recv))
     else begin
       incr next_recv;
-      payload
+      Bitio.Bitreader.read_blob reader ~bits:len
     end
   in
   { Commsim.Transport.send; recv }

@@ -81,9 +81,13 @@ exception Corrupted of string
     randomness) and the same [tag_bits], which must lie in [\[1, 62\]]
     (raises [Invalid_argument] otherwise).  Adds [20 + tag_bits] bits per
     message; undetected corruption probability is [~2^-tag_bits] per
-    message.  The receiving side is total on adversarial input: any frame
-    it cannot accept — too short for its header, a fingerprint mismatch,
-    a sequence gap — raises {!Corrupted}, never a codec exception. *)
+    message.  The fingerprint covers [seq | payload] and is computed in
+    place on both sides ({!Strhash.prefixed_int_tag}), so a message
+    costs one frame copy on send and, once its frame is accepted, one
+    payload copy on receive.  The receiving side is total on adversarial
+    input: any frame it cannot accept — too short for its header, a
+    fingerprint mismatch, a sequence gap — raises {!Corrupted}, never a
+    codec exception. *)
 val guard : Prng.Rng.t -> tag_bits:int -> Commsim.Transport.t -> Commsim.Transport.t
 
 (** Why one attempt failed. *)

@@ -105,36 +105,47 @@ let create rng ~bits =
   done;
   { point; lanes; bits }
 
-(* Polynomial fingerprint of the bit range [pos, pos + len) of a bit
-   string: fold 24-bit chunks with a length prefix so strings of different
-   lengths cannot alias — Horner's rule [acc <- acc * point + (chunk + 1)]
-   from [acc = len + 1].  The chunking defines the tag values, so it must
-   not change; how the steps are grouped does not, since every grouping
-   leaves the same residue mod p.  The range is checked once, so every
-   load inside it is [Bits.unsafe_extract].  The first step,
-   [(len + 1) * point], is a small-operand product (a full one past
-   2^30 - 2 bits).  A range of at
-   most 48 bits is one load and at most two steps.  Longer ranges take
-   whole chunk pairs in one step,
+(* Polynomial fingerprint of the bit string [prefix ‖ range]: the
+   [prefix_bits] low bits of [prefix] (at most 24) followed by the bit
+   range [pos, pos + len) of a bit string.  It folds 24-bit chunks of
+   that string with a length prefix so strings of different lengths
+   cannot alias — Horner's rule [acc <- acc * point + (chunk + 1)] from
+   [acc = total + 1], for [total = prefix_bits + len].  The chunking
+   defines the tag values, so it must not change; how the steps are
+   grouped does not, since every grouping leaves the same residue mod p.
+   The prefix lies wholly inside the first chunk, which is the prefix
+   with the range's first [24 - prefix_bits] bits above it, so after that
+   chunk the loop reads the range alone.  The range is checked once, so
+   every load inside it is [Bits.unsafe_extract].  The first step,
+   [(total + 1) * point], is a small-operand product (a full one past
+   2^30 - 2 bits).  A string of at most 48 bits is one load and at most
+   two steps.  Longer strings take whole chunk pairs in one step,
    [acc * point^2 + ((c1 + 1) * point + (c2 + 1))], with one 48-bit load
    and two independent products instead of a chain of two; the pair term
    is left unreduced (it is below p + 2^25, so the sum with a canonical
-   product stays below 2^62).  A range hashes exactly like the extracted
-   copy of its bits; whole payloads pass [0, length]. *)
-let fingerprint point payload ~pos ~len =
+   product stays below 2^62).  The string hashes exactly like a copy of
+   its bits, so a prefix is never written out and a range never
+   extracted; whole payloads pass [0, length] with no prefix.  Inlined
+   into both callers, so the prefix-free one compiles to the plain loop. *)
+let[@inline] prefixed_fingerprint point ~prefix ~prefix_bits payload ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bitio.Bits.length payload then
     invalid_arg "Strhash: range out of bounds";
-  if len = 0 then 1
-  else if len <= 48 then begin
-    let w = Bitio.Bits.unsafe_extract payload ~pos ~width:len in
-    let acc = canon (mul_small (len + 1) point + (w land 0xFFFFFF) + 1) in
-    if len <= 24 then acc else canon (mul61 acc point + (w lsr 24) + 1)
+  let total = prefix_bits + len in
+  if total = 0 then 1
+  else if total <= 48 then begin
+    let w = prefix lor (Bitio.Bits.unsafe_extract payload ~pos ~width:len lsl prefix_bits) in
+    let acc = canon (mul_small (total + 1) point + (w land 0xFFFFFF) + 1) in
+    if total <= 24 then acc else canon (mul61 acc point + (w lsr 24) + 1)
   end
   else begin
     let stop = pos + len in
-    let first = if len < (1 lsl 30) - 1 then mul_small (len + 1) point else mul61 (len + 1) point in
-    let acc = ref (canon (first + Bitio.Bits.unsafe_extract payload ~pos ~width:24 + 1)) in
-    let i = ref (pos + 24) in
+    let first =
+      if total < (1 lsl 30) - 1 then mul_small (total + 1) point else mul61 (total + 1) point
+    in
+    let head = 24 - prefix_bits in
+    let chunk = prefix lor (Bitio.Bits.unsafe_extract payload ~pos ~width:head lsl prefix_bits) in
+    let acc = ref (canon (first + chunk + 1)) in
+    let i = ref (pos + head) in
     let point2 = mul61 point point in
     while stop - !i >= 48 do
       let w = Bitio.Bits.unsafe_extract payload ~pos:!i ~width:48 in
@@ -151,6 +162,9 @@ let fingerprint point payload ~pos ~len =
     done;
     !acc
   end
+
+let fingerprint point payload ~pos ~len =
+  prefixed_fingerprint point ~prefix:0 ~prefix_bits:0 payload ~pos ~len
 
 (* Write the tag of the collapsed value [v] straight into [buf]. *)
 let write_value fn buf v =
@@ -189,9 +203,12 @@ let int_tag fn x =
   if fn.bits > 62 then invalid_arg "Strhash.int_tag: bits";
   lanes_int_tag fn.lanes ~bits:fn.bits x
 
-let range_int_tag fn payload ~pos ~len =
-  if fn.bits > 62 then invalid_arg "Strhash.range_int_tag: bits";
-  lanes_int_tag fn.lanes ~bits:fn.bits (fingerprint fn.point payload ~pos ~len)
+let prefixed_int_tag fn ~prefix ~prefix_bits payload ~pos ~len =
+  if fn.bits > 62 then invalid_arg "Strhash.prefixed_int_tag: bits";
+  if prefix_bits < 0 || prefix_bits > 24 || prefix < 0 || prefix lsr prefix_bits <> 0 then
+    invalid_arg "Strhash.prefixed_int_tag: prefix";
+  lanes_int_tag fn.lanes ~bits:fn.bits
+    (prefixed_fingerprint fn.point ~prefix ~prefix_bits payload ~pos ~len)
 
 (* A tag of at most 62 bits has at most two lanes: [a; b] each. *)
 let int_fn_slots = 4
@@ -246,6 +263,8 @@ let draw_matches_range d ~bits reader payload ~pos ~len =
   !ok
 
 module For_testing = struct
+  let range_int_tag fn payload ~pos ~len =
+    prefixed_int_tag fn ~prefix:0 ~prefix_bits:0 payload ~pos ~len
   let canon_masked = canon_masked
   let point_of = point_of
   let a_of = a_of

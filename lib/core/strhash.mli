@@ -42,13 +42,17 @@ val write_int : fn -> Bitio.Bitbuf.t -> int -> unit
     [x] in [\[0, 2^60)].  Lets tag tables key on native ints. *)
 val int_tag : fn -> int -> int
 
-(** [range_int_tag fn payload ~pos ~len] is [apply fn] on the bits
-    [\[pos, pos + len)] of [payload], as the integer {!int_tag} would give:
-    a range tags exactly like a payload holding just its bits, and the
-    tag comes back as a native int without building it.  Requires
-    [bits fn <= 62]; raises [Invalid_argument] unless the range lies
-    inside [payload]. *)
-val range_int_tag : fn -> Bitio.Bits.t -> pos:int -> len:int -> int
+(** [prefixed_int_tag fn ~prefix ~prefix_bits payload ~pos ~len] is
+    {!int_tag}'s integer for [apply fn] on the bit string made of the
+    [prefix_bits] bits of [prefix] (least significant first) followed by
+    the bits [\[pos, pos + len)] of [payload]: that string tags exactly
+    like a payload holding just its bits, but neither the prefix nor the
+    range is copied, and the tag comes back as a native int without
+    being built.  Requires [bits fn <= 62]; raises [Invalid_argument]
+    unless [0 <= prefix_bits <= 24], [0 <= prefix < 2^prefix_bits] and
+    the range lies inside [payload]. *)
+val prefixed_int_tag :
+  fn -> prefix:int -> prefix_bits:int -> Bitio.Bits.t -> pos:int -> len:int -> int
 
 (** {2 Flat int-tag functions}
 
@@ -101,6 +105,11 @@ val draw_matches_range :
 
 (** Test instruments. *)
 module For_testing : sig
+  (** [range_int_tag fn payload ~pos ~len] is {!prefixed_int_tag} with no
+      prefix: [apply fn] on the bits [\[pos, pos + len)] of [payload], as
+      the integer {!int_tag} would give. *)
+  val range_int_tag : fn -> Bitio.Bits.t -> pos:int -> len:int -> int
+
   (** [canon_masked x] is [x mod (2^61 - 1)] for [0 <= x < 2 (2^61 - 1)],
       computed with a sign mask instead of a branch: the reduction every
       lane tag ends with. *)

@@ -1,8 +1,15 @@
 type t = { p : int; a : int; b : int; range : int }
 
+(* Both parties draw a function on every attempt, often over the same
+   universe, and a prime search costs microseconds, so the primes of the
+   last few universes are kept per domain.  Bucket's assignment hash
+   alternates between two universes under universe reduction; eight
+   entries hold every universe a run or a small-k sweep cycles through. *)
+let prime_above = Bitio.Memo.ints ~entries:8 (fun universe -> Prime.next_prime (max universe 2))
+
 let create rng ~universe ~range =
   if universe < 1 || range < 1 then invalid_arg "Carter_wegman.create";
-  let p = Prime.next_prime (max universe 2) in
+  let p = prime_above universe in
   let a = 1 + Prng.Rng.int rng (p - 1) in
   let b = Prng.Rng.int rng p in
   { p; a; b; range }

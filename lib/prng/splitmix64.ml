@@ -36,15 +36,53 @@ let step t =
 
 (* The state and the last output stay in unboxed [Int64] locals for the
    whole scan and are stored back once, so a scan of any length allocates
-   nothing and leaves [t] exactly as that many [step]s would. *)
+   nothing and leaves [t] exactly as that many [step]s would.  The next
+   four states are [s + g], [s + 2g], [s + 3g] and [s + 4g], so four
+   outputs are mixed at once, as independent chains the processor can
+   overlap, and the first of them below [threshold] (if any) is the one
+   the scan stops at; the last [limit mod 4] outputs go one at a time. *)
+let[@inline] below z threshold = Int64.to_int (Int64.shift_right_logical z 11) < threshold
+
 let scan_below t ~threshold ~limit =
   let s = ref (join t.hi t.lo) and z = ref 0L in
   let i = ref 0 and found = ref false in
+  while (not !found) && limit - !i >= 4 do
+    let s1 = Int64.add !s 0x9E3779B97F4A7C15L in
+    let s2 = Int64.add !s 0x3C6EF372FE94F82AL in
+    let s3 = Int64.add !s 0xDAA66D2C7DDF743FL in
+    let s4 = Int64.add !s 0x78DDE6E5FD29F054L in
+    let z1 = mix64 s1 and z2 = mix64 s2 and z3 = mix64 s3 and z4 = mix64 s4 in
+    if below z1 threshold then begin
+      s := s1;
+      z := z1;
+      found := true
+    end
+    else if below z2 threshold then begin
+      s := s2;
+      z := z2;
+      i := !i + 1;
+      found := true
+    end
+    else if below z3 threshold then begin
+      s := s3;
+      z := z3;
+      i := !i + 2;
+      found := true
+    end
+    else begin
+      s := s4;
+      z := z4;
+      if below z4 threshold then begin
+        i := !i + 3;
+        found := true
+      end
+      else i := !i + 4
+    end
+  done;
   while (not !found) && !i < limit do
     s := Int64.add !s 0x9E3779B97F4A7C15L;
     z := mix64 !s;
-    if Int64.to_int (Int64.shift_right_logical !z 11) < threshold then found := true
-    else incr i
+    if below !z threshold then found := true else incr i
   done;
   if !found || !i > 0 then begin
     t.hi <- hi32 !s;

@@ -1,7 +1,8 @@
 (* Hot-path regression bench: seeded end-to-end runs of every registered
-   two-party protocol, plus a guarded bucket attempt and Conform's small-k
-   trial pair, measuring allocation pressure (bytes allocated per run,
-   read through one Obsv.Window) and the exact deterministic
+   two-party protocol, plus a guarded bucket attempt, Conform's small-k
+   trial pair and a whole session over a faulty link, measuring
+   allocation pressure (bytes allocated per run, read through one
+   Obsv.Window) and the exact deterministic
    communication fields (bits, messages, rounds).  Wall-clock time is
    perf/'s to measure (`bash perf/run.sh`); this bench reports none.
 
@@ -76,11 +77,12 @@ let protocol_of ~name ~k =
    other protocol runs the full sweep. *)
 let k_cap ~name = match name with "trivial-entropy" -> 256 | _ -> max_int
 
-(* Two cells run a fixed workload at their own k, whatever [ks] says: one
-   guarded bucket attempt over session-noisy's link, and the small-k trial
-   pair Conform and the sweep run. *)
+(* Three cells run a fixed workload at their own k, whatever [ks] says:
+   one guarded bucket attempt over session-noisy's link, the small-k trial
+   pair Conform and the sweep run, and one whole session over that link. *)
 let guarded_attempt = "guarded-attempt"
 let conform_smallk = "conform-smallk"
+let guarded_session = "guarded-session"
 
 let default =
   {
@@ -88,7 +90,7 @@ let default =
     universe_bits = 20;
     trials = 3;
     ks = [ 64; 1024; 4096 ];
-    protocols = protocol_names @ [ guarded_attempt; conform_smallk ];
+    protocols = protocol_names @ [ guarded_attempt; conform_smallk; guarded_session ];
   }
 
 let smoke = { default with ks = [ 64 ] }
@@ -156,25 +158,53 @@ let protocol_cell ~seed ~universe_bits ~trials ~name ~k =
   in
   cost_cell ~name ~k ~trials run_trial
 
+(* session-noisy's link: it flips 1e-5 of the bits and truncates 1e-2 of
+   the messages. *)
+let noisy_link = { Commsim.Faults.clean_link with flip = 1e-5; trunc = 1e-2 }
+
+let noisy_plan rng =
+  let seed = Prng.Rng.bits (Prng.Rng.with_label rng "faults") ~width:30 in
+  Commsim.Faults.uniform ~seed noisy_link
+
 (* One guarded bucket attempt (the unit a session retries) at k = 256 over
-   universe 2^16, on a link flipping 1e-5 of the bits and truncating 1e-2
-   of the messages: session-noisy's workload, one attempt at a time. *)
+   universe 2^16 on the noisy link: session-noisy's workload, one attempt
+   at a time. *)
 let guarded_cell ~seed ~trials =
   let name = guarded_attempt and k = 256 and universe = 1 lsl 16 in
   let base = Resilient.bucket_base ~k () in
-  let link = { Commsim.Faults.clean_link with flip = 1e-5; trunc = 1e-2 } in
   let stream, pairs = stream_and_pairs ~seed ~name ~k ~universe ~trials in
   let run_trial i =
     let rng = Engine.Seed_stream.trial_rng stream (i + 1) in
     let pair = pairs.(i) in
-    let plan =
-      Commsim.Faults.uniform ~seed:(Prng.Rng.bits (Prng.Rng.with_label rng "faults") ~width:30) link
-    in
+    let plan = noisy_plan rng in
     let _, cost, _ =
       Resilient.attempt_once base ~plan ~check_bits:k ~attempt:1 (Prng.Rng.with_label rng "run")
         ~universe pair.Setgen.s pair.Setgen.t
     in
     cost
+  in
+  cost_cell ~name ~k ~trials run_trial
+
+(* One whole bucket session at k = 256 over universe 2^16 on the noisy
+   link, with session-noisy's 4 000 000-bit deadline: the retry ladder,
+   backoff, checkpoints and fallback around the guarded attempts.  Its
+   cost is the session ledger's (attempts plus fallback). *)
+let session_cell ~seed ~trials =
+  let name = guarded_session and k = 256 and universe_bits = 16 in
+  let stream, pairs = stream_and_pairs ~seed ~name ~k ~universe:(1 lsl universe_bits) ~trials in
+  let run_trial i =
+    let rng = Engine.Seed_stream.trial_rng stream (i + 1) in
+    let pair = pairs.(i) in
+    let config =
+      {
+        (Session.Machine.default ~k ~plan:(noisy_plan rng)) with
+        seed = Prng.Rng.bits (Prng.Rng.with_label rng "session") ~width:30;
+        universe_bits;
+        deadline_bits = 4_000_000;
+      }
+    in
+    (Session.Machine.run config ~s:pair.Setgen.s ~t:pair.Setgen.t).Session.Machine.ledger
+      .Session.Machine.cost
   in
   cost_cell ~name ~k ~trials run_trial
 
@@ -219,6 +249,7 @@ let run (config : config) : report =
       (fun name ->
         if name = guarded_attempt then [ guarded_cell ~seed ~trials ]
         else if name = conform_smallk then [ conform_cell ~seed ~universe_bits ~trials ]
+        else if name = guarded_session then [ session_cell ~seed ~trials ]
         else
           List.filter_map
             (fun k ->

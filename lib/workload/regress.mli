@@ -1,11 +1,14 @@
 (** Hot-path regression bench over the registered two-party protocols.
 
     Each cell is one [(protocol, k)] pair run on seeded workloads, plus
-    two fixed cells: ["guarded-attempt"] (one [Resilient.attempt_once] of
-    bucket at k = 256 over universe 2^16, on a link flipping 1e-5 of the
-    bits and truncating 1e-2 of the messages) and ["conform-smallk"]
+    three fixed cells: ["guarded-attempt"] (one [Resilient.attempt_once]
+    of bucket at k = 256 over universe 2^16, on a link flipping 1e-5 of
+    the bits and truncating 1e-2 of the messages), ["conform-smallk"]
     (Conform's cached one-round k = 64 plus tree-r2 k = 16 trial pair,
-    inputs drawn inside the window).  Every field is deterministic for a
+    inputs drawn inside the window) and ["guarded-session"] (one
+    [Session.Machine.run] of bucket at k = 256 over universe 2^16 on the
+    same link, with a 4 000 000-bit deadline; its cost is the session
+    ledger's).  Every field is deterministic for a
     fixed seed, allocation bytes/run of a warm sweep included, so the
     committed BENCH_hotpath.json is the repo's one allocation baseline
     and is gated byte for byte.  Wall-clock time is measured by [perf/]
@@ -47,7 +50,7 @@ val protocol_of : name:string -> k:int -> Intersect.Protocol.t
 
 (** Full sweep: every registered protocol at k ∈ 64, 1024, 4096 (the
     enumerative-codec cell is capped at k = 256; its bignum unranking is
-    super-linear in k), then the two fixed cells, which run at their own
+    super-linear in k), then the three fixed cells, which run at their own
     k whatever [ks] holds.  [default.protocols] lists every cell name. *)
 val default : config
 

@@ -220,7 +220,9 @@ let prop_strhash_reference =
                   in
                   let ((npoint, _) as narrow_ref) = Ref_strhash.create (fresh ()) ~bits:narrow in
                   let ranged =
-                    Strhash.range_int_tag (Strhash.create (fresh ()) ~bits:narrow) payload ~pos ~len
+                    Strhash.For_testing.range_int_tag
+                      (Strhash.create (fresh ()) ~bits:narrow)
+                      payload ~pos ~len
                   in
                   let d = Prng.Rng.Label.start root in
                   Prng.Rng.Label.add d label;
@@ -240,6 +242,52 @@ let prop_strhash_reference =
                 (List.init 8 Fun.id))
             (List.init 201 Fun.id))
         payloads)
+
+(* A prefix is hashed in place: [prefixed_int_tag] with a [prefix_bits]-bit
+   prefix over a range must give the tag of the materialised string
+   [prefix ‖ range], at every prefix width 0-24, at range lengths that
+   put the whole string on each side of the one-load and chunk-pair
+   edges (24, 47, 48, 49 included) and at nonzero offsets. *)
+let prop_prefixed_tag_is_concatenation =
+  let edges = [ 0; 1; 23; 24; 25; 47; 48; 49; 72; 95; 96; 97; 299; 300 ] in
+  QCheck.Test.make ~name:"prefixed tag = tag of the concatenation" ~count:2000
+    (QCheck.make
+       ~print:(fun (seed, pb, len, pos) ->
+         Printf.sprintf "seed=%d prefix_bits=%d len=%d pos=%d" seed pb len pos)
+       QCheck.Gen.(
+         quad small_nat (int_bound 24) (oneof [ oneofl edges; int_bound 300 ]) (int_range 1 40)))
+    (fun (seed, prefix_bits, len, pos) ->
+      let root = Prng.Rng.of_int seed in
+      let fill = Prng.Rng.with_label root "payload" in
+      let cells = Array.init (pos + len + 17) (fun _ -> Prng.Rng.bool fill) in
+      let payload = Bitio.Bits.of_bools (Array.to_list cells) in
+      let prefix = Prng.Rng.bits fill ~width:prefix_bits in
+      let concat =
+        Bitio.Bits.of_bools
+          (List.init prefix_bits (fun i -> (prefix lsr i) land 1 = 1)
+          @ Array.to_list (Array.sub cells pos len))
+      in
+      List.for_all
+        (fun bits ->
+          let fn = Strhash.create (Prng.Rng.with_label root "fn") ~bits in
+          Strhash.prefixed_int_tag fn ~prefix ~prefix_bits payload ~pos ~len
+          = Strhash.For_testing.range_int_tag fn concat ~pos:0 ~len:(prefix_bits + len))
+        [ 62; 20 ])
+
+let test_prefixed_tag_rejects () =
+  let fn = Strhash.create (Prng.Rng.of_int 1) ~bits:32 in
+  let payload = Bitio.Bits.of_bools (List.init 40 (fun i -> i land 1 = 0)) in
+  List.iter
+    (fun (prefix, prefix_bits) ->
+      Alcotest.check_raises
+        (Printf.sprintf "prefix %d over %d bits" prefix prefix_bits)
+        (Invalid_argument "Strhash.prefixed_int_tag: prefix")
+        (fun () ->
+          ignore (Strhash.prefixed_int_tag fn ~prefix ~prefix_bits payload ~pos:0 ~len:40)))
+    [ (0, 25); (0, -1); (4, 2); (-1, 8) ];
+  Alcotest.check_raises "range past the payload" (Invalid_argument "Strhash: range out of bounds")
+    (fun () ->
+      ignore (Strhash.prefixed_int_tag fn ~prefix:1 ~prefix_bits:20 payload ~pos:1 ~len:40))
 
 (* ---------- Wire ---------- *)
 
@@ -600,6 +648,8 @@ let () =
           Alcotest.test_case "point and multiplier" `Quick test_point_and_multiplier;
           qt prop_strhash_equal_inputs;
           qt prop_strhash_reference;
+          qt prop_prefixed_tag_is_concatenation;
+          Alcotest.test_case "prefixed tag rejects" `Quick test_prefixed_tag_rejects;
         ] );
       ( "wire",
         [

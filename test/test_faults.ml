@@ -236,6 +236,66 @@ let prop_apply_matches_reference =
       && t.Faults.duplicated_messages = duplicated && t.Faults.dropped_messages = dropped
       && t.Faults.dropped_bits = (if dropped > 0 then List.length bools else 0))
 
+(* Each link's cell holds the hash of "faults/<from>-><to>/" and adds the
+   index with [Label.index], which caches the index's tens: across the
+   decade and digit-count edges, on both links of one channel in turn,
+   every message must decide as the reference's generator, drawn with
+   [with_label] on the whole label string, does. *)
+let test_link_cells_match_labels () =
+  let link = { Faults.flip = 0.05; trunc = 0.3; dup = 0.5; drop = 0.2 } in
+  let payload = Bitio.Bits.of_bools (List.init 90 (fun i -> i mod 3 = 0)) in
+  for seed = 0 to 15 do
+    let c = Faults.channel (Faults.uniform ~seed link) ~players:2 in
+    List.iter
+      (fun index ->
+        List.iter
+          (fun (from_, to_) ->
+            let want, _ = reference_apply ~seed link ~from_ ~to_ ~index payload in
+            let got =
+              match Faults.apply c ~from_ ~to_ ~index payload with
+              | 0 -> None
+              | copies -> Some (List.init copies (fun _ -> Faults.delivered c))
+            in
+            let same =
+              match (want, got) with
+              | None, None -> true
+              | Some w, Some g ->
+                  List.length w = List.length g && List.for_all2 Bitio.Bits.equal w g
+              | _ -> false
+            in
+            let where = Printf.sprintf "seed %d, %d->%d, message %d" seed from_ to_ index in
+            check_bool where true same)
+          [ (0, 1); (1, 0) ])
+      [ 0; 9; 10; 99; 100; 1000 ]
+  done
+
+(* A message on a noisy link that no fault hits allocates nothing: its
+   generator is the link cell's own, every decision is an integer
+   comparison, and the payload is handed on as it came. *)
+let test_apply_quiet_allocation () =
+  let quiet =
+    Faults.uniform ~seed:3 { Faults.flip = 1e-12; trunc = 1e-12; dup = 1e-12; drop = 1e-12 }
+  in
+  let c = Faults.channel quiet ~players:2 in
+  let payload = Bitio.Bits.of_bools (List.init 256 (fun i -> i mod 5 = 0)) in
+  let send n =
+    for index = 0 to n - 1 do
+      let from_ = index land 1 in
+      ignore (Sys.opaque_identity (Faults.apply c ~from_ ~to_:(1 - from_) ~index payload))
+    done
+  in
+  send 20;
+  let _, w = Obsv.Window.measure (fun () -> send 1000) in
+  let _, empty = Obsv.Window.measure (fun () -> ()) in
+  check "bytes over 1 000 quiet messages" 0
+    (w.Obsv.Window.alloc_bytes - empty.Obsv.Window.alloc_bytes);
+  let t = Faults.total (Faults.tallies c) in
+  check "deliveries" 1020 t.Faults.deliveries;
+  check "no damage" 0
+    (t.Faults.flipped_bits + t.Faults.truncated_messages + t.Faults.duplicated_messages
+   + t.Faults.dropped_messages);
+  check_bool "the payload is handed on" true (Faults.delivered c == payload)
+
 (* ---------- The guarded transport ---------- *)
 
 (* Frames one guard sends, captured off a send-only transport. *)
@@ -339,6 +399,39 @@ let guarded_pair ~plan ~link_rng ~alice ~bob =
   Two_party.run_faulty ~plan
     ~alice:(fun chan -> alice (Intersect.Resilient.guard link_rng ~tag_bits:32 chan))
     ~bob:(fun chan -> bob (Intersect.Resilient.guard link_rng ~tag_bits:32 chan))
+
+(* Bytes a guarded ping-pong of [n] round trips of a 60-bit payload
+   allocates over a clean run. *)
+let guarded_ping_pong_bytes n =
+  let payload = bits_of_int ~width:60 0x0123456789ABCDE in
+  let rng = Prng.Rng.of_int 8 in
+  let run () =
+    Two_party.run
+      ~alice:(fun chan ->
+        let g = Intersect.Resilient.guard rng ~tag_bits:32 chan in
+        for _ = 1 to n do
+          g.Transport.send payload;
+          ignore (Sys.opaque_identity (g.Transport.recv ()))
+        done)
+      ~bob:(fun chan ->
+        let g = Intersect.Resilient.guard rng ~tag_bits:32 chan in
+        for _ = 1 to n do
+          g.Transport.send (g.Transport.recv ())
+        done)
+  in
+  let _, w = Obsv.Window.measure (fun () -> ignore (Sys.opaque_identity (run ()))) in
+  w.Obsv.Window.alloc_bytes
+
+(* A guarded message costs its network delivery (32 B), one frame copy on
+   send and one payload copy on receive (48 B each here: bytes plus the
+   bit-string record), so a round trip reads 256 B.  Both fingerprints
+   are taken in place: a [seq | payload] string assembled and viewed per
+   fingerprint read 352. *)
+let test_guard_round_trip_allocation () =
+  ignore (guarded_ping_pong_bytes 10);
+  let per_round_trip = (guarded_ping_pong_bytes 1000 - guarded_ping_pong_bytes 0) / 1000 in
+  if per_round_trip > 288 then
+    Alcotest.failf "%d bytes per guarded round trip (at most 288)" per_round_trip
 
 let test_guard_absorbs_duplicates () =
   let plan = Faults.uniform ~seed:2 { Faults.clean_link with Faults.dup = 1.0 } in
@@ -503,12 +596,15 @@ let () =
           Alcotest.test_case "seed replay determinism" `Quick test_replay_determinism;
           Alcotest.test_case "reseed derives fresh noise" `Quick test_reseed;
           QCheck_alcotest.to_alcotest prop_apply_matches_reference;
+          Alcotest.test_case "link cells = label strings" `Quick test_link_cells_match_labels;
+          Alcotest.test_case "quiet message allocates nothing" `Quick test_apply_quiet_allocation;
         ] );
       ( "guard",
         [
           Alcotest.test_case "absorbs duplicates" `Quick test_guard_absorbs_duplicates;
           Alcotest.test_case "detects flips" `Quick test_guard_detects_flips;
           Alcotest.test_case "tag_bits in [1, 62]" `Quick test_guard_tag_bits_range;
+          Alcotest.test_case "bytes per round trip" `Quick test_guard_round_trip_allocation;
           QCheck_alcotest.to_alcotest prop_frames_match_reference;
           QCheck_alcotest.to_alcotest prop_guard_recv_total;
         ] );

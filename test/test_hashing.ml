@@ -180,6 +180,55 @@ let test_cw_large_universe () =
   (* 1000 draws into 1024 buckets should touch many distinct buckets. *)
   if Hashtbl.length seen < 400 then Alcotest.failf "suspiciously few buckets: %d" (Hashtbl.length seen)
 
+(* The prime cache against a fresh search: more universes than the
+   cache holds, in a cycle (so every entry is replaced), then two
+   universes alternating as bucket's assignment hash and its universe
+   reduction do, each drawn as a new function. *)
+let test_cw_cached_primes () =
+  let rng = Prng.Rng.of_int 21 in
+  let modulus universe =
+    Carter_wegman.For_testing.modulus (Carter_wegman.create rng ~universe ~range:16)
+  in
+  let universes =
+    [ 1; 2; 3; 90; 97; 1 lsl 16; 1 lsl 20; (1 lsl 20) + 7; 4096; 262_144; 1 lsl 24; 1 lsl 30 ]
+    @ [ (1 lsl 31) + 11; 1 lsl 36; 1_000_000_007 ]
+  in
+  for round = 1 to 3 do
+    List.iter
+      (fun u ->
+        let where = Printf.sprintf "round %d, universe %d" round u in
+        check where (Prime.next_prime (max u 2)) (modulus u))
+      universes
+  done;
+  for i = 1 to 20 do
+    let u = if i land 1 = 0 then 1 lsl 24 else 1 lsl 20 in
+    check (Printf.sprintf "alternating, universe %d" u) (Prime.next_prime u) (modulus u)
+  done
+
+(* A remembered argument costs a scan and allocates nothing. *)
+let test_memo_ints_hit_allocation () =
+  let calls = ref 0 in
+  let f x =
+    incr calls;
+    x * 3
+  in
+  let cached = Bitio.Memo.ints ~entries:4 f in
+  List.iter (fun x -> check "miss" (3 * x) (cached x)) [ 1; 2; 3; 4 ];
+  let _, w =
+    Obsv.Window.measure (fun () ->
+        for i = 0 to 9_999 do
+          ignore (Sys.opaque_identity (cached (1 + (i land 3))))
+        done)
+  in
+  let _, empty = Obsv.Window.measure (fun () -> ()) in
+  check "hits allocate nothing" 0 (w.Obsv.Window.alloc_bytes - empty.Obsv.Window.alloc_bytes);
+  check "hits call nothing" 4 !calls;
+  check "a fifth argument replaces the oldest" 15 (cached 5);
+  check "the oldest is gone" 3 (cached 1);
+  check "calls" 6 !calls;
+  Alcotest.check_raises "entries < 1" (Invalid_argument "Memo.ints") (fun () ->
+      ignore (Bitio.Memo.ints ~entries:0 f 1))
+
 let () =
   Alcotest.run "hashing"
     [
@@ -204,5 +253,7 @@ let () =
           Alcotest.test_case "cw range" `Quick test_cw_range;
           Alcotest.test_case "cw collision bound" `Quick test_cw_collision_bound;
           Alcotest.test_case "cw large universe" `Quick test_cw_large_universe;
+          Alcotest.test_case "cw cached primes = next_prime" `Quick test_cw_cached_primes;
+          Alcotest.test_case "memo hit allocates nothing" `Quick test_memo_ints_hit_allocation;
         ] );
     ]

@@ -202,6 +202,32 @@ let test_scan_allocation_free () =
   let words = Gc.minor_words () -. before in
   if words > 64.0 then Alcotest.failf "scan_below allocated %.0f words over 100 scans" words
 
+(* The scan evaluates four outputs a step and the rest one at a time;
+   against a one-draw-at-a-time reference it must stop at the same index
+   and leave the same state, for every limit across the unroll edge, at
+   the thresholds that never and always stop and at ones that stop at
+   any of the four. *)
+let test_scan_unrolled_matches_stepwise () =
+  let stepwise rng ~threshold ~limit =
+    let i = ref 0 in
+    while !i < limit && not (Rng.below rng threshold) do
+      incr i
+    done;
+    !i
+  in
+  List.iter
+    (fun threshold ->
+      for limit = 0 to 9 do
+        for seed = 0 to 63 do
+          let a = Rng.of_int seed and b = Rng.of_int seed in
+          let where = Printf.sprintf "threshold %d, limit %d, seed %d" threshold limit seed in
+          check where (stepwise a ~threshold ~limit) (Rng.scan_below b ~threshold ~limit);
+          Alcotest.(check int64)
+            (where ^ ": state") (Rng.For_testing.int64 a) (Rng.For_testing.int64 b)
+        done
+      done)
+    [ 0; 1 lsl 53; 1 lsl 52; 1 lsl 51; 1 lsl 50 ]
+
 (* [Label.index] against [rewind] + [add_int] on a twin cell, over
    random interleavings of the cell's operations.  Indices come near the
    decade edges, the packed-digit limit 10^15 and zero, as steps from the
@@ -309,6 +335,8 @@ let () =
         [
           Alcotest.test_case "threshold edges" `Quick test_threshold_edges;
           Alcotest.test_case "scan allocates nothing" `Quick test_scan_allocation_free;
+          Alcotest.test_case "4-wide scan = stepwise reference" `Quick
+            test_scan_unrolled_matches_stepwise;
           qt prop_scan_matches_per_draw;
           qt prop_threshold_exact;
         ] );
